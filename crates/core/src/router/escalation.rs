@@ -1,0 +1,674 @@
+//! The AITF control plane: the roles a border router plays when a
+//! filtering request reaches it (victim's gateway, attacker's gateway,
+//! attacker), the verification handshake, shadow reactivation and the
+//! grace-period disconnect. A child module of `router`, so the roles keep
+//! direct access to the router's private state.
+
+use aitf_filter::InstallError;
+use aitf_netsim::{Context, LinkId};
+use aitf_packet::{
+    Addr, AitfMessage, FilteringRequest, Nonce, Packet, RequestDestination, VerificationQuery,
+    VerificationReply,
+};
+use aitf_trace::{Cause, SpanKind};
+use rand::Rng;
+
+use super::{flow_key, BorderRouter, GraceWatch, PendingHandshake, PendingPath, TimerAction};
+
+impl BorderRouter {
+    // ------------------------------------------------------------------
+    // Victim-gateway role.
+    // ------------------------------------------------------------------
+
+    pub(super) fn victim_gateway_role(
+        &mut self,
+        mut req: FilteringRequest,
+        arrival: LinkId,
+        ctx: &mut Context<'_>,
+    ) {
+        let now = ctx.now();
+        if !self.policy.cooperating {
+            self.counters.requests_ignored += 1;
+            return;
+        }
+
+        // The requester must be a client, and may only claim victimhood for
+        // destinations behind itself (trivial ingress verification,
+        // Section II-E).
+        match self.client_prefixes(arrival) {
+            Some(prefixes) => {
+                let dst_ok = match req.flow.dst_host() {
+                    Some(dst) => prefixes.iter().any(|p| p.contains(dst)),
+                    None => prefixes.iter().any(|p| req.flow.dst.overlaps(*p)),
+                };
+                if !dst_ok {
+                    self.counters.requests_invalid += 1;
+                    return;
+                }
+            }
+            None => {
+                self.counters.requests_invalid += 1;
+                return;
+            }
+        }
+
+        // A repeat request for a flow we already acted on means the last
+        // round failed: escalate. (The client always claims round 1; the
+        // shadow knows better.)
+        if let Some(entry) = self.shadow.get(&req.flow) {
+            let cooldown = self.cfg.t_tmp / 2;
+            if entry.round >= req.round {
+                if now.saturating_since(entry.last_action) < cooldown {
+                    // Duplicate within the damping window: refresh only.
+                    // A full table means even the refresh failed — the
+                    // client is unprotected and must not look served.
+                    let key = flow_key(&req.flow);
+                    match self.filters.install(req.flow, now, self.cfg.t_tmp) {
+                        Ok(_) => {
+                            self.counters.requests_refreshed += 1;
+                            self.tracer.instant(
+                                SpanKind::Refresh,
+                                Cause::Duplicate,
+                                key,
+                                entry.round,
+                                self.addr.0,
+                                now.0,
+                            );
+                        }
+                        Err(InstallError::TableFull) => {
+                            self.counters.requests_unsatisfiable += 1;
+                            self.tracer.instant(
+                                SpanKind::Drop,
+                                Cause::TableFull,
+                                key,
+                                entry.round,
+                                self.addr.0,
+                                now.0,
+                            );
+                        }
+                    }
+                    return;
+                }
+                req.round = entry.round.saturating_add(1).min(self.cfg.max_round);
+            }
+            if req.path.is_empty() && !entry.path.is_empty() {
+                req.path = aitf_packet::RouteRecord::from_hops(entry.path.iter().copied());
+            }
+        }
+
+        // Temporary filter for Ttmp; shadow for T.
+        let key = flow_key(&req.flow);
+        match self.filters.install(req.flow, now, self.cfg.t_tmp) {
+            Ok(_) => {}
+            Err(InstallError::TableFull) => {
+                self.counters.requests_unsatisfiable += 1;
+                self.tracer.instant(
+                    SpanKind::Drop,
+                    Cause::TableFull,
+                    key,
+                    req.round,
+                    self.addr.0,
+                    now.0,
+                );
+                return;
+            }
+        }
+        self.counters.requests_accepted += 1;
+        // One span per escalation round, opened where the round is
+        // handled; everything the round causes (handshake, long filter,
+        // disconnect — wherever it happens) parents under it.
+        let round_cause = if req.round > 1 {
+            Cause::Escalated
+        } else {
+            Cause::Detection
+        };
+        self.tracer.start(
+            SpanKind::Round,
+            round_cause,
+            key,
+            req.round,
+            self.addr.0,
+            now.0,
+        );
+        self.tracer.instant(
+            SpanKind::TempFilter,
+            Cause::Protocol,
+            key,
+            req.round,
+            self.addr.0,
+            now.0,
+        );
+        self.shadow.insert_with_path(
+            req.flow,
+            req.id,
+            now,
+            self.cfg.t_long,
+            req.round,
+            req.path.hops().to_vec(),
+        );
+        self.trace(now, || {
+            format!(
+                "victim-gw: temp filter for {} (round {})",
+                req.flow, req.round
+            )
+        });
+
+        if req.path.is_empty() {
+            // No attack-path sample yet: wait for one (the temporary filter
+            // is already protecting the client; blocked packets will carry
+            // the route record).
+            self.pending_paths.push(PendingPath {
+                request: req,
+                expires: now + self.cfg.t_tmp,
+            });
+            return;
+        }
+        self.propagate_as_victim_gateway(req, ctx);
+    }
+
+    /// Decides, for round `k`, whether this router propagates to the
+    /// attacker side, forwards the escalation to its parent, or — at the
+    /// top of the chain with nothing left to try — disconnects the peer.
+    ///
+    /// Under partial deployment both selections are *deployment-aware*:
+    /// path hops known to have left AITF are skipped, so the round-k
+    /// request lands on the nearest participating node instead of being
+    /// eaten by a legacy router, and escalation forwards to the nearest
+    /// AITF-enabled ancestor rather than blindly to the parent.
+    pub(super) fn propagate_as_victim_gateway(
+        &mut self,
+        req: FilteringRequest,
+        ctx: &mut Context<'_>,
+    ) {
+        let now = ctx.now();
+        // Everything the decision needs is `Copy`-cheap; pulling it out up
+        // front lets each branch *move* `req` into the outgoing message
+        // instead of cloning the whole request (route record included).
+        let flow = req.flow;
+        let round = req.round;
+        let k = round.max(1) as usize;
+        let len = req.path.len();
+        let my_pos = req.path.position(self.addr);
+        // The victim-side handler for round k is the k-th node from the
+        // victim end of the path — or, when that hop no longer runs AITF,
+        // the nearest participating node on the victim side of it.
+        let handler_pos = len
+            .checked_sub(k)
+            .and_then(|ideal| (ideal..len).find(|&i| self.peer_participates(req.path.hops()[i])));
+        // The attacker-side node asked to filter at round k, skipping
+        // hops that have left AITF since they stamped the record.
+        let target = req.path.hops()[(k - 1).min(len)..]
+            .iter()
+            .copied()
+            .find(|&a| self.peer_participates(a));
+        let parent = self.escalation_parent();
+
+        let i_am_handler = match (my_pos, handler_pos) {
+            (Some(p), Some(h)) => p == h || (p > h && parent.is_none()),
+            // Not on the recorded path (or path exhausted): handle locally.
+            _ => true,
+        };
+
+        let key = flow_key(&flow);
+        if !i_am_handler {
+            let Some(parent) = parent else {
+                // No AITF-enabled ancestor left to escalate through; the
+                // request would otherwise vanish without a trace.
+                self.counters.escalations_dropped += 1;
+                self.tracer.instant(
+                    SpanKind::Drop,
+                    Cause::NoAncestor,
+                    key,
+                    round,
+                    self.addr.0,
+                    now.0,
+                );
+                self.tracer.close_round(key, round, now.0);
+                self.trace(now, || {
+                    format!("escalation round {round} for {flow} dropped: no AITF-enabled ancestor")
+                });
+                return;
+            };
+            self.counters.escalations_sent += 1;
+            self.shadow.note_round(&flow, round);
+            self.shadow.touch_action(&flow, now);
+            self.tracer.instant(
+                SpanKind::Escalate,
+                Cause::Escalated,
+                key,
+                round,
+                self.addr.0,
+                now.0,
+            );
+            self.trace(now, || {
+                format!("escalate round {round} for {flow} to parent {parent}")
+            });
+            let escalated = FilteringRequest {
+                dest: RequestDestination::VictimGateway,
+                ..req
+            };
+            self.send_control(ctx, parent, AitfMessage::FilteringRequest(escalated));
+            return;
+        }
+
+        // I am the handler: ask the round-k attacker-side node to filter.
+        match target {
+            Some(target) if target != self.addr => {
+                self.shadow.touch_action(&flow, now);
+                self.trace(now, || {
+                    format!("round {k}: request {flow} -> attacker-side node {target}")
+                });
+                let outgoing = FilteringRequest {
+                    dest: RequestDestination::AttackerGateway,
+                    ..req
+                };
+                self.send_control(ctx, target, AitfMessage::FilteringRequest(outgoing));
+            }
+            _ => {
+                // Every attacker-side node was tried (or the round walked
+                // into ourselves): disconnect the neighbour the flow comes
+                // through (Section II-D worst case: "G_gw3 disconnects from
+                // B_gw3").
+                self.disconnect_flow_neighbor(&req, ctx);
+            }
+        }
+    }
+
+    /// Blocks the incoming direction of the link the attack path enters
+    /// through — unless that link is this router's own uplink, in which
+    /// case severing it would disconnect this network (and every client
+    /// behind it) from the world rather than the attacker; the flow is
+    /// then kept filtered locally instead. That is the partial-deployment
+    /// endgame: a victim's gateway with no cooperating node upstream
+    /// still protects its client with its own table.
+    fn disconnect_flow_neighbor(&mut self, req: &FilteringRequest, ctx: &mut Context<'_>) {
+        let now = ctx.now();
+        let key = flow_key(&req.flow);
+        let my_pos = req.path.position(self.addr);
+        // The neighbour towards the attacker: previous hop on the path, or
+        // the route towards the flow source as a fallback.
+        let neighbor = my_pos
+            .and_then(|p| p.checked_sub(1))
+            .and_then(|i| req.path.hops().get(i).copied())
+            .or_else(|| req.flow.src_host());
+        let Some(neighbor) = neighbor else {
+            // Nobody identifiable to disconnect: the escalation dead-ends
+            // here, which must be observable.
+            self.counters.escalations_dropped += 1;
+            self.tracer.instant(
+                SpanKind::Drop,
+                Cause::NoNeighbor,
+                key,
+                req.round,
+                self.addr.0,
+                now.0,
+            );
+            self.tracer.close_round(key, req.round, now.0);
+            self.trace(now, || {
+                format!(
+                    "escalation for {} dropped: no neighbour to disconnect",
+                    req.flow
+                )
+            });
+            return;
+        };
+        let Some(&link) = self.fwd.lookup(neighbor).copied().as_ref() else {
+            self.counters.escalations_dropped += 1;
+            self.tracer.instant(
+                SpanKind::Drop,
+                Cause::NoNeighbor,
+                key,
+                req.round,
+                self.addr.0,
+                now.0,
+            );
+            self.tracer.close_round(key, req.round, now.0);
+            self.trace(now, || {
+                format!(
+                    "escalation for {} dropped: no route to neighbour {neighbor}",
+                    req.flow
+                )
+            });
+            return;
+        };
+        if Some(link) == self.uplink {
+            self.counters.local_filter_fallbacks += 1;
+            // Extend the temporary filter to the full horizon `T`; a full
+            // table leaves the existing temporary protection in place.
+            let _ = self.filters.install(req.flow, now, self.cfg.t_long);
+            self.tracer.instant(
+                SpanKind::LocalFilter,
+                Cause::Protocol,
+                key,
+                req.round,
+                self.addr.0,
+                now.0,
+            );
+            self.tracer.close_round(key, req.round, now.0);
+            self.trace(now, || {
+                format!(
+                    "round exhausted for {}: keeping local filter (refusing to sever own uplink)",
+                    req.flow
+                )
+            });
+            return;
+        }
+        self.counters.disconnects_peer += 1;
+        self.tracer.instant(
+            SpanKind::Disconnect,
+            Cause::Protocol,
+            key,
+            req.round,
+            self.addr.0,
+            now.0,
+        );
+        self.tracer.close_round(key, req.round, now.0);
+        self.trace(now, || {
+            format!(
+                "disconnecting peer {} (link {:?}) over {}",
+                neighbor, link, req.flow
+            )
+        });
+        ctx.set_incoming_blocked(link, true);
+    }
+
+    /// A shadowed flow reappeared: reinstall the temporary filter and
+    /// escalate one round.
+    pub(super) fn on_reactivation(
+        &mut self,
+        entry: aitf_filter::ShadowEntry,
+        packet: &Packet,
+        ctx: &mut Context<'_>,
+    ) {
+        let now = ctx.now();
+        let _ = self.filters.install(entry.label, now, self.cfg.t_tmp);
+        let cooldown = self.cfg.t_tmp / 2;
+        if now.saturating_since(entry.last_action) < cooldown {
+            return;
+        }
+        let round = entry.round.saturating_add(1).min(self.cfg.max_round);
+        self.shadow.note_round(&entry.label, round);
+        self.shadow.touch_action(&entry.label, now);
+        // The temporary filter expired and the shadowed flow came back:
+        // that expiry is the cause of this whole round.
+        self.tracer.start(
+            SpanKind::Round,
+            Cause::TempFilterExpired,
+            flow_key(&entry.label),
+            round,
+            self.addr.0,
+            now.0,
+        );
+        // Prefer the stored path; fall back to the triggering packet's
+        // route record (plus our own hop).
+        let path = if entry.path.is_empty() {
+            let mut hops = packet.route_record.hops().to_vec();
+            if hops.last() != Some(&self.addr) {
+                hops.push(self.addr);
+            }
+            hops
+        } else {
+            entry.path.clone()
+        };
+        let req = FilteringRequest {
+            id: entry.request_id,
+            flow: entry.label,
+            dest: RequestDestination::VictimGateway,
+            duration_ns: self.cfg.t_long.as_nanos(),
+            path: aitf_packet::RouteRecord::from_hops(path.iter().copied()),
+            round,
+        };
+        self.propagate_as_victim_gateway(req, ctx);
+    }
+
+    // ------------------------------------------------------------------
+    // Attacker-gateway role.
+    // ------------------------------------------------------------------
+
+    pub(super) fn attacker_gateway_role(&mut self, req: FilteringRequest, ctx: &mut Context<'_>) {
+        let now = ctx.now();
+        if !self.policy.cooperating {
+            self.counters.requests_ignored += 1;
+            self.trace(now, || {
+                format!("ignoring request for {} (non-cooperating)", req.flow)
+            });
+            return;
+        }
+        if self.cfg.verification {
+            self.start_handshake(req, ctx);
+        } else {
+            self.satisfy_attacker_side(req, ctx, true);
+        }
+    }
+
+    fn start_handshake(&mut self, req: FilteringRequest, ctx: &mut Context<'_>) {
+        let now = ctx.now();
+        let Some(victim) = req.flow.dst_host() else {
+            // Cannot query a wildcard victim; refuse conservatively.
+            self.counters.requests_invalid += 1;
+            return;
+        };
+        let nonce = Nonce(ctx.rng().gen());
+        self.counters.handshakes_started += 1;
+        self.counters.requests_accepted += 1;
+        let span = self.tracer.start(
+            SpanKind::Handshake,
+            Cause::Protocol,
+            flow_key(&req.flow),
+            req.round,
+            self.addr.0,
+            now.0,
+        );
+        let query = VerificationQuery {
+            request_id: req.id,
+            flow: req.flow,
+            nonce,
+        };
+        self.pending_handshakes.insert(
+            nonce.0,
+            PendingHandshake {
+                request: req,
+                nonce,
+                span,
+            },
+        );
+        let token = self.alloc_token(TimerAction::HandshakeTimeout { nonce: nonce.0 });
+        ctx.set_timer(self.cfg.handshake_timeout, token);
+        self.trace(now, || {
+            format!("handshake query to {} nonce {}", victim, nonce)
+        });
+        self.send_control(ctx, victim, AitfMessage::VerificationQuery(query));
+    }
+
+    pub(super) fn handle_verification_reply(
+        &mut self,
+        rep: VerificationReply,
+        ctx: &mut Context<'_>,
+    ) {
+        let now = ctx.now();
+        let Some(pending) = self.pending_handshakes.remove(&rep.nonce.0) else {
+            return;
+        };
+        // The reply must echo the exact flow, nonce and request id.
+        if pending.request.id != rep.request_id
+            || pending.request.flow != rep.flow
+            || pending.nonce != rep.nonce
+        {
+            self.pending_handshakes.insert(rep.nonce.0, pending);
+            return;
+        }
+        self.tracer.end(pending.span, now.0);
+        if rep.confirm {
+            self.counters.handshakes_confirmed += 1;
+            self.trace(now, || format!("handshake confirmed for {}", rep.flow));
+            self.satisfy_attacker_side(pending.request, ctx, false);
+        } else {
+            self.counters.handshakes_denied += 1;
+            let key = flow_key(&pending.request.flow);
+            self.tracer.instant(
+                SpanKind::Drop,
+                Cause::HandshakeDenied,
+                key,
+                pending.request.round,
+                self.addr.0,
+                now.0,
+            );
+            self.tracer.close_round(key, pending.request.round, now.0);
+            self.trace(now, || format!("handshake DENIED for {}", rep.flow));
+        }
+    }
+
+    /// Installs the long filter and pushes the request one step closer to
+    /// the attacker, arming the disconnection grace timer. `from_request`
+    /// marks calls made synchronously while handling a received request
+    /// (as opposed to a verification reply arriving later), so the
+    /// request-accounting buckets stay exact.
+    fn satisfy_attacker_side(
+        &mut self,
+        req: FilteringRequest,
+        ctx: &mut Context<'_>,
+        from_request: bool,
+    ) {
+        let now = ctx.now();
+        let flow = req.flow;
+        let key = flow_key(&flow);
+        let round = req.round;
+        match self.filters.install(flow, now, self.cfg.t_long) {
+            Ok(_) => {
+                self.counters.filters_installed += 1;
+                if from_request {
+                    self.counters.requests_accepted += 1;
+                }
+                let cause = if from_request {
+                    Cause::Protocol
+                } else {
+                    Cause::HandshakeConfirmed
+                };
+                self.tracer.instant(
+                    SpanKind::LongFilter,
+                    cause,
+                    key,
+                    req.round,
+                    self.addr.0,
+                    now.0,
+                );
+                self.tracer.close_round(key, req.round, now.0);
+            }
+            Err(InstallError::TableFull) => {
+                // Only a synchronously handled request may count towards
+                // `requests_unsatisfiable`: the deferred handshake-confirm
+                // path already counted this request as accepted when the
+                // handshake started, so counting it again here would break
+                // the received-request conservation identity.
+                if from_request {
+                    self.counters.requests_unsatisfiable += 1;
+                } else {
+                    self.counters.deferred_unsatisfied += 1;
+                }
+                self.tracer.instant(
+                    SpanKind::Drop,
+                    Cause::TableFull,
+                    key,
+                    req.round,
+                    self.addr.0,
+                    now.0,
+                );
+                self.tracer.close_round(key, req.round, now.0);
+                return;
+            }
+        }
+        self.trace(now, || format!("attacker-gw: T-filter for {flow}"));
+
+        // Who is my misbehaving client for this flow? Round 1: the attacker
+        // host itself. Round k: the (k-1)-th node on the path — the client
+        // network that failed to cooperate.
+        let my_pos = req.path.position(self.addr);
+        let client: Option<Addr> = match my_pos {
+            Some(0) | None => flow.src_host(),
+            Some(p) => req.path.hops().get(p - 1).copied(),
+        };
+        let Some(client) = client else { return };
+        let client_link = self.fwd.lookup(client).copied();
+        // Only police/disconnect parties that actually hang off a client
+        // interface of ours.
+        let is_client = client_link.is_some_and(|l| self.client_links.contains_key(&l));
+
+        // Moves `req` — the notice keeps the path and id without a clone.
+        let notice = FilteringRequest {
+            dest: RequestDestination::Attacker,
+            ..req
+        };
+        self.counters.attacker_notices_sent += 1;
+        self.send_control(ctx, client, AitfMessage::FilteringRequest(notice));
+
+        if is_client {
+            let watch_id = self.next_id;
+            self.next_id += 1;
+            self.grace_watches.insert(
+                watch_id,
+                GraceWatch {
+                    flow,
+                    client_link,
+                    armed_at: now,
+                    round,
+                },
+            );
+            let token = self.alloc_token(TimerAction::GraceCheck { watch: watch_id });
+            ctx.set_timer(self.cfg.grace, token);
+        }
+    }
+
+    /// `dest=Attacker` addressed to a *router*: an upstream gateway holds us
+    /// responsible. A cooperating router blocks the flow itself and relays
+    /// the notice towards the true attacker.
+    pub(super) fn attacker_role(&mut self, req: FilteringRequest, ctx: &mut Context<'_>) {
+        let now = ctx.now();
+        if !self.policy.cooperating {
+            self.counters.requests_ignored += 1;
+            return;
+        }
+        self.trace(now, || {
+            format!("attacker-role: blocking {} (or be disconnected)", req.flow)
+        });
+        // Block the flow ourselves and relay one step closer to the true
+        // attacker, with the same grace-watch policing of our own client.
+        self.satisfy_attacker_side(req, ctx, true);
+    }
+
+    // ------------------------------------------------------------------
+    // Timers.
+    // ------------------------------------------------------------------
+
+    pub(super) fn on_grace_check(&mut self, watch_id: u64, ctx: &mut Context<'_>) {
+        let now = ctx.now();
+        let Some(watch) = self.grace_watches.remove(&watch_id) else {
+            return;
+        };
+        // Has the flow kept arriving well into the grace period?
+        let margin = self.cfg.grace / 2;
+        let still_flowing = self
+            .filters
+            .last_hit_of(&watch.flow)
+            .is_some_and(|t| t > watch.armed_at + margin);
+        if still_flowing {
+            if let Some(link) = watch.client_link {
+                self.counters.disconnects_client += 1;
+                self.tracer.instant(
+                    SpanKind::Disconnect,
+                    Cause::GraceExpired,
+                    flow_key(&watch.flow),
+                    watch.round,
+                    self.addr.0,
+                    now.0,
+                );
+                self.trace(now, || {
+                    format!(
+                        "grace expired: disconnecting client link {:?} over {}",
+                        link, watch.flow
+                    )
+                });
+                ctx.set_incoming_blocked(link, true);
+            }
+        }
+    }
+}

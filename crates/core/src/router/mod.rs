@@ -1,0 +1,603 @@
+//! The AITF border router.
+//!
+//! Border routers are the only routers that speak AITF (Section II-C:
+//! "Internal routers do not participate"). One [`BorderRouter`] node plays
+//! every role the paper describes, depending on the request it receives:
+//!
+//! - **victim's gateway** — polices its client's requests, installs the
+//!   temporary filter for `Ttmp`, logs the shadow for `T`, and propagates
+//!   the request to the attacker's gateway (or escalates to its own
+//!   gateway when the attacker side does not cooperate);
+//! - **attacker's gateway** — verifies the request with the 3-way
+//!   handshake, installs the long (`T`) filter, tells its client to stop,
+//!   and disconnects the client after the grace period if it does not;
+//! - **escalation relay** — both of the above, one level up, in later
+//!   rounds;
+//! - **plain forwarder** — stamps the route-record shim (or probabilistic
+//!   marks) on transit data packets and enforces ingress filtering.
+
+use std::collections::{BTreeMap, HashMap};
+
+use aitf_defense::{DefensePolicy, ReadStage, Verdict, WriteStage};
+use aitf_filter::{FilterTable, RateLimiterBank, ShadowCache};
+use aitf_netsim::{impl_node_any, Context, LinkId, Node, SimTime, Subsystem};
+use aitf_packet::{
+    Addr, AitfMessage, FilteringRequest, FlowLabel, LpmTable, Nonce, Packet, PayloadKind, Prefix,
+    VerificationReply,
+};
+use aitf_trace::{Cause, SpanId, SpanKind, Tracer};
+
+use crate::config::{AitfConfig, RouterPolicy};
+use crate::pipeline::{self, PolicyChains, StageId};
+use crate::pushback::{PushbackCounters, PushbackState, LINK_LOCAL};
+
+mod escalation;
+mod stages;
+
+/// Everything a border router counts; read by experiments after a run.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct RouterCounters {
+    /// Data packets forwarded.
+    pub data_forwarded: u64,
+    /// Data packets dropped by a wire-speed filter.
+    pub data_filtered_pkts: u64,
+    /// Bytes dropped by a wire-speed filter.
+    pub data_filtered_bytes: u64,
+    /// Client packets dropped by ingress filtering (spoofed source).
+    pub spoofed_dropped: u64,
+    /// Packets dropped for TTL exhaustion or no route.
+    pub undeliverable: u64,
+    /// Filtering requests received (before policing).
+    pub requests_received: u64,
+    /// Filtering requests dropped by contract policing.
+    pub requests_policed: u64,
+    /// Requests ignored because this router is non-cooperating or legacy.
+    pub requests_ignored: u64,
+    /// Victim-gateway-role requests rejected as invalid (wrong direction,
+    /// destination not behind the requesting client).
+    pub requests_invalid: u64,
+    /// Damped duplicate requests whose temporary filter was refreshed in
+    /// place.
+    pub requests_refreshed: u64,
+    /// Requests this router accepted and committed work to (temporary
+    /// filter installed, handshake started, or long filter attempted) —
+    /// together with the policed/ignored/invalid/refreshed/unsatisfiable
+    /// counters, every received request lands in exactly one bucket.
+    pub requests_accepted: u64,
+    /// Requests this router satisfied by installing a filter.
+    pub filters_installed: u64,
+    /// Requests that failed because the filter table was full.
+    pub requests_unsatisfiable: u64,
+    /// Escalations that could not go anywhere: no AITF-enabled ancestor
+    /// to forward to, or no identifiable neighbour to disconnect.
+    pub escalations_dropped: u64,
+    /// Escalations that dead-ended at this router's own uplink: severing
+    /// it would disconnect this network, not the attacker, so the flow is
+    /// filtered locally instead.
+    pub local_filter_fallbacks: u64,
+    /// Verification handshakes started.
+    pub handshakes_started: u64,
+    /// Handshakes that confirmed the request.
+    pub handshakes_confirmed: u64,
+    /// Handshakes denied by the victim.
+    pub handshakes_denied: u64,
+    /// Handshakes that timed out.
+    pub handshakes_timed_out: u64,
+    /// Escalated requests sent to this router's own gateway.
+    pub escalations_sent: u64,
+    /// Shadow-cache reactivations (on-off flows caught).
+    pub reactivations: u64,
+    /// Clients (hosts or client networks) disconnected after the grace
+    /// period.
+    pub disconnects_client: u64,
+    /// Peers disconnected at the top of the escalation chain.
+    pub disconnects_peer: u64,
+    /// `dest=Attacker` notices sent towards the attacker.
+    pub attacker_notices_sent: u64,
+    /// Verification queries snooped and forged (compromised router only).
+    pub handshakes_forged: u64,
+    /// Deferred handshake-confirm installs that found the table full. The
+    /// request was already counted `accepted` when its handshake started,
+    /// so this is *outside* the received-request identity — it records
+    /// committed work that could not be completed.
+    pub deferred_unsatisfied: u64,
+}
+
+/// Timer meanings, keyed by token through `token_map`.
+#[derive(Debug)]
+enum TimerAction {
+    HandshakeTimeout { nonce: u64 },
+    GraceCheck { watch: u64 },
+}
+
+#[derive(Debug)]
+struct PendingHandshake {
+    request: FilteringRequest,
+    nonce: Nonce,
+    /// The open handshake span ([`SpanId::NONE`] when tracing is off).
+    span: SpanId,
+}
+
+#[derive(Debug)]
+struct GraceWatch {
+    flow: FlowLabel,
+    round: u8,
+    client_link: Option<LinkId>,
+    armed_at: SimTime,
+}
+
+/// A victim-gateway request waiting for an attack-path sample.
+#[derive(Debug)]
+struct PendingPath {
+    request: FilteringRequest,
+    expires: SimTime,
+}
+
+/// Static wiring a router needs from the world builder.
+#[derive(Debug, Clone)]
+pub struct RouterSpec {
+    /// This router's control-plane address.
+    pub addr: Addr,
+    /// Longest-prefix-match forwarding table: network prefixes towards
+    /// remote networks plus /32 routes for this router's own clients.
+    pub fwd: LpmTable<LinkId>,
+    /// Link towards this router's provider; `None` at the top level.
+    pub uplink: Option<LinkId>,
+    /// Addresses of this router's ancestor gateways, nearest first —
+    /// escalation walks this chain, skipping ancestors known not to run
+    /// AITF. Empty at the top level.
+    pub ancestors: Vec<Addr>,
+    /// Border routers known (via capability advertisement at build time)
+    /// not to participate in AITF. Kept current at runtime through
+    /// [`BorderRouter::set_peer_aitf_enabled`].
+    pub legacy_peers: Vec<Addr>,
+    /// Client links (to end-hosts and client networks) with the set of
+    /// prefixes legitimately sourced behind each.
+    pub client_links: BTreeMap<LinkId, Vec<Prefix>>,
+    /// Protocol parameters.
+    pub config: AitfConfig,
+    /// Behaviour knobs.
+    pub policy: RouterPolicy,
+}
+
+/// An AITF border router node.
+///
+/// Since the hook-pipeline refactor the datapath is organised as three
+/// hook points — **Ingress** (packet entering the forwarding path),
+/// **Egress** (just before route lookup + transmit) and **Escalate**
+/// (control packets addressed to this router) — each running a
+/// DAG-ordered chain of defense stages selected by
+/// [`AitfConfig::defense`]. Stage logic is implemented on this type via
+/// [`aitf_defense::ReadStage`] / [`aitf_defense::WriteStage`] and
+/// dispatched statically through [`StageId`], so swapping the defense
+/// never costs an allocation or a virtual call on the per-packet path.
+pub struct BorderRouter {
+    addr: Addr,
+    cfg: AitfConfig,
+    policy: RouterPolicy,
+    /// Which defense populates the chains (copied from the config).
+    defense: DefensePolicy,
+    /// Resolved per-hook stage chains for `defense`.
+    chains: PolicyChains,
+    /// Pushback baseline state (arrival-link memory + counters); inert
+    /// under every other policy.
+    pushback: PushbackState,
+    /// Per-source-prefix policer, populated only under
+    /// [`DefensePolicy::IngressRateLimit`].
+    prefix_limiter: Option<RateLimiterBank>,
+    /// Revoked path-stamp origins `(first-hop router, expiry)`, populated
+    /// only under [`DefensePolicy::PathStamp`].
+    stamp_blocks: Vec<(Addr, SimTime)>,
+    fwd: LpmTable<LinkId>,
+    uplink: Option<LinkId>,
+    ancestors: Vec<Addr>,
+    /// The deployment view: peers currently known not to run AITF.
+    disabled_peers: std::collections::HashSet<Addr>,
+    client_links: BTreeMap<LinkId, Vec<Prefix>>,
+    filters: FilterTable,
+    shadow: ShadowCache,
+    limiter: RateLimiterBank,
+    pending_handshakes: HashMap<u64, PendingHandshake>,
+    pending_paths: Vec<PendingPath>,
+    grace_watches: HashMap<u64, GraceWatch>,
+    token_map: HashMap<u64, TimerAction>,
+    next_id: u64,
+    counters: RouterCounters,
+    timeline: Vec<(SimTime, String)>,
+    /// Structured span recorder (a zero-sized no-op unless the `trace`
+    /// feature is on); shared with every other router in the world so
+    /// escalation chains parent across routers.
+    tracer: Tracer,
+}
+
+/// Compact span key for a flow: `src_host << 32 | dst_host` (0 for a
+/// wildcard end). Escalation flows are host-to-host labels, so the key is
+/// unique within a world.
+fn flow_key(flow: &FlowLabel) -> u64 {
+    let src = flow.src_host().map(|a| a.0).unwrap_or(0) as u64;
+    let dst = flow.dst_host().map(|a| a.0).unwrap_or(0) as u64;
+    (src << 32) | dst
+}
+
+impl BorderRouter {
+    /// Builds a router from its spec.
+    pub fn new(spec: RouterSpec) -> Self {
+        let cfg = spec.config;
+        let mut limiter = RateLimiterBank::new(cfg.peer_contract.rate, cfg.peer_contract.burst);
+        // Client links are policed at the client contract (R1); everything
+        // else (uplink, peering) at the peer contract (R2).
+        for &link in spec.client_links.keys() {
+            limiter.set_contract(
+                link.0 as u64,
+                cfg.client_contract.rate,
+                cfg.client_contract.burst,
+            );
+        }
+        let defense = cfg.defense;
+        BorderRouter {
+            filters: FilterTable::with_policy(cfg.filter_capacity, cfg.eviction),
+            shadow: ShadowCache::new(cfg.shadow_capacity),
+            limiter,
+            defense,
+            chains: PolicyChains::build(defense).expect("static policy chains build"),
+            pushback: PushbackState::default(),
+            prefix_limiter: match defense {
+                DefensePolicy::IngressRateLimit { rate_pps, burst } => {
+                    Some(RateLimiterBank::new(rate_pps as f64, burst))
+                }
+                _ => None,
+            },
+            stamp_blocks: Vec::new(),
+            cfg,
+            policy: spec.policy,
+            fwd: spec.fwd,
+            uplink: spec.uplink,
+            ancestors: spec.ancestors,
+            // A router never lists itself: its own participation is its
+            // `policy`, and the view only answers "can this *peer* act?".
+            disabled_peers: spec
+                .legacy_peers
+                .into_iter()
+                .filter(|&a| a != spec.addr)
+                .collect(),
+            addr: spec.addr,
+            client_links: spec.client_links,
+            pending_handshakes: HashMap::new(),
+            pending_paths: Vec::new(),
+            grace_watches: HashMap::new(),
+            token_map: HashMap::new(),
+            next_id: 0,
+            counters: RouterCounters::default(),
+            timeline: Vec::new(),
+            tracer: Tracer::new(),
+        }
+    }
+
+    /// Replaces the span recorder. The world builder calls this on every
+    /// router with clones of one shared [`Tracer`], so round spans parent
+    /// across routers; a router keeps its private (inert) tracer otherwise.
+    pub fn set_tracer(&mut self, tracer: Tracer) {
+        self.tracer = tracer;
+    }
+
+    /// This router's address.
+    pub fn addr(&self) -> Addr {
+        self.addr
+    }
+
+    /// The link towards this router's provider, if any.
+    pub fn uplink(&self) -> Option<LinkId> {
+        self.uplink
+    }
+
+    /// Counter snapshot.
+    pub fn counters(&self) -> RouterCounters {
+        self.counters
+    }
+
+    /// The wire-speed filter table (read-only).
+    pub fn filters(&self) -> &FilterTable {
+        &self.filters
+    }
+
+    /// The DRAM shadow cache (read-only).
+    pub fn shadow(&self) -> &ShadowCache {
+        &self.shadow
+    }
+
+    /// The contract policer (read-only).
+    pub fn limiter(&self) -> &RateLimiterBank {
+        &self.limiter
+    }
+
+    /// Which defense policy populates this router's hook chains.
+    pub fn defense(&self) -> DefensePolicy {
+        self.defense
+    }
+
+    /// The resolved hook chains (read-only; experiments and docs
+    /// introspect the stage order).
+    pub fn chains(&self) -> &PolicyChains {
+        &self.chains
+    }
+
+    /// Pushback-plane counters (all zero unless the world runs
+    /// [`DefensePolicy::Pushback`]).
+    pub fn pushback(&self) -> PushbackCounters {
+        self.pushback.counters
+    }
+
+    /// Total defense state this router currently holds: wire-speed filter
+    /// entries plus policy-specific state (revoked path-stamp origins,
+    /// per-prefix policing buckets). The bake-off's "filter footprint"
+    /// metric sums this over every router.
+    pub fn defense_footprint(&self) -> usize {
+        self.filters.len()
+            + self.stamp_blocks.len()
+            + self.prefix_limiter.as_ref().map_or(0, RateLimiterBank::len)
+    }
+
+    /// The recorded timeline (empty unless `config.trace`).
+    pub fn timeline(&self) -> &[(SimTime, String)] {
+        &self.timeline
+    }
+
+    /// The current behaviour policy.
+    pub fn policy(&self) -> RouterPolicy {
+        self.policy
+    }
+
+    /// Replaces the behaviour policy (experiments flip cooperation at
+    /// runtime). Prefer [`crate::World::set_router_policy`], which also
+    /// updates every other router's deployment view.
+    pub fn set_policy(&mut self, policy: RouterPolicy) {
+        self.policy = policy;
+    }
+
+    /// Updates the deployment view: records whether the border router at
+    /// `addr` currently participates in AITF. The world-level
+    /// [`crate::World::set_router_policy`] hook broadcasts this to every
+    /// router when a provider joins or leaves AITF — the simulation's
+    /// stand-in for a BGP-style capability advertisement.
+    pub fn set_peer_aitf_enabled(&mut self, addr: Addr, enabled: bool) {
+        if addr == self.addr {
+            return;
+        }
+        if enabled {
+            self.disabled_peers.remove(&addr);
+        } else {
+            self.disabled_peers.insert(addr);
+        }
+    }
+
+    /// Whether `addr` is believed to run AITF (this router itself always
+    /// answers yes — its own participation is its policy).
+    fn peer_participates(&self, addr: Addr) -> bool {
+        !self.disabled_peers.contains(&addr)
+    }
+
+    /// The nearest ancestor gateway that participates in AITF — the
+    /// escalation target. A legacy parent is skipped, so the request
+    /// lands on the nearest cooperating node instead of being silently
+    /// eaten by a router that will only count it as ignored.
+    fn escalation_parent(&self) -> Option<Addr> {
+        self.ancestors
+            .iter()
+            .copied()
+            .find(|&a| self.peer_participates(a))
+    }
+
+    fn trace(&mut self, now: SimTime, msg: impl FnOnce() -> String) {
+        if self.cfg.trace {
+            self.timeline.push((now, msg()));
+        }
+    }
+
+    fn alloc_token(&mut self, action: TimerAction) -> u64 {
+        let token = self.next_id;
+        self.next_id += 1;
+        self.token_map.insert(token, action);
+        token
+    }
+
+    /// Sends an AITF control message towards `dst` through the forwarding
+    /// table.
+    fn send_control(&mut self, ctx: &mut Context<'_>, dst: Addr, msg: AitfMessage) {
+        let Some(&link) = self.fwd.lookup(dst) else {
+            self.counters.undeliverable += 1;
+            return;
+        };
+        let id = ctx.next_packet_id();
+        ctx.send(link, Packet::control(id, self.addr, dst, msg));
+    }
+
+    /// Is `link` a client link, and if so, which prefixes live behind it?
+    fn client_prefixes(&self, link: LinkId) -> Option<&[Prefix]> {
+        self.client_links.get(&link).map(Vec::as_slice)
+    }
+
+    // ------------------------------------------------------------------
+    // Data plane: the Ingress and Egress hooks.
+    // ------------------------------------------------------------------
+
+    /// Runs one stage by id — the static-dispatch heart of the pipeline.
+    /// Every arm is a monomorphized trait call on a unit marker type, so
+    /// walking a chain is a `match` per stage: no boxing, no vtables, no
+    /// allocation. Write stages cannot veto; they report `Continue`.
+    fn run_stage(
+        &mut self,
+        id: StageId,
+        packet: &mut Packet,
+        arrival: LinkId,
+        ctx: &mut Context<'_>,
+    ) -> Verdict {
+        use pipeline as st;
+        match id {
+            StageId::AitfIngressFilter => {
+                st::AitfIngressFilter::inspect(self, packet, arrival, ctx)
+            }
+            StageId::AitfWireFilter => st::AitfWireFilter::inspect(self, packet, arrival, ctx),
+            StageId::AitfShadowReact => st::AitfShadowReact::inspect(self, packet, arrival, ctx),
+            StageId::TtlCheck => st::TtlCheck::inspect(self, packet, arrival, ctx),
+            StageId::TtlDecrement => {
+                st::TtlDecrement::apply(self, packet, arrival, ctx);
+                Verdict::Continue
+            }
+            StageId::AitfStamp => {
+                st::AitfStamp::apply(self, packet, arrival, ctx);
+                Verdict::Continue
+            }
+            StageId::AitfAdmission => st::AitfAdmission::inspect(self, packet, arrival, ctx),
+            StageId::AitfDispatch => {
+                st::AitfDispatch::apply(self, packet, arrival, ctx);
+                Verdict::Continue
+            }
+            StageId::PushbackWireFilter => {
+                st::PushbackWireFilter::inspect(self, packet, arrival, ctx)
+            }
+            StageId::PushbackArrival => st::PushbackArrival::inspect(self, packet, arrival, ctx),
+            StageId::PushbackControl => {
+                st::PushbackControl::apply(self, packet, arrival, ctx);
+                Verdict::Continue
+            }
+            StageId::PrefixPolice => st::PrefixPolice::inspect(self, packet, arrival, ctx),
+            StageId::RatelimitControl => st::RatelimitControl::inspect(self, packet, arrival, ctx),
+            StageId::PathStampCheck => st::PathStampCheck::inspect(self, packet, arrival, ctx),
+            StageId::PathStampMark => {
+                st::PathStampMark::apply(self, packet, arrival, ctx);
+                Verdict::Continue
+            }
+            StageId::PathStampControl => {
+                st::PathStampControl::apply(self, packet, arrival, ctx);
+                Verdict::Continue
+            }
+        }
+    }
+
+    fn forward_data(&mut self, mut packet: Packet, arrival: LinkId, ctx: &mut Context<'_>) {
+        // Ingress hook: any stage may veto the packet.
+        for i in 0..self.chains.ingress.len() {
+            let id = self.chains.ingress.stage(i);
+            if self.run_stage(id, &mut packet, arrival, ctx).is_drop() {
+                // The defense consumed the packet: attribute this event's
+                // cost to the hook pipeline, not plain forwarding.
+                ctx.profile_subsystem(Subsystem::DefenseHook);
+                return;
+            }
+        }
+        // Egress hook: TTL accounting, traceback stamping.
+        for i in 0..self.chains.egress.len() {
+            let id = self.chains.egress.stage(i);
+            if self.run_stage(id, &mut packet, arrival, ctx).is_drop() {
+                ctx.profile_subsystem(Subsystem::DefenseHook);
+                return;
+            }
+        }
+        // Terminal action: route lookup + transmit (the datapath's one
+        // fixed step — every policy forwards what its chains let through).
+        match self.fwd.lookup(packet.header.dst) {
+            Some(&link) => {
+                self.counters.data_forwarded += 1;
+                ctx.send(link, packet);
+            }
+            None => self.counters.undeliverable += 1,
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Control plane: the Escalate hook.
+    // ------------------------------------------------------------------
+
+    fn handle_control(&mut self, mut packet: Packet, arrival: LinkId, ctx: &mut Context<'_>) {
+        // AITF control handling is escalation work; every other policy's
+        // control plane is part of its defense pipeline.
+        ctx.profile_subsystem(match self.defense {
+            DefensePolicy::Aitf => Subsystem::Escalation,
+            _ => Subsystem::DefenseHook,
+        });
+        for i in 0..self.chains.escalate.len() {
+            let id = self.chains.escalate.stage(i);
+            if self.run_stage(id, &mut packet, arrival, ctx).is_drop() {
+                return;
+            }
+        }
+    }
+
+    /// Reconnects a previously disconnected client (operator action in the
+    /// paper's world; exposed for experiments).
+    pub fn reconnect(&mut self, link: LinkId, ctx: &mut Context<'_>) {
+        ctx.set_incoming_blocked(link, false);
+    }
+}
+
+impl Node for BorderRouter {
+    fn on_packet(&mut self, packet: Packet, link: LinkId, ctx: &mut Context<'_>) {
+        // The Escalate hook sees control packets addressed to this router —
+        // plus, under pushback, the protocol's link-local hop-by-hop
+        // messages (no other policy addresses packets to `LINK_LOCAL`).
+        if packet.header.dst == self.addr
+            || (packet.header.dst == LINK_LOCAL && matches!(self.defense, DefensePolicy::Pushback))
+        {
+            self.handle_control(packet, link, ctx);
+            return;
+        }
+        // Compromised on-path router: snoop verification queries and forge
+        // confirming replies (Section III-B's caveat). Handshakes only
+        // exist under AITF.
+        if self.policy.compromised && matches!(self.defense, DefensePolicy::Aitf) {
+            if let PayloadKind::Aitf(AitfMessage::VerificationQuery(q)) = &packet.payload {
+                let forged = VerificationReply {
+                    request_id: q.request_id,
+                    flow: q.flow,
+                    nonce: q.nonce,
+                    confirm: true,
+                };
+                let origin = packet.header.src;
+                let victim = packet.header.dst;
+                self.counters.handshakes_forged += 1;
+                let id = ctx.next_packet_id();
+                // Spoof the victim's address as the reply source.
+                if let Some(&out) = self.fwd.lookup(origin) {
+                    let mut reply =
+                        Packet::control(id, victim, origin, AitfMessage::VerificationReply(forged));
+                    reply.header.src = victim;
+                    ctx.send(out, reply);
+                }
+                // Swallow the query so the real victim never denies it.
+                return;
+            }
+        }
+        self.forward_data(packet, link, ctx);
+    }
+
+    fn on_timer(&mut self, token: u64, ctx: &mut Context<'_>) {
+        ctx.profile_subsystem(Subsystem::Escalation);
+        match self.token_map.remove(&token) {
+            Some(TimerAction::HandshakeTimeout { nonce }) => {
+                if let Some(pending) = self.pending_handshakes.remove(&nonce) {
+                    self.counters.handshakes_timed_out += 1;
+                    let now = ctx.now();
+                    let key = flow_key(&pending.request.flow);
+                    self.tracer.end(pending.span, now.0);
+                    self.tracer.instant(
+                        SpanKind::Drop,
+                        Cause::HandshakeTimeout,
+                        key,
+                        pending.request.round,
+                        self.addr.0,
+                        now.0,
+                    );
+                    self.tracer.close_round(key, pending.request.round, now.0);
+                }
+            }
+            Some(TimerAction::GraceCheck { watch }) => self.on_grace_check(watch, ctx),
+            None => {}
+        }
+    }
+
+    fn subsystem(&self) -> Subsystem {
+        Subsystem::RouterData
+    }
+
+    impl_node_any!();
+}
