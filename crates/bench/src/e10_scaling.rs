@@ -19,8 +19,6 @@ use aitf_scenario::{
     HostSel, ProbeSet, Role, Scenario, Side, TargetSel, TopologySpec, TrafficSpec,
 };
 
-use crate::harness::{run_spec, Table};
-
 fn config() -> AitfConfig {
     AitfConfig {
         t_long: SimDuration::from_secs(30),
@@ -153,11 +151,6 @@ pub fn spec(quick: bool) -> ScenarioSpec {
         out.trace = o.trace;
         out
     })
-}
-
-/// Runs the sweep and prints the table.
-pub fn run(quick: bool) -> Table {
-    run_spec(&spec(quick), quick)
 }
 
 #[cfg(test)]

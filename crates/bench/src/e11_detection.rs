@@ -13,8 +13,6 @@ use aitf_engine::{Outcome, Params, ScenarioSpec};
 use aitf_netsim::SimDuration;
 use aitf_scenario::{HostSel, ProbeSet, Role, Scenario, TargetSel, TopologySpec, TrafficSpec};
 
-use crate::harness::{run_spec, Table};
-
 /// The declarative E11 scenario: a 4 Mbit/s flood plus a 0.4 Mbit/s
 /// legitimate stream from a *different* host in the same attacker
 /// network — per-source detection must separate the two.
@@ -108,11 +106,6 @@ pub fn spec(_quick: bool) -> ScenarioSpec {
         };
         scenario(mode).shards(ctx.shards).run(ctx.seed)
     })
-}
-
-/// Runs both modes and prints the table.
-pub fn run(quick: bool) -> Table {
-    run_spec(&spec(quick), quick)
 }
 
 #[cfg(test)]

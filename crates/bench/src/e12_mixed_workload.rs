@@ -24,8 +24,6 @@ use aitf_scenario::{
     HostSel, ProbeSet, Role, Scenario, Side, TargetSel, TopologySpec, TrafficSpec,
 };
 
-use crate::harness::{run_spec, Table};
-
 /// Tree shape: 2 levels, 3-way branching, 2 hosts per leaf → 9 leaf
 /// networks, 18 hosts behind 3 intermediate providers.
 const LEVELS: usize = 2;
@@ -129,11 +127,6 @@ pub fn spec(quick: bool) -> ScenarioSpec {
         .shards(ctx.shards)
         .run(ctx.seed)
     })
-}
-
-/// Runs the sweep and prints the table.
-pub fn run(quick: bool) -> Table {
-    run_spec(&spec(quick), quick)
 }
 
 #[cfg(test)]

@@ -16,8 +16,6 @@ use aitf_engine::{Outcome, Params, ScenarioSpec};
 use aitf_netsim::SimDuration;
 use aitf_scenario::{HostSel, ProbeSet, Role, Scenario, TargetSel, TopologySpec, TrafficSpec};
 
-use crate::harness::{run_spec, Table};
-
 /// The declarative E14 scenario: Figure 1 in conservative (formula) mode
 /// with `Td` and `Tr` applied through the first-class sweep axes.
 pub fn scenario(td: SimDuration, tr: SimDuration, t: SimDuration, periods: u64) -> Scenario {
@@ -97,11 +95,6 @@ pub fn spec(quick: bool) -> ScenarioSpec {
         .shards(ctx.shards)
         .run(ctx.seed)
     })
-}
-
-/// Runs the sweep and prints the table.
-pub fn run(quick: bool) -> Table {
-    run_spec(&spec(quick), quick)
 }
 
 #[cfg(test)]

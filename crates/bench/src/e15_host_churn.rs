@@ -26,8 +26,6 @@ use aitf_scenario::{
     ChurnAction, HostSel, ProbeSet, Role, Scenario, Side, TargetSel, TopologySpec, TrafficSpec,
 };
 
-use crate::harness::{run_spec, Table};
-
 /// Tree shape (E12's): 2 levels, 3-way branching, 2 hosts per leaf →
 /// 18 zombie hosts behind 9 leaf networks and 3 intermediate providers.
 const LEVELS: usize = 2;
@@ -146,11 +144,6 @@ pub fn spec(quick: bool) -> ScenarioSpec {
             .shards(ctx.shards)
             .run(ctx.seed)
     })
-}
-
-/// Runs the sweep and prints the table.
-pub fn run(quick: bool) -> Table {
-    run_spec(&spec(quick), quick)
 }
 
 #[cfg(test)]

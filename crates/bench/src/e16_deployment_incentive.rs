@@ -30,8 +30,6 @@ use aitf_engine::{Outcome, Params, ScenarioSpec};
 use aitf_netsim::SimDuration;
 use aitf_scenario::{HostSel, ProbeSet, Role, Scenario, TargetSel, TopologySpec, TrafficSpec};
 
-use crate::harness::{run_spec, Table};
-
 /// Tree shape (E12/E15's): 2 levels, 3-way branching, 2 hosts per leaf.
 const LEVELS: usize = 2;
 const BRANCHING: usize = 3;
@@ -160,11 +158,6 @@ pub fn spec(quick: bool) -> ScenarioSpec {
         .shards(ctx.shards)
         .run(ctx.seed)
     })
-}
-
-/// Runs the sweep and prints the table.
-pub fn run(quick: bool) -> Table {
-    run_spec(&spec(quick), quick)
 }
 
 #[cfg(test)]

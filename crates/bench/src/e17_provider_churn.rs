@@ -29,8 +29,6 @@ use aitf_scenario::{
     TrafficSpec,
 };
 
-use crate::harness::{run_spec, Table};
-
 /// Tree shape (E12/E15/E16's): 2 levels, 3-way branching, 2 hosts per
 /// leaf → 9 leaf networks under 3 mid-tree providers.
 const LEVELS: usize = 2;
@@ -215,11 +213,6 @@ pub fn spec(quick: bool) -> ScenarioSpec {
             .shards(ctx.shards)
             .run(ctx.seed)
     })
-}
-
-/// Runs the sweep and prints the table.
-pub fn run(quick: bool) -> Table {
-    run_spec(&spec(quick), quick)
 }
 
 #[cfg(test)]

@@ -23,8 +23,6 @@ use aitf_scenario::{
     HostSel, ProbeSet, Role, Scenario, Side, TargetSel, TopologySpec, TrafficSpec,
 };
 
-use crate::harness::{run_spec, Table};
-
 /// Branching factor of the two-level tree: 23 mid providers × 23 leaf
 /// networks × 200 hosts = 105,800 end-hosts in 529 leaf networks.
 const BRANCHING: usize = 23;
@@ -124,11 +122,6 @@ pub fn spec(quick: bool) -> ScenarioSpec {
         .shards(ctx.shards)
         .run(ctx.seed)
     })
-}
-
-/// Runs the experiment and prints the table.
-pub fn run(quick: bool) -> Table {
-    run_spec(&spec(quick), quick)
 }
 
 #[cfg(test)]

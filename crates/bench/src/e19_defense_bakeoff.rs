@@ -1,6 +1,6 @@
 //! E19 — the defense bake-off: four policies, one world, one seed.
 //!
-//! The hook-pipeline router (`aitf-defense`) makes the defense a
+//! The hook-pipeline router (`aitf_core::pipeline`) makes the defense a
 //! configuration axis, so the paper's qualitative §V comparison becomes a
 //! quantitative N-way table: AITF, hop-by-hop pushback, per-prefix
 //! ingress rate-limiting, and capability-style path stamping all run the
@@ -30,8 +30,6 @@ use aitf_core::{AitfConfig, DefensePolicy, HostPolicy, NetId};
 use aitf_engine::{Outcome, Params, ScenarioSpec};
 use aitf_netsim::SimDuration;
 use aitf_scenario::{HostSel, ProbeSet, Role, Scenario, TargetSel, TopologySpec, TrafficSpec};
-
-use crate::harness::{run_spec, Table};
 
 /// Zombie networks around the hub (quick mode halves this).
 const NETS_FULL: usize = 8;
@@ -169,11 +167,6 @@ pub fn spec(quick: bool) -> ScenarioSpec {
             ctx.shards,
         )
     })
-}
-
-/// Runs the bake-off and prints the table.
-pub fn run(quick: bool) -> Table {
-    run_spec(&spec(quick), quick)
 }
 
 #[cfg(test)]

@@ -18,8 +18,6 @@ use aitf_scenario::{
     HostSel, ProbeSet, Role, Scenario, Side, TargetSel, TopologySpec, TrafficSpec,
 };
 
-use crate::harness::{run_spec, Table};
-
 /// The attacker-side gateways, leaf first, with their display labels.
 const B_SIDE: [(&str, &str); 3] = [
     ("B_gw1 (B_net)", "B_net"),
@@ -100,11 +98,6 @@ pub fn spec(quick: bool) -> ScenarioSpec {
         .shards(ctx.shards)
         .run(ctx.seed)
     })
-}
-
-/// Runs the sweep and prints the table.
-pub fn run(quick: bool) -> Table {
-    run_spec(&spec(quick), quick)
 }
 
 #[cfg(test)]

@@ -40,8 +40,6 @@ use aitf_scenario::{
     TrafficSpec,
 };
 
-use crate::harness::{run_spec, Table};
-
 /// Edge networks in the power-law graph (quick mode keeps the issue's
 /// 100k-net floor; full mode doubles it).
 const NETS_QUICK: usize = 100_000;
@@ -235,11 +233,6 @@ pub fn spec(quick: bool) -> ScenarioSpec {
             ctx.shards,
         )
     })
-}
-
-/// Runs the bake-off and prints the table.
-pub fn run(quick: bool) -> Table {
-    run_spec(&spec(quick), quick)
 }
 
 #[cfg(test)]

@@ -23,8 +23,6 @@ use aitf_engine::{Outcome, Params, ScenarioSpec};
 use aitf_netsim::{LinkParams, SimDuration};
 use aitf_scenario::{HostSel, ProbeSet, Role, Scenario, TargetSel, TopologySpec, TrafficSpec};
 
-use crate::harness::{run_spec, Table};
-
 /// Parameters of one measurement point.
 #[derive(Debug, Clone, Copy)]
 pub struct Point {
@@ -154,11 +152,6 @@ pub fn spec(quick: bool) -> ScenarioSpec {
             .shards(ctx.shards)
             .run(ctx.seed)
     })
-}
-
-/// Runs the sweep and prints the table.
-pub fn run(quick: bool) -> Table {
-    run_spec(&spec(quick), quick)
 }
 
 #[cfg(test)]

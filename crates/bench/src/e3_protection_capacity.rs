@@ -17,8 +17,6 @@ use aitf_scenario::{
     HostSel, ProbeSet, Role, Scenario, Side, TargetSel, TopologySpec, TrafficSpec,
 };
 
-use crate::harness::{run_spec, Table};
-
 /// The declarative E3 scenario: a star of zombie networks (50 hosts each)
 /// with exactly `flows` zombies armed, contract `r1` req/s, horizon `t`.
 pub fn scenario(flows: usize, r1: f64, t: SimDuration) -> Scenario {
@@ -102,11 +100,6 @@ pub fn spec(quick: bool) -> ScenarioSpec {
         .shards(ctx.shards)
         .run(ctx.seed)
     })
-}
-
-/// Runs the sweep and prints the table.
-pub fn run(quick: bool) -> Table {
-    run_spec(&spec(quick), quick)
 }
 
 #[cfg(test)]

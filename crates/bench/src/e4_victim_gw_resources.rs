@@ -17,8 +17,6 @@ use aitf_engine::{Outcome, Params, ScenarioSpec};
 use aitf_netsim::SimDuration;
 use aitf_scenario::{HostSel, ProbeSet, Role, Scenario, TargetSel, TopologySpec, TrafficSpec};
 
-use crate::harness::{run_spec, Table};
-
 /// The declarative E4 scenario: one spoofing zombie against one victim
 /// behind a shared `wan`, measured over `2·T`.
 pub fn scenario(r1: f64, t_tmp: SimDuration, t: SimDuration) -> Scenario {
@@ -113,11 +111,6 @@ pub fn spec(quick: bool) -> ScenarioSpec {
         .shards(ctx.shards)
         .run(ctx.seed)
     })
-}
-
-/// Runs the sweep and prints the table.
-pub fn run(quick: bool) -> Table {
-    run_spec(&spec(quick), quick)
 }
 
 #[cfg(test)]

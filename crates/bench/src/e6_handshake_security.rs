@@ -19,8 +19,6 @@ use aitf_netsim::SimDuration;
 use aitf_packet::FlowLabel;
 use aitf_scenario::{HostSel, ProbeSet, Role, Scenario, TargetSel, TopologySpec, TrafficSpec};
 
-use crate::harness::{run_spec, Table};
-
 /// The declarative E6 scenario. Topology:
 /// `A — a_net — wan — mid — v_net — V`, forger M in `m_net` off the A→V
 /// path; `mid` is the on-path router that may be compromised.
@@ -114,11 +112,6 @@ pub fn spec(_quick: bool) -> ScenarioSpec {
             .shards(ctx.shards)
             .run(ctx.seed)
     })
-}
-
-/// Runs all three scenarios and prints the table.
-pub fn run(quick: bool) -> Table {
-    run_spec(&spec(quick), quick)
 }
 
 #[cfg(test)]

@@ -17,8 +17,6 @@ use aitf_engine::{Outcome, Params, ScenarioSpec};
 use aitf_netsim::SimDuration;
 use aitf_scenario::{HostSel, ProbeSet, Role, Scenario, TargetSel, TopologySpec, TrafficSpec};
 
-use crate::harness::{run_spec, Table};
-
 /// The declarative E7 scenario. `shadow_assist` toggles packet-triggered
 /// reactivation and fast re-detection together.
 pub fn scenario(shadow_assist: bool) -> Scenario {
@@ -101,11 +99,6 @@ pub fn spec(_quick: bool) -> ScenarioSpec {
             .shards(ctx.shards)
             .run(ctx.seed)
     })
-}
-
-/// Runs both modes and prints the table.
-pub fn run(quick: bool) -> Table {
-    run_spec(&spec(quick), quick)
 }
 
 #[cfg(test)]

@@ -18,8 +18,6 @@ use aitf_scenario::{
     BuiltWorld, HostSel, ProbeSet, Role, Scenario, Side, TargetSel, TopologySpec, TrafficSpec,
 };
 
-use crate::harness::{render_sweep, Table};
-
 fn config() -> AitfConfig {
     AitfConfig {
         t_long: SimDuration::from_secs(30),
@@ -212,15 +210,6 @@ pub fn spec_rogue(_quick: bool) -> ScenarioSpec {
         )
         .with_events(o.events)
     })
-}
-
-/// Runs the comparison and prints both tables.
-pub fn run(quick: bool) -> Table {
-    let specs = [spec(quick), spec_rogue(quick)];
-    let grouped = aitf_engine::Runner::default().quick(quick).run_all(&specs);
-    let table = render_sweep(&specs[0], &grouped[0]);
-    let _ = render_sweep(&specs[1], &grouped[1]);
-    table
 }
 
 #[cfg(test)]

@@ -16,8 +16,6 @@ use aitf_engine::{Outcome, Params, ScenarioSpec};
 use aitf_netsim::SimDuration;
 use aitf_scenario::{HostSel, ProbeSet, Role, Scenario, TargetSel, TopologySpec, TrafficSpec};
 
-use crate::harness::{run_spec, Table};
-
 /// The declarative E9 scenario: one spoofing zombie, ingress filtering on
 /// or off for the whole deployment.
 pub fn scenario(ingress_filtering: bool) -> Scenario {
@@ -109,11 +107,6 @@ pub fn spec(_quick: bool) -> ScenarioSpec {
             .shards(ctx.shards)
             .run(ctx.seed)
     })
-}
-
-/// Runs both modes and prints the table.
-pub fn run(quick: bool) -> Table {
-    run_spec(&spec(quick), quick)
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! (Measurement helpers — leak ratios, binned sampling — live in
 //! `aitf_scenario::probe` now.)
 
-use aitf_engine::{tabulate, RunRecord, Runner, ScenarioSpec};
+use aitf_engine::{tabulate, RunRecord, ScenarioSpec};
 
 /// A printable results table with aligned columns.
 ///
@@ -113,14 +113,6 @@ pub fn table_from_records(title: &str, records: &[RunRecord]) -> Table {
         table.row_owned(row);
     }
     table
-}
-
-/// Runs a spec through the engine with the default thread count, prints
-/// its table and expectation prose, and returns the table — the shared
-/// body of every experiment's `run(quick)` entry point.
-pub fn run_spec(spec: &ScenarioSpec, quick: bool) -> Table {
-    let records = Runner::default().quick(quick).run(spec);
-    render_sweep(spec, &records)
 }
 
 /// Prints a finished sweep (table + expectation) and returns the table.

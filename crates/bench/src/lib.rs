@@ -2,10 +2,11 @@
 //! paper's evaluation (Section IV plus the Figure 1 / Section II-D
 //! scenario and the Section V pushback comparison).
 //!
-//! Each experiment is a library module with a `run(quick)` entry point and
-//! a thin binary wrapper in `src/bin/`. `quick = true` shrinks durations
-//! and sweeps so the whole suite doubles as an integration test; the
-//! binaries run the full-size versions. Every experiment prints
+//! Each experiment is a library module exposing its `spec(quick)`; the
+//! `all_experiments` driver runs any selection of them from the
+//! [`registry`] (`--filter e1`). `quick = true` shrinks durations and
+//! sweeps so the whole suite doubles as an integration test; without it
+//! the driver runs the full-size versions. Every experiment prints
 //! *paper-expected* and *measured* values side by side; EXPERIMENTS.md
 //! records the outcomes.
 //!

@@ -6,11 +6,11 @@
 //! the time an attacker (or attacker's gateway) is given to stop before
 //! disconnection.
 
-use aitf_defense::DefensePolicy;
 use aitf_filter::EvictionPolicy;
 use aitf_netsim::SimDuration;
 
 use crate::detector::DetectionMode;
+use crate::policy::DefensePolicy;
 
 /// Which traceback substrate border routers run (Section II-F).
 #[derive(Clone, Copy, PartialEq, Debug)]

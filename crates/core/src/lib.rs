@@ -19,10 +19,13 @@
 //!
 //! - [`config`] — timers (`T`, `Ttmp`, grace), contracts (`R1`, `R2`),
 //!   per-node policies, traceback mode, defense policy.
-//! - [`router`] — [`BorderRouter`]: every protocol role in one node,
-//!   organised as Ingress/Escalate/Egress hook chains.
-//! - [`pipeline`] — stage declarations and per-policy chain wiring for
-//!   the router's defense hooks.
+//! - [`policy`] — [`DefensePolicy`]: the defense sweep axis (AITF,
+//!   pushback, ingress rate-limiting, path stamping).
+//! - [`pipeline`] — [`PolicyChains`]: the static per-policy table of
+//!   which [`StageId`]s run at the Ingress/Escalate/Egress hooks.
+//! - [`router`] — [`BorderRouter`]: state, wiring and the `StageId`
+//!   dispatch (`router/mod.rs`), the stage bodies (`router/stages.rs`)
+//!   and the AITF control-plane roles (`router/escalation.rs`).
 //! - [`pushback`] — state for the hop-by-hop pushback baseline policy.
 //! - [`host`] — [`EndHost`]: victim agent, attacker compliance, pluggable
 //!   [`TrafficApp`]s.
@@ -51,19 +54,20 @@ pub mod config;
 pub mod detector;
 pub mod host;
 pub mod pipeline;
+pub mod policy;
 mod proto_tests;
 pub mod pushback;
 pub mod router;
 pub mod world;
 
 pub use config::{AitfConfig, Contract, HostPolicy, RouterPolicy, TracebackMode};
-// Re-exported so scenario/experiment layers can name the sweep axes
-// without a direct aitf-filter / aitf-defense dependency.
-pub use aitf_defense::DefensePolicy;
+// Re-exported so scenario/experiment layers can name the sweep axis
+// without a direct aitf-filter dependency.
 pub use aitf_filter::EvictionPolicy;
 pub use detector::{DetectionMode, RateDetector};
 pub use host::{EndHost, HostApi, HostCounters, RxTap, TrafficApp};
-pub use pipeline::{PolicyChains, StageId};
+pub use pipeline::{PolicyChains, StageId, Verdict};
+pub use policy::DefensePolicy;
 pub use pushback::{PushbackCounters, PushbackState, LINK_LOCAL, MAX_PUSHBACK_DEPTH};
 pub use router::{BorderRouter, RouterCounters, RouterSpec};
 pub use world::{HostId, NetId, RoutingMode, World, WorldBuilder};

@@ -1,45 +1,46 @@
-//! The border router's hook pipeline: which defense stages run where.
+//! The border router's datapath, stated once: which defense stages run
+//! where, for every [`DefensePolicy`].
 //!
-//! This module owns the *wiring* of the defense pipeline — the stage
-//! marker types with their [`Stage`] declarations (name + `after`
-//! dependencies) and the per-policy chain assembly. The stage *logic*
-//! lives next to the router state it operates on: `router.rs` implements
-//! [`aitf_defense::ReadStage`] / [`aitf_defense::WriteStage`] for every
-//! marker type and `match`-dispatches on [`StageId`] — static dispatch,
-//! so the hot path stays allocation-free whatever the policy.
-//!
-//! Hook map (stages in resolved chain order):
-//!
-//! ```text
-//! policy            Ingress                              Egress                         Escalate
-//! ----------------  -----------------------------------  -----------------------------  --------------------------
-//! Aitf              ingress_filter > wire_filter         ttl_check > ttl_decrement      aitf_admission >
-//!                     > shadow_react                       > traceback_stamp              aitf_dispatch
-//! Pushback          pushback_wire_filter                 ttl_check > ttl_decrement      pushback_control
-//!                     > pushback_arrival
-//! IngressRateLimit  prefix_police                        ttl_check > ttl_decrement      ratelimit_control
-//! PathStamp         path_stamp_check                     ttl_check > ttl_decrement      path_stamp_control
-//!                                                          > path_stamp_mark
-//! ```
-//!
-//! After the Egress chain, the hook's terminal action (route lookup +
-//! transmit) runs — it is the datapath's one fixed step, not a stage.
+//! A border router has three decision points — **Ingress** (every packet
+//! entering the forwarding path, before any routing decision),
+//! **Escalate** (control packets addressed to the router itself) and
+//! **Egress** (packets that passed ingress, just before the route lookup +
+//! transmit, which is the datapath's one fixed step and not a stage). The
+//! paper's router runs a fixed sequence at each; so does every baseline.
+//! [`PolicyChains::build`] is that sequence as a literal table, one row
+//! per policy — the hook map *is* the code. The stage bodies are inherent
+//! methods on `BorderRouter` (`router/stages.rs`), reached through one
+//! `match` on [`StageId`]: static dispatch, no allocation, whatever the
+//! policy.
 
-use aitf_defense::{Chain, ChainBuilder, DefenseError, DefensePolicy, Hook, Stage};
+use std::convert::Infallible;
 
-/// Dispatch ids for every stage any policy can register. A built
-/// [`Chain`] is a flat array of these; the router `match`es per packet.
+use crate::policy::DefensePolicy;
+
+/// What a stage decided about the packet it was handed.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Verdict {
+    /// Hand the packet to the next stage in the chain.
+    Continue,
+    /// Stop processing; the packet does not travel further. The stage
+    /// has already done any accounting (counters, notices) it owes.
+    Drop,
+}
+
+/// Every stage any policy can run; the router `match`es on these per
+/// packet.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum StageId {
     // AITF ingress.
     /// Client anti-spoofing (Section III-A).
     AitfIngressFilter,
-    /// Wire-speed flow filter check.
+    /// Wire-speed flow filter check; must see only unspoofed traffic.
     AitfWireFilter,
-    /// Shadow-cache reactivation trigger (on-off flows).
+    /// Shadow-cache reactivation trigger (on-off flows); only flows that
+    /// passed the wire filter.
     AitfShadowReact,
     // AITF egress.
-    /// Route-record / sampling traceback stamp.
+    /// Route-record / sampling traceback stamp, after TTL accounting.
     AitfStamp,
     // AITF escalate.
     /// Request admission: counting, enablement, contract policing.
@@ -49,12 +50,12 @@ pub enum StageId {
     // Shared egress.
     /// TTL-exhaustion veto.
     TtlCheck,
-    /// TTL decrement.
+    /// TTL decrement, strictly after the check.
     TtlDecrement,
     // Pushback.
     /// Aggregate-filter check (also refreshes the arrival record).
     PushbackWireFilter,
-    /// Arrival-link learning for upstream propagation.
+    /// Arrival-link learning for packets that survive the filter.
     PushbackArrival,
     /// Pushback / edge-trigger control handling.
     PushbackControl,
@@ -66,129 +67,76 @@ pub enum StageId {
     // Path stamping.
     /// Revoked-origin check against the packet's route record.
     PathStampCheck,
-    /// Unconditional route-record stamp (the "capability").
+    /// Unconditional route-record stamp (the "capability"), after TTL
+    /// accounting.
     PathStampMark,
     /// Origin revocation on a victim's filtering request.
     PathStampControl,
 }
 
-// Stage marker types. Each carries only its declaration; the logic is the
-// trait impl in `router.rs`.
-macro_rules! declare_stage {
-    ($(#[$doc:meta])* $ty:ident, $name:literal $(, after: [$($dep:literal),*])?) => {
-        $(#[$doc])*
-        pub struct $ty;
-        impl Stage for $ty {
-            const NAME: &'static str = $name;
-            $(const AFTER: &'static [&'static str] = &[$($dep),*];)?
+impl StageId {
+    /// Stable snake-case name (diagnostics, docs and tests).
+    pub fn name(self) -> &'static str {
+        match self {
+            StageId::AitfIngressFilter => "ingress_filter",
+            StageId::AitfWireFilter => "wire_filter",
+            StageId::AitfShadowReact => "shadow_react",
+            StageId::AitfStamp => "traceback_stamp",
+            StageId::AitfAdmission => "aitf_admission",
+            StageId::AitfDispatch => "aitf_dispatch",
+            StageId::TtlCheck => "ttl_check",
+            StageId::TtlDecrement => "ttl_decrement",
+            StageId::PushbackWireFilter => "pushback_wire_filter",
+            StageId::PushbackArrival => "pushback_arrival",
+            StageId::PushbackControl => "pushback_control",
+            StageId::PrefixPolice => "prefix_police",
+            StageId::RatelimitControl => "ratelimit_control",
+            StageId::PathStampCheck => "path_stamp_check",
+            StageId::PathStampMark => "path_stamp_mark",
+            StageId::PathStampControl => "path_stamp_control",
         }
-    };
+    }
 }
 
-declare_stage!(
-    /// AITF client anti-spoofing at ingress.
-    AitfIngressFilter, "ingress_filter");
-declare_stage!(
-    /// AITF wire-speed filter; must see only unspoofed traffic.
-    AitfWireFilter, "wire_filter", after: ["ingress_filter"]);
-declare_stage!(
-    /// Shadow reactivation; only flows that passed the wire filter.
-    AitfShadowReact, "shadow_react", after: ["wire_filter"]);
-declare_stage!(
-    /// Traceback stamping after TTL accounting.
-    AitfStamp, "traceback_stamp", after: ["ttl_decrement"]);
-declare_stage!(
-    /// Filtering-request admission (counters, enablement, policing).
-    AitfAdmission, "aitf_admission");
-declare_stage!(
-    /// Role dispatch for admitted control messages.
-    AitfDispatch, "aitf_dispatch", after: ["aitf_admission"]);
-declare_stage!(
-    /// TTL-exhaustion check (read: vetoes, does not mutate).
-    TtlCheck, "ttl_check");
-declare_stage!(
-    /// TTL decrement (write), strictly after the check.
-    TtlDecrement, "ttl_decrement", after: ["ttl_check"]);
-declare_stage!(
-    /// Pushback aggregate-filter check.
-    PushbackWireFilter, "pushback_wire_filter");
-declare_stage!(
-    /// Pushback arrival-link learning for surviving packets.
-    PushbackArrival, "pushback_arrival", after: ["pushback_wire_filter"]);
-declare_stage!(
-    /// Pushback control plane (hop-by-hop requests + edge trigger).
-    PushbackControl, "pushback_control");
-declare_stage!(
-    /// Per-prefix token-bucket policing at client links.
-    PrefixPolice, "prefix_police");
-declare_stage!(
-    /// Rate-limit control sink (requests are counted, never served).
-    RatelimitControl, "ratelimit_control");
-declare_stage!(
-    /// Path-stamp revocation check at ingress.
-    PathStampCheck, "path_stamp_check");
-declare_stage!(
-    /// Path-stamp route-record mark after TTL accounting.
-    PathStampMark, "path_stamp_mark", after: ["ttl_decrement"]);
-declare_stage!(
-    /// Path-stamp origin revocation on filtering requests.
-    PathStampControl, "path_stamp_control");
-
-/// The three resolved chains of one router.
-#[derive(Clone, Debug)]
+/// One policy's three stage chains, in execution order.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct PolicyChains {
     /// Runs on every packet entering the forwarding path.
-    pub ingress: Chain<StageId>,
+    pub ingress: &'static [StageId],
     /// Runs on control packets addressed to this router.
-    pub escalate: Chain<StageId>,
+    pub escalate: &'static [StageId],
     /// Runs just before the route lookup + transmit.
-    pub egress: Chain<StageId>,
+    pub egress: &'static [StageId],
 }
 
 impl PolicyChains {
-    /// Assembles the chains for `policy`. The registrations below are
-    /// static, so failure is a programming error surfaced by tests — but
-    /// the resolver's contract (duplicate / unknown-dep / cycle as typed
-    /// errors, never panics) is what makes new policy authoring safe.
-    pub fn build(policy: DefensePolicy) -> Result<PolicyChains, DefenseError> {
-        let ingress = ChainBuilder::new(Hook::Ingress);
-        let escalate = ChainBuilder::new(Hook::Escalate);
-        let egress = ChainBuilder::new(Hook::Egress)
-            .stage::<TtlCheck>(StageId::TtlCheck)
-            .stage::<TtlDecrement>(StageId::TtlDecrement);
-        let (ingress, escalate, egress) = match policy {
-            DefensePolicy::Aitf => (
-                ingress
-                    .stage::<AitfIngressFilter>(StageId::AitfIngressFilter)
-                    .stage::<AitfWireFilter>(StageId::AitfWireFilter)
-                    .stage::<AitfShadowReact>(StageId::AitfShadowReact),
-                escalate
-                    .stage::<AitfAdmission>(StageId::AitfAdmission)
-                    .stage::<AitfDispatch>(StageId::AitfDispatch),
-                egress.stage::<AitfStamp>(StageId::AitfStamp),
-            ),
-            DefensePolicy::Pushback => (
-                ingress
-                    .stage::<PushbackWireFilter>(StageId::PushbackWireFilter)
-                    .stage::<PushbackArrival>(StageId::PushbackArrival),
-                escalate.stage::<PushbackControl>(StageId::PushbackControl),
-                egress,
-            ),
-            DefensePolicy::IngressRateLimit { .. } => (
-                ingress.stage::<PrefixPolice>(StageId::PrefixPolice),
-                escalate.stage::<RatelimitControl>(StageId::RatelimitControl),
-                egress,
-            ),
-            DefensePolicy::PathStamp => (
-                ingress.stage::<PathStampCheck>(StageId::PathStampCheck),
-                escalate.stage::<PathStampControl>(StageId::PathStampControl),
-                egress.stage::<PathStampMark>(StageId::PathStampMark),
-            ),
-        };
-        Ok(PolicyChains {
-            ingress: ingress.build()?,
-            escalate: escalate.build()?,
-            egress: egress.build()?,
+    /// The chains `policy` runs. Every egress chain starts with the
+    /// shared TTL accounting, check before decrement, and stamps only
+    /// after it.
+    // `Result` only because the frozen `benchmark/src/kernels.rs` calls `build(p).expect(..)`.
+    pub const fn build(policy: DefensePolicy) -> Result<PolicyChains, Infallible> {
+        use StageId::*;
+        Ok(match policy {
+            DefensePolicy::Aitf => PolicyChains {
+                ingress: &[AitfIngressFilter, AitfWireFilter, AitfShadowReact],
+                escalate: &[AitfAdmission, AitfDispatch],
+                egress: &[TtlCheck, TtlDecrement, AitfStamp],
+            },
+            DefensePolicy::Pushback => PolicyChains {
+                ingress: &[PushbackWireFilter, PushbackArrival],
+                escalate: &[PushbackControl],
+                egress: &[TtlCheck, TtlDecrement],
+            },
+            DefensePolicy::IngressRateLimit { .. } => PolicyChains {
+                ingress: &[PrefixPolice],
+                escalate: &[RatelimitControl],
+                egress: &[TtlCheck, TtlDecrement],
+            },
+            DefensePolicy::PathStamp => PolicyChains {
+                ingress: &[PathStampCheck],
+                escalate: &[PathStampControl],
+                egress: &[TtlCheck, TtlDecrement, PathStampMark],
+            },
         })
     }
 }
@@ -197,54 +145,87 @@ impl PolicyChains {
 mod tests {
     use super::*;
 
+    fn names(chain: &[StageId]) -> String {
+        chain.iter().map(|s| s.name()).collect::<Vec<_>>().join(" ")
+    }
+
     #[test]
-    fn every_policy_builds_and_matches_the_hook_map() {
-        for policy in DefensePolicy::BAKEOFF {
-            let chains = PolicyChains::build(policy)
-                .unwrap_or_else(|e| panic!("{policy:?} chains must build: {e}"));
-            assert!(!chains.egress.is_empty());
-            // TTL accounting is shared by every policy, in check-then-
-            // decrement order.
-            let egress: Vec<_> = chains.egress.names().collect();
-            let check = egress.iter().position(|&n| n == "ttl_check").unwrap();
-            let dec = egress.iter().position(|&n| n == "ttl_decrement").unwrap();
-            assert!(check < dec);
+    fn every_policy_matches_the_hook_map() {
+        // (policy, ingress, escalate, egress). The AITF row is the exact
+        // pre-pipeline `forward_data` / `handle_control` sequence the
+        // equivalence fixture pins bit for bit.
+        let hook_map = [
+            (
+                DefensePolicy::Aitf,
+                "ingress_filter wire_filter shadow_react",
+                "aitf_admission aitf_dispatch",
+                "ttl_check ttl_decrement traceback_stamp",
+            ),
+            (
+                DefensePolicy::Pushback,
+                "pushback_wire_filter pushback_arrival",
+                "pushback_control",
+                "ttl_check ttl_decrement",
+            ),
+            (
+                DefensePolicy::ingress_ratelimit(),
+                "prefix_police",
+                "ratelimit_control",
+                "ttl_check ttl_decrement",
+            ),
+            (
+                DefensePolicy::PathStamp,
+                "path_stamp_check",
+                "path_stamp_control",
+                "ttl_check ttl_decrement path_stamp_mark",
+            ),
+        ];
+        assert_eq!(hook_map.map(|row| row.0), DefensePolicy::BAKEOFF);
+        for (policy, ingress, escalate, egress) in hook_map {
+            let c = PolicyChains::build(policy).unwrap();
+            assert_eq!(names(c.ingress), ingress, "{policy:?} ingress");
+            assert_eq!(names(c.escalate), escalate, "{policy:?} escalate");
+            assert_eq!(names(c.egress), egress, "{policy:?} egress");
         }
     }
 
     #[test]
-    fn aitf_chains_keep_the_pre_pipeline_operation_order() {
-        // The equivalence fixture pins records bit-identically; the chain
-        // order below is the exact pre-decomposition `forward_data` /
-        // `handle_control` sequence.
-        let chains = PolicyChains::build(DefensePolicy::Aitf).unwrap();
-        assert_eq!(
-            chains.ingress.names().collect::<Vec<_>>(),
-            ["ingress_filter", "wire_filter", "shadow_react"]
-        );
-        assert_eq!(
-            chains.egress.names().collect::<Vec<_>>(),
-            ["ttl_check", "ttl_decrement", "traceback_stamp"]
-        );
-        assert_eq!(
-            chains.escalate.names().collect::<Vec<_>>(),
-            ["aitf_admission", "aitf_dispatch"]
-        );
+    fn every_stage_runs_somewhere_under_a_unique_name() {
+        // The distinct stages over all twelve chains, by discriminant.
+        let mut seen: Vec<StageId> = DefensePolicy::BAKEOFF
+            .iter()
+            .flat_map(|&p| {
+                let c = PolicyChains::build(p).unwrap();
+                [c.ingress, c.escalate, c.egress].concat()
+            })
+            .collect();
+        seen.sort_by_key(|&id| id as usize);
+        seen.dedup();
+        // Dense from the first variant to the last: no variant (and so no
+        // `run_stage` arm) is left out of every chain.
+        let last = StageId::PathStampControl as usize;
+        let discriminants: Vec<usize> = seen.iter().map(|&id| id as usize).collect();
+        assert_eq!(discriminants, (0..=last).collect::<Vec<_>>());
+
+        let mut unique: Vec<&str> = seen.iter().map(|id| id.name()).collect();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), seen.len(), "two stages share a name");
     }
 
     #[test]
-    fn stamping_stages_depend_on_ttl_via_the_dag_not_declaration_order() {
-        // Declaring the stamp before TTL still resolves to TTL-first:
-        // the `after` dependency, not luck, carries the order.
-        let chain = ChainBuilder::new(Hook::Egress)
-            .stage::<AitfStamp>(StageId::AitfStamp)
-            .stage::<TtlCheck>(StageId::TtlCheck)
-            .stage::<TtlDecrement>(StageId::TtlDecrement)
-            .build()
-            .unwrap();
-        assert_eq!(
-            chain.names().collect::<Vec<_>>(),
-            ["ttl_check", "ttl_decrement", "traceback_stamp"]
-        );
+    fn ttl_check_precedes_decrement_precedes_any_stamp() {
+        for policy in DefensePolicy::BAKEOFF {
+            let egress = PolicyChains::build(policy).unwrap().egress;
+            let pos = |id| egress.iter().position(|&s| s == id);
+            let check = pos(StageId::TtlCheck).expect("ttl_check in every egress chain");
+            let dec = pos(StageId::TtlDecrement).expect("ttl_decrement in every egress chain");
+            assert!(check < dec, "{policy:?}");
+            for stamp in [StageId::AitfStamp, StageId::PathStampMark] {
+                if let Some(at) = pos(stamp) {
+                    assert!(dec < at, "{policy:?}: {stamp:?} before TTL accounting");
+                }
+            }
+        }
     }
 }

@@ -16,6 +16,7 @@ use aitf_packet::{
 
 use crate::config::{AitfConfig, HostPolicy, RouterPolicy};
 use crate::host::{HostApi, TrafficApp};
+use crate::policy::DefensePolicy;
 use crate::world::{HostId, NetId, World, WorldBuilder};
 
 /// A constant-rate UDP flood: one packet every `period`.
@@ -546,4 +547,58 @@ fn deterministic_end_to_end() {
     assert_eq!(run(99), run(99));
     // A different seed still works (values may differ).
     let _ = run(100);
+}
+
+/// Sends a burst of data packets at start — here, at a router's address.
+struct DataBurst {
+    target: Addr,
+    count: u32,
+}
+
+impl TrafficApp for DataBurst {
+    fn on_start(&mut self, api: &mut HostApi<'_, '_>) {
+        for _ in 0..self.count {
+            api.send_from_self(self.target, Protocol::Udp, 80, TrafficClass::Legit, 100);
+        }
+    }
+}
+
+/// A data packet addressed to a router reaches that router's Escalate
+/// hook, which has no handler for it under any policy: every policy must
+/// count the misdelivery, none may swallow it.
+fn data_addressed_to_a_router_is_counted_undeliverable(defense: DefensePolicy) {
+    let cfg = AitfConfig {
+        defense,
+        ..AitfConfig::default()
+    };
+    let mut f = fig1(cfg, HostPolicy::Compliant);
+    let target = f.world.router(f.g_net).addr();
+    f.world
+        .add_app(f.attacker, Box::new(DataBurst { target, count: 5 }));
+    f.world.sim.run_for(SimDuration::from_secs(1));
+    assert_eq!(
+        f.world.router(f.g_net).counters().undeliverable,
+        5,
+        "{defense:?}"
+    );
+}
+
+#[test]
+fn aitf_counts_data_addressed_to_a_router() {
+    data_addressed_to_a_router_is_counted_undeliverable(DefensePolicy::Aitf);
+}
+
+#[test]
+fn pushback_counts_data_addressed_to_a_router() {
+    data_addressed_to_a_router_is_counted_undeliverable(DefensePolicy::Pushback);
+}
+
+#[test]
+fn ingress_ratelimit_counts_data_addressed_to_a_router() {
+    data_addressed_to_a_router_is_counted_undeliverable(DefensePolicy::ingress_ratelimit());
+}
+
+#[test]
+fn path_stamp_counts_data_addressed_to_a_router() {
+    data_addressed_to_a_router_is_counted_undeliverable(DefensePolicy::PathStamp);
 }

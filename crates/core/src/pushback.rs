@@ -7,7 +7,7 @@
 //! recipient router to rate-limit the problematic aggregate; it relies on
 //! its good will."*
 //!
-//! Under [`aitf_defense::DefensePolicy::Pushback`] the border router runs
+//! Under [`crate::DefensePolicy::Pushback`] the border router runs
 //! the pushback hook chains instead of AITF's; this module holds the
 //! state those stages need — the per-aggregate arrival-link memory and the
 //! pushback-specific counters. The shared machinery (filter table,

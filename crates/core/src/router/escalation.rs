@@ -1,8 +1,10 @@
 //! The AITF control plane: the roles a border router plays when a
 //! filtering request reaches it (victim's gateway, attacker's gateway,
-//! attacker), the verification handshake, shadow reactivation and the
-//! grace-period disconnect. A child module of `router`, so the roles keep
-//! direct access to the router's private state.
+//! attacker), the verification handshake and shadow reactivation. The
+//! timers these arm (handshake timeout, grace check) fire in
+//! `Node::on_timer` and are handled beside it in `router/mod.rs`. A child
+//! module of `router`, so the roles keep direct access to the router's
+//! private state.
 
 use aitf_filter::InstallError;
 use aitf_netsim::{Context, LinkId};
@@ -66,25 +68,11 @@ impl BorderRouter {
                     match self.filters.install(req.flow, now, self.cfg.t_tmp) {
                         Ok(_) => {
                             self.counters.requests_refreshed += 1;
-                            self.tracer.instant(
-                                SpanKind::Refresh,
-                                Cause::Duplicate,
-                                key,
-                                entry.round,
-                                self.addr.0,
-                                now.0,
-                            );
+                            self.span(SpanKind::Refresh, Cause::Duplicate, key, entry.round, now);
                         }
                         Err(InstallError::TableFull) => {
                             self.counters.requests_unsatisfiable += 1;
-                            self.tracer.instant(
-                                SpanKind::Drop,
-                                Cause::TableFull,
-                                key,
-                                entry.round,
-                                self.addr.0,
-                                now.0,
-                            );
+                            self.span(SpanKind::Drop, Cause::TableFull, key, entry.round, now);
                         }
                     }
                     return;
@@ -102,14 +90,7 @@ impl BorderRouter {
             Ok(_) => {}
             Err(InstallError::TableFull) => {
                 self.counters.requests_unsatisfiable += 1;
-                self.tracer.instant(
-                    SpanKind::Drop,
-                    Cause::TableFull,
-                    key,
-                    req.round,
-                    self.addr.0,
-                    now.0,
-                );
+                self.span(SpanKind::Drop, Cause::TableFull, key, req.round, now);
                 return;
             }
         }
@@ -130,14 +111,7 @@ impl BorderRouter {
             self.addr.0,
             now.0,
         );
-        self.tracer.instant(
-            SpanKind::TempFilter,
-            Cause::Protocol,
-            key,
-            req.round,
-            self.addr.0,
-            now.0,
-        );
+        self.span(SpanKind::TempFilter, Cause::Protocol, key, req.round, now);
         self.shadow.insert_with_path(
             req.flow,
             req.id,
@@ -215,14 +189,7 @@ impl BorderRouter {
                 // No AITF-enabled ancestor left to escalate through; the
                 // request would otherwise vanish without a trace.
                 self.counters.escalations_dropped += 1;
-                self.tracer.instant(
-                    SpanKind::Drop,
-                    Cause::NoAncestor,
-                    key,
-                    round,
-                    self.addr.0,
-                    now.0,
-                );
+                self.span(SpanKind::Drop, Cause::NoAncestor, key, round, now);
                 self.tracer.close_round(key, round, now.0);
                 self.trace(now, || {
                     format!("escalation round {round} for {flow} dropped: no AITF-enabled ancestor")
@@ -232,14 +199,7 @@ impl BorderRouter {
             self.counters.escalations_sent += 1;
             self.shadow.note_round(&flow, round);
             self.shadow.touch_action(&flow, now);
-            self.tracer.instant(
-                SpanKind::Escalate,
-                Cause::Escalated,
-                key,
-                round,
-                self.addr.0,
-                now.0,
-            );
+            self.span(SpanKind::Escalate, Cause::Escalated, key, round, now);
             self.trace(now, || {
                 format!("escalate round {round} for {flow} to parent {parent}")
             });
@@ -295,14 +255,7 @@ impl BorderRouter {
             // Nobody identifiable to disconnect: the escalation dead-ends
             // here, which must be observable.
             self.counters.escalations_dropped += 1;
-            self.tracer.instant(
-                SpanKind::Drop,
-                Cause::NoNeighbor,
-                key,
-                req.round,
-                self.addr.0,
-                now.0,
-            );
+            self.span(SpanKind::Drop, Cause::NoNeighbor, key, req.round, now);
             self.tracer.close_round(key, req.round, now.0);
             self.trace(now, || {
                 format!(
@@ -314,14 +267,7 @@ impl BorderRouter {
         };
         let Some(&link) = self.fwd.lookup(neighbor).copied().as_ref() else {
             self.counters.escalations_dropped += 1;
-            self.tracer.instant(
-                SpanKind::Drop,
-                Cause::NoNeighbor,
-                key,
-                req.round,
-                self.addr.0,
-                now.0,
-            );
+            self.span(SpanKind::Drop, Cause::NoNeighbor, key, req.round, now);
             self.tracer.close_round(key, req.round, now.0);
             self.trace(now, || {
                 format!(
@@ -336,14 +282,7 @@ impl BorderRouter {
             // Extend the temporary filter to the full horizon `T`; a full
             // table leaves the existing temporary protection in place.
             let _ = self.filters.install(req.flow, now, self.cfg.t_long);
-            self.tracer.instant(
-                SpanKind::LocalFilter,
-                Cause::Protocol,
-                key,
-                req.round,
-                self.addr.0,
-                now.0,
-            );
+            self.span(SpanKind::LocalFilter, Cause::Protocol, key, req.round, now);
             self.tracer.close_round(key, req.round, now.0);
             self.trace(now, || {
                 format!(
@@ -354,14 +293,7 @@ impl BorderRouter {
             return;
         }
         self.counters.disconnects_peer += 1;
-        self.tracer.instant(
-            SpanKind::Disconnect,
-            Cause::Protocol,
-            key,
-            req.round,
-            self.addr.0,
-            now.0,
-        );
+        self.span(SpanKind::Disconnect, Cause::Protocol, key, req.round, now);
         self.tracer.close_round(key, req.round, now.0);
         self.trace(now, || {
             format!(
@@ -505,13 +437,12 @@ impl BorderRouter {
         } else {
             self.counters.handshakes_denied += 1;
             let key = flow_key(&pending.request.flow);
-            self.tracer.instant(
+            self.span(
                 SpanKind::Drop,
                 Cause::HandshakeDenied,
                 key,
                 pending.request.round,
-                self.addr.0,
-                now.0,
+                now,
             );
             self.tracer.close_round(key, pending.request.round, now.0);
             self.trace(now, || format!("handshake DENIED for {}", rep.flow));
@@ -544,14 +475,7 @@ impl BorderRouter {
                 } else {
                     Cause::HandshakeConfirmed
                 };
-                self.tracer.instant(
-                    SpanKind::LongFilter,
-                    cause,
-                    key,
-                    req.round,
-                    self.addr.0,
-                    now.0,
-                );
+                self.span(SpanKind::LongFilter, cause, key, req.round, now);
                 self.tracer.close_round(key, req.round, now.0);
             }
             Err(InstallError::TableFull) => {
@@ -565,14 +489,7 @@ impl BorderRouter {
                 } else {
                     self.counters.deferred_unsatisfied += 1;
                 }
-                self.tracer.instant(
-                    SpanKind::Drop,
-                    Cause::TableFull,
-                    key,
-                    req.round,
-                    self.addr.0,
-                    now.0,
-                );
+                self.span(SpanKind::Drop, Cause::TableFull, key, req.round, now);
                 self.tracer.close_round(key, req.round, now.0);
                 return;
             }
@@ -633,42 +550,5 @@ impl BorderRouter {
         // Block the flow ourselves and relay one step closer to the true
         // attacker, with the same grace-watch policing of our own client.
         self.satisfy_attacker_side(req, ctx, true);
-    }
-
-    // ------------------------------------------------------------------
-    // Timers.
-    // ------------------------------------------------------------------
-
-    pub(super) fn on_grace_check(&mut self, watch_id: u64, ctx: &mut Context<'_>) {
-        let now = ctx.now();
-        let Some(watch) = self.grace_watches.remove(&watch_id) else {
-            return;
-        };
-        // Has the flow kept arriving well into the grace period?
-        let margin = self.cfg.grace / 2;
-        let still_flowing = self
-            .filters
-            .last_hit_of(&watch.flow)
-            .is_some_and(|t| t > watch.armed_at + margin);
-        if still_flowing {
-            if let Some(link) = watch.client_link {
-                self.counters.disconnects_client += 1;
-                self.tracer.instant(
-                    SpanKind::Disconnect,
-                    Cause::GraceExpired,
-                    flow_key(&watch.flow),
-                    watch.round,
-                    self.addr.0,
-                    now.0,
-                );
-                self.trace(now, || {
-                    format!(
-                        "grace expired: disconnecting client link {:?} over {}",
-                        link, watch.flow
-                    )
-                });
-                ctx.set_incoming_blocked(link, true);
-            }
-        }
     }
 }

@@ -18,7 +18,6 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use aitf_defense::{DefensePolicy, ReadStage, Verdict, WriteStage};
 use aitf_filter::{FilterTable, RateLimiterBank, ShadowCache};
 use aitf_netsim::{impl_node_any, Context, LinkId, Node, SimTime, Subsystem};
 use aitf_packet::{
@@ -28,7 +27,8 @@ use aitf_packet::{
 use aitf_trace::{Cause, SpanId, SpanKind, Tracer};
 
 use crate::config::{AitfConfig, RouterPolicy};
-use crate::pipeline::{self, PolicyChains, StageId};
+use crate::pipeline::{PolicyChains, StageId, Verdict};
+use crate::policy::DefensePolicy;
 use crate::pushback::{PushbackCounters, PushbackState, LINK_LOCAL};
 
 mod escalation;
@@ -162,22 +162,20 @@ pub struct RouterSpec {
 
 /// An AITF border router node.
 ///
-/// Since the hook-pipeline refactor the datapath is organised as three
-/// hook points — **Ingress** (packet entering the forwarding path),
-/// **Egress** (just before route lookup + transmit) and **Escalate**
-/// (control packets addressed to this router) — each running a
-/// DAG-ordered chain of defense stages selected by
-/// [`AitfConfig::defense`]. Stage logic is implemented on this type via
-/// [`aitf_defense::ReadStage`] / [`aitf_defense::WriteStage`] and
-/// dispatched statically through [`StageId`], so swapping the defense
-/// never costs an allocation or a virtual call on the per-packet path.
+/// The datapath is organised as three hook points — **Ingress** (packet
+/// entering the forwarding path), **Egress** (just before route lookup +
+/// transmit) and **Escalate** (control packets addressed to this router)
+/// — each running the fixed stage chain [`PolicyChains::build`] lists for
+/// [`AitfConfig::defense`]. Stages are methods on this type dispatched
+/// statically through [`StageId`], so swapping the defense never costs an
+/// allocation or a virtual call on the per-packet path.
 pub struct BorderRouter {
     addr: Addr,
     cfg: AitfConfig,
     policy: RouterPolicy,
     /// Which defense populates the chains (copied from the config).
     defense: DefensePolicy,
-    /// Resolved per-hook stage chains for `defense`.
+    /// The per-hook stage chains of `defense`.
     chains: PolicyChains,
     /// Pushback baseline state (arrival-link memory + counters); inert
     /// under every other policy.
@@ -234,12 +232,13 @@ impl BorderRouter {
             );
         }
         let defense = cfg.defense;
+        let Ok(chains) = PolicyChains::build(defense);
         BorderRouter {
             filters: FilterTable::with_policy(cfg.filter_capacity, cfg.eviction),
             shadow: ShadowCache::new(cfg.shadow_capacity),
             limiter,
             defense,
-            chains: PolicyChains::build(defense).expect("static policy chains build"),
+            chains,
             pushback: PushbackState::default(),
             prefix_limiter: match defense {
                 DefensePolicy::IngressRateLimit { rate_pps, burst } => {
@@ -315,10 +314,10 @@ impl BorderRouter {
         self.defense
     }
 
-    /// The resolved hook chains (read-only; experiments and docs
+    /// The hook chains this router runs (experiments and docs
     /// introspect the stage order).
-    pub fn chains(&self) -> &PolicyChains {
-        &self.chains
+    pub fn chains(&self) -> PolicyChains {
+        self.chains
     }
 
     /// Pushback-plane counters (all zero unless the world runs
@@ -393,6 +392,12 @@ impl BorderRouter {
         }
     }
 
+    /// Records an instant span at this router.
+    fn span(&self, kind: SpanKind, cause: Cause, key: u64, round: u8, now: SimTime) {
+        self.tracer
+            .instant(kind, cause, key, round, self.addr.0, now.0);
+    }
+
     fn alloc_token(&mut self, action: TimerAction) -> u64 {
         let token = self.next_id;
         self.next_id += 1;
@@ -420,10 +425,9 @@ impl BorderRouter {
     // Data plane: the Ingress and Egress hooks.
     // ------------------------------------------------------------------
 
-    /// Runs one stage by id — the static-dispatch heart of the pipeline.
-    /// Every arm is a monomorphized trait call on a unit marker type, so
-    /// walking a chain is a `match` per stage: no boxing, no vtables, no
-    /// allocation. Write stages cannot veto; they report `Continue`.
+    /// Runs one stage by id — the static-dispatch heart of the pipeline:
+    /// walking a chain is a `match` per stage, no boxing, no vtables, no
+    /// allocation.
     fn run_stage(
         &mut self,
         id: StageId,
@@ -431,64 +435,50 @@ impl BorderRouter {
         arrival: LinkId,
         ctx: &mut Context<'_>,
     ) -> Verdict {
-        use pipeline as st;
         match id {
-            StageId::AitfIngressFilter => {
-                st::AitfIngressFilter::inspect(self, packet, arrival, ctx)
-            }
-            StageId::AitfWireFilter => st::AitfWireFilter::inspect(self, packet, arrival, ctx),
-            StageId::AitfShadowReact => st::AitfShadowReact::inspect(self, packet, arrival, ctx),
-            StageId::TtlCheck => st::TtlCheck::inspect(self, packet, arrival, ctx),
-            StageId::TtlDecrement => {
-                st::TtlDecrement::apply(self, packet, arrival, ctx);
-                Verdict::Continue
-            }
-            StageId::AitfStamp => {
-                st::AitfStamp::apply(self, packet, arrival, ctx);
-                Verdict::Continue
-            }
-            StageId::AitfAdmission => st::AitfAdmission::inspect(self, packet, arrival, ctx),
-            StageId::AitfDispatch => {
-                st::AitfDispatch::apply(self, packet, arrival, ctx);
-                Verdict::Continue
-            }
-            StageId::PushbackWireFilter => {
-                st::PushbackWireFilter::inspect(self, packet, arrival, ctx)
-            }
-            StageId::PushbackArrival => st::PushbackArrival::inspect(self, packet, arrival, ctx),
-            StageId::PushbackControl => {
-                st::PushbackControl::apply(self, packet, arrival, ctx);
-                Verdict::Continue
-            }
-            StageId::PrefixPolice => st::PrefixPolice::inspect(self, packet, arrival, ctx),
-            StageId::RatelimitControl => st::RatelimitControl::inspect(self, packet, arrival, ctx),
-            StageId::PathStampCheck => st::PathStampCheck::inspect(self, packet, arrival, ctx),
-            StageId::PathStampMark => {
-                st::PathStampMark::apply(self, packet, arrival, ctx);
-                Verdict::Continue
-            }
-            StageId::PathStampControl => {
-                st::PathStampControl::apply(self, packet, arrival, ctx);
-                Verdict::Continue
-            }
+            StageId::AitfIngressFilter => self.aitf_ingress_filter(packet, arrival, ctx),
+            StageId::AitfWireFilter => self.aitf_wire_filter(packet, arrival, ctx),
+            StageId::AitfShadowReact => self.aitf_shadow_react(packet, arrival, ctx),
+            StageId::AitfStamp => self.aitf_stamp(packet, arrival, ctx),
+            StageId::AitfAdmission => self.aitf_admission(packet, arrival, ctx),
+            StageId::AitfDispatch => self.aitf_dispatch(packet, arrival, ctx),
+            StageId::TtlCheck => self.ttl_check(packet, arrival, ctx),
+            StageId::TtlDecrement => self.ttl_decrement(packet, arrival, ctx),
+            StageId::PushbackWireFilter => self.pushback_wire_filter(packet, arrival, ctx),
+            StageId::PushbackArrival => self.pushback_arrival(packet, arrival, ctx),
+            StageId::PushbackControl => self.pushback_control(packet, arrival, ctx),
+            StageId::PrefixPolice => self.prefix_police(packet, arrival, ctx),
+            StageId::RatelimitControl => self.ratelimit_control(packet, arrival, ctx),
+            StageId::PathStampCheck => self.path_stamp_check(packet, arrival, ctx),
+            StageId::PathStampMark => self.path_stamp_mark(packet, arrival, ctx),
+            StageId::PathStampControl => self.path_stamp_control(packet, arrival, ctx),
         }
     }
 
-    fn forward_data(&mut self, mut packet: Packet, arrival: LinkId, ctx: &mut Context<'_>) {
-        // Ingress hook: any stage may veto the packet.
-        for i in 0..self.chains.ingress.len() {
-            let id = self.chains.ingress.stage(i);
-            if self.run_stage(id, &mut packet, arrival, ctx).is_drop() {
-                // The defense consumed the packet: attribute this event's
-                // cost to the hook pipeline, not plain forwarding.
-                ctx.profile_subsystem(Subsystem::DefenseHook);
-                return;
+    /// Walks one hook's chain until a stage vetoes the packet — the one
+    /// loop all three hooks share.
+    fn run_chain(
+        &mut self,
+        chain: &[StageId],
+        packet: &mut Packet,
+        arrival: LinkId,
+        ctx: &mut Context<'_>,
+    ) -> Verdict {
+        for &id in chain {
+            if self.run_stage(id, packet, arrival, ctx) == Verdict::Drop {
+                return Verdict::Drop;
             }
         }
-        // Egress hook: TTL accounting, traceback stamping.
-        for i in 0..self.chains.egress.len() {
-            let id = self.chains.egress.stage(i);
-            if self.run_stage(id, &mut packet, arrival, ctx).is_drop() {
+        Verdict::Continue
+    }
+
+    fn forward_data(&mut self, mut packet: Packet, arrival: LinkId, ctx: &mut Context<'_>) {
+        // The Ingress hook (spoofing, filters, policing), then the Egress
+        // hook (TTL accounting, traceback stamping).
+        for chain in [self.chains.ingress, self.chains.egress] {
+            if self.run_chain(chain, &mut packet, arrival, ctx) == Verdict::Drop {
+                // The defense consumed the packet: attribute this event's
+                // cost to the hook pipeline, not plain forwarding.
                 ctx.profile_subsystem(Subsystem::DefenseHook);
                 return;
             }
@@ -515,10 +505,43 @@ impl BorderRouter {
             DefensePolicy::Aitf => Subsystem::Escalation,
             _ => Subsystem::DefenseHook,
         });
-        for i in 0..self.chains.escalate.len() {
-            let id = self.chains.escalate.stage(i);
-            if self.run_stage(id, &mut packet, arrival, ctx).is_drop() {
-                return;
+        self.run_chain(self.chains.escalate, &mut packet, arrival, ctx);
+    }
+
+    // ------------------------------------------------------------------
+    // Timers (dispatched by `Node::on_timer` below).
+    // ------------------------------------------------------------------
+
+    /// The grace period armed by `satisfy_attacker_side` ran out:
+    /// disconnect the client if its flow kept arriving regardless.
+    fn on_grace_check(&mut self, watch_id: u64, ctx: &mut Context<'_>) {
+        let now = ctx.now();
+        let Some(watch) = self.grace_watches.remove(&watch_id) else {
+            return;
+        };
+        // Has the flow kept arriving well into the grace period?
+        let margin = self.cfg.grace / 2;
+        let still_flowing = self
+            .filters
+            .last_hit_of(&watch.flow)
+            .is_some_and(|t| t > watch.armed_at + margin);
+        if still_flowing {
+            if let Some(link) = watch.client_link {
+                self.counters.disconnects_client += 1;
+                self.span(
+                    SpanKind::Disconnect,
+                    Cause::GraceExpired,
+                    flow_key(&watch.flow),
+                    watch.round,
+                    now,
+                );
+                self.trace(now, || {
+                    format!(
+                        "grace expired: disconnecting client link {:?} over {}",
+                        link, watch.flow
+                    )
+                });
+                ctx.set_incoming_blocked(link, true);
             }
         }
     }
@@ -579,13 +602,12 @@ impl Node for BorderRouter {
                     let now = ctx.now();
                     let key = flow_key(&pending.request.flow);
                     self.tracer.end(pending.span, now.0);
-                    self.tracer.instant(
+                    self.span(
                         SpanKind::Drop,
                         Cause::HandshakeTimeout,
                         key,
                         pending.request.round,
-                        self.addr.0,
-                        now.0,
+                        now,
                     );
                     self.tracer.close_round(key, pending.request.round, now.0);
                 }

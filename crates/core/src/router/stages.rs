@@ -1,10 +1,10 @@
-//! Stage logic. Marker types and chain wiring live in `crate::pipeline`;
-//! the bodies live here — a child module of `router`, so they keep direct
-//! access to the router's private state. Read stages (`inspect`) may veto
-//! a packet; write stages (`apply`) mutate the packet or router state and
-//! cannot veto.
+//! The stage bodies [`crate::pipeline::StageId`] names, as inherent
+//! methods sharing one signature so `run_stage` can dispatch them from a
+//! single `match`. A child module of `router`, so they keep direct access
+//! to the router's private state. A stage that vetoes the packet returns
+//! [`Verdict::Drop`] after doing its own accounting; a stage that only
+//! mutates the packet or router state returns [`Verdict::Continue`].
 
-use aitf_defense::{ReadStage, Verdict, WriteStage};
 use aitf_netsim::{Context, LinkId};
 use aitf_packet::{
     AitfMessage, FlowLabel, Packet, PayloadKind, PushbackRequest, RequestDestination,
@@ -14,12 +14,51 @@ use rand::Rng;
 
 use super::BorderRouter;
 use crate::config::TracebackMode;
-use crate::pipeline;
+use crate::pipeline::Verdict;
 use crate::pushback::{LINK_LOCAL, MAX_PUSHBACK_DEPTH};
 
-// --- Stage helpers -----------------------------------------------------
-
 impl BorderRouter {
+    // --- AITF ingress --------------------------------------------------
+
+    /// Ingress filtering: a client packet must be sourced inside the
+    /// client's own prefixes (Section III-A's incentive).
+    pub(super) fn aitf_ingress_filter(
+        &mut self,
+        packet: &mut Packet,
+        arrival: LinkId,
+        _ctx: &mut Context<'_>,
+    ) -> Verdict {
+        if self.policy.aitf_enabled && self.policy.ingress_filtering && packet.is_data() {
+            if let Some(prefixes) = self.client_prefixes(arrival) {
+                if !prefixes.iter().any(|p| p.contains(packet.header.src)) {
+                    self.counters.spoofed_dropped += 1;
+                    return Verdict::Drop;
+                }
+            }
+        }
+        Verdict::Continue
+    }
+
+    /// Wire-speed filter check.
+    pub(super) fn aitf_wire_filter(
+        &mut self,
+        packet: &mut Packet,
+        _arrival: LinkId,
+        ctx: &mut Context<'_>,
+    ) -> Verdict {
+        let now = ctx.now();
+        if self.policy.aitf_enabled && packet.is_data() && self.filters.matches(&packet.header, now)
+        {
+            self.counters.data_filtered_pkts += 1;
+            self.counters.data_filtered_bytes += packet.size_bytes as u64;
+            // The blocked packet still carries traceback information a
+            // pending request may be waiting for.
+            self.harvest_pending_path(packet, ctx);
+            return Verdict::Drop;
+        }
+        Verdict::Continue
+    }
+
     /// A packet matching a pending-path request supplies the missing
     /// attack-path sample; complete the propagation step.
     fn harvest_pending_path(&mut self, packet: &Packet, ctx: &mut Context<'_>) {
@@ -60,6 +99,225 @@ impl BorderRouter {
         self.propagate_as_victim_gateway(request, ctx);
     }
 
+    /// Shadow reactivation: a recently blocked flow reappeared after its
+    /// temporary filter expired — the attacker side never took over.
+    pub(super) fn aitf_shadow_react(
+        &mut self,
+        packet: &mut Packet,
+        _arrival: LinkId,
+        ctx: &mut Context<'_>,
+    ) -> Verdict {
+        let now = ctx.now();
+        if self.policy.aitf_enabled
+            && packet.is_data()
+            && self.cfg.packet_triggered_reactivation
+            && self.policy.cooperating
+        {
+            if let Some(entry) = self.shadow.check_reactivation(&packet.header, now) {
+                self.counters.reactivations += 1;
+                self.trace(now, || {
+                    // detlint::allow(hot-alloc): only under `cfg.trace`, and only on a reactivation
+                    format!(
+                        "reactivation: {} round {} reappeared",
+                        entry.label, entry.round
+                    )
+                });
+                self.on_reactivation(entry, packet, ctx);
+                return Verdict::Drop;
+            }
+        }
+        Verdict::Continue
+    }
+
+    // --- Shared egress -------------------------------------------------
+
+    /// TTL-exhaustion veto: a packet whose TTL cannot survive the
+    /// decrement is undeliverable.
+    pub(super) fn ttl_check(
+        &mut self,
+        packet: &mut Packet,
+        _arrival: LinkId,
+        _ctx: &mut Context<'_>,
+    ) -> Verdict {
+        if packet.header.ttl <= 1 {
+            self.counters.undeliverable += 1;
+            return Verdict::Drop;
+        }
+        Verdict::Continue
+    }
+
+    /// TTL decrement; `ttl_check` ran first, so this cannot underflow.
+    pub(super) fn ttl_decrement(
+        &mut self,
+        packet: &mut Packet,
+        _arrival: LinkId,
+        _ctx: &mut Context<'_>,
+    ) -> Verdict {
+        packet.header.ttl -= 1;
+        Verdict::Continue
+    }
+
+    /// Traceback stamping (data plane only; control messages are
+    /// point-to-point and need no traceback).
+    pub(super) fn aitf_stamp(
+        &mut self,
+        packet: &mut Packet,
+        _arrival: LinkId,
+        ctx: &mut Context<'_>,
+    ) -> Verdict {
+        if self.policy.aitf_enabled && packet.is_data() {
+            match self.cfg.traceback {
+                TracebackMode::RouteRecord => {
+                    // A full record degrades traceback but must not break
+                    // forwarding.
+                    let _ = packet.route_record.push(self.addr);
+                }
+                TracebackMode::Sampling { p, .. } => {
+                    if ctx.rng().gen_bool(p) {
+                        packet.mark = Some(TracebackMark {
+                            router: self.addr,
+                            distance: 0,
+                        });
+                    } else if let Some(m) = &mut packet.mark {
+                        m.distance = m.distance.saturating_add(1);
+                    }
+                }
+            }
+        }
+        Verdict::Continue
+    }
+
+    // --- AITF escalate -------------------------------------------------
+
+    /// Request admission: counting, enablement and contract policing
+    /// (Section II-B) — every received request lands in exactly one
+    /// counter bucket, starting here.
+    pub(super) fn aitf_admission(
+        &mut self,
+        packet: &mut Packet,
+        arrival: LinkId,
+        ctx: &mut Context<'_>,
+    ) -> Verdict {
+        let PayloadKind::Aitf(msg) = &packet.payload else {
+            // A data payload addressed to a router is a misdelivery.
+            self.counters.undeliverable += 1;
+            return Verdict::Drop;
+        };
+        if matches!(msg, AitfMessage::FilteringRequest(_)) {
+            self.counters.requests_received += 1;
+            if !self.policy.aitf_enabled {
+                self.counters.requests_ignored += 1;
+                return Verdict::Drop;
+            }
+            // Contract policing per arrival interface (Section II-B).
+            if !self.limiter.try_acquire(arrival.0 as u64, ctx.now()) {
+                self.counters.requests_policed += 1;
+                return Verdict::Drop;
+            }
+        }
+        Verdict::Continue
+    }
+
+    /// Role dispatch for admitted control messages: victim's gateway,
+    /// attacker's gateway, or the attacker itself.
+    pub(super) fn aitf_dispatch(
+        &mut self,
+        packet: &mut Packet,
+        arrival: LinkId,
+        ctx: &mut Context<'_>,
+    ) -> Verdict {
+        // Take the message out of the packet so the roles can consume the
+        // request without cloning its route record.
+        let payload =
+            std::mem::replace(&mut packet.payload, PayloadKind::Data(TrafficClass::Legit));
+        let PayloadKind::Aitf(msg) = payload else {
+            return Verdict::Continue;
+        };
+        match msg {
+            AitfMessage::FilteringRequest(req) => match req.dest {
+                RequestDestination::VictimGateway => self.victim_gateway_role(req, arrival, ctx),
+                RequestDestination::AttackerGateway => self.attacker_gateway_role(req, ctx),
+                RequestDestination::Attacker => self.attacker_role(req, ctx),
+            },
+            AitfMessage::VerificationReply(rep) => self.handle_verification_reply(rep, ctx),
+            AitfMessage::VerificationQuery(_) | AitfMessage::Pushback(_) => {
+                // Queries are for victims (end hosts) and pushback belongs
+                // to the baseline policy; either here is a misdelivery.
+                self.counters.undeliverable += 1;
+            }
+        }
+        Verdict::Continue
+    }
+
+    // --- Pushback ------------------------------------------------------
+
+    /// Aggregate-filter check; a drop still refreshes the arrival record
+    /// so a later propagation knows where the aggregate comes from.
+    pub(super) fn pushback_wire_filter(
+        &mut self,
+        packet: &mut Packet,
+        arrival: LinkId,
+        ctx: &mut Context<'_>,
+    ) -> Verdict {
+        let now = ctx.now();
+        if packet.is_data() && self.filters.matches(&packet.header, now) {
+            self.counters.data_filtered_pkts += 1;
+            self.counters.data_filtered_bytes += packet.size_bytes as u64;
+            self.pushback
+                .note_arrival((packet.header.src, packet.header.dst), arrival);
+            return Verdict::Drop;
+        }
+        Verdict::Continue
+    }
+
+    /// Arrival-link learning for packets that survive the filter.
+    pub(super) fn pushback_arrival(
+        &mut self,
+        packet: &mut Packet,
+        arrival: LinkId,
+        _ctx: &mut Context<'_>,
+    ) -> Verdict {
+        if packet.is_data() {
+            self.pushback
+                .note_arrival((packet.header.src, packet.header.dst), arrival);
+        }
+        Verdict::Continue
+    }
+
+    /// The pushback control plane: hop-by-hop requests from downstream
+    /// plus the victim's edge trigger (the same filtering request AITF's
+    /// victim's gateway consumes, with pushback semantics instead).
+    pub(super) fn pushback_control(
+        &mut self,
+        packet: &mut Packet,
+        _arrival: LinkId,
+        ctx: &mut Context<'_>,
+    ) -> Verdict {
+        match &packet.payload {
+            PayloadKind::Aitf(AitfMessage::Pushback(p)) => {
+                self.pushback.counters.pushback_received += 1;
+                if self.policy.cooperating {
+                    let (flow, id, depth) = (p.flow, p.id, p.depth);
+                    self.pushback_block_and_propagate(flow, id, depth, ctx);
+                } else {
+                    self.pushback.counters.pushback_ignored += 1;
+                }
+            }
+            PayloadKind::Aitf(AitfMessage::FilteringRequest(req))
+                if req.dest == RequestDestination::VictimGateway =>
+            {
+                self.counters.requests_received += 1;
+                if self.policy.cooperating {
+                    let (flow, id) = (req.flow, req.id);
+                    self.pushback_block_and_propagate(flow, id, 0, ctx);
+                }
+            }
+            // Anything else has no handler under pushback: a misdelivery.
+            _ => self.counters.undeliverable += 1,
+        }
+        Verdict::Continue
+    }
+
     /// Pushback's hop-by-hop step: block the aggregate locally and relay
     /// the request to the contributing upstream neighbour.
     fn pushback_block_and_propagate(
@@ -96,383 +354,142 @@ impl BorderRouter {
         self.pushback.counters.pushback_sent += 1;
         ctx.send(uplink, pkt);
     }
-}
 
-// --- AITF ingress ------------------------------------------------------
+    // --- Ingress rate limiting -----------------------------------------
 
-impl ReadStage<BorderRouter> for pipeline::AitfIngressFilter {
-    /// Ingress filtering: a client packet must be sourced inside the
-    /// client's own prefixes (Section III-A's incentive).
-    fn inspect(
-        r: &mut BorderRouter,
-        packet: &Packet,
-        arrival: LinkId,
-        _ctx: &mut Context<'_>,
-    ) -> Verdict {
-        if r.policy.aitf_enabled && r.policy.ingress_filtering && packet.is_data() {
-            if let Some(prefixes) = r.client_prefixes(arrival) {
-                if !prefixes.iter().any(|p| p.contains(packet.header.src)) {
-                    r.counters.spoofed_dropped += 1;
-                    return Verdict::Drop;
-                }
-            }
-        }
-        Verdict::Continue
-    }
-}
-
-impl ReadStage<BorderRouter> for pipeline::AitfWireFilter {
-    /// Wire-speed filter check.
-    fn inspect(
-        r: &mut BorderRouter,
-        packet: &Packet,
-        _arrival: LinkId,
-        ctx: &mut Context<'_>,
-    ) -> Verdict {
-        let now = ctx.now();
-        if r.policy.aitf_enabled && packet.is_data() && r.filters.matches(&packet.header, now) {
-            r.counters.data_filtered_pkts += 1;
-            r.counters.data_filtered_bytes += packet.size_bytes as u64;
-            // The blocked packet still carries traceback information a
-            // pending request may be waiting for.
-            r.harvest_pending_path(packet, ctx);
-            return Verdict::Drop;
-        }
-        Verdict::Continue
-    }
-}
-
-impl ReadStage<BorderRouter> for pipeline::AitfShadowReact {
-    /// Shadow reactivation: a recently blocked flow reappeared after its
-    /// temporary filter expired — the attacker side never took over.
-    fn inspect(
-        r: &mut BorderRouter,
-        packet: &Packet,
-        _arrival: LinkId,
-        ctx: &mut Context<'_>,
-    ) -> Verdict {
-        let now = ctx.now();
-        if r.policy.aitf_enabled
-            && packet.is_data()
-            && r.cfg.packet_triggered_reactivation
-            && r.policy.cooperating
-        {
-            if let Some(entry) = r.shadow.check_reactivation(&packet.header, now) {
-                r.counters.reactivations += 1;
-                r.trace(now, || {
-                    format!(
-                        "reactivation: {} round {} reappeared",
-                        entry.label, entry.round
-                    )
-                });
-                r.on_reactivation(entry, packet, ctx);
-                return Verdict::Drop;
-            }
-        }
-        Verdict::Continue
-    }
-}
-
-// --- Shared egress -----------------------------------------------------
-
-impl ReadStage<BorderRouter> for pipeline::TtlCheck {
-    /// TTL-exhaustion veto: a packet whose TTL cannot survive the
-    /// decrement is undeliverable.
-    fn inspect(
-        r: &mut BorderRouter,
-        packet: &Packet,
-        _arrival: LinkId,
-        _ctx: &mut Context<'_>,
-    ) -> Verdict {
-        if packet.header.ttl <= 1 {
-            r.counters.undeliverable += 1;
-            return Verdict::Drop;
-        }
-        Verdict::Continue
-    }
-}
-
-impl WriteStage<BorderRouter> for pipeline::TtlDecrement {
-    fn apply(_r: &mut BorderRouter, packet: &mut Packet, _arrival: LinkId, _ctx: &mut Context<'_>) {
-        packet.header.ttl -= 1;
-    }
-}
-
-impl WriteStage<BorderRouter> for pipeline::AitfStamp {
-    /// Traceback stamping (data plane only; control messages are
-    /// point-to-point and need no traceback).
-    fn apply(r: &mut BorderRouter, packet: &mut Packet, _arrival: LinkId, ctx: &mut Context<'_>) {
-        if r.policy.aitf_enabled && packet.is_data() {
-            match r.cfg.traceback {
-                TracebackMode::RouteRecord => {
-                    // A full record degrades traceback but must not break
-                    // forwarding.
-                    let _ = packet.route_record.push(r.addr);
-                }
-                TracebackMode::Sampling { p, .. } => {
-                    if ctx.rng().gen_bool(p) {
-                        packet.mark = Some(TracebackMark {
-                            router: r.addr,
-                            distance: 0,
-                        });
-                    } else if let Some(m) = &mut packet.mark {
-                        m.distance = m.distance.saturating_add(1);
-                    }
-                }
-            }
-        }
-    }
-}
-
-// --- AITF escalate -----------------------------------------------------
-
-impl ReadStage<BorderRouter> for pipeline::AitfAdmission {
-    /// Request admission: counting, enablement and contract policing
-    /// (Section II-B) — every received request lands in exactly one
-    /// counter bucket, starting here.
-    fn inspect(
-        r: &mut BorderRouter,
-        packet: &Packet,
-        arrival: LinkId,
-        ctx: &mut Context<'_>,
-    ) -> Verdict {
-        let PayloadKind::Aitf(msg) = &packet.payload else {
-            // A data payload addressed to a router is a misdelivery.
-            return Verdict::Drop;
-        };
-        if matches!(msg, AitfMessage::FilteringRequest(_)) {
-            r.counters.requests_received += 1;
-            if !r.policy.aitf_enabled {
-                r.counters.requests_ignored += 1;
-                return Verdict::Drop;
-            }
-            // Contract policing per arrival interface (Section II-B).
-            if !r.limiter.try_acquire(arrival.0 as u64, ctx.now()) {
-                r.counters.requests_policed += 1;
-                return Verdict::Drop;
-            }
-        }
-        Verdict::Continue
-    }
-}
-
-impl WriteStage<BorderRouter> for pipeline::AitfDispatch {
-    /// Role dispatch for admitted control messages: victim's gateway,
-    /// attacker's gateway, or the attacker itself.
-    fn apply(r: &mut BorderRouter, packet: &mut Packet, arrival: LinkId, ctx: &mut Context<'_>) {
-        // Take the message out of the packet so the roles can consume the
-        // request without cloning its route record.
-        let payload =
-            std::mem::replace(&mut packet.payload, PayloadKind::Data(TrafficClass::Legit));
-        let PayloadKind::Aitf(msg) = payload else {
-            return;
-        };
-        match msg {
-            AitfMessage::FilteringRequest(req) => match req.dest {
-                RequestDestination::VictimGateway => r.victim_gateway_role(req, arrival, ctx),
-                RequestDestination::AttackerGateway => r.attacker_gateway_role(req, ctx),
-                RequestDestination::Attacker => r.attacker_role(req, ctx),
-            },
-            AitfMessage::VerificationReply(rep) => r.handle_verification_reply(rep, ctx),
-            AitfMessage::VerificationQuery(_) | AitfMessage::Pushback(_) => {
-                // Queries are for victims (end hosts) and pushback belongs
-                // to the baseline policy; either here is a misdelivery.
-                r.counters.undeliverable += 1;
-            }
-        }
-    }
-}
-
-// --- Pushback ----------------------------------------------------------
-
-impl ReadStage<BorderRouter> for pipeline::PushbackWireFilter {
-    /// Aggregate-filter check; a drop still refreshes the arrival record
-    /// so a later propagation knows where the aggregate comes from.
-    fn inspect(
-        r: &mut BorderRouter,
-        packet: &Packet,
-        arrival: LinkId,
-        ctx: &mut Context<'_>,
-    ) -> Verdict {
-        let now = ctx.now();
-        if packet.is_data() && r.filters.matches(&packet.header, now) {
-            r.counters.data_filtered_pkts += 1;
-            r.counters.data_filtered_bytes += packet.size_bytes as u64;
-            r.pushback
-                .note_arrival((packet.header.src, packet.header.dst), arrival);
-            return Verdict::Drop;
-        }
-        Verdict::Continue
-    }
-}
-
-impl ReadStage<BorderRouter> for pipeline::PushbackArrival {
-    /// Arrival-link learning for packets that survive the filter.
-    fn inspect(
-        r: &mut BorderRouter,
-        packet: &Packet,
-        arrival: LinkId,
-        _ctx: &mut Context<'_>,
-    ) -> Verdict {
-        if packet.is_data() {
-            r.pushback
-                .note_arrival((packet.header.src, packet.header.dst), arrival);
-        }
-        Verdict::Continue
-    }
-}
-
-impl WriteStage<BorderRouter> for pipeline::PushbackControl {
-    /// The pushback control plane: hop-by-hop requests from downstream
-    /// plus the victim's edge trigger (the same filtering request AITF's
-    /// victim's gateway consumes, with pushback semantics instead).
-    fn apply(r: &mut BorderRouter, packet: &mut Packet, _arrival: LinkId, ctx: &mut Context<'_>) {
-        match &packet.payload {
-            PayloadKind::Aitf(AitfMessage::Pushback(p)) => {
-                r.pushback.counters.pushback_received += 1;
-                if !r.policy.cooperating {
-                    r.pushback.counters.pushback_ignored += 1;
-                    return;
-                }
-                let (flow, id, depth) = (p.flow, p.id, p.depth);
-                r.pushback_block_and_propagate(flow, id, depth, ctx);
-            }
-            PayloadKind::Aitf(AitfMessage::FilteringRequest(req))
-                if req.dest == RequestDestination::VictimGateway =>
-            {
-                r.counters.requests_received += 1;
-                if r.policy.cooperating {
-                    let (flow, id) = (req.flow, req.id);
-                    r.pushback_block_and_propagate(flow, id, 0, ctx);
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-// --- Ingress rate limiting --------------------------------------------
-
-impl ReadStage<BorderRouter> for pipeline::PrefixPolice {
     /// Per-source-prefix token-bucket policing on client links: purely
     /// local, no escalation — and collateral for legitimate hosts sharing
     /// a /16 with attackers.
-    fn inspect(
-        r: &mut BorderRouter,
-        packet: &Packet,
+    pub(super) fn prefix_police(
+        &mut self,
+        packet: &mut Packet,
         arrival: LinkId,
         ctx: &mut Context<'_>,
     ) -> Verdict {
-        if packet.is_data() && r.client_prefixes(arrival).is_some() {
+        if packet.is_data() && self.client_prefixes(arrival).is_some() {
             let key = (packet.header.src.0 >> 16) as u64;
             let now = ctx.now();
-            let limiter = r
+            let limiter = self
                 .prefix_limiter
                 .as_mut()
                 .expect("prefix limiter exists under IngressRateLimit");
             if !limiter.try_acquire(key, now) {
-                r.counters.data_filtered_pkts += 1;
-                r.counters.data_filtered_bytes += packet.size_bytes as u64;
+                self.counters.data_filtered_pkts += 1;
+                self.counters.data_filtered_bytes += packet.size_bytes as u64;
                 return Verdict::Drop;
             }
         }
         Verdict::Continue
     }
-}
 
-impl ReadStage<BorderRouter> for pipeline::RatelimitControl {
     /// Control sink: the policy has no escalation plane, so filtering
     /// requests are counted (for the bake-off's request accounting) and
-    /// dropped.
-    fn inspect(
-        r: &mut BorderRouter,
-        packet: &Packet,
+    /// dropped; anything else addressed here is a misdelivery.
+    pub(super) fn ratelimit_control(
+        &mut self,
+        packet: &mut Packet,
         _arrival: LinkId,
         _ctx: &mut Context<'_>,
     ) -> Verdict {
         if let PayloadKind::Aitf(AitfMessage::FilteringRequest(_)) = &packet.payload {
-            r.counters.requests_received += 1;
-            r.counters.requests_ignored += 1;
+            self.counters.requests_received += 1;
+            self.counters.requests_ignored += 1;
+        } else {
+            self.counters.undeliverable += 1;
         }
         Verdict::Drop
     }
-}
 
-// --- Path stamping -----------------------------------------------------
+    // --- Path stamping -------------------------------------------------
 
-impl ReadStage<BorderRouter> for pipeline::PathStampCheck {
     /// Drops stamped traffic whose first-hop router (the "capability"
     /// origin) has been revoked by a victim — coarse and collateral-heavy,
     /// which is exactly what the bake-off measures.
-    fn inspect(
-        r: &mut BorderRouter,
-        packet: &Packet,
+    pub(super) fn path_stamp_check(
+        &mut self,
+        packet: &mut Packet,
         _arrival: LinkId,
         ctx: &mut Context<'_>,
     ) -> Verdict {
-        if packet.is_data() && !r.stamp_blocks.is_empty() {
+        if packet.is_data() && !self.stamp_blocks.is_empty() {
             if let Some(&origin) = packet.route_record.hops().first() {
                 let now = ctx.now();
-                if r.stamp_blocks
+                if self
+                    .stamp_blocks
                     .iter()
                     .any(|&(o, exp)| o == origin && exp > now)
                 {
-                    r.counters.data_filtered_pkts += 1;
-                    r.counters.data_filtered_bytes += packet.size_bytes as u64;
+                    self.counters.data_filtered_pkts += 1;
+                    self.counters.data_filtered_bytes += packet.size_bytes as u64;
                     return Verdict::Drop;
                 }
             }
         }
         Verdict::Continue
     }
-}
 
-impl WriteStage<BorderRouter> for pipeline::PathStampMark {
     /// Every router stamps data packets unconditionally — the route
     /// record is the capability the victim side revokes against.
-    fn apply(r: &mut BorderRouter, packet: &mut Packet, _arrival: LinkId, _ctx: &mut Context<'_>) {
+    pub(super) fn path_stamp_mark(
+        &mut self,
+        packet: &mut Packet,
+        _arrival: LinkId,
+        _ctx: &mut Context<'_>,
+    ) -> Verdict {
         if packet.is_data() {
-            let _ = packet.route_record.push(r.addr);
+            let _ = packet.route_record.push(self.addr);
         }
+        Verdict::Continue
     }
-}
 
-impl WriteStage<BorderRouter> for pipeline::PathStampControl {
     /// Origin revocation: a victim's filtering request names an attack
     /// path; its first hop (the attacker's edge router) is revoked for
     /// `T`, blocking *all* stamped traffic from that origin.
-    fn apply(r: &mut BorderRouter, packet: &mut Packet, _arrival: LinkId, ctx: &mut Context<'_>) {
-        let PayloadKind::Aitf(AitfMessage::FilteringRequest(req)) = &packet.payload else {
-            return;
+    pub(super) fn path_stamp_control(
+        &mut self,
+        packet: &mut Packet,
+        _arrival: LinkId,
+        ctx: &mut Context<'_>,
+    ) -> Verdict {
+        let req = match &packet.payload {
+            PayloadKind::Aitf(AitfMessage::FilteringRequest(req))
+                if req.dest == RequestDestination::VictimGateway =>
+            {
+                req
+            }
+            // Anything else has no handler under path stamping: a
+            // misdelivery.
+            _ => {
+                self.counters.undeliverable += 1;
+                return Verdict::Continue;
+            }
         };
-        if req.dest != RequestDestination::VictimGateway {
-            return;
-        }
-        r.counters.requests_received += 1;
-        if !r.policy.cooperating {
-            r.counters.requests_ignored += 1;
-            return;
+        self.counters.requests_received += 1;
+        if !self.policy.cooperating {
+            self.counters.requests_ignored += 1;
+            return Verdict::Continue;
         }
         let Some(&origin) = req.path.hops().first() else {
             // No stamped path sample (e.g. the flood never reached the
             // victim): nothing to revoke against.
-            r.counters.requests_invalid += 1;
-            return;
+            self.counters.requests_invalid += 1;
+            return Verdict::Continue;
         };
         let now = ctx.now();
-        if let Some(entry) = r.stamp_blocks.iter_mut().find(|(o, _)| *o == origin) {
-            entry.1 = now + r.cfg.t_long;
-            r.counters.requests_refreshed += 1;
-            return;
+        if let Some(entry) = self.stamp_blocks.iter_mut().find(|(o, _)| *o == origin) {
+            entry.1 = now + self.cfg.t_long;
+            self.counters.requests_refreshed += 1;
+            return Verdict::Continue;
         }
         // Reclaim expired revocations before refusing for capacity.
-        r.stamp_blocks.retain(|&(_, exp)| exp > now);
-        if r.stamp_blocks.len() >= r.cfg.filter_capacity {
-            r.counters.requests_unsatisfiable += 1;
-            return;
+        self.stamp_blocks.retain(|&(_, exp)| exp > now);
+        if self.stamp_blocks.len() >= self.cfg.filter_capacity {
+            self.counters.requests_unsatisfiable += 1;
+            return Verdict::Continue;
         }
-        r.stamp_blocks.push((origin, now + r.cfg.t_long));
-        r.counters.requests_accepted += 1;
-        r.counters.filters_installed += 1;
+        self.stamp_blocks.push((origin, now + self.cfg.t_long));
+        self.counters.requests_accepted += 1;
+        self.counters.filters_installed += 1;
+        Verdict::Continue
     }
 }

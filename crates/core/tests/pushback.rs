@@ -2,7 +2,9 @@
 //! end to end through [`DefensePolicy::Pushback`]'s hook chains — the
 //! ported behavioral suite of the former `aitf-baseline` crate.
 
-use aitf_core::{AitfConfig, DefensePolicy, HostId, HostPolicy, NetId, World, WorldBuilder};
+use aitf_core::{
+    AitfConfig, DefensePolicy, HostId, HostPolicy, NetId, StageId, World, WorldBuilder,
+};
 use aitf_netsim::SimDuration;
 use aitf_packet::{Addr, Protocol, TrafficClass};
 
@@ -175,6 +177,5 @@ fn pushback_world_builds_and_runs() {
         .router(wan)
         .chains()
         .ingress
-        .names()
-        .any(|n| n == "pushback_wire_filter"));
+        .contains(&StageId::PushbackWireFilter));
 }

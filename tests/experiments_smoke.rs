@@ -1,26 +1,34 @@
 //! Runs every experiment in quick mode and checks each produced a table —
 //! the experiments' own modules assert the substantive claims; this test
-//! guarantees the published binaries never bit-rot.
+//! guarantees the published driver never bit-rots.
+
+use aitf_engine::Runner;
+
+/// Runs the selected experiments' quick sweeps the way
+/// `all_experiments --quick --filter e1 --filter e3 ..` does (`e1` selects
+/// exactly `e1_escalation`) and checks every spec rendered a table.
+fn run_quick(ids: &[&str]) {
+    let registry = aitf_bench::registry(true);
+    let filters: Vec<String> = ids.iter().map(|id| id.to_string()).collect();
+    assert!(registry.unmatched(&filters).is_empty(), "unknown ids");
+    let specs = registry.select(&filters);
+    assert_eq!(specs.len(), ids.len());
+    let grouped = Runner::default().quick(true).run_all(&specs);
+    for (spec, records) in specs.iter().zip(&grouped) {
+        let table = aitf_bench::harness::render_sweep(spec, records);
+        assert!(!table.is_empty(), "{} produced no rows", spec.id);
+    }
+}
 
 #[test]
 fn all_experiments_run_quick() {
-    assert!(!aitf_bench::e1_escalation::run(true).is_empty());
-    assert!(!aitf_bench::e3_protection_capacity::run(true).is_empty());
-    assert!(!aitf_bench::e5_attacker_gw_resources::run(true).is_empty());
-    assert!(!aitf_bench::e6_handshake_security::run(true).is_empty());
-    assert!(!aitf_bench::e7_onoff_attacks::run(true).is_empty());
-    assert!(!aitf_bench::e9_ingress_incentive::run(true).is_empty());
-    assert!(!aitf_bench::e12_mixed_workload::run(true).is_empty());
-    assert!(!aitf_bench::e14_td_tr_grid::run(true).is_empty());
-    assert!(!aitf_bench::e15_host_churn::run(true).is_empty());
-    assert!(!aitf_bench::e16_deployment_incentive::run(true).is_empty());
-    assert!(!aitf_bench::e17_provider_churn::run(true).is_empty());
+    run_quick(&[
+        "e1", "e3", "e5", "e6", "e7", "e9", "e12", "e14", "e15", "e16", "e17",
+    ]);
 }
 
 #[test]
 fn figures_spec_emits_series_metrics() {
-    use aitf_engine::Runner;
-
     let spec = aitf_bench::figures::spec(true);
     let records = Runner::new(2).quick(true).run(&spec);
     assert_eq!(records.len(), 2, "defended + undefended");
@@ -38,10 +46,6 @@ fn figures_spec_emits_series_metrics() {
 
 #[test]
 fn heavy_experiments_run_quick() {
-    // Split out so the two long sweeps can run in parallel with the rest.
-    assert!(!aitf_bench::e2_effective_bandwidth::run(true).is_empty());
-    assert!(!aitf_bench::e4_victim_gw_resources::run(true).is_empty());
-    assert!(!aitf_bench::e8_vs_pushback::run(true).is_empty());
-    assert!(!aitf_bench::e10_scaling::run(true).is_empty());
-    assert!(!aitf_bench::e13_filter_pressure::run(true).is_empty());
+    // Split out so the long sweeps can run in parallel with the rest.
+    run_quick(&["e2", "e4", "e8", "e8b", "e10", "e13"]);
 }

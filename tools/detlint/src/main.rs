@@ -10,9 +10,9 @@
 //! detlint path/to/file.rs dir/ ...
 //! ```
 //!
-//! Exit codes: 0 clean, 1 findings (including stale allows), 2 usage or
-//! I/O error. Suppress a finding with an in-source annotation carrying a
-//! mandatory reason:
+//! Exit codes: 0 clean, 1 findings (including stale allows and stale
+//! manifest entries), 2 usage or I/O error. Suppress a finding with an
+//! in-source annotation carrying a mandatory reason:
 //!
 //! ```text
 //! // detlint::allow(hash-iter): u64 sum over values is order-independent
@@ -30,7 +30,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use manifest::Manifest;
-use rules::Finding;
+use rules::{Finding, Rule};
 
 struct Args {
     workspace: bool,
@@ -163,21 +163,16 @@ fn emit(findings: &[Finding], json: bool) {
 fn run() -> Result<ExitCode, String> {
     let args = parse_args()?;
 
-    let manifest = match &args.manifest {
-        Some(p) => {
-            let text = std::fs::read_to_string(p).map_err(|e| format!("{}: {e}", p.display()))?;
-            Manifest::parse(&text).map_err(|e| format!("{}: {e}", p.display()))?
-        }
-        None => {
-            let p = Path::new(DEFAULT_MANIFEST);
-            if p.is_file() {
-                let text =
-                    std::fs::read_to_string(p).map_err(|e| format!("{}: {e}", p.display()))?;
-                Manifest::parse(&text).map_err(|e| format!("{}: {e}", p.display()))?
-            } else {
-                Manifest::default()
-            }
-        }
+    let manifest_path = args
+        .manifest
+        .clone()
+        .unwrap_or_else(|| PathBuf::from(DEFAULT_MANIFEST));
+    let manifest = if args.manifest.is_some() || manifest_path.is_file() {
+        let text = std::fs::read_to_string(&manifest_path)
+            .map_err(|e| format!("{}: {e}", manifest_path.display()))?;
+        Manifest::parse(&text).map_err(|e| format!("{}: {e}", manifest_path.display()))?
+    } else {
+        Manifest::default()
     };
 
     let files = if args.workspace {
@@ -198,10 +193,25 @@ fn run() -> Result<ExitCode, String> {
     };
 
     let mut findings = Vec::new();
+    let mut scanned = Vec::with_capacity(files.len());
     for path in &files {
         let rel = path.to_string_lossy().replace('\\', "/");
         let src = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
         findings.extend(rules::check_file(&rel, &src, &manifest));
+        scanned.push(rel);
+    }
+    // Only a whole-workspace scan sees every file a manifest path can
+    // name; a scan of explicit paths would report the rest as stale.
+    if args.workspace {
+        for (line, entry) in manifest.unmatched_entries(&scanned) {
+            findings.push(Finding {
+                file: manifest_path.to_string_lossy().replace('\\', "/"),
+                line,
+                col: 1,
+                rule: Rule::StaleManifest,
+                message: format!("`{entry}` matches no file in the workspace; repoint or drop it"),
+            });
+        }
     }
 
     emit(&findings, args.json);

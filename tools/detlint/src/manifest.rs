@@ -17,7 +17,9 @@
 //!
 //! Path entries match a scanned file when they are a component-aligned
 //! substring of its normalized relative path, so the manifest works from
-//! any checkout root.
+//! any checkout root. An entry that matches no file of a `--workspace`
+//! scan, or a `[hot]` function its file no longer defines, is a
+//! `stale-manifest` finding: a moved file must not silently un-pin itself.
 
 use std::collections::BTreeMap;
 
@@ -29,6 +31,9 @@ pub struct Manifest {
     pub wall_clock_exempt: Vec<String>,
     /// `path -> hot function names` for the `hot-alloc` rule.
     pub hot: BTreeMap<String, Vec<String>>,
+    /// Every path entry of every section with its 1-based manifest line,
+    /// for the `stale-manifest` check.
+    pub entries: Vec<(u32, String)>,
 }
 
 impl Manifest {
@@ -44,6 +49,8 @@ impl Manifest {
                 section = name.trim().to_string();
                 continue;
             }
+            let path = line.split('=').next().unwrap_or(line).trim();
+            m.entries.push((i as u32 + 1, path.to_string()));
             match section.as_str() {
                 "sim-crates" => m.sim_crates.push(line.to_string()),
                 "wall-clock-exempt" => m.wall_clock_exempt.push(line.to_string()),
@@ -74,6 +81,17 @@ impl Manifest {
 
     pub fn is_wall_clock_exempt(&self, path: &str) -> bool {
         self.wall_clock_exempt.iter().any(|p| path_matches(path, p))
+    }
+
+    /// Path entries, with their manifest line, that match none of `files`.
+    pub fn unmatched_entries<'a>(
+        &'a self,
+        files: &'a [String],
+    ) -> impl Iterator<Item = (u32, &'a str)> {
+        self.entries
+            .iter()
+            .filter(|(_, entry)| !files.iter().any(|f| path_matches(f, entry)))
+            .map(|(line, entry)| (*line, entry.as_str()))
     }
 
     /// Hot function names declared for `path`, empty if none.
@@ -129,6 +147,18 @@ mod tests {
             ["run_window", "dispatch_packet"]
         );
         assert!(m.hot_fns("crates/netsim/src/link.rs").is_empty());
+        // Every path entry is recorded with its line; an entry no scanned
+        // file matches is reported back.
+        let lines: Vec<u32> = m.entries.iter().map(|e| e.0).collect();
+        assert_eq!(lines, [3, 4, 6, 8]);
+        let files = [
+            "crates/netsim/src/sim.rs".to_string(),
+            "crates/trace/src/lib.rs".to_string(),
+        ];
+        assert_eq!(
+            m.unmatched_entries(&files).collect::<Vec<_>>(),
+            [(4, "crates/core")]
+        );
     }
 
     #[test]

@@ -20,6 +20,10 @@
 //!   naming an unknown rule.
 //! - `stale-allow` — a well-formed allow that no longer suppresses any
 //!   finding; the annotation set must stay honest.
+//! - `stale-manifest` — a manifest `[hot]` entry pinning a function its
+//!   file does not define (here), or a manifest path matching no file of
+//!   a `--workspace` scan (`main.rs`): renaming or moving pinned code must
+//!   fail the gate, not silently drop out of it.
 //!
 //! Suppression: `// detlint::allow(rule[, rule]): reason` suppresses
 //! matching findings on its own line (trailing comment) or the next line
@@ -37,6 +41,7 @@ pub enum Rule {
     HotAlloc,
     BadAllow,
     StaleAllow,
+    StaleManifest,
 }
 
 impl Rule {
@@ -49,6 +54,7 @@ impl Rule {
             Rule::HotAlloc => "hot-alloc",
             Rule::BadAllow => "bad-allow",
             Rule::StaleAllow => "stale-allow",
+            Rule::StaleManifest => "stale-manifest",
         }
     }
 
@@ -114,6 +120,20 @@ pub fn check_file(path: &str, src: &str, manifest: &Manifest) -> Vec<Finding> {
             .filter(|(name, _, _)| hot_fns.iter().any(|f| f == name))
             .collect()
     };
+    for name in hot_fns {
+        if !hot_spans.iter().any(|(n, _, _)| n == name) {
+            findings.push(Finding {
+                file: path.to_string(),
+                line: 1,
+                col: 1,
+                rule: Rule::StaleManifest,
+                message: format!(
+                    "the manifest pins `{name}` as [hot] in this file, which defines no such \
+                     function; repoint or drop the entry"
+                ),
+            });
+        }
+    }
     let hash_names = if sim { hash_names(&toks) } else { Vec::new() };
 
     let mut raw = Vec::new();

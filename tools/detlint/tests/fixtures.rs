@@ -144,6 +144,35 @@ fn stale_allow_is_itself_a_finding() {
     assert_eq!(count_findings(&json), 1, "{json}");
 }
 
+/// `--workspace` over the mini workspace under `tests/fixtures/stale_ws`.
+fn run_stale_ws(manifest: &str) -> (i32, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_detlint"))
+        .current_dir("tests/fixtures/stale_ws")
+        .args(["--workspace", "--json", "--manifest", manifest])
+        .output()
+        .expect("spawn detlint");
+    let stdout = String::from_utf8(out.stdout).expect("utf8 stdout");
+    (out.status.code().expect("exit code"), stdout)
+}
+
+#[test]
+fn stale_manifest_flags_unmatched_paths_and_undefined_hot_fns() {
+    let (code, json) = run_stale_ws("stale.toml");
+    assert_eq!(code, 1);
+    assert_finding(&json, "stale.toml", 4, 1, "stale-manifest"); // [sim-crates] crates/ghost
+    assert_finding(&json, "stale.toml", 7, 1, "stale-manifest"); // [wall-clock-exempt] gone.rs
+    assert_finding(&json, "stale.toml", 11, 1, "stale-manifest"); // [hot] moved.rs
+    assert_finding(&json, "crates/demo/src/lib.rs", 1, 1, "stale-manifest"); // fn vanished
+    assert_eq!(count_findings(&json), 4, "{json}");
+}
+
+#[test]
+fn fresh_manifest_is_clean() {
+    let (code, json) = run_stale_ws("fresh.toml");
+    assert_eq!(code, 0, "{json}");
+    assert_eq!(count_findings(&json), 0, "{json}");
+}
+
 #[test]
 fn bad_allow_missing_reason_and_unknown_rule_suppress_nothing() {
     let f = "tests/fixtures/bad_allow.rs";
