@@ -5,8 +5,8 @@
 //! circuit. This crate provides:
 //!
 //! - [`sources`] — traffic applications: constant floods, the "on-off"
-//!   evasion pattern of Section II-B footnote 2, source-address spoofing
-//!   and protocol hopping;
+//!   evasion pattern of Section II-B footnote 2 and source-address
+//!   spoofing;
 //! - [`legit`] — legitimate foreground traffic whose goodput measures the
 //!   collateral damage of both the attack and the defense;
 //! - [`army`] — zombie armies: arming many hosts with staggered floods.
@@ -21,4 +21,4 @@ pub mod sources;
 
 pub use army::{ArmyHandles, ZombieArmySpec};
 pub use legit::LegitClient;
-pub use sources::{FloodSource, OnOffSource, ProtocolHopper, RequestForger, SpoofingFlood};
+pub use sources::{FloodSource, OnOffSource, RequestForger, SpoofingFlood};

@@ -264,72 +264,6 @@ impl TrafficApp for SpoofingFlood {
     }
 }
 
-/// A flood that hops protocols every `hop_every` to evade narrow filters
-/// (the "arms race" of Section I: an attack that changes protocols faster
-/// than a human can reconfigure filters).
-///
-/// Against AITF's default `src → dst` labels hopping is useless — the
-/// filter matches all protocols — which is itself a reproducible claim.
-#[derive(Debug)]
-pub struct ProtocolHopper {
-    target: Addr,
-    period: SimDuration,
-    size: u32,
-    hop_every: SimDuration,
-    protocols: Vec<Protocol>,
-    current: usize,
-    last_hop: SimTime,
-}
-
-impl ProtocolHopper {
-    /// Builds a hopping flood over the given protocol list.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pps` is zero or `protocols` is empty.
-    pub fn new(
-        target: Addr,
-        pps: u64,
-        size: u32,
-        hop_every: SimDuration,
-        protocols: Vec<Protocol>,
-    ) -> Self {
-        assert!(pps > 0 && !protocols.is_empty());
-        ProtocolHopper {
-            target,
-            period: SimDuration::from_nanos(1_000_000_000 / pps),
-            size,
-            hop_every,
-            protocols,
-            current: 0,
-            last_hop: SimTime::ZERO,
-        }
-    }
-
-    /// The protocol currently in use.
-    pub fn current_protocol(&self) -> Protocol {
-        self.protocols[self.current]
-    }
-}
-
-impl TrafficApp for ProtocolHopper {
-    fn on_start(&mut self, api: &mut HostApi<'_, '_>) {
-        self.last_hop = api.now();
-        api.set_timer(SimDuration::ZERO, 0);
-    }
-
-    fn on_timer(&mut self, _token: u32, api: &mut HostApi<'_, '_>) {
-        let now = api.now();
-        if now.saturating_since(self.last_hop) >= self.hop_every {
-            self.current = (self.current + 1) % self.protocols.len();
-            self.last_hop = now;
-        }
-        let proto = self.protocols[self.current];
-        api.send_from_self(self.target, proto, 80, TrafficClass::Attack, self.size);
-        api.set_timer(self.period, 0);
-    }
-}
-
 /// A malicious node forging filtering requests: it claims that `victim`
 /// does not want traffic from `claimed_src`, hoping to cut a legitimate
 /// flow it is not a party to (the attack Section II-E's 3-way handshake
@@ -498,25 +432,5 @@ mod tests {
         );
         let b_net = w.host_net(a);
         assert!(w.router(b_net).counters().spoofed_dropped > 50);
-    }
-
-    #[test]
-    fn protocol_hopper_cycles_protocols() {
-        let (mut w, v, a) = tiny_world();
-        let target = w.host_addr(v);
-        w.add_app(
-            a,
-            Box::new(ProtocolHopper::new(
-                target,
-                100,
-                100,
-                SimDuration::from_millis(250),
-                vec![Protocol::Udp, Protocol::Tcp, Protocol::Icmp],
-            )),
-        );
-        w.sim.run_for(SimDuration::from_secs(1));
-        // Hopping does not help against src→dst labels: the flood is still
-        // detected and blocked like any other.
-        assert!(w.host(v).counters().detections >= 1);
     }
 }

@@ -1,11 +1,11 @@
-//! Microbenchmark: traceback providers.
+//! Microbenchmark: the route-record traceback provider.
 //!
-//! Route-record observation happens per received packet at every victim;
-//! sampling reconstruction happens per filtering request. Both must stay
-//! out of the way of the data path.
+//! Observation happens per received packet at every victim; the path query
+//! happens per filtering request. Both must stay out of the way of the data
+//! path.
 
-use aitf_packet::{Addr, FlowLabel, Header, Packet, RouteRecord, TracebackMark, TrafficClass};
-use aitf_traceback::{RouteRecordTraceback, SamplingTraceback, Traceback};
+use aitf_packet::{Addr, FlowLabel, Header, Packet, RouteRecord, TrafficClass};
+use aitf_traceback::{RouteRecordTraceback, Traceback};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 fn attack_packet() -> Packet {
@@ -20,25 +20,15 @@ fn attack_packet() -> Packet {
         Addr::new(10, 8, 0, 254),
         Addr::new(10, 1, 0, 254),
     ]);
-    p.mark = Some(TracebackMark {
-        router: Addr::new(10, 9, 0, 254),
-        distance: 2,
-    });
     p
 }
 
 fn bench_observe(c: &mut Criterion) {
     let pkt = attack_packet();
-    let mut group = c.benchmark_group("traceback_observe");
-    group.bench_function("route_record", |b| {
+    c.bench_function("traceback_observe/route_record", |b| {
         let mut tb = RouteRecordTraceback::new(4096);
         b.iter(|| tb.observe(black_box(&pkt)));
     });
-    group.bench_function("sampling", |b| {
-        let mut tb = SamplingTraceback::new(4096, 3);
-        b.iter(|| tb.observe(black_box(&pkt)));
-    });
-    group.finish();
 }
 
 fn bench_path_query(c: &mut Criterion) {

@@ -3,7 +3,7 @@
 //! (optionally) writes one `BENCH_<experiment>.json` per experiment.
 //!
 //! ```text
-//! all_experiments [--quick] [--filter SUBSTR]... [--threads N]
+//! all_experiments [--quick] [--filter ID]... [--threads N]
 //!                 [--json DIR] [--seed N] [--shards K]
 //! ```
 //!
@@ -70,8 +70,10 @@ fn parse_args() -> Args {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: all_experiments [--quick] [--filter SUBSTR]... \
-                     [--threads N] [--json DIR] [--seed N] [--shards K]"
+                    "usage: all_experiments [--quick] [--filter ID]... \
+                     [--threads N] [--json DIR] [--seed N] [--shards K]\n  \
+                     --filter ID  whole experiment id or `_`-boundary prefix \
+                     (e1 = e1_escalation only); substring only if neither matches"
                 );
                 std::process::exit(0);
             }

@@ -2,13 +2,14 @@
 //! reports where the wall time goes.
 //!
 //! ```text
-//! profiling_runner [--quick] [--filter SUBSTR]... [--threads N]
+//! profiling_runner [--quick] [--filter ID]... [--threads N]
 //!                  [--out DIR] [--seed N]
 //! ```
 //!
 //! - `--quick`    reduced sweeps (the CI smoke size)
-//! - `--filter`   select experiments (repeatable); defaults to the
-//!   profiling set `e1 e10 e16`
+//! - `--filter`   select experiments (repeatable): whole id or `_`-boundary
+//!   prefix, substring as fallback; defaults to the profiling set
+//!   `e1 e10 e16`
 //! - `--threads`  worker threads (default 1: per-subsystem wall buckets
 //!   are cleanest without scheduler interleaving)
 //! - `--out`      directory for `PROFILE_<experiment>.json` and
@@ -70,8 +71,10 @@ fn parse_args() -> Args {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: profiling_runner [--quick] [--filter SUBSTR]... \
-                     [--threads N] [--out DIR] [--seed N]"
+                    "usage: profiling_runner [--quick] [--filter ID]... \
+                     [--threads N] [--out DIR] [--seed N]\n  \
+                     --filter ID  whole experiment id or `_`-boundary prefix \
+                     (e1 = e1_escalation only); substring only if neither matches"
                 );
                 std::process::exit(0);
             }
@@ -106,12 +109,13 @@ fn fmt_nanos(nanos: u64) -> String {
 }
 
 fn main() {
+    // Parse first: `--help` and argument errors must work on any build.
+    let args = parse_args();
     if !cfg!(feature = "trace") {
         die("built without the `trace` feature — nothing to measure.\n\
              rebuild with: cargo run --release -p aitf-bench \
              --features trace --bin profiling_runner");
     }
-    let args = parse_args();
     let registry = aitf_bench::registry(args.quick);
     let unmatched = registry.unmatched(&args.filters);
     if !unmatched.is_empty() {

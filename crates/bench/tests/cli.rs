@@ -1,6 +1,7 @@
 //! CLI behaviour of the `all_experiments` driver: a `--filter` that
 //! matches nothing must fail loudly (listing the known experiment ids and
-//! exiting non-zero), even when other filters do match.
+//! exiting non-zero), even when other filters do match. And for both
+//! binaries: `--help` agrees with the argument parser and the doc table.
 
 use std::process::Command;
 
@@ -51,5 +52,66 @@ fn matching_filter_still_runs() {
     assert!(
         stdout.contains("e6_handshake_security") || stdout.contains("E6"),
         "{stdout}"
+    );
+}
+
+/// `--help` must exit 0 and name every flag in `expected` — which must in
+/// turn be exactly the flags the binary's parser accepts and exactly the
+/// flags its module-doc table lists, both read from `source`.
+fn assert_help_matches(exe: &str, source: &str, expected: &[&str]) {
+    // Lines of the form `<lead>--name...`, minus `--help` itself.
+    let flags_after = |lead: &str| -> Vec<String> {
+        let mut flags: Vec<String> = source
+            .lines()
+            .filter_map(|l| l.trim_start().strip_prefix(lead)?.strip_prefix("--"))
+            .map(|rest| rest.chars().take_while(char::is_ascii_lowercase).collect())
+            .filter(|name: &String| !name.is_empty() && name != "help")
+            .map(|name| format!("--{name}"))
+            .collect();
+        flags.sort_unstable();
+        flags
+    };
+    let mut expected = expected.to_vec();
+    expected.sort_unstable();
+    assert_eq!(flags_after("\""), expected, "parser match arms");
+    assert_eq!(flags_after("//! - `"), expected, "module-doc flag table");
+
+    let out = Command::new(exe)
+        .arg("--help")
+        .output()
+        .expect("run --help");
+    assert!(out.status.success(), "--help must exit 0: {out:?}");
+    let help = String::from_utf8_lossy(&out.stdout);
+    for flag in &expected {
+        assert!(help.contains(flag), "--help omits {flag}: {help}");
+    }
+    assert!(
+        !help.contains("SUBSTR") && help.contains("boundary"),
+        "--filter is boundary-matched, not a plain substring: {help}"
+    );
+}
+
+#[test]
+fn all_experiments_help_names_every_flag() {
+    assert_help_matches(
+        env!("CARGO_BIN_EXE_all_experiments"),
+        include_str!("../src/bin/all_experiments.rs"),
+        &[
+            "--quick",
+            "--filter",
+            "--threads",
+            "--json",
+            "--seed",
+            "--shards",
+        ],
+    );
+}
+
+#[test]
+fn profiling_runner_help_works_on_an_untraced_build() {
+    assert_help_matches(
+        env!("CARGO_BIN_EXE_profiling_runner"),
+        include_str!("../src/bin/profiling_runner.rs"),
+        &["--quick", "--filter", "--threads", "--out", "--seed"],
     );
 }

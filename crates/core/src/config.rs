@@ -12,22 +12,6 @@ use aitf_netsim::SimDuration;
 use crate::detector::DetectionMode;
 use crate::policy::DefensePolicy;
 
-/// Which traceback substrate border routers run (Section II-F).
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub enum TracebackMode {
-    /// Deterministic in-packet route record (\[CG00\]-style shim):
-    /// every border router appends its address; traceback time is 0.
-    RouteRecord,
-    /// Probabilistic node sampling (\[SWKA00\]-style): routers stamp with
-    /// probability `p`; the victim side needs many packets to converge.
-    Sampling {
-        /// Marking probability per border router.
-        p: f64,
-        /// Votes per path position required before the path is trusted.
-        min_samples: u64,
-    },
-}
-
 /// A filtering contract: the request rate one party may impose on another
 /// (Section II-A). `rate` is requests per second, `burst` the bucket depth.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -78,8 +62,6 @@ pub struct AitfConfig {
     /// Run the 3-way verification handshake (Section II-E). Turning this
     /// off is the E6 ablation: forged requests then succeed.
     pub verification: bool,
-    /// Traceback substrate.
-    pub traceback: TracebackMode,
     /// Hard bound on escalation rounds (paths are short; this is a loop
     /// guard, not a policy knob).
     pub max_round: u8,
@@ -118,7 +100,6 @@ impl Default for AitfConfig {
             shadow_capacity: 1 << 20,
             eviction: EvictionPolicy::Reject,
             verification: true,
-            traceback: TracebackMode::RouteRecord,
             max_round: 16,
             packet_triggered_reactivation: true,
             fast_redetect: true,

@@ -25,9 +25,9 @@ use aitf_packet::{
     Addr, AitfMessage, FilteringRequest, FlowLabel, Header, Packet, Protocol, RequestDestination,
     TrafficClass, VerificationReply,
 };
-use aitf_traceback::{RouteRecordTraceback, SamplingTraceback, Traceback};
+use aitf_traceback::{RouteRecordTraceback, Traceback};
 
-use crate::config::{AitfConfig, HostPolicy, TracebackMode};
+use crate::config::{AitfConfig, HostPolicy};
 use crate::detector::{DetectionMode, RateDetector};
 
 /// Host-side statistics, read by the experiment harness.
@@ -208,27 +208,6 @@ pub trait RxTap: MaybeSend + 'static {
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
 }
 
-enum TracebackBox {
-    RouteRecord(RouteRecordTraceback),
-    Sampling(SamplingTraceback),
-}
-
-impl TracebackBox {
-    fn as_traceback(&mut self) -> &mut dyn Traceback {
-        match self {
-            TracebackBox::RouteRecord(t) => t,
-            TracebackBox::Sampling(t) => t,
-        }
-    }
-
-    fn attack_path(&self, flow: &FlowLabel) -> Option<Vec<Addr>> {
-        match self {
-            TracebackBox::RouteRecord(t) => t.attack_path(flow),
-            TracebackBox::Sampling(t) => t.attack_path(flow),
-        }
-    }
-}
-
 /// Host timer meanings (tokens below the app namespace).
 enum HostTimer {
     Detect { flow: FlowLabel },
@@ -252,7 +231,7 @@ pub struct EndHost {
     request_bucket: TokenBucket,
     /// The rate-threshold detector, when configured.
     rate_detector: Option<RateDetector>,
-    traceback: TracebackBox,
+    traceback: RouteRecordTraceback,
     /// Self-filters: flows this host agreed to stop sending (sized
     /// `na = R2·T`, Section IV-D).
     self_filters: FilterTable,
@@ -283,14 +262,6 @@ impl EndHost {
         cfg: AitfConfig,
         policy: HostPolicy,
     ) -> Self {
-        let traceback = match cfg.traceback {
-            TracebackMode::RouteRecord => {
-                TracebackBox::RouteRecord(RouteRecordTraceback::new(4096))
-            }
-            TracebackMode::Sampling { min_samples, .. } => {
-                TracebackBox::Sampling(SamplingTraceback::new(4096, min_samples))
-            }
-        };
         let na = (cfg.peer_contract.rate * cfg.t_long.as_secs_f64())
             .ceil()
             .max(1.0) as usize;
@@ -314,7 +285,7 @@ impl EndHost {
             detecting: HashMap::new(),
             request_log: HashMap::new(),
             last_request: HashMap::new(),
-            traceback,
+            traceback: RouteRecordTraceback::new(4096),
             token_map: HashMap::new(),
             next_token: 0,
             counters: HostCounters::default(),
@@ -494,19 +465,6 @@ impl EndHost {
     fn on_detect(&mut self, flow: FlowLabel, ctx: &mut Context<'_>) {
         ctx.profile_subsystem(aitf_netsim::Subsystem::Detector);
         let now = ctx.now();
-        // Under sampling traceback the attack path may not have converged
-        // yet; a request without a path cannot be propagated, so wait.
-        // This is exactly the identification latency the sampling ablation
-        // is meant to expose.
-        if matches!(self.cfg.traceback, TracebackMode::Sampling { .. })
-            && self.traceback.attack_path(&flow).is_none()
-        {
-            let token = self.next_token;
-            self.next_token += 1;
-            self.token_map.insert(token, HostTimer::Detect { flow });
-            ctx.set_timer(SimDuration::from_millis(20), token);
-            return;
-        }
         self.detecting.remove(&flow);
         self.counters.detections += 1;
         self.trace(now, || format!("detected undesired flow {flow}"));
@@ -655,7 +613,7 @@ impl Node for EndHost {
             return;
         }
         // Feed traceback with everything we receive.
-        self.traceback.as_traceback().observe(&packet);
+        self.traceback.observe(&packet);
 
         if packet.header.dst != self.addr {
             // Mis-routed packet; hosts do not forward.

@@ -18,7 +18,7 @@
 //! ## Crate layout
 //!
 //! - [`config`] — timers (`T`, `Ttmp`, grace), contracts (`R1`, `R2`),
-//!   per-node policies, traceback mode, defense policy.
+//!   per-node policies, defense policy.
 //! - [`policy`] — [`DefensePolicy`]: the defense sweep axis (AITF,
 //!   pushback, ingress rate-limiting, path stamping).
 //! - [`pipeline`] — [`PolicyChains`]: the static per-policy table of
@@ -60,7 +60,7 @@ pub mod pushback;
 pub mod router;
 pub mod world;
 
-pub use config::{AitfConfig, Contract, HostPolicy, RouterPolicy, TracebackMode};
+pub use config::{AitfConfig, Contract, HostPolicy, RouterPolicy};
 // Re-exported so scenario/experiment layers can name the sweep axis
 // without a direct aitf-filter dependency.
 pub use aitf_filter::EvictionPolicy;

@@ -40,7 +40,7 @@ pub enum StageId {
     /// passed the wire filter.
     AitfShadowReact,
     // AITF egress.
-    /// Route-record / sampling traceback stamp, after TTL accounting.
+    /// Route-record traceback stamp, after TTL accounting.
     AitfStamp,
     // AITF escalate.
     /// Request admission: counting, enablement, contract policing.

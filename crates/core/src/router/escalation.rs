@@ -265,7 +265,7 @@ impl BorderRouter {
             });
             return;
         };
-        let Some(&link) = self.fwd.lookup(neighbor).copied().as_ref() else {
+        let Some(link) = self.route(neighbor) else {
             self.counters.escalations_dropped += 1;
             self.span(SpanKind::Drop, Cause::NoNeighbor, key, req.round, now);
             self.tracer.close_round(key, req.round, now.0);
@@ -505,7 +505,7 @@ impl BorderRouter {
             Some(p) => req.path.hops().get(p - 1).copied(),
         };
         let Some(client) = client else { return };
-        let client_link = self.fwd.lookup(client).copied();
+        let client_link = self.route(client);
         // Only police/disconnect parties that actually hang off a client
         // interface of ours.
         let is_client = client_link.is_some_and(|l| self.client_links.contains_key(&l));

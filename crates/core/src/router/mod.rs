@@ -138,6 +138,8 @@ struct PendingPath {
 pub struct RouterSpec {
     /// This router's control-plane address.
     pub addr: Addr,
+    /// The address block of this router's own network.
+    pub prefix: Prefix,
     /// Longest-prefix-match forwarding table: network prefixes towards
     /// remote networks plus /32 routes for this router's own clients.
     pub fwd: LpmTable<LinkId>,
@@ -186,6 +188,7 @@ pub struct BorderRouter {
     /// Revoked path-stamp origins `(first-hop router, expiry)`, populated
     /// only under [`DefensePolicy::PathStamp`].
     stamp_blocks: Vec<(Addr, SimTime)>,
+    prefix: Prefix,
     fwd: LpmTable<LinkId>,
     uplink: Option<LinkId>,
     ancestors: Vec<Addr>,
@@ -249,6 +252,7 @@ impl BorderRouter {
             stamp_blocks: Vec::new(),
             cfg,
             policy: spec.policy,
+            prefix: spec.prefix,
             fwd: spec.fwd,
             uplink: spec.uplink,
             ancestors: spec.ancestors,
@@ -405,10 +409,26 @@ impl BorderRouter {
         token
     }
 
+    /// The one forwarding decision: the link towards `dst`, if any.
+    ///
+    /// Invariant: a gateway never sends traffic for its own prefix back up
+    /// its default route. Without a /32 client route such a destination
+    /// does not exist; under [`crate::RoutingMode::Hierarchical`] the
+    /// provider's subtree route would bounce it straight back down until
+    /// TTL expiry, so it is unroutable here — exactly as under all-pairs
+    /// routing, whose tables hold no covering route for the own prefix.
+    fn route(&self, dst: Addr) -> Option<LinkId> {
+        let link = *self.fwd.lookup(dst)?;
+        if Some(link) == self.uplink && self.prefix.contains(dst) {
+            return None;
+        }
+        Some(link)
+    }
+
     /// Sends an AITF control message towards `dst` through the forwarding
     /// table.
     fn send_control(&mut self, ctx: &mut Context<'_>, dst: Addr, msg: AitfMessage) {
-        let Some(&link) = self.fwd.lookup(dst) else {
+        let Some(link) = self.route(dst) else {
             self.counters.undeliverable += 1;
             return;
         };
@@ -485,8 +505,8 @@ impl BorderRouter {
         }
         // Terminal action: route lookup + transmit (the datapath's one
         // fixed step — every policy forwards what its chains let through).
-        match self.fwd.lookup(packet.header.dst) {
-            Some(&link) => {
+        match self.route(packet.header.dst) {
+            Some(link) => {
                 self.counters.data_forwarded += 1;
                 ctx.send(link, packet);
             }
@@ -580,7 +600,7 @@ impl Node for BorderRouter {
                 self.counters.handshakes_forged += 1;
                 let id = ctx.next_packet_id();
                 // Spoof the victim's address as the reply source.
-                if let Some(&out) = self.fwd.lookup(origin) {
+                if let Some(out) = self.route(origin) {
                     let mut reply =
                         Packet::control(id, victim, origin, AitfMessage::VerificationReply(forged));
                     reply.header.src = victim;

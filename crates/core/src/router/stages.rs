@@ -7,13 +7,10 @@
 
 use aitf_netsim::{Context, LinkId};
 use aitf_packet::{
-    AitfMessage, FlowLabel, Packet, PayloadKind, PushbackRequest, RequestDestination,
-    TracebackMark, TrafficClass,
+    AitfMessage, FlowLabel, Packet, PayloadKind, PushbackRequest, RequestDestination, TrafficClass,
 };
-use rand::Rng;
 
 use super::BorderRouter;
-use crate::config::TracebackMode;
 use crate::pipeline::Verdict;
 use crate::pushback::{LINK_LOCAL, MAX_PUSHBACK_DEPTH};
 
@@ -163,26 +160,12 @@ impl BorderRouter {
         &mut self,
         packet: &mut Packet,
         _arrival: LinkId,
-        ctx: &mut Context<'_>,
+        _ctx: &mut Context<'_>,
     ) -> Verdict {
         if self.policy.aitf_enabled && packet.is_data() {
-            match self.cfg.traceback {
-                TracebackMode::RouteRecord => {
-                    // A full record degrades traceback but must not break
-                    // forwarding.
-                    let _ = packet.route_record.push(self.addr);
-                }
-                TracebackMode::Sampling { p, .. } => {
-                    if ctx.rng().gen_bool(p) {
-                        packet.mark = Some(TracebackMark {
-                            router: self.addr,
-                            distance: 0,
-                        });
-                    } else if let Some(m) = &mut packet.mark {
-                        m.distance = m.distance.saturating_add(1);
-                    }
-                }
-            }
+            // A full record degrades traceback but must not break
+            // forwarding.
+            let _ = packet.route_record.push(self.addr);
         }
         Verdict::Continue
     }

@@ -46,8 +46,12 @@ use crate::router::{BorderRouter, RouterSpec};
 /// child subtree down, and subtree shortcut routes across each declared
 /// peering — O(n·depth) state total, no all-pairs pass. On any
 /// tree-plus-peering topology (stars, trees, the power-law generators)
-/// both modes forward every packet over the same links; hierarchical
-/// simply refuses to route graphs with cross-links it cannot see.
+/// both modes forward every packet *for a declared network* over the same
+/// links. They are not interchangeable: a destination in no declared
+/// network is dropped at the first gateway under all-pairs and carried to
+/// the provider root under default routes, so recorded event counts
+/// differ — which is why both stay, selected by the generators from world
+/// size.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum RoutingMode {
     /// All-pairs shortest paths over the router backbone (the default).
@@ -87,11 +91,10 @@ pub struct WorldBuilder {
     hosts: Vec<HostSpec>,
     peerings: Vec<(usize, usize, LinkParams)>,
     routing: RoutingMode,
-    /// Exact-duplicate guard for hierarchical mode, where the O(n²)
-    /// pairwise overlap scan is skipped (generated prefixes come from a
-    /// disjoint allocator; reuse of an identical prefix is the realistic
-    /// bug to catch).
-    prefix_seen: std::collections::HashSet<Prefix>,
+    /// Declared prefixes by start address → index into `nets`. The set is
+    /// pairwise disjoint, so a new prefix can only overlap its neighbours
+    /// in this order: one O(log n) check serves both routing modes.
+    by_start: BTreeMap<Addr, usize>,
 }
 
 impl WorldBuilder {
@@ -115,14 +118,11 @@ impl WorldBuilder {
             hosts: Vec::new(),
             peerings: Vec::new(),
             routing: RoutingMode::default(),
-            prefix_seen: std::collections::HashSet::new(),
+            by_start: BTreeMap::new(),
         }
     }
 
-    /// Selects the routing mode. Set this before declaring networks:
-    /// hierarchical mode replaces the per-network overlap scan with an
-    /// exact-duplicate check, and only prefixes declared after the switch
-    /// skip the scan.
+    /// Selects the routing mode.
     pub fn routing(&mut self, mode: RoutingMode) -> &mut Self {
         self.routing = mode;
         self
@@ -153,19 +153,17 @@ impl WorldBuilder {
         uplink_params: LinkParams,
     ) -> NetId {
         let prefix: Prefix = prefix.parse().expect("invalid network prefix");
-        assert!(
-            self.prefix_seen.insert(prefix),
-            "prefix {prefix} duplicates an existing network"
-        );
-        if self.routing == RoutingMode::AllPairs {
-            for n in &self.nets {
-                assert!(
-                    !n.prefix.overlaps(prefix),
-                    "prefix {prefix} overlaps existing network {}",
-                    n.name
-                );
-            }
+        let start = prefix.addr();
+        let before = self.by_start.range(..=start).next_back();
+        let after = self.by_start.range(start..).next();
+        for (_, &n) in before.into_iter().chain(after) {
+            assert!(
+                !self.nets[n].prefix.overlaps(prefix),
+                "prefix {prefix} overlaps existing network {}",
+                self.nets[n].name
+            );
         }
+        self.by_start.insert(start, self.nets.len());
         let id = NetId(self.nets.len());
         self.nets.push(NetSpec {
             name: name.to_string(),
@@ -407,6 +405,7 @@ impl WorldBuilder {
             }
             let spec = RouterSpec {
                 addr: router_addr[i],
+                prefix: net.prefix,
                 fwd: std::mem::take(&mut fwd_tables[i]),
                 uplink: uplinks[i],
                 ancestors: ancestors_of(i),
@@ -1004,8 +1003,87 @@ mod tests {
         assert_eq!(run(RoutingMode::Hierarchical), all_pairs);
     }
 
+    /// Sends exactly one data packet, at start.
+    struct OneShot {
+        to: Addr,
+    }
+
+    impl crate::TrafficApp for OneShot {
+        fn on_start(&mut self, api: &mut crate::HostApi<'_, '_>) {
+            api.send_from_self(
+                self.to,
+                aitf_packet::Protocol::Udp,
+                80,
+                aitf_packet::TrafficClass::Legit,
+                100,
+            );
+        }
+
+        fn on_timer(&mut self, _token: u32, _api: &mut crate::HostApi<'_, '_>) {}
+    }
+
+    /// One packet from the host in `leaf` to `dst` on a wan → isp → leaf
+    /// chain under `mode`: per-router `undeliverable` in `[wan, isp, leaf]`
+    /// order, packets the leaf gateway offered to its uplink, and total
+    /// dispatched events.
+    fn one_packet_to(mode: RoutingMode, dst: Addr) -> ([u64; 3], u64, u64) {
+        let mut b = WorldBuilder::new(1, AitfConfig::default());
+        b.routing(mode);
+        let wan = b.network("wan", "10.100.0.0/16", None);
+        let isp = b.network("isp", "10.9.0.0/16", Some(wan));
+        let leaf = b.network("leaf", "10.20.0.0/16", Some(isp));
+        let a = b.host(leaf);
+        let mut w = b.build();
+        w.add_app(a, Box::new(OneShot { to: dst }));
+        w.sim.run_for(SimDuration::from_secs(5));
+        let undeliverable = [wan, isp, leaf].map(|n| w.router(n).counters().undeliverable);
+        let up = w.sim.link(w.uplink(leaf).expect("leaf has an uplink"));
+        let offered = up.stats(up.dir_from(w.router_node(leaf))).offered_pkts;
+        (undeliverable, offered, w.sim.dispatched_events())
+    }
+
     #[test]
-    #[should_panic(expected = "duplicates an existing network")]
+    fn own_prefix_never_goes_up_the_default_route() {
+        // An unassigned address inside the leaf's own prefix: without the
+        // own-prefix rule the leaf's default route and the provider's
+        // subtree route bounce the packet until its TTL runs out.
+        let ghost = Addr::new(10, 20, 0, 77);
+        let hier = one_packet_to(RoutingMode::Hierarchical, ghost);
+        assert_eq!(hier.0, [0, 0, 1], "dropped once, at the leaf gateway");
+        assert_eq!(hier.1, 0, "nothing may enter the leaf's uplink");
+        assert_eq!(hier, one_packet_to(RoutingMode::AllPairs, ghost));
+    }
+
+    #[test]
+    fn destination_in_no_network_is_the_one_place_the_modes_differ() {
+        // The routing verdict (PR 14): all-pairs has no covering route and
+        // drops at the first gateway; default routes carry the packet to
+        // the provider root, which has no default and drops it there. One
+        // `undeliverable` either way and no TTL-expiry loop — but a
+        // different router and one more link crossing per level, which is
+        // why Hierarchical cannot replace AllPairs with fixtures
+        // byte-identical.
+        let nowhere = Addr::new(172, 16, 0, 1);
+        let (all_pairs, ap_up, _) = one_packet_to(RoutingMode::AllPairs, nowhere);
+        let (hier, hier_up, _) = one_packet_to(RoutingMode::Hierarchical, nowhere);
+        assert_eq!(all_pairs, [0, 0, 1], "all-pairs: first gateway");
+        assert_eq!(hier, [1, 0, 0], "hierarchical: provider root");
+        // One crossing of the leaf uplink, never a bounce back down it.
+        assert_eq!((ap_up, hier_up), (0, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "overlaps existing network")]
+    fn nested_prefixes_rejected_in_hierarchical_mode() {
+        let mut b = WorldBuilder::new(1, AitfConfig::default());
+        b.routing(RoutingMode::Hierarchical);
+        b.network("a", "10.1.0.0/16", None);
+        b.network("far", "10.200.0.0/16", None);
+        b.network("b", "10.1.2.0/24", None);
+    }
+
+    #[test]
+    #[should_panic(expected = "overlaps existing network")]
     fn duplicate_prefixes_rejected_in_hierarchical_mode() {
         let mut b = WorldBuilder::new(1, AitfConfig::default());
         b.routing(RoutingMode::Hierarchical);

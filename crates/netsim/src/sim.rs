@@ -46,7 +46,6 @@ use crate::metrics::Metrics;
 use crate::node::{Context, Node, NodeId};
 use crate::partition::{partition, Partition, PartitionError, PartitionSpec};
 use crate::time::{SimDuration, SimTime};
-use crate::topology::NextHops;
 
 /// Everything in one shard of the simulator except the node objects
 /// themselves.
@@ -776,19 +775,6 @@ impl Simulator {
         self.shards[self.shard_of[id.0] as usize].nodes[id.0]
             .as_deref_mut()
             .and_then(|n| n.as_any_mut().downcast_mut::<T>())
-    }
-
-    /// Computes shortest-path next hops between all node pairs, weighting
-    /// each link by `weight` (use `|_| 1` for hop count).
-    pub fn compute_next_hops(&self, weight: impl Fn(LinkId) -> u64) -> NextHops {
-        let links: Vec<(NodeId, NodeId, LinkId, u64)> = (0..self.link_total)
-            .map(|i| {
-                let id = LinkId(i);
-                let (a, b) = self.link_any(id).endpoints();
-                (a, b, id, weight(id))
-            })
-            .collect();
-        NextHops::compute(self.node_count(), &links)
     }
 
     /// Splits the world into at most `k` shards along the group forest in

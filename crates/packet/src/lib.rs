@@ -28,7 +28,6 @@ pub mod lpm;
 pub mod message;
 pub mod packet;
 pub mod route_record;
-pub mod wire;
 
 pub use addr::{Addr, AddrParseError, Prefix};
 pub use flow::{FlowLabel, PortPattern, ProtoPattern};
@@ -37,5 +36,5 @@ pub use message::{
     AitfMessage, FilteringRequest, Nonce, PushbackRequest, RequestDestination, VerificationQuery,
     VerificationReply,
 };
-pub use packet::{Header, Packet, PayloadKind, Protocol, TracebackMark, TrafficClass};
+pub use packet::{Header, Packet, PayloadKind, Protocol, TrafficClass};
 pub use route_record::{RouteRecord, RouteRecordFull, INLINE_ROUTE_RECORD, MAX_ROUTE_RECORD};

@@ -80,24 +80,6 @@ impl FilteringRequest {
         }
     }
 
-    /// Attaches the attack-path sample.
-    pub fn with_path(mut self, path: RouteRecord) -> Self {
-        self.path = path;
-        self
-    }
-
-    /// Sets the correlation id.
-    pub fn with_id(mut self, id: u64) -> Self {
-        self.id = id;
-        self
-    }
-
-    /// Sets the escalation round.
-    pub fn with_round(mut self, round: u8) -> Self {
-        self.round = round;
-        self
-    }
-
     /// Returns a copy re-addressed to `dest`.
     pub fn readdressed(&self, dest: RequestDestination) -> Self {
         let mut copy = self.clone();
@@ -256,7 +238,8 @@ mod tests {
 
     #[test]
     fn readdressed_changes_only_dest() {
-        let r = FilteringRequest::new(flow(), RequestDestination::VictimGateway, 60).with_id(5);
+        let mut r = FilteringRequest::new(flow(), RequestDestination::VictimGateway, 60);
+        r.id = 5;
         let r2 = r.readdressed(RequestDestination::AttackerGateway);
         assert_eq!(r2.dest, RequestDestination::AttackerGateway);
         assert_eq!(r2.id, 5);
@@ -294,9 +277,10 @@ mod tests {
 
     #[test]
     fn display_includes_round_and_duration() {
-        let r = FilteringRequest::new(flow(), RequestDestination::AttackerGateway, 60_000_000_000)
-            .with_id(9)
-            .with_round(2);
+        let mut r =
+            FilteringRequest::new(flow(), RequestDestination::AttackerGateway, 60_000_000_000);
+        r.id = 9;
+        r.round = 2;
         let s = r.to_string();
         assert!(s.contains("req#9"));
         assert!(s.contains("round=2"));

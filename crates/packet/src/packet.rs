@@ -137,24 +137,8 @@ const _: () = {
     const fn assert_copy<T: Copy>() {}
     assert_copy::<Header>();
     assert_copy::<TrafficClass>();
-    assert_copy::<TracebackMark>();
     assert_copy::<Protocol>();
 };
-
-/// A probabilistic traceback mark, for the sampling-based traceback
-/// alternative (\[SWKA00\]-style node sampling).
-///
-/// A border router overwrites the mark with its own address (distance 0)
-/// with a small probability, and otherwise increments the distance of an
-/// existing mark. The victim reconstructs the attack path from the
-/// distribution of received marks.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct TracebackMark {
-    /// The router that wrote the mark.
-    pub router: Addr,
-    /// Border hops traversed since the mark was written.
-    pub distance: u8,
-}
 
 /// A simulated packet.
 ///
@@ -168,9 +152,6 @@ pub struct Packet {
     pub header: Header,
     /// The AITF route-record shim, appended to by border routers.
     pub route_record: RouteRecord,
-    /// Probabilistic traceback mark (only used when the deployment runs
-    /// sampling traceback instead of the route-record shim).
-    pub mark: Option<TracebackMark>,
     /// The payload.
     pub payload: PayloadKind,
     /// On-wire size in bytes.
@@ -190,7 +171,6 @@ impl Packet {
             id,
             header,
             route_record: RouteRecord::new(),
-            mark: None,
             payload: PayloadKind::Data(class),
             size_bytes: size_bytes.max(MIN_PACKET_BYTES),
         }
@@ -202,7 +182,6 @@ impl Packet {
             id,
             header: Header::aitf(src, dst),
             route_record: RouteRecord::new(),
-            mark: None,
             payload: PayloadKind::Aitf(msg),
             size_bytes: CONTROL_PACKET_BYTES,
         }

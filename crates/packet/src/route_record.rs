@@ -57,9 +57,6 @@ impl std::fmt::Display for RouteRecordFull {
 
 impl std::error::Error for RouteRecordFull {}
 
-/// Bytes each recorded hop adds to the on-wire packet size.
-pub const ROUTE_RECORD_ENTRY_BYTES: u32 = 4;
-
 /// Storage: inline up to [`INLINE_ROUTE_RECORD`] hops, spilled to one
 /// heap allocation beyond that. A record never shrinks, so the variant is
 /// a pure function of the length: `len <= INLINE_ROUTE_RECORD` is always
@@ -233,11 +230,6 @@ impl RouteRecord {
     pub fn position(&self, addr: Addr) -> Option<usize> {
         self.hops().iter().position(|&h| h == addr)
     }
-
-    /// Extra on-wire bytes contributed by the record.
-    pub fn wire_bytes(&self) -> u32 {
-        self.len() as u32 * ROUTE_RECORD_ENTRY_BYTES
-    }
 }
 
 impl fmt::Display for RouteRecord {
@@ -323,12 +315,6 @@ mod tests {
     }
 
     #[test]
-    fn wire_bytes_grow_with_path() {
-        let rr = RouteRecord::from_hops([addr(1), addr(2), addr(3)]);
-        assert_eq!(rr.wire_bytes(), 12);
-    }
-
-    #[test]
     fn display_renders_path() {
         let rr = RouteRecord::from_hops([addr(1), addr(2)]);
         assert_eq!(rr.to_string(), "[10.1.0.1 > 10.2.0.1]");
@@ -377,8 +363,8 @@ mod tests {
 mod proptests {
     //! Inline-vs-`Vec` equivalence: a plain `Vec<Addr>` capped at
     //! [`MAX_ROUTE_RECORD`] is the reference model; the record must agree
-    //! with it on every observation across push/contains/iteration and the
-    //! wire round-trip, for lengths straddling the spill boundary.
+    //! with it on every observation across push/contains/iteration, for
+    //! lengths straddling the spill boundary.
 
     use super::*;
     use proptest::prelude::*;
@@ -409,7 +395,6 @@ mod proptests {
             prop_assert_eq!(rr.is_spilled(), model.len() > INLINE_ROUTE_RECORD);
             prop_assert_eq!(rr.attacker_gateway(), model.first().copied());
             prop_assert_eq!(rr.victim_gateway(), model.last().copied());
-            prop_assert_eq!(rr.wire_bytes(), model.len() as u32 * ROUTE_RECORD_ENTRY_BYTES);
             // Every round maps to the model's 0-indexed entries.
             for round in 0..=MAX_ROUTE_RECORD + 1 {
                 let expected = round.checked_sub(1).and_then(|i| model.get(i).copied());
@@ -425,24 +410,6 @@ mod proptests {
             prop_assert_eq!(collected, model.clone());
             // from_hops over the same input builds the same record.
             prop_assert_eq!(RouteRecord::from_hops(hops.iter().copied()), rr);
-        }
-
-        #[test]
-        fn wire_roundtrip_across_spill_boundary(hops in arb_hop_list()) {
-            use crate::packet::{Header, Packet, TrafficClass};
-            use crate::wire::{decode, encode};
-
-            let mut p = Packet::data(
-                1,
-                Header::udp(Addr::new(1, 1, 1, 1), Addr::new(2, 2, 2, 2), 1, 2),
-                TrafficClass::Legit,
-                100,
-            );
-            p.route_record = RouteRecord::from_hops(hops);
-            let decoded = decode(&encode(&p)).expect("valid packet");
-            prop_assert_eq!(&decoded.route_record, &p.route_record);
-            // Equality is content-based either side of the boundary.
-            prop_assert_eq!(decoded.route_record.hops(), p.route_record.hops());
         }
     }
 }

@@ -154,11 +154,11 @@ pub struct TopologySpec {
     pub hosts: Vec<HostDecl>,
     /// Declared peerings, in build order.
     pub peerings: Vec<PeeringDecl>,
-    /// How the lowered world derives forwarding tables. The default
-    /// ([`RoutingMode::AllPairs`]) keeps every existing spec bit-identical;
-    /// the internet-scale generators switch to
+    /// How the lowered world derives forwarding tables. The default is
+    /// [`RoutingMode::AllPairs`]; the internet-scale generators switch to
     /// [`RoutingMode::Hierarchical`], whose build cost is O(n·depth)
-    /// instead of O(n²).
+    /// instead of O(n²). The two differ on destinations in no declared
+    /// network, so recorded runs keep the mode they were recorded under.
     pub routing: RoutingMode,
 }
 

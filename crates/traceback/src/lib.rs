@@ -6,31 +6,22 @@
 //! an efficient traceback technique as those described in \[SWKA00\]
 //! \[SPS+01\] is available."*
 //!
-//! The protocol layer is agnostic to *which* traceback technique is
-//! deployed; it consumes the [`Traceback`] trait. Two providers are
-//! implemented:
-//!
-//! - [`RouteRecordTraceback`] — the deterministic in-packet route-record
-//!   shim the paper's performance analysis assumes (Section IV-B cites an
-//!   architecture "like \[CG00\], where traceback is automatically provided
-//!   inside each packet ... traceback time is 0"). One attack packet is
-//!   enough to learn the full path.
-//! - [`SamplingTraceback`] — a probabilistic node-sampling scheme in the
-//!   spirit of \[SWKA00\]: border routers stamp packets with their address
-//!   with probability `p` (and downstream routers increment a distance
-//!   counter), so the victim needs many packets before the path converges.
-//!   This is the ablation provider: the protocol outcome is identical, only
-//!   the identification latency grows.
+//! The repo implements the one technique the paper's analysis uses:
+//! [`RouteRecordTraceback`], the deterministic in-packet route-record shim
+//! (Section IV-B cites an architecture "like \[CG00\], where traceback is
+//! automatically provided inside each packet ... traceback time is 0").
+//! One attack packet is enough to learn the full path.
 
 pub mod route_record;
-pub mod sampling;
 
 use aitf_packet::{Addr, FlowLabel, Packet};
 
 pub use route_record::RouteRecordTraceback;
-pub use sampling::{SamplingTraceback, MARK_PROBABILITY_DEFAULT};
 
 /// A source of attack-path information for the victim side.
+///
+/// One implementor; the trait stays because the frozen benchmark crate
+/// (`benchmark/src/kernels.rs`) imports it by name and calls through it.
 ///
 /// Implementations observe the data packets a node receives and answer path
 /// queries for a given undesired flow. Paths are ordered attacker side
@@ -48,57 +39,4 @@ pub trait Traceback {
 
     /// Packets observed so far (diagnostics).
     fn observed(&self) -> u64;
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use aitf_packet::{Header, RouteRecord, TrafficClass};
-
-    /// The two providers must agree on a fully recorded path once the
-    /// sampling provider has converged.
-    #[test]
-    fn providers_agree_on_converged_path() {
-        let attacker = Addr::new(10, 9, 0, 7);
-        let victim = Addr::new(10, 1, 0, 1);
-        let flow = FlowLabel::src_dst(attacker, victim);
-        let path = [
-            Addr::new(10, 9, 0, 254),
-            Addr::new(10, 8, 0, 254),
-            Addr::new(10, 1, 0, 254),
-        ];
-
-        let mut rr = RouteRecordTraceback::new(1024);
-        let mut pkt = Packet::data(
-            1,
-            Header::udp(attacker, victim, 1, 2),
-            TrafficClass::Attack,
-            100,
-        );
-        pkt.route_record = RouteRecord::from_hops(path);
-        rr.observe(&pkt);
-
-        let mut sampling = SamplingTraceback::new(1024, 3).with_stability(0);
-        // Deterministically synthesise the marks a long packet stream would
-        // carry: every router at every distance, three samples each.
-        for (i, &router) in path.iter().enumerate() {
-            for _ in 0..3 {
-                let mut p = Packet::data(
-                    2,
-                    Header::udp(attacker, victim, 1, 2),
-                    TrafficClass::Attack,
-                    100,
-                );
-                // Router at index i is (len-1-i) border hops before delivery.
-                p.mark = Some(aitf_packet::TracebackMark {
-                    router,
-                    distance: (path.len() - 1 - i) as u8,
-                });
-                sampling.observe(&p);
-            }
-        }
-
-        assert_eq!(rr.attack_path(&flow).as_deref(), Some(&path[..]));
-        assert_eq!(sampling.attack_path(&flow).as_deref(), Some(&path[..]));
-    }
 }

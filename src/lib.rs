@@ -15,8 +15,8 @@
 //!   route-record shim.
 //! - [`filter`] (`aitf-filter`) — bounded filter tables, the DRAM shadow
 //!   cache and contract rate limiters.
-//! - [`traceback`] (`aitf-traceback`) — route-record and sampling
-//!   traceback providers.
+//! - [`traceback`] (`aitf-traceback`) — the route-record traceback
+//!   provider.
 //! - [`attack`] (`aitf-attack`) — attack and legitimate traffic sources.
 //! - [`scenario`] (`aitf-scenario`) — the declarative scenario API:
 //!   topology × workload × probes, plus the canned worlds (Figure 1,
