@@ -8,8 +8,10 @@
 //! through the full protocol. The experiment doubles as the harness's
 //! scale benchmark: it is the row that exercises the sharded
 //! conservative-lookahead event loop (`Scenario::shards`) on a topology
-//! large enough for partitioning to matter, and `tools/bench_compare`
-//! ratchets its event count and tracks its `events_per_sec`.
+//! large enough for partitioning to matter; its event count is pinned per
+//! row by `tests/equivalence.rs`, and its wall is carried by the
+//! benchmark's `megatree_sharded` workload (`setup_s`, `run_s`,
+//! `events_per_sec` over `run_s`, `netsim.shard_speedup`).
 //!
 //! Paper expectation at this scale: nothing new — every flow is blocked at
 //! its own leaf provider, the hub/core holds zero filters, and the leak

@@ -125,11 +125,6 @@ pub fn render_sweep(spec: &ScenarioSpec, records: &[RunRecord]) -> Table {
     table
 }
 
-/// Formats a float compactly (6 significant-ish digits, no noise) — the
-/// same rules engine tables and JSON use, re-exported so hand-built tables
-/// match engine-rendered ones.
-pub use aitf_engine::params::fmt_compact as fmt_f;
-
 /// Prints a series in a gnuplot-friendly two-column layout.
 pub fn print_series(name: &str, points: &[(f64, f64)]) {
     println!("# series: {name}");
@@ -171,13 +166,5 @@ mod tests {
     fn row_width_is_checked() {
         let mut t = Table::new("t", &["a", "b"]);
         t.row(&["only-one"]);
-    }
-
-    #[test]
-    fn fmt_f_ranges() {
-        assert_eq!(fmt_f(0.0), "0");
-        assert_eq!(fmt_f(0.00083), "0.00083");
-        assert_eq!(fmt_f(1.5), "1.50");
-        assert_eq!(fmt_f(1234.0), "1234");
     }
 }

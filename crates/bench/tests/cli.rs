@@ -1,7 +1,8 @@
 //! CLI behaviour of the `all_experiments` driver: a `--filter` that
-//! matches nothing must fail loudly (listing the known experiment ids and
-//! exiting non-zero), even when other filters do match. And for both
-//! binaries: `--help` agrees with the argument parser and the doc table.
+//! matches nothing (or is empty) must fail loudly (listing the known
+//! experiment ids and exiting non-zero), even when other filters do
+//! match. And for both binaries: `--help` agrees with the argument parser
+//! and the doc table.
 
 use std::process::Command;
 
@@ -39,6 +40,18 @@ fn dead_filter_fails_even_next_to_a_live_one() {
     );
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("zzz_nope"), "{stderr}");
+}
+
+#[test]
+fn empty_filter_fails_instead_of_running_everything() {
+    // What `--filter "$UNSET"` expands to: a substring of every id.
+    let out = driver()
+        .args(["--quick", "--filter", ""])
+        .output()
+        .expect("run all_experiments");
+    assert!(!out.status.success(), "empty filter must fail");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("known ids:"), "{stderr}");
 }
 
 #[test]

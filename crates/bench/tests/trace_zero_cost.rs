@@ -2,12 +2,13 @@
 //!
 //! The instrumented call sites (router spans, subsystem classification,
 //! loop wall buckets) are compiled against no-op stubs in default builds.
-//! This test pins the strong half of that claim on the same chain world
-//! as the `event_dispatch` microbench: **zero heap allocations per
+//! This test pins the strong half of that claim on a forwarding chain
+//! and on a star under every bake-off policy: **zero heap allocations per
 //! dispatched event** in steady state, and bit-identical event counts run
-//! to run. The throughput half (events/sec within noise of the untraced
-//! seed) is ratcheted by `tools/bench_compare`'s variance-aware wall gate
-//! against the committed baseline, which was refreshed on this build.
+//! to run. The throughput half (events/sec of the untraced build) is the
+//! benchmark's `flood_bakeoff` workload — `run_s`, `events_per_sec` and
+//! `netsim.slice_ns_per_event_p50`, compared with `benchmark/run.sh
+//! compare`.
 //!
 //! Compiled out under `--features trace` — with recording on, spans do
 //! allocate by design.

@@ -8,7 +8,7 @@ use crate::record::RunRecord;
 use crate::spec::ScenarioSpec;
 
 /// Schema version stamped into every file; bump on breaking changes.
-pub const SCHEMA_VERSION: u32 = 1;
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// Renders the full JSON document for one sweep.
 pub fn render_document(
@@ -30,21 +30,13 @@ pub fn render_document(
     out.push_str(&format!("  \"base_seed\": {base_seed},\n"));
     out.push_str(&format!("  \"threads\": {threads},\n"));
     out.push_str(&format!("  \"total_events\": {total_events},\n"));
+    // Sum of whole-point walls: build + partition + loop + collect.
     out.push_str(&format!(
         "  \"total_wall_secs\": {},\n",
         if total_wall.is_finite() {
             format!("{total_wall}")
         } else {
             "null".into()
-        }
-    ));
-    // Sweep-level throughput: the hot-path health number every perf PR
-    // watches (wall-derived, so excluded from determinism comparisons).
-    out.push_str(&format!(
-        "  \"events_per_sec\": {},\n",
-        match crate::record::rate_per_sec(total_events, total_wall) {
-            Some(r) => format!("{r:.0}"),
-            None => "null".into(),
         }
     ));
     out.push_str("  \"records\": [\n");
@@ -145,8 +137,12 @@ mod tests {
         assert!(doc.contains("\"records\""));
         assert!(doc.contains("ok \\\"quoted\\\""));
         assert_eq!(doc.matches("\"index\"").count(), 2);
-        // Sweep-level plus one per record.
-        assert_eq!(doc.matches("\"events_per_sec\"").count(), 3);
+        assert!(doc.contains("\"schema\": 2,"));
+        // One whole-point wall per record, their sum at sweep level, and
+        // no throughput derived from either.
+        assert_eq!(doc.matches("\"wall_secs\"").count(), 2);
+        assert_eq!(doc.matches("\"total_wall_secs\"").count(), 1);
+        assert!(!doc.contains("events_per_sec"));
     }
 
     #[test]

@@ -17,7 +17,9 @@ pub struct RunRecord {
     pub metrics: Params,
     /// Simulator events dispatched (0 when not applicable).
     pub events: u64,
-    /// Wall-clock seconds the point took. Excluded from
+    /// Wall-clock seconds the whole point took — world build, partition,
+    /// event loop and probe collection together, so not a divisor for
+    /// event-loop throughput. Excluded from
     /// [`RunRecord::deterministic_eq`] — it is the one legitimately
     /// nondeterministic field.
     pub wall_secs: f64,
@@ -50,13 +52,6 @@ impl RunRecord {
             && self.events == other.events
     }
 
-    /// Simulator events dispatched per wall-clock second for this point —
-    /// the perf-trajectory number. Wall-derived, so (like `wall_secs`) it
-    /// is excluded from [`RunRecord::deterministic_eq`].
-    pub fn events_per_sec(&self) -> Option<f64> {
-        rate_per_sec(self.events, self.wall_secs)
-    }
-
     /// Renders the record as one JSON object. Trace-enabled runs gain a
     /// `subsystems` block (per-subsystem event counts and wall nanos);
     /// ordinary runs emit exactly the historical shape.
@@ -75,7 +70,7 @@ impl RunRecord {
             None => String::new(),
         };
         format!(
-            "{{\"experiment\":{},\"index\":{},\"seed\":{},\"params\":{},\"metrics\":{},\"events\":{},\"wall_secs\":{},\"events_per_sec\":{}{}{}{}}}",
+            "{{\"experiment\":{},\"index\":{},\"seed\":{},\"params\":{},\"metrics\":{},\"events\":{},\"wall_secs\":{}{}{}{}}}",
             json_string(self.experiment),
             self.index,
             self.seed,
@@ -87,22 +82,11 @@ impl RunRecord {
             } else {
                 "null".to_string()
             },
-            match self.events_per_sec() {
-                Some(r) => format!("{r:.0}"),
-                None => "null".to_string(),
-            },
             shards,
             defense,
             subsystems,
         )
     }
-}
-
-/// `events / wall_secs` as a positive finite rate, or `None` when the wall
-/// is degenerate (zero, non-finite) or nothing ran — the one definition
-/// both the per-record and sweep-level `events_per_sec` JSON fields use.
-pub fn rate_per_sec(events: u64, wall_secs: f64) -> Option<f64> {
-    (wall_secs.is_finite() && wall_secs > 0.0 && events > 0).then(|| events as f64 / wall_secs)
 }
 
 #[cfg(test)]
@@ -139,7 +123,7 @@ mod tests {
         let j = record(0.25).to_json();
         assert_eq!(
             j,
-            r#"{"experiment":"e0","index":1,"seed":7,"params":{"x":2},"metrics":{"y":0.5},"events":10,"wall_secs":0.25,"events_per_sec":40}"#
+            r#"{"experiment":"e0","index":1,"seed":7,"params":{"x":2},"metrics":{"y":0.5},"events":10,"wall_secs":0.25}"#
         );
     }
 
@@ -178,16 +162,5 @@ mod tests {
             r.to_json()
         );
         assert!(r.deterministic_eq(&record(0.25)));
-    }
-
-    #[test]
-    fn events_per_sec_handles_degenerate_walls() {
-        assert_eq!(record(0.25).events_per_sec(), Some(40.0));
-        assert_eq!(record(0.0).events_per_sec(), None);
-        assert_eq!(record(f64::NAN).events_per_sec(), None);
-        let mut r = record(0.25);
-        r.events = 0;
-        assert_eq!(r.events_per_sec(), None);
-        assert!(r.to_json().contains("\"events_per_sec\":null"));
     }
 }

@@ -61,7 +61,7 @@ impl Registry {
                 if self.specs.iter().any(|s| boundary(s.id, f)) {
                     boundary(id, f)
                 } else {
-                    id.contains(f.as_str())
+                    substring(id, f)
                 }
             })
         };
@@ -82,7 +82,7 @@ impl Registry {
                 !self
                     .specs
                     .iter()
-                    .any(|s| boundary(s.id, f) || s.id.contains(f.as_str()))
+                    .any(|s| boundary(s.id, f) || substring(s.id, f))
             })
             .map(String::as_str)
             .collect()
@@ -94,6 +94,14 @@ impl Registry {
 /// `_` separator.
 fn boundary(id: &str, f: &str) -> bool {
     id == f || (id.starts_with(f) && id.as_bytes().get(f.len()) == Some(&b'_'))
+}
+
+/// The substring fallback shared by [`Registry::select`] and
+/// [`Registry::unmatched`]. An empty filter names no experiment (it is
+/// what an unset shell variable expands to), so it matches nothing rather
+/// than every id.
+fn substring(id: &str, f: &str) -> bool {
+    !f.is_empty() && id.contains(f)
 }
 
 #[cfg(test)]
@@ -125,6 +133,7 @@ mod tests {
         assert_eq!(r.select(&["e10_scaling".to_string()]).len(), 1);
         assert_eq!(r.select(&[]).len(), 3);
         assert!(r.select(&["nope".to_string()]).is_empty());
+        assert!(r.select(&[String::new()]).is_empty());
     }
 
     #[test]
@@ -137,8 +146,9 @@ mod tests {
             "scaling".to_string(),
             "nope".to_string(),
             "e99".to_string(),
+            String::new(),
         ];
-        assert_eq!(r.unmatched(&filters), vec!["nope", "e99"]);
+        assert_eq!(r.unmatched(&filters), vec!["nope", "e99", ""]);
         assert!(r.unmatched(&[]).is_empty());
     }
 

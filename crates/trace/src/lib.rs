@@ -14,8 +14,8 @@
 //!
 //! The recording facade is [`Tracer`]. With the `trace` cargo feature off
 //! (the default) it is a zero-sized type whose methods are empty `#[inline]`
-//! stubs — every call compiles away, verified allocation-free and
-//! throughput-neutral by the dispatch benches. The *data* types (records,
+//! stubs — every call compiles away, verified allocation-free by
+//! `crates/bench/tests/trace_zero_cost.rs`. The *data* types (records,
 //! profiles, reports) are feature-independent so reports can always be
 //! rendered and JSON schemas never change shape.
 
