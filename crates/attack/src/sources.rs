@@ -141,12 +141,6 @@ impl OnOffSource {
             sending: true,
         }
     }
-
-    /// Fraction of time the source is on.
-    pub fn duty_cycle(&self) -> f64 {
-        let on = self.on_period.as_secs_f64();
-        on / (on + self.off_period.as_secs_f64())
-    }
 }
 
 impl TrafficApp for OnOffSource {
@@ -374,14 +368,6 @@ mod tests {
         let tx = w.host(a).counters().tx_pkts;
         // Active window was 1 s at 100 pps.
         assert!((95..=105).contains(&tx), "tx = {tx}");
-    }
-
-    #[test]
-    fn onoff_duty_cycle_accounting() {
-        let on = SimDuration::from_millis(100);
-        let off = SimDuration::from_millis(300);
-        let src = OnOffSource::new(Addr::new(1, 1, 1, 1), 100, 100, on, off);
-        assert!((src.duty_cycle() - 0.25).abs() < 1e-9);
     }
 
     #[test]

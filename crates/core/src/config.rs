@@ -74,8 +74,6 @@ pub struct AitfConfig {
     /// Victims detect a *reappearing* logged flow instantly instead of
     /// waiting `Td` again (footnote 8 of the paper).
     pub fast_redetect: bool,
-    /// Record a human-readable per-node timeline (examples turn this on).
-    pub trace: bool,
     /// Which defense populates every border router's hook chains. The
     /// default is the paper's AITF protocol; `Scenario::defense(..)`
     /// sweeps the axis (pushback baseline, per-prefix rate-limiting,
@@ -103,7 +101,6 @@ impl Default for AitfConfig {
             max_round: 16,
             packet_triggered_reactivation: true,
             fast_redetect: true,
-            trace: false,
             defense: DefensePolicy::Aitf,
         }
     }
@@ -118,12 +115,6 @@ impl AitfConfig {
 
     /// Paper Section IV-B sizing for the shadow cache: `mv = R1 · T`.
     pub fn mv(&self) -> f64 {
-        self.client_contract.rate * self.t_long.as_secs_f64()
-    }
-
-    /// Paper Section IV-A.2: flows a client is protected against,
-    /// `Nv = R1 · T`.
-    pub fn protected_flows(&self) -> f64 {
         self.client_contract.rate * self.t_long.as_secs_f64()
     }
 
@@ -207,10 +198,9 @@ mod tests {
     #[test]
     fn default_matches_paper_examples() {
         let c = AitfConfig::default();
-        // Section IV-A.2: R1 = 100/s, T = 60 s → Nv = 6000.
-        assert_eq!(c.protected_flows(), 6000.0);
         // Section IV-B: nv = R1 · Ttmp = 100 filters at Ttmp = 1 s.
         assert_eq!(c.nv(), 100.0);
+        // mv = R1 · T: R1 = 100/s, T = 60 s → 6000 (also Section IV-A.2's Nv).
         assert_eq!(c.mv(), 6000.0);
         // Section IV-C: na = R2 · T = 60 filters.
         assert_eq!(c.na(), 60.0);

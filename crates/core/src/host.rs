@@ -238,7 +238,6 @@ pub struct EndHost {
     token_map: HashMap<u64, HostTimer>,
     next_token: u64,
     counters: HostCounters,
-    timeline: Vec<(SimTime, String)>,
     /// Dynamic-world state: a detached host is off the network — its tail
     /// circuit is blocked by the world layer and this flag silences its
     /// traffic apps (timer chains are dropped, so nothing is even offered
@@ -289,7 +288,6 @@ impl EndHost {
             token_map: HashMap::new(),
             next_token: 0,
             counters: HostCounters::default(),
-            timeline: Vec::new(),
             attached: true,
             attach_epoch: 0,
             rx_tap: None,
@@ -306,11 +304,6 @@ impl EndHost {
         self.rx_tap.as_deref()
     }
 
-    /// Mutable access to the installed tap.
-    pub fn rx_tap_mut(&mut self) -> Option<&mut (dyn RxTap + 'static)> {
-        self.rx_tap.as_deref_mut()
-    }
-
     /// This host's address.
     pub fn addr(&self) -> Addr {
         self.addr
@@ -324,16 +317,6 @@ impl EndHost {
     /// The self-filter table (compliance state).
     pub fn self_filters(&self) -> &FilterTable {
         &self.self_filters
-    }
-
-    /// Live request-log size.
-    pub fn request_log_len(&self) -> usize {
-        self.request_log.len()
-    }
-
-    /// The recorded timeline (empty unless `config.trace`).
-    pub fn timeline(&self) -> &[(SimTime, String)] {
-        &self.timeline
     }
 
     /// Installs a traffic application. Must be called before the simulation
@@ -384,12 +367,6 @@ impl EndHost {
         self.apps.push(Some(app));
         let i = self.apps.len() - 1;
         self.with_api(i, ctx, |app, api| app.on_start(api));
-    }
-
-    fn trace(&mut self, now: SimTime, msg: impl FnOnce() -> String) {
-        if self.cfg.trace {
-            self.timeline.push((now, msg()));
-        }
     }
 
     fn with_api<R>(
@@ -464,10 +441,8 @@ impl EndHost {
 
     fn on_detect(&mut self, flow: FlowLabel, ctx: &mut Context<'_>) {
         ctx.profile_subsystem(aitf_netsim::Subsystem::Detector);
-        let now = ctx.now();
         self.detecting.remove(&flow);
         self.counters.detections += 1;
-        self.trace(now, || format!("detected undesired flow {flow}"));
         self.send_filtering_request(flow, ctx);
     }
 
@@ -494,7 +469,6 @@ impl EndHost {
             }
         }
         self.counters.detections += 1;
-        self.trace(now, || format!("rate detector flagged {flow}"));
         if let Some(d) = &mut self.rate_detector {
             d.forget(src);
         }
@@ -522,7 +496,6 @@ impl EndHost {
         self.counters.requests_sent += 1;
         self.request_log.insert(flow, now + self.cfg.t_long);
         self.last_request.insert(flow, now);
-        self.trace(now, || format!("filtering request #{id} for {flow}"));
         let pkt = Packet::control(
             ctx.next_packet_id(),
             self.addr,
@@ -558,9 +531,6 @@ impl EndHost {
                 } else {
                     self.counters.verification_denied += 1;
                 }
-                self.trace(now, || {
-                    format!("verification query for {}: confirm={confirm}", q.flow)
-                });
                 let reply = VerificationReply {
                     request_id: q.request_id,
                     flow: q.flow,
@@ -577,16 +547,12 @@ impl EndHost {
             }
             AitfMessage::FilteringRequest(req) if req.dest == RequestDestination::Attacker => {
                 self.counters.notices_received += 1;
-                match self.policy {
-                    HostPolicy::Compliant => {
-                        let dur = SimDuration::from_nanos(req.duration_ns);
-                        if self.self_filters.install(req.flow, now, dur).is_ok() {
-                            self.counters.flows_stopped += 1;
-                            self.trace(now, || format!("stopping flow {} as asked", req.flow));
-                        }
-                    }
-                    HostPolicy::Malicious => {
-                        self.trace(now, || format!("IGNORING stop notice for {}", req.flow));
+                // A malicious host ignores the notice; its gateway's grace
+                // timer deals with it.
+                if self.policy == HostPolicy::Compliant {
+                    let dur = SimDuration::from_nanos(req.duration_ns);
+                    if self.self_filters.install(req.flow, now, dur).is_ok() {
+                        self.counters.flows_stopped += 1;
                     }
                 }
             }

@@ -75,11 +75,6 @@ impl PushbackState {
     pub fn arrival_of(&self, key: (Addr, Addr)) -> Option<LinkId> {
         self.flow_arrivals.get(&key).copied()
     }
-
-    /// Distinct aggregates currently tracked.
-    pub fn tracked_aggregates(&self) -> usize {
-        self.flow_arrivals.len()
-    }
 }
 
 #[cfg(test)]
@@ -95,7 +90,7 @@ mod tests {
         assert_eq!(s.arrival_of((a, b)), Some(LinkId(3)));
         s.note_arrival((a, b), LinkId(4));
         assert_eq!(s.arrival_of((a, b)), Some(LinkId(4)));
-        assert_eq!(s.tracked_aggregates(), 1);
+        assert_eq!(s.flow_arrivals.len(), 1);
         assert_eq!(s.arrival_of((b, a)), None);
     }
 }

@@ -120,12 +120,6 @@ impl BorderRouter {
             req.round,
             req.path.hops().to_vec(),
         );
-        self.trace(now, || {
-            format!(
-                "victim-gw: temp filter for {} (round {})",
-                req.flow, req.round
-            )
-        });
 
         if req.path.is_empty() {
             // No attack-path sample yet: wait for one (the temporary filter
@@ -191,18 +185,12 @@ impl BorderRouter {
                 self.counters.escalations_dropped += 1;
                 self.span(SpanKind::Drop, Cause::NoAncestor, key, round, now);
                 self.tracer.close_round(key, round, now.0);
-                self.trace(now, || {
-                    format!("escalation round {round} for {flow} dropped: no AITF-enabled ancestor")
-                });
                 return;
             };
             self.counters.escalations_sent += 1;
             self.shadow.note_round(&flow, round);
             self.shadow.touch_action(&flow, now);
             self.span(SpanKind::Escalate, Cause::Escalated, key, round, now);
-            self.trace(now, || {
-                format!("escalate round {round} for {flow} to parent {parent}")
-            });
             let escalated = FilteringRequest {
                 dest: RequestDestination::VictimGateway,
                 ..req
@@ -215,9 +203,6 @@ impl BorderRouter {
         match target {
             Some(target) if target != self.addr => {
                 self.shadow.touch_action(&flow, now);
-                self.trace(now, || {
-                    format!("round {k}: request {flow} -> attacker-side node {target}")
-                });
                 let outgoing = FilteringRequest {
                     dest: RequestDestination::AttackerGateway,
                     ..req
@@ -257,24 +242,12 @@ impl BorderRouter {
             self.counters.escalations_dropped += 1;
             self.span(SpanKind::Drop, Cause::NoNeighbor, key, req.round, now);
             self.tracer.close_round(key, req.round, now.0);
-            self.trace(now, || {
-                format!(
-                    "escalation for {} dropped: no neighbour to disconnect",
-                    req.flow
-                )
-            });
             return;
         };
         let Some(link) = self.route(neighbor) else {
             self.counters.escalations_dropped += 1;
             self.span(SpanKind::Drop, Cause::NoNeighbor, key, req.round, now);
             self.tracer.close_round(key, req.round, now.0);
-            self.trace(now, || {
-                format!(
-                    "escalation for {} dropped: no route to neighbour {neighbor}",
-                    req.flow
-                )
-            });
             return;
         };
         if Some(link) == self.uplink {
@@ -284,23 +257,11 @@ impl BorderRouter {
             let _ = self.filters.install(req.flow, now, self.cfg.t_long);
             self.span(SpanKind::LocalFilter, Cause::Protocol, key, req.round, now);
             self.tracer.close_round(key, req.round, now.0);
-            self.trace(now, || {
-                format!(
-                    "round exhausted for {}: keeping local filter (refusing to sever own uplink)",
-                    req.flow
-                )
-            });
             return;
         }
         self.counters.disconnects_peer += 1;
         self.span(SpanKind::Disconnect, Cause::Protocol, key, req.round, now);
         self.tracer.close_round(key, req.round, now.0);
-        self.trace(now, || {
-            format!(
-                "disconnecting peer {} (link {:?}) over {}",
-                neighbor, link, req.flow
-            )
-        });
         ctx.set_incoming_blocked(link, true);
     }
 
@@ -358,12 +319,8 @@ impl BorderRouter {
     // ------------------------------------------------------------------
 
     pub(super) fn attacker_gateway_role(&mut self, req: FilteringRequest, ctx: &mut Context<'_>) {
-        let now = ctx.now();
         if !self.policy.cooperating {
             self.counters.requests_ignored += 1;
-            self.trace(now, || {
-                format!("ignoring request for {} (non-cooperating)", req.flow)
-            });
             return;
         }
         if self.cfg.verification {
@@ -406,9 +363,6 @@ impl BorderRouter {
         );
         let token = self.alloc_token(TimerAction::HandshakeTimeout { nonce: nonce.0 });
         ctx.set_timer(self.cfg.handshake_timeout, token);
-        self.trace(now, || {
-            format!("handshake query to {} nonce {}", victim, nonce)
-        });
         self.send_control(ctx, victim, AitfMessage::VerificationQuery(query));
     }
 
@@ -432,7 +386,6 @@ impl BorderRouter {
         self.tracer.end(pending.span, now.0);
         if rep.confirm {
             self.counters.handshakes_confirmed += 1;
-            self.trace(now, || format!("handshake confirmed for {}", rep.flow));
             self.satisfy_attacker_side(pending.request, ctx, false);
         } else {
             self.counters.handshakes_denied += 1;
@@ -445,7 +398,6 @@ impl BorderRouter {
                 now,
             );
             self.tracer.close_round(key, pending.request.round, now.0);
-            self.trace(now, || format!("handshake DENIED for {}", rep.flow));
         }
     }
 
@@ -494,7 +446,6 @@ impl BorderRouter {
                 return;
             }
         }
-        self.trace(now, || format!("attacker-gw: T-filter for {flow}"));
 
         // Who is my misbehaving client for this flow? Round 1: the attacker
         // host itself. Round k: the (k-1)-th node on the path — the client
@@ -539,14 +490,10 @@ impl BorderRouter {
     /// responsible. A cooperating router blocks the flow itself and relays
     /// the notice towards the true attacker.
     pub(super) fn attacker_role(&mut self, req: FilteringRequest, ctx: &mut Context<'_>) {
-        let now = ctx.now();
         if !self.policy.cooperating {
             self.counters.requests_ignored += 1;
             return;
         }
-        self.trace(now, || {
-            format!("attacker-role: blocking {} (or be disconnected)", req.flow)
-        });
         // Block the flow ourselves and relay one step closer to the true
         // attacker, with the same grace-watch policing of our own client.
         self.satisfy_attacker_side(req, ctx, true);

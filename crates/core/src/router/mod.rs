@@ -204,7 +204,6 @@ pub struct BorderRouter {
     token_map: HashMap<u64, TimerAction>,
     next_id: u64,
     counters: RouterCounters,
-    timeline: Vec<(SimTime, String)>,
     /// Structured span recorder (a zero-sized no-op unless the `trace`
     /// feature is on); shared with every other router in the world so
     /// escalation chains parent across routers.
@@ -271,7 +270,6 @@ impl BorderRouter {
             token_map: HashMap::new(),
             next_id: 0,
             counters: RouterCounters::default(),
-            timeline: Vec::new(),
             tracer: Tracer::new(),
         }
     }
@@ -340,11 +338,6 @@ impl BorderRouter {
             + self.prefix_limiter.as_ref().map_or(0, RateLimiterBank::len)
     }
 
-    /// The recorded timeline (empty unless `config.trace`).
-    pub fn timeline(&self) -> &[(SimTime, String)] {
-        &self.timeline
-    }
-
     /// The current behaviour policy.
     pub fn policy(&self) -> RouterPolicy {
         self.policy
@@ -388,12 +381,6 @@ impl BorderRouter {
             .iter()
             .copied()
             .find(|&a| self.peer_participates(a))
-    }
-
-    fn trace(&mut self, now: SimTime, msg: impl FnOnce() -> String) {
-        if self.cfg.trace {
-            self.timeline.push((now, msg()));
-        }
     }
 
     /// Records an instant span at this router.
@@ -555,21 +542,9 @@ impl BorderRouter {
                     watch.round,
                     now,
                 );
-                self.trace(now, || {
-                    format!(
-                        "grace expired: disconnecting client link {:?} over {}",
-                        link, watch.flow
-                    )
-                });
                 ctx.set_incoming_blocked(link, true);
             }
         }
-    }
-
-    /// Reconnects a previously disconnected client (operator action in the
-    /// paper's world; exposed for experiments).
-    pub fn reconnect(&mut self, link: LinkId, ctx: &mut Context<'_>) {
-        ctx.set_incoming_blocked(link, false);
     }
 }
 

@@ -90,9 +90,6 @@ impl BorderRouter {
             request.round,
             hops,
         );
-        self.trace(now, || {
-            format!("pending path resolved for {}", request.flow)
-        });
         self.propagate_as_victim_gateway(request, ctx);
     }
 
@@ -112,13 +109,6 @@ impl BorderRouter {
         {
             if let Some(entry) = self.shadow.check_reactivation(&packet.header, now) {
                 self.counters.reactivations += 1;
-                self.trace(now, || {
-                    // detlint::allow(hot-alloc): only under `cfg.trace`, and only on a reactivation
-                    format!(
-                        "reactivation: {} round {} reappeared",
-                        entry.label, entry.round
-                    )
-                });
                 self.on_reactivation(entry, packet, ctx);
                 return Verdict::Drop;
             }

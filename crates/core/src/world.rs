@@ -534,11 +534,6 @@ impl World {
         NetId(self.host_net[host.0])
     }
 
-    /// A host's tail-circuit link.
-    pub fn tail_link(&self, host: HostId) -> LinkId {
-        self.tail_links[host.0]
-    }
-
     /// The world-wide escalation tracer (a no-op handle unless the `trace`
     /// feature is enabled).
     pub fn tracer(&self) -> &aitf_trace::Tracer {
@@ -712,11 +707,6 @@ impl World {
         }
     }
 
-    /// Whether a host is currently attached.
-    pub fn host_attached(&self, host: HostId) -> bool {
-        self.host(host).is_attached()
-    }
-
     /// Replaces a network's router policy at any time — before the run
     /// starts or mid-simulation — and broadcasts the AITF-participation
     /// change to every other border router's deployment view, so
@@ -749,11 +739,6 @@ impl World {
     /// bandwidth numerator).
     pub fn attack_bytes_at(&self, host: HostId) -> u64 {
         self.host(host).counters().rx_attack_bytes
-    }
-
-    /// Legitimate bytes delivered to a host so far.
-    pub fn legit_bytes_at(&self, host: HostId) -> u64 {
-        self.host(host).counters().rx_legit_bytes
     }
 }
 
@@ -845,13 +830,13 @@ mod tests {
         assert!(rx_before > 50, "victim must be receiving");
 
         w.detach_host(a);
-        assert!(!w.host_attached(a));
+        assert!(!w.host(a).is_attached());
         w.sim.run_for(SimDuration::from_secs(1));
         // Fully quiet: the app's timer chain died, nothing was offered.
         assert_eq!(w.host(a).counters().tx_pkts, tx_before);
 
         w.attach_host(a);
-        assert!(w.host_attached(a));
+        assert!(w.host(a).is_attached());
         w.sim.run_for(SimDuration::from_secs(1));
         assert!(
             w.host(a).counters().tx_pkts > tx_before + 50,

@@ -180,18 +180,6 @@ impl RateLimiterBank {
     pub fn is_empty(&self) -> bool {
         self.buckets.is_empty()
     }
-
-    /// Total requests dropped across all keys.
-    pub fn total_dropped(&self) -> u64 {
-        // detlint::allow(hash-iter): u64 addition is commutative — the sum is independent of visit order
-        self.buckets.values().map(|b| b.dropped).sum()
-    }
-
-    /// Total requests admitted across all keys.
-    pub fn total_admitted(&self) -> u64 {
-        // detlint::allow(hash-iter): u64 addition is commutative — the sum is independent of visit order
-        self.buckets.values().map(|b| b.admitted).sum()
-    }
 }
 
 #[cfg(test)]
@@ -297,8 +285,6 @@ mod tests {
         assert!(!bank.try_acquire(1, SimTime::ZERO));
         // A different key has its own bucket.
         assert!(bank.try_acquire(2, SimTime::ZERO));
-        assert_eq!(bank.total_admitted(), 2);
-        assert_eq!(bank.total_dropped(), 1);
     }
 
     #[test]

@@ -14,9 +14,7 @@
 //!   event queue ([`event`]), so `Td`, `Tr`, `Ttmp` and `T` from Section IV
 //!   of the paper are concrete, measurable delays;
 //! - **topology and routing** helpers ([`topology`]) to build the paper's
-//!   Figure 1 path and larger scenarios;
-//! - **metrics** ([`metrics`]) for counters and time series that the
-//!   experiment harness turns into the paper's tables and figures.
+//!   Figure 1 path and larger scenarios.
 //!
 //! Determinism: events are ordered by `(time, sequence)` and all randomness
 //! flows from seeded [`rand::rngs::StdRng`] streams. Two runs with the same
@@ -52,7 +50,6 @@
 
 pub mod event;
 pub mod link;
-pub mod metrics;
 pub mod node;
 pub mod partition;
 pub mod sim;
@@ -61,7 +58,6 @@ pub mod topology;
 
 pub use event::{Event, EventKind, EventQueue};
 pub use link::{Link, LinkDirection, LinkId, LinkParams, LinkStats};
-pub use metrics::Metrics;
 pub use node::{Context, MaybeSend, Node, NodeId};
 pub use partition::{partition, Partition, PartitionError, PartitionSpec};
 pub use sim::{NetworkBuilder, Simulator};

@@ -3,8 +3,8 @@
 //! A [`Node`] is any event-driven state machine attached to the network:
 //! end hosts, AITF border routers, pushback routers, traffic sources. The
 //! simulator owns the nodes; during a handler call the node receives a
-//! [`Context`] that lets it read the clock, send packets, arm timers, draw
-//! randomness and bump metrics — everything it may legally do to the world.
+//! [`Context`] that lets it read the clock, send packets, arm timers and
+//! draw randomness — everything it may legally do to the world.
 
 use std::any::Any;
 
@@ -12,7 +12,6 @@ use aitf_packet::Packet;
 use rand::rngs::StdRng;
 
 use crate::link::LinkId;
-use crate::metrics::Metrics;
 use crate::sim::SimCore;
 use crate::time::{SimDuration, SimTime};
 
@@ -160,11 +159,6 @@ impl Context<'_> {
     /// Panics if this node is not an endpoint of `link`.
     pub fn peer(&self, link: LinkId) -> NodeId {
         self.core.link(link).peer_of(self.node)
-    }
-
-    /// Global metrics sink.
-    pub fn metrics(&mut self) -> &mut Metrics {
-        &mut self.core.metrics
     }
 
     /// Reclassifies the event currently being dispatched for subsystem

@@ -11,7 +11,7 @@
 //! slice and RNG — exactly the classic single-threaded loop. Applying a
 //! [`Partition`] (see [`Simulator::apply_shards`]) before the first run
 //! splits the world into K shards, each with its own queue, node slice,
-//! local links, metrics sink and `(seed, shard_id)`-derived RNG. Shards
+//! local links and `(seed, shard_id)`-derived RNG. Shards
 //! advance in lockstep through *conservative windows*: every window spans
 //! `[g, g + L)` where `g` is the global earliest pending event and `L` the
 //! minimum propagation delay over cut links.
@@ -42,7 +42,6 @@ use aitf_packet::Packet;
 
 use crate::event::{EventKind, EventQueue};
 use crate::link::{Link, LinkDirection, LinkId, LinkParams, LinkStats};
-use crate::metrics::Metrics;
 use crate::node::{Context, Node, NodeId};
 use crate::partition::{partition, Partition, PartitionError, PartitionSpec};
 use crate::time::{SimDuration, SimTime};
@@ -76,14 +75,13 @@ pub struct SimCore {
     /// within this shard.
     staged_seq: u64,
     pub(crate) node_links: Arc<Vec<Vec<LinkId>>>,
-    pub(crate) metrics: Metrics,
     pub(crate) rng: StdRng,
     next_pkt_id: u64,
     /// High bits ORed into fresh packet ids — the shard tag that keeps ids
     /// globally unique without cross-shard coordination (0 when single).
     pkt_tag: u64,
     dispatched_events: u64,
-    /// Per-subsystem wall-time buckets (pure telemetry, like `run_wall`).
+    /// Per-subsystem wall-time buckets (pure telemetry, never simulation input).
     #[cfg(feature = "trace")]
     pub(crate) profile: aitf_trace::SubsystemProfile,
     /// The subsystem the event currently being dispatched is attributed
@@ -302,7 +300,6 @@ impl NetworkBuilder {
                     staged_cut: Vec::new(),
                     staged_seq: 0,
                     node_links: Arc::new(node_links),
-                    metrics: Metrics::new(),
                     rng: StdRng::seed_from_u64(self.seed),
                     next_pkt_id: 0,
                     pkt_tag: 0,
@@ -323,10 +320,8 @@ impl NetworkBuilder {
             seed: self.seed,
             time: SimTime::ZERO,
             started: false,
-            merged_metrics: Metrics::new(),
             #[cfg(feature = "trace")]
             merged_profile: aitf_trace::SubsystemProfile::default(),
-            run_wall: std::time::Duration::ZERO,
         }
     }
 }
@@ -473,15 +468,8 @@ pub struct Simulator {
     seed: u64,
     time: SimTime,
     started: bool,
-    /// Merged metrics of a sharded run; single-shard mode reads the
-    /// shard's own sink directly.
-    merged_metrics: Metrics,
     #[cfg(feature = "trace")]
     merged_profile: aitf_trace::SubsystemProfile,
-    /// Wall-clock time spent inside the event loop — pure telemetry, never
-    /// an input to the simulation (results stay bit-deterministic). One
-    /// coordinator-level clock even when sharded.
-    run_wall: std::time::Duration,
 }
 
 impl Simulator {
@@ -589,25 +577,6 @@ impl Simulator {
         self.link_any(id)
     }
 
-    /// The metrics sink (merged across shards at run boundaries).
-    pub fn metrics(&self) -> &Metrics {
-        if self.is_sharded() {
-            &self.merged_metrics
-        } else {
-            &self.shards[0].core.metrics
-        }
-    }
-
-    /// Mutable metrics access (for experiment probes between runs).
-    pub fn metrics_mut(&mut self) -> &mut Metrics {
-        if self.is_sharded() {
-            self.drain_shard_state();
-            &mut self.merged_metrics
-        } else {
-            &mut self.shards[0].core.metrics
-        }
-    }
-
     /// Number of events dispatched so far — summed over shards, plus the
     /// transmission completions the coordinator's cut-link replay ran
     /// (diagnostics / benches).
@@ -681,12 +650,6 @@ impl Simulator {
         assert!(found, "unknown link {link:?}");
     }
 
-    /// Returns `true` if the direction of `link` is administratively
-    /// blocked (read from the authoritative copy).
-    pub fn is_link_blocked(&self, link: LinkId, dir: LinkDirection) -> bool {
-        self.link_any(link).is_blocked(dir)
-    }
-
     /// Runs `f` with the node in slot `id` and a live [`Context`] —
     /// the runtime activation hook: higher layers use it between `run_*`
     /// segments to drive a node outside event dispatch (install a traffic
@@ -722,11 +685,6 @@ impl Simulator {
         r
     }
 
-    /// Wall-clock seconds spent inside the event loop so far.
-    pub fn run_wall_secs(&self) -> f64 {
-        self.run_wall.as_secs_f64()
-    }
-
     /// The per-subsystem wall-time profile accumulated so far, merged over
     /// shards in shard-id order. Empty (all zeros) unless the crate is
     /// built with the `trace` feature — the default build carries no
@@ -747,19 +705,6 @@ impl Simulator {
         #[cfg(not(feature = "trace"))]
         {
             aitf_trace::SubsystemProfile::default()
-        }
-    }
-
-    /// Events dispatched per wall-clock second of event-loop time — the
-    /// simulator's end-to-end throughput telemetry (0 before any run).
-    /// Sharded runs sum dispatched events over workers against the one
-    /// coordinator wall clock.
-    pub fn events_per_sec(&self) -> f64 {
-        let secs = self.run_wall.as_secs_f64();
-        if secs > 0.0 {
-            self.dispatched_events() as f64 / secs
-        } else {
-            0.0
         }
     }
 
@@ -823,10 +768,7 @@ impl Simulator {
             "apply_shards must run before any events are scheduled"
         );
         let SimCore {
-            links,
-            node_links,
-            metrics,
-            ..
+            links, node_links, ..
         } = single.core;
         let node_total = part.shard_of.len();
         let shard_of = Arc::clone(&part.shard_of);
@@ -844,7 +786,6 @@ impl Simulator {
                         staged_cut: Vec::new(),
                         staged_seq: 0,
                         node_links: Arc::clone(&node_links),
-                        metrics: Metrics::new(),
                         rng: StdRng::seed_from_u64(shard_seed(self.seed, s as u64)),
                         next_pkt_id: 0,
                         pkt_tag: (s as u64) << 48,
@@ -900,7 +841,6 @@ impl Simulator {
                 shards[part.shard_of[i] as usize].nodes[i] = Some(n);
             }
         }
-        self.merged_metrics = metrics;
         self.shards = shards;
         self.shard_of = shard_of;
         self.lookahead = part.lookahead;
@@ -944,7 +884,8 @@ impl Simulator {
         if !self.started {
             self.start();
         }
-        // detlint::allow(wall-clock): events_per_sec wall telemetry — reported in JSON, excluded from deterministic_eq
+        #[cfg(feature = "trace")]
+        // detlint::allow(wall-clock): in-loop wall for the subsystem profile, trace builds only — never enters simulation state
         let wall_start = std::time::Instant::now();
         if self.is_sharded() {
             self.run_sharded(t);
@@ -954,11 +895,9 @@ impl Simulator {
             shard.core.time = t;
         }
         self.time = t;
-        let elapsed = wall_start.elapsed();
-        self.run_wall += elapsed;
         #[cfg(feature = "trace")]
         {
-            let nanos = elapsed.as_nanos() as u64;
+            let nanos = wall_start.elapsed().as_nanos() as u64;
             if self.is_sharded() {
                 self.merged_profile.add_loop_nanos(nanos);
             } else {
@@ -1009,6 +948,7 @@ impl Simulator {
         for s in &mut self.shards {
             s.core.time = t;
         }
+        #[cfg(feature = "trace")]
         self.drain_shard_state();
     }
 
@@ -1185,20 +1125,13 @@ impl Simulator {
         }
     }
 
-    /// Drains per-shard metrics (and profiles) into the merged sinks, in
-    /// shard-id order. No-op when single.
+    /// Drains per-shard profiles into the merged profile, in shard-id
+    /// order (only called from the sharded loop).
+    #[cfg(feature = "trace")]
     fn drain_shard_state(&mut self) {
-        if !self.is_sharded() {
-            return;
-        }
         for s in &mut self.shards {
-            let m = std::mem::take(&mut s.core.metrics);
-            self.merged_metrics.absorb(m);
-            #[cfg(feature = "trace")]
-            {
-                self.merged_profile.merge(&s.core.profile);
-                s.core.profile = aitf_trace::SubsystemProfile::default();
-            }
+            self.merged_profile.merge(&s.core.profile);
+            s.core.profile = aitf_trace::SubsystemProfile::default();
         }
     }
 
@@ -1206,27 +1139,6 @@ impl Simulator {
     pub fn run_for(&mut self, d: SimDuration) {
         let t = self.time + d;
         self.run_until(t);
-    }
-
-    /// Runs until the event queue is empty (only safe when no node re-arms
-    /// timers forever), with a hard event-count bound as a loop guard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than `max_events` fire, which indicates a runaway
-    /// schedule.
-    pub fn run_to_quiescence(&mut self, max_events: u64) {
-        if !self.started {
-            self.start();
-        }
-        let start_count = self.dispatched_events();
-        while let Some(next) = self.next_event_time() {
-            assert!(
-                self.dispatched_events() - start_count < max_events,
-                "exceeded {max_events} events without quiescing"
-            );
-            self.run_until(next);
-        }
     }
 }
 
@@ -1374,20 +1286,6 @@ mod tests {
     }
 
     #[test]
-    fn throughput_telemetry_tracks_the_event_loop() {
-        let (mut sim, ids) = line_topology(3);
-        sim.install(ids[0], Box::new(Burst { count: 10 }));
-        for &id in &ids[1..] {
-            sim.install(id, Box::new(FloodRelay { received: 0 }));
-        }
-        assert_eq!(sim.events_per_sec(), 0.0, "no run yet");
-        sim.run_for(SimDuration::from_secs(1));
-        assert!(sim.dispatched_events() > 0);
-        assert!(sim.run_wall_secs() > 0.0);
-        assert!(sim.events_per_sec() > 0.0);
-    }
-
-    #[test]
     #[cfg(feature = "trace")]
     fn subsystem_profile_accounts_every_dispatched_event() {
         let (mut sim, ids) = line_topology(3);
@@ -1413,34 +1311,6 @@ mod tests {
         sim.install(ids[1], Box::new(FloodRelay { received: 0 }));
         sim.run_for(SimDuration::from_secs(1));
         assert_eq!(sim.subsystem_profile().total_events(), 0);
-    }
-
-    #[test]
-    fn quiescence_guard_trips_on_runaway() {
-        struct Storm;
-
-        impl Node for Storm {
-            fn on_start(&mut self, ctx: &mut Context<'_>) {
-                ctx.set_timer(SimDuration::from_nanos(1), 0);
-            }
-
-            fn on_packet(&mut self, _p: Packet, _l: LinkId, _ctx: &mut Context<'_>) {}
-
-            fn on_timer(&mut self, _t: u64, ctx: &mut Context<'_>) {
-                ctx.set_timer(SimDuration::from_nanos(1), 0);
-            }
-
-            impl_node_any!();
-        }
-
-        let mut b = NetworkBuilder::new(1);
-        let a = b.add_node();
-        let mut sim = b.build();
-        sim.install(a, Box::new(Storm));
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            sim.run_to_quiescence(1_000);
-        }));
-        assert!(result.is_err());
     }
 
     /// Builds a chain-of-groups world: `n` single-node groups in a parent
@@ -1501,7 +1371,6 @@ mod tests {
         sim.run_for(SimDuration::from_secs(2));
         assert_eq!(sim.now(), SimTime(2_000_000_000));
         assert!(sim.dispatched_events() > 0);
-        assert!(sim.events_per_sec() > 0.0);
         assert_eq!(sim.shard_count(), 2);
     }
 

@@ -322,148 +322,8 @@ mod tests {
     }
 }
 
-/// Label algebra: intersection and aggregation.
-///
-/// Routers that run out of filters can trade precision for space by
-/// *merging* labels (e.g. two host-pair filters from the same /24 into one
-/// prefix filter) — the paper's bounded-filter economy makes this the
-/// natural pressure valve. These operations are the verified kernel such a
-/// policy builds on.
-impl FlowLabel {
-    /// The most general label matched by **both** inputs, or `None` if
-    /// they are disjoint.
-    pub fn intersect(&self, other: &FlowLabel) -> Option<FlowLabel> {
-        fn narrower(a: Prefix, b: Prefix) -> Option<Prefix> {
-            if a.covers(b) {
-                Some(b)
-            } else if b.covers(a) {
-                Some(a)
-            } else {
-                None
-            }
-        }
-        let proto = match (self.proto, other.proto) {
-            (ProtoPattern::Any, p) | (p, ProtoPattern::Any) => p,
-            (a, b) if a == b => a,
-            _ => return None,
-        };
-        let pick_port = |a: PortPattern, b: PortPattern| match (a, b) {
-            (PortPattern::Any, p) | (p, PortPattern::Any) => Some(p),
-            (x, y) if x == y => Some(x),
-            _ => None,
-        };
-        Some(FlowLabel {
-            src: narrower(self.src, other.src)?,
-            dst: narrower(self.dst, other.dst)?,
-            proto,
-            src_port: pick_port(self.src_port, other.src_port)?,
-            dst_port: pick_port(self.dst_port, other.dst_port)?,
-        })
-    }
-
-    /// Returns `true` if some packet matches both labels.
-    pub fn overlaps(&self, other: &FlowLabel) -> bool {
-        self.intersect(other).is_some()
-    }
-
-    /// Attempts to merge two labels into one that covers both without
-    /// widening the source prefix beyond `max_src_widening` bits from the
-    /// narrower input (the precision the caller is willing to give up).
-    ///
-    /// Only labels that agree on everything except the source prefix are
-    /// merged — that is the shape filter aggregation needs: many attack
-    /// hosts in one network, one victim.
-    pub fn try_merge(&self, other: &FlowLabel, max_src_widening: u8) -> Option<FlowLabel> {
-        if self.dst != other.dst
-            || self.proto != other.proto
-            || self.src_port != other.src_port
-            || self.dst_port != other.dst_port
-        {
-            return None;
-        }
-        // The merged source is the longest common prefix of the two.
-        let min_len = self.src.len().min(other.src.len());
-        let a = self.src.addr().raw();
-        let b = other.src.addr().raw();
-        let common = (a ^ b).leading_zeros().min(32) as u8;
-        let merged_len = common.min(min_len);
-        let widening = self.src.len().max(other.src.len()) - merged_len;
-        if widening > max_src_widening {
-            return None;
-        }
-        Some(FlowLabel {
-            src: Prefix::new(self.src.addr(), merged_len),
-            ..*self
-        })
-    }
-}
-
 #[cfg(test)]
-mod algebra_tests {
-    use super::*;
-    use crate::packet::Header;
-
-    fn host(i: u8) -> Addr {
-        Addr::new(10, 9, 0, i)
-    }
-
-    const V: Addr = Addr::new(10, 1, 0, 1);
-
-    #[test]
-    fn intersect_narrows_to_the_specific_side() {
-        let wide = FlowLabel::net_to_host("10.9.0.0/16".parse().unwrap(), V);
-        let narrow = FlowLabel::src_dst(host(7), V).with_proto(Protocol::Udp);
-        let i = wide.intersect(&narrow).expect("overlap");
-        assert_eq!(i, narrow);
-        assert_eq!(narrow.intersect(&wide), Some(narrow), "commutative");
-    }
-
-    #[test]
-    fn disjoint_labels_do_not_intersect() {
-        let a = FlowLabel::src_dst(host(1), V);
-        let b = FlowLabel::src_dst(host(2), V);
-        assert_eq!(a.intersect(&b), None);
-        assert!(!a.overlaps(&b));
-        // Different protocols are also disjoint.
-        let udp = FlowLabel::src_dst(host(1), V).with_proto(Protocol::Udp);
-        let tcp = FlowLabel::src_dst(host(1), V).with_proto(Protocol::Tcp);
-        assert!(!udp.overlaps(&tcp));
-    }
-
-    #[test]
-    fn merge_two_hosts_into_their_common_prefix() {
-        let a = FlowLabel::src_dst(Addr::new(10, 9, 0, 2), V);
-        let b = FlowLabel::src_dst(Addr::new(10, 9, 0, 3), V);
-        let m = a.try_merge(&b, 8).expect("mergeable");
-        // 10.9.0.2 and 10.9.0.3 share a /31.
-        assert_eq!(m.src, "10.9.0.2/31".parse().unwrap());
-        assert!(m.covers(&a) && m.covers(&b));
-        // Both original packets still match.
-        assert!(m.matches(&Header::udp(Addr::new(10, 9, 0, 2), V, 1, 2)));
-        assert!(m.matches(&Header::udp(Addr::new(10, 9, 0, 3), V, 1, 2)));
-    }
-
-    #[test]
-    fn merge_refuses_excessive_widening() {
-        let a = FlowLabel::src_dst(Addr::new(10, 9, 0, 1), V);
-        let b = FlowLabel::src_dst(Addr::new(10, 200, 0, 1), V);
-        // Common prefix is /8: widening 24 bits.
-        assert!(a.try_merge(&b, 8).is_none());
-        assert!(a.try_merge(&b, 24).is_some());
-    }
-
-    #[test]
-    fn merge_requires_identical_non_src_fields() {
-        let a = FlowLabel::src_dst(host(1), V).with_dst_port(80);
-        let b = FlowLabel::src_dst(host(2), V).with_dst_port(443);
-        assert!(a.try_merge(&b, 32).is_none());
-        let c = FlowLabel::src_dst(host(2), Addr::new(10, 1, 0, 9));
-        assert!(FlowLabel::src_dst(host(1), V).try_merge(&c, 32).is_none());
-    }
-}
-
-#[cfg(test)]
-mod algebra_proptests {
+mod proptests {
     use super::*;
     use crate::packet::Header;
     use proptest::prelude::*;
@@ -502,28 +362,6 @@ mod algebra_proptests {
     }
 
     proptest! {
-        /// A packet matches the intersection iff it matches both inputs.
-        #[test]
-        fn intersection_is_conjunction(
-            a in arb_label(),
-            b in arb_label(),
-            h in arb_header(),
-        ) {
-            match a.intersect(&b) {
-                Some(i) => prop_assert_eq!(i.matches(&h), a.matches(&h) && b.matches(&h)),
-                None => prop_assert!(!(a.matches(&h) && b.matches(&h))),
-            }
-        }
-
-        /// A merged label covers both inputs.
-        #[test]
-        fn merge_covers_both(a in arb_label(), b in arb_label()) {
-            if let Some(m) = a.try_merge(&b, 32) {
-                prop_assert!(m.covers(&a), "merge must cover lhs");
-                prop_assert!(m.covers(&b), "merge must cover rhs");
-            }
-        }
-
         /// `covers` and `matches` are consistent: if A covers B, every
         /// packet matching B matches A.
         #[test]

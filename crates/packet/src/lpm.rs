@@ -121,16 +121,6 @@ impl<T> LpmTable<T> {
         best
     }
 
-    /// The value for an exact prefix, if present.
-    pub fn get_exact(&self, prefix: Prefix) -> Option<&T> {
-        let mut node = &self.root;
-        for i in 0..prefix.len() {
-            let bit = (prefix.addr().raw() >> (31 - i)) & 1;
-            node = node.children[bit as usize].as_deref()?;
-        }
-        node.value.as_ref()
-    }
-
     /// Returns `true` if any stored prefix contains `addr`.
     pub fn contains(&self, addr: Addr) -> bool {
         self.lookup(addr).is_some()
@@ -192,7 +182,7 @@ mod tests {
         assert_eq!(t.insert(p("10.0.0.0/8"), 1), None);
         assert_eq!(t.insert(p("10.0.0.0/8"), 2), Some(1));
         assert_eq!(t.len(), 1);
-        assert_eq!(t.get_exact(p("10.0.0.0/8")), Some(&2));
+        assert_eq!(t.lookup(Addr::new(10, 0, 0, 1)), Some(&2));
     }
 
     #[test]

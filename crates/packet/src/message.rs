@@ -80,13 +80,6 @@ impl FilteringRequest {
         }
     }
 
-    /// Returns a copy re-addressed to `dest`.
-    pub fn readdressed(&self, dest: RequestDestination) -> Self {
-        let mut copy = self.clone();
-        copy.dest = dest;
-        copy
-    }
-
     /// Returns a copy escalated by one round and re-addressed to the
     /// victim-gateway role (the shape a gateway sends to *its* gateway when
     /// the attacker side did not cooperate).
@@ -234,17 +227,6 @@ mod tests {
         let r = FilteringRequest::new(flow(), RequestDestination::VictimGateway, 60);
         assert_eq!(r.round, 1);
         assert!(r.path.is_empty());
-    }
-
-    #[test]
-    fn readdressed_changes_only_dest() {
-        let mut r = FilteringRequest::new(flow(), RequestDestination::VictimGateway, 60);
-        r.id = 5;
-        let r2 = r.readdressed(RequestDestination::AttackerGateway);
-        assert_eq!(r2.dest, RequestDestination::AttackerGateway);
-        assert_eq!(r2.id, 5);
-        assert_eq!(r2.round, r.round);
-        assert_eq!(r2.flow, r.flow);
     }
 
     #[test]

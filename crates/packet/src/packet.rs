@@ -195,11 +195,6 @@ impl Packet {
         }
     }
 
-    /// Returns `true` if this is a data packet of the given class.
-    pub fn is_class(&self, class: TrafficClass) -> bool {
-        matches!(self.payload, PayloadKind::Data(c) if c == class)
-    }
-
     /// Returns `true` if this is any data packet (not control).
     pub fn is_data(&self) -> bool {
         matches!(self.payload, PayloadKind::Data(_))
@@ -254,8 +249,7 @@ mod tests {
     fn class_accounting_helpers() {
         let h = Header::udp(Addr::new(1, 1, 1, 1), Addr::new(2, 2, 2, 2), 1, 2);
         let p = Packet::data(1, h, TrafficClass::Legit, 100);
-        assert!(p.is_class(TrafficClass::Legit));
-        assert!(!p.is_class(TrafficClass::Attack));
+        assert!(matches!(p.payload, PayloadKind::Data(TrafficClass::Legit)));
         assert!(p.is_data());
         assert!(p.aitf_message().is_none());
     }

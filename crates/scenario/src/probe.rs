@@ -377,19 +377,6 @@ impl ProbeSet {
         })
     }
 
-    /// Standard probe: filtering requests received, summed over a side's
-    /// border routers (the §III-C per-provider message load).
-    pub fn requests_received_on(self, name: &'static str, side: Side) -> Self {
-        self.end(move |w, m| {
-            let total: u64 = w
-                .nets_on(side)
-                .iter()
-                .map(|&n| w.world.router(n).counters().requests_received)
-                .sum();
-            m.set(name, total);
-        })
-    }
-
     /// Enables sampling: the scenario runs in `bin`-sized steps and every
     /// sampled probe records one value per bin.
     pub fn bin(mut self, bin: SimDuration) -> Self {

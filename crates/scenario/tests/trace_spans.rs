@@ -1,4 +1,5 @@
-//! Span cause-chain regression for one full escalation (trace builds only).
+//! Span regressions: the cause chain of one full escalation and the
+//! cooperative round-1 order at the attacker's gateway (trace builds only).
 //!
 //! Runs the paper's Figure 1 world — a malicious flood with every
 //! attacker-side gateway non-cooperating, so escalation walks the whole
@@ -10,9 +11,10 @@
 
 #![cfg(feature = "trace")]
 
-use aitf_core::{HostPolicy, RouterPolicy};
+use aitf_attack::FloodSource;
+use aitf_core::{AitfConfig, HostPolicy, RouterPolicy};
 use aitf_netsim::SimDuration;
-use aitf_scenario::{HostSel, Role, Scenario, TargetSel, TopologySpec, TrafficSpec};
+use aitf_scenario::{fig1, HostSel, Role, Scenario, TargetSel, TopologySpec, TrafficSpec};
 use aitf_trace::{Cause, SpanKind, SpanRecord};
 
 fn fig1_spans() -> Vec<SpanRecord> {
@@ -117,4 +119,31 @@ fn one_full_escalation_pins_its_parent_and_cause_chain() {
     // Determinism: span records are virtual-time data, so a second run of
     // the same seed reproduces the tree exactly.
     assert_eq!(spans, fig1_spans());
+}
+
+/// What `examples/quickstart.rs` prints for the attacker's gateway: in the
+/// cooperative Figure 1 world, `B_gw1` verifies the round-1 request and
+/// only then installs the long filter.
+#[test]
+fn cooperative_fig1_records_handshake_then_long_filter_at_the_attackers_gateway() {
+    let mut f = fig1(AitfConfig::default(), 42, HostPolicy::Compliant);
+    let target = f.world.host_addr(f.victim);
+    f.world
+        .add_app(f.attacker, Box::new(FloodSource::new(target, 1000, 500)));
+    f.world.sim.run_for(SimDuration::from_secs(5));
+
+    let b_gw1 = f.world.router(f.b_net).addr().0;
+    let spans = f.world.trace_spans();
+    let at_b_gw1: Vec<&SpanRecord> = spans
+        .iter()
+        .filter(|s| s.router == b_gw1 && s.round == 1)
+        .collect();
+    let kinds: Vec<SpanKind> = at_b_gw1.iter().map(|s| s.kind).collect();
+    assert_eq!(kinds, [SpanKind::Handshake, SpanKind::LongFilter]);
+    let (hs, long) = (at_b_gw1[0], at_b_gw1[1]);
+    assert_eq!(long.cause, Cause::HandshakeConfirmed);
+    assert!(
+        hs.start_ns < hs.end_ns && hs.end_ns <= long.start_ns,
+        "the filter installs once the handshake has completed: {hs:?} {long:?}"
+    );
 }

@@ -148,6 +148,28 @@ impl SpanRecord {
         }
     }
 
+    /// Renders the record as one human-readable line — what the examples
+    /// print per span: start time, kind, round, cause, `src > dst` of the
+    /// flow key, and the virtual duration (`open` while unfinished).
+    pub fn line(&self) -> String {
+        // The key's halves are raw IPv4 addresses; `as` keeps the low 32 bits.
+        let ip = |a: u64| std::net::Ipv4Addr::from(a as u32);
+        let took = if self.end_ns == OPEN {
+            "open".to_string()
+        } else {
+            format!("+{:.3}ms", self.duration_ns() as f64 / 1e6)
+        };
+        format!(
+            "t={:.6}s  {:<12} round {}  {:<19} {} > {}  {took}",
+            self.start_ns as f64 / 1e9,
+            self.kind.name(),
+            self.round,
+            self.cause.name(),
+            ip(self.flow >> 32),
+            ip(self.flow),
+        )
+    }
+
     /// Renders the record as one JSON object.
     pub fn to_json(&self) -> String {
         format!(
@@ -370,6 +392,37 @@ mod tests {
         assert!(
             lines.contains(&"round_1:detection;handshake:protocol 2000".to_string()),
             "{lines:?}"
+        );
+    }
+
+    #[test]
+    fn span_line_renders_closed_and_open_spans() {
+        let flow = (0x0A09_0002u64 << 32) | 0x0A01_0002;
+        let mut st = SpanStore::new();
+        let hs = st.start(
+            SpanKind::Handshake,
+            Cause::Protocol,
+            flow,
+            1,
+            9,
+            105_000_000,
+        );
+        st.end(hs, 107_500_000);
+        st.start(
+            SpanKind::Round,
+            Cause::TempFilterExpired,
+            flow,
+            2,
+            9,
+            2_000_000_000,
+        );
+        assert_eq!(
+            st.spans()[0].line(),
+            "t=0.105000s  handshake    round 1  protocol            10.9.0.2 > 10.1.0.2  +2.500ms"
+        );
+        assert_eq!(
+            st.spans()[1].line(),
+            "t=2.000000s  round        round 2  temp_filter_expired 10.9.0.2 > 10.1.0.2  open"
         );
     }
 

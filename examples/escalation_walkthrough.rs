@@ -5,7 +5,9 @@
 //! time — from "blocked at the attacker's gateway" to the worst case
 //! where `G_gw3` disconnects from `B_gw3` entirely.
 //!
-//! Run with `cargo run --example escalation_walkthrough`.
+//! Run with `cargo run --example escalation_walkthrough`; add
+//! `--features aitf-scenario/trace` for `G_gw1`'s span listing per run (the
+//! default build compiles span recording out).
 
 use aitf_attack::FloodSource;
 use aitf_core::{AitfConfig, HostPolicy, RouterPolicy};
@@ -15,11 +17,7 @@ use aitf_scenario::fig1;
 fn main() {
     println!("=== escalation walkthrough (Fig. 1, Section II-D) ===");
     for rogues in 0..=3 {
-        let cfg = AitfConfig {
-            trace: true,
-            ..AitfConfig::default()
-        };
-        let mut f = fig1(cfg, 1000 + rogues, HostPolicy::Malicious);
+        let mut f = fig1(AitfConfig::default(), 1000 + rogues, HostPolicy::Malicious);
         let b_side = [f.b_net, f.b_isp, f.b_wan];
         for &net in b_side.iter().take(rogues as usize) {
             f.world
@@ -56,9 +54,14 @@ fn main() {
             v.rx_attack_pkts,
             f.world.host(f.attacker).counters().tx_pkts
         );
-        println!("  G_gw1 timeline:");
-        for (t, line) in f.world.router(f.g_net).timeline().iter().take(6) {
-            println!("    {t}  {line}");
+        println!("  G_gw1 spans (first 6):");
+        if !f.world.tracer().is_enabled() {
+            println!("    (none: span recording is compiled out — re-run with `--features aitf-scenario/trace`)");
+        }
+        let g_gw1 = f.world.router(f.g_net).addr().0;
+        let spans = f.world.trace_spans();
+        for s in spans.iter().filter(|s| s.router == g_gw1).take(6) {
+            println!("    {}", s.line());
         }
     }
     println!(

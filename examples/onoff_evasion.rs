@@ -6,7 +6,9 @@
 //! kept for the full `T` — recognises the flow on its first returning
 //! packet, reinstalls the filter and escalates past the rogue gateway.
 //!
-//! Run with `cargo run --example onoff_evasion`.
+//! Run with `cargo run --example onoff_evasion`; add
+//! `--features aitf-scenario/trace` for the gateway's span listing (the
+//! default build compiles span recording out).
 
 use aitf_attack::OnOffSource;
 use aitf_core::{AitfConfig, HostPolicy, RouterPolicy};
@@ -18,7 +20,6 @@ fn main() {
     let cfg = AitfConfig {
         t_long: SimDuration::from_secs(30),
         t_tmp: SimDuration::from_secs(1),
-        trace: true,
         ..AitfConfig::default()
     };
     let mut f = fig1(cfg, 99, HostPolicy::Malicious);
@@ -80,8 +81,12 @@ fn main() {
         "  effective bandwidth of the undesired flow: {:.4}%",
         100.0 * v.rx_attack_bytes as f64 / (a.tx_bytes.max(1)) as f64
     );
-    println!("\ngateway timeline (first 12 entries):");
-    for (t, line) in gw.timeline().iter().take(12) {
-        println!("  {t}  {line}");
+    println!("\ngateway spans (first 12):");
+    if !f.world.tracer().is_enabled() {
+        println!("  (none: span recording is compiled out — re-run with `--features aitf-scenario/trace`)");
+    }
+    let spans = f.world.trace_spans();
+    for s in spans.iter().filter(|s| s.router == gw.addr().0).take(12) {
+        println!("  {}", s.line());
     }
 }

@@ -5,7 +5,9 @@
 //! blocks the flood at the network closest to the attacker — all within
 //! a few hundred simulated milliseconds.
 //!
-//! Run with `cargo run --example quickstart`.
+//! Run with `cargo run --example quickstart`; add
+//! `--features aitf-scenario/trace` for the span listing of the attacker's
+//! gateway (the default build compiles span recording out).
 
 use aitf_attack::FloodSource;
 use aitf_core::{AitfConfig, HostPolicy};
@@ -14,11 +16,7 @@ use aitf_scenario::fig1;
 
 fn main() {
     // Paper defaults: T = 60 s, Ttmp = 1 s, R1 = 100/s, R2 = 1/s.
-    let cfg = AitfConfig {
-        trace: true,
-        ..AitfConfig::default()
-    };
-    let mut f = fig1(cfg, 42, HostPolicy::Compliant);
+    let mut f = fig1(AitfConfig::default(), 42, HostPolicy::Compliant);
 
     // A 4 Mbit/s UDP flood at the victim.
     let target = f.world.host_addr(f.victim);
@@ -65,9 +63,13 @@ fn main() {
     println!("  flows stopped (compliant):       {}", a.flows_stopped);
     println!("  sends suppressed by self-filter: {}", a.tx_suppressed);
 
-    println!("\ntimeline of the attacker's gateway:");
-    for (t, line) in b_gw1.timeline() {
-        println!("  {t}  {line}");
+    println!("\nspans recorded at the attacker's gateway:");
+    if !f.world.tracer().is_enabled() {
+        println!("  (none: span recording is compiled out — re-run with `--features aitf-scenario/trace`)");
+    }
+    let spans = f.world.trace_spans();
+    for s in spans.iter().filter(|s| s.router == b_gw1.addr().0) {
+        println!("  {}", s.line());
     }
     println!("\nThe flood was pushed back to the AITF node closest to the attacker.");
 }
