@@ -1,0 +1,456 @@
+//! The one label index behind [`FilterTable`](crate::FilterTable) and
+//! [`ShadowCache`](crate::ShadowCache).
+//!
+//! The paper treats both tables as constant-time label lookups (Section I's
+//! wire-speed filters, Section II-B's DRAM shadow). [`LabelIndex`] is that
+//! lookup, stated once: a slab of `(label, expiry, payload)` slots with a
+//! free list, in which plain host-pair labels — the only shape a simulated
+//! path installs — are keyed exactly by the packed `src << 32 | dst`, so a
+//! lookup is one probe however many filters share a destination. Every
+//! other label shape (prefixes, port- or protocol-restricted pairs,
+//! wildcard destinations) sits in the short `wide` list, kept in storage
+//! order and scanned.
+//!
+//! Four behaviours are load-bearing for the fixtures and goldens:
+//!
+//! 1. **Match order.** Among the live labels matching a header, the
+//!    earliest-stored one with a /32 destination wins; a label with a wider
+//!    destination wins only when there is none (again the earliest-stored).
+//!    The owner updates that entry's payload and no other.
+//! 2. **Expiry is lazy.** [`LabelIndex::find`] sees an expired entry until
+//!    [`LabelIndex::purge`] removes it, and owners purge only on their own
+//!    install / insert / explicit purge calls; [`LabelIndex::first_match`]
+//!    never returns an expired entry.
+//! 3. **Slot reuse.** `purge` frees slots in ascending order and the free
+//!    list is LIFO, so slot numbers — which break eviction ties — are a pure
+//!    function of the operation sequence.
+//! 4. **Storage order.** Every entry carries the sequence number of its
+//!    insertion; refreshing an entry in place keeps it, so match order and
+//!    the shadow's FIFO eviction follow original insertion.
+//!
+//! `purge` with nothing expired is O(1): `earliest` is a lower bound on
+//! every live expiry, lowered on insert and recomputed by each full sweep.
+
+use std::collections::HashMap;
+
+use aitf_netsim::SimTime;
+use aitf_packet::{Addr, FlowLabel, Header};
+
+/// One stored record. The index owns the key fields; owners mutate only
+/// `value` (and raise `expires` through [`LabelIndex::extend`]).
+#[derive(Debug)]
+pub(crate) struct Slot<V> {
+    pub(crate) label: FlowLabel,
+    pub(crate) expires: SimTime,
+    /// Insertion sequence number: storage order.
+    pub(crate) seq: u64,
+    pub(crate) value: V,
+}
+
+#[derive(Debug)]
+pub(crate) struct LabelIndex<V> {
+    /// Slab of entries; `None` slots are on the free list.
+    slots: Vec<Option<Slot<V>>>,
+    free: Vec<usize>,
+    /// Plain host-pair labels: packed `(src, dst)` → slot.
+    pairs: HashMap<u64, usize>,
+    /// Slots of every other label shape, in storage order.
+    wide: Vec<usize>,
+    next_seq: u64,
+    /// Lower bound on the expiry of every live entry.
+    earliest: SimTime,
+}
+
+fn pack(src: Addr, dst: Addr) -> u64 {
+    u64::from(src.0) << 32 | u64::from(dst.0)
+}
+
+/// The exact key of a plain host-pair label; `None` for any other shape.
+fn pair_key(label: &FlowLabel) -> Option<u64> {
+    let (src, dst) = (label.src.addr(), label.dst.addr());
+    (*label == FlowLabel::src_dst(src, dst)).then(|| pack(src, dst))
+}
+
+impl<V> LabelIndex<V> {
+    pub(crate) fn new() -> Self {
+        LabelIndex {
+            slots: Vec::new(),
+            free: Vec::new(),
+            pairs: HashMap::new(),
+            wide: Vec::new(),
+            next_seq: 0,
+            earliest: SimTime::MAX,
+        }
+    }
+
+    /// Stored entries, expired-but-unpurged ones included.
+    pub(crate) fn len(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    pub(crate) fn slot(&self, i: usize) -> &Slot<V> {
+        self.slots[i].as_ref().expect("slot is live")
+    }
+
+    pub(crate) fn value_mut(&mut self, i: usize) -> &mut V {
+        &mut self.slots[i].as_mut().expect("slot is live").value
+    }
+
+    /// Keeps the later of the entry's expiry and `expires`; returns it.
+    pub(crate) fn extend(&mut self, i: usize, expires: SimTime) -> SimTime {
+        let slot = self.slots[i].as_mut().expect("slot is live");
+        slot.expires = slot.expires.max(expires);
+        slot.expires
+    }
+
+    /// Live slots in ascending slot order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, &Slot<V>)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| Some((i, s.as_ref()?)))
+    }
+
+    /// The slot holding exactly `label`, expired or not.
+    pub(crate) fn find(&self, label: &FlowLabel) -> Option<usize> {
+        match pair_key(label) {
+            Some(key) => self.pairs.get(&key).copied(),
+            None => self
+                .wide
+                .iter()
+                .copied()
+                .find(|&i| self.slot(i).label == *label),
+        }
+    }
+
+    /// The live entry that wins `header` under the module's match order.
+    pub(crate) fn first_match(&self, header: &Header, now: SimTime) -> Option<usize> {
+        let pair = self
+            .pairs
+            .get(&pack(header.src, header.dst))
+            .copied()
+            .filter(|&i| self.slot(i).expires > now);
+        let mut wide_dst = None;
+        for &i in &self.wide {
+            let s = self.slot(i);
+            if s.expires <= now || !s.label.matches(header) {
+                continue;
+            }
+            if s.label.dst_host().is_some() {
+                // The earliest /32-destination match in `wide`: only the
+                // exact pair can have been stored before it.
+                return pair.filter(|&p| self.slot(p).seq < s.seq).or(Some(i));
+            }
+            wide_dst = wide_dst.or(Some(i));
+        }
+        pair.or(wide_dst)
+    }
+
+    /// Whether an entry lasting at least until `until` blocks every packet
+    /// of `label`. Callers purge first, so every candidate is live.
+    pub(crate) fn covered(&self, label: &FlowLabel, until: SimTime) -> bool {
+        let pair = match (label.src_host(), label.dst_host()) {
+            (Some(src), Some(dst)) => self.pairs.get(&pack(src, dst)),
+            _ => None,
+        };
+        pair.into_iter().chain(&self.wide).any(|&i| {
+            let s = self.slot(i);
+            s.expires >= until && s.label.covers(label)
+        })
+    }
+
+    /// Stores a label the index does not hold yet.
+    pub(crate) fn insert(&mut self, label: FlowLabel, expires: SimTime, value: V) {
+        debug_assert!(self.find(&label).is_none(), "label already stored");
+        let i = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            self.slots.len() - 1
+        });
+        self.slots[i] = Some(Slot {
+            label,
+            expires,
+            seq: self.next_seq,
+            value,
+        });
+        self.next_seq += 1;
+        match pair_key(&label) {
+            Some(key) => {
+                self.pairs.insert(key, i);
+            }
+            None => self.wide.push(i),
+        }
+        self.earliest = self.earliest.min(expires);
+    }
+
+    pub(crate) fn remove(&mut self, i: usize) {
+        let slot = self.slots[i].take().expect("removing a live slot");
+        match pair_key(&slot.label) {
+            Some(key) => {
+                self.pairs.remove(&key);
+            }
+            None => self.wide.retain(|&w| w != i),
+        }
+        self.free.push(i);
+    }
+
+    /// Removes every entry expired at or before `now`; returns how many.
+    pub(crate) fn purge(&mut self, now: SimTime) -> u64 {
+        if now < self.earliest {
+            return 0;
+        }
+        let mut purged = 0;
+        self.earliest = SimTime::MAX;
+        for i in 0..self.slots.len() {
+            match &self.slots[i] {
+                Some(s) if s.expires <= now => {
+                    self.remove(i);
+                    purged += 1;
+                }
+                Some(s) => self.earliest = self.earliest.min(s.expires),
+                None => {}
+            }
+        }
+        purged
+    }
+}
+
+/// The behaviour of both tables, stated once as a naive model and checked
+/// against the real ones after every step of random operation sequences.
+#[cfg(test)]
+mod spec {
+    use super::*;
+    use crate::{EvictionPolicy, FilterStats, FilterTable, ShadowCache, ShadowStats};
+    use aitf_netsim::SimDuration;
+    use aitf_packet::{Prefix, Protocol};
+    use proptest::prelude::*;
+
+    /// One stored row: the union of both tables' payloads.
+    struct Row {
+        label: FlowLabel,
+        expires: SimTime,
+        last_hit: Option<SimTime>,
+        round: u8,
+        reactivations: u32,
+    }
+
+    /// The spec: rows in storage order, every question a linear scan.
+    #[derive(Default)]
+    struct Naive(Vec<Row>);
+
+    impl Naive {
+        fn find(&mut self, label: &FlowLabel) -> Option<&mut Row> {
+            self.0.iter_mut().find(|r| r.label == *label)
+        }
+        fn first_match(&mut self, h: &Header, now: SimTime) -> Option<&mut Row> {
+            let hit = |r: &Row| r.expires > now && r.label.matches(h);
+            let host_dst = |r: &Row| hit(r) && r.label.dst_host().is_some();
+            let first = self.0.iter().position(host_dst);
+            let first = first.or_else(|| self.0.iter().position(hit))?;
+            self.0.get_mut(first)
+        }
+        fn purge(&mut self, now: SimTime) -> u64 {
+            let stored = self.0.len();
+            self.0.retain(|r| r.expires > now);
+            (stored - self.0.len()) as u64
+        }
+        fn push(&mut self, label: FlowLabel, expires: SimTime, round: u8) {
+            let (last_hit, reactivations) = (None, 0);
+            self.0.push(Row {
+                label,
+                expires,
+                last_hit,
+                round,
+                reactivations,
+            });
+        }
+    }
+
+    /// `FilterTable::install`, naively. The test keeps every expiry unique,
+    /// so eviction has no tie to break here: ties go to the lowest slot,
+    /// pinned by `eviction_ties_break_on_reused_slots` in `table.rs`.
+    fn install(
+        (m, stats): (&mut Naive, &mut FilterStats),
+        (cap, evict): (usize, bool),
+        label: FlowLabel,
+        now: SimTime,
+        until: SimTime,
+    ) {
+        stats.expirations += m.purge(now);
+        if let Some(r) = m.find(&label) {
+            r.expires = r.expires.max(until);
+            stats.refreshes += 1;
+            return;
+        }
+        if m.0
+            .iter()
+            .any(|r| r.expires >= until && r.label.covers(&label))
+        {
+            stats.covered += 1;
+            return;
+        }
+        if m.0.len() >= cap {
+            let soonest = (0..m.0.len()).min_by_key(|&i| m.0[i].expires);
+            let Some(victim) = soonest.filter(|_| evict) else {
+                stats.rejections += 1;
+                return;
+            };
+            m.0.remove(victim);
+            stats.evictions += 1;
+        }
+        m.push(label, until, 0);
+        stats.installs += 1;
+        stats.peak_occupancy = stats.peak_occupancy.max(m.0.len());
+    }
+
+    /// `ShadowCache::insert`, naively.
+    fn shadow(
+        (m, stats): (&mut Naive, &mut ShadowStats),
+        cap: usize,
+        label: FlowLabel,
+        now: SimTime,
+        (until, round): (SimTime, u8),
+    ) {
+        stats.expirations += m.purge(now);
+        if let Some(r) = m.find(&label) {
+            r.expires = r.expires.max(until);
+            r.round = r.round.max(round);
+            stats.refreshes += 1;
+            return;
+        }
+        if m.0.len() >= cap {
+            if cap == 0 {
+                return;
+            }
+            m.0.remove(0);
+            stats.evictions += 1;
+        }
+        m.push(label, until, round);
+        stats.inserts += 1;
+        stats.peak_occupancy = stats.peak_occupancy.max(m.0.len());
+    }
+
+    const VICTIMS: [Addr; 2] = [Addr::new(10, 1, 0, 1), Addr::new(10, 1, 0, 2)];
+
+    fn source(i: u8) -> Addr {
+        Addr::new(10, 9, 0, i)
+    }
+
+    /// Host pairs to two victims plus every other shape, overlapping on
+    /// the first victim: prefixes, port- and protocol-restricted pairs and
+    /// two wildcard destinations.
+    fn pool() -> Vec<FlowLabel> {
+        let v = VICTIMS[0];
+        let pair = |i| FlowLabel::src_dst(source(i), v);
+        let net = |p: &str| p.parse::<Prefix>().expect("valid prefix");
+        let mut from_0 = FlowLabel::ANY;
+        from_0.src = Prefix::host(source(0));
+        let mut from_0_to_net = from_0;
+        from_0_to_net.dst = net("10.1.0.0/16");
+        let mut pool: Vec<FlowLabel> = (0..4).map(pair).collect();
+        pool.extend([
+            FlowLabel::src_dst(source(0), VICTIMS[1]),
+            FlowLabel::net_to_host(net("10.9.0.0/16"), v),
+            FlowLabel::net_to_host(net("10.9.0.0/31"), v),
+            FlowLabel::to_host(v),
+            pair(0).with_dst_port(2),
+            pair(1).with_proto(Protocol::Udp),
+            from_0_to_net,
+            from_0,
+        ]);
+        pool
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Install / insert pool label `.0` for `.1` seconds at round `.2`.
+        Store(usize, u64, u8),
+        Remove(usize),
+        Advance(u64),
+        Purge,
+        Probe(Header),
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        let probe = (0u8..5, 0usize..3, 2u16..4, any::<bool>()).prop_map(|(s, d, port, udp)| {
+            // The third destination matches wildcard-destination labels only.
+            let dst = [VICTIMS[0], VICTIMS[1], Addr::new(10, 1, 7, 7)][d];
+            let header = if udp { Header::udp } else { Header::tcp };
+            Op::Probe(header(source(s), dst, 1, port))
+        });
+        prop_oneof![
+            (0usize..12, 0u64..90, 1u8..4).prop_map(|(l, d, r)| Op::Store(l, d, r)),
+            (0usize..12).prop_map(Op::Remove),
+            (0u64..30).prop_map(Op::Advance),
+            Just(Op::Purge),
+            probe,
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn tables_agree_with_the_naive_model(
+            ops in proptest::collection::vec(arb_op(), 1..200),
+            cap in 0usize..7,
+            evict in any::<bool>(),
+        ) {
+            let pool = pool();
+            let policy = [EvictionPolicy::Reject, EvictionPolicy::EvictSoonestExpiring];
+            let mut table = FilterTable::with_policy(cap, policy[usize::from(evict)]);
+            let (mut tm, mut ts) = (Naive::default(), FilterStats::default());
+            let mut cache = ShadowCache::new(cap);
+            let (mut cm, mut cs) = (Naive::default(), ShadowStats::default());
+            let mut now = SimTime::ZERO;
+            for op in ops {
+                match op {
+                    Op::Store(l, secs, round) => {
+                        // No two filters share an expiry (see `install`).
+                        let mut dur = SimDuration::from_secs(secs);
+                        while tm.0.iter().any(|r| r.expires == now + dur) {
+                            dur = dur + SimDuration::from_secs(1);
+                        }
+                        let _ = table.install(pool[l], now, dur);
+                        install((&mut tm, &mut ts), (cap, evict), pool[l], now, now + dur);
+                        cache.insert(pool[l], 0, now, dur, round);
+                        shadow((&mut cm, &mut cs), cap, pool[l], now, (now + dur, round));
+                    }
+                    Op::Remove(l) => {
+                        let stored = tm.0.len();
+                        tm.0.retain(|r| r.label != pool[l]);
+                        prop_assert_eq!(table.remove(&pool[l]), tm.0.len() < stored);
+                    }
+                    Op::Advance(secs) => now += SimDuration::from_secs(secs),
+                    Op::Purge => {
+                        table.purge_expired(now);
+                        ts.expirations += tm.purge(now);
+                        cache.purge_expired(now);
+                        cs.expirations += cm.purge(now);
+                    }
+                    Op::Probe(h) => {
+                        let hit = tm.first_match(&h, now).map(|r| r.last_hit = Some(now));
+                        ts.hits += u64::from(hit.is_some());
+                        ts.misses += u64::from(hit.is_none());
+                        prop_assert_eq!(table.matches(&h, now), hit.is_some());
+                        let hit = cm.first_match(&h, now).map(|r| {
+                            r.reactivations += 1;
+                            (r.label, r.reactivations)
+                        });
+                        cs.reactivation_hits += u64::from(hit.is_some());
+                        let got = cache.check_reactivation(&h, now);
+                        prop_assert_eq!(got.map(|e| (e.label, e.reactivations)), hit);
+                    }
+                }
+                prop_assert!(table.len() <= cap && cache.len() <= cap);
+                prop_assert_eq!((table.len(), table.stats()), (tm.0.len(), ts));
+                prop_assert_eq!((cache.len(), cache.stats()), (cm.0.len(), cs));
+                for l in &pool {
+                    let want = tm.find(l).map(|r| (r.expires, r.last_hit));
+                    let got = table.expiry_of(l).map(|e| (e, table.last_hit_of(l)));
+                    prop_assert_eq!(got, want, "table: {}", l);
+                    let want = cm.find(l).map(|r| (r.expires, r.round, r.reactivations));
+                    let got = cache.get(l).map(|e| (e.expires, e.round, e.reactivations));
+                    prop_assert_eq!(got, want, "shadow: {}", l);
+                }
+            }
+        }
+    }
+}

@@ -11,11 +11,15 @@
 //! DRAM is cheap, so the cache is large (`mv = R1·T` entries are enough to
 //! honour a contract, Section IV-B) but still bounded; beyond capacity the
 //! oldest entry is evicted FIFO.
-
-use std::collections::HashMap;
+//!
+//! This file is the policy layer only — capacity, FIFO eviction, statistics
+//! and the [`ShadowEntry`] payload. Storage, lookup, match order and lazy
+//! expiry live in the label index the filter table shares (`index.rs`).
 
 use aitf_netsim::{SimDuration, SimTime};
 use aitf_packet::{Addr, FlowLabel, Header};
+
+use crate::index::LabelIndex;
 
 /// A logged filtering request.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -24,8 +28,6 @@ pub struct ShadowEntry {
     pub label: FlowLabel,
     /// The originating request id.
     pub request_id: u64,
-    /// When the request was logged.
-    pub logged_at: SimTime,
     /// When the shadow stops being relevant (the `T` horizon).
     pub expires: SimTime,
     /// The escalation round the request had reached when last seen.
@@ -78,15 +80,7 @@ pub struct ShadowStats {
 #[derive(Debug)]
 pub struct ShadowCache {
     capacity: usize,
-    /// Entries in insertion order (for FIFO eviction); `None` = tombstone.
-    entries: Vec<Option<ShadowEntry>>,
-    /// Index of the oldest possibly-live slot.
-    head: usize,
-    /// Index: destination host → slot indices.
-    by_dst: HashMap<Addr, Vec<usize>>,
-    /// Slots whose label destination is not a /32.
-    wildcard_dst: Vec<usize>,
-    live: usize,
+    index: LabelIndex<ShadowEntry>,
     stats: ShadowStats,
 }
 
@@ -95,11 +89,7 @@ impl ShadowCache {
     pub fn new(capacity: usize) -> Self {
         ShadowCache {
             capacity,
-            entries: Vec::new(),
-            head: 0,
-            by_dst: HashMap::new(),
-            wildcard_dst: Vec::new(),
-            live: 0,
+            index: LabelIndex::new(),
             stats: ShadowStats::default(),
         }
     }
@@ -111,12 +101,12 @@ impl ShadowCache {
 
     /// Live entry count as of the last operation.
     pub fn len(&self) -> usize {
-        self.live
+        self.index.len()
     }
 
     /// Returns `true` if the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.index.len() == 0
     }
 
     /// Statistics snapshot.
@@ -151,9 +141,10 @@ impl ShadowCache {
     ) {
         self.purge_expired(now);
         let expires = now.saturating_add(ttl);
-        if let Some(idx) = self.find_exact(&label) {
-            let e = self.entries[idx].as_mut().expect("indexed slot is live");
-            e.expires = e.expires.max(expires);
+        if let Some(i) = self.index.find(&label) {
+            let expires = self.index.extend(i, expires);
+            let e = self.index.value_mut(i);
+            e.expires = expires;
             e.round = e.round.max(round);
             e.request_id = request_id;
             if path.len() > e.path.len() {
@@ -162,35 +153,34 @@ impl ShadowCache {
             self.stats.refreshes += 1;
             return;
         }
-        if self.live >= self.capacity {
-            self.evict_oldest();
+        if self.index.len() >= self.capacity {
+            // FIFO: the earliest-stored entry goes. A full cache with
+            // nothing to evict has capacity 0 and stores nothing.
+            let oldest = self.index.iter().min_by_key(|(_, s)| s.seq);
+            let Some((oldest, _)) = oldest else { return };
+            self.index.remove(oldest);
+            self.stats.evictions += 1;
         }
-        let idx = self.entries.len();
-        self.entries.push(Some(ShadowEntry {
+        let entry = ShadowEntry {
             label,
             request_id,
-            logged_at: now,
             expires,
             round,
             reactivations: 0,
             path,
             last_action: now,
-        }));
-        match label.dst_host() {
-            Some(dst) => self.by_dst.entry(dst).or_default().push(idx),
-            None => self.wildcard_dst.push(idx),
-        }
-        self.live += 1;
+        };
+        self.index.insert(label, expires, entry);
         self.stats.inserts += 1;
-        self.stats.peak_occupancy = self.stats.peak_occupancy.max(self.live);
+        self.stats.peak_occupancy = self.stats.peak_occupancy.max(self.index.len());
     }
 
     /// Checks whether `header` belongs to a shadowed (recently blocked)
     /// flow. On a hit, bumps the entry's reactivation count and returns a
     /// copy — the caller reinstalls a temporary filter and escalates.
     pub fn check_reactivation(&mut self, header: &Header, now: SimTime) -> Option<ShadowEntry> {
-        let idx = self.find_matching(header, now)?;
-        let e = self.entries[idx].as_mut().expect("matched slot is live");
+        let i = self.index.first_match(header, now)?;
+        let e = self.index.value_mut(i);
         e.reactivations += 1;
         self.stats.reactivation_hits += 1;
         Some(e.clone())
@@ -198,114 +188,27 @@ impl ShadowCache {
 
     /// Looks up the shadow for an exact label without touching statistics.
     pub fn get(&self, label: &FlowLabel) -> Option<&ShadowEntry> {
-        self.find_exact(label)
-            .map(|i| self.entries[i].as_ref().expect("live slot"))
+        self.index.find(label).map(|i| &self.index.slot(i).value)
     }
 
     /// Records that the request for `label` has escalated to `round`.
     pub fn note_round(&mut self, label: &FlowLabel, round: u8) {
-        if let Some(idx) = self.find_exact(label) {
-            let e = self.entries[idx].as_mut().expect("live slot");
+        if let Some(i) = self.index.find(label) {
+            let e = self.index.value_mut(i);
             e.round = e.round.max(round);
         }
     }
 
     /// Records that the logging router acted on `label` at `now`.
     pub fn touch_action(&mut self, label: &FlowLabel, now: SimTime) {
-        if let Some(idx) = self.find_exact(label) {
-            self.entries[idx].as_mut().expect("live slot").last_action = now;
+        if let Some(i) = self.index.find(label) {
+            self.index.value_mut(i).last_action = now;
         }
     }
 
     /// Drops entries expired at or before `now`.
     pub fn purge_expired(&mut self, now: SimTime) {
-        let expired: Vec<usize> = self
-            .entries
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|e| (i, e.expires)))
-            .filter(|&(_, exp)| exp <= now)
-            .map(|(i, _)| i)
-            .collect();
-        for i in expired {
-            self.remove_slot(i);
-            self.stats.expirations += 1;
-        }
-        self.compact_if_sparse();
-    }
-
-    fn evict_oldest(&mut self) {
-        while self.head < self.entries.len() {
-            if self.entries[self.head].is_some() {
-                self.remove_slot(self.head);
-                self.stats.evictions += 1;
-                return;
-            }
-            self.head += 1;
-        }
-    }
-
-    fn find_exact(&self, label: &FlowLabel) -> Option<usize> {
-        let scan: &[usize] = match label.dst_host() {
-            Some(dst) => self.by_dst.get(&dst).map(Vec::as_slice).unwrap_or(&[]),
-            None => &self.wildcard_dst,
-        };
-        scan.iter()
-            .copied()
-            .find(|&i| self.entries[i].as_ref().is_some_and(|e| e.label == *label))
-    }
-
-    fn find_matching(&self, header: &Header, now: SimTime) -> Option<usize> {
-        if let Some(indices) = self.by_dst.get(&header.dst) {
-            for &i in indices {
-                if let Some(e) = self.entries[i].as_ref() {
-                    if e.expires > now && e.label.matches(header) {
-                        return Some(i);
-                    }
-                }
-            }
-        }
-        self.wildcard_dst.iter().copied().find(|&i| {
-            self.entries[i]
-                .as_ref()
-                .is_some_and(|e| e.expires > now && e.label.matches(header))
-        })
-    }
-
-    fn remove_slot(&mut self, idx: usize) {
-        let entry = self.entries[idx].take().expect("removing a live slot");
-        match entry.label.dst_host() {
-            Some(dst) => {
-                if let Some(v) = self.by_dst.get_mut(&dst) {
-                    v.retain(|&i| i != idx);
-                    if v.is_empty() {
-                        self.by_dst.remove(&dst);
-                    }
-                }
-            }
-            None => self.wildcard_dst.retain(|&i| i != idx),
-        }
-        self.live -= 1;
-    }
-
-    /// Rebuilds storage when tombstones dominate, keeping memory bounded
-    /// over long runs.
-    fn compact_if_sparse(&mut self) {
-        if self.entries.len() < 64 || self.live * 4 > self.entries.len() {
-            return;
-        }
-        let old = std::mem::take(&mut self.entries);
-        self.by_dst.clear();
-        self.wildcard_dst.clear();
-        self.head = 0;
-        for entry in old.into_iter().flatten() {
-            let idx = self.entries.len();
-            match entry.label.dst_host() {
-                Some(dst) => self.by_dst.entry(dst).or_default().push(idx),
-                None => self.wildcard_dst.push(idx),
-            }
-            self.entries.push(Some(entry));
-        }
+        self.stats.expirations += self.index.purge(now);
     }
 }
 
@@ -414,22 +317,12 @@ mod tests {
     }
 
     #[test]
-    fn compaction_preserves_live_entries() {
-        let mut c = ShadowCache::new(1000);
-        // Insert many short-lived entries plus a few long-lived ones.
-        for i in 0..200u32 {
-            let lab = FlowLabel::src_dst(
-                Addr::new(10, (i / 250) as u8, (i % 250) as u8, 1),
-                Addr::new(10, 1, 0, 1),
-            );
-            let ttl = if i % 50 == 0 { 600 } else { 1 };
-            c.insert(lab, i as u64, t(0), SimDuration::from_secs(ttl), 1);
-        }
-        c.purge_expired(t(10));
-        assert_eq!(c.len(), 4);
-        // Survivors still findable after compaction.
-        let survivor = FlowLabel::src_dst(Addr::new(10, 0, 0, 1), Addr::new(10, 1, 0, 1));
-        assert!(c.get(&survivor).is_some());
+    fn zero_capacity_stores_nothing() {
+        let mut c = ShadowCache::new(0);
+        c.insert(label(1), 1, t(0), SimDuration::from_secs(60), 1);
+        assert_eq!(c.len(), 0);
+        assert!(c.get(&label(1)).is_none());
+        assert_eq!(c.stats().inserts, 0);
     }
 
     #[test]
@@ -441,44 +334,5 @@ mod tests {
         c.purge_expired(t(61));
         assert_eq!(c.len(), 0);
         assert_eq!(c.stats().peak_occupancy, 10);
-    }
-}
-
-#[cfg(test)]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        /// The cache never exceeds capacity, and an entry can only be hit
-        /// within its TTL window.
-        #[test]
-        fn capacity_and_ttl_invariants(
-            ops in proptest::collection::vec((any::<u8>(), 1u64..100, 1u64..30), 1..200),
-            cap in 1usize..12,
-        ) {
-            let mut c = ShadowCache::new(cap);
-            let mut now = SimTime::ZERO;
-            // Refreshes keep the *later* expiry, so track ground truth.
-            let mut truth: std::collections::HashMap<u8, SimTime> = Default::default();
-            for (i, ttl, advance) in ops {
-                let lab = FlowLabel::src_dst(Addr::new(10, 9, 0, i), Addr::new(10, 1, 0, 1));
-                c.insert(lab, i as u64, now, SimDuration::from_secs(ttl), 1);
-                let exp = now + SimDuration::from_secs(ttl);
-                let entry = truth.entry(i).or_insert(exp);
-                *entry = (*entry).max(exp);
-                prop_assert!(c.len() <= cap);
-                now += SimDuration::from_secs(advance);
-                let hdr = Header::udp(Addr::new(10, 9, 0, i), Addr::new(10, 1, 0, 1), 1, 2);
-                if truth[&i] <= now {
-                    prop_assert!(
-                        c.check_reactivation(&hdr, now).is_none(),
-                        "hit after TTL"
-                    );
-                }
-                c.purge_expired(now);
-                prop_assert!(c.len() <= cap);
-            }
-        }
     }
 }

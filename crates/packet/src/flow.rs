@@ -187,24 +187,6 @@ impl FlowLabel {
             && self.dst_port.covers(other.dst_port)
     }
 
-    /// A coarse specificity score: higher means more specific.
-    ///
-    /// Used by filter tables to prefer keeping specific filters when forced
-    /// to evict, and by tests to check the covers/specificity relationship.
-    pub fn specificity(&self) -> u32 {
-        let mut s = self.src.len() as u32 + self.dst.len() as u32;
-        if matches!(self.proto, ProtoPattern::Exactly(_)) {
-            s += 8;
-        }
-        if matches!(self.src_port, PortPattern::Exactly(_)) {
-            s += 16;
-        }
-        if matches!(self.dst_port, PortPattern::Exactly(_)) {
-            s += 16;
-        }
-        s
-    }
-
     /// Returns the single destination host if the destination pattern is a
     /// /32, which is the common case for filtering requests.
     pub fn dst_host(&self) -> Option<Addr> {
@@ -290,17 +272,6 @@ mod tests {
         assert!(wide.covers(&narrow));
         assert!(!narrow.covers(&wide));
         assert!(FlowLabel::ANY.covers(&wide));
-    }
-
-    #[test]
-    fn specificity_increases_with_narrowing() {
-        let a = Addr::new(10, 9, 0, 7);
-        let v = Addr::new(10, 1, 0, 1);
-        let base = FlowLabel::src_dst(a, v);
-        assert!(base.specificity() > FlowLabel::to_host(v).specificity());
-        assert!(base.with_proto(Protocol::Udp).specificity() > base.specificity());
-        assert!(base.with_dst_port(53).specificity() > base.specificity());
-        assert_eq!(FlowLabel::ANY.specificity(), 0);
     }
 
     #[test]
