@@ -180,6 +180,7 @@ impl ShadowCache {
     /// copy — the caller reinstalls a temporary filter and escalates.
     pub fn check_reactivation(&mut self, header: &Header, now: SimTime) -> Option<ShadowEntry> {
         let i = self.index.first_match(header, now)?;
+        debug_assert_eq!(self.index.slot(i).expires, self.index.slot(i).value.expires);
         let e = self.index.value_mut(i);
         e.reactivations += 1;
         self.stats.reactivation_hits += 1;
@@ -188,7 +189,9 @@ impl ShadowCache {
 
     /// Looks up the shadow for an exact label without touching statistics.
     pub fn get(&self, label: &FlowLabel) -> Option<&ShadowEntry> {
-        self.index.find(label).map(|i| &self.index.slot(i).value)
+        let slot = self.index.slot(self.index.find(label)?);
+        debug_assert_eq!(slot.expires, slot.value.expires);
+        Some(&slot.value)
     }
 
     /// Records that the request for `label` has escalated to `round`.
@@ -334,5 +337,44 @@ mod tests {
         c.purge_expired(t(61));
         assert_eq!(c.len(), 0);
         assert_eq!(c.stats().peak_occupancy, 10);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The cache never exceeds capacity, and an entry can only be hit
+        /// within its TTL window.
+        #[test]
+        fn capacity_and_ttl_invariants(
+            ops in proptest::collection::vec((any::<u8>(), 1u64..100, 1u64..30), 1..200),
+            cap in 1usize..12,
+        ) {
+            let mut c = ShadowCache::new(cap);
+            let mut now = SimTime::ZERO;
+            // Refreshes keep the *later* expiry, so track ground truth.
+            let mut truth: std::collections::HashMap<u8, SimTime> = Default::default();
+            for (i, ttl, advance) in ops {
+                let lab = FlowLabel::src_dst(Addr::new(10, 9, 0, i), Addr::new(10, 1, 0, 1));
+                c.insert(lab, i as u64, now, SimDuration::from_secs(ttl), 1);
+                let exp = now + SimDuration::from_secs(ttl);
+                let entry = truth.entry(i).or_insert(exp);
+                *entry = (*entry).max(exp);
+                prop_assert!(c.len() <= cap);
+                now += SimDuration::from_secs(advance);
+                let hdr = Header::udp(Addr::new(10, 9, 0, i), Addr::new(10, 1, 0, 1), 1, 2);
+                if truth[&i] <= now {
+                    prop_assert!(
+                        c.check_reactivation(&hdr, now).is_none(),
+                        "hit after TTL"
+                    );
+                }
+                c.purge_expired(now);
+                prop_assert!(c.len() <= cap);
+            }
+        }
     }
 }

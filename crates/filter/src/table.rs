@@ -438,8 +438,9 @@ mod tests {
         tbl.install(label(1), t(0), secs(10)).unwrap(); // slot 0
         tbl.install(label(2), t(0), secs(10)).unwrap(); // slot 1
         tbl.install(label(3), t(0), secs(20)).unwrap(); // slot 2
-                                                        // The purge at t = 10 frees slots 0 then 1: label 4 takes slot 1
-                                                        // and label 5 slot 0.
+
+        // The purge at t = 10 frees slots 0 then 1: label 4 takes slot 1
+        // and label 5 slot 0.
         tbl.install(label(4), t(10), secs(10)).unwrap();
         tbl.install(label(5), t(10), secs(10)).unwrap();
         // All three expire at t = 20; the lowest slot — the newest — goes.
@@ -509,6 +510,84 @@ mod proptests {
     use aitf_netsim::SimDuration;
     use aitf_packet::Addr;
     use proptest::prelude::*;
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Install(u8, u64),
+        Remove(u8),
+        Advance(u64),
+        Match(u8),
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (any::<u8>(), 1u64..120).prop_map(|(i, d)| Op::Install(i, d)),
+            any::<u8>().prop_map(Op::Remove),
+            (1u64..30).prop_map(Op::Advance),
+            any::<u8>().prop_map(Op::Match),
+        ]
+    }
+
+    proptest! {
+        /// Under any operation sequence: occupancy never exceeds capacity,
+        /// and no expired entry ever matches a packet.
+        #[test]
+        fn capacity_and_expiry_invariants(
+            ops in proptest::collection::vec(arb_op(), 1..200),
+            cap in 1usize..16,
+        ) {
+            let mut tbl = FilterTable::with_policy(cap, EvictionPolicy::EvictSoonestExpiring);
+            let mut now = SimTime::ZERO;
+            // Track ground truth expiries for exact labels.
+            let mut truth: std::collections::HashMap<u8, SimTime> = Default::default();
+            for op in ops {
+                match op {
+                    Op::Install(i, d) => {
+                        let lab = FlowLabel::src_dst(
+                            Addr::new(10, 9, 0, i),
+                            Addr::new(10, 1, 0, 1),
+                        );
+                        let dur = SimDuration::from_secs(d);
+                        if tbl.install(lab, now, dur).is_ok() {
+                            let exp = tbl.expiry_of(&lab);
+                            if let Some(e) = exp {
+                                truth.insert(i, e);
+                            }
+                        }
+                    }
+                    Op::Remove(i) => {
+                        let lab = FlowLabel::src_dst(
+                            Addr::new(10, 9, 0, i),
+                            Addr::new(10, 1, 0, 1),
+                        );
+                        tbl.remove(&lab);
+                        truth.remove(&i);
+                    }
+                    Op::Advance(s) => {
+                        now += SimDuration::from_secs(s);
+                    }
+                    Op::Match(i) => {
+                        let hdr = Header::udp(
+                            Addr::new(10, 9, 0, i),
+                            Addr::new(10, 1, 0, 1),
+                            1,
+                            2,
+                        );
+                        let hit = tbl.matches(&hdr, now);
+                        // If ground truth says expired (or absent), the table
+                        // must agree that nothing live matches; evictions can
+                        // only make the table match *less*, never more.
+                        match truth.get(&i) {
+                            Some(&exp) if exp > now => {}
+                            _ => prop_assert!(!hit, "expired/absent filter matched"),
+                        }
+                    }
+                }
+                tbl.purge_expired(now);
+                prop_assert!(tbl.len() <= cap, "occupancy exceeded capacity");
+            }
+        }
+    }
 
     #[derive(Debug, Clone)]
     enum TinyOp {
