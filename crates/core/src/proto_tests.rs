@@ -239,6 +239,33 @@ fn non_cooperating_attacker_gateway_forces_escalation() {
 }
 
 #[test]
+fn contract_buckets_are_made_by_the_first_request_at_the_links_contract() {
+    let cfg = AitfConfig::default();
+    let (r1, r2) = (cfg.client_contract.burst, cfg.peer_contract.burst);
+    let mut f = fig1(cfg, HostPolicy::Malicious);
+    f.world
+        .router_mut(f.b_net)
+        .set_policy(RouterPolicy::non_cooperating());
+    flood(&mut f, 1000, 500);
+    for net in [f.g_net, f.g_isp, f.b_net] {
+        assert!(f.world.router(net).limiter().is_empty());
+    }
+    f.world.sim.run_for(SimDuration::from_secs(10));
+
+    let burst_at = |net: NetId, over_uplink_of: NetId| {
+        let link = f.world.uplink(over_uplink_of).expect("not a root");
+        let bucket = f.world.router(net).limiter().bucket(link.0 as u64);
+        bucket.map(|b| b.burst())
+    };
+    // Round 2 reaches G_isp over G_net's uplink, a client link there: R1.
+    assert_eq!(burst_at(f.g_isp, f.g_net), Some(r1));
+    // Round 1 reached B_net over its own uplink, not a client link: R2.
+    assert_eq!(burst_at(f.b_net, f.b_net), Some(r2));
+    // Only links that carried a request are policed.
+    assert_eq!(f.world.router(f.g_isp).limiter().len(), 1);
+}
+
+#[test]
 fn fully_rogue_attacker_side_triggers_peer_disconnect() {
     let cfg = AitfConfig::default();
     let mut f = fig1(cfg, HostPolicy::Malicious);
@@ -549,16 +576,27 @@ fn deterministic_end_to_end() {
     let _ = run(100);
 }
 
-/// Sends a burst of data packets at start — here, at a router's address.
+/// Sends a burst of data packets at start, from the host's own address or
+/// claiming `src`.
 struct DataBurst {
+    src: Option<Addr>,
     target: Addr,
     count: u32,
 }
 
 impl TrafficApp for DataBurst {
     fn on_start(&mut self, api: &mut HostApi<'_, '_>) {
+        let src = self.src.unwrap_or(api.my_addr());
         for _ in 0..self.count {
-            api.send_from_self(self.target, Protocol::Udp, 80, TrafficClass::Legit, 100);
+            api.send_data(
+                src,
+                self.target,
+                Protocol::Udp,
+                0,
+                80,
+                TrafficClass::Legit,
+                100,
+            );
         }
     }
 }
@@ -573,8 +611,12 @@ fn data_addressed_to_a_router_is_counted_undeliverable(defense: DefensePolicy) {
     };
     let mut f = fig1(cfg, HostPolicy::Compliant);
     let target = f.world.router(f.g_net).addr();
-    f.world
-        .add_app(f.attacker, Box::new(DataBurst { target, count: 5 }));
+    let burst = DataBurst {
+        src: None,
+        target,
+        count: 5,
+    };
+    f.world.add_app(f.attacker, Box::new(burst));
     f.world.sim.run_for(SimDuration::from_secs(1));
     assert_eq!(
         f.world.router(f.g_net).counters().undeliverable,
@@ -601,4 +643,53 @@ fn ingress_ratelimit_counts_data_addressed_to_a_router() {
 #[test]
 fn path_stamp_counts_data_addressed_to_a_router() {
     data_addressed_to_a_router_is_counted_undeliverable(DefensePolicy::PathStamp);
+}
+
+/// Five packets claiming source `src`, from a `leaf_a` host to a host on
+/// `wan`, over wan → isp → {leaf_a, leaf_b}. The leaf gateways never
+/// ingress-filter, `isp` does when `isp_filters`, `wan` always. Returns
+/// `spoofed_dropped` at `[wan, isp, leaf_a]` and the packets delivered.
+fn spoof_from_leaf_a(src: Addr, isp_filters: bool) -> ([u64; 3], u64) {
+    let lax = RouterPolicy {
+        ingress_filtering: false,
+        ..RouterPolicy::default()
+    };
+    let isp_policy = if isp_filters {
+        RouterPolicy::default()
+    } else {
+        lax
+    };
+    let link = WorldBuilder::default_net_link();
+    let mut b = WorldBuilder::new(7, AitfConfig::default());
+    let wan = b.network("wan", "10.100.0.0/16", None);
+    let isp = b.network_with("isp", "10.50.0.0/16", Some(wan), isp_policy, link);
+    let leaf_a = b.network_with("leaf_a", "10.1.0.0/16", Some(isp), lax, link);
+    b.network_with("leaf_b", "10.2.0.0/16", Some(isp), lax, link);
+    let sink = b.host(wan);
+    let sender = b.host(leaf_a);
+    let mut w = b.build();
+    let burst = DataBurst {
+        src: Some(src),
+        target: w.host_addr(sink),
+        count: 5,
+    };
+    w.add_app(sender, Box::new(burst));
+    w.sim.run_for(SimDuration::from_secs(1));
+    let dropped = [wan, isp, leaf_a].map(|n| w.router(n).counters().spoofed_dropped);
+    (dropped, w.host(sink).counters().rx_legit_pkts)
+}
+
+#[test]
+fn ingress_filtering_above_the_edge_checks_the_whole_customer_cone() {
+    // A leaf_b address arriving at isp on leaf_a's link is outside that
+    // link's cone.
+    let in_leaf_b = Addr::new(10, 2, 0, 1);
+    assert_eq!(spoof_from_leaf_a(in_leaf_b, true), ([0, 5, 0], 0));
+    // Unfiltered at isp it reaches wan on isp's link, whose cone holds
+    // leaf_b: the spoof Section III-A says ingress filtering cannot catch.
+    assert_eq!(spoof_from_leaf_a(in_leaf_b, false), ([0, 0, 0], 5));
+    // A source in nobody's cone gets no further than the first provider
+    // that filters.
+    let nowhere = Addr::new(172, 16, 0, 1);
+    assert_eq!(spoof_from_leaf_a(nowhere, false), ([5, 0, 0], 0));
 }

@@ -40,8 +40,8 @@ impl BorderRouter {
         match self.client_prefixes(arrival) {
             Some(prefixes) => {
                 let dst_ok = match req.flow.dst_host() {
-                    Some(dst) => prefixes.iter().any(|p| p.contains(dst)),
-                    None => prefixes.iter().any(|p| req.flow.dst.overlaps(*p)),
+                    Some(dst) => prefixes.contains(dst),
+                    None => prefixes.overlaps(req.flow.dst),
                 };
                 if !dst_ok {
                     self.counters.requests_invalid += 1;

@@ -22,7 +22,7 @@ use aitf_filter::{FilterTable, RateLimiterBank, ShadowCache};
 use aitf_netsim::{impl_node_any, Context, LinkId, Node, SimTime, Subsystem};
 use aitf_packet::{
     Addr, AitfMessage, FilteringRequest, FlowLabel, LpmTable, Nonce, Packet, PayloadKind, Prefix,
-    VerificationReply,
+    PrefixSet, VerificationReply,
 };
 use aitf_trace::{Cause, SpanId, SpanKind, Tracer};
 
@@ -153,8 +153,9 @@ pub struct RouterSpec {
     /// not to participate in AITF. Kept current at runtime through
     /// [`BorderRouter::set_peer_aitf_enabled`].
     pub legacy_peers: Vec<Addr>,
-    /// Client links (to end-hosts and client networks) with the set of
-    /// prefixes legitimately sourced behind each.
+    /// Client links (to end-hosts and client networks) with the prefixes
+    /// legitimately sourced behind each — in any order, nested or repeated;
+    /// the router normalises each list into a [`PrefixSet`].
     pub client_links: BTreeMap<LinkId, Vec<Prefix>>,
     /// Protocol parameters.
     pub config: AitfConfig,
@@ -194,7 +195,8 @@ pub struct BorderRouter {
     ancestors: Vec<Addr>,
     /// The deployment view: peers currently known not to run AITF.
     disabled_peers: std::collections::HashSet<Addr>,
-    client_links: BTreeMap<LinkId, Vec<Prefix>>,
+    /// Per client link, the addresses legitimately sourced behind it.
+    client_links: BTreeMap<LinkId, PrefixSet>,
     filters: FilterTable,
     shadow: ShadowCache,
     limiter: RateLimiterBank,
@@ -223,22 +225,15 @@ impl BorderRouter {
     /// Builds a router from its spec.
     pub fn new(spec: RouterSpec) -> Self {
         let cfg = spec.config;
-        let mut limiter = RateLimiterBank::new(cfg.peer_contract.rate, cfg.peer_contract.burst);
-        // Client links are policed at the client contract (R1); everything
-        // else (uplink, peering) at the peer contract (R2).
-        for &link in spec.client_links.keys() {
-            limiter.set_contract(
-                link.0 as u64,
-                cfg.client_contract.rate,
-                cfg.client_contract.burst,
-            );
-        }
         let defense = cfg.defense;
         let Ok(chains) = PolicyChains::build(defense);
         BorderRouter {
             filters: FilterTable::with_policy(cfg.filter_capacity, cfg.eviction),
             shadow: ShadowCache::new(cfg.shadow_capacity),
-            limiter,
+            // The bank's default is the peer contract (R2: uplink, peering);
+            // `aitf_admission` gives a client link the client contract (R1)
+            // when that link's bucket is first needed.
+            limiter: RateLimiterBank::new(cfg.peer_contract.rate, cfg.peer_contract.burst),
             defense,
             chains,
             pushback: PushbackState::default(),
@@ -263,7 +258,11 @@ impl BorderRouter {
                 .filter(|&a| a != spec.addr)
                 .collect(),
             addr: spec.addr,
-            client_links: spec.client_links,
+            client_links: spec
+                .client_links
+                .into_iter()
+                .map(|(link, prefixes)| (link, PrefixSet::new(prefixes)))
+                .collect(),
             pending_handshakes: HashMap::new(),
             pending_paths: Vec::new(),
             grace_watches: HashMap::new(),
@@ -423,9 +422,9 @@ impl BorderRouter {
         ctx.send(link, Packet::control(id, self.addr, dst, msg));
     }
 
-    /// Is `link` a client link, and if so, which prefixes live behind it?
-    fn client_prefixes(&self, link: LinkId) -> Option<&[Prefix]> {
-        self.client_links.get(&link).map(Vec::as_slice)
+    /// Is `link` a client link, and if so, which addresses live behind it?
+    fn client_prefixes(&self, link: LinkId) -> Option<&PrefixSet> {
+        self.client_links.get(&link)
     }
 
     // ------------------------------------------------------------------

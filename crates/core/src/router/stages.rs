@@ -27,7 +27,7 @@ impl BorderRouter {
     ) -> Verdict {
         if self.policy.aitf_enabled && self.policy.ingress_filtering && packet.is_data() {
             if let Some(prefixes) = self.client_prefixes(arrival) {
-                if !prefixes.iter().any(|p| p.contains(packet.header.src)) {
+                if !prefixes.contains(packet.header.src) {
                     self.counters.spoofed_dropped += 1;
                     return Verdict::Drop;
                 }
@@ -182,8 +182,18 @@ impl BorderRouter {
                 self.counters.requests_ignored += 1;
                 return Verdict::Drop;
             }
-            // Contract policing per arrival interface (Section II-B).
-            if !self.limiter.try_acquire(arrival.0 as u64, ctx.now()) {
+            // Contract policing per arrival interface (Section II-B): a
+            // client link's bucket is created at the client contract (R1)
+            // by its first request, any other link's at the bank's default
+            // (R2). A new bucket is full whenever it is made, so policing
+            // is the same as with every bucket made up front.
+            let key = arrival.0 as u64;
+            if self.limiter.bucket(key).is_none() && self.client_links.contains_key(&arrival) {
+                let contract = self.cfg.client_contract;
+                self.limiter
+                    .set_contract(key, contract.rate, contract.burst);
+            }
+            if !self.limiter.try_acquire(key, ctx.now()) {
                 self.counters.requests_policed += 1;
                 return Verdict::Drop;
             }

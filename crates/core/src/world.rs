@@ -29,7 +29,7 @@ use aitf_netsim::{
     LinkDirection, LinkId, LinkParams, NetworkBuilder, NextHops, NodeId, PartitionSpec,
     SimDuration, Simulator,
 };
-use aitf_packet::{Addr, LpmTable, Prefix};
+use aitf_packet::{Addr, Prefix};
 
 use crate::config::{AitfConfig, HostPolicy, RouterPolicy};
 use crate::host::{EndHost, TrafficApp};
@@ -43,8 +43,12 @@ use crate::router::{BorderRouter, RouterSpec};
 /// prohibitive past a few thousand networks. [`RoutingMode::Hierarchical`]
 /// exploits the provider-tree structure the builder already enforces:
 /// each router gets a default route up its provider uplink, one route per
-/// child subtree down, and subtree shortcut routes across each declared
-/// peering — O(n·depth) state total, no all-pairs pass. On any
+/// network of its customer cone down the child uplink leading there, and
+/// the far side's cone across each declared peering — no all-pairs pass,
+/// and O(n·depth) routes in total, not per router: a leaf holds a default
+/// route, a provider its whole cone (65k of 100k networks at the largest
+/// power-law provider), which [`aitf_packet::lpm`] keeps at one
+/// allocation per table and O(log n) per lookup. On any
 /// tree-plus-peering topology (stars, trees, the power-law generators)
 /// both modes forward every packet *for a declared network* over the same
 /// links. They are not interchangeable: a destination in no declared
@@ -132,7 +136,8 @@ impl WorldBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if `prefix` does not parse or overlaps an existing network.
+    /// Panics if `prefix` does not parse or overlaps an existing network,
+    /// or if `parent` was not returned by this builder.
     pub fn network(&mut self, name: &str, prefix: &str, parent: Option<NetId>) -> NetId {
         self.network_with(
             name,
@@ -153,6 +158,10 @@ impl WorldBuilder {
         uplink_params: LinkParams,
     ) -> NetId {
         let prefix: Prefix = prefix.parse().expect("invalid network prefix");
+        assert!(
+            parent.is_none_or(|p| p.0 < self.nets.len()),
+            "parent of {name} is not a network of this builder"
+        );
         let start = prefix.addr();
         let before = self.by_start.range(..=start).next_back();
         let after = self.by_start.range(start..).next();
@@ -278,31 +287,40 @@ impl WorldBuilder {
             })
             .collect();
 
-        // Subtree prefixes (self + all descendants) per network.
-        let mut children: Vec<Vec<usize>> = vec![Vec::new(); self.nets.len()];
+        let n = self.nets.len();
+        let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
         for (i, net) in self.nets.iter().enumerate() {
             if let Some(p) = net.parent {
                 children[p].push(i);
             }
         }
-        fn collect_subtree(
-            i: usize,
-            children: &[Vec<usize>],
-            nets: &[NetSpec],
-            out: &mut Vec<Prefix>,
-        ) {
-            out.push(nets[i].prefix);
-            for &c in &children[i] {
-                collect_subtree(c, children, nets, out);
+        // Subtree prefixes (self + all descendants): one array in depth-
+        // first preorder, so net `i`'s subtree is the contiguous slice
+        // `cone[first[i]..first[i] + size[i]]`. A parent is declared before
+        // its children, so sizes add up in one backward pass and slots are
+        // handed out in one forward pass — no recursion, no per-net list.
+        let mut size = vec![1usize; n];
+        for (i, net) in self.nets.iter().enumerate().rev() {
+            if let Some(p) = net.parent {
+                size[p] += size[i];
             }
         }
-        let subtree: Vec<Vec<Prefix>> = (0..self.nets.len())
-            .map(|i| {
-                let mut v = Vec::new();
-                collect_subtree(i, &children, &self.nets, &mut v);
-                v
-            })
-            .collect();
+        let mut first = vec![0usize; n];
+        // Next unassigned slot inside each net's slice / among the roots.
+        let mut next_in = vec![0usize; n];
+        let mut next_root = 0;
+        let mut cone = vec![Prefix::ANY; n];
+        for (i, net) in self.nets.iter().enumerate() {
+            let next = match net.parent {
+                Some(p) => &mut next_in[p],
+                None => &mut next_root,
+            };
+            first[i] = *next;
+            *next += size[i];
+            next_in[i] = first[i] + 1;
+            cone[first[i]] = net.prefix;
+        }
+        let subtree = |i: usize| &cone[first[i]..first[i] + size[i]];
 
         // Longest-prefix-match forwarding, one table per router, plus /32
         // routes for the hosts of a router's own network. Only the gateway
@@ -318,55 +336,20 @@ impl WorldBuilder {
         //   peering's far-side subtree across the peering link — O(n·depth)
         //   total state, no all-pairs pass, identical forwarding on any
         //   tree-plus-peering topology.
-        let mut fwd_tables: Vec<LpmTable<LinkId>> = match self.routing {
-            RoutingMode::AllPairs => {
-                let next_hops = NextHops::compute(self.nets.len(), &router_links);
-                (0..self.nets.len())
-                    .map(|n_idx| {
-                        let node = router_nodes[n_idx];
-                        let mut table = LpmTable::new();
-                        for (n, net) in self.nets.iter().enumerate() {
-                            if n == n_idx {
-                                continue;
-                            }
-                            if let Some(link) = next_hops.next_hop(node, router_nodes[n]) {
-                                table.insert(net.prefix, link);
-                            }
-                        }
-                        table
-                    })
-                    .collect()
-            }
-            RoutingMode::Hierarchical => {
-                let mut tables: Vec<LpmTable<LinkId>> =
-                    (0..self.nets.len()).map(|_| LpmTable::new()).collect();
-                for (i, _) in self.nets.iter().enumerate() {
-                    if let Some(up) = uplinks[i] {
-                        tables[i].insert(Prefix::ANY, up);
-                    }
-                    for &c in &children[i] {
-                        let link = uplinks[c].expect("child has an uplink");
-                        for &p in &subtree[c] {
-                            tables[i].insert(p, link);
-                        }
-                    }
-                }
-                for (k, &(a, b, _)) in self.peerings.iter().enumerate() {
-                    for &p in &subtree[b] {
-                        tables[a].insert(p, peer_links[k]);
-                    }
-                    for &p in &subtree[a] {
-                        tables[b].insert(p, peer_links[k]);
-                    }
-                }
-                tables
-            }
+        //
+        // Either way a router's routes are listed into `routes` (a later
+        // route for the same prefix replaces an earlier one) and its table
+        // is built from the list in one sort.
+        let next_hops = match self.routing {
+            RoutingMode::AllPairs => Some(NextHops::compute(n, &router_links)),
+            RoutingMode::Hierarchical => None,
         };
-        for (n_idx, table) in fwd_tables.iter_mut().enumerate() {
-            for &h in &hosts_of_net[n_idx] {
-                table.insert(Prefix::host(host_addr[h]), tail_links[h]);
-            }
+        let mut peers_of: Vec<Vec<(usize, LinkId)>> = vec![Vec::new(); n];
+        for (k, &(a, b, _)) in self.peerings.iter().enumerate() {
+            peers_of[a].push((b, peer_links[k]));
+            peers_of[b].push((a, peer_links[k]));
         }
+        let mut routes: Vec<(Prefix, LinkId)> = Vec::new();
 
         // Deployment view seeded at build time: which border routers do
         // not participate in AITF (the capability "advertisement" every
@@ -391,12 +374,35 @@ impl WorldBuilder {
 
         // Install routers.
         for (i, net) in self.nets.iter().enumerate() {
+            match &next_hops {
+                Some(next_hops) => {
+                    for (r, remote) in self.nets.iter().enumerate() {
+                        if r == i {
+                            continue;
+                        }
+                        if let Some(link) = next_hops.next_hop(router_nodes[i], router_nodes[r]) {
+                            routes.push((remote.prefix, link));
+                        }
+                    }
+                }
+                None => {
+                    routes.extend(uplinks[i].map(|up| (Prefix::ANY, up)));
+                    for &c in &children[i] {
+                        let link = uplinks[c].expect("child has an uplink");
+                        routes.extend(subtree(c).iter().map(|&p| (p, link)));
+                    }
+                    for &(far, link) in &peers_of[i] {
+                        routes.extend(subtree(far).iter().map(|&p| (p, link)));
+                    }
+                }
+            }
             let mut client_links: BTreeMap<LinkId, Vec<Prefix>> = BTreeMap::new();
             for &c in &children[i] {
                 let link = uplinks[c].expect("child has an uplink");
-                client_links.insert(link, subtree[c].clone());
+                client_links.insert(link, subtree(c).to_vec());
             }
             for &h in &hosts_of_net[i] {
+                routes.push((Prefix::host(host_addr[h]), tail_links[h]));
                 // Ingress filtering is at network granularity (Section
                 // III-A: a provider keeps spoofed flows from *exiting
                 // its network*); spoofing inside one's own prefix is
@@ -406,7 +412,7 @@ impl WorldBuilder {
             let spec = RouterSpec {
                 addr: router_addr[i],
                 prefix: net.prefix,
-                fwd: std::mem::take(&mut fwd_tables[i]),
+                fwd: routes.drain(..).collect(),
                 uplink: uplinks[i],
                 ancestors: ancestors_of(i),
                 legacy_peers: legacy_peers.clone(),

@@ -131,8 +131,9 @@ impl TokenBucket {
 /// One token bucket per contract party (end-host or peering interface).
 ///
 /// Keys are opaque `u64`s — the protocol layer uses link ids or host
-/// addresses. Unknown keys are policed with the default contract installed
-/// at construction.
+/// addresses. A key's bucket is made (full) by its first request, at the
+/// default contract installed at construction unless
+/// [`RateLimiterBank::set_contract`] made it first.
 #[derive(Debug)]
 pub struct RateLimiterBank {
     default_rate: f64,
@@ -150,7 +151,9 @@ impl RateLimiterBank {
         }
     }
 
-    /// Installs an explicit contract for `key`.
+    /// Installs an explicit contract for `key`: a fresh, full bucket,
+    /// replacing any the key already had. A bucket is full whenever it is
+    /// made, so a caller can leave this until `key`'s first request.
     pub fn set_contract(&mut self, key: u64, rate_per_sec: f64, burst: u32) {
         self.buckets
             .insert(key, TokenBucket::new(rate_per_sec, burst));
@@ -165,7 +168,8 @@ impl RateLimiterBank {
             .try_acquire(now)
     }
 
-    /// Read-only view of the bucket for `key`, if it ever policed traffic.
+    /// Read-only view of the bucket for `key`, if it ever policed traffic
+    /// or was given an explicit contract.
     pub fn bucket(&self, key: u64) -> Option<&TokenBucket> {
         self.buckets.get(&key)
     }

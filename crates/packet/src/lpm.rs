@@ -1,30 +1,47 @@
-//! Longest-prefix-match table.
+//! Longest-prefix-match table and prefix membership set.
 //!
 //! Real routers forward on aggregated prefixes, not per-host entries; the
 //! AITF world gives each network a prefix, so a border router's forwarding
-//! table is a handful of prefix routes plus /32s for its own clients.
-//! [`LpmTable`] is a binary trie over address bits: insertion is
-//! `O(prefix length)`, lookup walks at most 32 nodes and returns the value
-//! of the *longest* matching prefix.
+//! table is prefix routes plus /32s for its own clients — a handful at an
+//! edge gateway, its whole customer cone (tens of thousands of routes) at a
+//! provider. Both structures here are one flat array in `(addr, len)`
+//! order, built in bulk with a sort and probed with one binary search, so a
+//! table costs one allocation however many routes it holds and a lookup
+//! `O(log n)` however deep the prefixes nest:
+//!
+//! - [`LpmTable`] maps prefixes to values and answers with the value of the
+//!   *longest* stored prefix containing an address. In `(addr, len)` order
+//!   a prefix sorts after every prefix covering it and before everything
+//!   nested inside it, so the last entry starting at or before the address
+//!   is either the answer or nested inside the answer; each entry carries
+//!   the index of its longest stored cover, and the lookup climbs that
+//!   chain — zero steps on tables of disjoint prefixes, one to reach a
+//!   default route.
+//! - [`PrefixSet`] only answers "is this address inside any of the
+//!   prefixes" (ingress filtering), so it drops covered prefixes when built
+//!   and needs no chain at all.
 
 use crate::addr::{Addr, Prefix};
 
-#[derive(Debug, Clone)]
-struct TrieNode<T> {
-    value: Option<T>,
-    children: [Option<Box<TrieNode<T>>>; 2],
-}
+/// `cover` of an entry no stored prefix covers; past the end of any table.
+const NO_COVER: u32 = u32::MAX;
 
-impl<T> Default for TrieNode<T> {
-    fn default() -> Self {
-        TrieNode {
-            value: None,
-            children: [None, None],
-        }
-    }
+#[derive(Debug, Clone)]
+struct Entry<T> {
+    prefix: Prefix,
+    /// Index of the longest stored prefix strictly covering `prefix`.
+    cover: u32,
+    value: T,
 }
 
 /// A longest-prefix-match map from [`Prefix`] to `T`.
+///
+/// Collecting an iterator of `(prefix, value)` pairs builds the table in
+/// one `O(n log n)` pass (a later duplicate prefix replaces an earlier
+/// one, as repeated [`LpmTable::insert`]s would); `insert` in ascending
+/// prefix order appends in `O(log n)`. Any other `insert`, and every
+/// `remove`, shifts the array and re-derives the cover chain in `O(n)` —
+/// tables in this workspace are built once and mutated rarely.
 ///
 /// # Examples
 ///
@@ -42,8 +59,8 @@ impl<T> Default for TrieNode<T> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct LpmTable<T> {
-    root: TrieNode<T>,
-    len: usize,
+    /// Ascending by `prefix`, no two equal.
+    entries: Vec<Entry<T>>,
 }
 
 impl<T> Default for LpmTable<T> {
@@ -56,84 +73,186 @@ impl<T> LpmTable<T> {
     /// Creates an empty table.
     pub fn new() -> Self {
         LpmTable {
-            root: TrieNode::default(),
-            len: 0,
+            entries: Vec::new(),
         }
     }
 
     /// Number of prefixes stored.
     pub fn len(&self) -> usize {
-        self.len
+        self.entries.len()
     }
 
     /// Returns `true` if the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.entries.is_empty()
     }
 
     /// Inserts (or replaces) the value for a prefix. Returns the previous
     /// value if the exact prefix was present.
     pub fn insert(&mut self, prefix: Prefix, value: T) -> Option<T> {
-        let mut node = &mut self.root;
-        for i in 0..prefix.len() {
-            let bit = (prefix.addr().raw() >> (31 - i)) & 1;
-            node = node.children[bit as usize].get_or_insert_with(Default::default);
+        match self.entries.binary_search_by_key(&prefix, |e| e.prefix) {
+            Ok(i) => Some(std::mem::replace(&mut self.entries[i].value, value)),
+            Err(i) => {
+                let entry = Entry {
+                    prefix,
+                    cover: NO_COVER,
+                    value,
+                };
+                self.entries.insert(i, entry);
+                if i + 1 == self.entries.len() {
+                    // Appended: no index moved and nothing sorts after the
+                    // new prefix, so only its own cover is unknown.
+                    self.entries[i].cover = self.cover_of(i);
+                } else {
+                    self.reindex();
+                }
+                None
+            }
         }
-        let old = node.value.replace(value);
-        if old.is_none() {
-            self.len += 1;
-        }
-        old
     }
 
     /// Removes the value for an exact prefix.
     pub fn remove(&mut self, prefix: Prefix) -> Option<T> {
-        // Simple non-compacting removal: the trie nodes stay, the value
-        // goes. Tables in this workspace are built once and mutated rarely.
-        let mut node = &mut self.root;
-        for i in 0..prefix.len() {
-            let bit = (prefix.addr().raw() >> (31 - i)) & 1;
-            node = node.children[bit as usize].as_deref_mut()?;
-        }
-        let old = node.value.take();
-        if old.is_some() {
-            self.len -= 1;
-        }
-        old
+        let i = self
+            .entries
+            .binary_search_by_key(&prefix, |e| e.prefix)
+            .ok()?;
+        let entry = self.entries.remove(i);
+        self.reindex();
+        Some(entry.value)
     }
 
     /// The value of the longest prefix containing `addr`, if any.
     pub fn lookup(&self, addr: Addr) -> Option<&T> {
-        let mut node = &self.root;
-        let mut best = node.value.as_ref();
-        for i in 0..32 {
-            let bit = (addr.raw() >> (31 - i)) & 1;
-            match node.children[bit as usize].as_deref() {
-                Some(child) => {
-                    node = child;
-                    if child.value.is_some() {
-                        best = child.value.as_ref();
-                    }
-                }
-                None => break,
-            }
-        }
-        best
+        let after = self.entries.partition_point(|e| e.prefix.addr() <= addr);
+        let hit = self.climb(after.checked_sub(1)?, |p| p.contains(addr))?;
+        Some(&self.entries[hit].value)
     }
 
     /// Returns `true` if any stored prefix contains `addr`.
     pub fn contains(&self, addr: Addr) -> bool {
         self.lookup(addr).is_some()
     }
+
+    /// The first entry satisfying `hit` on the cover chain from entry `i`
+    /// (itself included) outwards; `NO_COVER` ends the climb by indexing
+    /// past the end.
+    ///
+    /// This finds the longest stored prefix around an address or a prefix
+    /// when `i` is the last entry starting at or before it: that entry is
+    /// the one sought or starts inside it (and ends too early), so the one
+    /// sought is among its covers, longest first.
+    fn climb(&self, mut i: usize, hit: impl Fn(Prefix) -> bool) -> Option<usize> {
+        loop {
+            let entry = self.entries.get(i)?;
+            if hit(entry.prefix) {
+                return Some(i);
+            }
+            i = entry.cover as usize;
+        }
+    }
+
+    /// The longest stored strict cover of entry `i`, given the covers of
+    /// the entries before it.
+    fn cover_of(&self, i: usize) -> u32 {
+        let prefix = self.entries[i].prefix;
+        let before = i.checked_sub(1);
+        match before.and_then(|j| self.climb(j, |p| p.covers(prefix))) {
+            Some(j) => {
+                assert!(j < NO_COVER as usize, "LPM table too large");
+                j as u32
+            }
+            None => NO_COVER,
+        }
+    }
+
+    /// Re-derives every cover index, front to back. Each climb starts where
+    /// the previous one ended, so the whole pass is `O(n)`.
+    fn reindex(&mut self) {
+        for i in 0..self.entries.len() {
+            self.entries[i].cover = self.cover_of(i);
+        }
+    }
 }
 
 impl<T> FromIterator<(Prefix, T)> for LpmTable<T> {
     fn from_iter<I: IntoIterator<Item = (Prefix, T)>>(iter: I) -> Self {
-        let mut t = LpmTable::new();
-        for (p, v) in iter {
-            t.insert(p, v);
-        }
-        t
+        let mut entries: Vec<Entry<T>> = iter
+            .into_iter()
+            .map(|(prefix, value)| Entry {
+                prefix,
+                cover: NO_COVER,
+                value,
+            })
+            .collect();
+        // Stable, so equal prefixes stay in arrival order and the swap
+        // below leaves the last of each run in the kept slot.
+        entries.sort_by_key(|e| e.prefix);
+        entries.dedup_by(|later, kept| {
+            let same = later.prefix == kept.prefix;
+            if same {
+                std::mem::swap(later, kept);
+            }
+            same
+        });
+        let mut table = LpmTable { entries };
+        table.reindex();
+        table
+    }
+}
+
+/// A set of addresses given as prefixes, for membership tests only.
+///
+/// Built once from any prefix list — nested, duplicated, in any order —
+/// and normalised to the ascending, pairwise-disjoint prefixes holding the
+/// same addresses, so a probe is one binary search and one comparison.
+///
+/// # Examples
+///
+/// ```
+/// use aitf_packet::{Addr, PrefixSet};
+///
+/// let cone = PrefixSet::new(vec![
+///     "10.2.0.0/16".parse().unwrap(),
+///     "10.1.0.0/16".parse().unwrap(),
+///     "10.1.7.0/24".parse().unwrap(), // inside 10.1/16: dropped
+/// ]);
+/// assert!(cone.contains(Addr::new(10, 1, 7, 9)));
+/// assert!(!cone.contains(Addr::new(10, 3, 0, 1)));
+/// ```
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PrefixSet {
+    /// Ascending, pairwise disjoint.
+    prefixes: Vec<Prefix>,
+}
+
+impl PrefixSet {
+    /// Builds the set holding every address inside any of `prefixes`.
+    pub fn new(mut prefixes: Vec<Prefix>) -> Self {
+        prefixes.sort_unstable();
+        // A cover sorts before what it covers with only its own contents
+        // in between, so the last prefix kept is the only possible cover.
+        prefixes.dedup_by(|prefix, kept| kept.covers(*prefix));
+        PrefixSet { prefixes }
+    }
+
+    /// Returns `true` if some prefix of the set contains `addr`.
+    pub fn contains(&self, addr: Addr) -> bool {
+        // Disjoint members: only the last one starting at or before `addr`
+        // can hold it.
+        let after = self.prefixes.partition_point(|p| p.addr() <= addr);
+        after > 0 && self.prefixes[after - 1].contains(addr)
+    }
+
+    /// Returns `true` if some prefix of the set shares an address with
+    /// `prefix`.
+    pub fn overlaps(&self, prefix: Prefix) -> bool {
+        // Disjoint members: the last one starting before `prefix` may reach
+        // into it, the first one starting at or after its first address may
+        // cover it or lie inside it, and nothing else can touch it.
+        let at = self.prefixes.partition_point(|p| p.addr() < prefix.addr());
+        let mut nearest = self.prefixes[at.saturating_sub(1)..].iter().take(2);
+        nearest.any(|p| p.overlaps(prefix))
     }
 }
 
@@ -205,6 +324,62 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert!(t.contains(Addr::new(11, 1, 1, 1)));
     }
+
+    /// The longest match among `routes` (distinct prefixes), by brute force.
+    fn scan(routes: &[(Prefix, u32)], addr: Addr) -> Option<u32> {
+        let hits = routes.iter().filter(|(p, _)| p.contains(addr));
+        hits.max_by_key(|(p, _)| p.len()).map(|&(_, v)| v)
+    }
+
+    #[test]
+    fn provider_sized_table_agrees_with_linear_scan() {
+        use rand::{Rng, SeedableRng};
+        // A provider's table: a default route, 60,000 disjoint /24s and a
+        // /32 inside every tenth of the first 55,350 — 65,536 routes,
+        // three deep.
+        let slash24 = |i: u32| Prefix::new(Addr((10 << 24) | (i << 8)), 24);
+        let mut routes = vec![(Prefix::ANY, 0)];
+        routes.extend((0..60_000).map(|i| (slash24(i), i + 1)));
+        let hosts = (0..55_350).step_by(10);
+        routes.extend(hosts.map(|i| (Prefix::host(slash24(i).host_at(9)), i + 100_000)));
+        assert_eq!(routes.len(), 65_536);
+        // Built from a scrambled list: 40,503 is coprime to 65,536.
+        let scrambled = (0..routes.len()).map(|k| routes[k * 40_503 % routes.len()]);
+        let table: LpmTable<u32> = scrambled.collect();
+        assert_eq!(table.len(), routes.len());
+
+        let mut rng = rand::rngs::StdRng::seed_from_u64(18);
+        for probe in 0..1_000 {
+            // One of the /24s, or one of 10,000 more just past the last.
+            let i = rng.gen_range(0..70_000u32);
+            let addr = match probe % 4 {
+                // Anywhere, mostly outside 10/8: the default route.
+                0 => Addr(rng.gen_range(0..=u32::MAX)),
+                // A /32 route or its next-door neighbour.
+                1 => slash24(i - i % 10).host_at(rng.gen_range(9..=10u32)),
+                _ => slash24(i).host_at(rng.gen_range(0..256u32)),
+            };
+            assert_eq!(table.lookup(addr).copied(), scan(&routes, addr), "{addr}");
+        }
+    }
+
+    #[test]
+    fn prefix_set_drops_covered_and_repeated_prefixes() {
+        let cone = PrefixSet::new(vec![
+            p("10.2.0.0/16"),
+            p("10.1.7.0/24"),
+            p("10.1.0.0/16"),
+            p("10.2.0.0/16"),
+            Prefix::host(Addr::new(10, 1, 7, 9)),
+        ]);
+        assert_eq!(
+            cone,
+            PrefixSet::new(vec![p("10.1.0.0/16"), p("10.2.0.0/16")])
+        );
+        assert!(cone.contains(Addr::new(10, 1, 7, 9)));
+        assert!(!cone.contains(Addr::new(10, 3, 0, 0)));
+        assert!(!PrefixSet::default().contains(Addr::ZERO));
+    }
 }
 
 #[cfg(test)]
@@ -216,7 +391,84 @@ mod proptests {
         (any::<u32>(), 0u8..=32).prop_map(|(a, l)| Prefix::new(Addr(a), l))
     }
 
+    /// Prefixes crowded into a corner of the address space, so that lists
+    /// of them nest several deep, repeat, and sit next to each other —
+    /// with `/0` and `/32` among them.
+    fn crowded_prefix() -> impl Strategy<Value = Prefix> {
+        let len = prop_oneof![Just(0u8), 1u8..=2, 22u8..=24, 30u8..=32, 0u8..=32];
+        (0u32..4, 0u32..8, 0u32..4, len)
+            .prop_map(|(hi, mid, lo, len)| Prefix::new(Addr((hi << 30) | (mid << 8) | lo), len))
+    }
+
+    /// Each prefix's first and last address and the addresses just outside.
+    fn edges(prefixes: &[Prefix]) -> impl Iterator<Item = Addr> + '_ {
+        prefixes.iter().flat_map(|p| {
+            let first = p.addr().raw();
+            let last = first.wrapping_add((p.size() - 1) as u32);
+            [first.wrapping_sub(1), first, last, last.wrapping_add(1)].map(Addr)
+        })
+    }
+
     proptest! {
+        /// The membership set is exactly "some listed prefix contains it",
+        /// and its overlap test exactly "some listed prefix overlaps it".
+        #[test]
+        fn prefix_set_agrees_with_linear_scan(
+            prefixes in proptest::collection::vec(crowded_prefix(), 0..40),
+            probes in proptest::collection::vec(any::<u32>(), 1..20),
+            queries in proptest::collection::vec(crowded_prefix(), 1..20),
+        ) {
+            let set = PrefixSet::new(prefixes.clone());
+            for a in edges(&prefixes).chain(probes.into_iter().map(Addr)) {
+                prop_assert_eq!(set.contains(a), prefixes.iter().any(|p| p.contains(a)), "{}", a);
+            }
+            for &q in prefixes.iter().chain(&queries) {
+                prop_assert_eq!(set.overlaps(q), prefixes.iter().any(|p| p.overlaps(q)), "{}", q);
+            }
+        }
+
+        /// The bulk constructor, `insert` in either order and `remove`
+        /// all build the table the scan describes; among equal prefixes
+        /// the value given last wins.
+        #[test]
+        fn bulk_build_inserts_and_removes_agree_with_linear_scan(
+            prefixes in proptest::collection::vec(crowded_prefix(), 1..60),
+            probes in proptest::collection::vec(any::<u32>(), 1..20),
+        ) {
+            let bulk: LpmTable<usize> = prefixes.iter().copied().zip(0..).collect();
+            let mut forwards = LpmTable::new();
+            let mut backwards = LpmTable::new();
+            for (i, &p) in prefixes.iter().enumerate() {
+                forwards.insert(p, i);
+            }
+            for (i, &p) in prefixes.iter().enumerate().rev() {
+                // Going backwards the value already there is the later one.
+                if let Some(later) = backwards.insert(p, i) {
+                    backwards.insert(p, later);
+                }
+            }
+            // Taking out the odd-length prefixes leaves the even-length ones.
+            let mut pruned = bulk.clone();
+            for &p in prefixes.iter().filter(|p| p.len() % 2 == 1) {
+                pruned.remove(p);
+            }
+            let probes: Vec<Addr> = edges(&prefixes).chain(probes.into_iter().map(Addr)).collect();
+            let scan = |addr: Addr, keep: fn(&Prefix) -> bool| {
+                let hits = prefixes.iter().enumerate().filter(|(_, p)| keep(p) && p.contains(addr));
+                hits.max_by_key(|(i, p)| (p.len(), *i)).map(|(i, _)| i)
+            };
+            for &a in &probes {
+                let expected = scan(a, |_| true);
+                prop_assert_eq!(bulk.lookup(a).copied(), expected, "bulk {}", a);
+                prop_assert_eq!(forwards.lookup(a).copied(), expected, "forwards {}", a);
+                prop_assert_eq!(backwards.lookup(a).copied(), expected, "backwards {}", a);
+                let even = scan(a, |p| p.len() % 2 == 0);
+                prop_assert_eq!(pruned.lookup(a).copied(), even, "pruned {}", a);
+            }
+            prop_assert_eq!(bulk.len(), forwards.len());
+            prop_assert_eq!(bulk.len(), backwards.len());
+        }
+
         /// LPM must agree with the brute-force scan over stored prefixes.
         #[test]
         fn lpm_agrees_with_linear_scan(
