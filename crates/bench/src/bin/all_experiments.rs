@@ -119,7 +119,6 @@ fn main() {
     // One flat job pool across all selected experiments: points from
     // different sweeps fill the same worker threads.
     let grouped = Runner::new(args.threads)
-        .quick(args.quick)
         .base_seed(args.base_seed)
         .shards(args.shards)
         .run_all(&specs);

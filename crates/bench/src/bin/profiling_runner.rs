@@ -144,7 +144,6 @@ fn main() {
     for spec in &specs {
         let start = Instant::now();
         let records = Runner::new(args.threads)
-            .quick(args.quick)
             .base_seed(args.base_seed)
             .run(spec);
         let wall = start.elapsed().as_secs_f64();

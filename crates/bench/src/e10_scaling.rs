@@ -56,31 +56,28 @@ fn base_scenario(n_nets: usize, cfg: AitfConfig) -> Scenario {
         )
 }
 
-/// Runs one scale point under AITF; metrics `filters_per_provider`,
+/// One scale point under AITF; metrics `filters_per_provider`,
 /// `max_provider`, `hub_filters_aitf`, `victim_gw_peak`.
-pub fn run_one(n_nets: usize, seed: u64, shards: usize) -> Outcome {
-    base_scenario(n_nets, config())
-        .shards(shards)
-        .probes(
-            ProbeSet::new()
-                .end(move |w, m| {
-                    let mut total = 0u64;
-                    let mut max = 0u64;
-                    for net in w.nets_on(Side::Attacker) {
-                        let f = w.world.router(net).counters().filters_installed;
-                        total += f;
-                        max = max.max(f);
-                    }
-                    m.set("filters_per_provider", total as f64 / n_nets as f64);
-                    m.set("max_provider", max);
-                    m.set(
-                        "hub_filters_aitf",
-                        w.world.router(w.net("hub")).filters().stats().installs as usize,
-                    );
-                })
-                .peak_filters("victim_gw_peak", "victim_net"),
-        )
-        .run(seed)
+pub fn scenario(n_nets: usize) -> Scenario {
+    base_scenario(n_nets, config()).probes(
+        ProbeSet::new()
+            .end(move |w, m| {
+                let mut total = 0u64;
+                let mut max = 0u64;
+                for net in w.nets_on(Side::Attacker) {
+                    let f = w.world.router(net).counters().filters_installed;
+                    total += f;
+                    max = max.max(f);
+                }
+                m.set("filters_per_provider", total as f64 / n_nets as f64);
+                m.set("max_provider", max);
+                m.set(
+                    "hub_filters_aitf",
+                    w.world.router(w.net("hub")).filters().stats().installs as usize,
+                );
+            })
+            .peak_filters("victim_gw_peak", "victim_net"),
+    )
 }
 
 /// Hub filter load under pushback at the same scale (for contrast);
@@ -130,7 +127,7 @@ pub fn spec(quick: bool) -> ScenarioSpec {
     )
     .runner(|p, ctx| {
         let n = p.usize("attacker_nets");
-        let o = run_one(n, ctx.seed, ctx.shards);
+        let o = scenario(n).shards(ctx.shards).run(ctx.seed);
         // The pushback contrast world's events stay out of the record, as
         // they always have: the telemetry tracks the AITF run.
         let (hub_pb, _pb_events) = hub_filters_pushback(n, ctx.seed, ctx.shards);
@@ -159,8 +156,8 @@ mod tests {
 
     #[test]
     fn per_provider_load_is_flat() {
-        let small = run_one(8, 1, 1);
-        let large = run_one(24, 1, 4);
+        let small = scenario(8).run(1);
+        let large = scenario(24).shards(4).run(1);
         for o in [&small, &large] {
             assert!(
                 (o.metrics.f64("filters_per_provider") - 1.0).abs() < 0.5,
@@ -213,7 +210,7 @@ mod tests {
         // One shrunken internet-scale point through the real runner path
         // (hierarchical routing + ramp-split stagger): 300 spokes, the
         // smallest n past the historical shape's threshold.
-        let o = run_one(300, 1, 4);
+        let o = scenario(300).shards(4).run(1);
         assert!(
             (o.metrics.f64("filters_per_provider") - 1.0).abs() < 0.5,
             "{o:?}"

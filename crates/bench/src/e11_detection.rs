@@ -9,9 +9,11 @@
 //! legitimate client below the threshold is never flagged.
 
 use aitf_core::{AitfConfig, DetectionMode};
-use aitf_engine::{Outcome, Params, ScenarioSpec};
+use aitf_engine::{Params, ScenarioSpec};
 use aitf_netsim::SimDuration;
 use aitf_scenario::{HostSel, ProbeSet, Role, Scenario, TargetSel, TopologySpec, TrafficSpec};
+
+use crate::harness::run_scenario;
 
 /// The declarative E11 scenario: a 4 Mbit/s flood plus a 0.4 Mbit/s
 /// legitimate stream from a *different* host in the same attacker
@@ -57,11 +59,6 @@ pub fn scenario(mode: DetectionMode) -> Scenario {
         }))
 }
 
-/// Runs one detection mode.
-pub fn run_one(mode: DetectionMode, seed: u64) -> Outcome {
-    scenario(mode).run(seed)
-}
-
 /// The rate detector used by the sweep and tests: flood is 500 kB/s,
 /// legit stream 50 kB/s — the threshold sits in between.
 pub fn rate_detector() -> DetectionMode {
@@ -98,14 +95,14 @@ pub fn spec(_quick: bool) -> ScenarioSpec {
             // detectors on the same world.
             .with("_seed_group", 0u64)
     }))
-    .runner(|p, ctx| {
+    .runner(run_scenario(|p| {
         let mode = if p.bool("rate_detector") {
             rate_detector()
         } else {
             DetectionMode::Oracle
         };
-        scenario(mode).shards(ctx.shards).run(ctx.seed)
-    })
+        scenario(mode)
+    }))
 }
 
 #[cfg(test)]
@@ -114,7 +111,7 @@ mod tests {
 
     #[test]
     fn rate_detector_blocks_the_flood_end_to_end() {
-        let o = run_one(rate_detector(), 3);
+        let o = scenario(rate_detector()).run(3);
         assert!(o.metrics.bool("blocked"), "{o:?}");
         assert!(o.metrics.u64("detections") >= 1, "{o:?}");
         // Emergent latency within ~5x the oracle's assumed window.
@@ -123,7 +120,7 @@ mod tests {
 
     #[test]
     fn legit_stream_below_threshold_is_never_cut() {
-        let o = run_one(rate_detector(), 4);
+        let o = scenario(rate_detector()).run(4);
         // ~100 pps * 10 s offered; nearly all must arrive.
         assert!(
             o.metrics.u64("legit_pkts_delivered") > 800,
@@ -133,8 +130,8 @@ mod tests {
 
     #[test]
     fn both_modes_agree_on_the_outcome() {
-        let a = run_one(DetectionMode::Oracle, 5);
-        let b = run_one(rate_detector(), 5);
+        let a = scenario(DetectionMode::Oracle).run(5);
+        let b = scenario(rate_detector()).run(5);
         assert!(a.metrics.bool("blocked") && b.metrics.bool("blocked"));
     }
 }

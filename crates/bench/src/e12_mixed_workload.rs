@@ -18,11 +18,13 @@
 //! reasons).
 
 use aitf_core::HostPolicy;
-use aitf_engine::{Outcome, Params, ScenarioSpec};
+use aitf_engine::{Params, ScenarioSpec};
 use aitf_netsim::SimDuration;
 use aitf_scenario::{
     HostSel, ProbeSet, Role, Scenario, Side, TargetSel, TopologySpec, TrafficSpec,
 };
+
+use crate::harness::run_scenario;
 
 /// Tree shape: 2 levels, 3-way branching, 2 hosts per leaf → 9 leaf
 /// networks, 18 hosts behind 3 intermediate providers.
@@ -85,11 +87,6 @@ pub fn scenario(attack_hosts: usize, duration: SimDuration) -> Scenario {
         )
 }
 
-/// Runs one mix point.
-pub fn run_one(attack_hosts: usize, duration: SimDuration, seed: u64) -> Outcome {
-    scenario(attack_hosts, duration).run(seed)
-}
-
 /// The E12 scenario spec: attack:legit host-ratio sweep at constant
 /// aggregate attack load.
 pub fn spec(quick: bool) -> ScenarioSpec {
@@ -119,14 +116,12 @@ pub fn spec(quick: bool) -> ScenarioSpec {
             .with("attack_frac", frac)
             .with("duration_s", duration_s)
     }))
-    .runner(|p, ctx| {
+    .runner(run_scenario(|p| {
         scenario(
             p.usize("attack_hosts"),
             SimDuration::from_secs(p.u64("duration_s")),
         )
-        .shards(ctx.shards)
-        .run(ctx.seed)
-    })
+    }))
 }
 
 #[cfg(test)]
@@ -136,7 +131,7 @@ mod tests {
     #[test]
     fn every_zombie_is_blocked_at_any_mix() {
         for attack_hosts in [4usize, 13] {
-            let o = run_one(attack_hosts, SimDuration::from_secs(5), 7);
+            let o = scenario(attack_hosts, SimDuration::from_secs(5)).run(7);
             assert_eq!(
                 o.metrics.u64("blocked_flows"),
                 attack_hosts as u64,
@@ -151,8 +146,8 @@ mod tests {
     fn legit_goodput_scales_with_the_client_pool() {
         // 13 attackers -> 5 clients (4 Mbit/s offered, under the tail);
         // 4 attackers -> 14 clients (11.2 Mbit/s, tail-saturating).
-        let many_attackers = run_one(13, SimDuration::from_secs(5), 8);
-        let few_attackers = run_one(4, SimDuration::from_secs(5), 8);
+        let many_attackers = scenario(13, SimDuration::from_secs(5)).run(8);
+        let few_attackers = scenario(4, SimDuration::from_secs(5)).run(8);
         // Under-subscribed pool: nearly everything arrives.
         assert!(
             many_attackers.metrics.f64("legit_frac") > 0.9,

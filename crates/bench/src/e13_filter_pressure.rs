@@ -22,11 +22,13 @@
 //! or above it.
 
 use aitf_core::{AitfConfig, EvictionPolicy, HostPolicy};
-use aitf_engine::{Outcome, Params, ScenarioSpec};
+use aitf_engine::{Params, ScenarioSpec};
 use aitf_netsim::SimDuration;
 use aitf_scenario::{
     HostSel, ProbeSet, Role, Scenario, Side, TargetSel, TopologySpec, TrafficSpec,
 };
+
+use crate::harness::run_scenario;
 
 /// Zombie networks (one host each) — the victim gateway's concurrent
 /// temporary-filter demand during the onset.
@@ -75,16 +77,6 @@ pub fn scenario(capacity: usize, policy: EvictionPolicy, duration: SimDuration) 
     )
 }
 
-/// Runs one capacity point.
-pub fn run_one(
-    capacity: usize,
-    policy: EvictionPolicy,
-    duration: SimDuration,
-    seed: u64,
-) -> Outcome {
-    scenario(capacity, policy, duration).run(seed)
-}
-
 /// The E13 scenario spec: capacity × full-table-policy grid. Rows pair a
 /// seed group per capacity so the reject/evict comparison is free of RNG
 /// noise.
@@ -122,7 +114,7 @@ pub fn spec(quick: bool) -> ScenarioSpec {
          capacities >= 1.",
     )
     .points(points)
-    .runner(|p, ctx| {
+    .runner(run_scenario(|p| {
         let policy = match p.str("policy") {
             "reject" => EvictionPolicy::Reject,
             "evict" => EvictionPolicy::EvictSoonestExpiring,
@@ -133,9 +125,7 @@ pub fn spec(quick: bool) -> ScenarioSpec {
             policy,
             SimDuration::from_secs(p.u64("duration_s")),
         )
-        .shards(ctx.shards)
-        .run(ctx.seed)
-    })
+    }))
 }
 
 #[cfg(test)]
@@ -143,7 +133,8 @@ mod tests {
     use super::*;
 
     fn leak(cap: usize, policy: EvictionPolicy, seed: u64) -> f64 {
-        run_one(cap, policy, SimDuration::from_secs(6), seed)
+        scenario(cap, policy, SimDuration::from_secs(6))
+            .run(seed)
             .metrics
             .f64("leak_r")
     }
@@ -168,15 +159,15 @@ mod tests {
 
     #[test]
     fn starved_gateway_rejects_and_eviction_policy_evicts_instead() {
-        let rejecting = run_one(2, EvictionPolicy::Reject, SimDuration::from_secs(6), 32);
+        let rejecting = scenario(2, EvictionPolicy::Reject, SimDuration::from_secs(6)).run(32);
         assert!(rejecting.metrics.u64("vgw_rejections") > 0, "{rejecting:?}");
         assert_eq!(rejecting.metrics.u64("vgw_evictions"), 0, "{rejecting:?}");
-        let evicting = run_one(
+        let evicting = scenario(
             2,
             EvictionPolicy::EvictSoonestExpiring,
             SimDuration::from_secs(6),
-            32,
-        );
+        )
+        .run(32);
         assert!(evicting.metrics.u64("vgw_evictions") > 0, "{evicting:?}");
         // Peak occupancy never exceeds the configured capacity.
         assert!(evicting.metrics.u64("vgw_peak") <= 2, "{evicting:?}");
@@ -186,7 +177,7 @@ mod tests {
     fn every_flow_is_blocked_even_at_tiny_capacity() {
         // Attacker-side gateways see one flow each: even a starved victim
         // gateway eventually pushes every request through via retries.
-        let o = run_one(2, EvictionPolicy::Reject, SimDuration::from_secs(6), 33);
+        let o = scenario(2, EvictionPolicy::Reject, SimDuration::from_secs(6)).run(33);
         assert_eq!(o.metrics.u64("blocked_flows"), ARMY as u64, "{o:?}");
     }
 }

@@ -12,9 +12,11 @@
 //! along both axes and track `(Td + Tr)/T`.
 
 use aitf_core::{AitfConfig, HostPolicy};
-use aitf_engine::{Outcome, Params, ScenarioSpec};
+use aitf_engine::{Params, ScenarioSpec};
 use aitf_netsim::SimDuration;
 use aitf_scenario::{HostSel, ProbeSet, Role, Scenario, TargetSel, TopologySpec, TrafficSpec};
+
+use crate::harness::run_scenario;
 
 /// The declarative E14 scenario: Figure 1 in conservative (formula) mode
 /// with `Td` and `Tr` applied through the first-class sweep axes.
@@ -43,17 +45,6 @@ pub fn scenario(td: SimDuration, tr: SimDuration, t: SimDuration, periods: u64) 
                 .end(move |_, m| m.set("r_formula", formula))
                 .leak_ratio("r_measured"),
         )
-}
-
-/// Measures one grid point.
-pub fn run_one(
-    td: SimDuration,
-    tr: SimDuration,
-    t: SimDuration,
-    periods: u64,
-    seed: u64,
-) -> Outcome {
-    scenario(td, tr, t, periods).run(seed)
 }
 
 /// The E14 scenario spec: the full `Td × Tr` grid at `n = 1`, `T` fixed.
@@ -85,16 +76,14 @@ pub fn spec(quick: bool) -> ScenarioSpec {
          swept as first-class scenario axes.",
     )
     .points(points)
-    .runner(|p, ctx| {
+    .runner(run_scenario(|p| {
         scenario(
             SimDuration::from_millis(p.u64("td_ms")),
             SimDuration::from_millis(p.u64("tr_ms")),
             SimDuration::from_secs(p.u64("t_s")),
             p.u64("_periods"),
         )
-        .shards(ctx.shards)
-        .run(ctx.seed)
-    })
+    }))
 }
 
 #[cfg(test)]
@@ -102,13 +91,13 @@ mod tests {
     use super::*;
 
     fn leak(td_ms: u64, tr_ms: u64, seed: u64) -> f64 {
-        run_one(
+        scenario(
             SimDuration::from_millis(td_ms),
             SimDuration::from_millis(tr_ms),
             SimDuration::from_secs(10),
             2,
-            seed,
         )
+        .run(seed)
         .metrics
         .f64("r_measured")
     }

@@ -20,11 +20,13 @@
 //! churn or no churn.
 
 use aitf_core::{AitfConfig, HostPolicy};
-use aitf_engine::{Outcome, Params, ScenarioSpec};
+use aitf_engine::{Params, ScenarioSpec};
 use aitf_netsim::SimDuration;
 use aitf_scenario::{
     ChurnAction, HostSel, ProbeSet, Role, Scenario, Side, TargetSel, TopologySpec, TrafficSpec,
 };
+
+use crate::harness::run_scenario;
 
 /// Tree shape (E12's): 2 levels, 3-way branching, 2 hosts per leaf →
 /// 18 zombie hosts behind 9 leaf networks and 3 intermediate providers.
@@ -114,11 +116,6 @@ const WAVE_METRICS: [(&str, &str); WAVES] = [
     ("w3_onset_mbps", "w3_settled_mbps"),
 ];
 
-/// Runs one churn-period point.
-pub fn run_one(wave: SimDuration, seed: u64) -> Outcome {
-    scenario(wave).run(seed)
-}
-
 /// The E15 scenario spec: the churn period swept.
 pub fn spec(quick: bool) -> ScenarioSpec {
     let wave_ms: &[u64] = if quick { &[2000] } else { &[2000, 4000] };
@@ -139,11 +136,9 @@ pub fn spec(quick: bool) -> ScenarioSpec {
             .with("waves", WAVES as u64)
             .with("wave_hosts", WAVE_HOSTS as u64)
     }))
-    .runner(|p, ctx| {
+    .runner(run_scenario(|p| {
         scenario(SimDuration::from_millis(p.u64("wave_ms")))
-            .shards(ctx.shards)
-            .run(ctx.seed)
-    })
+    }))
 }
 
 #[cfg(test)]
@@ -152,7 +147,7 @@ mod tests {
 
     #[test]
     fn every_wave_recovers() {
-        let o = run_one(SimDuration::from_secs(2), 51);
+        let o = scenario(SimDuration::from_secs(2)).run(51);
         for (onset_name, settled_name) in WAVE_METRICS {
             let onset = o.metrics.f64(onset_name);
             let settled = o.metrics.f64(settled_name);
@@ -169,7 +164,7 @@ mod tests {
 
     #[test]
     fn all_churned_zombies_end_up_blocked() {
-        let o = run_one(SimDuration::from_secs(2), 52);
+        let o = scenario(SimDuration::from_secs(2)).run(52);
         assert_eq!(
             o.metrics.u64("blocked_flows"),
             (WAVES * WAVE_HOSTS) as u64,

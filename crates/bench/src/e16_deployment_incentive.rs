@@ -26,9 +26,11 @@
 //! provider (`requests_ignored = 0` at every fraction).
 
 use aitf_core::{AitfConfig, HostPolicy};
-use aitf_engine::{Outcome, Params, ScenarioSpec};
+use aitf_engine::{Params, ScenarioSpec};
 use aitf_netsim::SimDuration;
 use aitf_scenario::{HostSel, ProbeSet, Role, Scenario, TargetSel, TopologySpec, TrafficSpec};
+
+use crate::harness::run_scenario;
 
 /// Tree shape (E12/E15's): 2 levels, 3-way branching, 2 hosts per leaf.
 const LEVELS: usize = 2;
@@ -114,11 +116,6 @@ pub fn scenario(aitf_fraction: f64, duration: SimDuration) -> Scenario {
     )
 }
 
-/// Runs one deployment fraction.
-pub fn run_one(aitf_fraction: f64, duration: SimDuration, seed: u64) -> Outcome {
-    scenario(aitf_fraction, duration).run(seed)
-}
-
 /// The E16 scenario spec: the deployment fraction swept, all points on a
 /// shared seed so the nested assignment makes the sweep monotone by
 /// construction.
@@ -150,14 +147,12 @@ pub fn spec(quick: bool) -> ScenarioSpec {
             // one nested deployment assignment.
             .with("_seed_group", 0u64)
     }))
-    .runner(|p, ctx| {
+    .runner(run_scenario(|p| {
         scenario(
             p.f64("aitf_fraction"),
             SimDuration::from_secs(p.u64("duration_s")),
         )
-        .shards(ctx.shards)
-        .run(ctx.seed)
-    })
+    }))
 }
 
 #[cfg(test)]
@@ -167,7 +162,10 @@ mod tests {
     #[test]
     fn leak_improves_monotonically_with_deployment() {
         let d = SimDuration::from_secs(6);
-        let outcomes: Vec<Outcome> = [0.0, 0.5, 1.0].iter().map(|&f| run_one(f, d, 42)).collect();
+        let outcomes: Vec<_> = [0.0, 0.5, 1.0]
+            .iter()
+            .map(|&f| scenario(f, d).run(42))
+            .collect();
         for pair in outcomes.windows(2) {
             let (lo, hi) = (&pair[0], &pair[1]);
             assert!(
@@ -193,7 +191,7 @@ mod tests {
     #[test]
     fn no_request_is_ever_wasted_on_a_legacy_provider() {
         for f in [0.0, 0.5] {
-            let o = run_one(f, SimDuration::from_secs(6), 42);
+            let o = scenario(f, SimDuration::from_secs(6)).run(42);
             assert_eq!(
                 o.metrics.u64("requests_ignored"),
                 0,
@@ -206,7 +204,7 @@ mod tests {
     fn aitf_net_count_tracks_the_fraction() {
         let d = SimDuration::from_secs(6);
         // 14 nets total, victim_net always deployed, 13 eligible.
-        assert_eq!(run_one(0.0, d, 42).metrics.u64("aitf_nets"), 1);
-        assert_eq!(run_one(1.0, d, 42).metrics.u64("aitf_nets"), 14);
+        assert_eq!(scenario(0.0, d).run(42).metrics.u64("aitf_nets"), 1);
+        assert_eq!(scenario(1.0, d).run(42).metrics.u64("aitf_nets"), 14);
     }
 }

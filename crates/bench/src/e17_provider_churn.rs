@@ -22,12 +22,14 @@
 //! round-2 filters land on the mid-tree providers).
 
 use aitf_core::{AitfConfig, HostPolicy, RouterPolicy};
-use aitf_engine::{Outcome, Params, ScenarioSpec};
+use aitf_engine::{Params, ScenarioSpec};
 use aitf_netsim::SimDuration;
 use aitf_scenario::{
     ChurnAction, HostSel, NetSel, ProbeSet, Role, Scenario, Side, TargetSel, TopologySpec,
     TrafficSpec,
 };
+
+use crate::harness::run_scenario;
 
 /// Tree shape (E12/E15/E16's): 2 levels, 3-way branching, 2 hosts per
 /// leaf → 9 leaf networks under 3 mid-tree providers.
@@ -180,11 +182,6 @@ const WAVE_METRICS: [(&str, &str, &str); WAVES] = [
     ("w3_spike_mbps", "w3_settled_mbps", "w3_reblock_s"),
 ];
 
-/// Runs one churn-period point.
-pub fn run_one(wave: SimDuration, seed: u64) -> Outcome {
-    scenario(wave).run(seed)
-}
-
 /// The E17 scenario spec: the provider-churn period swept.
 pub fn spec(quick: bool) -> ScenarioSpec {
     let wave_ms: &[u64] = if quick { &[2000] } else { &[2000, 4000] };
@@ -208,11 +205,9 @@ pub fn spec(quick: bool) -> ScenarioSpec {
             .with("waves", WAVES as u64)
             .with("leaves_per_wave", BRANCHING as u64)
     }))
-    .runner(|p, ctx| {
+    .runner(run_scenario(|p| {
         scenario(SimDuration::from_millis(p.u64("wave_ms")))
-            .shards(ctx.shards)
-            .run(ctx.seed)
-    })
+    }))
 }
 
 #[cfg(test)]
@@ -221,7 +216,7 @@ mod tests {
 
     #[test]
     fn every_provider_wave_recovers() {
-        let o = run_one(SimDuration::from_secs(2), 61);
+        let o = scenario(SimDuration::from_secs(2)).run(61);
         for (spike_name, settled_name, reblock_name) in WAVE_METRICS {
             let spike = o.metrics.f64(spike_name);
             let settled = o.metrics.f64(settled_name);
@@ -243,7 +238,7 @@ mod tests {
 
     #[test]
     fn reescalation_lands_on_the_mid_tree_providers() {
-        let o = run_one(SimDuration::from_secs(2), 62);
+        let o = scenario(SimDuration::from_secs(2)).run(62);
         // Round 1 blocks all 18 flows at their leaves; each dropped-out
         // subtree's 6 flows re-block at its mid-tree provider.
         assert!(o.metrics.u64("leaf_blocks") >= 18, "{o:?}");

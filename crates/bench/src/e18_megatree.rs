@@ -19,11 +19,13 @@
 //! world size behaves like AITF at E10's size.
 
 use aitf_core::{AitfConfig, Contract, HostPolicy};
-use aitf_engine::{Outcome, Params, ScenarioSpec};
+use aitf_engine::{Params, ScenarioSpec};
 use aitf_netsim::SimDuration;
 use aitf_scenario::{
     HostSel, ProbeSet, Role, Scenario, Side, TargetSel, TopologySpec, TrafficSpec,
 };
+
+use crate::harness::run_scenario;
 
 /// Branching factor of the two-level tree: 23 mid providers × 23 leaf
 /// networks × 200 hosts = 105,800 end-hosts in 529 leaf networks.
@@ -91,12 +93,6 @@ pub fn scenario(zombies: usize, duration: SimDuration) -> Scenario {
     )
 }
 
-/// Runs one army size (the in-file test convenience; the spec runner goes
-/// through [`scenario`] directly so it can thread the shard count).
-pub fn run_one(zombies: usize, duration: SimDuration, seed: u64, shards: usize) -> Outcome {
-    scenario(zombies, duration).shards(shards).run(seed)
-}
-
 /// The E18 scenario spec: one Internet-sized point (quick keeps the army
 /// and the clock CI-sized; the world is full-sized either way).
 pub fn spec(quick: bool) -> ScenarioSpec {
@@ -116,19 +112,18 @@ pub fn spec(quick: bool) -> ScenarioSpec {
             .with("zombies", zombies)
             .with("duration_s", duration_s),
     )
-    .runner(|p, ctx| {
+    .runner(run_scenario(|p| {
         scenario(
             p.usize("zombies"),
             SimDuration::from_secs(p.u64("duration_s")),
         )
-        .shards(ctx.shards)
-        .run(ctx.seed)
-    })
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aitf_engine::Outcome;
 
     /// A shrunken stand-in (same generator, branching 4 × 10 hosts) so the
     /// unit suite checks the probes and the sharded path without paying

@@ -27,9 +27,11 @@
 //! sacrifice the attacker-side legitimate clients.
 
 use aitf_core::{AitfConfig, DefensePolicy, HostPolicy, NetId};
-use aitf_engine::{Outcome, Params, ScenarioSpec};
+use aitf_engine::{Params, ScenarioSpec};
 use aitf_netsim::SimDuration;
 use aitf_scenario::{HostSel, ProbeSet, Role, Scenario, TargetSel, TopologySpec, TrafficSpec};
+
+use crate::harness::run_scenario;
 
 /// Zombie networks around the hub (quick mode halves this).
 const NETS_FULL: usize = 8;
@@ -119,17 +121,6 @@ pub fn scenario(n_nets: usize, duration: SimDuration, policy: DefensePolicy) -> 
         )
 }
 
-/// Runs one policy on the bake-off world.
-pub fn run_one(
-    policy: DefensePolicy,
-    n_nets: usize,
-    duration: SimDuration,
-    seed: u64,
-    shards: usize,
-) -> Outcome {
-    scenario(n_nets, duration, policy).shards(shards).run(seed)
-}
-
 /// The E19 scenario spec: one point per [`DefensePolicy::BAKEOFF`]
 /// entry, all sharing one seed group so the rows differ only in the
 /// policy.
@@ -157,24 +148,19 @@ pub fn spec(quick: bool) -> ScenarioSpec {
             .with("defense", p.name())
             .with("_seed_group", 0u64)
     }))
-    .runner(move |p, ctx| {
+    .runner(run_scenario(move |p| {
         let policy = DefensePolicy::from_name(p.str("defense")).expect("bake-off policy name");
-        run_one(
-            policy,
-            n_nets,
-            SimDuration::from_secs(secs),
-            ctx.seed,
-            ctx.shards,
-        )
-    })
+        scenario(n_nets, SimDuration::from_secs(secs), policy)
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aitf_engine::Outcome;
 
     fn point(policy: DefensePolicy) -> Outcome {
-        run_one(policy, NETS_QUICK, SimDuration::from_secs(6), 7, 1)
+        scenario(NETS_QUICK, SimDuration::from_secs(6), policy).run(7)
     }
 
     #[test]

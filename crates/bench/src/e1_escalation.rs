@@ -12,11 +12,13 @@
 //! - 3 rogues → the worst case: `G_gw3` disconnects from `B_gw3`.
 
 use aitf_core::{HostPolicy, RouterPolicy};
-use aitf_engine::{Outcome, Params, ScenarioSpec};
+use aitf_engine::{Params, ScenarioSpec};
 use aitf_netsim::SimDuration;
 use aitf_scenario::{
     HostSel, ProbeSet, Role, Scenario, Side, TargetSel, TopologySpec, TrafficSpec,
 };
+
+use crate::harness::run_scenario;
 
 /// The attacker-side gateways, leaf first, with their display labels.
 const B_SIDE: [(&str, &str); 3] = [
@@ -67,12 +69,6 @@ pub fn scenario(rogues: usize, duration: SimDuration) -> Scenario {
         )
 }
 
-/// Runs one sweep point with `rogues` non-cooperating attacker-side
-/// gateways.
-pub fn run_one(rogues: usize, duration: SimDuration, seed: u64) -> Outcome {
-    scenario(rogues, duration).run(seed)
-}
-
 /// The E1 scenario spec: rogue-gateway count 0–3.
 pub fn spec(quick: bool) -> ScenarioSpec {
     let duration_s: u64 = if quick { 10 } else { 30 };
@@ -90,14 +86,12 @@ pub fn spec(quick: bool) -> ScenarioSpec {
             .with("rogue_gws", rogues)
             .with("duration_s", duration_s)
     }))
-    .runner(|p, ctx| {
+    .runner(run_scenario(|p| {
         scenario(
             p.usize("rogue_gws"),
             SimDuration::from_secs(p.u64("duration_s")),
         )
-        .shards(ctx.shards)
-        .run(ctx.seed)
-    })
+    }))
 }
 
 #[cfg(test)]
@@ -107,13 +101,13 @@ mod tests {
     #[test]
     fn escalation_walks_up_the_attacker_side() {
         let d = SimDuration::from_secs(10);
-        let o0 = run_one(0, d, 42);
+        let o0 = scenario(0, d).run(42);
         assert!(o0.metrics.str("blocker").contains("B_gw1"), "{o0:?}");
-        let o1 = run_one(1, d, 43);
+        let o1 = scenario(1, d).run(43);
         assert!(o1.metrics.str("blocker").contains("B_gw2"), "{o1:?}");
-        let o2 = run_one(2, d, 44);
+        let o2 = scenario(2, d).run(44);
         assert!(o2.metrics.str("blocker").contains("B_gw3"), "{o2:?}");
-        let o3 = run_one(3, d, 45);
+        let o3 = scenario(3, d).run(45);
         assert_eq!(o3.metrics.u64("peer_disconnects"), 1, "{o3:?}");
         // Every scenario keeps the leak small.
         for o in [o0, o1, o2, o3] {

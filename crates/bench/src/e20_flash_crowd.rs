@@ -33,12 +33,14 @@
 //! zombies, so their `legit_frac` drops.
 
 use aitf_core::{AitfConfig, Contract, DefensePolicy, HostPolicy, NetId};
-use aitf_engine::{Outcome, Params, ScenarioSpec};
+use aitf_engine::{Params, ScenarioSpec};
 use aitf_netsim::SimDuration;
 use aitf_scenario::{
     HostSel, PowerLawSpec, ProbeSet, Role, Scenario, StreamProbeConfig, TargetSel, TopologySpec,
     TrafficSpec,
 };
+
+use crate::harness::run_scenario;
 
 /// Edge networks in the power-law graph (quick mode keeps the issue's
 /// 100k-net floor; full mode doubles it).
@@ -179,21 +181,6 @@ pub fn scenario(
         )
 }
 
-/// Runs one policy point.
-pub fn run_one(
-    policy: DefensePolicy,
-    n_nets: usize,
-    crowd: usize,
-    zombies: usize,
-    duration: SimDuration,
-    seed: u64,
-    shards: usize,
-) -> Outcome {
-    scenario(n_nets, crowd, zombies, duration, policy)
-        .shards(shards)
-        .run(seed)
-}
-
 /// The E20 scenario spec: one point per [`DefensePolicy::BAKEOFF`]
 /// entry, all sharing one seed group — the rows differ only in the
 /// defense, exactly like E19's bake-off, on a world 10,000× larger.
@@ -221,29 +208,24 @@ pub fn spec(quick: bool) -> ScenarioSpec {
             .with("defense", p.name())
             .with("_seed_group", 0u64)
     }))
-    .runner(move |p, ctx| {
+    .runner(run_scenario(move |p| {
         let policy = DefensePolicy::from_name(p.str("defense")).expect("bake-off policy name");
-        run_one(
-            policy,
-            n_nets,
-            crowd,
-            zombies,
-            SimDuration::from_secs(secs),
-            ctx.seed,
-            ctx.shards,
-        )
-    })
+        scenario(n_nets, crowd, zombies, SimDuration::from_secs(secs), policy)
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aitf_engine::Outcome;
 
     /// A shrunken stand-in (same generators, 600 nets) so the unit suite
     /// checks discrimination and the sharded path without paying for the
     /// 100k-net build.
     fn small(policy: DefensePolicy, seed: u64, shards: usize) -> Outcome {
-        run_one(policy, 600, 60, 8, SimDuration::from_secs(3), seed, shards)
+        scenario(600, 60, 8, SimDuration::from_secs(3), policy)
+            .shards(shards)
+            .run(seed)
     }
 
     #[test]
@@ -262,15 +244,14 @@ mod tests {
         // probe's heavy hitters — and the paired sketches classify them
         // exactly: pool sources are pure attack, crowd sources pure
         // legit.
-        let o = run_one(
-            DefensePolicy::ingress_ratelimit(),
+        let o = scenario(
             600,
             60,
             24,
             SimDuration::from_secs(3),
-            7,
-            1,
-        );
+            DefensePolicy::ingress_ratelimit(),
+        )
+        .run(7);
         assert!(o.metrics.f64("hh_attack_frac") > 0.3, "{o:?}");
         let srcs = o.metrics.u64_list("hh_srcs");
         let pkts = o.metrics.u64_list("hh_pkts");
@@ -297,15 +278,14 @@ mod tests {
         // The streaming probe's whole point: its footprint depends only
         // on its config, not on the world or the traffic.
         let small_world = small(DefensePolicy::Aitf, 3, 1);
-        let larger = run_one(
-            DefensePolicy::Aitf,
+        let larger = scenario(
             1200,
             120,
             16,
             SimDuration::from_secs(3),
-            3,
-            1,
-        );
+            DefensePolicy::Aitf,
+        )
+        .run(3);
         assert_eq!(
             small_world.metrics.u64("probe_bytes"),
             larger.metrics.u64("probe_bytes")

@@ -19,9 +19,11 @@
 //! at the gateway before the victim sees a packet.
 
 use aitf_core::{AitfConfig, HostPolicy, RouterPolicy};
-use aitf_engine::{Outcome, Params, ScenarioSpec};
+use aitf_engine::{Params, ScenarioSpec};
 use aitf_netsim::{LinkParams, SimDuration};
 use aitf_scenario::{HostSel, ProbeSet, Role, Scenario, TargetSel, TopologySpec, TrafficSpec};
+
+use crate::harness::run_scenario;
 
 /// Parameters of one measurement point.
 #[derive(Debug, Clone, Copy)]
@@ -82,12 +84,6 @@ pub fn scenario(p: Point, assists: bool, periods: u64) -> Scenario {
         )
 }
 
-/// Measures one point; returns the full outcome (metrics `r_formula`,
-/// `r_measured`, plus the simulator event count).
-pub fn measure_with_tr(p: Point, assists: bool, periods: u64, seed: u64) -> Outcome {
-    scenario(p, assists, periods).run(seed)
-}
-
 /// The E2 scenario spec: `(n, T, Tr, assists)` grid, `Td` fixed at 100 ms.
 /// The final point is the paper's worked example (`Td ≈ 0, Tr = 50 ms,
 /// T = 60 s, n = 1` → `r ≈ 0.00083`).
@@ -141,7 +137,7 @@ pub fn spec(quick: bool) -> ScenarioSpec {
          (formula r = 0.00083).",
     )
     .points(points)
-    .runner(|p, ctx| {
+    .runner(run_scenario(|p| {
         let point = Point {
             n: p.usize("n"),
             td: SimDuration::from_millis(p.u64("td_ms")),
@@ -149,9 +145,7 @@ pub fn spec(quick: bool) -> ScenarioSpec {
             t: SimDuration::from_secs(p.u64("t_s")),
         };
         scenario(point, p.bool("assists"), p.u64("_periods"))
-            .shards(ctx.shards)
-            .run(ctx.seed)
-    })
+    }))
 }
 
 #[cfg(test)]
@@ -159,7 +153,8 @@ mod tests {
     use super::*;
 
     fn leak(p: Point, assists: bool, periods: u64, seed: u64) -> f64 {
-        measure_with_tr(p, assists, periods, seed)
+        scenario(p, assists, periods)
+            .run(seed)
             .metrics
             .f64("r_measured")
     }

@@ -11,11 +11,13 @@
 //! many requests exist at once, so the excess flows keep leaking.
 
 use aitf_core::{AitfConfig, Contract, HostPolicy};
-use aitf_engine::{Outcome, Params, ScenarioSpec};
+use aitf_engine::{Params, ScenarioSpec};
 use aitf_netsim::SimDuration;
 use aitf_scenario::{
     HostSel, ProbeSet, Role, Scenario, Side, TargetSel, TopologySpec, TrafficSpec,
 };
+
+use crate::harness::run_scenario;
 
 /// The declarative E3 scenario: a star of zombie networks (50 hosts each)
 /// with exactly `flows` zombies armed, contract `r1` req/s, horizon `t`.
@@ -59,11 +61,6 @@ pub fn scenario(flows: usize, r1: f64, t: SimDuration) -> Scenario {
     )
 }
 
-/// Runs one point: `flows` zombies, contract `r1` req/s, horizon `t`.
-pub fn run_one(flows: usize, r1: f64, t: SimDuration, seed: u64) -> Outcome {
-    scenario(flows, r1, t).run(seed)
-}
-
 /// The E3 scenario spec: offered-flow count swept across the `Nv`
 /// boundary. Scaled-down contract so the capacity boundary is reachable
 /// in simulation time: R1 = 10/s, T = 10 s → Nv = 100 flows.
@@ -91,15 +88,13 @@ pub fn spec(quick: bool) -> ScenarioSpec {
             .with("_r1", 10.0)
             .with("_t_s", 10u64)
     }))
-    .runner(|p, ctx| {
+    .runner(run_scenario(|p| {
         scenario(
             p.usize("flows"),
             p.f64("_r1"),
             SimDuration::from_secs(p.u64("_t_s")),
         )
-        .shards(ctx.shards)
-        .run(ctx.seed)
-    })
+    }))
 }
 
 #[cfg(test)]
@@ -108,14 +103,14 @@ mod tests {
 
     #[test]
     fn below_capacity_every_flow_is_blocked() {
-        let o = run_one(40, 10.0, SimDuration::from_secs(10), 5);
+        let o = scenario(40, 10.0, SimDuration::from_secs(10)).run(5);
         assert_eq!(o.metrics.u64("blocked_flows"), 40, "{o:?}");
         assert!(o.metrics.f64("leak_r") < 0.2, "{o:?}");
     }
 
     #[test]
     fn above_capacity_requests_saturate() {
-        let o = run_one(150, 10.0, SimDuration::from_secs(10), 6);
+        let o = scenario(150, 10.0, SimDuration::from_secs(10)).run(6);
         // The victim cannot have emitted meaningfully more than R1*T + burst.
         let nv = 10.0 * 10.0;
         assert!(

@@ -13,9 +13,11 @@
 //! `(R1, Ttmp, T)`.
 
 use aitf_core::{AitfConfig, Contract, HostPolicy};
-use aitf_engine::{Outcome, Params, ScenarioSpec};
+use aitf_engine::{Params, ScenarioSpec};
 use aitf_netsim::SimDuration;
 use aitf_scenario::{HostSel, ProbeSet, Role, Scenario, TargetSel, TopologySpec, TrafficSpec};
+
+use crate::harness::run_scenario;
 
 /// The declarative E4 scenario: one spoofing zombie against one victim
 /// behind a shared `wan`, measured over `2·T`.
@@ -68,11 +70,6 @@ pub fn scenario(r1: f64, t_tmp: SimDuration, t: SimDuration) -> Scenario {
         )
 }
 
-/// Runs one `(R1, Ttmp, T)` point.
-pub fn run_one(r1: f64, t_tmp: SimDuration, t: SimDuration, seed: u64) -> Outcome {
-    scenario(r1, t_tmp, t).run(seed)
-}
-
 /// The E4 scenario spec: the `(R1, Ttmp, T)` grid.
 pub fn spec(quick: bool) -> ScenarioSpec {
     let points: &[(f64, u64, u64)] = if quick {
@@ -102,20 +99,19 @@ pub fn spec(quick: bool) -> ScenarioSpec {
             .with("ttmp_s", ttmp)
             .with("t_s", t)
     }))
-    .runner(|p, ctx| {
+    .runner(run_scenario(|p| {
         scenario(
             p.f64("r1_per_s"),
             SimDuration::from_secs(p.u64("ttmp_s")),
             SimDuration::from_secs(p.u64("t_s")),
         )
-        .shards(ctx.shards)
-        .run(ctx.seed)
-    })
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aitf_engine::Outcome;
 
     fn peaks(o: &Outcome) -> (f64, f64, f64, f64) {
         (
@@ -128,12 +124,7 @@ mod tests {
 
     #[test]
     fn filter_peak_tracks_r1_ttmp() {
-        let o = run_one(
-            20.0,
-            SimDuration::from_secs(1),
-            SimDuration::from_secs(10),
-            3,
-        );
+        let o = scenario(20.0, SimDuration::from_secs(1), SimDuration::from_secs(10)).run(3);
         let (nv_formula, nv_peak, ..) = peaks(&o);
         // Peak occupancy within a factor ~2 of the formula and far below mv.
         assert!(nv_peak <= nv_formula * 2.5 + 5.0, "nv peak too high: {o:?}");
@@ -145,12 +136,7 @@ mod tests {
 
     #[test]
     fn shadow_peak_tracks_r1_t() {
-        let o = run_one(
-            20.0,
-            SimDuration::from_secs(1),
-            SimDuration::from_secs(10),
-            4,
-        );
+        let o = scenario(20.0, SimDuration::from_secs(1), SimDuration::from_secs(10)).run(4);
         let (.., mv_formula, mv_peak) = peaks(&o);
         assert!(
             mv_peak <= mv_formula * 1.5 + 10.0,
@@ -164,12 +150,7 @@ mod tests {
 
     #[test]
     fn filters_are_a_small_fraction_of_shadows() {
-        let o = run_one(
-            50.0,
-            SimDuration::from_secs(1),
-            SimDuration::from_secs(20),
-            5,
-        );
+        let o = scenario(50.0, SimDuration::from_secs(1), SimDuration::from_secs(20)).run(5);
         assert!(
             o.metrics.u64("nv_peak") * 4 < o.metrics.u64("mv_peak"),
             "nv must be << mv: {o:?}"

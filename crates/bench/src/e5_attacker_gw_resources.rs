@@ -13,9 +13,11 @@
 //! `na = R2·T`.
 
 use aitf_core::{AitfConfig, Contract};
-use aitf_engine::{Outcome, Params, ScenarioSpec};
+use aitf_engine::{Params, ScenarioSpec};
 use aitf_netsim::SimDuration;
 use aitf_scenario::{HostSel, ProbeSet, Role, Scenario, TargetSel, TopologySpec, TrafficSpec};
+
+use crate::harness::run_scenario;
 
 /// The declarative E5 scenario: `zombies` compliant zombies in one
 /// network, each flooding its own victim, measured over `2·T`.
@@ -69,11 +71,6 @@ pub fn scenario(r2: f64, t: SimDuration, zombies: usize) -> Scenario {
         )
 }
 
-/// Runs one `(R2, T)` point with `zombies` concurrent undesired flows.
-pub fn run_one(r2: f64, t: SimDuration, zombies: usize, seed: u64) -> Outcome {
-    scenario(r2, t, zombies).run(seed)
-}
-
 /// The E5 scenario spec: the `(R2, T, zombies)` grid.
 pub fn spec(quick: bool) -> ScenarioSpec {
     let points: &[(f64, u64, u64)] = if quick {
@@ -104,15 +101,13 @@ pub fn spec(quick: bool) -> ScenarioSpec {
             .with("t_s", t)
             .with("zombies", zombies)
     }))
-    .runner(|p, ctx| {
+    .runner(run_scenario(|p| {
         scenario(
             p.f64("r2_per_s"),
             SimDuration::from_secs(p.u64("t_s")),
             p.usize("zombies"),
         )
-        .shards(ctx.shards)
-        .run(ctx.seed)
-    })
+    }))
 }
 
 #[cfg(test)]
@@ -122,7 +117,7 @@ mod tests {
     #[test]
     fn gateway_filters_bounded_by_r2_t() {
         // 30 offered flows, but R2·T = 10: the gateway must stay near 10.
-        let o = run_one(1.0, SimDuration::from_secs(10), 30, 2);
+        let o = scenario(1.0, SimDuration::from_secs(10), 30).run(2);
         let na = o.metrics.f64("na_formula");
         assert!(
             (o.metrics.u64("gw_peak") as f64) <= na + 1.0 + 2.0,
@@ -136,7 +131,7 @@ mod tests {
 
     #[test]
     fn clients_hold_at_most_the_same_bound() {
-        let o = run_one(1.0, SimDuration::from_secs(10), 30, 3);
+        let o = scenario(1.0, SimDuration::from_secs(10), 30).run(3);
         let na = o.metrics.f64("na_formula");
         assert!(
             (o.metrics.u64("clients_peak") as f64) <= na + 1.0 + 2.0,
@@ -146,8 +141,8 @@ mod tests {
 
     #[test]
     fn higher_r2_admits_more_filters() {
-        let lo = run_one(1.0, SimDuration::from_secs(10), 50, 4);
-        let hi = run_one(4.0, SimDuration::from_secs(10), 50, 4);
+        let lo = scenario(1.0, SimDuration::from_secs(10), 50).run(4);
+        let hi = scenario(4.0, SimDuration::from_secs(10), 50).run(4);
         assert!(
             hi.metrics.u64("gw_peak") > lo.metrics.u64("gw_peak"),
             "R2 should scale filter admission: {lo:?} vs {hi:?}"

@@ -14,10 +14,12 @@
 
 use aitf_attack::RequestForger;
 use aitf_core::{AitfConfig, RouterPolicy};
-use aitf_engine::{Outcome, Params, ScenarioSpec};
+use aitf_engine::{Params, ScenarioSpec};
 use aitf_netsim::SimDuration;
 use aitf_packet::FlowLabel;
 use aitf_scenario::{HostSel, ProbeSet, Role, Scenario, TargetSel, TopologySpec, TrafficSpec};
+
+use crate::harness::run_scenario;
 
 /// The declarative E6 scenario. Topology:
 /// `A — a_net — wan — mid — v_net — V`, forger M in `m_net` off the A→V
@@ -75,11 +77,6 @@ pub fn scenario(verification: bool, compromised_mid: bool) -> Scenario {
         }))
 }
 
-/// Runs one forgery scenario.
-pub fn run_scenario(verification: bool, compromised: bool, seed: u64) -> Outcome {
-    scenario(verification, compromised).run(seed)
-}
-
 /// The E6 scenario spec: the three forgery scenarios.
 pub fn spec(_quick: bool) -> ScenarioSpec {
     let scenarios: [(&'static str, bool, bool); 3] = [
@@ -107,11 +104,9 @@ pub fn spec(_quick: bool) -> ScenarioSpec {
             // across the three rows, so they must share a world.
             .with("_seed_group", 0u64)
     }))
-    .runner(|p, ctx| {
+    .runner(run_scenario(|p| {
         scenario(p.bool("verification"), p.bool("compromised"))
-            .shards(ctx.shards)
-            .run(ctx.seed)
-    })
+    }))
 }
 
 #[cfg(test)]
@@ -120,7 +115,7 @@ mod tests {
 
     #[test]
     fn off_path_forgery_fails_with_handshake() {
-        let o = run_scenario(true, false, 77);
+        let o = scenario(true, false).run(77);
         assert!(!o.metrics.bool("filter_installed"), "{o:?}");
         assert_eq!(o.metrics.u64("denied"), 1, "{o:?}");
         assert!(o.metrics.u64("legit_pkts_delivered") > 400, "{o:?}");
@@ -128,7 +123,7 @@ mod tests {
 
     #[test]
     fn on_path_compromised_router_defeats_handshake() {
-        let o = run_scenario(true, true, 77);
+        let o = scenario(true, true).run(77);
         assert!(o.metrics.bool("filter_installed"), "{o:?}");
         assert!(o.metrics.u64("forged_replies") >= 1, "{o:?}");
         // The legit flow was cut early.
@@ -137,7 +132,7 @@ mod tests {
 
     #[test]
     fn disabling_verification_lets_forgery_through() {
-        let o = run_scenario(false, false, 77);
+        let o = scenario(false, false).run(77);
         assert!(o.metrics.bool("filter_installed"), "{o:?}");
         assert!(o.metrics.u64("legit_pkts_delivered") < 150, "{o:?}");
     }

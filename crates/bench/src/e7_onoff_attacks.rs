@@ -13,9 +13,11 @@
 //! defeat the whole purpose").
 
 use aitf_core::{AitfConfig, HostPolicy, RouterPolicy};
-use aitf_engine::{Outcome, Params, ScenarioSpec};
+use aitf_engine::{Params, ScenarioSpec};
 use aitf_netsim::SimDuration;
 use aitf_scenario::{HostSel, ProbeSet, Role, Scenario, TargetSel, TopologySpec, TrafficSpec};
+
+use crate::harness::run_scenario;
 
 /// The declarative E7 scenario. `shadow_assist` toggles packet-triggered
 /// reactivation and fast re-detection together.
@@ -62,11 +64,6 @@ pub fn scenario(shadow_assist: bool) -> Scenario {
         }))
 }
 
-/// Runs one mode.
-pub fn run_one(shadow_assist: bool, seed: u64) -> Outcome {
-    scenario(shadow_assist).run(seed)
-}
-
 /// The E7 scenario spec: shadow assist on / off.
 pub fn spec(_quick: bool) -> ScenarioSpec {
     ScenarioSpec::new(
@@ -94,11 +91,7 @@ pub fn spec(_quick: bool) -> ScenarioSpec {
             // on/off pair, so both must run the same world.
             .with("_seed_group", 0u64)
     }))
-    .runner(|p, ctx| {
-        scenario(p.bool("shadow_assist"))
-            .shards(ctx.shards)
-            .run(ctx.seed)
-    })
+    .runner(run_scenario(|p| scenario(p.bool("shadow_assist"))))
 }
 
 #[cfg(test)]
@@ -107,7 +100,7 @@ mod tests {
 
     #[test]
     fn shadow_catches_onoff_and_escalates() {
-        let o = run_one(true, 3);
+        let o = scenario(true).run(3);
         assert!(o.metrics.u64("reactivations") > 0, "{o:?}");
         assert!(o.metrics.u64("max_round") >= 2, "{o:?}");
         assert!(o.metrics.bool("escalated_block"), "{o:?}");
@@ -115,8 +108,8 @@ mod tests {
 
     #[test]
     fn shadow_assist_reduces_leak() {
-        let with = run_one(true, 4);
-        let without = run_one(false, 4);
+        let with = scenario(true).run(4);
+        let without = scenario(false).run(4);
         assert!(
             with.metrics.f64("leak_r") <= without.metrics.f64("leak_r"),
             "shadow must not make things worse: {with:?} vs {without:?}"

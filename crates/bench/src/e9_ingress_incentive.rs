@@ -12,9 +12,11 @@
 //! provider.
 
 use aitf_core::{AitfConfig, Contract, HostPolicy, RouterPolicy};
-use aitf_engine::{Outcome, Params, ScenarioSpec};
+use aitf_engine::{Params, ScenarioSpec};
 use aitf_netsim::SimDuration;
 use aitf_scenario::{HostSel, ProbeSet, Role, Scenario, TargetSel, TopologySpec, TrafficSpec};
+
+use crate::harness::run_scenario;
 
 /// The declarative E9 scenario: one spoofing zombie, ingress filtering on
 /// or off for the whole deployment.
@@ -69,11 +71,6 @@ pub fn scenario(ingress_filtering: bool) -> Scenario {
         }))
 }
 
-/// Runs one mode.
-pub fn run_one(ingress_filtering: bool, seed: u64) -> Outcome {
-    scenario(ingress_filtering).run(seed)
-}
-
 /// The E9 scenario spec: ingress filtering on / off.
 pub fn spec(_quick: bool) -> ScenarioSpec {
     ScenarioSpec::new(
@@ -102,11 +99,7 @@ pub fn spec(_quick: bool) -> ScenarioSpec {
             // request load across the on/off pair.
             .with("_seed_group", 0u64)
     }))
-    .runner(|p, ctx| {
-        scenario(p.bool("ingress_filtering"))
-            .shards(ctx.shards)
-            .run(ctx.seed)
-    })
+    .runner(run_scenario(|p| scenario(p.bool("ingress_filtering"))))
 }
 
 #[cfg(test)]
@@ -115,7 +108,7 @@ mod tests {
 
     #[test]
     fn ingress_on_stops_spoofs_at_the_edge() {
-        let o = run_one(true, 2);
+        let o = scenario(true).run(2);
         assert!(o.metrics.u64("spoofs_dropped") > 1000, "{o:?}");
         assert_eq!(o.metrics.u64("victim_attack_pkts"), 0, "{o:?}");
         assert_eq!(o.metrics.u64("provider_requests"), 0, "{o:?}");
@@ -123,7 +116,7 @@ mod tests {
 
     #[test]
     fn ingress_off_turns_into_filtering_work() {
-        let o = run_one(false, 2);
+        let o = scenario(false).run(2);
         assert_eq!(o.metrics.u64("spoofs_dropped"), 0, "{o:?}");
         assert!(o.metrics.u64("victim_attack_pkts") > 0, "{o:?}");
         assert!(o.metrics.u64("provider_requests") > 10, "{o:?}");

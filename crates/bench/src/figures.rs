@@ -8,16 +8,15 @@
 //! The runs live on the engine like every other experiment: [`spec`]
 //! registers a `figures` sweep whose records carry the per-bin series as
 //! `_series_*` JSON fields (`Value::F64List`), so
-//! `all_experiments --json` emits machine-readable plot data in
-//! `BENCH_figures.json`. The [`run`] entry point additionally prints the
-//! classic gnuplot-ready two-column text.
+//! `all_experiments --filter figures --json DIR` emits machine-readable
+//! plot data in `BENCH_figures.json` — the one output path for series.
 
 use aitf_core::{HostPolicy, RouterPolicy};
-use aitf_engine::{Outcome, Params, ScenarioSpec};
+use aitf_engine::{Params, ScenarioSpec};
 use aitf_netsim::SimDuration;
 use aitf_scenario::{HostSel, ProbeSet, Role, Scenario, TargetSel, TopologySpec, TrafficSpec};
 
-use crate::harness::print_series;
+use crate::harness::run_scenario;
 
 /// The declarative timeline scenario: an 8×2 zombie star whose last spoke
 /// host is a legitimate client, zombies joining staggered from `t = 2 s`.
@@ -88,11 +87,6 @@ pub fn scenario(defended: bool) -> Scenario {
         )
 }
 
-/// Runs one timeline (summary means + full `_series_*` vectors).
-pub fn attack_timeline(defended: bool, seed: u64) -> Outcome {
-    scenario(defended).run(seed)
-}
-
 /// The engine spec for the timeline pair: one defended run, one
 /// undefended, sharing a seed (`_seed_group`) so the only difference
 /// between the rows is AITF itself. Summary means make the table; the
@@ -114,64 +108,7 @@ pub fn spec(_quick: bool) -> ScenarioSpec {
             .with("defended", defended)
             .with("_seed_group", 0u64)
     }))
-    .runner(|params, ctx| {
-        scenario(params.bool("defended"))
-            .shards(ctx.shards)
-            .run(ctx.seed)
-    })
-}
-
-/// Prints the engine table for the timeline pair, then both timelines
-/// (defended and undefended) as gnuplot series — extracted from the same
-/// records the table came from, so table and series always agree and the
-/// pair is simulated exactly once.
-pub fn run(quick: bool) {
-    let spec = spec(quick);
-    let records = aitf_engine::Runner::default().quick(quick).run(&spec);
-    crate::harness::render_sweep(&spec, &records);
-    println!("=== figure series: goodput and attack bandwidth over time ===\n");
-    let series = |r: &aitf_engine::RunRecord, name: &str| -> Vec<(f64, f64)> {
-        r.metrics
-            .f64_list("_series_time_s")
-            .iter()
-            .copied()
-            .zip(r.metrics.f64_list(name).iter().copied())
-            .collect()
-    };
-    // Select by the knob, not by point order, so reordering spec points
-    // can never swap the printed labels.
-    let by_knob = |want: bool| {
-        records
-            .iter()
-            .find(|r| r.params.bool("defended") == want)
-            .expect("spec declares both defended and undefended points")
-    };
-    let (defended, undefended) = (by_knob(true), by_knob(false));
-    print_series(
-        "goodput_undefended_mbps",
-        &series(undefended, "_series_goodput_mbps"),
-    );
-    print_series(
-        "attack_bw_undefended_mbps",
-        &series(undefended, "_series_attack_bw_mbps"),
-    );
-    print_series(
-        "goodput_aitf_mbps",
-        &series(defended, "_series_goodput_mbps"),
-    );
-    print_series(
-        "attack_bw_aitf_mbps",
-        &series(defended, "_series_attack_bw_mbps"),
-    );
-    print_series(
-        "victim_gw_filters",
-        &series(defended, "_series_victim_gw_filters"),
-    );
-    println!(
-        "expected shape: goodput collapses at t=2s in both runs; with AITF \
-         it recovers within ~1 s while the undefended run stays flat on the \
-         floor; attack bandwidth under AITF returns to ~0."
-    );
+    .runner(run_scenario(|params| scenario(params.bool("defended"))))
 }
 
 #[cfg(test)]
@@ -180,7 +117,7 @@ mod tests {
 
     #[test]
     fn aitf_timeline_shows_dip_and_recovery() {
-        let o = attack_timeline(true, 3);
+        let o = scenario(true).run(3);
         let before = o.metrics.f64("goodput_before_mbps");
         let during = o.metrics.f64("goodput_during_mbps");
         let after = o.metrics.f64("goodput_after_mbps");
@@ -196,8 +133,8 @@ mod tests {
 
     #[test]
     fn undefended_timeline_never_recovers() {
-        let defended = attack_timeline(true, 3);
-        let o = attack_timeline(false, 3);
+        let defended = scenario(true).run(3);
+        let o = scenario(false).run(3);
         let before = o.metrics.f64("goodput_before_mbps");
         let after = o.metrics.f64("goodput_after_mbps");
         // Persistent loss (drop-tail is not proportionally fair, so the

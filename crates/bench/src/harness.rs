@@ -1,8 +1,24 @@
-//! Table formatting and rendering helpers shared by all experiments.
+//! What every experiment shares: the one place a sweep point is executed
+//! ([`run_scenario`]) and the table rendering of finished sweeps.
 //! (Measurement helpers — leak ratios, binned sampling — live in
-//! `aitf_scenario::probe` now.)
+//! `aitf_scenario::probe`.)
 
-use aitf_engine::{tabulate, RunRecord, ScenarioSpec};
+use aitf_engine::{tabulate, Outcome, Params, RunCtx, RunRecord, ScenarioSpec};
+use aitf_scenario::Scenario;
+
+/// Turns an experiment's `params → Scenario` mapping into its point
+/// runner. This is the only place that knows how a sweep point is
+/// executed — split into the context's shard count, run under the context's
+/// derived seed — so anything every point must do (an invariant check, a
+/// claims ledger row, per-stage verdicts) plugs in here once. Only
+/// experiments that drive a built world by hand or merge two runs into one
+/// record (E8's protocol contrast, E10's pushback column) keep a bespoke
+/// closure.
+pub fn run_scenario(
+    scenario: impl Fn(&Params) -> Scenario + Send + Sync + 'static,
+) -> impl Fn(&Params, &RunCtx) -> Outcome + Send + Sync + 'static {
+    move |params, ctx| scenario(params).shards(ctx.shards).run(ctx.seed)
+}
 
 /// A printable results table with aligned columns.
 ///
@@ -123,15 +139,6 @@ pub fn render_sweep(spec: &ScenarioSpec, records: &[RunRecord]) -> Table {
         println!("paper expectation: {}\n", spec.expectation);
     }
     table
-}
-
-/// Prints a series in a gnuplot-friendly two-column layout.
-pub fn print_series(name: &str, points: &[(f64, f64)]) {
-    println!("# series: {name}");
-    for (x, y) in points {
-        println!("{x:.3} {y:.6}");
-    }
-    println!();
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! CLI behaviour of the `all_experiments` driver: a `--filter` that
 //! matches nothing (or is empty) must fail loudly (listing the known
 //! experiment ids and exiting non-zero), even when other filters do
-//! match. And for every binary: `--help` agrees with the argument parser
-//! and the doc table; `figures` rejects arguments it does not know.
+//! match. And for both binaries: `--help` agrees with the argument parser
+//! and the doc table.
 
 use std::process::Command;
 
@@ -128,22 +128,5 @@ fn profiling_runner_help_works_on_an_untraced_build() {
         env!("CARGO_BIN_EXE_profiling_runner"),
         include_str!("../src/bin/profiling_runner.rs"),
         &["--quick", "--filter", "--threads", "--out", "--seed"],
-    );
-}
-
-#[test]
-fn figures_rejects_unknown_arguments() {
-    let exe = env!("CARGO_BIN_EXE_figures");
-    assert_help_matches(exe, include_str!("../src/bin/figures.rs"), &["--quick"]);
-    // A typo must not silently run the full-size sweep.
-    let out = Command::new(exe)
-        .arg("--quik")
-        .output()
-        .expect("run figures");
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("--quik") && stderr.contains("usage: figures"),
-        "names the bad argument and prints the usage line: {stderr}"
     );
 }

@@ -41,7 +41,6 @@ fn render_quick_suite(threads: usize) -> String {
         .unwrap_or(1);
     let registry = aitf_bench::registry(true);
     let grouped = Runner::new(threads)
-        .quick(true)
         .base_seed(aitf_engine::DEFAULT_BASE_SEED)
         .shards(shards)
         .run_all(registry.specs());

@@ -11,18 +11,31 @@
 //!   the pushback backend's hint fallback (no `BorderRouter` to downcast);
 //! - **E16** (deployment mix): seed-derived cooperating/legacy assignment,
 //!   so group merging changes per point.
+//!
+//! Under `--features trace` the same runs also compare their span trees:
+//! a traced sharded run executes on threads like an untraced one, and its
+//! tree is built from virtual-time data only.
 
-use aitf_engine::{Runner, ScenarioSpec};
+use aitf_engine::{RunRecord, Runner, ScenarioSpec};
 
 fn assert_shard_invariant(spec: &ScenarioSpec) {
     let run = |shards: usize| {
         Runner::new(1)
-            .quick(true)
             .base_seed(aitf_engine::DEFAULT_BASE_SEED)
             .shards(shards)
             .run(spec)
     };
+    // `None` on both sides unless the `trace` feature is on.
+    let spans = |r: &RunRecord| r.trace.as_ref().map(|t| t.spans.clone());
     let single = run(1);
+    #[cfg(feature = "trace")]
+    assert!(
+        single
+            .iter()
+            .any(|r| spans(r).is_some_and(|s| !s.is_empty())),
+        "{}: a traced sweep records spans",
+        spec.id
+    );
     for shards in [2, 4] {
         let sharded = run(shards);
         assert_eq!(single.len(), sharded.len());
@@ -38,6 +51,13 @@ fn assert_shard_invariant(spec: &ScenarioSpec) {
                 k.to_json(),
             );
             assert_eq!(k.shards, shards, "record must carry its shard count");
+            assert_eq!(
+                spans(s),
+                spans(k),
+                "{} point {}: span tree drifted at {shards} shards",
+                spec.id,
+                s.index
+            );
         }
     }
 }

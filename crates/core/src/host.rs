@@ -20,7 +20,7 @@
 use std::collections::HashMap;
 
 use aitf_filter::{FilterTable, TokenBucket};
-use aitf_netsim::{impl_node_any, Context, LinkId, MaybeSend, Node, SimDuration, SimTime};
+use aitf_netsim::{impl_node_any, Context, LinkId, Node, SimDuration, SimTime};
 use aitf_packet::{
     Addr, AitfMessage, FilteringRequest, FlowLabel, Header, Packet, Protocol, RequestDestination,
     TrafficClass, VerificationReply,
@@ -178,7 +178,7 @@ impl HostApi<'_, '_> {
 ///
 /// Implementations live in the `aitf-attack` crate (floods, on-off
 /// attackers, legitimate clients and echo servers).
-pub trait TrafficApp: MaybeSend + 'static {
+pub trait TrafficApp: Send + 'static {
     /// Called once when the simulation starts.
     fn on_start(&mut self, api: &mut HostApi<'_, '_>);
 
@@ -196,7 +196,7 @@ pub trait TrafficApp: MaybeSend + 'static {
 /// sees `(src, class, size)` per delivered packet without the host
 /// materializing any per-flow state. Exactly one tap per host; it fires
 /// after the delivery counters update, before the traffic apps.
-pub trait RxTap: MaybeSend + 'static {
+pub trait RxTap: Send + 'static {
     /// One data packet was delivered: source address, traffic class, wire
     /// size. Must be O(1) and allocation-free — it runs on the hot path.
     fn on_rx(&mut self, src: Addr, class: TrafficClass, size_bytes: u32);

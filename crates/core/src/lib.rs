@@ -71,3 +71,13 @@ pub use policy::DefensePolicy;
 pub use pushback::{PushbackCounters, PushbackState, LINK_LOCAL, MAX_PUSHBACK_DEPTH};
 pub use router::{BorderRouter, RouterCounters, RouterSpec};
 pub use world::{HostId, NetId, RoutingMode, World, WorldBuilder};
+
+/// A world and everything in it can move to a shard thread — with the
+/// `trace` feature too: span logs are plain router-private data.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<World>();
+    assert_send::<BorderRouter>();
+    assert_send::<EndHost>();
+    assert_send::<aitf_netsim::Simulator>();
+};

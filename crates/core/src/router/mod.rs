@@ -206,8 +206,9 @@ pub struct BorderRouter {
     token_map: HashMap<u64, TimerAction>,
     next_id: u64,
     counters: RouterCounters,
-    /// Structured span recorder (a zero-sized no-op unless the `trace`
-    /// feature is on); shared with every other router in the world so
+    /// This router's span log (a zero-sized no-op unless the `trace`
+    /// feature is on). Private to the router; [`crate::World::trace_spans`]
+    /// merges every router's log into the world's span tree, where
     /// escalation chains parent across routers.
     tracer: Tracer,
 }
@@ -273,11 +274,9 @@ impl BorderRouter {
         }
     }
 
-    /// Replaces the span recorder. The world builder calls this on every
-    /// router with clones of one shared [`Tracer`], so round spans parent
-    /// across routers; a router keeps its private (inert) tracer otherwise.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
+    /// This router's span log, for [`Tracer::replay`].
+    pub(crate) fn tracer(&self) -> &Tracer {
+        &self.tracer
     }
 
     /// This router's address.
@@ -383,7 +382,7 @@ impl BorderRouter {
     }
 
     /// Records an instant span at this router.
-    fn span(&self, kind: SpanKind, cause: Cause, key: u64, round: u8, now: SimTime) {
+    fn span(&mut self, kind: SpanKind, cause: Cause, key: u64, round: u8, now: SimTime) {
         self.tracer
             .instant(kind, cause, key, round, self.addr.0, now.0);
     }

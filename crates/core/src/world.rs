@@ -423,18 +423,6 @@ impl WorldBuilder {
             sim.install(router_nodes[i], Box::new(BorderRouter::new(spec)));
         }
 
-        // Hand every router a clone of one shared tracer so escalation
-        // spans parent across routers.
-        let tracer = aitf_trace::Tracer::new();
-        for &node in &router_nodes {
-            if let Some(r) = sim.node_mut::<BorderRouter>(node) {
-                // With tracing off the Tracer is zero-sized Copy and this
-                // clone is free; with it on, it is the sharing Rc clone.
-                #[allow(clippy::clone_on_copy)]
-                r.set_tracer(tracer.clone());
-            }
-        }
-
         // Install hosts.
         for (h, hspec) in self.hosts.iter().enumerate() {
             let host = EndHost::new(
@@ -465,7 +453,6 @@ impl WorldBuilder {
                 .collect(),
             tail_links,
             uplinks,
-            tracer,
         }
     }
 }
@@ -490,8 +477,6 @@ pub struct World {
     net_cooperating: Vec<bool>,
     tail_links: Vec<LinkId>,
     uplinks: Vec<Option<LinkId>>,
-    /// Shared across all AITF routers; zero-sized unless `trace` is on.
-    tracer: aitf_trace::Tracer,
 }
 
 impl World {
@@ -540,17 +525,22 @@ impl World {
         NetId(self.host_net[host.0])
     }
 
-    /// The world-wide escalation tracer (a no-op handle unless the `trace`
-    /// feature is enabled).
-    pub fn tracer(&self) -> &aitf_trace::Tracer {
-        &self.tracer
+    /// Whether span recording is compiled in (the `trace` feature).
+    pub fn tracing_enabled(&self) -> bool {
+        aitf_trace::Tracer::ENABLED
     }
 
-    /// Closes any still-open spans at the current sim time and returns every
-    /// recorded escalation span. Always empty without the `trace` feature.
+    /// The world's escalation span tree so far: every router's private log
+    /// replayed in `(virtual time, router address, log position)` order,
+    /// with spans still open closed at the current sim time *in the
+    /// returned copy* — a pure read, repeatable mid-run. Always empty
+    /// without the `trace` feature.
     pub fn trace_spans(&self) -> Vec<aitf_trace::SpanRecord> {
-        self.tracer.finish(self.sim.now().0);
-        self.tracer.spans()
+        let logs = (0..self.net_count()).map(|i| {
+            let r = self.router(NetId(i));
+            (r.addr().0, r.tracer())
+        });
+        aitf_trace::Tracer::replay(logs, self.sim.now().0)
     }
 
     /// A network's uplink towards its provider.

@@ -12,8 +12,6 @@ use std::fmt;
 pub enum Value {
     /// Unsigned integer (counts, sizes, ids).
     U64(u64),
-    /// Signed integer.
-    I64(i64),
     /// Floating point (rates, ratios, seconds).
     F64(f64),
     /// Boolean flag.
@@ -38,7 +36,6 @@ impl Value {
     pub fn render(&self) -> String {
         match self {
             Value::U64(v) => v.to_string(),
-            Value::I64(v) => v.to_string(),
             Value::F64(v) => fmt_compact(*v),
             Value::Bool(v) => v.to_string(),
             Value::Str(s) => s.clone(),
@@ -51,7 +48,6 @@ impl Value {
     pub fn to_json(&self) -> String {
         match self {
             Value::U64(v) => v.to_string(),
-            Value::I64(v) => v.to_string(),
             Value::F64(v) if v.is_finite() => format!("{v}"),
             Value::F64(_) => "null".to_string(),
             Value::Bool(v) => v.to_string(),
@@ -92,12 +88,6 @@ impl From<usize> for Value {
 impl From<u8> for Value {
     fn from(v: u8) -> Self {
         Value::U64(v as u64)
-    }
-}
-
-impl From<i64> for Value {
-    fn from(v: i64) -> Self {
-        Value::I64(v)
     }
 }
 

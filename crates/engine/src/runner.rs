@@ -17,7 +17,6 @@ use crate::spec::{RunCtx, ScenarioSpec};
 #[derive(Debug, Clone, Copy)]
 pub struct Runner {
     threads: usize,
-    quick: bool,
     base_seed: u64,
     shards: usize,
 }
@@ -43,16 +42,9 @@ impl Runner {
     pub fn new(threads: usize) -> Self {
         Runner {
             threads: threads.max(1),
-            quick: false,
             base_seed: DEFAULT_BASE_SEED,
             shards: 1,
         }
-    }
-
-    /// Enables reduced-size (quick) mode, forwarded to every point run.
-    pub fn quick(mut self, quick: bool) -> Self {
-        self.quick = quick;
-        self
     }
 
     /// Sets the base seed all point seeds derive from.
@@ -103,7 +95,6 @@ impl Runner {
                     let spec = &specs[s];
                     let ctx = RunCtx {
                         seed: spec.seed_for(self.base_seed, p),
-                        quick: self.quick,
                         shards: self.shards,
                     };
                     // detlint::allow(wall-clock): wall_secs telemetry on the record — excluded from deterministic_eq

@@ -12,8 +12,6 @@ pub struct RunCtx {
     /// base seed, the experiment id and the point index — never on thread
     /// scheduling — so results are bit-identical at any thread count.
     pub seed: u64,
-    /// Reduced-size mode (CI / integration tests).
-    pub quick: bool,
     /// Event-loop shards each scenario should split into (1 = classic
     /// single-threaded loop). Pure execution strategy: results are
     /// bit-identical at any value.
@@ -223,11 +221,7 @@ mod tests {
     #[should_panic(expected = "runner was never set")]
     fn missing_runner_fails_loudly() {
         let spec = ScenarioSpec::new("x", "t", "p").point(Params::new());
-        let ctx = RunCtx {
-            seed: 1,
-            quick: true,
-            shards: 1,
-        };
+        let ctx = RunCtx { seed: 1, shards: 1 };
         let _ = (spec.run)(&spec.points[0], &ctx);
     }
 }

@@ -58,7 +58,7 @@ pub mod topology;
 
 pub use event::{Event, EventKind, EventQueue};
 pub use link::{Link, LinkDirection, LinkId, LinkParams, LinkStats};
-pub use node::{Context, MaybeSend, Node, NodeId};
+pub use node::{Context, Node, NodeId};
 pub use partition::{partition, Partition, PartitionError, PartitionSpec};
 pub use sim::{NetworkBuilder, Simulator};
 pub use time::{SimDuration, SimTime};

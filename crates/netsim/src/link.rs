@@ -240,11 +240,6 @@ impl Link {
         self.dirs[dir.index()].blocked = blocked;
     }
 
-    /// Returns `true` if the direction is administratively blocked.
-    pub fn is_blocked(&self, dir: LinkDirection) -> bool {
-        self.dirs[dir.index()].blocked
-    }
-
     /// Hands a packet to the link for transmission in `dir` at time `now`.
     ///
     /// Schedules the necessary [`EventKind::LinkTxDone`] event if the

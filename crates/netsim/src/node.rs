@@ -19,30 +19,14 @@ use crate::time::{SimDuration, SimTime};
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct NodeId(pub usize);
 
-/// Marker supertrait that makes nodes `Send` in default builds, so shard
-/// workers of a partitioned simulation can run on threads. The `trace`
-/// feature's tracer handles are `Rc`-based, so traced builds drop the
-/// bound — sharded runs then execute their shards serially on one thread,
-/// with identical results (the window protocol is thread-count
-/// independent). A blanket impl covers every eligible type; node authors
-/// never implement this by hand.
-#[cfg(not(feature = "trace"))]
-pub trait MaybeSend: Send {}
-#[cfg(not(feature = "trace"))]
-impl<T: Send + ?Sized> MaybeSend for T {}
-
-/// Non-`trace` builds bound this by `Send`; see the other definition.
-#[cfg(feature = "trace")]
-pub trait MaybeSend {}
-#[cfg(feature = "trace")]
-impl<T: ?Sized> MaybeSend for T {}
-
 /// An event-driven participant in the simulated network.
 ///
 /// Handlers must not block or sleep; they react to one event and return.
 /// The `as_any` hooks allow experiments to downcast installed nodes and read
-/// their state after a run (e.g. a victim's goodput counters).
-pub trait Node: MaybeSend + 'static {
+/// their state after a run (e.g. a victim's goodput counters). Nodes are
+/// `Send` in every build: the shard workers of a partitioned simulation run
+/// on threads, traced or not.
+pub trait Node: Send + 'static {
     /// Called once when the simulation starts, in node-id order; sources
     /// typically arm their first timer here.
     fn on_start(&mut self, _ctx: &mut Context<'_>) {}
@@ -107,11 +91,6 @@ impl Context<'_> {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.core.time
-    }
-
-    /// The id of the node being dispatched.
-    pub fn node_id(&self) -> NodeId {
-        self.node
     }
 
     /// Sends `packet` out on `link`.

@@ -186,12 +186,6 @@ impl SimCore {
         &self.links[self.slot(id)]
     }
 
-    /// Mutable link access.
-    pub fn link_mut(&mut self, id: LinkId) -> &mut Link {
-        let slot = self.slot(id);
-        &mut self.links[slot]
-    }
-
     /// Draws a fresh globally unique packet id.
     pub fn next_packet_id(&mut self) -> u64 {
         let id = self.next_pkt_id;
@@ -338,6 +332,9 @@ impl Shard {
     /// `inclusive`), in `(time, seq)` order. This *is* the classic event
     /// loop; single-shard runs call it once with `inclusive = true`.
     fn run_window(&mut self, bound: SimTime, inclusive: bool) {
+        #[cfg(feature = "trace")]
+        // detlint::allow(wall-clock): this shard's in-loop wall for the subsystem profile, trace builds only — never enters simulation state
+        let window_start = std::time::Instant::now();
         while let Some(next) = self.core.events.peek_time() {
             let past = if inclusive {
                 next > bound
@@ -380,6 +377,10 @@ impl Shard {
                 ev_start.elapsed().as_nanos() as u64,
             );
         }
+        #[cfg(feature = "trace")]
+        self.core
+            .profile
+            .add_loop_nanos(window_start.elapsed().as_nanos() as u64);
     }
 
     fn dispatch_packet(&mut self, node: NodeId, link: LinkId, packet: Packet) {
@@ -884,9 +885,6 @@ impl Simulator {
         if !self.started {
             self.start();
         }
-        #[cfg(feature = "trace")]
-        // detlint::allow(wall-clock): in-loop wall for the subsystem profile, trace builds only — never enters simulation state
-        let wall_start = std::time::Instant::now();
         if self.is_sharded() {
             self.run_sharded(t);
         } else {
@@ -895,15 +893,6 @@ impl Simulator {
             shard.core.time = t;
         }
         self.time = t;
-        #[cfg(feature = "trace")]
-        {
-            let nanos = wall_start.elapsed().as_nanos() as u64;
-            if self.is_sharded() {
-                self.merged_profile.add_loop_nanos(nanos);
-            } else {
-                self.shards[0].core.profile.add_loop_nanos(nanos);
-            }
-        }
     }
 
     /// The conservative-window scheduler: every iteration processes the
@@ -952,27 +941,19 @@ impl Simulator {
         self.drain_shard_state();
     }
 
-    /// Runs one window in every shard — on worker threads in default
-    /// builds, serially under the `trace` feature (tracer handles are not
-    /// `Send`). The result is identical either way: the window protocol
-    /// never looks at thread interleaving.
+    /// Runs one window in every shard, each on its own thread (shard 0 on
+    /// the coordinating one) — in every build: nodes are `Send` and span
+    /// logs are router-private. The result never depends on how the
+    /// threads interleave; the window protocol does not look.
     fn run_window_all(&mut self, bound: SimTime, inclusive: bool) {
-        #[cfg(not(feature = "trace"))]
-        {
-            std::thread::scope(|scope| {
-                let mut iter = self.shards.iter_mut();
-                let first = iter.next().expect("at least one shard");
-                for shard in iter {
-                    scope.spawn(move || shard.run_window(bound, inclusive));
-                }
-                // Shard 0 runs on the coordinating thread.
-                first.run_window(bound, inclusive);
-            });
-        }
-        #[cfg(feature = "trace")]
-        for shard in &mut self.shards {
-            shard.run_window(bound, inclusive);
-        }
+        std::thread::scope(|scope| {
+            let mut iter = self.shards.iter_mut();
+            let first = iter.next().expect("at least one shard");
+            for shard in iter {
+                scope.spawn(move || shard.run_window(bound, inclusive));
+            }
+            first.run_window(bound, inclusive);
+        });
     }
 
     /// The window barrier: replays every staged cut-link operation from
@@ -1002,6 +983,9 @@ impl Simulator {
             dir: LinkDirection,
             op: CutOp,
         }
+        #[cfg(feature = "trace")]
+        // detlint::allow(wall-clock): the barrier's in-loop wall for the subsystem profile, trace builds only — never enters simulation state
+        let barrier_start = std::time::Instant::now();
         let mut ops: Vec<ReplayOp> = Vec::new();
         for (si, shard) in self.shards.iter_mut().enumerate() {
             for s in shard.core.take_staged_cut() {
@@ -1091,6 +1075,9 @@ impl Simulator {
                 }
             }
         }
+        #[cfg(feature = "trace")]
+        self.merged_profile
+            .add_loop_nanos(barrier_start.elapsed().as_nanos() as u64);
     }
 
     /// Routes the events a replayed cut-link operation produced: tx-dones
@@ -1288,19 +1275,23 @@ mod tests {
     #[test]
     #[cfg(feature = "trace")]
     fn subsystem_profile_accounts_every_dispatched_event() {
-        let (mut sim, ids) = line_topology(3);
-        sim.install(ids[0], Box::new(Burst { count: 10 }));
-        for &id in &ids[1..] {
-            sim.install(id, Box::new(FloodRelay { received: 0 }));
-        }
-        sim.run_for(SimDuration::from_secs(1));
-        let p = sim.subsystem_profile();
-        assert_eq!(p.total_events(), sim.dispatched_events());
         use aitf_trace::Subsystem;
-        assert!(p.bucket(Subsystem::Link).events > 0, "tx completions");
-        assert!(p.bucket(Subsystem::HostApp).events > 0, "node dispatches");
-        let f = p.finalized();
-        assert_eq!(f.bucket(Subsystem::Queue).events, p.total_events());
+        for shards in [1, 2] {
+            let (sim, _) = chain_sim(4, shards);
+            assert_eq!(sim.shard_count(), shards);
+            let p = sim.subsystem_profile();
+            assert_eq!(p.total_events(), sim.dispatched_events(), "{shards}");
+            assert!(p.bucket(Subsystem::Link).events > 0, "tx completions");
+            assert!(p.bucket(Subsystem::HostApp).events > 0, "node dispatches");
+            let f = p.finalized();
+            assert_eq!(f.bucket(Subsystem::Queue).events, p.total_events());
+            // The loop wall covers every dispatch at any shard count: a
+            // sharded run sums its shards' windows and the barrier.
+            for s in Subsystem::ALL {
+                let nanos = f.bucket(s).nanos;
+                assert!(nanos <= p.loop_nanos(), "{shards} shards, {s:?}: {nanos}");
+            }
+        }
     }
 
     #[test]
@@ -1313,10 +1304,10 @@ mod tests {
         assert_eq!(sim.subsystem_profile().total_events(), 0);
     }
 
-    /// Builds a chain-of-groups world: `n` single-node groups in a parent
-    /// chain, 1 ms links, `Burst` at node 0, relays elsewhere. Returns the
-    /// per-relay reception counts plus the dispatched-event total.
-    fn chain_results(n: usize, shards: usize) -> (u64, Vec<u64>, usize) {
+    /// Builds a chain-of-groups world — `n` single-node groups in a parent
+    /// chain, 1 ms links, `Burst` at node 0, relays elsewhere — split into
+    /// `shards` shards, and runs it for one second.
+    fn chain_sim(n: usize, shards: usize) -> (Simulator, Vec<NodeId>) {
         let (mut sim, ids) = line_topology(n);
         sim.install(ids[0], Box::new(Burst { count: 20 }));
         for &id in &ids[1..] {
@@ -1334,6 +1325,13 @@ mod tests {
             }
         }
         sim.run_for(SimDuration::from_secs(1));
+        (sim, ids)
+    }
+
+    /// [`chain_sim`]'s per-relay reception counts plus the dispatched-event
+    /// total and the shard count.
+    fn chain_results(n: usize, shards: usize) -> (u64, Vec<u64>, usize) {
+        let (sim, ids) = chain_sim(n, shards);
         (
             sim.dispatched_events(),
             ids[1..]

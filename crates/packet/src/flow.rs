@@ -162,12 +162,6 @@ impl FlowLabel {
         self
     }
 
-    /// Restricts the label to one source port, returning the narrowed label.
-    pub fn with_src_port(mut self, port: u16) -> Self {
-        self.src_port = PortPattern::Exactly(port);
-        self
-    }
-
     /// Returns `true` if the packet header matches this label.
     pub fn matches(&self, header: &Header) -> bool {
         self.src.contains(header.src)

@@ -89,18 +89,6 @@ impl Header {
         }
     }
 
-    /// Builds an ICMP header (ports zero).
-    pub fn icmp(src: Addr, dst: Addr) -> Self {
-        Header {
-            src,
-            dst,
-            proto: Protocol::Icmp,
-            src_port: 0,
-            dst_port: 0,
-            ttl: Self::DEFAULT_TTL,
-        }
-    }
-
     /// Builds an AITF control-plane header.
     pub fn aitf(src: Addr, dst: Addr) -> Self {
         Header {

@@ -27,9 +27,11 @@
 //! under the engine's derived seeds, bit-identical run records at any
 //! thread count.
 //!
-//! The [`worlds`] module keeps the imperative canned worlds (`fig1`,
-//! `chain_pair`, `star`) for examples and integration tests; they are
-//! thin wrappers over the same generators.
+//! Code that drives a simulation by hand (examples, integration tests)
+//! builds the same way: `TopologySpec::fig1(..).build(seed, cfg)` returns
+//! a [`BuiltWorld`] whose `net` / `victim` / `first_with` / `hosts_with` /
+//! `nets_on` lookups name the handles, and [`TrafficSpec::install`] arms
+//! the traffic. There is no second, imperative world API.
 
 pub mod alloc;
 pub mod churn;
@@ -39,7 +41,6 @@ pub mod scenario;
 pub mod stream;
 pub mod topology;
 pub mod workload;
-pub mod worlds;
 
 pub use alloc::PrefixAlloc;
 pub use churn::{ChurnAction, ChurnSpec, EventSpec};
@@ -51,4 +52,3 @@ pub use topology::{
     BuiltWorld, HostDecl, NetDecl, NetSel, PeeringDecl, PowerLawSpec, Role, Side, TopologySpec,
 };
 pub use workload::{HostSel, Rate, TargetSel, TrafficKind, TrafficSpec, WorkloadSpec};
-pub use worlds::{chain_pair, fig1, star, ChainWorld, Fig1World, StarWorld};

@@ -853,6 +853,8 @@ mod tests {
         assert!(f.world.uplink(f.net("G_net")).is_some());
         assert!(f.world.uplink(f.net("G_wan")).is_none());
         assert_eq!(f.role_of(f.victim()), Role::Victim);
+        let attacker = f.world.host_addr(f.first_with(Role::Attacker));
+        assert!(f.world.net_prefix(f.net("B_net")).contains(attacker));
     }
 
     #[test]
@@ -869,6 +871,9 @@ mod tests {
         // G_1 is the leaf (has an uplink), G_3 the top (peered, no uplink).
         assert!(c.world.uplink(c.net("G_1")).is_some());
         assert!(c.world.uplink(c.net("G_3")).is_none());
+        assert_eq!(c.world.host_net(c.victim()), c.net("G_1"));
+        // Each side is declared top-down.
+        assert_eq!(c.nets_on(Side::Victim).last(), Some(&c.net("G_1")));
     }
 
     #[test]
@@ -879,6 +884,10 @@ mod tests {
         assert_eq!(s.hosts_with(Role::Attacker).len(), 24);
         assert_eq!(s.world.net_count(), 10);
         assert_eq!(s.world.host_count(), 25);
+        assert_eq!(
+            s.world.host_net(s.hosts_with(Role::Attacker)[0]),
+            s.nets_on(Side::Attacker)[0]
+        );
     }
 
     #[test]

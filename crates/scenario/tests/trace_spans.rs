@@ -11,13 +11,17 @@
 
 #![cfg(feature = "trace")]
 
-use aitf_attack::FloodSource;
 use aitf_core::{AitfConfig, HostPolicy, RouterPolicy};
 use aitf_netsim::SimDuration;
-use aitf_scenario::{fig1, HostSel, Role, Scenario, TargetSel, TopologySpec, TrafficSpec};
+use aitf_scenario::{BuiltWorld, HostSel, Role, Scenario, TargetSel, TopologySpec, TrafficSpec};
 use aitf_trace::{Cause, SpanKind, SpanRecord};
 
-fn fig1_spans() -> Vec<SpanRecord> {
+/// The 1000 pps flood every test here runs.
+fn flood() -> TrafficSpec {
+    TrafficSpec::flood(HostSel::Role(Role::Attacker), TargetSel::Victim, 1000, 500)
+}
+
+fn fig1_spans(shards: usize) -> Vec<SpanRecord> {
     // The attacker's own gateway shirks, so round 1's request is ignored,
     // the temporary filter expires, and the ladder climbs to round 2 where
     // the next gateway up (B_isp) cooperates: handshake, long filter, and
@@ -26,18 +30,20 @@ fn fig1_spans() -> Vec<SpanRecord> {
     topo.set_net_policy("B_net", RouterPolicy::non_cooperating());
     let scenario = Scenario::new(topo)
         .duration(SimDuration::from_secs(8))
-        .traffic(TrafficSpec::flood(
-            HostSel::Role(Role::Attacker),
-            TargetSel::Victim,
-            1000,
-            500,
-        ));
+        .traffic(flood())
+        .shards(shards);
     let outcome = scenario.run(42);
     outcome
         .trace
         .expect("trace feature is on; every outcome carries a report")
         .spans
-        .clone()
+}
+
+/// The cooperative Figure 1 world of `examples/quickstart.rs`, flood armed.
+fn cooperative_fig1() -> BuiltWorld {
+    let mut f = TopologySpec::fig1(HostPolicy::Compliant).build(42, AitfConfig::default());
+    flood().install(&mut f);
+    f
 }
 
 fn find(spans: &[SpanRecord], kind: SpanKind, cause: Cause, round: u8) -> Option<&SpanRecord> {
@@ -48,7 +54,7 @@ fn find(spans: &[SpanRecord], kind: SpanKind, cause: Cause, round: u8) -> Option
 
 #[test]
 fn one_full_escalation_pins_its_parent_and_cause_chain() {
-    let spans = fig1_spans();
+    let spans = fig1_spans(1);
     assert!(!spans.is_empty(), "a traced escalation must record spans");
 
     // Every span is closed (run finished) and well-formed.
@@ -86,8 +92,8 @@ fn one_full_escalation_pins_its_parent_and_cause_chain() {
 
     // Round 2's verification handshake parents under a round-2 Round span
     // — and runs on a *different router* (the attacker-side gateway; the
-    // round opened victim-side), which is exactly what the shared world
-    // tracer exists for.
+    // round opened victim-side), which is exactly what merging the
+    // routers' logs into one tree exists for.
     let hs = find(&spans, SpanKind::Handshake, Cause::Protocol, 2)
         .expect("verification handshake inside round 2");
     let hs_round = spans
@@ -118,7 +124,17 @@ fn one_full_escalation_pins_its_parent_and_cause_chain() {
 
     // Determinism: span records are virtual-time data, so a second run of
     // the same seed reproduces the tree exactly.
-    assert_eq!(spans, fig1_spans());
+    assert_eq!(spans, fig1_spans(1));
+}
+
+/// The traced run is the shipped run: shard windows execute on threads,
+/// and the tree — ids, parents, times — is the single-threaded one.
+#[test]
+fn spans_are_identical_at_any_shard_count() {
+    let single = fig1_spans(1);
+    for shards in [2, 4] {
+        assert_eq!(fig1_spans(shards), single, "{shards} shards");
+    }
 }
 
 /// What `examples/quickstart.rs` prints for the attacker's gateway: in the
@@ -126,13 +142,10 @@ fn one_full_escalation_pins_its_parent_and_cause_chain() {
 /// only then installs the long filter.
 #[test]
 fn cooperative_fig1_records_handshake_then_long_filter_at_the_attackers_gateway() {
-    let mut f = fig1(AitfConfig::default(), 42, HostPolicy::Compliant);
-    let target = f.world.host_addr(f.victim);
-    f.world
-        .add_app(f.attacker, Box::new(FloodSource::new(target, 1000, 500)));
+    let mut f = cooperative_fig1();
     f.world.sim.run_for(SimDuration::from_secs(5));
 
-    let b_gw1 = f.world.router(f.b_net).addr().0;
+    let b_gw1 = f.world.router(f.net("B_net")).addr().0;
     let spans = f.world.trace_spans();
     let at_b_gw1: Vec<&SpanRecord> = spans
         .iter()
@@ -146,4 +159,34 @@ fn cooperative_fig1_records_handshake_then_long_filter_at_the_attackers_gateway(
         hs.start_ns < hs.end_ns && hs.end_ns <= long.start_ns,
         "the filter installs once the handshake has completed: {hs:?} {long:?}"
     );
+}
+
+/// Reading spans is a pure read: a mid-run snapshot shows the handshake
+/// open (closed at the read time in the returned copy only) and must not
+/// freeze it there for the rest of the run.
+#[test]
+fn a_mid_run_read_does_not_freeze_open_spans() {
+    let mut f = cooperative_fig1();
+    let quarter = SimDuration::from_millis(250);
+    f.world.sim.run_for(quarter);
+    let early = f.world.trace_spans();
+    let open = |spans: &[SpanRecord]| {
+        *find(spans, SpanKind::Handshake, Cause::Protocol, 1).expect("round-1 handshake")
+    };
+    assert_eq!(
+        open(&early).end_ns,
+        quarter.as_nanos(),
+        "still in flight at the snapshot"
+    );
+    assert_eq!(early, f.world.trace_spans(), "consecutive reads are equal");
+
+    f.world.sim.run_for(SimDuration::from_millis(4750));
+    let spans = f.world.trace_spans();
+    let hs = open(&spans);
+    assert!(
+        hs.end_ns > quarter.as_nanos(),
+        "the handshake ends when its reply arrives, not at the earlier read: {hs:?}"
+    );
+    assert_eq!(hs.start_ns, open(&early).start_ns);
+    assert_eq!(spans, f.world.trace_spans(), "consecutive reads are equal");
 }

@@ -15,7 +15,10 @@
 //! The recording facade is [`Tracer`]. With the `trace` cargo feature off
 //! (the default) it is a zero-sized type whose methods are empty `#[inline]`
 //! stubs — every call compiles away, verified allocation-free by
-//! `crates/bench/tests/trace_zero_cost.rs`. The *data* types (records,
+//! `crates/bench/tests/trace_zero_cost.rs`. With it on, each router owns a
+//! private append-only log and [`Tracer::replay`] merges the logs into the
+//! span tree in virtual-time order — the same tree at any shard or thread
+//! count. The *data* types (records,
 //! profiles, reports) are feature-independent so reports can always be
 //! rendered and JSON schemas never change shape.
 

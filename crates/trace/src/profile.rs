@@ -85,7 +85,11 @@ pub struct Bucket {
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct SubsystemProfile {
     buckets: [Bucket; Subsystem::COUNT],
-    /// Total wall nanoseconds spent inside `run_until` loops.
+    /// Total wall nanoseconds spent inside event loops. A sharded run sums
+    /// every shard's window wall plus the coordinator's barrier wall — the
+    /// shards run concurrently, so the coordinator's own wall would be
+    /// *smaller* than the dispatch time it has to cover and the queue
+    /// residual would saturate to 0.
     loop_nanos: u64,
 }
 

@@ -273,11 +273,6 @@ impl SpanStore {
     pub fn spans(&self) -> &[SpanRecord] {
         &self.spans
     }
-
-    /// Consumes the store, returning the records.
-    pub fn into_spans(self) -> Vec<SpanRecord> {
-        self.spans
-    }
 }
 
 /// Flamegraph-ready folded stacks: one `frame;frame;frame weight` line per

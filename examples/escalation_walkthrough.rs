@@ -9,29 +9,31 @@
 //! `--features aitf-scenario/trace` for `G_gw1`'s span listing per run (the
 //! default build compiles span recording out).
 
-use aitf_attack::FloodSource;
 use aitf_core::{AitfConfig, HostPolicy, RouterPolicy};
 use aitf_netsim::SimDuration;
-use aitf_scenario::fig1;
+use aitf_scenario::{HostSel, Role, TargetSel, TopologySpec, TrafficSpec};
+
+/// The attacker-side gateways, leaf first: display label, network name.
+const B_SIDE: [(&str, &str); 3] = [("B_gw1", "B_net"), ("B_gw2", "B_isp"), ("B_gw3", "B_wan")];
 
 fn main() {
     println!("=== escalation walkthrough (Fig. 1, Section II-D) ===");
     for rogues in 0..=3 {
-        let mut f = fig1(AitfConfig::default(), 1000 + rogues, HostPolicy::Malicious);
-        let b_side = [f.b_net, f.b_isp, f.b_wan];
-        for &net in b_side.iter().take(rogues as usize) {
+        let mut f =
+            TopologySpec::fig1(HostPolicy::Malicious).build(1000 + rogues, AitfConfig::default());
+        for (_, net) in B_SIDE.iter().take(rogues as usize) {
+            let net = f.net(net);
             f.world
                 .router_mut(net)
                 .set_policy(RouterPolicy::non_cooperating());
         }
-        let target = f.world.host_addr(f.victim);
-        f.world
-            .add_app(f.attacker, Box::new(FloodSource::new(target, 1000, 500)));
+        TrafficSpec::flood(HostSel::Role(Role::Attacker), TargetSel::Victim, 1000, 500)
+            .install(&mut f);
         f.world.sim.run_for(SimDuration::from_secs(15));
 
         println!("\n--- {rogues} non-cooperating attacker-side gateway(s) ---");
-        for (name, net) in [("B_gw1", f.b_net), ("B_gw2", f.b_isp), ("B_gw3", f.b_wan)] {
-            let c = f.world.router(net).counters();
+        for (name, net) in B_SIDE {
+            let c = f.world.router(f.net(net)).counters();
             let role = if c.filters_installed > 0 {
                 format!(
                     "BLOCKED the flow (filters: {}, disconnects: {})",
@@ -44,21 +46,24 @@ fn main() {
             };
             println!("  {name}: {role}");
         }
-        let g3 = f.world.router(f.g_wan).counters();
+        let g3 = f.world.router(f.net("G_wan")).counters();
         if g3.disconnects_peer > 0 {
             println!("  G_gw3: DISCONNECTED the peering to B_gw3 (worst case)");
         }
-        let v = f.world.host(f.victim).counters();
+        let v = f.world.host(f.victim()).counters();
         println!(
             "  victim: {} attack packets leaked of {} sent",
             v.rx_attack_pkts,
-            f.world.host(f.attacker).counters().tx_pkts
+            f.world
+                .host(f.first_with(Role::Attacker))
+                .counters()
+                .tx_pkts
         );
         println!("  G_gw1 spans (first 6):");
-        if !f.world.tracer().is_enabled() {
+        if !f.world.tracing_enabled() {
             println!("    (none: span recording is compiled out — re-run with `--features aitf-scenario/trace`)");
         }
-        let g_gw1 = f.world.router(f.g_net).addr().0;
+        let g_gw1 = f.world.router(f.net("G_net")).addr().0;
         let spans = f.world.trace_spans();
         for s in spans.iter().filter(|s| s.router == g_gw1).take(6) {
             println!("    {}", s.line());

@@ -10,11 +10,10 @@
 //! `--features aitf-scenario/trace` for the gateway's span listing (the
 //! default build compiles span recording out).
 
-use aitf_attack::OnOffSource;
 use aitf_core::{AitfConfig, HostPolicy, RouterPolicy};
 use aitf_netsim::SimDuration;
 use aitf_packet::FlowLabel;
-use aitf_scenario::fig1;
+use aitf_scenario::{HostSel, Role, TargetSel, TopologySpec, TrafficSpec};
 
 fn main() {
     let cfg = AitfConfig {
@@ -22,31 +21,32 @@ fn main() {
         t_tmp: SimDuration::from_secs(1),
         ..AitfConfig::default()
     };
-    let mut f = fig1(cfg, 99, HostPolicy::Malicious);
+    let mut f = TopologySpec::fig1(HostPolicy::Malicious).build(99, cfg);
+    let (victim, attacker) = (f.victim(), f.first_with(Role::Attacker));
     // The attacker's own gateway plays dumb — otherwise the first round
     // would end the game immediately.
+    let b_net = f.net("B_net");
     f.world
-        .router_mut(f.b_net)
+        .router_mut(b_net)
         .set_policy(RouterPolicy::non_cooperating());
 
-    let target = f.world.host_addr(f.victim);
+    let target = f.world.host_addr(victim);
     // Bursts of 200 ms separated by 1.5 s of silence: tuned to outlive the
     // 1 s temporary filter.
-    f.world.add_app(
-        f.attacker,
-        Box::new(OnOffSource::new(
-            target,
-            1000,
-            500,
-            SimDuration::from_millis(200),
-            SimDuration::from_millis(1500),
-        )),
-    );
+    TrafficSpec::onoff(
+        HostSel::Role(Role::Attacker),
+        TargetSel::Victim,
+        1000,
+        500,
+        SimDuration::from_millis(200),
+        SimDuration::from_millis(1500),
+    )
+    .install(&mut f);
     f.world.sim.run_for(SimDuration::from_secs(20));
 
     println!("=== on-off evasion vs the DRAM shadow ===\n");
-    let gw = f.world.router(f.g_net);
-    let flow = FlowLabel::src_dst(f.world.host_addr(f.attacker), target);
+    let gw = f.world.router(f.net("G_net"));
+    let flow = FlowLabel::src_dst(f.world.host_addr(attacker), target);
     println!("victim's gateway (G_gw1):");
     println!(
         "  shadow reactivations (bursts caught): {}",
@@ -61,7 +61,7 @@ fn main() {
         gw.counters().escalations_sent
     );
 
-    let b_gw2 = f.world.router(f.b_isp);
+    let b_gw2 = f.world.router(f.net("B_isp"));
     println!("\nB_isp (the rogue gateway's provider):");
     println!(
         "  long filters installed:                {}",
@@ -72,8 +72,8 @@ fn main() {
         b_gw2.counters().disconnects_client
     );
 
-    let v = f.world.host(f.victim).counters();
-    let a = f.world.host(f.attacker).counters();
+    let v = f.world.host(victim).counters();
+    let a = f.world.host(attacker).counters();
     println!("\nscoreboard:");
     println!("  attacker sent:    {} packets", a.tx_pkts);
     println!("  victim received:  {} packets", v.rx_attack_pkts);
@@ -82,7 +82,7 @@ fn main() {
         100.0 * v.rx_attack_bytes as f64 / (a.tx_bytes.max(1)) as f64
     );
     println!("\ngateway spans (first 12):");
-    if !f.world.tracer().is_enabled() {
+    if !f.world.tracing_enabled() {
         println!("  (none: span recording is compiled out — re-run with `--features aitf-scenario/trace`)");
     }
     let spans = f.world.trace_spans();

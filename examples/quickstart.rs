@@ -9,29 +9,27 @@
 //! `--features aitf-scenario/trace` for the span listing of the attacker's
 //! gateway (the default build compiles span recording out).
 
-use aitf_attack::FloodSource;
 use aitf_core::{AitfConfig, HostPolicy};
 use aitf_netsim::SimDuration;
-use aitf_scenario::fig1;
+use aitf_scenario::{HostSel, Role, TargetSel, TopologySpec, TrafficSpec};
 
 fn main() {
     // Paper defaults: T = 60 s, Ttmp = 1 s, R1 = 100/s, R2 = 1/s.
-    let mut f = fig1(AitfConfig::default(), 42, HostPolicy::Compliant);
+    let mut f = TopologySpec::fig1(HostPolicy::Compliant).build(42, AitfConfig::default());
+    let (victim, attacker) = (f.victim(), f.first_with(Role::Attacker));
 
     // A 4 Mbit/s UDP flood at the victim.
-    let target = f.world.host_addr(f.victim);
-    f.world
-        .add_app(f.attacker, Box::new(FloodSource::new(target, 1000, 500)));
+    TrafficSpec::flood(HostSel::Role(Role::Attacker), TargetSel::Victim, 1000, 500).install(&mut f);
 
     f.world.sim.run_for(SimDuration::from_secs(5));
 
     println!("=== AITF quickstart: Figure 1, cooperative world ===\n");
-    let v = f.world.host(f.victim).counters();
-    println!("victim ({}):", f.world.host_addr(f.victim));
+    let v = f.world.host(victim).counters();
+    println!("victim ({}):", f.world.host_addr(victim));
     println!("  attack packets that got through: {}", v.rx_attack_pkts);
     println!("  filtering requests sent:         {}", v.requests_sent);
 
-    let g_gw1 = f.world.router(f.g_net);
+    let g_gw1 = f.world.router(f.net("G_net"));
     println!("\nvictim's gateway (G_gw1, {}):", g_gw1.addr());
     println!(
         "  packets dropped by temp filter:  {}",
@@ -42,7 +40,7 @@ fn main() {
         g_gw1.shadow().stats().inserts
     );
 
-    let b_gw1 = f.world.router(f.b_net);
+    let b_gw1 = f.world.router(f.net("B_net"));
     println!("\nattacker's gateway (B_gw1, {}):", b_gw1.addr());
     println!(
         "  handshakes confirmed:            {}",
@@ -57,14 +55,14 @@ fn main() {
         b_gw1.counters().data_filtered_pkts
     );
 
-    let a = f.world.host(f.attacker).counters();
-    println!("\nattacker ({}):", f.world.host_addr(f.attacker));
+    let a = f.world.host(attacker).counters();
+    println!("\nattacker ({}):", f.world.host_addr(attacker));
     println!("  stop notices received:           {}", a.notices_received);
     println!("  flows stopped (compliant):       {}", a.flows_stopped);
     println!("  sends suppressed by self-filter: {}", a.tx_suppressed);
 
     println!("\nspans recorded at the attacker's gateway:");
-    if !f.world.tracer().is_enabled() {
+    if !f.world.tracing_enabled() {
         println!("  (none: span recording is compiled out — re-run with `--features aitf-scenario/trace`)");
     }
     let spans = f.world.trace_spans();

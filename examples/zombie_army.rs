@@ -6,15 +6,21 @@
 //! provider and the legitimate client recovers. Run with
 //! `cargo run --example zombie_army`.
 
-use aitf_attack::army::{arm_floods, offered_bits_per_sec, ZombieArmySpec};
-use aitf_attack::LegitClient;
 use aitf_core::{AitfConfig, HostPolicy, RouterPolicy};
 use aitf_netsim::SimDuration;
-use aitf_scenario::star;
+use aitf_scenario::{HostSel, Role, Side, TargetSel, TopologySpec, TrafficSpec};
+
+const ZOMBIE_PPS: u64 = 250;
+const ZOMBIE_PKT_BYTES: u32 = 500;
 
 fn run(defended: bool) -> (f64, f64, u64) {
-    let cfg = AitfConfig::default();
-    let mut s = star(cfg, 7, 16, 4, HostPolicy::Malicious, 10_000_000);
+    let mut topo = TopologySpec::star(16, 4, HostPolicy::Malicious, 10_000_000);
+    // One honest client in the last zombie network (collateral position):
+    // hosts are fixed at build, so the last zombie slot becomes the client.
+    let last = topo.hosts.len() - 1;
+    topo.hosts[last].policy = HostPolicy::Compliant;
+    topo.hosts[last].role = Role::Legit;
+    let mut s = topo.build(7, AitfConfig::default());
     if !defended {
         // Legacy routers: no AITF anywhere. The world-level hook keeps
         // every router's deployment view in sync with the flip.
@@ -23,42 +29,31 @@ fn run(defended: bool) -> (f64, f64, u64) {
             s.world.set_router_policy(net, RouterPolicy::legacy());
         }
     }
-    // One honest client in the last zombie network (collateral position).
-    let client_net = *s.attacker_nets.last().expect("have nets");
     // The victim doubles as the web server; the client talks to it.
-    let server = s.world.host_addr(s.victim);
-    let client = {
-        // Reuse a zombie slot? No — hosts are fixed at build; instead use
-        // a dedicated zombie host as the legit client by giving it a
-        // legit app and no flood.
-        s.zombies.pop().expect("at least one zombie")
-    };
-    let _ = client_net;
-    s.world
-        .add_app(client, Box::new(LegitClient::new(server, 500, 1000)));
-    s.world.host_mut(client).set_policy(HostPolicy::Compliant);
-
-    let spec = ZombieArmySpec {
-        pps: 250,
-        size: 500,
-        stagger: SimDuration::from_millis(50),
-    };
-    arm_floods(&mut s.world, &s.zombies.clone(), server, &spec);
-    let offered = offered_bits_per_sec(s.zombies.len(), &spec);
+    TrafficSpec::legit(HostSel::Role(Role::Legit), TargetSel::Victim, 500, 1000).install(&mut s);
+    TrafficSpec::flood(
+        HostSel::Role(Role::Attacker),
+        TargetSel::Victim,
+        ZOMBIE_PPS,
+        ZOMBIE_PKT_BYTES,
+    )
+    .staggered(SimDuration::from_millis(50))
+    .install(&mut s);
+    let zombies = s.hosts_with(Role::Attacker).len();
+    let offered = zombies as f64 * ZOMBIE_PPS as f64 * ZOMBIE_PKT_BYTES as f64 * 8.0;
 
     s.world.sim.run_for(SimDuration::from_secs(12));
-    let v = s.world.host(s.victim).counters();
+    let v = s.world.host(s.victim()).counters();
     let secs = 12.0;
     let goodput = v.rx_legit_bytes as f64 * 8.0 / secs;
     let attack_bw = v.rx_attack_bytes as f64 * 8.0 / secs;
     let mut disconnected = 0;
-    for &net in &s.attacker_nets {
+    for net in s.nets_on(Side::Attacker) {
         disconnected += s.world.router(net).counters().disconnects_client;
     }
     println!(
-        "  offered attack load: {:.1} Mbit/s across {} zombies",
+        "  offered attack load: {:.1} Mbit/s across {zombies} zombies",
         offered / 1e6,
-        s.zombies.len()
     );
     (goodput, attack_bw, disconnected)
 }

@@ -19,8 +19,9 @@
 //!   provider.
 //! - [`attack`] (`aitf-attack`) — attack and legitimate traffic sources.
 //! - [`scenario`] (`aitf-scenario`) — the declarative scenario API:
-//!   topology × workload × probes, plus the canned worlds (Figure 1,
-//!   stars, chains, provider trees).
+//!   topology × workload × probes. Its `TopologySpec` generators (Figure
+//!   1, stars, chains, provider trees, power-law graphs) are the one way
+//!   to build a world, by `Scenario::run` or by hand.
 //!
 //! See `examples/quickstart.rs` for a complete end-to-end run and the
 //! `aitf-bench` crate for the experiment suite that regenerates the

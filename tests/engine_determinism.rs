@@ -6,8 +6,8 @@
 use aitf_engine::Runner;
 
 fn assert_thread_invariant(spec: aitf_engine::ScenarioSpec) {
-    let one = Runner::new(1).quick(true).run(&spec);
-    let eight = Runner::new(8).quick(true).run(&spec);
+    let one = Runner::new(1).run(&spec);
+    let eight = Runner::new(8).run(&spec);
     assert_eq!(one.len(), eight.len(), "{}: record count differs", spec.id);
     assert!(!one.is_empty(), "{}: spec produced no records", spec.id);
     for (a, b) in one.iter().zip(&eight) {
@@ -77,7 +77,7 @@ fn e17_provider_churn_is_thread_count_invariant() {
 #[test]
 fn base_seed_flows_into_every_record() {
     let spec = aitf_bench::e11_detection::spec(true);
-    let a = Runner::new(2).quick(true).base_seed(1).run(&spec);
-    let b = Runner::new(2).quick(true).base_seed(2).run(&spec);
+    let a = Runner::new(2).base_seed(1).run(&spec);
+    let b = Runner::new(2).base_seed(2).run(&spec);
     assert!(a.iter().zip(&b).all(|(x, y)| x.seed != y.seed));
 }

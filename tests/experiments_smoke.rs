@@ -13,7 +13,7 @@ fn run_quick(ids: &[&str]) {
     assert!(registry.unmatched(&filters).is_empty(), "unknown ids");
     let specs = registry.select(&filters);
     assert_eq!(specs.len(), ids.len());
-    let grouped = Runner::default().quick(true).run_all(&specs);
+    let grouped = Runner::default().run_all(&specs);
     for (spec, records) in specs.iter().zip(&grouped) {
         let table = aitf_bench::harness::render_sweep(spec, records);
         assert!(!table.is_empty(), "{} produced no rows", spec.id);
@@ -30,7 +30,7 @@ fn all_experiments_run_quick() {
 #[test]
 fn figures_spec_emits_series_metrics() {
     let spec = aitf_bench::figures::spec(true);
-    let records = Runner::new(2).quick(true).run(&spec);
+    let records = Runner::new(2).run(&spec);
     assert_eq!(records.len(), 2, "defended + undefended");
     for r in &records {
         assert!(r.events > 0, "figures runs must report simulator events");
