@@ -18,6 +18,7 @@
 //!   disconnection.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use aitf_filter::{FilterTable, TokenBucket};
 use aitf_netsim::{impl_node_any, Context, LinkId, Node, SimDuration, SimTime};
@@ -213,14 +214,10 @@ enum HostTimer {
     Detect { flow: FlowLabel },
 }
 
-/// An AITF end host node.
-pub struct EndHost {
-    addr: Addr,
-    gateway: Addr,
-    uplink: LinkId,
-    cfg: AitfConfig,
-    policy: HostPolicy,
-    apps: Vec<Option<Box<dyn TrafficApp>>>,
+/// The victim agent: everything a host keeps about what it *receives*.
+/// Made by the first packet delivered to the host, so a host that only
+/// sends (a zombie) or never sees a packet holds none.
+pub(crate) struct VictimAgent {
     /// Flows whose detection timer is pending.
     detecting: HashMap<FlowLabel, ()>,
     /// Flows this host has requested blocked, with the `T` expiry.
@@ -232,11 +229,82 @@ pub struct EndHost {
     /// The rate-threshold detector, when configured.
     rate_detector: Option<RateDetector>,
     traceback: RouteRecordTraceback,
-    /// Self-filters: flows this host agreed to stop sending (sized
-    /// `na = R2·T`, Section IV-D).
-    self_filters: FilterTable,
     token_map: HashMap<u64, HostTimer>,
     next_token: u64,
+}
+
+impl VictimAgent {
+    /// # Panics
+    ///
+    /// Panics on a client contract or detector setting no agent can be
+    /// made from; [`crate::WorldBuilder::build`] makes one up front so that
+    /// surfaces at build time.
+    pub(crate) fn new(cfg: &AitfConfig) -> Self {
+        VictimAgent {
+            detecting: HashMap::new(),
+            request_log: HashMap::new(),
+            last_request: HashMap::new(),
+            request_bucket: TokenBucket::new(cfg.client_contract.rate, cfg.client_contract.burst),
+            rate_detector: match cfg.detection {
+                DetectionMode::Oracle => None,
+                DetectionMode::RateThreshold {
+                    bytes_per_sec,
+                    window,
+                } => Some(RateDetector::new(bytes_per_sec, window, 4096)),
+            },
+            traceback: RouteRecordTraceback::new(4096),
+            token_map: HashMap::new(),
+            next_token: 0,
+        }
+    }
+
+    /// Starts the oracle's `Td` clock for `flow` unless it is running.
+    fn arm_detect(&mut self, flow: FlowLabel, delay: SimDuration, ctx: &mut Context<'_>) {
+        if self.detecting.insert(flow, ()).is_some() {
+            return;
+        }
+        let token = self.next_token;
+        self.next_token += 1;
+        self.token_map.insert(token, HostTimer::Detect { flow });
+        ctx.set_timer(delay, token);
+    }
+
+    fn purge_request_log(&mut self, now: SimTime) {
+        if self.request_log.len() > 64 {
+            // detlint::allow(hash-iter): per-entry expiry predicate — the surviving set is independent of visit order
+            self.request_log.retain(|_, &mut exp| exp > now);
+        }
+    }
+
+    /// Whether `flow` was requested blocked and, if so, whether the last
+    /// request for it is older than the damping window.
+    fn logged(&self, flow: &FlowLabel, now: SimTime, cooldown: SimDuration) -> Option<bool> {
+        let expiry = *self.request_log.get(flow)?;
+        let recently = self
+            .last_request
+            .get(flow)
+            .copied()
+            .unwrap_or(SimTime::ZERO);
+        (expiry > now).then(|| now.saturating_since(recently) >= cooldown)
+    }
+}
+
+/// Every victim-agent path below runs inside or after a packet delivery.
+const AGENT: &str = "the first delivered packet made the victim agent";
+
+/// An AITF end host node.
+pub struct EndHost {
+    addr: Addr,
+    gateway: Addr,
+    uplink: LinkId,
+    cfg: Arc<AitfConfig>,
+    policy: HostPolicy,
+    apps: Vec<Option<Box<dyn TrafficApp>>>,
+    /// First-use state; see [`VictimAgent`].
+    victim: Option<Box<VictimAgent>>,
+    /// Self-filters: flows this host agreed to stop sending (sized
+    /// `na = R2·T`, Section IV-D). Storage is made by the first install.
+    self_filters: FilterTable,
     counters: HostCounters,
     /// Dynamic-world state: a detached host is off the network — its tail
     /// circuit is blocked by the world layer and this flag silences its
@@ -258,40 +326,30 @@ impl EndHost {
         addr: Addr,
         gateway: Addr,
         uplink: LinkId,
-        cfg: AitfConfig,
+        cfg: Arc<AitfConfig>,
         policy: HostPolicy,
     ) -> Self {
-        let na = (cfg.peer_contract.rate * cfg.t_long.as_secs_f64())
-            .ceil()
-            .max(1.0) as usize;
-        let rate_detector = match cfg.detection {
-            DetectionMode::Oracle => None,
-            DetectionMode::RateThreshold {
-                bytes_per_sec,
-                window,
-            } => Some(RateDetector::new(bytes_per_sec, window, 4096)),
-        };
+        let na = cfg.na().ceil().max(1.0) as usize;
         EndHost {
             addr,
             gateway,
             uplink,
-            request_bucket: TokenBucket::new(cfg.client_contract.rate, cfg.client_contract.burst),
-            rate_detector,
             self_filters: FilterTable::new(na),
             cfg,
             policy,
             apps: Vec::new(),
-            detecting: HashMap::new(),
-            request_log: HashMap::new(),
-            last_request: HashMap::new(),
-            traceback: RouteRecordTraceback::new(4096),
-            token_map: HashMap::new(),
-            next_token: 0,
+            victim: None,
             counters: HostCounters::default(),
             attached: true,
             attach_epoch: 0,
             rx_tap: None,
         }
+    }
+
+    /// Whether any delivered packet has made this host's [`VictimAgent`].
+    #[cfg(test)]
+    pub(crate) fn has_victim_agent(&self) -> bool {
+        self.victim.is_some()
     }
 
     /// Installs the streaming probe tap (replacing any previous one).
@@ -399,49 +457,29 @@ impl EndHost {
     fn on_attack_packet(&mut self, packet: &Packet, ctx: &mut Context<'_>) {
         let now = ctx.now();
         let flow = FlowLabel::src_dst(packet.header.src, self.addr);
-        self.purge_request_log(now);
-
-        if let Some(&expiry) = self.request_log.get(&flow) {
-            if expiry > now {
-                // A flow we already asked to have blocked is leaking. With
-                // fast re-detection (footnote 8) the request goes out
-                // immediately; without it, re-detection costs a fresh `Td`
-                // like any new flow — the conservative model behind the
-                // paper's `r ≈ n(Td+Tr)/T`.
-                let cooldown = self.cfg.t_tmp / 2;
-                let recently = self
-                    .last_request
-                    .get(&flow)
-                    .copied()
-                    .unwrap_or(SimTime::ZERO);
-                if now.saturating_since(recently) < cooldown {
-                    return;
-                }
-                if self.cfg.fast_redetect {
-                    self.send_filtering_request(flow, ctx);
-                } else if self.detecting.insert(flow, ()).is_none() {
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    self.token_map.insert(token, HostTimer::Detect { flow });
-                    ctx.set_timer(self.cfg.detection_delay, token);
-                }
-                return;
-            }
+        let agent = self.victim.as_deref_mut().expect(AGENT);
+        agent.purge_request_log(now);
+        match agent.logged(&flow, now, self.cfg.t_tmp / 2) {
+            // A flow we already asked to have blocked is leaking. With
+            // fast re-detection (footnote 8) the request goes out
+            // immediately; without it, re-detection costs a fresh `Td`
+            // like any new flow — the conservative model behind the
+            // paper's `r ≈ n(Td+Tr)/T`.
+            Some(true) if self.cfg.fast_redetect => self.send_filtering_request(flow, ctx),
+            // Requested within the damping window: nothing to do.
+            Some(false) => {}
+            // New undesired flow: the oracle detector fires after Td.
+            Some(true) | None => agent.arm_detect(flow, self.cfg.detection_delay, ctx),
         }
-        if self.detecting.contains_key(&flow) {
-            return;
-        }
-        // New undesired flow: the oracle detector fires after Td.
-        self.detecting.insert(flow, ());
-        let token = self.next_token;
-        self.next_token += 1;
-        self.token_map.insert(token, HostTimer::Detect { flow });
-        ctx.set_timer(self.cfg.detection_delay, token);
     }
 
     fn on_detect(&mut self, flow: FlowLabel, ctx: &mut Context<'_>) {
         ctx.profile_subsystem(aitf_netsim::Subsystem::Detector);
-        self.detecting.remove(&flow);
+        self.victim
+            .as_deref_mut()
+            .expect(AGENT)
+            .detecting
+            .remove(&flow);
         self.counters.detections += 1;
         self.send_filtering_request(flow, ctx);
     }
@@ -452,24 +490,17 @@ impl EndHost {
         ctx.profile_subsystem(aitf_netsim::Subsystem::Detector);
         let now = ctx.now();
         let flow = FlowLabel::src_dst(src, self.addr);
-        self.purge_request_log(now);
-        if let Some(&expiry) = self.request_log.get(&flow) {
-            if expiry > now {
-                // Already requested; damp re-requests like the oracle path.
-                let cooldown = self.cfg.t_tmp / 2;
-                let recently = self
-                    .last_request
-                    .get(&flow)
-                    .copied()
-                    .unwrap_or(SimTime::ZERO);
-                if self.cfg.fast_redetect && now.saturating_since(recently) >= cooldown {
-                    self.send_filtering_request(flow, ctx);
-                }
-                return;
+        let agent = self.victim.as_deref_mut().expect(AGENT);
+        agent.purge_request_log(now);
+        if let Some(due) = agent.logged(&flow, now, self.cfg.t_tmp / 2) {
+            // Already requested; damp re-requests like the oracle path.
+            if self.cfg.fast_redetect && due {
+                self.send_filtering_request(flow, ctx);
             }
+            return;
         }
         self.counters.detections += 1;
-        if let Some(d) = &mut self.rate_detector {
+        if let Some(d) = &mut agent.rate_detector {
             d.forget(src);
         }
         self.send_filtering_request(flow, ctx);
@@ -477,13 +508,14 @@ impl EndHost {
 
     fn send_filtering_request(&mut self, flow: FlowLabel, ctx: &mut Context<'_>) {
         let now = ctx.now();
+        let agent = self.victim.as_deref_mut().expect(AGENT);
         // Self-police the contract: the gateway would drop the excess
         // anyway (Section II-B), so do not waste the wire.
-        if !self.request_bucket.try_acquire(now) {
+        if !agent.request_bucket.try_acquire(now) {
             self.counters.requests_self_limited += 1;
             return;
         }
-        let path = self.traceback.attack_path(&flow).unwrap_or_default();
+        let path = agent.traceback.attack_path(&flow).unwrap_or_default();
         let id = ctx.next_packet_id();
         let req = FilteringRequest {
             id,
@@ -494,8 +526,8 @@ impl EndHost {
             round: 1,
         };
         self.counters.requests_sent += 1;
-        self.request_log.insert(flow, now + self.cfg.t_long);
-        self.last_request.insert(flow, now);
+        agent.request_log.insert(flow, now + self.cfg.t_long);
+        agent.last_request.insert(flow, now);
         let pkt = Packet::control(
             ctx.next_packet_id(),
             self.addr,
@@ -503,13 +535,6 @@ impl EndHost {
             AitfMessage::FilteringRequest(req),
         );
         ctx.send(self.uplink, pkt);
-    }
-
-    fn purge_request_log(&mut self, now: SimTime) {
-        if self.request_log.len() > 64 {
-            // detlint::allow(hash-iter): per-entry expiry predicate — the surviving set is independent of visit order
-            self.request_log.retain(|_, &mut exp| exp > now);
-        }
     }
 
     // ------------------------------------------------------------------
@@ -525,7 +550,8 @@ impl EndHost {
         match msg {
             AitfMessage::VerificationQuery(q) => {
                 self.counters.verification_queries += 1;
-                let confirm = self.request_log.get(&q.flow).is_some_and(|&exp| exp > now);
+                let log = self.victim.as_deref().map(|a| &a.request_log);
+                let confirm = log.is_some_and(|l| l.get(&q.flow).is_some_and(|&exp| exp > now));
                 if confirm {
                     self.counters.verification_confirmed += 1;
                 } else {
@@ -578,8 +604,13 @@ impl Node for EndHost {
             // A packet already in flight when the host detached: gone.
             return;
         }
-        // Feed traceback with everything we receive.
-        self.traceback.observe(&packet);
+        // Feed traceback with everything we receive; the first delivery
+        // makes the agent that holds it.
+        let cfg = &self.cfg;
+        let agent = self
+            .victim
+            .get_or_insert_with(|| Box::new(VictimAgent::new(cfg)));
+        agent.traceback.observe(&packet);
 
         if packet.header.dst != self.addr {
             // Mis-routed packet; hosts do not forward.
@@ -590,7 +621,7 @@ impl Node for EndHost {
                 aitf_packet::PayloadKind::Data(TrafficClass::Attack) => {
                     self.counters.rx_attack_pkts += 1;
                     self.counters.rx_attack_bytes += packet.size_bytes as u64;
-                    if self.rate_detector.is_none() {
+                    if self.cfg.detection == DetectionMode::Oracle {
                         self.on_attack_packet(&packet, ctx);
                     }
                 }
@@ -607,7 +638,8 @@ impl Node for EndHost {
             }
             // The rate detector is class-blind: it sees what a real victim
             // sees — bytes per source — and flags whoever floods.
-            if let Some(detector) = &mut self.rate_detector {
+            let agent = self.victim.as_deref_mut().expect(AGENT);
+            if let Some(detector) = &mut agent.rate_detector {
                 let now = ctx.now();
                 let src = packet.header.src;
                 if detector.observe(src, packet.size_bytes, now) {
@@ -628,8 +660,10 @@ impl Node for EndHost {
             // is the point: a detached host goes fully quiet. Host-level
             // detection state is unwound so the flow can be re-detected
             // fresh after reattachment.
-            if let Some(HostTimer::Detect { flow }) = self.token_map.remove(&token) {
-                self.detecting.remove(&flow);
+            if let Some(agent) = self.victim.as_deref_mut() {
+                if let Some(HostTimer::Detect { flow }) = agent.token_map.remove(&token) {
+                    agent.detecting.remove(&flow);
+                }
             }
             return;
         }
@@ -647,7 +681,9 @@ impl Node for EndHost {
             self.with_api(app_index, ctx, |app, api| app.on_timer(app_token, api));
             return;
         }
-        match self.token_map.remove(&token) {
+        // A token nobody armed finds no agent and makes none.
+        let agent = self.victim.as_deref_mut();
+        match agent.and_then(|a| a.token_map.remove(&token)) {
             Some(HostTimer::Detect { flow }) => self.on_detect(flow, ctx),
             None => {}
         }

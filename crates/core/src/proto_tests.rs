@@ -265,6 +265,141 @@ fn contract_buckets_are_made_by_the_first_request_at_the_links_contract() {
     assert_eq!(f.world.router(f.g_isp).limiter().len(), 1);
 }
 
+/// Figure 1 plus one network and host hanging off each side that the flood
+/// never touches, under `defense`, after a 10 s flood.
+fn flooded_fig1_with_bystanders(defense: DefensePolicy) -> (Fig1, [NetId; 2], [HostId; 2]) {
+    let cfg = AitfConfig {
+        defense,
+        ..AitfConfig::default()
+    };
+    let mut b = WorldBuilder::new(42, cfg);
+    let g_wan = b.network("G_wan", "10.103.0.0/16", None);
+    let g_isp = b.network("G_isp", "10.102.0.0/16", Some(g_wan));
+    let g_net = b.network("G_net", "10.1.0.0/16", Some(g_isp));
+    let b_wan = b.network("B_wan", "10.203.0.0/16", None);
+    let b_isp = b.network("B_isp", "10.202.0.0/16", Some(b_wan));
+    let b_net = b.network("B_net", "10.9.0.0/16", Some(b_isp));
+    let g_side = b.network("G_side", "10.2.0.0/16", Some(g_isp));
+    let b_side = b.network("B_side", "10.10.0.0/16", Some(b_wan));
+    b.peer(g_wan, b_wan, WorldBuilder::default_net_link());
+    let victim = b.host(g_net);
+    let attacker = b.host(b_net);
+    let bystanders = [b.host(g_side), b.host(b_side)];
+    let mut f = Fig1 {
+        world: b.build(),
+        g_net,
+        g_isp,
+        g_wan,
+        b_net,
+        b_isp,
+        b_wan,
+        victim,
+        attacker,
+    };
+    flood(&mut f, 1000, 500);
+    f.world.sim.run_for(SimDuration::from_secs(10));
+    (f, [g_side, b_side], bystanders)
+}
+
+#[test]
+fn idle_routers_and_hosts_stay_idle_and_only_the_gateways_hold_control_state() {
+    let (mut f, side_nets, bystanders) = flooded_fig1_with_bystanders(DefensePolicy::Aitf);
+    assert!(f.world.host(f.victim).counters().requests_sent >= 1);
+    assert_eq!(f.world.router(f.b_net).counters().filters_installed, 1);
+
+    // Off the path: nothing was ever made.
+    for net in side_nets {
+        let r = f.world.router(net);
+        assert!(!r.has_control_state(), "{}", f.world.net_name(net));
+        assert_eq!(r.filters().stats(), Default::default());
+        assert_eq!(r.shadow().stats(), Default::default());
+    }
+    for h in bystanders {
+        assert!(!f.world.host(h).has_victim_agent());
+        assert_eq!(f.world.host(h).self_filters().stats(), Default::default());
+    }
+    // On the path, but only ever forwarding (the request goes gateway to
+    // gateway; transit routers carry it like data): counters, no state.
+    for net in [f.g_isp, f.g_wan, f.b_wan, f.b_isp] {
+        let r = f.world.router(net);
+        assert!(r.counters().data_forwarded > 0);
+        assert!(!r.has_control_state(), "{}", f.world.net_name(net));
+        assert_eq!(r.filters().stats().installs, 0);
+        assert_eq!(r.shadow().stats().inserts, 0);
+    }
+    // The two gateways served the request, and both ends received packets.
+    assert!(f.world.router(f.g_net).has_control_state());
+    assert!(f.world.router(f.b_net).has_control_state());
+    assert!(f.world.host(f.victim).has_victim_agent());
+    assert!(f.world.host(f.attacker).has_victim_agent());
+
+    // Reads and no-ops leave an idle router idle: every accessor, a timer
+    // nobody armed and a verification reply nobody is waiting for.
+    let idle = side_nets[0];
+    let r = f.world.router(idle);
+    let _ = (r.counters(), r.filters().len(), r.shadow().len());
+    assert!(r.limiter().is_empty());
+    assert_eq!(r.pushback().pushback_received, 0);
+    assert_eq!(r.defense_footprint(), 0);
+    let (addr, uplink) = (r.addr(), r.uplink().expect("not a root"));
+    let stray = aitf_packet::VerificationReply {
+        request_id: 1,
+        flow: FlowLabel::src_dst(Addr::new(10, 9, 0, 1), Addr::new(10, 1, 0, 1)),
+        nonce: aitf_packet::Nonce(77),
+        confirm: true,
+    };
+    let reply = Packet::control(
+        0,
+        Addr::new(10, 1, 0, 1),
+        addr,
+        AitfMessage::VerificationReply(stray),
+    );
+    let node = f.world.router_node(idle);
+    f.world.sim.with_node_ctx(node, |n, ctx| {
+        n.on_timer(12_345, ctx);
+        n.on_packet(reply, uplink, ctx);
+    });
+    assert!(!f.world.router(idle).has_control_state());
+    // ... and an idle host idle.
+    let node = f.world.host_node(bystanders[0]);
+    f.world
+        .sim
+        .with_node_ctx(node, |n, ctx| n.on_timer(12_345, ctx));
+    assert!(!f.world.host(bystanders[0]).has_victim_agent());
+}
+
+#[test]
+fn per_packet_policy_state_is_made_by_the_packets_that_need_it() {
+    // Path stamping checks every data packet against the revocations: a
+    // router nobody sent a revocation to has none, and makes no state to
+    // find that out. Only the victim's gateway was told.
+    let (f, ..) = flooded_fig1_with_bystanders(DefensePolicy::PathStamp);
+    assert!(f.world.router(f.g_net).counters().data_filtered_pkts > 0);
+    assert!(f.world.router(f.g_net).has_control_state());
+    for net in [f.g_isp, f.g_wan, f.b_wan, f.b_isp, f.b_net] {
+        assert!(f.world.router(net).counters().data_forwarded > 0);
+        assert!(!f.world.router(net).has_control_state());
+    }
+    // Pushback learns arrival links, and rate limiting polices client
+    // links, from the data packets themselves: state along the path (the
+    // whole path, or its one client-facing edge), none beside it.
+    for (defense, on_path) in [
+        (DefensePolicy::Pushback, vec![f.b_net, f.b_wan, f.g_net]),
+        (DefensePolicy::ingress_ratelimit(), vec![f.b_net]),
+    ] {
+        let (f, side_nets, bystanders) = flooded_fig1_with_bystanders(defense);
+        for net in on_path {
+            assert!(f.world.router(net).has_control_state(), "{defense:?}");
+        }
+        for net in side_nets {
+            assert!(!f.world.router(net).has_control_state(), "{defense:?}");
+        }
+        for h in bystanders {
+            assert!(!f.world.host(h).has_victim_agent(), "{defense:?}");
+        }
+    }
+}
+
 #[test]
 fn fully_rogue_attacker_side_triggers_peer_disconnect() {
     let cfg = AitfConfig::default();

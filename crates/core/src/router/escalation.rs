@@ -125,9 +125,10 @@ impl BorderRouter {
             // No attack-path sample yet: wait for one (the temporary filter
             // is already protecting the client; blocked packets will carry
             // the route record).
-            self.pending_paths.push(PendingPath {
+            let expires = now + self.cfg.t_tmp;
+            self.ctl_mut().pending_paths.push(PendingPath {
                 request: req,
-                expires: now + self.cfg.t_tmp,
+                expires,
             });
             return;
         }
@@ -353,7 +354,8 @@ impl BorderRouter {
             flow: req.flow,
             nonce,
         };
-        self.pending_handshakes.insert(
+        let ctl = self.ctl_mut();
+        ctl.pending_handshakes.insert(
             nonce.0,
             PendingHandshake {
                 request: req,
@@ -361,7 +363,7 @@ impl BorderRouter {
                 span,
             },
         );
-        let token = self.alloc_token(TimerAction::HandshakeTimeout { nonce: nonce.0 });
+        let token = ctl.alloc_token(TimerAction::HandshakeTimeout { nonce: nonce.0 });
         ctx.set_timer(self.cfg.handshake_timeout, token);
         self.send_control(ctx, victim, AitfMessage::VerificationQuery(query));
     }
@@ -372,7 +374,11 @@ impl BorderRouter {
         ctx: &mut Context<'_>,
     ) {
         let now = ctx.now();
-        let Some(pending) = self.pending_handshakes.remove(&rep.nonce.0) else {
+        // A nonce nobody is waiting on finds no state and makes none.
+        let Some(ctl) = self.ctl.as_deref_mut() else {
+            return;
+        };
+        let Some(pending) = ctl.pending_handshakes.remove(&rep.nonce.0) else {
             return;
         };
         // The reply must echo the exact flow, nonce and request id.
@@ -380,7 +386,7 @@ impl BorderRouter {
             || pending.request.flow != rep.flow
             || pending.nonce != rep.nonce
         {
-            self.pending_handshakes.insert(rep.nonce.0, pending);
+            ctl.pending_handshakes.insert(rep.nonce.0, pending);
             return;
         }
         self.tracer.end(pending.span, now.0);
@@ -470,9 +476,10 @@ impl BorderRouter {
         self.send_control(ctx, client, AitfMessage::FilteringRequest(notice));
 
         if is_client {
-            let watch_id = self.next_id;
-            self.next_id += 1;
-            self.grace_watches.insert(
+            let ctl = self.ctl_mut();
+            let watch_id = ctl.next_id;
+            ctl.next_id += 1;
+            ctl.grace_watches.insert(
                 watch_id,
                 GraceWatch {
                     flow,
@@ -481,7 +488,7 @@ impl BorderRouter {
                     round,
                 },
             );
-            let token = self.alloc_token(TimerAction::GraceCheck { watch: watch_id });
+            let token = ctl.alloc_token(TimerAction::GraceCheck { watch: watch_id });
             ctx.set_timer(self.cfg.grace, token);
         }
     }

@@ -16,7 +16,8 @@
 //! - **plain forwarder** — stamps the route-record shim (or probabilistic
 //!   marks) on transit data packets and enforces ingress filtering.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::Arc;
 
 use aitf_filter::{FilterTable, RateLimiterBank, ShadowCache};
 use aitf_netsim::{impl_node_any, Context, LinkId, Node, SimTime, Subsystem};
@@ -157,10 +158,65 @@ pub struct RouterSpec {
     /// legitimately sourced behind each — in any order, nested or repeated;
     /// the router normalises each list into a [`PrefixSet`].
     pub client_links: BTreeMap<LinkId, Vec<Prefix>>,
-    /// Protocol parameters.
-    pub config: AitfConfig,
+    /// Protocol parameters, shared by every node of the world.
+    pub config: Arc<AitfConfig>,
     /// Behaviour knobs.
     pub policy: RouterPolicy,
+}
+
+/// Everything a router holds for the requests it serves, as opposed to the
+/// packets it forwards: made by the first control message, install or
+/// timer that needs it (`BorderRouter::ctl_mut`), so a router that only
+/// ever forwards — or never sees a packet — holds none.
+#[derive(Debug)]
+struct ControlState {
+    /// The contract policer (Section II-B), one bucket per arrival link.
+    limiter: RateLimiterBank,
+    pending_handshakes: HashMap<u64, PendingHandshake>,
+    pending_paths: Vec<PendingPath>,
+    grace_watches: HashMap<u64, GraceWatch>,
+    token_map: HashMap<u64, TimerAction>,
+    next_id: u64,
+    /// Pushback baseline state (arrival-link memory + counters); inert
+    /// under every other policy.
+    pushback: PushbackState,
+    /// Per-source-prefix policer, present only under
+    /// [`DefensePolicy::IngressRateLimit`].
+    prefix_limiter: Option<RateLimiterBank>,
+    /// Revoked path-stamp origins `(first-hop router, expiry)`, populated
+    /// only under [`DefensePolicy::PathStamp`].
+    stamp_blocks: Vec<(Addr, SimTime)>,
+}
+
+impl ControlState {
+    fn new(cfg: &AitfConfig) -> Self {
+        ControlState {
+            // The bank's default is the peer contract (R2: uplink, peering);
+            // `aitf_admission` gives a client link the client contract (R1)
+            // when that link's bucket is first needed.
+            limiter: RateLimiterBank::new(cfg.peer_contract.rate, cfg.peer_contract.burst),
+            pending_handshakes: HashMap::new(),
+            pending_paths: Vec::new(),
+            grace_watches: HashMap::new(),
+            token_map: HashMap::new(),
+            next_id: 0,
+            pushback: PushbackState::default(),
+            prefix_limiter: match cfg.defense {
+                DefensePolicy::IngressRateLimit { rate_pps, burst } => {
+                    Some(RateLimiterBank::new(rate_pps as f64, burst))
+                }
+                _ => None,
+            },
+            stamp_blocks: Vec::new(),
+        }
+    }
+
+    fn alloc_token(&mut self, action: TimerAction) -> u64 {
+        let token = self.next_id;
+        self.next_id += 1;
+        self.token_map.insert(token, action);
+        token
+    }
 }
 
 /// An AITF border router node.
@@ -173,45 +229,40 @@ pub struct RouterSpec {
 /// statically through [`StageId`], so swapping the defense never costs an
 /// allocation or a virtual call on the per-packet path.
 pub struct BorderRouter {
+    // What a forwarded data packet touches: wiring, the two table heads
+    // and the counters.
     addr: Addr,
-    cfg: AitfConfig,
+    prefix: Prefix,
     policy: RouterPolicy,
+    uplink: Option<LinkId>,
+    fwd: LpmTable<LinkId>,
+    /// Per client link, the addresses legitimately sourced behind it.
+    client_links: BTreeMap<LinkId, PrefixSet>,
+    cfg: Arc<AitfConfig>,
     /// Which defense populates the chains (copied from the config).
     defense: DefensePolicy,
     /// The per-hook stage chains of `defense`.
     chains: PolicyChains,
-    /// Pushback baseline state (arrival-link memory + counters); inert
-    /// under every other policy.
-    pushback: PushbackState,
-    /// Per-source-prefix policer, populated only under
-    /// [`DefensePolicy::IngressRateLimit`].
-    prefix_limiter: Option<RateLimiterBank>,
-    /// Revoked path-stamp origins `(first-hop router, expiry)`, populated
-    /// only under [`DefensePolicy::PathStamp`].
-    stamp_blocks: Vec<(Addr, SimTime)>,
-    prefix: Prefix,
-    fwd: LpmTable<LinkId>,
-    uplink: Option<LinkId>,
-    ancestors: Vec<Addr>,
-    /// The deployment view: peers currently known not to run AITF.
-    disabled_peers: std::collections::HashSet<Addr>,
-    /// Per client link, the addresses legitimately sourced behind it.
-    client_links: BTreeMap<LinkId, PrefixSet>,
     filters: FilterTable,
     shadow: ShadowCache,
-    limiter: RateLimiterBank,
-    pending_handshakes: HashMap<u64, PendingHandshake>,
-    pending_paths: Vec<PendingPath>,
-    grace_watches: HashMap<u64, GraceWatch>,
-    token_map: HashMap<u64, TimerAction>,
-    next_id: u64,
     counters: RouterCounters,
+    // Wiring only the control plane reads.
+    ancestors: Vec<Addr>,
+    /// The deployment view: peers currently known not to run AITF.
+    disabled_peers: HashSet<Addr>,
+    /// First-use state; see [`ControlState`].
+    ctl: Option<Box<ControlState>>,
     /// This router's span log (a zero-sized no-op unless the `trace`
     /// feature is on). Private to the router; [`crate::World::trace_spans`]
     /// merges every router's log into the world's span tree, where
     /// escalation chains parent across routers.
     tracer: Tracer,
 }
+
+/// What a router with no [`ControlState`] answers [`BorderRouter::limiter`]
+/// with: an absent policer is an empty one.
+static NO_LIMITER: std::sync::LazyLock<RateLimiterBank> =
+    std::sync::LazyLock::new(|| RateLimiterBank::new(0.0, 1));
 
 /// Compact span key for a flow: `src_host << 32 | dst_host` (0 for a
 /// wildcard end). Escalation flows are host-to-host labels, so the key is
@@ -231,20 +282,8 @@ impl BorderRouter {
         BorderRouter {
             filters: FilterTable::with_policy(cfg.filter_capacity, cfg.eviction),
             shadow: ShadowCache::new(cfg.shadow_capacity),
-            // The bank's default is the peer contract (R2: uplink, peering);
-            // `aitf_admission` gives a client link the client contract (R1)
-            // when that link's bucket is first needed.
-            limiter: RateLimiterBank::new(cfg.peer_contract.rate, cfg.peer_contract.burst),
             defense,
             chains,
-            pushback: PushbackState::default(),
-            prefix_limiter: match defense {
-                DefensePolicy::IngressRateLimit { rate_pps, burst } => {
-                    Some(RateLimiterBank::new(rate_pps as f64, burst))
-                }
-                _ => None,
-            },
-            stamp_blocks: Vec::new(),
             cfg,
             policy: spec.policy,
             prefix: spec.prefix,
@@ -264,14 +303,37 @@ impl BorderRouter {
                 .into_iter()
                 .map(|(link, prefixes)| (link, PrefixSet::new(prefixes)))
                 .collect(),
-            pending_handshakes: HashMap::new(),
-            pending_paths: Vec::new(),
-            grace_watches: HashMap::new(),
-            token_map: HashMap::new(),
-            next_id: 0,
             counters: RouterCounters::default(),
+            ctl: None,
             tracer: Tracer::new(),
         }
+    }
+
+    /// The control-plane state, made now if this is the first event that
+    /// needs it: an inlined branch, with the creation out of line in
+    /// [`BorderRouter::make_ctl`], so the `[hot]` stages that come through
+    /// here per packet (pushback's arrival map, the per-prefix policer)
+    /// pay the branch and nothing else after their first packet.
+    #[inline]
+    fn ctl_mut(&mut self) -> &mut ControlState {
+        match self.ctl {
+            Some(ref mut ctl) => ctl,
+            None => self.make_ctl(),
+        }
+    }
+
+    /// The one place [`ControlState`] is created.
+    #[cold]
+    #[inline(never)]
+    fn make_ctl(&mut self) -> &mut ControlState {
+        // detlint::allow(hot-alloc): one-off — a router's first control message, install, timer or policy-state packet; every later event finds `ctl` set
+        self.ctl.insert(Box::new(ControlState::new(&self.cfg)))
+    }
+
+    /// Whether any event has made this router's [`ControlState`] yet.
+    #[cfg(test)]
+    pub(crate) fn has_control_state(&self) -> bool {
+        self.ctl.is_some()
     }
 
     /// This router's span log, for [`Tracer::replay`].
@@ -304,9 +366,9 @@ impl BorderRouter {
         &self.shadow
     }
 
-    /// The contract policer (read-only).
+    /// The contract policer (read-only); empty until the first request.
     pub fn limiter(&self) -> &RateLimiterBank {
-        &self.limiter
+        self.ctl.as_deref().map_or(&NO_LIMITER, |c| &c.limiter)
     }
 
     /// Which defense policy populates this router's hook chains.
@@ -323,7 +385,9 @@ impl BorderRouter {
     /// Pushback-plane counters (all zero unless the world runs
     /// [`DefensePolicy::Pushback`]).
     pub fn pushback(&self) -> PushbackCounters {
-        self.pushback.counters
+        self.ctl
+            .as_deref()
+            .map_or_else(PushbackCounters::default, |c| c.pushback.counters)
     }
 
     /// Total defense state this router currently holds: wire-speed filter
@@ -332,8 +396,9 @@ impl BorderRouter {
     /// metric sums this over every router.
     pub fn defense_footprint(&self) -> usize {
         self.filters.len()
-            + self.stamp_blocks.len()
-            + self.prefix_limiter.as_ref().map_or(0, RateLimiterBank::len)
+            + self.ctl.as_deref().map_or(0, |c| {
+                c.stamp_blocks.len() + c.prefix_limiter.as_ref().map_or(0, RateLimiterBank::len)
+            })
     }
 
     /// The current behaviour policy.
@@ -385,13 +450,6 @@ impl BorderRouter {
     fn span(&mut self, kind: SpanKind, cause: Cause, key: u64, round: u8, now: SimTime) {
         self.tracer
             .instant(kind, cause, key, round, self.addr.0, now.0);
-    }
-
-    fn alloc_token(&mut self, action: TimerAction) -> u64 {
-        let token = self.next_id;
-        self.next_id += 1;
-        self.token_map.insert(token, action);
-        token
     }
 
     /// The one forwarding decision: the link towards `dst`, if any.
@@ -521,7 +579,8 @@ impl BorderRouter {
     /// disconnect the client if its flow kept arriving regardless.
     fn on_grace_check(&mut self, watch_id: u64, ctx: &mut Context<'_>) {
         let now = ctx.now();
-        let Some(watch) = self.grace_watches.remove(&watch_id) else {
+        let ctl = self.ctl.as_deref_mut();
+        let Some(watch) = ctl.and_then(|c| c.grace_watches.remove(&watch_id)) else {
             return;
         };
         // Has the flow kept arriving well into the grace period?
@@ -588,9 +647,13 @@ impl Node for BorderRouter {
 
     fn on_timer(&mut self, token: u64, ctx: &mut Context<'_>) {
         ctx.profile_subsystem(Subsystem::Escalation);
-        match self.token_map.remove(&token) {
+        // A token nobody armed finds no state and makes none.
+        let Some(ctl) = self.ctl.as_deref_mut() else {
+            return;
+        };
+        match ctl.token_map.remove(&token) {
             Some(TimerAction::HandshakeTimeout { nonce }) => {
-                if let Some(pending) = self.pending_handshakes.remove(&nonce) {
+                if let Some(pending) = ctl.pending_handshakes.remove(&nonce) {
                     self.counters.handshakes_timed_out += 1;
                     let now = ctx.now();
                     let key = flow_key(&pending.request.flow);

@@ -59,12 +59,15 @@ impl BorderRouter {
     /// A packet matching a pending-path request supplies the missing
     /// attack-path sample; complete the propagation step.
     fn harvest_pending_path(&mut self, packet: &Packet, ctx: &mut Context<'_>) {
-        if self.pending_paths.is_empty() {
+        let Some(ctl) = self.ctl.as_deref_mut() else {
+            return;
+        };
+        if ctl.pending_paths.is_empty() {
             return;
         }
         let now = ctx.now();
-        self.pending_paths.retain(|p| p.expires > now);
-        let Some(pos) = self
+        ctl.pending_paths.retain(|p| p.expires > now);
+        let Some(pos) = ctl
             .pending_paths
             .iter()
             .position(|p| p.request.flow.matches(&packet.header))
@@ -74,7 +77,7 @@ impl BorderRouter {
         if packet.route_record.is_empty() {
             return;
         }
-        let mut request = self.pending_paths.remove(pos).request;
+        let mut request = ctl.pending_paths.remove(pos).request;
         // The packet has not crossed this router yet, so the record lacks
         // our own hop; append it for a complete path.
         let mut hops = packet.route_record.hops().to_vec();
@@ -188,12 +191,13 @@ impl BorderRouter {
             // (R2). A new bucket is full whenever it is made, so policing
             // is the same as with every bucket made up front.
             let key = arrival.0 as u64;
-            if self.limiter.bucket(key).is_none() && self.client_links.contains_key(&arrival) {
-                let contract = self.cfg.client_contract;
-                self.limiter
-                    .set_contract(key, contract.rate, contract.burst);
+            let contract = self.cfg.client_contract;
+            let is_client = self.client_links.contains_key(&arrival);
+            let limiter = &mut self.ctl_mut().limiter;
+            if limiter.bucket(key).is_none() && is_client {
+                limiter.set_contract(key, contract.rate, contract.burst);
             }
-            if !self.limiter.try_acquire(key, ctx.now()) {
+            if !limiter.try_acquire(key, ctx.now()) {
                 self.counters.requests_policed += 1;
                 return Verdict::Drop;
             }
@@ -246,8 +250,7 @@ impl BorderRouter {
         if packet.is_data() && self.filters.matches(&packet.header, now) {
             self.counters.data_filtered_pkts += 1;
             self.counters.data_filtered_bytes += packet.size_bytes as u64;
-            self.pushback
-                .note_arrival((packet.header.src, packet.header.dst), arrival);
+            self.note_arrival(packet, arrival);
             return Verdict::Drop;
         }
         Verdict::Continue
@@ -261,10 +264,19 @@ impl BorderRouter {
         _ctx: &mut Context<'_>,
     ) -> Verdict {
         if packet.is_data() {
-            self.pushback
-                .note_arrival((packet.header.src, packet.header.dst), arrival);
+            self.note_arrival(packet, arrival);
         }
         Verdict::Continue
+    }
+
+    /// Pushback's per-packet write: which link this `(src, dst)` aggregate
+    /// arrives on. The first data packet a pushback router sees makes the
+    /// state it is written to.
+    #[inline]
+    fn note_arrival(&mut self, packet: &Packet, arrival: LinkId) {
+        self.ctl_mut()
+            .pushback
+            .note_arrival((packet.header.src, packet.header.dst), arrival);
     }
 
     /// The pushback control plane: hop-by-hop requests from downstream
@@ -278,12 +290,14 @@ impl BorderRouter {
     ) -> Verdict {
         match &packet.payload {
             PayloadKind::Aitf(AitfMessage::Pushback(p)) => {
-                self.pushback.counters.pushback_received += 1;
-                if self.policy.cooperating {
-                    let (flow, id, depth) = (p.flow, p.id, p.depth);
+                let (flow, id, depth) = (p.flow, p.id, p.depth);
+                let cooperating = self.policy.cooperating;
+                let counters = &mut self.ctl_mut().pushback.counters;
+                counters.pushback_received += 1;
+                if cooperating {
                     self.pushback_block_and_propagate(flow, id, depth, ctx);
                 } else {
-                    self.pushback.counters.pushback_ignored += 1;
+                    counters.pushback_ignored += 1;
                 }
             }
             PayloadKind::Aitf(AitfMessage::FilteringRequest(req))
@@ -323,9 +337,15 @@ impl BorderRouter {
             (Some(s), Some(d)) => (s, d),
             _ => return,
         };
-        let Some(uplink) = self.pushback.arrival_of(key) else {
+        // A router that never saw the aggregate arrive learned no link
+        // (and holds no state to ask).
+        let Some(ctl) = self.ctl.as_deref_mut() else {
             return;
         };
+        let Some(uplink) = ctl.pushback.arrival_of(key) else {
+            return;
+        };
+        ctl.pushback.counters.pushback_sent += 1;
         let msg = AitfMessage::Pushback(PushbackRequest {
             id,
             flow,
@@ -334,7 +354,6 @@ impl BorderRouter {
             depth: depth + 1,
         });
         let pkt = Packet::control(ctx.next_packet_id(), self.addr, LINK_LOCAL, msg);
-        self.pushback.counters.pushback_sent += 1;
         ctx.send(uplink, pkt);
     }
 
@@ -352,7 +371,9 @@ impl BorderRouter {
         if packet.is_data() && self.client_prefixes(arrival).is_some() {
             let key = (packet.header.src.0 >> 16) as u64;
             let now = ctx.now();
+            // The first policed packet makes the state the policer is in.
             let limiter = self
+                .ctl_mut()
                 .prefix_limiter
                 .as_mut()
                 .expect("prefix limiter exists under IngressRateLimit");
@@ -394,14 +415,12 @@ impl BorderRouter {
         _arrival: LinkId,
         ctx: &mut Context<'_>,
     ) -> Verdict {
-        if packet.is_data() && !self.stamp_blocks.is_empty() {
+        // No control state means no revocation ever reached this router.
+        let blocks = self.ctl.as_deref().map_or(&[][..], |c| &c.stamp_blocks);
+        if packet.is_data() && !blocks.is_empty() {
             if let Some(&origin) = packet.route_record.hops().first() {
                 let now = ctx.now();
-                if self
-                    .stamp_blocks
-                    .iter()
-                    .any(|&(o, exp)| o == origin && exp > now)
-                {
+                if blocks.iter().any(|&(o, exp)| o == origin && exp > now) {
                     self.counters.data_filtered_pkts += 1;
                     self.counters.data_filtered_bytes += packet.size_bytes as u64;
                     return Verdict::Drop;
@@ -459,18 +478,21 @@ impl BorderRouter {
             return Verdict::Continue;
         };
         let now = ctx.now();
-        if let Some(entry) = self.stamp_blocks.iter_mut().find(|(o, _)| *o == origin) {
-            entry.1 = now + self.cfg.t_long;
+        let until = now + self.cfg.t_long;
+        let capacity = self.cfg.filter_capacity;
+        let blocks = &mut self.ctl_mut().stamp_blocks;
+        if let Some(entry) = blocks.iter_mut().find(|(o, _)| *o == origin) {
+            entry.1 = until;
             self.counters.requests_refreshed += 1;
             return Verdict::Continue;
         }
         // Reclaim expired revocations before refusing for capacity.
-        self.stamp_blocks.retain(|&(_, exp)| exp > now);
-        if self.stamp_blocks.len() >= self.cfg.filter_capacity {
+        blocks.retain(|&(_, exp)| exp > now);
+        if blocks.len() >= capacity {
             self.counters.requests_unsatisfiable += 1;
             return Verdict::Continue;
         }
-        self.stamp_blocks.push((origin, now + self.cfg.t_long));
+        blocks.push((origin, until));
         self.counters.requests_accepted += 1;
         self.counters.filters_installed += 1;
         Verdict::Continue

@@ -24,6 +24,7 @@
 //! ```
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use aitf_netsim::{
     LinkDirection, LinkId, LinkParams, NetworkBuilder, NextHops, NodeId, PartitionSpec,
@@ -32,7 +33,7 @@ use aitf_netsim::{
 use aitf_packet::{Addr, Prefix};
 
 use crate::config::{AitfConfig, HostPolicy, RouterPolicy};
-use crate::host::{EndHost, TrafficApp};
+use crate::host::{EndHost, TrafficApp, VictimAgent};
 use crate::router::{BorderRouter, RouterSpec};
 
 /// How forwarding tables are derived from the declared topology.
@@ -222,6 +223,11 @@ impl WorldBuilder {
     /// Panics on inconsistent input: a network with more than 250 hosts,
     /// or a disconnected topology being asked to route.
     pub fn build(self) -> World {
+        // Hosts make their victim agent on first use; making one here keeps
+        // a config no agent can be made from a build-time failure.
+        drop(VictimAgent::new(&self.cfg));
+        // One config for the whole world, shared by every node.
+        let cfg = Arc::new(self.cfg);
         let mut nb = NetworkBuilder::new(self.seed);
 
         // One node per router, one per host.
@@ -417,7 +423,7 @@ impl WorldBuilder {
                 ancestors: ancestors_of(i),
                 legacy_peers: legacy_peers.clone(),
                 client_links,
-                config: self.cfg.clone(),
+                config: Arc::clone(&cfg),
                 policy: net.policy,
             };
             sim.install(router_nodes[i], Box::new(BorderRouter::new(spec)));
@@ -429,7 +435,7 @@ impl WorldBuilder {
                 host_addr[h],
                 router_addr[hspec.net],
                 tail_links[h],
-                self.cfg.clone(),
+                Arc::clone(&cfg),
                 hspec.policy,
             );
             sim.install(host_nodes[h], Box::new(host));
@@ -437,7 +443,7 @@ impl WorldBuilder {
 
         World {
             sim,
-            cfg: self.cfg,
+            cfg,
             net_names: self.nets.iter().map(|n| n.name.clone()).collect(),
             net_prefixes: self.nets.iter().map(|n| n.prefix).collect(),
             router_nodes,
@@ -462,8 +468,9 @@ impl WorldBuilder {
 pub struct World {
     /// The underlying simulator; run it with `run_for`/`run_until`.
     pub sim: Simulator,
-    /// The configuration the world was built with.
-    pub cfg: AitfConfig,
+    /// The configuration the world was built with — the one copy every
+    /// router and host of the world shares.
+    pub cfg: Arc<AitfConfig>,
     net_names: Vec<String>,
     net_prefixes: Vec<Prefix>,
     router_nodes: Vec<NodeId>,

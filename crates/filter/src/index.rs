@@ -47,8 +47,16 @@ pub(crate) struct Slot<V> {
     pub(crate) value: V,
 }
 
+/// The index proper: empty until the first [`LabelIndex::insert`], so a
+/// table that never stored anything — almost every router's at internet
+/// scale — is one null pointer beside its owner's capacity and counters.
 #[derive(Debug)]
 pub(crate) struct LabelIndex<V> {
+    store: Option<Box<Store<V>>>,
+}
+
+#[derive(Debug)]
+struct Store<V> {
     /// Slab of entries; `None` slots are on the free list.
     slots: Vec<Option<Slot<V>>>,
     free: Vec<usize>,
@@ -71,118 +79,16 @@ fn pair_key(label: &FlowLabel) -> Option<u64> {
     (*label == FlowLabel::src_dst(src, dst)).then(|| pack(src, dst))
 }
 
-impl<V> LabelIndex<V> {
-    pub(crate) fn new() -> Self {
-        LabelIndex {
-            slots: Vec::new(),
-            free: Vec::new(),
-            pairs: HashMap::new(),
-            wide: Vec::new(),
-            next_seq: 0,
-            earliest: SimTime::MAX,
-        }
-    }
-
-    /// Stored entries, expired-but-unpurged ones included.
-    pub(crate) fn len(&self) -> usize {
-        self.slots.len() - self.free.len()
-    }
-
-    pub(crate) fn slot(&self, i: usize) -> &Slot<V> {
+impl<V> Store<V> {
+    fn slot(&self, i: usize) -> &Slot<V> {
         self.slots[i].as_ref().expect("slot is live")
     }
 
-    pub(crate) fn value_mut(&mut self, i: usize) -> &mut V {
-        &mut self.slots[i].as_mut().expect("slot is live").value
+    fn slot_mut(&mut self, i: usize) -> &mut Slot<V> {
+        self.slots[i].as_mut().expect("slot is live")
     }
 
-    /// Keeps the later of the entry's expiry and `expires`; returns it.
-    pub(crate) fn extend(&mut self, i: usize, expires: SimTime) -> SimTime {
-        let slot = self.slots[i].as_mut().expect("slot is live");
-        slot.expires = slot.expires.max(expires);
-        slot.expires
-    }
-
-    /// Live slots in ascending slot order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, &Slot<V>)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| Some((i, s.as_ref()?)))
-    }
-
-    /// The slot holding exactly `label`, expired or not.
-    pub(crate) fn find(&self, label: &FlowLabel) -> Option<usize> {
-        match pair_key(label) {
-            Some(key) => self.pairs.get(&key).copied(),
-            None => self
-                .wide
-                .iter()
-                .copied()
-                .find(|&i| self.slot(i).label == *label),
-        }
-    }
-
-    /// The live entry that wins `header` under the module's match order.
-    pub(crate) fn first_match(&self, header: &Header, now: SimTime) -> Option<usize> {
-        let pair = self
-            .pairs
-            .get(&pack(header.src, header.dst))
-            .copied()
-            .filter(|&i| self.slot(i).expires > now);
-        let mut wide_dst = None;
-        for &i in &self.wide {
-            let s = self.slot(i);
-            if s.expires <= now || !s.label.matches(header) {
-                continue;
-            }
-            if s.label.dst_host().is_some() {
-                // The earliest /32-destination match in `wide`: only the
-                // exact pair can have been stored before it.
-                return pair.filter(|&p| self.slot(p).seq < s.seq).or(Some(i));
-            }
-            wide_dst = wide_dst.or(Some(i));
-        }
-        pair.or(wide_dst)
-    }
-
-    /// Whether an entry lasting at least until `until` blocks every packet
-    /// of `label`. Callers purge first, so every candidate is live.
-    pub(crate) fn covered(&self, label: &FlowLabel, until: SimTime) -> bool {
-        let pair = match (label.src_host(), label.dst_host()) {
-            (Some(src), Some(dst)) => self.pairs.get(&pack(src, dst)),
-            _ => None,
-        };
-        pair.into_iter().chain(&self.wide).any(|&i| {
-            let s = self.slot(i);
-            s.expires >= until && s.label.covers(label)
-        })
-    }
-
-    /// Stores a label the index does not hold yet.
-    pub(crate) fn insert(&mut self, label: FlowLabel, expires: SimTime, value: V) {
-        debug_assert!(self.find(&label).is_none(), "label already stored");
-        let i = self.free.pop().unwrap_or_else(|| {
-            self.slots.push(None);
-            self.slots.len() - 1
-        });
-        self.slots[i] = Some(Slot {
-            label,
-            expires,
-            seq: self.next_seq,
-            value,
-        });
-        self.next_seq += 1;
-        match pair_key(&label) {
-            Some(key) => {
-                self.pairs.insert(key, i);
-            }
-            None => self.wide.push(i),
-        }
-        self.earliest = self.earliest.min(expires);
-    }
-
-    pub(crate) fn remove(&mut self, i: usize) {
+    fn remove(&mut self, i: usize) {
         let slot = self.slots[i].take().expect("removing a live slot");
         match pair_key(&slot.label) {
             Some(key) => {
@@ -192,21 +98,156 @@ impl<V> LabelIndex<V> {
         }
         self.free.push(i);
     }
+}
+
+impl<V> LabelIndex<V> {
+    pub(crate) fn new() -> Self {
+        LabelIndex { store: None }
+    }
+
+    /// The store of an index some slot number was read from.
+    fn live(&self) -> &Store<V> {
+        self.store.as_deref().expect("a slot implies a store")
+    }
+
+    fn live_mut(&mut self) -> &mut Store<V> {
+        self.store.as_deref_mut().expect("a slot implies a store")
+    }
+
+    /// Stored entries, expired-but-unpurged ones included.
+    pub(crate) fn len(&self) -> usize {
+        self.store
+            .as_deref()
+            .map_or(0, |s| s.slots.len() - s.free.len())
+    }
+
+    pub(crate) fn slot(&self, i: usize) -> &Slot<V> {
+        self.live().slot(i)
+    }
+
+    pub(crate) fn value_mut(&mut self, i: usize) -> &mut V {
+        &mut self.live_mut().slot_mut(i).value
+    }
+
+    /// Keeps the later of the entry's expiry and `expires`; returns it.
+    pub(crate) fn extend(&mut self, i: usize, expires: SimTime) -> SimTime {
+        let slot = self.live_mut().slot_mut(i);
+        slot.expires = slot.expires.max(expires);
+        slot.expires
+    }
+
+    /// Live slots in ascending slot order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, &Slot<V>)> {
+        let slots = self.store.as_deref().map_or(&[][..], |s| &s.slots);
+        slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| Some((i, s.as_ref()?)))
+    }
+
+    /// The slot holding exactly `label`, expired or not.
+    pub(crate) fn find(&self, label: &FlowLabel) -> Option<usize> {
+        let s = self.store.as_deref()?;
+        match pair_key(label) {
+            Some(key) => s.pairs.get(&key).copied(),
+            None => s.wide.iter().copied().find(|&i| s.slot(i).label == *label),
+        }
+    }
+
+    /// The live entry that wins `header` under the module's match order.
+    pub(crate) fn first_match(&self, header: &Header, now: SimTime) -> Option<usize> {
+        let s = self.store.as_deref()?;
+        let pair = s
+            .pairs
+            .get(&pack(header.src, header.dst))
+            .copied()
+            .filter(|&i| s.slot(i).expires > now);
+        let mut wide_dst = None;
+        for &i in &s.wide {
+            let e = s.slot(i);
+            if e.expires <= now || !e.label.matches(header) {
+                continue;
+            }
+            if e.label.dst_host().is_some() {
+                // The earliest /32-destination match in `wide`: only the
+                // exact pair can have been stored before it.
+                return pair.filter(|&p| s.slot(p).seq < e.seq).or(Some(i));
+            }
+            wide_dst = wide_dst.or(Some(i));
+        }
+        pair.or(wide_dst)
+    }
+
+    /// Whether an entry lasting at least until `until` blocks every packet
+    /// of `label`. Callers purge first, so every candidate is live.
+    pub(crate) fn covered(&self, label: &FlowLabel, until: SimTime) -> bool {
+        let Some(s) = self.store.as_deref() else {
+            return false;
+        };
+        let pair = match (label.src_host(), label.dst_host()) {
+            (Some(src), Some(dst)) => s.pairs.get(&pack(src, dst)),
+            _ => None,
+        };
+        pair.into_iter().chain(&s.wide).any(|&i| {
+            let e = s.slot(i);
+            e.expires >= until && e.label.covers(label)
+        })
+    }
+
+    /// Stores a label the index does not hold yet.
+    pub(crate) fn insert(&mut self, label: FlowLabel, expires: SimTime, value: V) {
+        debug_assert!(self.find(&label).is_none(), "label already stored");
+        let s = self.store.get_or_insert_with(|| {
+            Box::new(Store {
+                slots: Vec::new(),
+                free: Vec::new(),
+                pairs: HashMap::new(),
+                wide: Vec::new(),
+                next_seq: 0,
+                earliest: SimTime::MAX,
+            })
+        });
+        let i = s.free.pop().unwrap_or_else(|| {
+            s.slots.push(None);
+            s.slots.len() - 1
+        });
+        s.slots[i] = Some(Slot {
+            label,
+            expires,
+            seq: s.next_seq,
+            value,
+        });
+        s.next_seq += 1;
+        match pair_key(&label) {
+            Some(key) => {
+                s.pairs.insert(key, i);
+            }
+            None => s.wide.push(i),
+        }
+        s.earliest = s.earliest.min(expires);
+    }
+
+    pub(crate) fn remove(&mut self, i: usize) {
+        self.live_mut().remove(i);
+    }
 
     /// Removes every entry expired at or before `now`; returns how many.
     pub(crate) fn purge(&mut self, now: SimTime) -> u64 {
-        if now < self.earliest {
+        let Some(s) = self.store.as_deref_mut() else {
+            return 0;
+        };
+        if now < s.earliest {
             return 0;
         }
         let mut purged = 0;
-        self.earliest = SimTime::MAX;
-        for i in 0..self.slots.len() {
-            match &self.slots[i] {
-                Some(s) if s.expires <= now => {
-                    self.remove(i);
+        s.earliest = SimTime::MAX;
+        for i in 0..s.slots.len() {
+            match &s.slots[i] {
+                Some(e) if e.expires <= now => {
+                    s.remove(i);
                     purged += 1;
                 }
-                Some(s) => self.earliest = self.earliest.min(s.expires),
+                Some(e) => s.earliest = s.earliest.min(e.expires),
                 None => {}
             }
         }
@@ -384,6 +425,24 @@ mod spec {
             Just(Op::Purge),
             probe,
         ]
+    }
+
+    #[test]
+    fn only_an_insert_makes_the_store() {
+        let mut index = LabelIndex::<u8>::new();
+        let label = pool()[0];
+        let probe = Header::udp(source(0), VICTIMS[0], 1, 2);
+        assert_eq!((index.len(), index.iter().count()), (0, 0));
+        assert_eq!(index.find(&label), None);
+        assert_eq!(index.first_match(&probe, SimTime::ZERO), None);
+        assert!(!index.covered(&label, SimTime::ZERO));
+        assert_eq!(index.purge(SimTime::MAX), 0);
+        assert!(index.store.is_none(), "a read or a purge made the store");
+        index.insert(label, SimTime::MAX, 7);
+        assert_eq!(index.first_match(&probe, SimTime::ZERO), Some(0));
+        // Emptied again, the store stays: first use is one-off.
+        index.remove(0);
+        assert!(index.len() == 0 && index.store.is_some());
     }
 
     proptest! {

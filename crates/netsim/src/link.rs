@@ -122,6 +122,18 @@ pub struct LinkStats {
     pub max_queued_bytes: u64,
 }
 
+/// What a never-used direction reports.
+static IDLE_STATS: LinkStats = LinkStats {
+    offered_pkts: 0,
+    offered_bytes: 0,
+    sent_pkts: 0,
+    sent_bytes: 0,
+    queue_drop_pkts: 0,
+    queue_drop_bytes: 0,
+    admin_drop_pkts: 0,
+    max_queued_bytes: 0,
+};
+
 #[derive(Debug, Default)]
 struct DirState {
     queue: VecDeque<Packet>,
@@ -145,13 +157,19 @@ impl DirState {
 }
 
 /// A full-duplex point-to-point link.
+///
+/// The wiring is inline; each direction's queue, in-flight packet, block
+/// flag and statistics are made by the first packet offered in that
+/// direction (or the first block of it). Most links of an internet-scale
+/// world never carry a packet, and a direction that never did reads as
+/// empty, unblocked and all-zero.
 #[derive(Debug)]
 pub struct Link {
     id: LinkId,
     a: NodeId,
     b: NodeId,
     params: LinkParams,
-    dirs: [DirState; 2],
+    dirs: [Option<Box<DirState>>; 2],
 }
 
 impl Link {
@@ -162,7 +180,7 @@ impl Link {
             a,
             b,
             params,
-            dirs: [DirState::default(), DirState::default()],
+            dirs: [None, None],
         }
     }
 
@@ -211,33 +229,43 @@ impl Link {
         }
     }
 
-    /// Statistics for one direction.
-    pub fn stats(&self, dir: LinkDirection) -> &LinkStats {
-        &self.dirs[dir.index()].stats
+    fn dir(&self, dir: LinkDirection) -> Option<&DirState> {
+        self.dirs[dir.index()].as_deref()
     }
 
-    /// Currently queued bytes in one direction (including the in-flight
-    /// packet's bytes are *not* counted — only waiting packets).
+    /// Statistics for one direction.
+    pub fn stats(&self, dir: LinkDirection) -> &LinkStats {
+        self.dir(dir).map_or(&IDLE_STATS, |d| &d.stats)
+    }
+
+    /// Bytes currently waiting in one direction's queue. The packet being
+    /// serialised is not counted.
     pub fn queued_bytes(&self, dir: LinkDirection) -> u64 {
-        self.dirs[dir.index()].queued_bytes
+        self.dir(dir).map_or(0, |d| d.queued_bytes)
     }
 
     /// Packets currently waiting in one direction's queue (excluding the
     /// in-flight packet) — conservation checks read this.
     pub fn queued_pkts(&self, dir: LinkDirection) -> usize {
-        self.dirs[dir.index()].queue.len()
+        self.dir(dir).map_or(0, |d| d.queue.len())
     }
 
     /// Returns `true` if a packet is being serialised in `dir` right now.
     pub fn has_in_flight(&self, dir: LinkDirection) -> bool {
-        self.dirs[dir.index()].in_flight.is_some()
+        self.dir(dir).is_some_and(|d| d.in_flight.is_some())
     }
 
     /// Administratively blocks or unblocks one direction. Blocked traffic
     /// is counted in [`LinkStats::admin_drop_pkts`]. This models AITF
     /// disconnection: a provider stops carrying a client's packets.
     pub fn set_blocked(&mut self, dir: LinkDirection, blocked: bool) {
-        self.dirs[dir.index()].blocked = blocked;
+        let slot = &mut self.dirs[dir.index()];
+        if blocked {
+            slot.get_or_insert_with(Box::default).blocked = true;
+        } else if let Some(d) = slot {
+            // A direction never used was never blocked.
+            d.blocked = false;
+        }
     }
 
     /// Hands a packet to the link for transmission in `dir` at time `now`.
@@ -254,7 +282,11 @@ impl Link {
     ) -> bool {
         let link_id = self.id;
         let params = self.params;
-        let d = &mut self.dirs[dir.index()];
+        let d = match &mut self.dirs[dir.index()] {
+            Some(d) => d,
+            // detlint::allow(hot-alloc): one-off — the first packet offered in a direction makes its state; every later one takes the arm above
+            slot => slot.insert(Box::new(DirState::default())),
+        };
         d.stats.offered_pkts += 1;
         d.stats.offered_bytes += packet.size_bytes as u64;
         if d.blocked {
@@ -271,7 +303,7 @@ impl Link {
             d.queued_bytes += packet.size_bytes as u64;
             d.stats.max_queued_bytes = d.stats.max_queued_bytes.max(d.queued_bytes);
             if d.queue.capacity() == 0 {
-                // Lazy one-off reservation; see `DirState::queue_target`.
+                // detlint::allow(hot-alloc): one-off — the first packet that has to wait reserves the whole ring, see `DirState::queue_target`
                 d.queue.reserve(DirState::queue_target(&params));
             }
             d.queue.push_back(packet);
@@ -297,11 +329,9 @@ impl Link {
             LinkDirection::AToB => self.b,
             LinkDirection::BToA => self.a,
         };
-        let d = &mut self.dirs[dir.index()];
-        let packet = d
-            .in_flight
-            .take()
-            .expect("LinkTxDone with no in-flight packet");
+        const IDLE: &str = "LinkTxDone with no in-flight packet";
+        let d = self.dirs[dir.index()].as_deref_mut().expect(IDLE);
+        let packet = d.in_flight.take().expect(IDLE);
         d.stats.sent_pkts += 1;
         d.stats.sent_bytes += packet.size_bytes as u64;
         events.schedule(
@@ -474,5 +504,154 @@ mod tests {
             link.enqueue(SimTime::ZERO, LinkDirection::AToB, pkt(i, 1000), &mut q);
         }
         assert_eq!(link.stats(LinkDirection::AToB).max_queued_bytes, 4000);
+    }
+
+    /// The link with both directions laid out up front — the model the
+    /// first-use layout must be indistinguishable from.
+    struct Eager {
+        params: LinkParams,
+        dirs: [DirState; 2],
+    }
+
+    impl Eager {
+        fn enqueue(
+            &mut self,
+            now: SimTime,
+            dir: LinkDirection,
+            p: Packet,
+            q: &mut EventQueue,
+        ) -> bool {
+            let link = LinkId(0);
+            let d = &mut self.dirs[dir.index()];
+            let size = p.size_bytes as u64;
+            d.stats.offered_pkts += 1;
+            d.stats.offered_bytes += size;
+            if d.blocked {
+                d.stats.admin_drop_pkts += 1;
+                false
+            } else if d.in_flight.is_none() {
+                q.schedule(
+                    now + self.params.tx_time(p.size_bytes),
+                    EventKind::LinkTxDone { link, dir },
+                );
+                d.in_flight = Some(p);
+                true
+            } else if d.queued_bytes + size <= self.params.queue_capacity_bytes as u64 {
+                d.queued_bytes += size;
+                d.stats.max_queued_bytes = d.stats.max_queued_bytes.max(d.queued_bytes);
+                d.queue.push_back(p);
+                true
+            } else {
+                d.stats.queue_drop_pkts += 1;
+                d.stats.queue_drop_bytes += size;
+                false
+            }
+        }
+
+        fn on_tx_done(&mut self, now: SimTime, dir: LinkDirection, q: &mut EventQueue) {
+            let link = LinkId(0);
+            let node = NodeId(1 - dir.index());
+            let d = &mut self.dirs[dir.index()];
+            let packet = d.in_flight.take().expect("model has a packet in flight");
+            d.stats.sent_pkts += 1;
+            d.stats.sent_bytes += packet.size_bytes as u64;
+            q.schedule(
+                now + self.params.delay,
+                EventKind::Deliver { node, link, packet },
+            );
+            if let Some(next) = d.queue.pop_front() {
+                d.queued_bytes -= next.size_bytes as u64;
+                q.schedule(
+                    now + self.params.tx_time(next.size_bytes),
+                    EventKind::LinkTxDone { link, dir },
+                );
+                d.in_flight = Some(next);
+            }
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Offer(bool, u32),
+        /// Dispatch the earliest pending event.
+        Step,
+        Block(bool, bool),
+    }
+
+    mod differential {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn arb_op() -> impl Strategy<Value = Op> {
+            // Offers listed twice: half of all operations.
+            prop_oneof![
+                (any::<bool>(), 40u32..1500).prop_map(|(d, size)| Op::Offer(d, size)),
+                (any::<bool>(), 40u32..1500).prop_map(|(d, size)| Op::Offer(d, size)),
+                Just(Op::Step),
+                (any::<bool>(), any::<bool>()).prop_map(|(d, b)| Op::Block(d, b)),
+            ]
+        }
+
+        proptest! {
+            #[test]
+            fn first_use_link_equals_the_eager_one(
+                ops in proptest::collection::vec(arb_op(), 1..120),
+                queue_bytes in 0u32..4000,
+            ) {
+                let params = LinkParams::ethernet(8_000_000, SimDuration::from_millis(1))
+                    .with_queue_bytes(queue_bytes);
+                let mut link = Link::new(LinkId(0), NodeId(0), NodeId(1), params);
+                let mut eager = Eager { params, dirs: Default::default() };
+                let (mut q, mut eq) = (EventQueue::new(), EventQueue::new());
+                let mut now = SimTime::ZERO;
+                // A direction holds state iff a packet or a block ever
+                // reached it: reads and unblocks make none.
+                let mut used = [false; 2];
+                let dir_of = |d: bool| if d { LinkDirection::AToB } else { LinkDirection::BToA };
+                for (id, op) in ops.into_iter().enumerate() {
+                    match op {
+                        Op::Offer(d, size) => {
+                            let dir = dir_of(d);
+                            used[dir.index()] = true;
+                            let got = link.enqueue(now, dir, pkt(id as u64, size), &mut q);
+                            let want = eager.enqueue(now, dir, pkt(id as u64, size), &mut eq);
+                            prop_assert_eq!(got, want);
+                        }
+                        Op::Block(d, blocked) => {
+                            let dir = dir_of(d);
+                            used[dir.index()] |= blocked;
+                            link.set_blocked(dir, blocked);
+                            eager.dirs[dir.index()].blocked = blocked;
+                        }
+                        Op::Step => {
+                            let (got, want) = (q.pop(), eq.pop());
+                            prop_assert_eq!(got.as_ref().map(|e| e.time), want.as_ref().map(|e| e.time));
+                            let (Some(got), Some(want)) = (got, want) else { continue };
+                            now = got.time;
+                            match (got.kind, want.kind) {
+                                (EventKind::LinkTxDone { dir, .. }, EventKind::LinkTxDone { dir: wdir, .. }) => {
+                                    prop_assert_eq!(dir, wdir);
+                                    link.on_tx_done(now, dir, &mut q);
+                                    eager.on_tx_done(now, dir, &mut eq);
+                                }
+                                (
+                                    EventKind::Deliver { node, packet, .. },
+                                    EventKind::Deliver { node: wnode, packet: wpacket, .. },
+                                ) => prop_assert_eq!((node, packet.id), (wnode, wpacket.id)),
+                                (got, want) => prop_assert!(false, "{:?} vs {:?}", got, want),
+                            }
+                        }
+                    }
+                    for dir in [LinkDirection::AToB, LinkDirection::BToA] {
+                        let m = &eager.dirs[dir.index()];
+                        prop_assert_eq!(link.stats(dir), &m.stats);
+                        prop_assert_eq!(link.queued_bytes(dir), m.queued_bytes);
+                        prop_assert_eq!(link.queued_pkts(dir), m.queue.len());
+                        prop_assert_eq!(link.has_in_flight(dir), m.in_flight.is_some());
+                        prop_assert_eq!(link.dirs[dir.index()].is_some(), used[dir.index()]);
+                    }
+                }
+            }
+        }
     }
 }

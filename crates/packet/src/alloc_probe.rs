@@ -17,13 +17,16 @@
 //! which keeps the assertions exact even when libtest runs sibling tests
 //! concurrently on other threads. `alloc` and `realloc` both count; frees
 //! do not — the steady-state question is "does this code ask the allocator
-//! for memory", not "does it balance".
+//! for memory", not "does it balance". Beside the call count the probe
+//! keeps the bytes those calls asked for (a `realloc` counts its whole new
+//! size), which is what the per-network footprint pin reads.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// A `System`-backed allocator that counts every `alloc`/`realloc` made by
@@ -34,6 +37,19 @@ impl CountingAlloc {
     /// Total allocations observed on the calling thread since it started.
     pub fn total() -> u64 {
         ALLOCS.with(|n| n.get())
+    }
+
+    /// Total bytes requested on the calling thread since it started.
+    pub fn total_bytes() -> u64 {
+        BYTES.with(|n| n.get())
+    }
+
+    /// Runs `f` and returns its result plus how many bytes the calling
+    /// thread requested inside it (nothing is subtracted for frees).
+    pub fn count_bytes<T>(f: impl FnOnce() -> T) -> (T, u64) {
+        let before = Self::total_bytes();
+        let out = f();
+        (out, Self::total_bytes() - before)
     }
 
     /// Runs `f` and returns its result plus how many allocations the
@@ -49,8 +65,9 @@ impl CountingAlloc {
     }
 }
 
-fn bump() {
+fn bump(bytes: usize) {
     ALLOCS.with(|n| n.set(n.get() + 1));
+    BYTES.with(|n| n.set(n.get() + bytes as u64));
 }
 
 // The workspace denies `unsafe_code`; this is the one sanctioned
@@ -59,7 +76,7 @@ fn bump() {
 #[allow(unsafe_code)]
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         System.alloc(layout)
     }
 
@@ -68,7 +85,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }

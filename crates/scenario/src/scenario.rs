@@ -28,6 +28,7 @@
 use aitf_core::{AitfConfig, DefensePolicy, EvictionPolicy};
 use aitf_engine::{Outcome, Params};
 use aitf_netsim::SimDuration;
+use aitf_packet::Prefix;
 
 use crate::churn::{ChurnAction, ChurnSpec};
 use crate::deploy::DeploymentSpec;
@@ -47,6 +48,57 @@ impl std::fmt::Display for ScenarioError {
 }
 
 impl std::error::Error for ScenarioError {}
+
+/// The topology half of [`Scenario::validate`]: the conditions
+/// `TopologySpec::build` and `WorldBuilder` assert, as errors naming the
+/// offender. O(n log n) in the network count.
+fn check_topology(t: &TopologySpec) -> Result<(), ScenarioError> {
+    let mut prefixes: Vec<(Prefix, usize)> = Vec::with_capacity(t.nets.len());
+    for (i, n) in t.nets.iter().enumerate() {
+        let Ok(prefix) = n.prefix.parse::<Prefix>() else {
+            return Err(ScenarioError(format!(
+                "network {:?} has an unparsable prefix {:?}",
+                n.name, n.prefix
+            )));
+        };
+        prefixes.push((prefix, i));
+        if let Some(p) = n.parent.filter(|&p| p >= i) {
+            return Err(ScenarioError(format!(
+                "network {:?} is declared before its parent (network #{p}); \
+                 parents come first",
+                n.name
+            )));
+        }
+    }
+    // Prefixes nest or are disjoint, so in address order an overlapping
+    // pair always shows up as neighbours.
+    prefixes.sort_unstable();
+    if let Some(w) = prefixes.windows(2).find(|w| w[0].0.overlaps(w[1].0)) {
+        let (a, b) = (&t.nets[w[0].1.min(w[1].1)], &t.nets[w[0].1.max(w[1].1)]);
+        return Err(ScenarioError(format!(
+            "network {:?} ({}) overlaps network {:?} ({})",
+            b.name, b.prefix, a.name, a.prefix
+        )));
+    }
+    let mut hosts_in = vec![0u32; t.nets.len()];
+    for h in &t.hosts {
+        let Some(k) = hosts_in.get_mut(h.net) else {
+            return Err(ScenarioError(format!(
+                "a host is declared in network #{}, but only {} networks exist",
+                h.net,
+                t.nets.len()
+            )));
+        };
+        *k += 1;
+    }
+    if let Some(i) = hosts_in.iter().position(|&k| k > 250) {
+        return Err(ScenarioError(format!(
+            "network {:?} has {} hosts; a network holds at most 250",
+            t.nets[i].name, hosts_in[i]
+        )));
+    }
+    Ok(())
+}
 
 /// A complete declarative experiment point.
 pub struct Scenario {
@@ -220,8 +272,13 @@ impl Scenario {
     ///   horizon — a zero bin would spin forever without advancing the
     ///   clock, and a bin past the horizon would silently clamp to a
     ///   single end-of-run sample, turning "per-bin series" into one
-    ///   point without complaint.
+    ///   point without complaint;
+    /// - the topology must lower: every prefix parses, no two network
+    ///   prefixes overlap, every network is declared after its parent and
+    ///   no network holds more than 250 hosts — what `WorldBuilder` would
+    ///   otherwise panic on halfway through the build.
     pub fn validate(&self) -> Result<(), ScenarioError> {
+        check_topology(&self.topology)?;
         if let Some(event) = self.churn.events.iter().find(|e| e.at >= self.duration) {
             return Err(ScenarioError(format!(
                 "churn event {:?} at {:?} is at or past the scenario horizon \
@@ -716,6 +773,60 @@ mod tests {
         assert!(err.contains("10s"), "names the event time: {err}");
         assert!(err.contains("4s"), "names the horizon: {err}");
         assert!(churn_star().validate().is_ok());
+    }
+
+    /// `flood_scenario` with its topology edited into an unbuildable one.
+    fn topology_error(edit: impl FnOnce(&mut TopologySpec)) -> String {
+        let mut bad = flood_scenario();
+        edit(&mut bad.topology);
+        bad.validate()
+            .expect_err("unbuildable topology")
+            .to_string()
+    }
+
+    #[test]
+    fn validate_names_a_network_whose_prefix_does_not_parse() {
+        let err = topology_error(|t| t.nets[1].prefix = "10.1.0.0/33".into());
+        assert!(err.contains("unparsable"), "{err}");
+        assert!(err.contains("10.1.0.0/33"), "names the prefix: {err}");
+        assert!(
+            err.contains(&flood_scenario().topology.nets[1].name),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn validate_names_both_networks_of_an_overlapping_pair() {
+        let err = topology_error(|t| {
+            t.net("inside", "10.1.7.0/24", Some(0));
+            t.net("beside", "10.250.0.0/16", Some(0));
+        });
+        assert!(err.contains("\"inside\" (10.1.7.0/24) overlaps"), "{err}");
+        assert!(err.contains("10.1.0.0/16"), "names the other side: {err}");
+        assert!(!err.contains("beside"), "a disjoint network is fine: {err}");
+    }
+
+    #[test]
+    fn validate_names_a_network_declared_before_its_parent() {
+        let err = topology_error(|t| {
+            let n = t.nets.len();
+            t.net("orphan", "10.250.0.0/16", Some(n + 1));
+        });
+        assert!(err.contains("\"orphan\""), "{err}");
+        assert!(err.contains("before its parent"), "{err}");
+    }
+
+    #[test]
+    fn validate_names_a_network_with_more_than_250_hosts() {
+        let err = topology_error(|t| {
+            // The victim's network: one host declared, 250 more.
+            for _ in 0..250 {
+                t.host(2, Role::Legit);
+            }
+        });
+        let name = &flood_scenario().topology.nets[2].name;
+        assert!(err.contains(name), "names the network: {err}");
+        assert!(err.contains("at most 250"), "{err}");
     }
 
     // ------------------------------------------------------------------

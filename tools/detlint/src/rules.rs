@@ -15,7 +15,8 @@
 //!   rooted at a hash collection: float addition is not associative, so
 //!   unordered accumulation is run-to-run unstable.
 //! - `hot-alloc` — `.clone()`, `Vec::new`, `to_vec`, `format!`,
-//!   `Box::new` inside functions the manifest pins as allocation-free.
+//!   `Box::new`, `.reserve(` inside functions the manifest pins as
+//!   allocation-free.
 //! - `bad-allow` — a `detlint::allow` annotation without a reason, or
 //!   naming an unknown rule.
 //! - `stale-allow` — a well-formed allow that no longer suppresses any
@@ -627,6 +628,9 @@ fn scan_hot_alloc(
     }
     if toks[i].is_punct('.') && toks.get(i + 1).map(|t| t.is_ident("to_vec")) == Some(true) {
         push(out, path, &toks[i + 1], Rule::HotAlloc, hot("`.to_vec()`"));
+    }
+    if toks[i].is_punct('.') && toks.get(i + 1).map(|t| t.is_ident("reserve")) == Some(true) {
+        push(out, path, &toks[i + 1], Rule::HotAlloc, hot("`.reserve()`"));
     }
     let path_call = |head: &str, tail: &str| {
         toks[i].is_ident(head)

@@ -116,18 +116,19 @@ fn float_accum_allowed_one_annotation_covers_both_rules() {
 }
 
 #[test]
-fn hot_alloc_bad_flags_all_five_forms_only_in_hot_fn() {
+fn hot_alloc_bad_flags_all_six_forms_only_in_hot_fn() {
     let f = "tests/fixtures/hot_alloc_bad.rs";
     let (code, json) = run(f);
     assert_eq!(code, 1);
     assert_finding(&json, f, 4, 13, "hot-alloc"); // Vec::new
-    assert_finding(&json, f, 5, 16, "hot-alloc"); // .to_vec()
+    assert_finding(&json, f, 5, 20, "hot-alloc"); // .to_vec()
     assert_finding(&json, f, 6, 13, "hot-alloc"); // Box::new
     assert_finding(&json, f, 7, 13, "hot-alloc"); // format!
     assert_finding(&json, f, 8, 19, "hot-alloc"); // .clone()
+    assert_finding(&json, f, 9, 7, "hot-alloc"); // .reserve()
 
     // cold_fn allocates identically but is not in the manifest: no findings.
-    assert_eq!(count_findings(&json), 5, "{json}");
+    assert_eq!(count_findings(&json), 6, "{json}");
 }
 
 #[test]
@@ -192,7 +193,7 @@ fn whole_corpus_totals_are_stable() {
         .expect("spawn detlint");
     assert_eq!(out.status.code(), Some(1));
     let json = String::from_utf8(out.stdout).expect("utf8 stdout");
-    assert_eq!(count_findings(&json), 21, "{json}");
+    assert_eq!(count_findings(&json), 22, "{json}");
 }
 
 #[test]

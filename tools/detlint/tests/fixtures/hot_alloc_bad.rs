@@ -2,10 +2,11 @@
 // tokens in a non-hot function are fine.
 fn hot_fn(xs: &[u32]) -> Vec<u32> {
     let v = Vec::new();
-    let w = xs.to_vec();
+    let mut w = xs.to_vec();
     let b = Box::new(1u32);
     let s = format!("{}", b);
     let _ = (v, s.clone());
+    w.reserve(8);
     w
 }
 
