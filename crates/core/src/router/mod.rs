@@ -134,7 +134,9 @@ struct PendingPath {
     expires: SimTime,
 }
 
-/// Static wiring a router needs from the world builder.
+/// Static wiring a router needs from the world builder. The two tables
+/// arrive built: the builder already holds every cone in address order,
+/// so the router keeps what it is given and sorts nothing.
 #[derive(Debug, Clone)]
 pub struct RouterSpec {
     /// This router's control-plane address.
@@ -148,16 +150,16 @@ pub struct RouterSpec {
     pub uplink: Option<LinkId>,
     /// Addresses of this router's ancestor gateways, nearest first —
     /// escalation walks this chain, skipping ancestors known not to run
-    /// AITF. Empty at the top level.
-    pub ancestors: Vec<Addr>,
+    /// AITF. Empty at the top level; one chain is shared by every client
+    /// network of the same provider.
+    pub ancestors: Arc<[Addr]>,
     /// Border routers known (via capability advertisement at build time)
-    /// not to participate in AITF. Kept current at runtime through
-    /// [`BorderRouter::set_peer_aitf_enabled`].
-    pub legacy_peers: Vec<Addr>,
-    /// Client links (to end-hosts and client networks) with the prefixes
-    /// legitimately sourced behind each — in any order, nested or repeated;
-    /// the router normalises each list into a [`PrefixSet`].
-    pub client_links: BTreeMap<LinkId, Vec<Prefix>>,
+    /// not to participate in AITF, one list per world. Kept current at
+    /// runtime through [`BorderRouter::set_peer_aitf_enabled`].
+    pub legacy_peers: Arc<[Addr]>,
+    /// Client links (to end-hosts and client networks) with the addresses
+    /// legitimately sourced behind each.
+    pub client_links: BTreeMap<LinkId, PrefixSet>,
     /// Protocol parameters, shared by every node of the world.
     pub config: Arc<AitfConfig>,
     /// Behaviour knobs.
@@ -247,7 +249,7 @@ pub struct BorderRouter {
     shadow: ShadowCache,
     counters: RouterCounters,
     // Wiring only the control plane reads.
-    ancestors: Vec<Addr>,
+    ancestors: Arc<[Addr]>,
     /// The deployment view: peers currently known not to run AITF.
     disabled_peers: HashSet<Addr>,
     /// First-use state; see [`ControlState`].
@@ -294,15 +296,12 @@ impl BorderRouter {
             // `policy`, and the view only answers "can this *peer* act?".
             disabled_peers: spec
                 .legacy_peers
-                .into_iter()
+                .iter()
+                .copied()
                 .filter(|&a| a != spec.addr)
                 .collect(),
             addr: spec.addr,
-            client_links: spec
-                .client_links
-                .into_iter()
-                .map(|(link, prefixes)| (link, PrefixSet::new(prefixes)))
-                .collect(),
+            client_links: spec.client_links,
             counters: RouterCounters::default(),
             ctl: None,
             tracer: Tracer::new(),
@@ -460,7 +459,7 @@ impl BorderRouter {
     /// provider's subtree route would bounce it straight back down until
     /// TTL expiry, so it is unroutable here — exactly as under all-pairs
     /// routing, whose tables hold no covering route for the own prefix.
-    fn route(&self, dst: Addr) -> Option<LinkId> {
+    pub(crate) fn route(&self, dst: Addr) -> Option<LinkId> {
         let link = *self.fwd.lookup(dst)?;
         if Some(link) == self.uplink && self.prefix.contains(dst) {
             return None;
@@ -480,7 +479,7 @@ impl BorderRouter {
     }
 
     /// Is `link` a client link, and if so, which addresses live behind it?
-    fn client_prefixes(&self, link: LinkId) -> Option<&PrefixSet> {
+    pub(crate) fn client_prefixes(&self, link: LinkId) -> Option<&PrefixSet> {
         self.client_links.get(&link)
     }
 

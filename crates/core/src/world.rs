@@ -23,14 +23,14 @@
 //! assert!(world.host_addr(host).to_string().starts_with("10.1."));
 //! ```
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use aitf_netsim::{
-    LinkDirection, LinkId, LinkParams, NetworkBuilder, NextHops, NodeId, PartitionSpec,
+    Buckets, LinkDirection, LinkId, LinkParams, NetworkBuilder, NextHops, NodeId, PartitionSpec,
     SimDuration, Simulator,
 };
-use aitf_packet::{Addr, Prefix};
+use aitf_packet::{Addr, Prefix, PrefixSet};
 
 use crate::config::{AitfConfig, HostPolicy, RouterPolicy};
 use crate::host::{EndHost, TrafficApp, VictimAgent};
@@ -88,6 +88,110 @@ struct HostSpec {
     link_params: LinkParams,
 }
 
+/// The networks' prefixes in address order, each with its network's index.
+///
+/// Declared prefixes must be pairwise disjoint, and prefixes either nest
+/// or are disjoint, so in address order an overlapping pair is always
+/// adjacent: the one sort that checks the whole declaration is also the
+/// order every forwarding table and ingress set of the world is filled in.
+///
+/// # Panics
+///
+/// Panics if two networks' prefixes overlap, naming the later-declared
+/// prefix and the earlier-declared network.
+fn address_order(nets: &[NetSpec]) -> Vec<(Prefix, u32)> {
+    let count = u32::try_from(nets.len()).expect("network count fits u32");
+    let mut by_addr: Vec<(Prefix, u32)> = nets.iter().map(|n| n.prefix).zip(0..count).collect();
+    by_addr.sort_unstable();
+    if let Some(w) = by_addr.windows(2).find(|w| w[0].0.overlaps(w[1].0)) {
+        let (earlier, later) = (w[0].1.min(w[1].1), w[0].1.max(w[1].1));
+        panic!(
+            "prefix {} overlaps existing network {}",
+            nets[later as usize].prefix, nets[earlier as usize].name
+        );
+    }
+    by_addr
+}
+
+/// Every network's customer cone — its own prefix and those of all its
+/// descendants — in address order, as slices of one pair of arrays.
+///
+/// A provider's forwarding table and the ingress set of each of its client
+/// links are both read off these slices, so no cone is ever sorted: the
+/// arrays are filled by one walk over the networks in address order, each
+/// network appending itself to its own cone and to every ancestor's —
+/// O(n·depth) steps, which is the size of the routing state itself. (Not a
+/// [`Buckets::group`]: that would walk every chain a second time to count,
+/// and a parent precedes its children, so the sizes are one backward pass.)
+struct Cones {
+    /// Net `i`'s cone is `start[i]..start[i + 1]` of both arrays below.
+    start: Vec<u32>,
+    prefix: Vec<Prefix>,
+    /// For each cone member, the network one step below the cone's owner
+    /// on the way down to it — the client whose uplink reaches it; the
+    /// owner itself at the owner's own prefix.
+    via: Vec<u32>,
+}
+
+impl Cones {
+    fn build(by_addr: &[(Prefix, u32)], parent: &[Option<usize>]) -> Self {
+        let n = parent.len();
+        // A parent is declared before its children, so one backward pass
+        // has every cone's size.
+        let mut size = vec![1u32; n];
+        for i in (0..n).rev() {
+            if let Some(p) = parent[i] {
+                size[p] = size[p].checked_add(size[i]).expect("cone size fits u32");
+            }
+        }
+        let mut start = Vec::with_capacity(n + 1);
+        let mut total = 0u32;
+        for &s in &size {
+            start.push(total);
+            total = total.checked_add(s).expect("routing state fits u32");
+        }
+        start.push(total);
+        // Next free slot of each cone.
+        let mut next = size;
+        next.copy_from_slice(&start[..n]);
+        let mut prefix = vec![Prefix::ANY; total as usize];
+        let mut via = vec![0u32; total as usize];
+        for &(p, member) in by_addr {
+            let (mut owner, mut below) = (member as usize, member);
+            loop {
+                let slot = next[owner] as usize;
+                next[owner] += 1;
+                prefix[slot] = p;
+                via[slot] = below;
+                below = owner as u32;
+                match parent[owner] {
+                    Some(up) => owner = up,
+                    None => break,
+                }
+            }
+        }
+        Cones { start, prefix, via }
+    }
+
+    fn range(&self, net: usize) -> std::ops::Range<usize> {
+        self.start[net] as usize..self.start[net + 1] as usize
+    }
+
+    /// The prefixes of `net`'s cone, ascending.
+    fn prefixes(&self, net: usize) -> &[Prefix] {
+        &self.prefix[self.range(net)]
+    }
+
+    /// `net`'s cone, ascending, as `(prefix, via)` pairs.
+    fn members(&self, net: usize) -> impl Iterator<Item = (Prefix, usize)> + '_ {
+        let vias = self.via[self.range(net)].iter();
+        self.prefixes(net)
+            .iter()
+            .zip(vias)
+            .map(|(&p, &v)| (p, v as usize))
+    }
+}
+
 /// Builder for an AITF world.
 pub struct WorldBuilder {
     seed: u64,
@@ -96,10 +200,6 @@ pub struct WorldBuilder {
     hosts: Vec<HostSpec>,
     peerings: Vec<(usize, usize, LinkParams)>,
     routing: RoutingMode,
-    /// Declared prefixes by start address → index into `nets`. The set is
-    /// pairwise disjoint, so a new prefix can only overlap its neighbours
-    /// in this order: one O(log n) check serves both routing modes.
-    by_start: BTreeMap<Addr, usize>,
 }
 
 impl WorldBuilder {
@@ -123,7 +223,6 @@ impl WorldBuilder {
             hosts: Vec::new(),
             peerings: Vec::new(),
             routing: RoutingMode::default(),
-            by_start: BTreeMap::new(),
         }
     }
 
@@ -137,8 +236,7 @@ impl WorldBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if `prefix` does not parse or overlaps an existing network,
-    /// or if `parent` was not returned by this builder.
+    /// As [`WorldBuilder::network_with`].
     pub fn network(&mut self, name: &str, prefix: &str, parent: Option<NetId>) -> NetId {
         self.network_with(
             name,
@@ -150,6 +248,12 @@ impl WorldBuilder {
     }
 
     /// Declares a network with explicit policy and uplink parameters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `prefix` does not parse or if `parent` was not returned by
+    /// this builder. A prefix that overlaps another network's is rejected
+    /// by [`WorldBuilder::build`], which checks all of them in one pass.
     pub fn network_with(
         &mut self,
         name: &str,
@@ -163,17 +267,6 @@ impl WorldBuilder {
             parent.is_none_or(|p| p.0 < self.nets.len()),
             "parent of {name} is not a network of this builder"
         );
-        let start = prefix.addr();
-        let before = self.by_start.range(..=start).next_back();
-        let after = self.by_start.range(start..).next();
-        for (_, &n) in before.into_iter().chain(after) {
-            assert!(
-                !self.nets[n].prefix.overlaps(prefix),
-                "prefix {prefix} overlaps existing network {}",
-                self.nets[n].name
-            );
-        }
-        self.by_start.insert(start, self.nets.len());
         let id = NetId(self.nets.len());
         self.nets.push(NetSpec {
             name: name.to_string(),
@@ -218,16 +311,23 @@ impl WorldBuilder {
     /// topology, addressing and routing machinery through their hook
     /// chains instead of substituting a different node type.
     ///
+    /// What is per world is one array here — the address order, the cones,
+    /// each network's clients, hosts and peers — and nothing per network is
+    /// copied, sorted or allocated twice on the way into its router.
+    ///
     /// # Panics
     ///
-    /// Panics on inconsistent input: a network with more than 250 hosts,
-    /// or a disconnected topology being asked to route.
+    /// Panics on inconsistent input: two networks whose prefixes overlap, a
+    /// network with more than 250 hosts, or a disconnected topology being
+    /// asked to route.
     pub fn build(self) -> World {
         // Hosts make their victim agent on first use; making one here keeps
         // a config no agent can be made from a build-time failure.
         drop(VictimAgent::new(&self.cfg));
         // One config for the whole world, shared by every node.
         let cfg = Arc::new(self.cfg);
+        let n = self.nets.len();
+        let by_addr = address_order(&self.nets);
         let mut nb = NetworkBuilder::new(self.seed);
 
         // One node per router, one per host.
@@ -235,12 +335,13 @@ impl WorldBuilder {
         let host_nodes: Vec<NodeId> = self.hosts.iter().map(|_| nb.add_node()).collect();
 
         // Links: child → parent uplinks, host tail circuits, peerings.
-        let mut uplinks: Vec<Option<LinkId>> = vec![None; self.nets.len()];
+        let mut uplinks: Vec<Option<LinkId>> = vec![None; n];
         for (i, net) in self.nets.iter().enumerate() {
             if let Some(p) = net.parent {
                 uplinks[i] = Some(nb.connect(router_nodes[i], router_nodes[p], net.uplink_params));
             }
         }
+        let uplink_of = |client: usize| uplinks[client].expect("a client network has an uplink");
         let tail_links: Vec<LinkId> = self
             .hosts
             .iter()
@@ -255,78 +356,34 @@ impl WorldBuilder {
 
         let mut sim = nb.build();
 
-        // Routing runs over the router backbone only. Hosts are leaves on
-        // their tail circuit — they can never be transit — so an all-pairs
-        // computation over every node would produce the same router paths
-        // at O((routers+hosts)²) cost, which is prohibitive at 100k hosts.
-        debug_assert!(router_nodes.iter().enumerate().all(|(i, n)| n.0 == i));
-        let mut router_links: Vec<(NodeId, NodeId, LinkId, u64)> = Vec::new();
-        for (i, net) in self.nets.iter().enumerate() {
-            if let Some(p) = net.parent {
-                router_links.push((
-                    router_nodes[i],
-                    router_nodes[p],
-                    uplinks[i].expect("child has an uplink"),
-                    1,
-                ));
-            }
-        }
-        for (k, &(a, b, _)) in self.peerings.iter().enumerate() {
-            router_links.push((router_nodes[a], router_nodes[b], peer_links[k], 1));
-        }
-        let mut hosts_of_net: Vec<Vec<usize>> = vec![Vec::new(); self.nets.len()];
-        for (h, hspec) in self.hosts.iter().enumerate() {
-            hosts_of_net[hspec.net].push(h);
-        }
+        // Who hangs off whom, each as one counting sort.
+        let net_parent: Vec<Option<usize>> = self.nets.iter().map(|net| net.parent).collect();
+        let parents = net_parent.iter().enumerate();
+        let children = Buckets::group(n, parents.filter_map(|(i, &p)| Some((p?, i))));
+        let homes = self.hosts.iter().enumerate();
+        let hosts_of_net = Buckets::group(n, homes.map(|(h, hspec)| (hspec.net, h)));
+        let peerings = self.peerings.iter().zip(&peer_links);
+        let peers_of = Buckets::group(
+            n,
+            peerings.flat_map(|(&(a, b, _), &link)| [(a, (b, link)), (b, (a, link))]),
+        );
+        let cones = Cones::build(&by_addr, &net_parent);
 
         // Address assignment: router = .254 of the first /24, hosts from 1.
         let router_addr: Vec<Addr> = self.nets.iter().map(|n| n.prefix.host_at(254)).collect();
-        let mut hosts_in_net: HashMap<usize, u32> = HashMap::new();
-        let host_addr: Vec<Addr> = self
-            .hosts
-            .iter()
-            .map(|h| {
-                let k = hosts_in_net.entry(h.net).or_insert(0);
-                *k += 1;
-                assert!(*k <= 250, "more than 250 hosts in one network");
-                self.nets[h.net].prefix.host_at(*k)
-            })
-            .collect();
-
-        let n = self.nets.len();
-        let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut host_addr = vec![Addr::ZERO; self.hosts.len()];
         for (i, net) in self.nets.iter().enumerate() {
-            if let Some(p) = net.parent {
-                children[p].push(i);
+            let hosts = hosts_of_net.of(i);
+            assert!(
+                hosts.len() <= 250,
+                "network {:?} has {} hosts; a network holds at most 250",
+                net.name,
+                hosts.len()
+            );
+            for (&h, k) in hosts.iter().zip(1..) {
+                host_addr[h] = net.prefix.host_at(k);
             }
         }
-        // Subtree prefixes (self + all descendants): one array in depth-
-        // first preorder, so net `i`'s subtree is the contiguous slice
-        // `cone[first[i]..first[i] + size[i]]`. A parent is declared before
-        // its children, so sizes add up in one backward pass and slots are
-        // handed out in one forward pass — no recursion, no per-net list.
-        let mut size = vec![1usize; n];
-        for (i, net) in self.nets.iter().enumerate().rev() {
-            if let Some(p) = net.parent {
-                size[p] += size[i];
-            }
-        }
-        let mut first = vec![0usize; n];
-        // Next unassigned slot inside each net's slice / among the roots.
-        let mut next_in = vec![0usize; n];
-        let mut next_root = 0;
-        let mut cone = vec![Prefix::ANY; n];
-        for (i, net) in self.nets.iter().enumerate() {
-            let next = match net.parent {
-                Some(p) => &mut next_in[p],
-                None => &mut next_root,
-            };
-            first[i] = *next;
-            *next += size[i];
-            next_in[i] = first[i] + 1;
-            cone[first[i]] = net.prefix;
-        }
-        let subtree = |i: usize| &cone[first[i]..first[i] + size[i]];
 
         // Longest-prefix-match forwarding, one table per router, plus /32
         // routes for the hosts of a router's own network. Only the gateway
@@ -336,92 +393,114 @@ impl WorldBuilder {
         // - AllPairs: one route per remote network prefix towards its
         //   border router, from a shortest-path pass over the backbone —
         //   the aggregation a real AS-level forwarding table has, at O(n²)
-        //   build cost.
+        //   build cost. Routing runs over the router backbone only: hosts
+        //   are leaves on their tail circuit and can never be transit.
         // - Hierarchical: a len-0 default route up the provider uplink,
-        //   each child's subtree prefixes down its uplink, and each
-        //   peering's far-side subtree across the peering link — O(n·depth)
-        //   total state, no all-pairs pass, identical forwarding on any
+        //   each client's cone down its uplink, and each peering's
+        //   far-side cone across the peering link — O(n·depth) total
+        //   state, no all-pairs pass, identical forwarding on any
         //   tree-plus-peering topology.
         //
-        // Either way a router's routes are listed into `routes` (a later
-        // route for the same prefix replaces an earlier one) and its table
-        // is built from the list in one sort.
+        // Either way a router's routes are listed into `routes` in address
+        // order — its hosts' /32s stand where its own prefix would — and
+        // its table is built from the list, whose sort then has nothing to
+        // move. Only a peering's cone arrives as a second ascending run; a
+        // later route for the same prefix replaces an earlier one.
+        debug_assert!(router_nodes.iter().enumerate().all(|(i, n)| n.0 == i));
         let next_hops = match self.routing {
-            RoutingMode::AllPairs => Some(NextHops::compute(n, &router_links)),
+            RoutingMode::AllPairs => {
+                let up = (0..n).filter_map(|i| Some((i, net_parent[i]?, uplink_of(i))));
+                let across = self.peerings.iter().zip(&peer_links);
+                let backbone: Vec<(NodeId, NodeId, LinkId, u64)> = up
+                    .chain(across.map(|(&(a, b, _), &link)| (a, b, link)))
+                    .map(|(a, b, link)| (router_nodes[a], router_nodes[b], link, 1))
+                    .collect();
+                Some(NextHops::compute(n, &backbone))
+            }
             RoutingMode::Hierarchical => None,
         };
-        let mut peers_of: Vec<Vec<(usize, LinkId)>> = vec![Vec::new(); n];
-        for (k, &(a, b, _)) in self.peerings.iter().enumerate() {
-            peers_of[a].push((b, peer_links[k]));
-            peers_of[b].push((a, peer_links[k]));
-        }
         let mut routes: Vec<(Prefix, LinkId)> = Vec::new();
 
         // Deployment view seeded at build time: which border routers do
         // not participate in AITF (the capability "advertisement" every
         // router sees), plus each router's full ancestor chain so
-        // escalation can skip legacy parents to the nearest AITF node.
-        let legacy_peers: Vec<Addr> = self
-            .nets
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| !n.policy.aitf_enabled)
-            .map(|(i, _)| router_addr[i])
+        // escalation can skip legacy parents to the nearest AITF node. All
+        // clients of one provider escalate along the same chain, made when
+        // the provider is installed: its address, then its own chain.
+        let legacy = self.nets.iter().zip(&router_addr);
+        let legacy_peers: Arc<[Addr]> = legacy
+            .filter(|(net, _)| !net.policy.aitf_enabled)
+            .map(|(_, &addr)| addr)
             .collect();
-        let ancestors_of = |i: usize| -> Vec<Addr> {
-            let mut chain = Vec::new();
-            let mut cur = self.nets[i].parent;
-            while let Some(p) = cur {
-                chain.push(router_addr[p]);
-                cur = self.nets[p].parent;
-            }
-            chain
-        };
+        let no_ancestors: Arc<[Addr]> = Arc::from([]);
+        let mut chain_below: Vec<Option<Arc<[Addr]>>> = vec![None; n];
 
         // Install routers.
         for (i, net) in self.nets.iter().enumerate() {
+            let own_hosts = hosts_of_net.of(i).iter();
+            let host_routes = own_hosts.map(|&h| (Prefix::host(host_addr[h]), tail_links[h]));
             match &next_hops {
                 Some(next_hops) => {
-                    for (r, remote) in self.nets.iter().enumerate() {
-                        if r == i {
-                            continue;
-                        }
-                        if let Some(link) = next_hops.next_hop(router_nodes[i], router_nodes[r]) {
-                            routes.push((remote.prefix, link));
+                    for &(prefix, remote) in &by_addr {
+                        let remote = remote as usize;
+                        if remote == i {
+                            routes.extend(host_routes.clone());
+                        } else if let Some(link) =
+                            next_hops.next_hop(router_nodes[i], router_nodes[remote])
+                        {
+                            routes.push((prefix, link));
                         }
                     }
                 }
                 None => {
                     routes.extend(uplinks[i].map(|up| (Prefix::ANY, up)));
-                    for &c in &children[i] {
-                        let link = uplinks[c].expect("child has an uplink");
-                        routes.extend(subtree(c).iter().map(|&p| (p, link)));
-                    }
-                    for &(far, link) in &peers_of[i] {
-                        routes.extend(subtree(far).iter().map(|&p| (p, link)));
+                    for (prefix, via) in cones.members(i) {
+                        if via == i {
+                            routes.extend(host_routes.clone());
+                        } else {
+                            routes.push((prefix, uplink_of(via)));
+                        }
                     }
                 }
             }
-            let mut client_links: BTreeMap<LinkId, Vec<Prefix>> = BTreeMap::new();
-            for &c in &children[i] {
-                let link = uplinks[c].expect("child has an uplink");
-                client_links.insert(link, subtree(c).to_vec());
+            debug_assert!(
+                routes.windows(2).all(|w| w[0].0 < w[1].0),
+                "routes are listed in address order"
+            );
+            if next_hops.is_none() {
+                for &(far, link) in peers_of.of(i) {
+                    routes.extend(cones.prefixes(far).iter().map(|&p| (p, link)));
+                }
             }
-            for &h in &hosts_of_net[i] {
-                routes.push((Prefix::host(host_addr[h]), tail_links[h]));
+            let mut client_links: BTreeMap<LinkId, PrefixSet> = BTreeMap::new();
+            for &c in children.of(i) {
+                let cone = PrefixSet::new(cones.prefixes(c).to_vec());
+                client_links.insert(uplink_of(c), cone);
+            }
+            for &h in hosts_of_net.of(i) {
                 // Ingress filtering is at network granularity (Section
                 // III-A: a provider keeps spoofed flows from *exiting
                 // its network*); spoofing inside one's own prefix is
                 // exactly what ingress filtering cannot catch.
-                client_links.insert(tail_links[h], vec![net.prefix]);
+                client_links.insert(tail_links[h], PrefixSet::new(vec![net.prefix]));
+            }
+            let ancestors = match net.parent {
+                Some(p) => chain_below[p]
+                    .clone()
+                    .expect("a provider is installed first"),
+                None => Arc::clone(&no_ancestors),
+            };
+            if !children.of(i).is_empty() {
+                let chain = std::iter::once(router_addr[i]).chain(ancestors.iter().copied());
+                chain_below[i] = Some(chain.collect());
             }
             let spec = RouterSpec {
                 addr: router_addr[i],
                 prefix: net.prefix,
                 fwd: routes.drain(..).collect(),
                 uplink: uplinks[i],
-                ancestors: ancestors_of(i),
-                legacy_peers: legacy_peers.clone(),
+                ancestors,
+                legacy_peers: Arc::clone(&legacy_peers),
                 client_links,
                 config: Arc::clone(&cfg),
                 policy: net.policy,
@@ -444,14 +523,13 @@ impl WorldBuilder {
         World {
             sim,
             cfg,
-            net_names: self.nets.iter().map(|n| n.name.clone()).collect(),
             net_prefixes: self.nets.iter().map(|n| n.prefix).collect(),
             router_nodes,
             router_addr,
             host_nodes,
             host_addr,
             host_net: self.hosts.iter().map(|h| h.net).collect(),
-            net_parent: self.nets.iter().map(|n| n.parent).collect(),
+            net_parent,
             net_cooperating: self
                 .nets
                 .iter()
@@ -459,6 +537,8 @@ impl WorldBuilder {
                 .collect(),
             tail_links,
             uplinks,
+            // Last: the names move out of the declarations.
+            net_names: self.nets.into_iter().map(|n| n.name).collect(),
         }
     }
 }
@@ -788,6 +868,7 @@ mod tests {
         let mut b = WorldBuilder::new(1, AitfConfig::default());
         b.network("a", "10.0.0.0/8", None);
         b.network("b", "10.1.0.0/16", None);
+        b.build();
     }
 
     #[test]
@@ -1068,6 +1149,7 @@ mod tests {
         b.network("a", "10.1.0.0/16", None);
         b.network("far", "10.200.0.0/16", None);
         b.network("b", "10.1.2.0/24", None);
+        b.build();
     }
 
     #[test]
@@ -1077,6 +1159,7 @@ mod tests {
         b.routing(RoutingMode::Hierarchical);
         b.network("a", "10.1.0.0/16", None);
         b.network("b", "10.1.0.0/16", None);
+        b.build();
     }
 
     #[test]
@@ -1089,5 +1172,195 @@ mod tests {
         w.sim.run_for(SimDuration::from_secs(1));
         let tx = w.host(a).counters().tx_pkts;
         assert!((90..=101).contains(&tx), "tx = {tx}");
+    }
+}
+
+/// The world build held to the declarations: forwarding and ingress as a
+/// naive model reads them off the declared networks, hosts and peerings.
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// A declared world. Links are numbered as declared: uplinks, then tail
+    /// circuits, then peerings.
+    struct Decl {
+        mode: RoutingMode,
+        prefix: Vec<Prefix>,
+        parent: Vec<Option<usize>>,
+        uplink: Vec<Option<LinkId>>,
+        /// Each host's home network and tail circuit.
+        hosts: Vec<(usize, LinkId)>,
+        peerings: Vec<(usize, usize, LinkId)>,
+    }
+
+    /// What the declared world's routers must do — by parent walks and
+    /// linear scans, in the order the declarations were made.
+    impl Decl {
+        fn host_addr(&self, host: usize) -> Addr {
+            let net = self.hosts[host].0;
+            let earlier = self.hosts[..host].iter().filter(|h| h.0 == net).count();
+            self.prefix[net].host_at(earlier as u32 + 1)
+        }
+        /// The network on `x`'s provider chain (`x` included) that is a
+        /// client of `top`, if `x` is below `top`.
+        fn client_towards(&self, top: usize, x: usize) -> Option<usize> {
+            let mut chain = std::iter::successors(Some(x), |&c| self.parent[c]);
+            chain.find(|&c| self.parent[c] == Some(top))
+        }
+        fn cone(&self, top: usize) -> impl Iterator<Item = &Prefix> + '_ {
+            let nets = 0..self.prefix.len();
+            let below = nets.filter(move |&x| x == top || self.client_towards(top, x).is_some());
+            below.map(|x| &self.prefix[x])
+        }
+        /// Router `i`'s routes as declared; a later one replaces an earlier
+        /// one for the same prefix.
+        fn routes(&self, i: usize) -> Vec<(Prefix, LinkId)> {
+            let n = self.prefix.len();
+            let mut routes = Vec::new();
+            match self.mode {
+                RoutingMode::AllPairs => {
+                    let up = (0..n).filter_map(|x| Some((x, self.parent[x]?, self.uplink[x]?)));
+                    let edge = |(a, b, link)| (NodeId(a), NodeId(b), link, 1);
+                    let edges: Vec<_> = up.chain(self.peerings.iter().copied()).map(edge).collect();
+                    let hops = NextHops::compute(n, &edges);
+                    let hop = |r| Some((self.prefix[r], hops.next_hop(NodeId(i), NodeId(r))?));
+                    routes.extend((0..n).filter(|&r| r != i).filter_map(hop));
+                }
+                RoutingMode::Hierarchical => {
+                    routes.extend(self.uplink[i].map(|up| (Prefix::ANY, up)));
+                    for x in 0..n {
+                        let down = self.client_towards(i, x).and_then(|c| self.uplink[c]);
+                        routes.extend(down.map(|link| (self.prefix[x], link)));
+                    }
+                    for &(a, b, link) in &self.peerings {
+                        for far in [(a, b), (b, a)].iter().filter(|e| e.0 == i).map(|e| e.1) {
+                            routes.extend(self.cone(far).map(|&p| (p, link)));
+                        }
+                    }
+                }
+            }
+            let homed = (0..self.hosts.len()).filter(|&h| self.hosts[h].0 == i);
+            routes.extend(homed.map(|h| (Prefix::host(self.host_addr(h)), self.hosts[h].1)));
+            routes
+        }
+        /// Longest match, the last listed among equals — and never the own
+        /// prefix back up the uplink.
+        fn route(&self, i: usize, routes: &[(Prefix, LinkId)], dst: Addr) -> Option<LinkId> {
+            let hits = routes.iter().enumerate().filter(|(_, r)| r.0.contains(dst));
+            let (_, &(_, link)) = hits.max_by_key(|&(at, r)| (r.0.len(), at))?;
+            let bounced = Some(link) == self.uplink[i] && self.prefix[i].contains(dst);
+            (!bounced).then_some(link)
+        }
+        /// The prefixes legitimately sourced behind `link` at router `i`;
+        /// `None` when it is not one of `i`'s client links.
+        fn behind(&self, i: usize, link: LinkId) -> Option<Vec<Prefix>> {
+            let mut nets = 0..self.prefix.len();
+            let client = nets.find(|&c| self.parent[c] == Some(i) && self.uplink[c] == Some(link));
+            let hosted = self
+                .hosts
+                .contains(&(i, link))
+                .then(|| vec![self.prefix[i]]);
+            client.map(|c| self.cone(c).copied().collect()).or(hosted)
+        }
+    }
+
+    /// 2–40 networks at most four levels below a root, their prefixes (a
+    /// mix of /16s and /24s) dealt out in scrambled address order, 0–3
+    /// hosts each and 0–3 peerings between any two different networks —
+    /// ancestors, repeats and all.
+    fn arb_decl() -> impl Strategy<Value = Decl> {
+        let nets = proptest::collection::vec((any::<u32>(), any::<u32>(), 0usize..4), 2..41);
+        let peerings = proptest::collection::vec((any::<u32>(), any::<u32>()), 0..4);
+        (nets, peerings, any::<bool>()).prop_map(|(nets, peerings, hierarchical)| {
+            let n = nets.len();
+            let mut slots: Vec<usize> = (0..n).collect();
+            slots.sort_by_key(|&s| (nets[s].0, s));
+            let (mut parent, mut depth) = (vec![None; n], vec![0usize; n]);
+            for i in 1..n {
+                let pick = nets[i].1 as usize % (i + 1);
+                let mut up = (pick < i).then_some(pick);
+                while up.is_some_and(|p| depth[p] >= 4) {
+                    up = up.and_then(|p| parent[p]);
+                }
+                (parent[i], depth[i]) = (up, up.map_or(0, |p| depth[p] + 1));
+            }
+            let slash16 = |s: usize| Prefix::new(Addr::new(10, s as u8, 0, 0), 16);
+            let slash24 = |s: usize| Prefix::new(Addr::new(10, 200, s as u8, 0), 24);
+            let pairs = peerings
+                .iter()
+                .map(|&(a, b)| (a as usize % n, b as usize % n));
+            let mut links = (0..).map(LinkId);
+            Decl {
+                mode: match hierarchical {
+                    true => RoutingMode::Hierarchical,
+                    false => RoutingMode::AllPairs,
+                },
+                prefix: slots
+                    .iter()
+                    .map(|&s| if s % 2 == 0 { slash16(s) } else { slash24(s) })
+                    .collect(),
+                uplink: parent
+                    .iter()
+                    .map(|p| p.and_then(|_| links.next()))
+                    .collect(),
+                parent,
+                hosts: (0..n)
+                    .flat_map(|i| vec![i; nets[i].2])
+                    .map(|i| (i, links.next().expect("unbounded")))
+                    .collect(),
+                peerings: pairs
+                    .filter(|(a, b)| a != b)
+                    .map(|(a, b)| (a, b, links.next().expect("unbounded")))
+                    .collect(),
+            }
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn every_route_and_ingress_verdict_is_what_the_declarations_say(decl in arb_decl()) {
+            let mut b = WorldBuilder::new(1, AitfConfig::default());
+            b.routing(decl.mode);
+            for (i, p) in decl.prefix.iter().enumerate() {
+                b.network(&format!("n{i}"), &p.to_string(), decl.parent[i].map(NetId));
+            }
+            for &(net, _) in &decl.hosts {
+                b.host(NetId(net));
+            }
+            for &(a, c, _) in &decl.peerings {
+                b.peer(NetId(a), NetId(c), WorldBuilder::default_net_link());
+            }
+            let w = b.build();
+
+            // Every host, every router, an unassigned address in every
+            // network, and one address in no network.
+            let hosts = (0..decl.hosts.len()).map(|h| decl.host_addr(h));
+            let nets = decl.prefix.iter();
+            let mut probes: Vec<Addr> = hosts
+                .chain(nets.flat_map(|p| [p.host_at(254), p.host_at(77)]))
+                .collect();
+            probes.push(Addr::new(172, 16, 0, 1));
+            for h in 0..decl.hosts.len() {
+                prop_assert_eq!(w.host_addr(HostId(h)), decl.host_addr(h));
+            }
+            for i in 0..decl.prefix.len() {
+                let router = w.router(NetId(i));
+                prop_assert_eq!(router.addr(), decl.prefix[i].host_at(254));
+                let routes = decl.routes(i);
+                for &dst in &probes {
+                    let expected = decl.route(i, &routes, dst);
+                    prop_assert_eq!(router.route(dst), expected, "router {} to {}", i, dst);
+                }
+                for &link in w.sim.links_of(w.router_node(NetId(i))) {
+                    let behind = decl.behind(i, link);
+                    for &src in &probes {
+                        let expected = behind.as_ref().map(|b| b.iter().any(|p| p.contains(src)));
+                        let verdict = router.client_prefixes(link).map(|set| set.contains(src));
+                        prop_assert_eq!(verdict, expected, "router {} link {:?} src {}", i, link, src);
+                    }
+                }
+            }
+        }
     }
 }

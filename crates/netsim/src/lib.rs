@@ -48,6 +48,7 @@
 //! assert_eq!(sim.now().as_secs_f64(), 1.0);
 //! ```
 
+pub mod buckets;
 pub mod event;
 pub mod link;
 pub mod node;
@@ -56,6 +57,7 @@ pub mod sim;
 pub mod time;
 pub mod topology;
 
+pub use buckets::Buckets;
 pub use event::{Event, EventKind, EventQueue};
 pub use link::{Link, LinkDirection, LinkId, LinkParams, LinkStats};
 pub use node::{Context, Node, NodeId};

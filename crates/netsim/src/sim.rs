@@ -40,6 +40,7 @@ use rand::SeedableRng;
 
 use aitf_packet::Packet;
 
+use crate::buckets::Buckets;
 use crate::event::{EventKind, EventQueue};
 use crate::link::{Link, LinkDirection, LinkId, LinkParams, LinkStats};
 use crate::node::{Context, Node, NodeId};
@@ -74,7 +75,9 @@ pub struct SimCore {
     /// Monotone staging counter; the canonical replay order's tie-breaker
     /// within this shard.
     staged_seq: u64,
-    pub(crate) node_links: Arc<Vec<Vec<LinkId>>>,
+    /// Every node's links in creation order; one copy per world, shared
+    /// by its shards.
+    pub(crate) node_links: Arc<Buckets<LinkId>>,
     pub(crate) rng: StdRng,
     next_pkt_id: u64,
     /// High bits ORed into fresh packet ids — the shard tag that keeps ids
@@ -178,7 +181,7 @@ impl SimCore {
 
     /// Links attached to `node`, in creation order.
     pub fn links_of(&self, node: NodeId) -> &[LinkId] {
-        &self.node_links[node.0]
+        self.node_links.of(node.0)
     }
 
     /// Immutable link access.
@@ -274,14 +277,14 @@ impl NetworkBuilder {
     /// Finalises the topology into a runnable [`Simulator`] with empty node
     /// slots; install nodes with [`Simulator::install`].
     pub fn build(self) -> Simulator {
-        let mut node_links = vec![Vec::new(); self.node_count];
-        let mut links = Vec::with_capacity(self.links.len());
-        for (i, (a, b, params)) in self.links.into_iter().enumerate() {
-            let id = LinkId(i);
-            node_links[a.0].push(id);
-            node_links[b.0].push(id);
-            links.push(Link::new(id, a, b, params));
-        }
+        let ends = self.links.iter().enumerate();
+        let node_links = Buckets::group(
+            self.node_count,
+            ends.flat_map(|(i, &(a, b, _))| [(a.0, LinkId(i)), (b.0, LinkId(i))]),
+        );
+        let links: Vec<Link> = (self.links.into_iter().enumerate())
+            .map(|(i, (a, b, params))| Link::new(LinkId(i), a, b, params))
+            .collect();
         let link_total = links.len();
         Simulator {
             shards: vec![Shard {
@@ -1234,6 +1237,30 @@ mod tests {
         assert_eq!(sim.node_ref::<FloodRelay>(ids[2]).unwrap().received, 0);
         sim.run_until(SimTime(2_500_000));
         assert_eq!(sim.node_ref::<FloodRelay>(ids[2]).unwrap().received, 1);
+    }
+
+    #[test]
+    fn links_of_lists_every_nodes_links_in_creation_order() {
+        // Node 0 and node 5 are isolated, node 1 is a hub, and nodes 2 and
+        // 3 share two parallel links made at different times.
+        let mut b = NetworkBuilder::new(1);
+        let ids: Vec<NodeId> = (0..6).map(|_| b.add_node()).collect();
+        let params = LinkParams::infinite(SimDuration::from_millis(1));
+        let ends = [(2, 3), (1, 2), (4, 1), (3, 2), (1, 3)];
+        let links: Vec<LinkId> = ends
+            .iter()
+            .map(|&(a, c)| b.connect(ids[a], ids[c], params))
+            .collect();
+        let sim = b.build();
+        for (node, &id) in ids.iter().enumerate() {
+            let expected: Vec<LinkId> = (0..ends.len())
+                .filter(|&l| ends[l].0 == node || ends[l].1 == node)
+                .map(|l| links[l])
+                .collect();
+            assert_eq!(sim.links_of(id), expected, "node {node}");
+        }
+        assert!(sim.links_of(ids[0]).is_empty() && sim.links_of(ids[5]).is_empty());
+        assert_eq!(sim.links_of(ids[1]), [links[1], links[2], links[4]]);
     }
 
     #[test]

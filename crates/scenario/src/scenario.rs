@@ -97,6 +97,20 @@ fn check_topology(t: &TopologySpec) -> Result<(), ScenarioError> {
             t.nets[i].name, hosts_in[i]
         )));
     }
+    for (k, p) in t.peerings.iter().enumerate() {
+        if let Some(missing) = [p.a, p.b].into_iter().find(|&end| end >= t.nets.len()) {
+            return Err(ScenarioError(format!(
+                "peering #{k} names network #{missing}, but only {} networks exist",
+                t.nets.len()
+            )));
+        }
+        if p.a == p.b {
+            return Err(ScenarioError(format!(
+                "peering #{k} connects network {:?} to itself",
+                t.nets[p.a].name
+            )));
+        }
+    }
     Ok(())
 }
 
@@ -274,9 +288,10 @@ impl Scenario {
     ///   single end-of-run sample, turning "per-bin series" into one
     ///   point without complaint;
     /// - the topology must lower: every prefix parses, no two network
-    ///   prefixes overlap, every network is declared after its parent and
-    ///   no network holds more than 250 hosts — what `WorldBuilder` would
-    ///   otherwise panic on halfway through the build.
+    ///   prefixes overlap, every network is declared after its parent, no
+    ///   network holds more than 250 hosts and every peering joins two
+    ///   different declared networks — what `WorldBuilder` would otherwise
+    ///   panic on halfway through the build.
     pub fn validate(&self) -> Result<(), ScenarioError> {
         check_topology(&self.topology)?;
         if let Some(event) = self.churn.events.iter().find(|e| e.at >= self.duration) {
@@ -814,6 +829,29 @@ mod tests {
         });
         assert!(err.contains("\"orphan\""), "{err}");
         assert!(err.contains("before its parent"), "{err}");
+    }
+
+    #[test]
+    fn validate_names_a_peering_with_an_undeclared_network() {
+        let err = topology_error(|t| {
+            let n = t.nets.len();
+            t.peer(1, n, aitf_core::WorldBuilder::default_net_link());
+        });
+        let (k, n) = {
+            let t = flood_scenario().topology;
+            (t.peerings.len(), t.nets.len())
+        };
+        assert!(err.contains(&format!("peering #{k}")), "{err}");
+        assert!(err.contains(&format!("network #{n}")), "{err}");
+        assert!(err.contains(&format!("only {n} networks")), "{err}");
+    }
+
+    #[test]
+    fn validate_names_a_network_peered_with_itself() {
+        let err = topology_error(|t| t.peer(2, 2, aitf_core::WorldBuilder::default_net_link()));
+        let name = &flood_scenario().topology.nets[2].name;
+        assert!(err.contains(name), "names the network: {err}");
+        assert!(err.contains("to itself"), "{err}");
     }
 
     #[test]

@@ -711,7 +711,6 @@ impl TopologySpec {
             world,
             net_ids: ids,
             host_ids,
-            net_names: self.nets.iter().map(|n| n.name.clone()).collect(),
             net_sides: self.nets.iter().map(|n| n.side).collect(),
             host_roles: self.hosts.iter().map(|h| h.role).collect(),
         }
@@ -759,7 +758,6 @@ pub struct BuiltWorld {
     pub world: World,
     net_ids: Vec<NetId>,
     host_ids: Vec<HostId>,
-    net_names: Vec<String>,
     net_sides: Vec<Side>,
     host_roles: Vec<Role>,
 }
@@ -771,12 +769,9 @@ impl BuiltWorld {
     ///
     /// Panics if no such network exists.
     pub fn net(&self, name: &str) -> NetId {
-        let i = self
-            .net_names
-            .iter()
-            .position(|n| n == name)
-            .unwrap_or_else(|| panic!("no network named {name:?} in the world"));
-        self.net_ids[i]
+        let mut ids = self.net_ids.iter().copied();
+        ids.find(|&id| self.world.net_name(id) == name)
+            .unwrap_or_else(|| panic!("no network named {name:?} in the world"))
     }
 
     /// All networks on a side, in declaration order.

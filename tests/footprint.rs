@@ -21,21 +21,42 @@ const _: () = {
     assert!(std::mem::size_of::<EndHost>() <= 320);
 };
 
+/// The world both pins build: 10,000 power-law networks and one host.
+fn power_law_spec() -> TopologySpec {
+    TopologySpec::power_law(&PowerLawSpec {
+        n_nets: 10_000,
+        ..PowerLawSpec::default()
+    })
+}
+
 #[test]
 fn a_power_law_world_is_built_within_its_per_network_byte_budget() {
-    let nets = 10_000;
-    let spec = TopologySpec::power_law(&PowerLawSpec {
-        n_nets: nets,
-        ..PowerLawSpec::default()
-    });
+    let spec = power_law_spec();
     let (built, bytes) = CountingAlloc::count_bytes(|| spec.build(7, AitfConfig::default()));
-    assert_eq!(built.world.net_count(), nets + 2);
-    let per_net = bytes / built.world.net_count() as u64;
+    let nets = built.world.net_count();
+    assert_eq!(nets, spec.nets.len());
+    let per_net = bytes / nets as u64;
     // Every byte requested while building, transient ones included:
-    // 2,125 B per network when the bound was set (measured + 10 %), against
-    // 3,435 B with tables, control plane and link queues laid out up front.
+    // 1,869 B per network when the bound was set (measured + 10 %), against
+    // 2,125 B with one `Vec` per node, provider and name copy, and 3,435 B
+    // with tables, control plane and link queues laid out up front.
     assert!(
-        per_net <= 2_340,
+        per_net <= 2_055,
         "building a {nets}-net world requested {per_net} B per network"
+    );
+}
+
+#[test]
+fn a_power_law_world_is_built_in_five_allocations_per_network() {
+    let spec = power_law_spec();
+    let (built, allocs) = CountingAlloc::count(|| spec.build(7, AitfConfig::default()));
+    let nets = built.world.net_count() as u64;
+    // 4.52 per network when the bound was set (4.29 at 100,000 networks):
+    // its name, its router, its forwarding table and the ingress set its
+    // provider keeps for it, plus the providers' link maps and ancestor
+    // chains. What is per world is a fixed number of arrays.
+    assert!(
+        allocs <= 5 * nets,
+        "building a {nets}-net world made {allocs} allocations"
     );
 }
