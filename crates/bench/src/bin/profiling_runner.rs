@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! profiling_runner [--quick] [--filter ID]... [--threads N]
-//!                  [--out DIR] [--seed N]
+//!                  [--out DIR] [--seed N] [--shards K]
 //! ```
 //!
 //! - `--quick`    reduced sweeps (the CI smoke size)
@@ -15,11 +15,15 @@
 //! - `--out`      directory for `PROFILE_<experiment>.json` and
 //!   `PROFILE_<experiment>.folded` (default: current directory)
 //! - `--seed`     base seed (default 42)
+//! - `--shards`   event-loop shards per simulated world (default 1), as in
+//!   `all_experiments`
 //!
 //! For each experiment it prints a per-subsystem breakdown (events, wall,
 //! ns/event, share of loop wall) and writes flamegraph-ready folded-stack
 //! lines — feed `PROFILE_<exp>.folded` straight to `flamegraph.pl` or
-//! `inferno-flamegraph`.
+//! `inferno-flamegraph`. Every point that ran sharded also gets one line of
+//! `Simulator::shard_load()`: events per shard, windows, inline windows,
+//! replayed cut-link operations.
 //!
 //! The binary must be built with the `trace` feature
 //! (`cargo run --release -p aitf-bench --features trace --bin
@@ -39,6 +43,7 @@ struct Args {
     threads: usize,
     out_dir: PathBuf,
     base_seed: u64,
+    shards: usize,
 }
 
 fn parse_args() -> Args {
@@ -48,6 +53,7 @@ fn parse_args() -> Args {
         threads: 1,
         out_dir: PathBuf::from("."),
         base_seed: DEFAULT_BASE_SEED,
+        shards: 1,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -69,10 +75,15 @@ fn parse_args() -> Args {
                     .parse()
                     .unwrap_or_else(|_| die("--seed needs an integer"))
             }
+            "--shards" => {
+                args.shards = value("--shards")
+                    .parse()
+                    .unwrap_or_else(|_| die("--shards needs an integer"))
+            }
             "--help" | "-h" => {
                 println!(
                     "usage: profiling_runner [--quick] [--filter ID]... \
-                     [--threads N] [--out DIR] [--seed N]\n  \
+                     [--threads N] [--out DIR] [--seed N] [--shards K]\n  \
                      --filter ID  whole experiment id or `_`-boundary prefix \
                      (e1 = e1_escalation only); substring only if neither matches"
                 );
@@ -145,6 +156,7 @@ fn main() {
         let start = Instant::now();
         let records = Runner::new(args.threads)
             .base_seed(args.base_seed)
+            .shards(args.shards)
             .run(spec);
         let wall = start.elapsed().as_secs_f64();
 
@@ -197,6 +209,12 @@ fn main() {
                 per_event,
                 100.0 * bucket.nanos as f64 / loop_nanos as f64,
             );
+        }
+        for rec in &records {
+            let load = rec.trace.as_ref().map(|t| &t.shard_load);
+            if let Some(load) = load.filter(|l| l.events.len() > 1) {
+                println!("point {}: {load}", rec.index);
+            }
         }
         println!();
 

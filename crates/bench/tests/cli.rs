@@ -127,6 +127,13 @@ fn profiling_runner_help_works_on_an_untraced_build() {
     assert_help_matches(
         env!("CARGO_BIN_EXE_profiling_runner"),
         include_str!("../src/bin/profiling_runner.rs"),
-        &["--quick", "--filter", "--threads", "--out", "--seed"],
+        &[
+            "--quick",
+            "--filter",
+            "--threads",
+            "--out",
+            "--seed",
+            "--shards",
+        ],
     );
 }

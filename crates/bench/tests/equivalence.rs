@@ -20,7 +20,7 @@
 //! Setting `AITF_EQUIV_SHARDS=K` runs every scenario on a K-shard event
 //! loop against the *same* fixture: sharding is a pure execution strategy,
 //! so the records must stay byte-identical. CI runs the suite once plain
-//! and once at `AITF_EQUIV_SHARDS=4`.
+//! and once each at `AITF_EQUIV_SHARDS=2` and `=4`.
 
 use std::fmt::Write as _;
 

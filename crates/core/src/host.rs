@@ -383,6 +383,11 @@ impl EndHost {
         self.apps.push(Some(app));
     }
 
+    /// Number of traffic applications installed on the host.
+    pub fn app_count(&self) -> usize {
+        self.apps.len()
+    }
+
     /// Changes the host's compliance policy (experiments flip this).
     pub fn set_policy(&mut self, policy: HostPolicy) {
         self.policy = policy;

@@ -23,7 +23,7 @@ use crate::time::{SimDuration, SimTime};
 pub struct LinkId(pub usize);
 
 /// One of the two directions of a full-duplex link.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum LinkDirection {
     /// From endpoint `a` to endpoint `b`.
     AToB,

@@ -16,12 +16,33 @@
 //! `[g, g + L)` where `g` is the global earliest pending event and `L` the
 //! minimum propagation delay over cut links.
 //!
+//! **Workers belong to one `run_until` call.** A call that has a window
+//! to run wraps each shard in a `Mutex` and spawns `K - 1` scoped threads;
+//! they are joined before the call returns, so between calls the
+//! simulator is plain single-owner data. Each window the coordinator
+//! looks at every shard's `peek_time`. When **at most one shard has an
+//! event before the bound** — the common window when a flood converges on
+//! one victim — it runs that shard's window itself and nobody is woken.
+//! Otherwise it releases the shards, sends every busy shard but one to a
+//! worker over that worker's channel (shard index and bound), runs the
+//! remaining one — the busy shard that has dispatched the most events so
+//! far, so the workers' wake-up time passes beside the longest window, not
+//! after it — and blocks until each worker has answered. A worker locks
+//! the shard it was sent (uncontended: the coordinator holds no lock while
+//! workers run), dispatches the window, unlocks and answers. Workers with
+//! nothing to do stay parked on their channel; nothing ever spins.
+//!
 //! **Cut links are owned by the coordinator**, not by either endpoint
 //! shard. A node sending on a cut link (or blocking its incoming side)
 //! only *stages* the operation; at the window barrier the coordinator
 //! replays all staged operations — plus the cut links' own transmission
 //! completions — against its authoritative link copies, in global
-//! `(time, kind, source shard, staging seq)` order. That keeps every
+//! `(time, produce time, chain descending, source shard, staging seq)`
+//! order. The pending completions live in **one ordered set** (a heap
+//! keyed `(time, produce time, chain descending, cut link, direction)`),
+//! so the replay costs O((operations + completions) · log cuts), and the
+//! set's top also answers "what is the earliest pending completion" for
+//! the window bound. That keeps every
 //! admission decision (queue drops, administrative blocks) exactly where
 //! the single-threaded loop makes it: a block staged anywhere in a window
 //! drops every later-staged packet, with no one-window skew. Replayed
@@ -29,11 +50,15 @@
 //! shard's queue; each such delivery fires at `>= g + L` (the cut delay is
 //! at least the lookahead), so the barrier can never deliver into a window
 //! already processed. The schedule depends only on event times, never on
-//! thread interleaving, so results are bit-reproducible at any worker
-//! count (including the serial fallback used by `trace` builds).
+//! thread interleaving or on which thread ran a shard's window, so results
+//! are bit-reproducible at any worker count. [`Simulator::shard_load`]
+//! counts what the loop did: events per shard, windows, inline windows,
+//! replayed operations.
 
 use std::cmp::Reverse;
-use std::sync::Arc;
+use std::collections::BinaryHeap;
+use std::ops::DerefMut;
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -104,11 +129,20 @@ struct StagedCutOp {
     ptime: SimTime,
     /// Chain key of the staging dispatch (see [`crate::event`] docs).
     chain: u64,
+    /// The staging shard, and its monotone staging counter.
+    shard: u16,
     seq: u64,
     /// Index into the coordinator's cut-link vector.
     cut: u32,
     dir: LinkDirection,
     op: CutOp,
+}
+
+impl StagedCutOp {
+    /// The heap key the staging dispatch ran under.
+    fn key(&self) -> (SimTime, SimTime, Reverse<u64>) {
+        (self.time, self.ptime, Reverse(self.chain))
+    }
 }
 
 enum CutOp {
@@ -161,16 +195,12 @@ impl SimCore {
             time,
             ptime,
             chain: chain.unwrap_or(time.0),
+            shard: (self.pkt_tag >> 48) as u16,
             seq,
             cut,
             dir,
             op,
         });
-    }
-
-    /// Drains the operations staged for the coordinator's barrier replay.
-    fn take_staged_cut(&mut self) -> Vec<StagedCutOp> {
-        std::mem::take(&mut self.staged_cut)
     }
 
     /// Arms a timer for `node`.
@@ -310,15 +340,12 @@ impl NetworkBuilder {
             }],
             shard_of: Arc::new(vec![0; self.node_count]),
             lookahead: None,
-            cut_links: Vec::new(),
+            cut: Coordinator::default(),
             cut_of: Arc::new(Vec::new()),
-            cut_dispatched: 0,
             link_total,
             seed: self.seed,
             time: SimTime::ZERO,
             started: false,
-            #[cfg(feature = "trace")]
-            merged_profile: aitf_trace::SubsystemProfile::default(),
         }
     }
 }
@@ -424,25 +451,182 @@ fn shard_seed(seed: u64, shard: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A coordinator-owned cut link: the authoritative [`Link`] copy (queues,
-/// blocked flags, stats) plus its per-direction pending transmission
-/// completion. All operations on a cut link run in the coordinator's
-/// barrier replay; the endpoint shards only hold inert stubs.
-struct CutLink {
-    link: Link,
-    /// The scheduled `LinkTxDone` per direction, if a transmission is in
-    /// flight — the coordinator's stand-in for the event a shard queue
-    /// would hold, carrying the same ordering keys that event would.
-    pending_txdone: [Option<PendingTx>; 2],
-}
-
-/// A cut link's in-flight transmission completion: firing time plus the
-/// heap ordering keys the `LinkTxDone` event would carry in a shard queue.
-#[derive(Clone, Copy)]
+/// A cut link's in-flight transmission completion — the coordinator's
+/// stand-in for the `LinkTxDone` event a shard queue would hold, carrying
+/// the heap ordering keys that event would. The derived order is the one
+/// the barrier replays completions in: `(time, produce time, chain
+/// descending, cut link, direction)`.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct PendingTx {
     time: SimTime,
     ptime: SimTime,
-    chain: u64,
+    chain: Reverse<u64>,
+    /// Index into [`Coordinator::links`].
+    cut: u32,
+    dir: LinkDirection,
+}
+
+/// What the coordinator of a sharded run owns: the cut links, their
+/// pending completions, and the barrier replay's buffers and counts. All
+/// operations on a cut link run in [`Coordinator::replay`]; the endpoint
+/// shards only hold inert stubs. Empty when single.
+#[derive(Default)]
+struct Coordinator {
+    /// The authoritative [`Link`] copies (queues, blocked flags, stats) of
+    /// the cut links, in link id order.
+    links: Vec<Link>,
+    /// The scheduled completion of every cut-link direction with a
+    /// transmission in flight (at most one each), earliest first.
+    pending: BinaryHeap<Reverse<PendingTx>>,
+    /// The operations being replayed, and the queue the links schedule
+    /// their follow-up events into — buffers kept across barriers.
+    ops: Vec<StagedCutOp>,
+    scratch: EventQueue,
+    /// Transmission completions dispatched by the replay, counted
+    /// alongside the shard totals so sharded event counts match the
+    /// single-threaded loop exactly.
+    dispatched: u64,
+    /// Windows run, and how many of them ran on the coordinator alone.
+    windows: u64,
+    windows_inline: u64,
+    /// Staged operations replayed, and how many adjacent pairs of them
+    /// came from different shards with the whole `(time, produce time,
+    /// chain)` key equal — the order only the shard id decided.
+    replayed_ops: u64,
+    key_ties: u64,
+    /// The barriers' share of the subsystem profile, plus every shard
+    /// profile drained so far.
+    #[cfg(feature = "trace")]
+    profile: aitf_trace::SubsystemProfile,
+}
+
+impl Coordinator {
+    /// The firing time of the earliest pending completion.
+    fn next_txdone(&self) -> Option<SimTime> {
+        self.pending.peek().map(|p| p.0.time)
+    }
+
+    /// The window barrier: replays every staged cut-link operation from
+    /// all shards — enqueues and control changes — against the
+    /// authoritative link copies, interleaved with the cut links' own
+    /// transmission completions, in one global time order.
+    ///
+    /// The order is `(time, produce time, chain descending, source shard,
+    /// staging seq)` — the same key the shard heaps dispatch under (see
+    /// [`crate::event`]), with a staged operation carrying its staging
+    /// dispatch's keys (the dispatch *is* the operation in a
+    /// single-threaded loop) and a pending tx-done carrying the keys the
+    /// `LinkTxDone` event would hold in a queue. Each replayed tx-done
+    /// counts as one dispatched event (it is one in the single-threaded
+    /// loop); enqueues and control changes happen inside their sender's
+    /// already-counted dispatch and are not re-counted. `Deliver`s
+    /// produced here go directly into the receiving shard's queue;
+    /// tx-dones landing past `bound` stay pending for a later window.
+    fn replay<S: DerefMut<Target = Shard>>(
+        &mut self,
+        shards: &mut [S],
+        shard_of: &[u16],
+        bound: SimTime,
+        inclusive: bool,
+    ) {
+        #[cfg(feature = "trace")]
+        // detlint::allow(wall-clock): the barrier's in-loop wall for the subsystem profile, trace builds only — never enters simulation state
+        let barrier_start = std::time::Instant::now();
+        for shard in shards.iter_mut() {
+            self.ops.append(&mut shard.core.staged_cut);
+        }
+        let within = |t: SimTime| if inclusive { t <= bound } else { t < bound };
+        if self.ops.is_empty() && !self.next_txdone().is_some_and(within) {
+            return;
+        }
+        self.ops.sort_unstable_by_key(|o| (o.key(), o.shard, o.seq));
+        self.replayed_ops += self.ops.len() as u64;
+        for tied in self.ops.chunk_by(|a, b| a.key() == b.key()) {
+            // Two shards staging on one cut link under one key would make
+            // the replay order of that link's operations a matter of shard
+            // numbering; across different links only the receiving queue's
+            // insertion order is (counted, ROADMAP item 3(d)).
+            debug_assert!(
+                (tied.iter()).all(|a| tied.iter().all(|b| a.shard == b.shard || a.cut != b.cut)),
+                "two shards staged on one cut link under one (time, ptime, chain) key"
+            );
+            self.key_ties += tied.windows(2).filter(|w| w[0].shard != w[1].shard).count() as u64;
+        }
+        let mut ops = self.ops.drain(..).peekable();
+        loop {
+            // The earliest due transmission completion across cut links,
+            // under the same ordering key the shard heaps use.
+            let tx = (self.pending.peek().map(|p| p.0)).filter(|p| within(p.time));
+            let take_tx = match (tx, ops.peek()) {
+                (None, None) => break,
+                (None, Some(_)) => false,
+                (Some(_), None) => true,
+                // Ties across every key go to the staged operation: with
+                // equal (time, ptime, chain) the single-threaded order is
+                // unknowable either way, and favouring the op keeps
+                // blocked-flag flips ahead of the completions they race.
+                (Some(p), Some(o)) => (p.time, p.ptime, p.chain) < o.key(),
+            };
+            let cut = if take_tx {
+                let p = tx.expect("due tx completion");
+                self.pending.pop();
+                #[cfg(feature = "trace")]
+                // detlint::allow(wall-clock): per-subsystem wall profiling, trace builds only — never enters simulation state
+                let ev_start = std::time::Instant::now();
+                self.scratch.set_ctx(p.time, Some(p.chain.0));
+                self.links[p.cut as usize].on_tx_done(p.time, p.dir, &mut self.scratch);
+                self.dispatched += 1;
+                #[cfg(feature = "trace")]
+                self.profile.record(
+                    aitf_trace::Subsystem::Link,
+                    ev_start.elapsed().as_nanos() as u64,
+                );
+                p.cut
+            } else {
+                let o = ops.next().expect("peeked op exists");
+                match o.op {
+                    CutOp::SetBlocked(b) => {
+                        self.links[o.cut as usize].set_blocked(o.dir, b);
+                        continue;
+                    }
+                    CutOp::Enqueue(p) => {
+                        // Acceptance is unobservable for staged sends; the
+                        // drop accounting lands on the authoritative copy.
+                        self.scratch.set_ctx(o.time, Some(o.chain));
+                        self.links[o.cut as usize].enqueue(o.time, o.dir, p, &mut self.scratch);
+                    }
+                }
+                o.cut
+            };
+            // Route what the link scheduled: a tx-done becomes the
+            // direction's pending completion, a `Deliver` goes into the
+            // receiving node's shard queue.
+            while let Some(ev) = self.scratch.pop() {
+                match ev.kind {
+                    EventKind::LinkTxDone { dir, .. } => {
+                        self.pending.push(Reverse(PendingTx {
+                            time: ev.time,
+                            ptime: ev.ptime,
+                            chain: Reverse(ev.chain),
+                            cut,
+                            dir,
+                        }));
+                    }
+                    EventKind::Deliver { node, .. } => {
+                        let dst = shard_of[node.0] as usize;
+                        shards[dst]
+                            .core
+                            .events
+                            .schedule_produced_at(ev.time, ev.ptime, ev.chain, ev.kind);
+                    }
+                    EventKind::Timer { .. } => unreachable!("links never arm timers"),
+                }
+            }
+        }
+        #[cfg(feature = "trace")]
+        self.profile
+            .add_loop_nanos(barrier_start.elapsed().as_nanos() as u64);
+    }
 }
 
 /// The deterministic discrete-event simulator.
@@ -455,16 +639,11 @@ pub struct Simulator {
     /// Conservative window length: min propagation delay over cut links.
     /// `None` when single-sharded or when no links cross shards.
     lookahead: Option<SimDuration>,
-    /// Coordinator-owned authoritative copies of the cut links, in link id
-    /// order (empty when single).
-    cut_links: Vec<CutLink>,
-    /// Global [`LinkId`] → `cut_links` index (`u32::MAX` when not cut);
+    /// The coordinator's side of a sharded run (empty when single).
+    cut: Coordinator,
+    /// Global [`LinkId`] → `cut.links` index (`u32::MAX` when not cut);
     /// shared with every shard core. Empty when single.
     cut_of: Arc<Vec<u32>>,
-    /// Transmission completions dispatched by the coordinator's cut-link
-    /// replay, counted alongside the shard totals so sharded event counts
-    /// match the single-threaded loop exactly.
-    cut_dispatched: u64,
     /// Total number of distinct links in the topology (cut links have a
     /// copy in both endpoint shards).
     link_total: usize,
@@ -472,8 +651,6 @@ pub struct Simulator {
     seed: u64,
     time: SimTime,
     started: bool,
-    #[cfg(feature = "trace")]
-    merged_profile: aitf_trace::SubsystemProfile,
 }
 
 impl Simulator {
@@ -495,7 +672,7 @@ impl Simulator {
     /// else the owning shard's (shard 0 in single mode).
     fn link_any(&self, id: LinkId) -> &Link {
         if let Some(c) = self.cut_index(id) {
-            return &self.cut_links[c].link;
+            return &self.cut.links[c];
         }
         for s in &self.shards {
             let idx = s.core.link_idx[id.0];
@@ -589,7 +766,7 @@ impl Simulator {
             .iter()
             .map(|s| s.core.dispatched_events)
             .sum::<u64>()
-            + self.cut_dispatched
+            + self.cut.dispatched
     }
 
     /// Returns `true` once [`Simulator::start`] has run (explicitly or via
@@ -606,11 +783,7 @@ impl Simulator {
             .iter()
             .map(|s| s.core.events.len())
             .sum::<usize>()
-            + self
-                .cut_links
-                .iter()
-                .map(|c| c.pending_txdone.iter().flatten().count())
-                .sum::<usize>()
+            + self.cut.pending.len()
     }
 
     /// The firing time of the earliest pending event, if any. Never less
@@ -620,16 +793,8 @@ impl Simulator {
         self.shards
             .iter()
             .filter_map(|s| s.core.events.peek_time())
-            .chain(self.pending_txdone_times())
+            .chain(self.cut.next_txdone())
             .min()
-    }
-
-    /// The scheduled cut-link transmission completions the coordinator
-    /// holds (empty when single).
-    fn pending_txdone_times(&self) -> impl Iterator<Item = SimTime> + '_ {
-        self.cut_links
-            .iter()
-            .flat_map(|c| c.pending_txdone.iter().flatten().map(|p| p.time))
     }
 
     /// Administratively blocks or unblocks one direction of `link` from
@@ -640,7 +805,7 @@ impl Simulator {
     /// authoritative copy immediately (safe between runs).
     pub fn set_link_blocked(&mut self, link: LinkId, dir: LinkDirection, blocked: bool) {
         if let Some(c) = self.cut_index(link) {
-            self.cut_links[c].link.set_blocked(dir, blocked);
+            self.cut.links[c].set_blocked(dir, blocked);
             return;
         }
         let mut found = false;
@@ -683,8 +848,7 @@ impl Simulator {
         // sending on one) must reach the authoritative copies before the
         // next run.
         if self.is_sharded() {
-            let now = self.time;
-            self.replay_cut_links(now, true);
+            self.flush_staged();
         }
         r
     }
@@ -697,7 +861,7 @@ impl Simulator {
         #[cfg(feature = "trace")]
         {
             if self.is_sharded() {
-                let mut p = self.merged_profile;
+                let mut p = self.cut.profile;
                 for s in &self.shards {
                     p.merge(&s.core.profile);
                 }
@@ -808,7 +972,7 @@ impl Simulator {
         // operation is replayed against) and leaves an inert stub in both
         // endpoint shards for endpoint/direction queries — stub state is
         // never read or written.
-        let mut cut_links: Vec<CutLink> = Vec::with_capacity(part.cut_links.len());
+        let mut cut_links: Vec<Link> = Vec::with_capacity(part.cut_links.len());
         let mut cut_of = vec![u32::MAX; self.link_total];
         for link in links {
             let (a, b) = link.endpoints();
@@ -826,10 +990,7 @@ impl Simulator {
                     core.links.push(Link::new(id, a, b, params));
                 }
                 cut_of[id.0] = u32::try_from(cut_links.len()).expect("cut count fits u32");
-                cut_links.push(CutLink {
-                    link,
-                    pending_txdone: [None, None],
-                });
+                cut_links.push(link);
             }
         }
         debug_assert_eq!(cut_links.len(), part.cut_links.len());
@@ -837,7 +998,7 @@ impl Simulator {
         for shard in &mut shards {
             shard.core.cut_of = Arc::clone(&cut_of);
         }
-        self.cut_links = cut_links;
+        self.cut.links = cut_links;
         self.cut_of = cut_of;
         // Distribute installed nodes to their owning shard.
         for (i, n) in single.nodes.into_iter().enumerate() {
@@ -898,230 +1059,157 @@ impl Simulator {
         self.time = t;
     }
 
-    /// The conservative-window scheduler: every iteration processes the
-    /// window `[g, g+L)` (clamped inclusively at `t`) in all shards, then
-    /// replays the staged cut-link operations at the barrier. `g` counts
-    /// the coordinator's pending cut-link transmission completions too, so
-    /// a tx-done chain on an otherwise idle cut link still drives windows.
-    /// Any cross-shard delivery fires at `>= g + L`, so the barrier can
-    /// never deliver into a window already processed.
+    /// The sharded side of [`Simulator::run_until`].
     fn run_sharded(&mut self, t: SimTime) {
         // Flush operations staged outside any window: `on_start` handlers
         // run during `start()` and may send on cut links.
-        let now = self.time;
-        self.replay_cut_links(now, true);
-        while let Some(next) = self
-            .shards
-            .iter()
-            .filter_map(|s| s.core.events.peek_time())
-            .chain(self.pending_txdone_times())
-            .min()
-        {
-            if next > t {
-                break;
-            }
-            let (bound, inclusive) = match self.lookahead {
-                Some(l) => {
-                    let end = next + l;
-                    if end > t {
-                        // Final window: processing through `t` stays below
-                        // `g + L`, so it is still conservative.
-                        (t, true)
-                    } else {
-                        (end, false)
-                    }
-                }
-                // No cut links: shards are mutually invisible.
-                None => (t, true),
-            };
-            self.run_window_all(bound, inclusive);
-            self.replay_cut_links(bound, inclusive);
+        self.flush_staged();
+        if self.next_event_time().is_some_and(|next| next <= t) {
+            self.run_windows(t);
         }
         for s in &mut self.shards {
             s.core.time = t;
-        }
-        #[cfg(feature = "trace")]
-        self.drain_shard_state();
-    }
-
-    /// Runs one window in every shard, each on its own thread (shard 0 on
-    /// the coordinating one) — in every build: nodes are `Send` and span
-    /// logs are router-private. The result never depends on how the
-    /// threads interleave; the window protocol does not look.
-    fn run_window_all(&mut self, bound: SimTime, inclusive: bool) {
-        std::thread::scope(|scope| {
-            let mut iter = self.shards.iter_mut();
-            let first = iter.next().expect("at least one shard");
-            for shard in iter {
-                scope.spawn(move || shard.run_window(bound, inclusive));
+            #[cfg(feature = "trace")]
+            {
+                self.cut.profile.merge(&s.core.profile);
+                s.core.profile = aitf_trace::SubsystemProfile::default();
             }
-            first.run_window(bound, inclusive);
-        });
+        }
     }
 
-    /// The window barrier: replays every staged cut-link operation from
-    /// all shards — enqueues and control changes — against the
-    /// coordinator's authoritative link copies, interleaved with the cut
-    /// links' own transmission completions, in one global time order.
+    /// The conservative-window scheduler: every iteration processes the
+    /// window `[g, g+L)` (clamped inclusively at `t`) in the shards that
+    /// have an event in it, then replays the staged cut-link operations at
+    /// the barrier. `g` counts the coordinator's pending cut-link
+    /// transmission completions too, so a tx-done chain on an otherwise
+    /// idle cut link still drives windows. Any cross-shard delivery fires
+    /// at `>= g + L`, so the barrier can never deliver into a window
+    /// already processed.
     ///
-    /// The order is `(time, produce time, chain descending, source shard,
-    /// staging seq)` — the same key the shard heaps dispatch under (see
-    /// [`crate::event`]), with a staged operation carrying its staging
-    /// dispatch's keys (the dispatch *is* the operation in a
-    /// single-threaded loop) and a pending tx-done carrying the keys the
-    /// `LinkTxDone` event would hold in a queue. Each replayed tx-done
-    /// counts as one dispatched event (it is one in the single-threaded
-    /// loop); enqueues and control changes happen inside their sender's
-    /// already-counted dispatch and are not re-counted. `Deliver`s
-    /// produced here go directly into the receiving shard's queue;
-    /// tx-dones landing past `bound` stay pending for a later window.
-    fn replay_cut_links(&mut self, bound: SimTime, inclusive: bool) {
-        struct ReplayOp {
-            time: SimTime,
-            ptime: SimTime,
-            chain: u64,
-            shard: u16,
-            seq: u64,
-            cut: u32,
-            dir: LinkDirection,
-            op: CutOp,
+    /// The shards sit behind mutexes for the length of the call and
+    /// `K - 1` scoped workers wait on their channels; see the module docs
+    /// for who runs which window.
+    fn run_windows(&mut self, t: SimTime) {
+        const POISONED: &str = "a shard window panicked";
+        fn lock_all<'a>(shards: &'a [Mutex<Shard>], held: &mut Vec<MutexGuard<'a, Shard>>) {
+            held.extend(shards.iter().map(|s| s.lock().expect(POISONED)));
         }
-        #[cfg(feature = "trace")]
-        // detlint::allow(wall-clock): the barrier's in-loop wall for the subsystem profile, trace builds only — never enters simulation state
-        let barrier_start = std::time::Instant::now();
-        let mut ops: Vec<ReplayOp> = Vec::new();
-        for (si, shard) in self.shards.iter_mut().enumerate() {
-            for s in shard.core.take_staged_cut() {
-                ops.push(ReplayOp {
-                    time: s.time,
-                    ptime: s.ptime,
-                    chain: s.chain,
-                    shard: si as u16,
-                    seq: s.seq,
-                    cut: s.cut,
-                    dir: s.dir,
-                    op: s.op,
-                });
-            }
-        }
-        let within = |t: SimTime| if inclusive { t <= bound } else { t < bound };
-        if ops.is_empty() && !self.pending_txdone_times().any(within) {
-            return;
-        }
-        ops.sort_unstable_by_key(|o| (o.time, o.ptime, Reverse(o.chain), o.shard, o.seq));
-        let mut ops = ops.into_iter().peekable();
-        let mut scratch = EventQueue::new();
-        loop {
-            // The earliest due transmission completion across cut links,
-            // under the same ordering key the shard heaps use.
-            let tx = self
-                .cut_links
-                .iter()
-                .enumerate()
-                .flat_map(|(c, cl)| {
-                    cl.pending_txdone
-                        .iter()
-                        .enumerate()
-                        .filter_map(move |(d, p)| p.map(|p| (p, c, d)))
-                })
-                .filter(|&(p, ..)| within(p.time))
-                .min_by_key(|&(p, c, d)| (p.time, p.ptime, Reverse(p.chain), c, d));
-            let take_tx = match (tx, ops.peek()) {
-                (None, None) => break,
-                (None, Some(_)) => false,
-                (Some(_), None) => true,
-                // Ties across every key go to the staged operation: with
-                // equal (time, ptime, chain) the single-threaded order is
-                // unknowable either way, and favouring the op keeps
-                // blocked-flag flips ahead of the completions they race.
-                (Some((p, ..)), Some(o)) => {
-                    (p.time, p.ptime, Reverse(p.chain)) < (o.time, o.ptime, Reverse(o.chain))
-                }
-            };
-            if take_tx {
-                let (p, c, d) = tx.expect("due tx completion");
-                let t = p.time;
-                let dir = if d == 0 {
-                    LinkDirection::AToB
-                } else {
-                    LinkDirection::BToA
-                };
-                self.cut_links[c].pending_txdone[d] = None;
-                #[cfg(feature = "trace")]
-                // detlint::allow(wall-clock): per-subsystem wall profiling, trace builds only — never enters simulation state
-                let ev_start = std::time::Instant::now();
-                scratch.set_ctx(t, Some(p.chain));
-                self.cut_links[c].link.on_tx_done(t, dir, &mut scratch);
-                self.cut_dispatched += 1;
-                #[cfg(feature = "trace")]
-                self.merged_profile.record(
-                    aitf_trace::Subsystem::Link,
-                    ev_start.elapsed().as_nanos() as u64,
-                );
-                self.drain_cut_scratch(c, &mut scratch);
-            } else {
-                let o = ops.next().expect("peeked op exists");
-                let cut = o.cut as usize;
-                match o.op {
-                    CutOp::SetBlocked(b) => {
-                        self.cut_links[cut].link.set_blocked(o.dir, b);
-                    }
-                    CutOp::Enqueue(p) => {
-                        // Acceptance is unobservable for staged sends; the
-                        // drop accounting lands on the authoritative copy.
-                        scratch.set_ctx(o.time, Some(o.chain));
-                        self.cut_links[cut]
-                            .link
-                            .enqueue(o.time, o.dir, p, &mut scratch);
-                        self.drain_cut_scratch(cut, &mut scratch);
-                    }
-                }
-            }
-        }
-        #[cfg(feature = "trace")]
-        self.merged_profile
-            .add_loop_nanos(barrier_start.elapsed().as_nanos() as u64);
-    }
-
-    /// Routes the events a replayed cut-link operation produced: tx-dones
-    /// become the link's pending completion, `Deliver`s go into the
-    /// receiving node's shard queue.
-    fn drain_cut_scratch(&mut self, cut: usize, scratch: &mut EventQueue) {
-        while let Some(ev) = scratch.pop() {
-            match ev.kind {
-                EventKind::LinkTxDone { dir, .. } => {
-                    let slot = &mut self.cut_links[cut].pending_txdone[dir.index()];
-                    debug_assert!(
-                        slot.is_none(),
-                        "two tx completions pending in one direction"
-                    );
-                    *slot = Some(PendingTx {
-                        time: ev.time,
-                        ptime: ev.ptime,
-                        chain: ev.chain,
+        let shards: Vec<Mutex<Shard>> = std::mem::take(&mut self.shards)
+            .into_iter()
+            .map(Mutex::new)
+            .collect();
+        let (cut, shard_of, lookahead) = (&mut self.cut, &*self.shard_of, self.lookahead);
+        std::thread::scope(|scope| {
+            // A worker runs the window it is sent — shard index and bound
+            // — and answers once the window is done and the shard
+            // unlocked. Dropping the senders ends the workers.
+            let workers: Vec<_> = (1..shards.len())
+                .map(|_| {
+                    let shards = &shards;
+                    let (window_tx, window_rx) = mpsc::channel::<(usize, SimTime, bool)>();
+                    let (done_tx, done_rx) = mpsc::channel::<()>();
+                    scope.spawn(move || {
+                        for (i, bound, inclusive) in window_rx {
+                            (shards[i].lock().expect(POISONED)).run_window(bound, inclusive);
+                            if done_tx.send(()).is_err() {
+                                break;
+                            }
+                        }
                     });
+                    (window_tx, done_rx)
+                })
+                .collect();
+            // Between windows the coordinator holds every shard.
+            let mut held: Vec<MutexGuard<'_, Shard>> = Vec::with_capacity(shards.len());
+            let mut busy: Vec<usize> = Vec::with_capacity(shards.len());
+            lock_all(&shards, &mut held);
+            while let Some(next) = (held.iter())
+                .filter_map(|s| s.core.events.peek_time())
+                .chain(cut.next_txdone())
+                .min()
+            {
+                if next > t {
+                    break;
                 }
-                EventKind::Deliver { node, link, packet } => {
-                    let dst = self.shard_of[node.0] as usize;
-                    self.shards[dst].core.events.schedule_produced_at(
-                        ev.time,
-                        ev.ptime,
-                        ev.chain,
-                        EventKind::Deliver { node, link, packet },
-                    );
+                let (bound, inclusive) = match lookahead {
+                    Some(l) => {
+                        let end = next + l;
+                        if end > t {
+                            // Final window: processing through `t` stays
+                            // below `g + L`, so it is still conservative.
+                            (t, true)
+                        } else {
+                            (end, false)
+                        }
+                    }
+                    // No cut links: shards are mutually invisible.
+                    None => (t, true),
+                };
+                let within = |at: SimTime| if inclusive { at <= bound } else { at < bound };
+                busy.clear();
+                busy.extend(
+                    (0..held.len())
+                        .filter(|&i| held[i].core.events.peek_time().is_some_and(within)),
+                );
+                cut.windows += 1;
+                if busy.len() <= 1 {
+                    cut.windows_inline += 1;
+                    if let Some(&only) = busy.first() {
+                        held[only].run_window(bound, inclusive);
+                    }
+                } else {
+                    // The coordinator takes the busy shard that has
+                    // dispatched the most so far — the likeliest to be
+                    // the slowest again — so that the workers' wake-up
+                    // time is spent beside its window, not after it.
+                    let heaviest = (0..busy.len())
+                        .max_by_key(|&b| (held[busy[b]].core.dispatched_events, Reverse(b)))
+                        .expect("two busy shards");
+                    busy.swap(0, heaviest);
+                    // Hand the shards over, run that one here, and take
+                    // them all back.
+                    held.clear();
+                    for ((window_tx, _), &i) in workers.iter().zip(&busy[1..]) {
+                        let sent = window_tx.send((i, bound, inclusive));
+                        sent.expect("a shard worker is gone");
+                    }
+                    (shards[busy[0]].lock().expect(POISONED)).run_window(bound, inclusive);
+                    for ((_, done_rx), _) in workers.iter().zip(&busy[1..]) {
+                        done_rx.recv().expect(POISONED);
+                    }
+                    lock_all(&shards, &mut held);
                 }
-                EventKind::Timer { .. } => unreachable!("links never arm timers"),
+                cut.replay(&mut held, shard_of, bound, inclusive);
             }
-        }
+        });
+        self.shards = shards
+            .into_iter()
+            .map(|s| s.into_inner().expect(POISONED))
+            .collect();
     }
 
-    /// Drains per-shard profiles into the merged profile, in shard-id
-    /// order (only called from the sharded loop).
-    #[cfg(feature = "trace")]
-    fn drain_shard_state(&mut self) {
-        for s in &mut self.shards {
-            self.merged_profile.merge(&s.core.profile);
-            s.core.profile = aitf_trace::SubsystemProfile::default();
+    /// Replays what was staged outside the event loop — by `on_start`
+    /// handlers, or through [`Simulator::with_node_ctx`] between runs —
+    /// so it reaches the authoritative link copies before the next window.
+    fn flush_staged(&mut self) {
+        let mut shards: Vec<&mut Shard> = self.shards.iter_mut().collect();
+        let now = self.time;
+        self.cut.replay(&mut shards, &self.shard_of, now, true);
+    }
+
+    /// How the sharded loop's work was spread so far: events per shard,
+    /// windows, staged operations. Plain counts the loop keeps in every
+    /// build — no clock is read for them and no record contains them.
+    pub fn shard_load(&self) -> aitf_trace::ShardLoad {
+        aitf_trace::ShardLoad {
+            events: (self.shards.iter().map(|s| s.core.dispatched_events)).collect(),
+            barrier_events: self.cut.dispatched,
+            windows: self.cut.windows,
+            windows_inline: self.cut.windows_inline,
+            replayed_ops: self.cut.replayed_ops,
+            key_ties: self.cut.key_ties,
+            cut_links: self.cut.links.len() as u64,
+            lookahead_ns: self.lookahead.map_or(0, SimDuration::as_nanos),
         }
     }
 
@@ -1379,6 +1467,134 @@ mod tests {
             assert_eq!(ev, ev1, "dispatched events drifted at {shards} shards");
             assert_eq!(rx, rx1, "reception counts drifted at {shards} shards");
         }
+    }
+
+    /// Sends one packet every `period` until `left` runs out; counts what
+    /// comes back.
+    struct Ticker {
+        period: SimDuration,
+        left: u32,
+        received: u64,
+    }
+
+    impl Node for Ticker {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            ctx.set_timer(self.period, 0);
+        }
+
+        fn on_timer(&mut self, _token: u64, ctx: &mut Context<'_>) {
+            if let Some(left) = self.left.checked_sub(1) {
+                self.left = left;
+                let id = ctx.next_packet_id();
+                let h = Header::udp(Addr::new(1, 0, 0, 1), Addr::new(1, 0, 0, 2), 1, 2);
+                ctx.send(
+                    ctx.my_links()[0],
+                    Packet::data(id, h, TrafficClass::Legit, 100),
+                );
+                ctx.set_timer(self.period, 0);
+            }
+        }
+
+        fn on_packet(&mut self, _p: Packet, _l: LinkId, _ctx: &mut Context<'_>) {
+            self.received += 1;
+        }
+
+        impl_node_any!();
+    }
+
+    /// A chain of six nodes on 1 µs links with a ticker at either end
+    /// (7 µs and 11 µs apart, so their packets cross mid-chain), split
+    /// into `shards` shards: a world of very many, very short windows.
+    fn ticking_chain(shards: usize) -> (Simulator, Vec<NodeId>) {
+        let mut b = NetworkBuilder::new(3);
+        let ids: Vec<NodeId> = (0..6).map(|_| b.add_node()).collect();
+        for w in ids.windows(2) {
+            b.connect(
+                w[0],
+                w[1],
+                LinkParams::infinite(SimDuration::from_micros(1)),
+            );
+        }
+        let mut sim = b.build();
+        for (&id, period) in [ids[0], ids[5]].iter().zip([7, 11]) {
+            sim.install(
+                id,
+                Box::new(Ticker {
+                    period: SimDuration::from_micros(period),
+                    left: 1500,
+                    received: 0,
+                }),
+            );
+        }
+        for &id in &ids[1..5] {
+            sim.install(id, Box::new(FloodRelay { received: 0 }));
+        }
+        if shards > 1 {
+            let spec = PartitionSpec::new(
+                ids.iter().map(|&id| vec![id]).collect(),
+                (0..6usize).map(|i| i.checked_sub(1)).collect(),
+            );
+            let part = sim.apply_shards(shards, &spec).expect("partition");
+            assert_eq!(part.shards, shards);
+            assert_eq!(sim.lookahead(), Some(SimDuration::from_micros(1)));
+        }
+        (sim, ids)
+    }
+
+    /// Dispatched events and what every node of a [`ticking_chain`] saw.
+    fn ticking_results(sim: &Simulator, ids: &[NodeId]) -> (u64, Vec<u64>) {
+        let received = |&id: &NodeId| match sim.node_ref::<FloodRelay>(id) {
+            Some(relay) => relay.received,
+            None => sim.node_ref::<Ticker>(id).expect("a ticker").received,
+        };
+        (sim.dispatched_events(), ids.iter().map(received).collect())
+    }
+
+    #[test]
+    fn ten_thousand_short_windows_match_single_threaded() {
+        let end = SimTime(20_000_000);
+        let (mut single, ids) = ticking_chain(1);
+        single.run_until(end);
+        let expected = ticking_results(&single, &ids);
+        assert!(expected.1.iter().all(|&n| n >= 1500), "{expected:?}");
+        assert_eq!(single.shard_load().events, [expected.0]);
+        for shards in [2, 4] {
+            let (mut sim, ids) = ticking_chain(shards);
+            sim.run_until(end);
+            assert_eq!(ticking_results(&sim, &ids), expected, "{shards} shards");
+            let load = sim.shard_load();
+            assert!(load.windows >= 10_000, "{load}");
+            // One packet hopping down the chain keeps one shard busy; two
+            // crossing keep two.
+            assert!(load.windows_inline > 0, "{load}");
+            assert!(load.windows_inline < load.windows, "{load}");
+            assert_eq!(load.events.len(), shards);
+            assert_eq!(
+                load.events.iter().sum::<u64>() + load.barrier_events,
+                expected.0
+            );
+            assert!(load.replayed_ops > 0 && load.cut_links > 0, "{load}");
+            assert_eq!(load.lookahead_ns, 1_000);
+        }
+    }
+
+    #[test]
+    fn a_thousand_run_for_calls_equal_one_run_until() {
+        // The workers belong to one call: a thousand calls spawn and join
+        // a thousand sets of them, with nothing carried between but the
+        // simulator itself.
+        let (mut whole, ids) = ticking_chain(2);
+        whole.run_until(SimTime(20_000_000));
+        let (mut sliced, _) = ticking_chain(2);
+        for _ in 0..1000 {
+            sliced.run_for(SimDuration::from_micros(20));
+        }
+        assert_eq!(sliced.now(), whole.now());
+        assert_eq!(
+            ticking_results(&sliced, &ids),
+            ticking_results(&whole, &ids)
+        );
+        assert_eq!(sliced.pending_events(), whole.pending_events());
     }
 
     #[test]

@@ -25,9 +25,9 @@
 //! assert!(outcome.events > 0);
 //! ```
 
-use aitf_core::{AitfConfig, DefensePolicy, EvictionPolicy};
+use aitf_core::{AitfConfig, DefensePolicy, EvictionPolicy, NetId, World};
 use aitf_engine::{Outcome, Params};
-use aitf_netsim::SimDuration;
+use aitf_netsim::{PartitionError, SimDuration};
 use aitf_packet::Prefix;
 
 use crate::churn::{ChurnAction, ChurnSpec};
@@ -336,11 +336,9 @@ impl Scenario {
         self.workload.compile(&mut world);
         if self.shards > 1 {
             let hints = world.world.shard_hints();
-            world
-                .world
-                .sim
-                .apply_shards(self.shards, &hints)
-                .expect("world shard partition");
+            if let Err(e) = world.world.sim.apply_shards(self.shards, &hints) {
+                panic!("world shard partition: {}", describe(&world.world, &e));
+            }
         }
         world
     }
@@ -477,9 +475,31 @@ impl Scenario {
         let outcome = outcome.with_trace(aitf_trace::TraceReport {
             subsystems: world.world.sim.subsystem_profile(),
             spans: world.world.trace_spans(),
+            shard_load: world.world.sim.shard_load(),
         });
         outcome
     }
+}
+
+/// A partition error in the world's terms: a zero-delay cut names the two
+/// networks whose link it is (the partitioner only knows the link id).
+fn describe(world: &World, e: &PartitionError) -> String {
+    let PartitionError::ZeroDelayCut(link) = *e else {
+        return e.to_string();
+    };
+    let (a, b) = world.sim.link_endpoints(link);
+    let net_of = |node| {
+        (0..world.net_count())
+            .map(NetId)
+            .find(|&n| world.router_node(n) == node)
+            .map_or("?", |n| world.net_name(n))
+    };
+    format!(
+        "the zero-delay link between networks {:?} and {:?} would cross shards \
+         ({e}); give it a propagation delay or make one the other's provider",
+        net_of(a),
+        net_of(b)
+    )
 }
 
 #[cfg(test)]
@@ -512,6 +532,71 @@ mod tests {
         let names: Vec<&str> = outcome.metrics.entries().iter().map(|(n, _)| *n).collect();
         assert_eq!(names, vec!["leak_r", "filters"]);
         assert!(outcome.events > 0);
+    }
+
+    /// hub → {left, right}, one flooding host each (so the loads put the
+    /// two networks in different shards), `right` on `uplink`.
+    fn two_spokes(uplink: aitf_netsim::LinkParams) -> TopologySpec {
+        let mut t = TopologySpec::new();
+        let hub = t.net("hub", "10.0.0.0/16", None);
+        let left = t.net("left", "10.1.0.0/16", Some(hub));
+        let right = t.net_with(
+            "right",
+            "10.2.0.0/16",
+            Some(hub),
+            aitf_core::RouterPolicy::default(),
+            uplink,
+            crate::topology::Side::Neutral,
+        );
+        t.host(left, Role::Victim);
+        t.host_with(
+            right,
+            Role::Attacker,
+            HostPolicy::Malicious,
+            aitf_core::WorldBuilder::default_host_link(),
+        );
+        t
+    }
+
+    fn zero_delay() -> aitf_netsim::LinkParams {
+        aitf_netsim::LinkParams {
+            delay: SimDuration::ZERO,
+            ..aitf_core::WorldBuilder::default_net_link()
+        }
+    }
+
+    #[test]
+    fn a_zero_delay_uplink_still_builds_sharded() {
+        let world = Scenario::new(two_spokes(zero_delay()))
+            .traffic(TrafficSpec::flood(
+                HostSel::Role(Role::Attacker),
+                TargetSel::Victim,
+                100,
+                100,
+            ))
+            .shards(2)
+            .build(1);
+        let sim = &world.world.sim;
+        assert_eq!(sim.shard_count(), 2);
+        let node = |name| world.world.router_node(world.net(name));
+        assert_eq!(sim.shard_of(node("right")), sim.shard_of(node("hub")));
+        assert_ne!(sim.shard_of(node("left")), sim.shard_of(node("hub")));
+    }
+
+    #[test]
+    #[should_panic(expected = "zero-delay link between networks \"left\" and \"right\"")]
+    fn a_zero_delay_peering_cut_names_its_two_networks() {
+        let mut t = two_spokes(aitf_core::WorldBuilder::default_net_link());
+        t.peer(t.net_index("left"), t.net_index("right"), zero_delay());
+        Scenario::new(t)
+            .traffic(TrafficSpec::flood(
+                HostSel::Role(Role::Attacker),
+                TargetSel::Victim,
+                100,
+                100,
+            ))
+            .shards(3)
+            .build(1);
     }
 
     #[test]

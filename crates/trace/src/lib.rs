@@ -26,7 +26,7 @@ pub mod profile;
 pub mod span;
 mod tracer;
 
-pub use profile::{Subsystem, SubsystemProfile};
+pub use profile::{ShardLoad, Subsystem, SubsystemProfile};
 pub use span::{Cause, SpanId, SpanKind, SpanRecord, SpanStore};
 pub use tracer::Tracer;
 
@@ -39,6 +39,8 @@ pub struct TraceReport {
     pub subsystems: SubsystemProfile,
     /// The recorded span tree, in start order.
     pub spans: Vec<SpanRecord>,
+    /// How the event loop's work was spread over its shards.
+    pub shard_load: ShardLoad,
 }
 
 impl TraceReport {

@@ -181,6 +181,71 @@ impl SubsystemProfile {
     }
 }
 
+/// How a sharded event loop's work was spread (`Simulator::shard_load`):
+/// plain counts the loop keeps in every build, never part of a record or
+/// a determinism comparison. Whether the shards were busy *at the same
+/// time* is not in here — that is wall time; read the benchmark's
+/// `netsim.shard_speedup`.
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
+pub struct ShardLoad {
+    /// Events dispatched by each shard, in shard-id order (one entry for
+    /// an unsharded run).
+    pub events: Vec<u64>,
+    /// Cut-link transmission completions the coordinator dispatched at
+    /// barriers — events of the run that no shard counts.
+    pub barrier_events: u64,
+    /// Conservative windows run.
+    pub windows: u64,
+    /// Windows in which at most one shard had an event, run on the
+    /// coordinating thread without waking a worker.
+    pub windows_inline: u64,
+    /// Staged cut-link operations (sends, blocked-flag flips) replayed at
+    /// barriers.
+    pub replayed_ops: u64,
+    /// Adjacent replayed operations of *different* shards whose whole
+    /// `(time, produce time, chain)` key was equal — on different cut
+    /// links; the same link is a debug assertion — so only the shard id
+    /// ordered them.
+    pub key_ties: u64,
+    /// Links whose ends sit in different shards.
+    pub cut_links: u64,
+    /// The window length: least propagation delay over the cut links
+    /// (0 when nothing is cut).
+    pub lookahead_ns: u64,
+}
+
+impl ShardLoad {
+    /// Share of the shard-dispatched events the busiest shard handled
+    /// (1.0 for an unsharded or idle run).
+    pub fn busiest_share(&self) -> f64 {
+        let total: u64 = self.events.iter().sum();
+        match self.events.iter().max() {
+            Some(&most) if total > 0 => most as f64 / total as f64,
+            _ => 1.0,
+        }
+    }
+}
+
+impl std::fmt::Display for ShardLoad {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} shards, events {:?} (busiest {:.1}%) + {} at barriers; {} windows \
+             ({} inline) of {} ns; {} cut links, {} staged ops replayed, {} key ties",
+            self.events.len(),
+            self.events,
+            100.0 * self.busiest_share(),
+            self.barrier_events,
+            self.windows,
+            self.windows_inline,
+            self.lookahead_ns,
+            self.cut_links,
+            self.replayed_ops,
+            self.key_ties,
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,6 +284,24 @@ mod tests {
         );
         assert_eq!(a.bucket(Subsystem::Detector).events, 1);
         assert_eq!(a.loop_nanos(), 50);
+    }
+
+    #[test]
+    fn shard_load_names_the_busiest_share() {
+        let load = ShardLoad {
+            events: vec![30, 70],
+            windows: 5,
+            windows_inline: 2,
+            ..ShardLoad::default()
+        };
+        assert_eq!(load.busiest_share(), 0.7);
+        let line = load.to_string();
+        assert!(
+            line.contains("2 shards") && line.contains("busiest 70.0%"),
+            "{line}"
+        );
+        assert!(line.contains("5 windows (2 inline)"), "{line}");
+        assert_eq!(ShardLoad::default().busiest_share(), 1.0);
     }
 
     #[test]
