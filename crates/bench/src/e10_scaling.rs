@@ -19,6 +19,8 @@ use aitf_scenario::{
     HostSel, ProbeSet, Role, Scenario, Side, TargetSel, TopologySpec, TrafficSpec,
 };
 
+use crate::harness::checked;
+
 fn config() -> AitfConfig {
     AitfConfig {
         t_long: SimDuration::from_secs(30),
@@ -88,14 +90,14 @@ pub fn hub_filters_pushback(n_nets: usize, seed: u64, shards: usize) -> (u64, u6
         detection_delay: SimDuration::from_millis(10),
         ..AitfConfig::default()
     };
-    let outcome = base_scenario(n_nets, cfg)
+    let scenario = base_scenario(n_nets, cfg)
         .defense(DefensePolicy::Pushback)
         .shards(shards)
         .probes(ProbeSet::new().end(|w, m| {
             let hub = w.world.router(w.net("hub")).counters().filters_installed;
             m.set("hub_filters", hub);
-        }))
-        .run(seed);
+        }));
+    let outcome = checked(scenario).run(seed);
     (outcome.metrics.u64("hub_filters"), outcome.events)
 }
 
@@ -127,7 +129,7 @@ pub fn spec(quick: bool) -> ScenarioSpec {
     )
     .runner(|p, ctx| {
         let n = p.usize("attacker_nets");
-        let o = scenario(n).shards(ctx.shards).run(ctx.seed);
+        let o = checked(scenario(n).shards(ctx.shards)).run(ctx.seed);
         // The pushback contrast world's events stay out of the record, as
         // they always have: the telemetry tracks the AITF run.
         let (hub_pb, _pb_events) = hub_filters_pushback(n, ctx.seed, ctx.shards);

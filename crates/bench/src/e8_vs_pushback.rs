@@ -18,6 +18,8 @@ use aitf_scenario::{
     BuiltWorld, HostSel, ProbeSet, Role, Scenario, Side, TargetSel, TopologySpec, TrafficSpec,
 };
 
+use crate::harness::{assert_pool_identity, checked};
+
 fn config() -> AitfConfig {
     AitfConfig {
         t_long: SimDuration::from_secs(30),
@@ -70,18 +72,16 @@ fn involvement(w: &BuiltWorld, policy: DefensePolicy) -> (u64, u64) {
 /// Runs one protocol on a depth-`depth` chain (all routers cooperative);
 /// metrics `nodes`, `filters`, `leak`.
 pub fn run_protocol(depth: usize, policy: DefensePolicy, seed: u64, shards: usize) -> Outcome {
-    chain_scenario(depth, None, policy)
-        .shards(shards)
-        .probes(
-            ProbeSet::new()
-                .end(move |w, m| {
-                    let (nodes, filters) = involvement(w, policy);
-                    m.set("nodes", nodes);
-                    m.set("filters", filters);
-                })
-                .leak_ratio("leak"),
-        )
-        .run(seed)
+    let scenario = chain_scenario(depth, None, policy).shards(shards).probes(
+        ProbeSet::new()
+            .end(move |w, m| {
+                let (nodes, filters) = involvement(w, policy);
+                m.set("nodes", nodes);
+                m.set("filters", filters);
+            })
+            .leak_ratio("leak"),
+    );
+    checked(scenario).run(seed)
 }
 
 /// The rogue-hop outcome for both protocols.
@@ -118,6 +118,7 @@ pub fn rogue_aitf(seed: u64, shards: usize) -> RogueOutcome {
     let before = uplink_sent(&w.world, leaf);
     w.world.sim.run_for(SimDuration::from_secs(5));
     let after = uplink_sent(&w.world, leaf);
+    assert_pool_identity(&w.world.sim);
     let disconnected = w.world.router(w.net("1-1")).counters().disconnects_client > 0;
     RogueOutcome {
         source_cut: disconnected,
@@ -138,6 +139,7 @@ pub fn rogue_pushback(seed: u64, shards: usize) -> RogueOutcome {
     let before = uplink_sent(&w.world, leaf);
     w.world.sim.run_for(SimDuration::from_secs(5));
     let after = uplink_sent(&w.world, leaf);
+    assert_pool_identity(&w.world.sim);
     RogueOutcome {
         source_cut: edge_filtered,
         uplink_carried_late: after - before,

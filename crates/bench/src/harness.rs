@@ -4,6 +4,7 @@
 //! `aitf_scenario::probe`.)
 
 use aitf_engine::{tabulate, Outcome, Params, RunCtx, RunRecord, ScenarioSpec};
+use aitf_netsim::Simulator;
 use aitf_scenario::Scenario;
 
 /// Turns an experiment's `params → Scenario` mapping into its point
@@ -17,7 +18,32 @@ use aitf_scenario::Scenario;
 pub fn run_scenario(
     scenario: impl Fn(&Params) -> Scenario + Send + Sync + 'static,
 ) -> impl Fn(&Params, &RunCtx) -> Outcome + Send + Sync + 'static {
-    move |params, ctx| scenario(params).shards(ctx.shards).run(ctx.seed)
+    move |params, ctx| checked(scenario(params).shards(ctx.shards)).run(ctx.seed)
+}
+
+/// The packet-pool identity (`aitf_netsim::event`, *Who owns a parked
+/// packet*) of a finished run, checked in every build: the simulator's own
+/// check is a `debug_assert`, and the at-scale smoke runs are release
+/// runs. One pass over the links and the pending events, once per point.
+///
+/// # Panics
+///
+/// Panics — failing the point and, through the runner's scoped workers,
+/// the process — if a parked packet has no owner or a handle no packet.
+pub fn assert_pool_identity(sim: &Simulator) {
+    assert_eq!(
+        sim.parked_packets(),
+        sim.packets_in_network(),
+        "packet pool identity broken: parked packets vs. link entries + pending deliveries"
+    );
+}
+
+/// `scenario` with [`assert_pool_identity`] as its last end probe — what
+/// [`run_scenario`] runs, and what a bespoke point closure wraps its
+/// scenarios in. The probe writes no metric.
+pub fn checked(mut scenario: Scenario) -> Scenario {
+    scenario.probes = (scenario.probes).end(|w, _| assert_pool_identity(&w.world.sim));
+    scenario
 }
 
 /// A printable results table with aligned columns.
@@ -144,6 +170,16 @@ pub fn render_sweep(spec: &ScenarioSpec, records: &[RunRecord]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_checked_scenario_reports_what_the_bare_one_does() {
+        let scenario =
+            || crate::e1_escalation::scenario(1, aitf_netsim::SimDuration::from_secs(2)).shards(2);
+        let bare = scenario().run(5);
+        let checked = checked(scenario()).run(5);
+        assert_eq!(bare.metrics, checked.metrics, "the probe writes no metric");
+        assert_eq!(bare.events, checked.events);
+    }
 
     #[test]
     fn table_renders_aligned() {

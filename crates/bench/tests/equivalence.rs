@@ -10,6 +10,10 @@
 //! `deterministic_eq`'s fields are exactly what the rendered lines
 //! contain; wall time is excluded.
 //!
+//! Every registered point runs through `harness::run_scenario` /
+//! `harness::checked`, so each record here also stands for a run that ended
+//! with the packet-pool identity holding (asserted in every build).
+//!
 //! Refresh intentionally (for a *semantic* change, never to paper over
 //! drift) with:
 //!

@@ -12,6 +12,11 @@
 //! - **E16** (deployment mix): seed-derived cooperating/legacy assignment,
 //!   so group merging changes per point.
 //!
+//! Every point runs through `harness::run_scenario` / `harness::checked`,
+//! so each of these runs — 1, 2 and 4 shards — also ends with the
+//! packet-pool identity asserted (`parked == Σ_links (queued + in flight) +
+//! pending Deliver events`), in release builds too.
+//!
 //! Under `--features trace` the same runs also compare their span trees:
 //! a traced sharded run executes on threads like an untraced one, and its
 //! tree is built from virtual-time data only.

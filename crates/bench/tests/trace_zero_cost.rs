@@ -201,7 +201,7 @@ fn every_defense_policy_dispatches_alloc_free_in_steady_state() {
 #[test]
 fn disabled_tracing_dispatches_with_zero_allocations_per_event() {
     let mut sim = chain(8);
-    // Warm-up: queues, slabs and heap reach their high-water capacity.
+    // Warm-up: link rings, packet pool and heap reach their high-water capacity.
     sim.run_for(SimDuration::from_secs(2));
     let ev0 = sim.dispatched_events();
     let ((), allocs) = CountingAlloc::count(|| sim.run_for(SimDuration::from_secs(8)));

@@ -534,40 +534,48 @@ impl BorderRouter {
         Verdict::Continue
     }
 
-    fn forward_data(&mut self, mut packet: Packet, arrival: LinkId, ctx: &mut Context<'_>) {
+    /// The data plane up to the wire: both hooks, then the route lookup.
+    /// Returns the link to transmit `packet` on, if it survived and is
+    /// routable — the caller sends it, so the packet is handed to the link
+    /// from the place it was delivered to and is not copied on the way.
+    fn forward_data(
+        &mut self,
+        packet: &mut Packet,
+        arrival: LinkId,
+        ctx: &mut Context<'_>,
+    ) -> Option<LinkId> {
         // The Ingress hook (spoofing, filters, policing), then the Egress
         // hook (TTL accounting, traceback stamping).
         for chain in [self.chains.ingress, self.chains.egress] {
-            if self.run_chain(chain, &mut packet, arrival, ctx) == Verdict::Drop {
+            if self.run_chain(chain, packet, arrival, ctx) == Verdict::Drop {
                 // The defense consumed the packet: attribute this event's
                 // cost to the hook pipeline, not plain forwarding.
                 ctx.profile_subsystem(Subsystem::DefenseHook);
-                return;
+                return None;
             }
         }
         // Terminal action: route lookup + transmit (the datapath's one
         // fixed step — every policy forwards what its chains let through).
-        match self.route(packet.header.dst) {
-            Some(link) => {
-                self.counters.data_forwarded += 1;
-                ctx.send(link, packet);
-            }
+        let link = self.route(packet.header.dst);
+        match link {
+            Some(_) => self.counters.data_forwarded += 1,
             None => self.counters.undeliverable += 1,
         }
+        link
     }
 
     // ------------------------------------------------------------------
     // Control plane: the Escalate hook.
     // ------------------------------------------------------------------
 
-    fn handle_control(&mut self, mut packet: Packet, arrival: LinkId, ctx: &mut Context<'_>) {
+    fn handle_control(&mut self, packet: &mut Packet, arrival: LinkId, ctx: &mut Context<'_>) {
         // AITF control handling is escalation work; every other policy's
         // control plane is part of its defense pipeline.
         ctx.profile_subsystem(match self.defense {
             DefensePolicy::Aitf => Subsystem::Escalation,
             _ => Subsystem::DefenseHook,
         });
-        self.run_chain(self.chains.escalate, &mut packet, arrival, ctx);
+        self.run_chain(self.chains.escalate, packet, arrival, ctx);
     }
 
     // ------------------------------------------------------------------
@@ -605,14 +613,14 @@ impl BorderRouter {
 }
 
 impl Node for BorderRouter {
-    fn on_packet(&mut self, packet: Packet, link: LinkId, ctx: &mut Context<'_>) {
+    fn on_packet(&mut self, mut packet: Packet, link: LinkId, ctx: &mut Context<'_>) {
         // The Escalate hook sees control packets addressed to this router —
         // plus, under pushback, the protocol's link-local hop-by-hop
         // messages (no other policy addresses packets to `LINK_LOCAL`).
         if packet.header.dst == self.addr
             || (packet.header.dst == LINK_LOCAL && matches!(self.defense, DefensePolicy::Pushback))
         {
-            self.handle_control(packet, link, ctx);
+            self.handle_control(&mut packet, link, ctx);
             return;
         }
         // Compromised on-path router: snoop verification queries and forge
@@ -641,7 +649,9 @@ impl Node for BorderRouter {
                 return;
             }
         }
-        self.forward_data(packet, link, ctx);
+        if let Some(out) = self.forward_data(&mut packet, link, ctx) {
+            ctx.send(out, packet);
+        }
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Context<'_>) {

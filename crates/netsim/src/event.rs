@@ -31,14 +31,39 @@
 //!
 //! # Memory layout
 //!
-//! The queue is an index-ordered binary heap over a **slab** of event
-//! payloads. Heap entries are 40-byte `Copy` tuples `(time, ptime, chain,
-//! seq, slot)`; the [`EventKind`] payloads — which carry whole packets
-//! for `Deliver` events — live in slab slots and never move during heap
-//! sift operations.
-//! Popping recycles the slot through a free list, so in steady state the
-//! queue performs **zero heap allocations per event**: the slab and heap
-//! grow to the backlog's high-water mark once and are reused forever.
+//! The queue is a binary heap of **whole events** plus a **packet pool**.
+//! A heap entry is the ordering key `(time, ptime, chain, seq)` and, inline,
+//! what fires: `Timer { node, token }`, `LinkTxDone { link, dir }` or
+//! `Deliver { node, link, slot }` — 56 bytes in all (pinned below), so a
+//! timer or a transmission completion is one heap entry and nothing else.
+//! Only packets are too big to sift: a `Deliver` entry carries a
+//! `PacketSlot`, a handle to the pool slot (`Vec<Option<Packet>>` + a LIFO
+//! free list) the packet was written into when its link accepted it. The
+//! packet stays in that slot — through the link's queue, its serialisation
+//! and its propagation — until the receiving node's dispatch takes it out;
+//! it is written once per hop. In steady state the queue performs **zero
+//! heap allocations per event**: the heap grows to the backlog's high-water
+//! mark once, the pool to the most packets ever in the network at once, and
+//! both are reused forever.
+//!
+//! # Who owns a parked packet
+//!
+//! A `PacketSlot` is **move-only** (no `Clone`, no `Copy`), so a parked
+//! packet has exactly one owner at a time — a link's queue entry, a link's
+//! in-flight cell, or a `Deliver` heap entry — and a second handle to one
+//! slot does not compile. `EventQueue::unpark` consumes the handle and
+//! leaves the slot `None`, so redeeming a slot twice (only possible by
+//! forging a handle) is the `expect` in `unpark`, not a wrong packet. The
+//! ledger that licenses all this is one identity, checked at the end of
+//! every run: `parked == Σ_links (queued + in flight) + pending Deliver
+//! events` ([`EventQueue::parked`], `Simulator::parked_packets`).
+//!
+//! The one rule a caller of the public [`crate::Link`] API must keep: **a
+//! link redeems its handles from the queue it parked them in** — hand a
+//! link the same `EventQueue` for life. The simulator binds every link to
+//! one queue (its shard's, or the coordinator's scratch queue for a cut
+//! link), and re-homes links only in `apply_partition`, which runs on an
+//! empty queue.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -51,7 +76,7 @@ use crate::node::NodeId;
 use crate::time::SimTime;
 
 /// What happens when an event fires.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub enum EventKind {
     /// A packet finishes propagation and arrives at `node` via `link`.
     Deliver {
@@ -98,17 +123,43 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-/// The heap's unit of ordering: when, in what order, and *where* the
-/// payload lives. `Copy`-small on purpose — heap sift operations move these
-/// entries, never the payloads.
-#[derive(Clone, Copy, Debug)]
-struct HeapEntry {
-    time: SimTime,
-    ptime: SimTime,
-    chain: u64,
-    seq: u64,
-    slot: u32,
+/// Handle to a packet parked in an [`EventQueue`]'s pool. Deliberately
+/// neither `Clone` nor `Copy`: see the module docs on ownership.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct PacketSlot(u32);
+
+/// What a heap entry fires — [`EventKind`] with the packet replaced by its
+/// pool handle, small enough to live in the heap.
+#[derive(Debug)]
+pub(crate) enum Fire {
+    Deliver {
+        node: NodeId,
+        link: LinkId,
+        slot: PacketSlot,
+    },
+    LinkTxDone {
+        link: LinkId,
+        dir: LinkDirection,
+    },
+    Timer {
+        node: NodeId,
+        token: u64,
+    },
 }
+
+/// One pending event, whole: when, in what order, and what fires. Heap sift
+/// operations move these entries; packets never move.
+#[derive(Debug)]
+pub(crate) struct HeapEntry {
+    pub(crate) time: SimTime,
+    ptime: SimTime,
+    pub(crate) chain: u64,
+    seq: u64,
+    pub(crate) fire: Fire,
+}
+
+// The next field added to an event shows up here, not in `run_s`.
+const _: () = assert!(std::mem::size_of::<HeapEntry>() <= 56);
 
 impl PartialEq for HeapEntry {
     fn eq(&self, other: &Self) -> bool {
@@ -155,14 +206,13 @@ pub(crate) struct ShardGuard {
     shard_of: Arc<Vec<u16>>,
 }
 
-/// Priority queue of pending events, earliest first.
-///
-/// Payloads are stored in a slab indexed by slot handles; see the module
-/// docs for the layout and its allocation behaviour.
+/// Priority queue of pending events, earliest first, and the pool the
+/// packets in the network are parked in; see the module docs for the
+/// layout, its allocation behaviour and who owns a parked packet.
 #[derive(Debug, Default)]
 pub struct EventQueue {
     heap: BinaryHeap<HeapEntry>,
-    slab: Vec<Option<EventKind>>,
+    pool: Vec<Option<Packet>>,
     free: Vec<u32>,
     next_seq: u64,
     /// The current simulation instant, recorded as the produce time of
@@ -199,12 +249,13 @@ impl EventQueue {
     }
 
     /// Schedules `kind` to fire at `time`, produced at the current instant
-    /// on the current chain.
+    /// on the current chain. A `Deliver`'s packet is parked in the pool.
     ///
     /// In a sharded simulation every queue stays purely local: shard code
     /// only schedules for nodes it owns (cut links — the only cross-shard
     /// paths — are coordinator-owned and replayed at window barriers), an
     /// invariant [`EventQueue::bind_shard`] enforces for `Deliver`s.
+    #[inline]
     pub fn schedule(&mut self, time: SimTime, kind: EventKind) {
         let ptime = self.now;
         let chain = self.chain.unwrap_or(time.0);
@@ -215,6 +266,7 @@ impl EventQueue {
     /// coordinator uses this to transplant replay-produced events into a
     /// shard's queue at the heap position their producing dispatch would
     /// have given them in a single-threaded run.
+    #[inline]
     pub(crate) fn schedule_produced_at(
         &mut self,
         time: SimTime,
@@ -222,36 +274,98 @@ impl EventQueue {
         chain: u64,
         kind: EventKind,
     ) {
-        if let Some(guard) = self.guard.as_deref() {
-            if let EventKind::Deliver { node, .. } = &kind {
-                assert_eq!(
-                    guard.shard_of[node.0], guard.my_shard,
-                    "Deliver for foreign node {node:?} scheduled in shard {}",
-                    guard.my_shard
-                );
+        let fire = match kind {
+            EventKind::Deliver { node, link, packet } => {
+                self.check_local(node);
+                let slot = self.park(packet);
+                Fire::Deliver { node, link, slot }
             }
+            EventKind::LinkTxDone { link, dir } => Fire::LinkTxDone { link, dir },
+            EventKind::Timer { node, token } => Fire::Timer { node, token },
+        };
+        self.push(time, ptime, chain, fire);
+    }
+
+    /// Schedules the delivery of an already parked packet to `node` at
+    /// `time`, produced at the current instant on the current chain — what
+    /// a link does when a transmission completes.
+    #[inline]
+    pub(crate) fn schedule_deliver(
+        &mut self,
+        time: SimTime,
+        node: NodeId,
+        link: LinkId,
+        slot: PacketSlot,
+    ) {
+        self.check_local(node);
+        let chain = self.chain.unwrap_or(time.0);
+        self.push(time, self.now, chain, Fire::Deliver { node, link, slot });
+    }
+
+    /// The locality invariant of a shard-bound queue (see [`ShardGuard`]).
+    #[inline]
+    fn check_local(&self, node: NodeId) {
+        if let Some(guard) = self.guard.as_deref() {
+            assert_eq!(
+                guard.shard_of[node.0], guard.my_shard,
+                "Deliver for foreign node {node:?} scheduled in shard {}",
+                guard.my_shard
+            );
         }
+    }
+
+    #[inline]
+    fn push(&mut self, time: SimTime, ptime: SimTime, chain: u64, fire: Fire) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                debug_assert!(self.slab[slot as usize].is_none(), "free slot occupied");
-                self.slab[slot as usize] = Some(kind);
-                slot
-            }
-            None => {
-                let slot = u32::try_from(self.slab.len()).expect("slab exceeds u32 slots");
-                self.slab.push(Some(kind));
-                slot
-            }
-        };
+        // Allocates only when the backlog passes its high-water mark.
         self.heap.push(HeapEntry {
             time,
             ptime,
             chain,
             seq,
-            slot,
+            fire,
         });
+    }
+
+    /// Writes `packet` into a free pool slot and returns the handle that
+    /// owns it until [`EventQueue::unpark`].
+    #[inline]
+    pub(crate) fn park(&mut self, packet: Packet) -> PacketSlot {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            let slot = u32::try_from(self.pool.len()).expect("pool exceeds u32 slots");
+            // Allocates only when more packets are in the network than
+            // ever before.
+            self.pool.push(None);
+            slot
+        });
+        debug_assert!(self.pool[slot as usize].is_none(), "free slot occupied");
+        self.pool[slot as usize] = Some(packet);
+        PacketSlot(slot)
+    }
+
+    /// Takes the packet `slot` owns out of the pool and recycles the slot.
+    #[inline]
+    pub(crate) fn unpark(&mut self, slot: PacketSlot) -> Packet {
+        // Recycle first: with the take last, the packet is moved straight
+        // into the caller's place instead of through a temporary.
+        self.free.push(slot.0);
+        self.pool[slot.0 as usize]
+            .take()
+            .expect("a handle names an occupied pool slot")
+    }
+
+    /// Number of packets parked in the pool right now — every packet a link
+    /// bound to this queue holds, plus every pending `Deliver`.
+    pub fn parked(&self) -> usize {
+        self.pool.len() - self.free.len()
+    }
+
+    /// Number of pending `Deliver` events (one pass over the heap; the
+    /// pool-identity check reads it, the event loop never does).
+    pub fn pending_delivers(&self) -> usize {
+        let delivers = |e: &&HeapEntry| matches!(e.fire, Fire::Deliver { .. });
+        self.heap.iter().filter(delivers).count()
     }
 
     /// The firing time of the next event, if any.
@@ -259,13 +373,25 @@ impl EventQueue {
         self.heap.peek().map(|e| e.time)
     }
 
-    /// Removes and returns the earliest event, recycling its payload slot.
+    /// Removes and returns the earliest heap entry; a `Deliver`'s packet
+    /// stays parked until the caller redeems the entry's handle.
+    #[inline]
+    pub(crate) fn pop_entry(&mut self) -> Option<HeapEntry> {
+        self.heap.pop()
+    }
+
+    /// Removes and returns the earliest event, taking a `Deliver`'s packet
+    /// out of the pool.
     pub fn pop(&mut self) -> Option<Event> {
-        let entry = self.heap.pop()?;
-        let kind = self.slab[entry.slot as usize]
-            .take()
-            .expect("heap entry points at an occupied slot");
-        self.free.push(entry.slot);
+        let entry = self.pop_entry()?;
+        let kind = match entry.fire {
+            Fire::Deliver { node, link, slot } => {
+                let packet = self.unpark(slot);
+                EventKind::Deliver { node, link, packet }
+            }
+            Fire::LinkTxDone { link, dir } => EventKind::LinkTxDone { link, dir },
+            Fire::Timer { node, token } => EventKind::Timer { node, token },
+        };
         Some(Event {
             time: entry.time,
             ptime: entry.ptime,
@@ -296,12 +422,18 @@ impl EventQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aitf_packet::{Addr, Header, TrafficClass};
 
     fn timer(node: usize, token: u64) -> EventKind {
         EventKind::Timer {
             node: NodeId(node),
             token,
         }
+    }
+
+    pub(super) fn pkt(id: u64) -> Packet {
+        let h = Header::udp(Addr::new(1, 1, 1, 1), Addr::new(2, 2, 2, 2), 1, 2);
+        Packet::data(id, h, TrafficClass::Legit, 100)
     }
 
     fn pop_token(q: &mut EventQueue) -> u64 {
@@ -356,21 +488,56 @@ mod tests {
     }
 
     #[test]
-    fn pop_recycles_slab_slots() {
+    fn timers_and_tx_dones_never_touch_the_pool() {
         let mut q = EventQueue::new();
-        // Steady-state pattern: backlog of one, many schedule/pop cycles.
-        q.schedule(SimTime(0), timer(0, 0));
-        let mut popped = 0;
-        for i in 1..10_000u64 {
+        // A backlog of 8 — 9 at its high-water mark, between a schedule
+        // and the pop that follows — then many cycles at that backlog.
+        for i in 0..9 {
             q.schedule(SimTime(i), timer(0, i));
+        }
+        let high_water = q.heap.capacity();
+        let mut popped = u64::from(q.pop().is_some());
+        for i in 9..10_000u64 {
+            let kind = if i % 2 == 0 {
+                timer(0, i)
+            } else {
+                EventKind::LinkTxDone {
+                    link: LinkId(0),
+                    dir: LinkDirection::AToB,
+                }
+            };
+            q.schedule(SimTime(i), kind);
             popped += u64::from(q.pop().is_some());
         }
-        assert_eq!(
-            q.slab.len(),
-            2,
-            "slab must stay at the backlog high-water mark"
-        );
+        assert_eq!(q.parked(), 0);
+        assert!(q.pool.is_empty() && q.free.is_empty(), "pool was touched");
+        assert_eq!(q.heap.capacity(), high_water, "heap grew past the backlog");
         assert_eq!(popped + q.len() as u64, 10_000, "every schedule accounted");
+    }
+
+    #[test]
+    fn deliver_cycles_keep_the_pool_at_the_backlog_high_water_mark() {
+        let mut q = EventQueue::new();
+        let deliver = |id| EventKind::Deliver {
+            node: NodeId(0),
+            link: LinkId(0),
+            packet: pkt(id),
+        };
+        // Steady-state pattern: backlog of one, many schedule/pop cycles.
+        q.schedule(SimTime(0), deliver(0));
+        for i in 1..10_000u64 {
+            q.schedule(SimTime(i), deliver(i));
+            match q.pop().expect("backlog of one").kind {
+                EventKind::Deliver { packet, .. } => assert_eq!(packet, pkt(i - 1)),
+                other => panic!("unexpected event {other:?}"),
+            }
+        }
+        assert_eq!(
+            q.pool.len(),
+            2,
+            "pool must stay at the backlog high-water mark"
+        );
+        assert_eq!((q.parked(), q.pending_delivers(), q.len()), (1, 1, 1));
     }
 
     #[test]
@@ -391,6 +558,7 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+    use std::cmp::Reverse;
 
     proptest! {
         /// Popping must yield non-decreasing times regardless of insertion
@@ -415,6 +583,73 @@ mod proptests {
                 }
                 prop_assert_eq!(times[token as usize], ev.time.0);
                 last = Some((ev.time, ev.seq));
+            }
+        }
+    }
+
+    /// Event number `id` of kind `which`, payload and all.
+    fn kind(which: u8, id: u64) -> EventKind {
+        let (node, link) = (NodeId(id as usize % 3), LinkId(id as usize % 5));
+        match which {
+            0 => EventKind::Deliver {
+                node,
+                link,
+                packet: super::tests::pkt(id),
+            },
+            1 => EventKind::LinkTxDone {
+                link,
+                dir: LinkDirection::BToA,
+            },
+            _ => EventKind::Timer { node, token: id },
+        }
+    }
+
+    /// The model's event: the documented ordering key, then the payload.
+    type Modelled = ((u64, u64, Reverse<u64>, u64), EventKind);
+
+    proptest! {
+        /// The public `schedule` / `pop` are compositions (park + push; pop
+        /// entry + unpark): whatever is interleaved, every event must come
+        /// back whole, in the documented `(time, ptime, chain descending,
+        /// seq)` order — held to a sorted `Vec` that keeps events by value.
+        #[test]
+        fn schedule_and_pop_equal_the_sorted_vec_model(
+            // `Some((time, ptime, chain, kind, explicit))` schedules, `None`
+            // pops; tiny key ranges, so every tie-break level is exercised.
+            ops in proptest::collection::vec(
+                prop_oneof![
+                    (0u64..4, 0u64..3, 0u64..4, 0u8..3, any::<bool>()).prop_map(Some),
+                    (0u64..4, 0u64..3, 0u64..4, 0u8..3, any::<bool>()).prop_map(Some),
+                    Just(None),
+                ],
+                1..160,
+            ),
+        ) {
+            let mut q = EventQueue::new();
+            let mut model: Vec<Modelled> = Vec::new();
+            for (seq, op) in ops.into_iter().enumerate() {
+                let seq = seq as u64;
+                if let Some((time, ptime, chain, which, explicit)) = op {
+                    let (at, produced) = (SimTime(time), SimTime(ptime));
+                    // Stamped from the dispatch context; chain 3 stands for
+                    // "outside any dispatch", which roots a chain at `time`.
+                    let rooted = (chain < 3).then_some(chain);
+                    let chain = if explicit { chain } else { rooted.unwrap_or(time) };
+                    if explicit {
+                        q.schedule_produced_at(at, produced, chain, kind(which, seq));
+                    } else {
+                        q.set_ctx(produced, rooted);
+                        q.schedule(at, kind(which, seq));
+                    }
+                    model.push(((time, ptime, Reverse(chain), seq), kind(which, seq)));
+                } else {
+                    model.sort_by_key(|m| m.0);
+                    let want = (!model.is_empty()).then(|| model.remove(0));
+                    let got = q.pop().map(|e| ((e.time.0, e.ptime.0, Reverse(e.chain)), e.kind));
+                    prop_assert_eq!(got, want.map(|((t, p, c, _), k)| ((t, p, c), k)));
+                }
+                let parked = model.iter().filter(|m| matches!(m.1, EventKind::Deliver { .. })).count();
+                prop_assert_eq!((q.len(), q.parked(), q.pending_delivers()), (model.len(), parked, parked));
             }
         }
     }

@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 
 use aitf_packet::Packet;
 
-use crate::event::{EventKind, EventQueue};
+use crate::event::{EventKind, EventQueue, PacketSlot};
 use crate::node::NodeId;
 use crate::time::{SimDuration, SimTime};
 
@@ -134,12 +134,17 @@ static IDLE_STATS: LinkStats = LinkStats {
     max_queued_bytes: 0,
 };
 
+/// One packet a direction holds: the handle to where it is parked (in the
+/// [`EventQueue`] the link is used with) and its on-wire size, which is all
+/// the link ever reads of it.
+type Held = (PacketSlot, u32);
+
 #[derive(Debug, Default)]
 struct DirState {
-    queue: VecDeque<Packet>,
+    queue: VecDeque<Held>,
     queued_bytes: u64,
     /// The packet currently being serialised, if any.
-    in_flight: Option<Packet>,
+    in_flight: Option<Held>,
     blocked: bool,
     stats: LinkStats,
 }
@@ -147,10 +152,12 @@ struct DirState {
 impl DirState {
     /// Ring-buffer target for one direction, sized for ~1 KB packets and
     /// clamped. The queue starts *unallocated* — at 100k+ links, pre-sizing
-    /// every edge buffer costs gigabytes while almost all tail links stay
-    /// idle forever. The first packet that actually queues reserves this
-    /// target in one step (see [`Link::enqueue`]), so a busy direction
-    /// still reaches its steady state of zero allocations per event.
+    /// every edge buffer costs a lot of memory while almost all tail links
+    /// stay idle forever. The first packet that actually queues reserves
+    /// this target in one step (see [`Link::enqueue`]), so a busy direction
+    /// still reaches its steady state of zero allocations per event. The
+    /// ring holds 8-byte handles, not packets: at most 2 KB per busy
+    /// direction; the packets themselves sit in the queue's pool.
     fn queue_target(params: &LinkParams) -> usize {
         (params.queue_capacity_bytes / 1024).clamp(8, 256) as usize
     }
@@ -158,7 +165,7 @@ impl DirState {
 
 /// A full-duplex point-to-point link.
 ///
-/// The wiring is inline; each direction's queue, in-flight packet, block
+/// The wiring is inline; each direction's queue, in-flight handle, block
 /// flag and statistics are made by the first packet offered in that
 /// direction (or the first block of it). Most links of an internet-scale
 /// world never carry a packet, and a direction that never did reads as
@@ -173,6 +180,10 @@ pub struct Link {
 }
 
 impl Link {
+    /// Bytes one waiting packet costs a direction's ring — a handle and a
+    /// size, not the packet (pinned in `tests/footprint.rs`).
+    pub const QUEUE_ENTRY_BYTES: usize = std::mem::size_of::<Held>();
+
     /// Creates a link between `a` and `b`.
     pub fn new(id: LinkId, a: NodeId, b: NodeId, params: LinkParams) -> Self {
         Link {
@@ -250,6 +261,13 @@ impl Link {
         self.dir(dir).map_or(0, |d| d.queue.len())
     }
 
+    /// Packets this link holds a handle to, both directions: waiting or
+    /// being serialised.
+    pub(crate) fn held_pkts(&self) -> usize {
+        let held = |d: &DirState| d.queue.len() + usize::from(d.in_flight.is_some());
+        self.dirs.iter().flatten().map(|d| held(d)).sum()
+    }
+
     /// Returns `true` if a packet is being serialised in `dir` right now.
     pub fn has_in_flight(&self, dir: LinkDirection) -> bool {
         self.dir(dir).is_some_and(|d| d.in_flight.is_some())
@@ -270,9 +288,15 @@ impl Link {
 
     /// Hands a packet to the link for transmission in `dir` at time `now`.
     ///
+    /// An accepted packet is parked in `events`' pool and the link keeps
+    /// only its handle, so every later call for this link — `enqueue` and
+    /// [`Link::on_tx_done`] — must be handed the same queue. A dropped
+    /// packet never enters the pool.
+    ///
     /// Schedules the necessary [`EventKind::LinkTxDone`] event if the
     /// transmitter was idle. Returns `true` if the packet was accepted
     /// (queued or started), `false` if it was dropped.
+    #[inline]
     pub fn enqueue(
         &mut self,
         now: SimTime,
@@ -287,30 +311,31 @@ impl Link {
             // detlint::allow(hot-alloc): one-off — the first packet offered in a direction makes its state; every later one takes the arm above
             slot => slot.insert(Box::new(DirState::default())),
         };
+        let size = packet.size_bytes;
         d.stats.offered_pkts += 1;
-        d.stats.offered_bytes += packet.size_bytes as u64;
+        d.stats.offered_bytes += size as u64;
         if d.blocked {
             d.stats.admin_drop_pkts += 1;
             return false;
         }
         if d.in_flight.is_none() {
             // Transmitter idle: start serialising immediately.
-            let tx = params.tx_time(packet.size_bytes);
-            d.in_flight = Some(packet);
+            d.in_flight = Some((events.park(packet), size));
+            let tx = params.tx_time(size);
             events.schedule(now + tx, EventKind::LinkTxDone { link: link_id, dir });
             true
-        } else if d.queued_bytes + packet.size_bytes as u64 <= params.queue_capacity_bytes as u64 {
-            d.queued_bytes += packet.size_bytes as u64;
+        } else if d.queued_bytes + size as u64 <= params.queue_capacity_bytes as u64 {
+            d.queued_bytes += size as u64;
             d.stats.max_queued_bytes = d.stats.max_queued_bytes.max(d.queued_bytes);
             if d.queue.capacity() == 0 {
                 // detlint::allow(hot-alloc): one-off — the first packet that has to wait reserves the whole ring, see `DirState::queue_target`
                 d.queue.reserve(DirState::queue_target(&params));
             }
-            d.queue.push_back(packet);
+            d.queue.push_back((events.park(packet), size));
             true
         } else {
             d.stats.queue_drop_pkts += 1;
-            d.stats.queue_drop_bytes += packet.size_bytes as u64;
+            d.stats.queue_drop_bytes += size as u64;
             false
         }
     }
@@ -331,21 +356,14 @@ impl Link {
         };
         const IDLE: &str = "LinkTxDone with no in-flight packet";
         let d = self.dirs[dir.index()].as_deref_mut().expect(IDLE);
-        let packet = d.in_flight.take().expect(IDLE);
+        let (slot, size) = d.in_flight.take().expect(IDLE);
         d.stats.sent_pkts += 1;
-        d.stats.sent_bytes += packet.size_bytes as u64;
-        events.schedule(
-            now + params.delay,
-            EventKind::Deliver {
-                node: receiver,
-                link: link_id,
-                packet,
-            },
-        );
-        if let Some(next) = d.queue.pop_front() {
-            d.queued_bytes -= next.size_bytes as u64;
-            let tx = params.tx_time(next.size_bytes);
-            d.in_flight = Some(next);
+        d.stats.sent_bytes += size as u64;
+        events.schedule_deliver(now + params.delay, receiver, link_id, slot);
+        if let Some((next, size)) = d.queue.pop_front() {
+            d.queued_bytes -= size as u64;
+            d.in_flight = Some((next, size));
+            let tx = params.tx_time(size);
             events.schedule(now + tx, EventKind::LinkTxDone { link: link_id, dir });
         }
     }
@@ -506,11 +524,24 @@ mod tests {
         assert_eq!(link.stats(LinkDirection::AToB).max_queued_bytes, 4000);
     }
 
-    /// The link with both directions laid out up front — the model the
-    /// first-use layout must be indistinguishable from.
+    /// One direction of the reference link: the packets themselves, by
+    /// value — deliberately not the production `DirState`, so the model
+    /// cannot follow the code into handles.
+    #[derive(Default)]
+    struct EagerDir {
+        queue: VecDeque<Packet>,
+        queued_bytes: u64,
+        in_flight: Option<Packet>,
+        blocked: bool,
+        stats: LinkStats,
+    }
+
+    /// The link with both directions laid out up front and every packet
+    /// held by value — the model the first-use, handle-holding link must
+    /// be indistinguishable from.
     struct Eager {
         params: LinkParams,
-        dirs: [DirState; 2],
+        dirs: [EagerDir; 2],
     }
 
     impl Eager {
@@ -637,7 +668,7 @@ mod tests {
                                 (
                                     EventKind::Deliver { node, packet, .. },
                                     EventKind::Deliver { node: wnode, packet: wpacket, .. },
-                                ) => prop_assert_eq!((node, packet.id), (wnode, wpacket.id)),
+                                ) => prop_assert_eq!((node, packet), (wnode, wpacket)),
                                 (got, want) => prop_assert!(false, "{:?} vs {:?}", got, want),
                             }
                         }

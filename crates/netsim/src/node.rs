@@ -102,6 +102,7 @@ impl Context<'_> {
     /// # Panics
     ///
     /// Panics if this node is not an endpoint of `link`.
+    #[inline]
     pub fn send(&mut self, link: LinkId, packet: Packet) -> bool {
         self.core.send_from(self.node, link, packet)
     }

@@ -66,7 +66,7 @@ use rand::SeedableRng;
 use aitf_packet::Packet;
 
 use crate::buckets::Buckets;
-use crate::event::{EventKind, EventQueue};
+use crate::event::{EventKind, EventQueue, Fire};
 use crate::link::{Link, LinkDirection, LinkId, LinkParams, LinkStats};
 use crate::node::{Context, Node, NodeId};
 use crate::partition::{partition, Partition, PartitionError, PartitionSpec};
@@ -173,6 +173,7 @@ impl SimCore {
     /// # Panics
     ///
     /// Panics if `node` is not an endpoint of `link`.
+    #[inline]
     pub fn send_from(&mut self, node: NodeId, link: LinkId, packet: Packet) -> bool {
         let slot = self.slot(link);
         let dir = self.links[slot].dir_from(node);
@@ -374,18 +375,19 @@ impl Shard {
             if past {
                 break;
             }
-            let ev = self.core.events.pop().expect("peeked event exists");
+            let ev = self.core.events.pop_entry().expect("peeked event exists");
             self.core.events.set_ctx(ev.time, Some(ev.chain));
             self.core.time = ev.time;
             self.core.dispatched_events += 1;
             #[cfg(feature = "trace")]
             // detlint::allow(wall-clock): per-subsystem wall profiling, trace builds only — never enters simulation state
             let ev_start = std::time::Instant::now();
-            match ev.kind {
-                EventKind::Deliver { node, link, packet } => {
+            match ev.fire {
+                Fire::Deliver { node, link, slot } => {
+                    let packet = self.core.events.unpark(slot);
                     self.dispatch_packet(node, link, packet);
                 }
-                EventKind::LinkTxDone { link, dir } => {
+                Fire::LinkTxDone { link, dir } => {
                     #[cfg(feature = "trace")]
                     {
                         self.core.dispatch_class = aitf_trace::Subsystem::Link;
@@ -397,7 +399,7 @@ impl Shard {
                     let SimCore { links, events, .. } = &mut self.core;
                     links[slot].on_tx_done(now, dir, events);
                 }
-                EventKind::Timer { node, token } => {
+                Fire::Timer { node, token } => {
                     self.dispatch_timer(node, token);
                 }
             }
@@ -786,6 +788,28 @@ impl Simulator {
             + self.cut.pending.len()
     }
 
+    /// Packets parked in the event queues' pools right now: every shard's,
+    /// plus the coordinator's scratch queue, where cut links park theirs.
+    pub fn parked_packets(&self) -> usize {
+        let shards = self.shards.iter().map(|s| s.core.events.parked());
+        shards.sum::<usize>() + self.cut.scratch.parked()
+    }
+
+    /// Packets the network holds a handle to: waiting in or being
+    /// serialised by a link, or propagating (a pending `Deliver`). The
+    /// pool identity is `parked_packets() == packets_in_network()` between
+    /// runs — a packet a staged cut-link send carries by value is in
+    /// neither count. One pass over the links and the pending events.
+    pub fn packets_in_network(&self) -> usize {
+        let held = |links: &[Link]| links.iter().map(Link::held_pkts).sum::<usize>();
+        let shards = self.shards.iter();
+        shards
+            .map(|s| held(&s.core.links) + s.core.events.pending_delivers())
+            .sum::<usize>()
+            + held(&self.cut.links)
+            + self.cut.scratch.pending_delivers()
+    }
+
     /// The firing time of the earliest pending event, if any. Never less
     /// than [`Simulator::now`]: the event loop dispatches in time order, so
     /// a stale event would be a scheduling bug.
@@ -931,8 +955,10 @@ impl Simulator {
         }
         let k = part.shards;
         let single = self.shards.pop().expect("one shard");
+        // Links keep handles into the queue they were used with; they can
+        // only change queues while that queue holds nothing.
         assert!(
-            single.core.events.is_empty(),
+            single.core.events.is_empty() && single.core.events.parked() == 0,
             "apply_shards must run before any events are scheduled"
         );
         let SimCore {
@@ -1057,6 +1083,11 @@ impl Simulator {
             shard.core.time = t;
         }
         self.time = t;
+        debug_assert_eq!(
+            self.parked_packets(),
+            self.packets_in_network(),
+            "a parked packet has no owner, or a handle no packet"
+        );
     }
 
     /// The sharded side of [`Simulator::run_until`].

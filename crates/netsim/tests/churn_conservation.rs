@@ -151,6 +151,9 @@ proptest! {
             if let Some(next) = sim.next_event_time() {
                 prop_assert!(next >= sim.now(), "stale event at {next:?}, now {:?}", sim.now());
             }
+            // The pool identity: every parked packet is owned by exactly
+            // one link entry or pending delivery, and nothing else is.
+            prop_assert_eq!(sim.parked_packets(), sim.packets_in_network());
             // Mid-run conservation, per direction: offered packets are
             // sent, dropped, or still in custody — never lost.
             for &link in &links {
@@ -177,6 +180,7 @@ proptest! {
         }
         sim.run_for(SimDuration::from_secs(5));
         prop_assert_eq!(sim.pending_events(), 0, "drained world must quiesce");
+        prop_assert_eq!((sim.parked_packets(), sim.packets_in_network()), (0, 0));
         for &link in &links {
             for dir in [LinkDirection::AToB, LinkDirection::BToA] {
                 prop_assert_eq!(in_custody(&sim, link, dir), 0u64);

@@ -1,8 +1,8 @@
 //! Allocation-counting global allocator for tests and benches.
 //!
 //! The hot-path work in this workspace carries "allocation-free in steady
-//! state" claims (`route_record`, the netsim event slab); this probe makes
-//! them checkable. A test or bench binary installs it with
+//! state" claims (`route_record`, the netsim event heap and packet pool);
+//! this probe makes them checkable. A test or bench binary installs it with
 //!
 //! ```ignore
 //! #[global_allocator]

@@ -25,7 +25,7 @@
 //! assert!(outcome.events > 0);
 //! ```
 
-use aitf_core::{AitfConfig, DefensePolicy, EvictionPolicy, NetId, World};
+use aitf_core::{AitfConfig, DefensePolicy, DetectionMode, EvictionPolicy, NetId, World};
 use aitf_engine::{Outcome, Params};
 use aitf_netsim::{PartitionError, SimDuration};
 use aitf_packet::Prefix;
@@ -109,6 +109,51 @@ fn check_topology(t: &TopologySpec) -> Result<(), ScenarioError> {
                 "peering #{k} connects network {:?} to itself",
                 t.nets[p.a].name
             )));
+        }
+    }
+    Ok(())
+}
+
+/// What every agent's constructor would otherwise assert on, starting
+/// with the throwaway victim agent of `WorldBuilder::build`: a contract's
+/// token bucket needs a burst of at least one and a finite, non-negative
+/// rate; a rate detector a positive, finite threshold and a window.
+fn check_config(cfg: &AitfConfig) -> Result<(), ScenarioError> {
+    for (field, c) in [
+        ("client_contract", cfg.client_contract),
+        ("peer_contract", cfg.peer_contract),
+    ] {
+        if c.burst == 0 {
+            return Err(ScenarioError(format!(
+                "config.{field}.burst is 0: a contract's token bucket holds at \
+                 least one request (rate {} req/s)",
+                c.rate
+            )));
+        }
+        if !(c.rate.is_finite() && c.rate >= 0.0) {
+            return Err(ScenarioError(format!(
+                "config.{field}.rate is {} req/s; it must be finite and not negative",
+                c.rate
+            )));
+        }
+    }
+    if let DetectionMode::RateThreshold {
+        bytes_per_sec,
+        window,
+    } = cfg.detection
+    {
+        if !(bytes_per_sec.is_finite() && bytes_per_sec > 0.0) {
+            return Err(ScenarioError(format!(
+                "config.detection: rate threshold bytes_per_sec is \
+                 {bytes_per_sec}; it must be positive and finite"
+            )));
+        }
+        if window.is_zero() {
+            return Err(ScenarioError(
+                "config.detection: rate threshold window is zero; the \
+                 detector smooths over a positive duration"
+                    .into(),
+            ));
         }
     }
     Ok(())
@@ -291,9 +336,14 @@ impl Scenario {
     ///   prefixes overlap, every network is declared after its parent, no
     ///   network holds more than 250 hosts and every peering joins two
     ///   different declared networks — what `WorldBuilder` would otherwise
-    ///   panic on halfway through the build.
+    ///   panic on halfway through the build;
+    /// - both contracts need a burst of at least one request and a finite,
+    ///   non-negative rate, and a rate detector a positive, finite
+    ///   threshold and a non-zero window — what the build's first victim
+    ///   agent would otherwise panic on.
     pub fn validate(&self) -> Result<(), ScenarioError> {
         check_topology(&self.topology)?;
+        check_config(&self.config)?;
         if let Some(event) = self.churn.events.iter().find(|e| e.at >= self.duration) {
             return Err(ScenarioError(format!(
                 "churn event {:?} at {:?} is at or past the scenario horizon \
@@ -950,6 +1000,58 @@ mod tests {
         let name = &flood_scenario().topology.nets[2].name;
         assert!(err.contains(name), "names the network: {err}");
         assert!(err.contains("at most 250"), "{err}");
+    }
+
+    /// The error a scenario reports once `edit` has had its way with its
+    /// configuration.
+    fn config_error(edit: impl FnOnce(&mut AitfConfig)) -> String {
+        let mut s = flood_scenario();
+        edit(&mut s.config);
+        s.validate().expect_err("a malformed config").to_string()
+    }
+
+    #[test]
+    fn validate_names_a_contract_with_a_zero_burst() {
+        let err = config_error(|c| c.peer_contract = aitf_core::Contract::new(2.5, 0));
+        assert!(err.contains("peer_contract.burst is 0"), "{err}");
+        assert!(err.contains("2.5 req/s"), "names the contract: {err}");
+        let err = config_error(|c| c.client_contract.burst = 0);
+        assert!(err.contains("client_contract.burst is 0"), "{err}");
+        for bad in [-1.0, f64::NAN, f64::INFINITY] {
+            let err = config_error(|c| c.client_contract.rate = bad);
+            let named = format!("client_contract.rate is {bad} req/s");
+            assert!(err.contains(&named), "{err}");
+        }
+    }
+
+    #[test]
+    fn validate_names_a_rate_detector_threshold_that_is_not_positive_and_finite() {
+        for bad in [0.0, -125_000.0, f64::NAN, f64::INFINITY] {
+            let err = config_error(|c| {
+                c.detection = DetectionMode::RateThreshold {
+                    bytes_per_sec: bad,
+                    window: SimDuration::from_millis(100),
+                }
+            });
+            assert!(err.contains("config.detection"), "{err}");
+            assert!(
+                err.contains(&format!("is {bad};")),
+                "names the value: {err}"
+            );
+        }
+        let err = config_error(|c| {
+            c.detection = DetectionMode::RateThreshold {
+                bytes_per_sec: 125_000.0,
+                window: SimDuration::ZERO,
+            }
+        });
+        assert!(err.contains("window is zero"), "{err}");
+        let mut ok = flood_scenario();
+        ok.config.detection = DetectionMode::RateThreshold {
+            bytes_per_sec: 125_000.0,
+            window: SimDuration::from_millis(100),
+        };
+        assert_eq!(ok.validate(), Ok(()));
     }
 
     // ------------------------------------------------------------------

@@ -8,6 +8,7 @@
 use aitf::core::{AitfConfig, BorderRouter, EndHost};
 use aitf::netsim::Link;
 use aitf::packet::alloc_probe::CountingAlloc;
+use aitf::packet::Packet;
 use aitf::scenario::{PowerLawSpec, TopologySpec};
 
 #[global_allocator]
@@ -19,6 +20,16 @@ const _: () = {
     assert!(std::mem::size_of::<Link>() <= 64);
     assert!(std::mem::size_of::<BorderRouter>() <= 640);
     assert!(std::mem::size_of::<EndHost>() <= 320);
+};
+
+// What a hop moves: a packet is written into the event queue's pool once
+// and read out once (160 B, 88 of them the payload enum), and while it
+// waits in a link's ring the ring holds a handle and a size (8 B). The
+// heap entry's own pin (56 B) sits beside its definition in
+// `netsim/src/event.rs`.
+const _: () = {
+    assert!(std::mem::size_of::<Packet>() <= 160);
+    assert!(Link::QUEUE_ENTRY_BYTES <= 8);
 };
 
 /// The world both pins build: 10,000 power-law networks and one host.
