@@ -18,7 +18,7 @@ use aitf_scenario::{
     BuiltWorld, HostSel, ProbeSet, Role, Scenario, Side, TargetSel, TopologySpec, TrafficSpec,
 };
 
-use crate::harness::{assert_pool_identity, checked};
+use crate::harness::{assert_loop_invariants, checked};
 
 fn config() -> AitfConfig {
     AitfConfig {
@@ -118,7 +118,7 @@ pub fn rogue_aitf(seed: u64, shards: usize) -> RogueOutcome {
     let before = uplink_sent(&w.world, leaf);
     w.world.sim.run_for(SimDuration::from_secs(5));
     let after = uplink_sent(&w.world, leaf);
-    assert_pool_identity(&w.world.sim);
+    assert_loop_invariants(&w.world.sim);
     let disconnected = w.world.router(w.net("1-1")).counters().disconnects_client > 0;
     RogueOutcome {
         source_cut: disconnected,
@@ -139,7 +139,7 @@ pub fn rogue_pushback(seed: u64, shards: usize) -> RogueOutcome {
     let before = uplink_sent(&w.world, leaf);
     w.world.sim.run_for(SimDuration::from_secs(5));
     let after = uplink_sent(&w.world, leaf);
-    assert_pool_identity(&w.world.sim);
+    assert_loop_invariants(&w.world.sim);
     RogueOutcome {
         source_cut: edge_filtered,
         uplink_carried_late: after - before,

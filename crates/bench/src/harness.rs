@@ -21,28 +21,36 @@ pub fn run_scenario(
     move |params, ctx| checked(scenario(params).shards(ctx.shards)).run(ctx.seed)
 }
 
-/// The packet-pool identity (`aitf_netsim::event`, *Who owns a parked
-/// packet*) of a finished run, checked in every build: the simulator's own
-/// check is a `debug_assert`, and the at-scale smoke runs are release
-/// runs. One pass over the links and the pending events, once per point.
+/// What the event loop of a finished run must satisfy, checked in every
+/// build (the simulator's own pool check is a `debug_assert`, and the
+/// at-scale smoke runs are release runs): the packet-pool identity
+/// (`aitf_netsim::event`, *Who owns a parked packet*) — one pass over the
+/// links and the pending events, once per point — and no shard queue ever
+/// rebased ([`Simulator::queue_rebases`]).
 ///
 /// # Panics
 ///
 /// Panics — failing the point and, through the runner's scoped workers,
-/// the process — if a parked packet has no owner or a handle no packet.
-pub fn assert_pool_identity(sim: &Simulator) {
+/// the process — if a parked packet has no owner or a handle no packet, or
+/// if the loop scheduled an event before the instant it was dispatching.
+pub fn assert_loop_invariants(sim: &Simulator) {
     assert_eq!(
         sim.parked_packets(),
         sim.packets_in_network(),
         "packet pool identity broken: parked packets vs. link entries + pending deliveries"
     );
+    assert_eq!(
+        sim.queue_rebases(),
+        0,
+        "a shard queue rebased: the loop scheduled before the instant it was dispatching"
+    );
 }
 
-/// `scenario` with [`assert_pool_identity`] as its last end probe — what
+/// `scenario` with [`assert_loop_invariants`] as its last end probe — what
 /// [`run_scenario`] runs, and what a bespoke point closure wraps its
 /// scenarios in. The probe writes no metric.
 pub fn checked(mut scenario: Scenario) -> Scenario {
-    scenario.probes = (scenario.probes).end(|w, _| assert_pool_identity(&w.world.sim));
+    scenario.probes = (scenario.probes).end(|w, _| assert_loop_invariants(&w.world.sim));
     scenario
 }
 

@@ -12,7 +12,8 @@
 //!
 //! Every registered point runs through `harness::run_scenario` /
 //! `harness::checked`, so each record here also stands for a run that ended
-//! with the packet-pool identity holding (asserted in every build).
+//! with the packet-pool identity holding and no shard queue rebased
+//! (`harness::assert_loop_invariants`, asserted in every build).
 //!
 //! Refresh intentionally (for a *semantic* change, never to paper over
 //! drift) with:

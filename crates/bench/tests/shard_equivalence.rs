@@ -13,9 +13,15 @@
 //!   so group merging changes per point.
 //!
 //! Every point runs through `harness::run_scenario` / `harness::checked`,
-//! so each of these runs — 1, 2 and 4 shards — also ends with the
-//! packet-pool identity asserted (`parked == Σ_links (queued + in flight) +
-//! pending Deliver events`), in release builds too.
+//! so each of these runs — 1, 2 and 4 shards — also ends with
+//! `harness::assert_loop_invariants`, in release builds too: the
+//! packet-pool identity (`parked == Σ_links (queued + in flight) + pending
+//! Deliver events`) and **zero rebases in every shard queue**
+//! (`Simulator::queue_rebases`). A rebase there means the loop scheduled
+//! an event before the instant it was dispatching — a causality bug the
+//! queue copes with by re-filing, so unless event order happens to change
+//! only this count shows it. The coordinator's scratch queue is exempt:
+//! its barrier replay steps back in time by design.
 //!
 //! Under `--features trace` the same runs also compare their span trees:
 //! a traced sharded run executes on threads like an untraced one, and its

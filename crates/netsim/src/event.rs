@@ -31,26 +31,67 @@
 //!
 //! # Memory layout
 //!
-//! The queue is a binary heap of **whole events** plus a **packet pool**.
-//! A heap entry is the ordering key `(time, ptime, chain, seq)` and, inline,
-//! what fires: `Timer { node, token }`, `LinkTxDone { link, dir }` or
+//! The queue holds **whole events** plus a **packet pool**. An entry is the
+//! ordering key `(time, ptime, chain, seq)` and, inline, what fires:
+//! `Timer { node, token }`, `LinkTxDone { link, dir }` or
 //! `Deliver { node, link, slot }` — 56 bytes in all (pinned below), so a
-//! timer or a transmission completion is one heap entry and nothing else.
-//! Only packets are too big to sift: a `Deliver` entry carries a
+//! timer or a transmission completion is one entry and nothing else. Only
+//! packets are too big to move around: a `Deliver` entry carries a
 //! `PacketSlot`, a handle to the pool slot (`Vec<Option<Packet>>` + a LIFO
 //! free list) the packet was written into when its link accepted it. The
 //! packet stays in that slot — through the link's queue, its serialisation
 //! and its propagation — until the receiving node's dispatch takes it out;
-//! it is written once per hop. In steady state the queue performs **zero
-//! heap allocations per event**: the heap grows to the backlog's high-water
-//! mark once, the pool to the most packets ever in the network at once, and
-//! both are reused forever.
+//! it is written once per hop.
+//!
+//! The entries live in a **monotone radix heap** keyed on firing time
+//! (Ahuja, Mehlhorn, Orlin & Tarjan, "Faster algorithms for the shortest
+//! path problem", JACM 1990). `last` is the firing time of the last popped
+//! event, and every pending event fires at or after it:
+//!
+//! - **`due`**, a binary heap under the full order above, holds only the
+//!   events that fire *at* `last` — the ties that phase-locked flood
+//!   sources make the common case;
+//! - every other event sits, unordered, in **bucket `63 − lzcnt(time ^
+//!   last)`**, the highest bit its time differs from `last` in. An
+//!   `occupied` mask and a per-bucket minimum answer `peek_time` in O(1).
+//!
+//! Filing an event is O(1). A pop takes from `due`; when `due` is empty it
+//! first empties the lowest occupied bucket: `last` becomes that bucket's
+//! minimum, and the bucket's entries are re-filed strictly lower — into
+//! `due` if they fire at the new `last`, into a lower bucket otherwise. An
+//! event is therefore re-filed at most 64 times and usually once or twice,
+//! and only the events due now are ever compared key by key.
+//!
+//! A bucket is a singly linked list of fixed 64-entry **chunks** (3.5 KB)
+//! taken from one arena with a free list: a refill hands the emptied
+//! bucket's chunks back, and the next filing into any bucket reuses them,
+//! so memory stays O(pending) — at most one part-filled chunk per occupied
+//! bucket beyond ⌈pending / 64⌉. In steady state the queue performs **zero
+//! heap allocations per event**: the arena grows to its high-water mark of
+//! chunks in use, `due` to the most events ever tied at one instant, the
+//! pool to the most packets ever in the network at once, and all three are
+//! reused forever.
+//!
+//! **`last` moves only at pops.** Build-time and between-run schedules may
+//! come in any order and all land at or above it; moving it on a schedule
+//! into an empty queue instead would make a start order that runs backwards
+//! re-file everything on every schedule. A schedule *below* `last` — open to
+//! callers of the public API, and routine in the coordinator's scratch
+//! queue, whose barrier replay steps back in time between cut-link
+//! operations — **rebases**: `last` drops to the new time and every pending
+//! event is re-filed, O(pending), and [`EventQueue::rebases`] counts it. The
+//! event loop never takes that path: scheduling before the instant being
+//! dispatched would be a causality bug, so every shard queue is held to
+//! zero rebases (`Simulator::queue_rebases`). The loop pops through
+//! `pop_entry_within`, which never moves `last` past its window's bound, so
+//! the `Deliver`s the coordinator transplants at a barrier (all at or after
+//! that bound) still land at or above it.
 //!
 //! # Who owns a parked packet
 //!
 //! A `PacketSlot` is **move-only** (no `Clone`, no `Copy`), so a parked
 //! packet has exactly one owner at a time — a link's queue entry, a link's
-//! in-flight cell, or a `Deliver` heap entry — and a second handle to one
+//! in-flight cell, or a pending `Deliver` entry — and a second handle to one
 //! slot does not compile. `EventQueue::unpark` consumes the handle and
 //! leaves the slot `None`, so redeeming a slot twice (only possible by
 //! forging a handle) is the `expect` in `unpark`, not a wrong packet. The
@@ -128,8 +169,8 @@ pub struct Event {
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) struct PacketSlot(u32);
 
-/// What a heap entry fires — [`EventKind`] with the packet replaced by its
-/// pool handle, small enough to live in the heap.
+/// What a queue entry fires — [`EventKind`] with the packet replaced by its
+/// pool handle, small enough to live in the queue.
 #[derive(Debug)]
 pub(crate) enum Fire {
     Deliver {
@@ -147,8 +188,8 @@ pub(crate) enum Fire {
     },
 }
 
-/// One pending event, whole: when, in what order, and what fires. Heap sift
-/// operations move these entries; packets never move.
+/// One pending event, whole: when, in what order, and what fires. Filing
+/// and `due`'s sift operations move these entries; packets never move.
 #[derive(Debug)]
 pub(crate) struct HeapEntry {
     pub(crate) time: SimTime,
@@ -158,8 +199,27 @@ pub(crate) struct HeapEntry {
     pub(crate) fire: Fire,
 }
 
+/// Entries per bucket chunk.
+const CHUNK: usize = 64;
+
+/// One radix bucket per bit a firing time can differ from `last` in.
+const BUCKETS: usize = 64;
+
+/// The end of a chunk list.
+const NIL: u32 = u32::MAX;
+
 // The next field added to an event shows up here, not in `run_s`.
 const _: () = assert!(std::mem::size_of::<HeapEntry>() <= 56);
+// A chunk's entries stay within one 4 KiB page.
+const _: () = assert!(CHUNK * std::mem::size_of::<HeapEntry>() <= 4096);
+
+/// Up to [`CHUNK`] entries of one bucket, unordered, and the next chunk of
+/// that bucket's list — or, while the chunk is free, of the free list.
+#[derive(Debug)]
+struct Chunk {
+    entries: Vec<HeapEntry>,
+    next: u32,
+}
 
 impl PartialEq for HeapEntry {
     fn eq(&self, other: &Self) -> bool {
@@ -209,9 +269,24 @@ pub(crate) struct ShardGuard {
 /// Priority queue of pending events, earliest first, and the pool the
 /// packets in the network are parked in; see the module docs for the
 /// layout, its allocation behaviour and who owns a parked packet.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct EventQueue {
-    heap: BinaryHeap<HeapEntry>,
+    /// The firing time of the last popped event; nothing pending fires
+    /// before it.
+    last: SimTime,
+    /// The pending events that fire at `last`, in event order.
+    due: BinaryHeap<HeapEntry>,
+    /// Bit `b` is set while bucket `b` holds an event.
+    occupied: u64,
+    /// The head chunk of each occupied bucket's list.
+    heads: [u32; BUCKETS],
+    /// The earliest firing time in each occupied bucket.
+    mins: [u64; BUCKETS],
+    /// Every chunk ever allocated; the free ones are listed from `spare`.
+    chunks: Vec<Chunk>,
+    spare: u32,
+    len: usize,
+    rebases: u64,
     pool: Vec<Option<Packet>>,
     free: Vec<u32>,
     next_seq: u64,
@@ -226,10 +301,32 @@ pub struct EventQueue {
     guard: Option<Box<ShardGuard>>,
 }
 
+impl Default for EventQueue {
+    fn default() -> Self {
+        EventQueue::new()
+    }
+}
+
 impl EventQueue {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        EventQueue::default()
+        EventQueue {
+            last: SimTime::ZERO,
+            due: BinaryHeap::new(),
+            occupied: 0,
+            heads: [NIL; BUCKETS],
+            mins: [0; BUCKETS],
+            chunks: Vec::new(),
+            spare: NIL,
+            len: 0,
+            rebases: 0,
+            pool: Vec::new(),
+            free: Vec::new(),
+            next_seq: 0,
+            now: SimTime::ZERO,
+            chain: None,
+            guard: None,
+        }
     }
 
     /// Sets the produce time and chain key stamped onto subsequent
@@ -318,14 +415,126 @@ impl EventQueue {
     fn push(&mut self, time: SimTime, ptime: SimTime, chain: u64, fire: Fire) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        // Allocates only when the backlog passes its high-water mark.
-        self.heap.push(HeapEntry {
+        if time < self.last {
+            self.rebase(time);
+        }
+        self.len += 1;
+        self.file(HeapEntry {
             time,
             ptime,
             chain,
             seq,
             fire,
         });
+    }
+
+    /// Files `entry` against `last`: into `due` if it fires then, else into
+    /// the bucket of the highest bit its time differs from `last` in.
+    #[inline]
+    fn file(&mut self, entry: HeapEntry) {
+        let diff = entry.time.0 ^ self.last.0;
+        if diff == 0 {
+            // Allocates only when more events tie at one instant than ever
+            // before.
+            self.due.push(entry);
+            return;
+        }
+        let b = (u64::BITS - 1 - diff.leading_zeros()) as usize;
+        let bit = 1u64 << b;
+        if self.occupied & bit == 0 {
+            self.occupied |= bit;
+            self.mins[b] = entry.time.0;
+            self.heads[b] = self.take_chunk(NIL);
+        } else {
+            self.mins[b] = self.mins[b].min(entry.time.0);
+            if self.chunks[self.heads[b] as usize].entries.len() == CHUNK {
+                self.heads[b] = self.take_chunk(self.heads[b]);
+            }
+        }
+        // Never allocates: a chunk is made with room for `CHUNK` entries
+        // and a full one is never pushed to.
+        self.chunks[self.heads[b] as usize].entries.push(entry);
+    }
+
+    /// An empty chunk, linked in front of `next`: a free one if any.
+    #[inline]
+    fn take_chunk(&mut self, next: u32) -> u32 {
+        let c = self.spare;
+        if c == NIL {
+            return self.grow(next);
+        }
+        let chunk = &mut self.chunks[c as usize];
+        self.spare = chunk.next;
+        chunk.next = next;
+        c
+    }
+
+    /// Allocates a chunk — only when more chunks are in use than ever
+    /// before. Cold, and deliberately not in detlint's `[hot]` list: the
+    /// allocation is the arena's high-water growth, which
+    /// `trace_zero_cost.rs` checks stops after warm-up.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, next: u32) -> u32 {
+        let c = u32::try_from(self.chunks.len()).expect("chunk arena exceeds u32 chunks");
+        self.chunks.push(Chunk {
+            entries: Vec::with_capacity(CHUNK),
+            next,
+        });
+        c
+    }
+
+    /// Re-files every entry of the chunk list starting at `c` against
+    /// `last`, handing each chunk back to the free list once it is empty.
+    #[inline]
+    fn refile(&mut self, mut c: u32) {
+        while c != NIL {
+            // The chunk is off every list while its entries move, so the
+            // filing below cannot be handed it.
+            let mut entries = std::mem::take(&mut self.chunks[c as usize].entries);
+            for entry in entries.drain(..) {
+                self.file(entry);
+            }
+            let chunk = &mut self.chunks[c as usize];
+            chunk.entries = entries;
+            let next = std::mem::replace(&mut chunk.next, self.spare);
+            self.spare = c;
+            c = next;
+        }
+    }
+
+    /// With nothing due, moves `last` to the earliest pending time and
+    /// empties the lowest occupied bucket (which holds it) into `due` and
+    /// the buckets below.
+    #[inline]
+    fn refill(&mut self) {
+        debug_assert!(self.due.is_empty() && self.occupied != 0);
+        let b = self.occupied.trailing_zeros() as usize;
+        self.occupied &= !(1u64 << b);
+        self.last = SimTime(self.mins[b]);
+        self.refile(self.heads[b]);
+    }
+
+    /// A schedule below `last`: re-files every pending event against the
+    /// new earliest time (see the module docs, and
+    /// [`EventQueue::rebases`]).
+    #[cold]
+    #[inline(never)]
+    fn rebase(&mut self, below: SimTime) {
+        self.rebases += 1;
+        self.last = below;
+        // Detach every bucket before filing anything against the new base.
+        let (heads, mut occupied) = (self.heads, std::mem::take(&mut self.occupied));
+        let mut due = std::mem::take(&mut self.due);
+        for entry in due.drain() {
+            self.file(entry);
+        }
+        self.due = due;
+        while occupied != 0 {
+            let b = occupied.trailing_zeros() as usize;
+            occupied &= occupied - 1;
+            self.refile(heads[b]);
+        }
     }
 
     /// Writes `packet` into a free pool slot and returns the handle that
@@ -361,29 +570,57 @@ impl EventQueue {
         self.pool.len() - self.free.len()
     }
 
-    /// Number of pending `Deliver` events (one pass over the heap; the
-    /// pool-identity check reads it, the event loop never does).
+    /// Number of pending `Deliver` events (one pass over the pending
+    /// events; the pool-identity check reads it, the event loop never does).
     pub fn pending_delivers(&self) -> usize {
         let delivers = |e: &&HeapEntry| matches!(e.fire, Fire::Deliver { .. });
-        self.heap.iter().filter(delivers).count()
+        let filed = self.chunks.iter().flat_map(|c| &c.entries);
+        self.due.iter().chain(filed).filter(delivers).count()
     }
 
     /// The firing time of the next event, if any.
+    #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
+        if !self.due.is_empty() {
+            Some(self.last)
+        } else if self.occupied != 0 {
+            Some(SimTime(self.mins[self.occupied.trailing_zeros() as usize]))
+        } else {
+            None
+        }
     }
 
-    /// Removes and returns the earliest heap entry; a `Deliver`'s packet
-    /// stays parked until the caller redeems the entry's handle.
+    /// Removes and returns the earliest entry if it fires before `bound`
+    /// (at or before it when `inclusive`); a `Deliver`'s packet stays
+    /// parked until the caller redeems the entry's handle. An event past
+    /// the bound stays pending and `last` stays put.
     #[inline]
-    pub(crate) fn pop_entry(&mut self) -> Option<HeapEntry> {
-        self.heap.pop()
+    pub(crate) fn pop_entry_within(
+        &mut self,
+        bound: SimTime,
+        inclusive: bool,
+    ) -> Option<HeapEntry> {
+        let next = self.peek_time()?;
+        if next > bound || (next == bound && !inclusive) {
+            return None;
+        }
+        if self.due.is_empty() {
+            self.refill();
+        }
+        self.len -= 1;
+        self.due.pop()
     }
 
     /// Removes and returns the earliest event, taking a `Deliver`'s packet
     /// out of the pool.
     pub fn pop(&mut self) -> Option<Event> {
-        let entry = self.pop_entry()?;
+        let entry = self.pop_entry_within(SimTime::MAX, true)?;
+        Some(self.redeem(entry))
+    }
+
+    /// The public form of a popped entry: its packet, if any, taken out of
+    /// the pool.
+    fn redeem(&mut self, entry: HeapEntry) -> Event {
         let kind = match entry.fire {
             Fire::Deliver { node, link, slot } => {
                 let packet = self.unpark(slot);
@@ -392,23 +629,31 @@ impl EventQueue {
             Fire::LinkTxDone { link, dir } => EventKind::LinkTxDone { link, dir },
             Fire::Timer { node, token } => EventKind::Timer { node, token },
         };
-        Some(Event {
+        Event {
             time: entry.time,
             ptime: entry.ptime,
             chain: entry.chain,
             seq: entry.seq,
             kind,
-        })
+        }
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
     /// Returns `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len == 0
+    }
+
+    /// How many schedules landed before the last popped event's time and
+    /// re-filed every pending event (see the module docs). Only the public
+    /// API and the coordinator's scratch queue may do that; in a shard's
+    /// queue it means the loop scheduled into its own past.
+    pub fn rebases(&self) -> u64 {
+        self.rebases
     }
 
     /// Binds the queue to one shard of a partitioned simulation so
@@ -487,17 +732,29 @@ mod tests {
         assert_eq!(q.len(), 1);
     }
 
+    /// Chunks on some bucket's list right now.
+    fn chunks_in_use(q: &EventQueue) -> usize {
+        let mut free = 0;
+        let mut c = q.spare;
+        while c != NIL {
+            free += 1;
+            c = q.chunks[c as usize].next;
+        }
+        q.chunks.len() - free
+    }
+
     #[test]
     fn timers_and_tx_dones_never_touch_the_pool() {
         let mut q = EventQueue::new();
         // A backlog of 8 — 9 at its high-water mark, between a schedule
-        // and the pop that follows — then many cycles at that backlog.
+        // and the pop that follows — then many cycles at that backlog,
+        // crossing every power of two up to 2^16 on the way.
         for i in 0..9 {
             q.schedule(SimTime(i), timer(0, i));
         }
-        let high_water = q.heap.capacity();
         let mut popped = u64::from(q.pop().is_some());
-        for i in 9..10_000u64 {
+        let mut warm = None;
+        for i in 9..100_000u64 {
             let kind = if i % 2 == 0 {
                 timer(0, i)
             } else {
@@ -507,12 +764,43 @@ mod tests {
                 }
             };
             q.schedule(SimTime(i), kind);
+            let bound = q.len().div_ceil(CHUNK) + q.occupied.count_ones() as usize;
+            assert!(chunks_in_use(&q) <= bound, "more chunks than buckets need");
             popped += u64::from(q.pop().is_some());
+            if i == 1_000 {
+                warm = Some((q.chunks.len(), q.due.capacity()));
+            }
         }
         assert_eq!(q.parked(), 0);
         assert!(q.pool.is_empty() && q.free.is_empty(), "pool was touched");
-        assert_eq!(q.heap.capacity(), high_water, "heap grew past the backlog");
-        assert_eq!(popped + q.len() as u64, 10_000, "every schedule accounted");
+        assert_eq!(
+            Some((q.chunks.len(), q.due.capacity())),
+            warm,
+            "the arena or `due` grew after warm-up"
+        );
+        assert_eq!(popped + q.len() as u64, 100_000, "every schedule accounted");
+        assert_eq!(q.rebases(), 0);
+    }
+
+    #[test]
+    fn one_bucket_fills_several_chunks_and_drains_in_order() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime(0), timer(0, 0));
+        assert_eq!(pop_token(&mut q), 0);
+        // 3.5 chunks' worth, all in bucket 20 (times in [2^20, 2^21)),
+        // scheduled in descending time order.
+        let n = CHUNK as u64 * 7 / 2;
+        for i in (0..n).rev() {
+            q.schedule(SimTime((1 << 20) + 3 * i), timer(0, i));
+        }
+        assert_eq!(q.occupied, 1 << 20);
+        assert_eq!(chunks_in_use(&q), 4);
+        assert_eq!(q.peek_time(), Some(SimTime(1 << 20)));
+        for expected in 0..n {
+            assert_eq!(pop_token(&mut q), expected);
+        }
+        assert!(q.is_empty());
+        assert_eq!((chunks_in_use(&q), q.rebases()), (0, 0));
     }
 
     #[test]
@@ -607,29 +895,88 @@ mod proptests {
     /// The model's event: the documented ordering key, then the payload.
     type Modelled = ((u64, u64, Reverse<u64>, u64), EventKind);
 
+    /// An instant relative to `base`, the time of the last pop — where an
+    /// event is scheduled or where a pop's bound lies.
+    #[derive(Debug, Clone, Copy)]
+    enum At {
+        /// `base + d`: ties and the lowest buckets.
+        Near(u64),
+        /// `base` with its low `k` bits set, plus `d` ∈ {0, 1}: the last
+        /// instant below a bit-`k` carry and the first above it — the
+        /// `2^k − 1 / 2^k` pairs when `base` is 0.
+        Edge(u32, u64),
+        /// `base + 2^k + d` with `k >= 40`: the top buckets.
+        Far(u32, u64),
+        /// `u64::MAX − d`: the end of time.
+        End(u64),
+        /// `base − d`: before the last pop, a rebase.
+        Below(u64),
+    }
+
+    impl At {
+        fn resolve(self, base: u64) -> u64 {
+            match self {
+                At::Near(d) => base.saturating_add(d),
+                At::Edge(k, d) => (base | ((1u64 << k) - 1)).saturating_add(d),
+                At::Far(k, d) => base.saturating_add(1 << k).saturating_add(d),
+                At::End(d) => u64::MAX - d,
+                At::Below(d) => base.saturating_sub(d),
+            }
+        }
+    }
+
+    fn at() -> impl Strategy<Value = At> {
+        prop_oneof![
+            (0u64..4).prop_map(At::Near),
+            (0u64..4).prop_map(At::Near),
+            (0u32..64, 0u64..2).prop_map(|(k, d)| At::Edge(k, d)),
+            (40u32..64, 0u64..3).prop_map(|(k, d)| At::Far(k, d)),
+            (0u64..3).prop_map(At::End),
+            (1u64..100).prop_map(At::Below),
+        ]
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// `(when, ptime, chain, kind, explicit)`; tiny key ranges, so every
+        /// tie-break level is exercised.
+        Schedule(At, u64, u64, u8, bool),
+        Pop,
+        /// `pop_entry_within(bound, inclusive)`.
+        PopWithin(At, bool),
+    }
+
     proptest! {
         /// The public `schedule` / `pop` are compositions (park + push; pop
         /// entry + unpark): whatever is interleaved, every event must come
         /// back whole, in the documented `(time, ptime, chain descending,
         /// seq)` order — held to a sorted `Vec` that keeps events by value.
+        /// Times reach every bucket, both sides of every carry, the end of
+        /// time and the past; a bounded pop must return the model's
+        /// earliest event exactly when it is within the bound; and the
+        /// queue must rebase exactly when a schedule lands below the last
+        /// pop (or below the previous rebase since).
         #[test]
         fn schedule_and_pop_equal_the_sorted_vec_model(
-            // `Some((time, ptime, chain, kind, explicit))` schedules, `None`
-            // pops; tiny key ranges, so every tie-break level is exercised.
             ops in proptest::collection::vec(
                 prop_oneof![
-                    (0u64..4, 0u64..3, 0u64..4, 0u8..3, any::<bool>()).prop_map(Some),
-                    (0u64..4, 0u64..3, 0u64..4, 0u8..3, any::<bool>()).prop_map(Some),
-                    Just(None),
+                    (at(), 0u64..3, 0u64..4, 0u8..3, any::<bool>())
+                        .prop_map(|(a, p, c, k, e)| Op::Schedule(a, p, c, k, e)),
+                    (at(), 0u64..3, 0u64..4, 0u8..3, any::<bool>())
+                        .prop_map(|(a, p, c, k, e)| Op::Schedule(a, p, c, k, e)),
+                    Just(Op::Pop),
+                    (at(), any::<bool>()).prop_map(|(a, inclusive)| Op::PopWithin(a, inclusive)),
                 ],
-                1..160,
+                1..200,
             ),
         ) {
             let mut q = EventQueue::new();
             let mut model: Vec<Modelled> = Vec::new();
+            let (mut base, mut rebases) = (0u64, 0u64);
             for (seq, op) in ops.into_iter().enumerate() {
                 let seq = seq as u64;
-                if let Some((time, ptime, chain, which, explicit)) = op {
+                if let Op::Schedule(at, ptime, chain, which, explicit) = op {
+                    let time = at.resolve(base);
                     let (at, produced) = (SimTime(time), SimTime(ptime));
                     // Stamped from the dispatch context; chain 3 stands for
                     // "outside any dispatch", which roots a chain at `time`.
@@ -641,15 +988,32 @@ mod proptests {
                         q.set_ctx(produced, rooted);
                         q.schedule(at, kind(which, seq));
                     }
+                    if time < base {
+                        (base, rebases) = (time, rebases + 1);
+                    }
                     model.push(((time, ptime, Reverse(chain), seq), kind(which, seq)));
                 } else {
+                    let (bound, inclusive) = match op {
+                        Op::PopWithin(at, inclusive) => (at.resolve(base), inclusive),
+                        _ => (u64::MAX, true),
+                    };
                     model.sort_by_key(|m| m.0);
-                    let want = (!model.is_empty()).then(|| model.remove(0));
-                    let got = q.pop().map(|e| ((e.time.0, e.ptime.0, Reverse(e.chain)), e.kind));
+                    let within = |t: u64| t < bound || (inclusive && t == bound);
+                    let want = (model.first().is_some_and(|m| within(m.0 .0))).then(|| model.remove(0));
+                    let got = match op {
+                        Op::Pop => q.pop(),
+                        _ => (q.pop_entry_within(SimTime(bound), inclusive)).map(|e| q.redeem(e)),
+                    };
+                    if let Some(e) = &got {
+                        base = e.time.0;
+                    }
+                    let got = got.map(|e| ((e.time.0, e.ptime.0, Reverse(e.chain)), e.kind));
                     prop_assert_eq!(got, want.map(|((t, p, c, _), k)| ((t, p, c), k)));
                 }
                 let parked = model.iter().filter(|m| matches!(m.1, EventKind::Deliver { .. })).count();
                 prop_assert_eq!((q.len(), q.parked(), q.pending_delivers()), (model.len(), parked, parked));
+                prop_assert_eq!(q.peek_time().map(|t| t.0), model.iter().map(|m| m.0 .0).min());
+                prop_assert_eq!(q.rebases(), rebases);
             }
         }
     }

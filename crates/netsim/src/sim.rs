@@ -366,16 +366,7 @@ impl Shard {
         #[cfg(feature = "trace")]
         // detlint::allow(wall-clock): this shard's in-loop wall for the subsystem profile, trace builds only — never enters simulation state
         let window_start = std::time::Instant::now();
-        while let Some(next) = self.core.events.peek_time() {
-            let past = if inclusive {
-                next > bound
-            } else {
-                next >= bound
-            };
-            if past {
-                break;
-            }
-            let ev = self.core.events.pop_entry().expect("peeked event exists");
+        while let Some(ev) = self.core.events.pop_entry_within(bound, inclusive) {
             self.core.events.set_ctx(ev.time, Some(ev.chain));
             self.core.time = ev.time;
             self.core.dispatched_events += 1;
@@ -786,6 +777,16 @@ impl Simulator {
             .map(|s| s.core.events.len())
             .sum::<usize>()
             + self.cut.pending.len()
+    }
+
+    /// How many times a shard's event queue re-filed its pending events
+    /// because something was scheduled before the last event it popped
+    /// (`EventQueue::rebases`). The loop only ever schedules at or after
+    /// the instant it dispatches, so anything but 0 is a causality bug. The
+    /// coordinator's scratch queue is not counted: its barrier replay steps
+    /// back in time between cut-link operations by design.
+    pub fn queue_rebases(&self) -> u64 {
+        self.shards.iter().map(|s| s.core.events.rebases()).sum()
     }
 
     /// Packets parked in the event queues' pools right now: every shard's,

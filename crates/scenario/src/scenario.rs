@@ -33,7 +33,7 @@ use aitf_packet::Prefix;
 use crate::churn::{ChurnAction, ChurnSpec};
 use crate::deploy::DeploymentSpec;
 use crate::probe::{ProbeSet, SeriesStore};
-use crate::topology::{BuiltWorld, Role, TopologySpec};
+use crate::topology::{BuiltWorld, HostDecl, Role, TopologySpec};
 use crate::workload::{TrafficSpec, WorkloadSpec};
 
 /// A scenario-specification error, detected by [`Scenario::validate`]
@@ -154,6 +154,38 @@ fn check_config(cfg: &AitfConfig) -> Result<(), ScenarioError> {
                  detector smooths over a positive duration"
                     .into(),
             ));
+        }
+    }
+    Ok(())
+}
+
+/// What `TrafficSpec::install` and the churn actions would otherwise
+/// assert on: every workload entry's and every churn event's host
+/// selection, paired target and aggregate rate, checked against the
+/// declared hosts (see `TrafficSpec::check`).
+fn check_selections(
+    hosts: &[HostDecl],
+    workload: &WorkloadSpec,
+    churn: &ChurnSpec,
+) -> Result<(), ScenarioError> {
+    for (i, spec) in workload.traffic.iter().enumerate() {
+        if let Err(e) = spec.check(hosts) {
+            return Err(ScenarioError(format!("workload entry #{i}: {e}")));
+        }
+    }
+    for event in &churn.events {
+        let (what, checked) = match &event.action {
+            ChurnAction::StartTraffic(spec) => ("StartTraffic", spec.check(hosts)),
+            ChurnAction::Detach(sel) => ("Detach", sel.check(hosts).map(drop)),
+            ChurnAction::Attach(sel) => ("Attach", sel.check(hosts).map(drop)),
+            ChurnAction::SetHostPolicy(sel, _) => ("SetHostPolicy", sel.check(hosts).map(drop)),
+            ChurnAction::SetRouterPolicy(..) | ChurnAction::Custom(_) => continue,
+        };
+        if let Err(e) = checked {
+            return Err(ScenarioError(format!(
+                "churn {what} event at {:?}: {e}",
+                event.at
+            )));
         }
     }
     Ok(())
@@ -340,10 +372,17 @@ impl Scenario {
     /// - both contracts need a burst of at least one request and a finite,
     ///   non-negative rate, and a rate detector a positive, finite
     ///   threshold and a non-zero window — what the build's first victim
-    ///   agent would otherwise panic on.
+    ///   agent would otherwise panic on;
+    /// - every host selection of a workload entry or a churn event picks
+    ///   at least one declared host and a role slice stays within its
+    ///   role's pool, a paired target's pool covers every source, and an
+    ///   aggregate flood gives every source at least one packet per
+    ///   second — what installing the traffic or applying the churn event
+    ///   would otherwise panic on, possibly mid-run.
     pub fn validate(&self) -> Result<(), ScenarioError> {
         check_topology(&self.topology)?;
         check_config(&self.config)?;
+        check_selections(&self.topology.hosts, &self.workload, &self.churn)?;
         if let Some(event) = self.churn.events.iter().find(|e| e.at >= self.duration) {
             return Err(ScenarioError(format!(
                 "churn event {:?} at {:?} is at or past the scenario horizon \
@@ -1052,6 +1091,91 @@ mod tests {
             window: SimDuration::from_millis(100),
         };
         assert_eq!(ok.validate(), Ok(()));
+    }
+
+    /// The error `churn_star` (4 attackers, 1 victim) reports with `spec`
+    /// as a workload entry and, separately, as a churn-installed entry.
+    fn selection_errors(spec: impl Fn() -> TrafficSpec) -> (String, String) {
+        let entry = churn_star().traffic(spec());
+        let wave = churn_star().event(SimDuration::from_secs(1), ChurnAction::StartTraffic(spec()));
+        let err = |s: Scenario| s.validate().expect_err("a bad selection").to_string();
+        (err(entry), err(wave))
+    }
+
+    #[test]
+    fn validate_names_a_host_selection_that_selects_no_host() {
+        let flood =
+            |on: HostSel| move || TrafficSpec::flood(on.clone(), TargetSel::Victim, 100, 500);
+        let (entry, wave) = selection_errors(flood(HostSel::Index(40)));
+        assert!(entry.starts_with("workload entry #1: Index(40)"), "{entry}");
+        assert!(entry.contains("selects no host (of 5 declared)"), "{entry}");
+        assert!(
+            wave.starts_with("churn StartTraffic event at 1s: Index(40)"),
+            "{wave}"
+        );
+        let (entry, _) = selection_errors(flood(HostSel::RoleFirst(Role::Attacker, 0)));
+        assert!(
+            entry.contains("RoleFirst(Attacker, 0) selects no host"),
+            "{entry}"
+        );
+        let detach = churn_star().event(
+            SimDuration::from_secs(1),
+            ChurnAction::Detach(HostSel::Role(Role::Legit)),
+        );
+        let err = detach.validate().expect_err("an empty detach").to_string();
+        assert!(
+            err.contains("churn Detach event at 1s: Role(Legit) selects no host"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn validate_names_a_role_slice_past_its_pool() {
+        let slice = || {
+            let on = HostSel::RoleSlice(Role::Attacker, 3, 2);
+            TrafficSpec::flood(on, TargetSel::Victim, 100, 500)
+        };
+        let (entry, wave) = selection_errors(slice);
+        let named = "RoleSlice(Attacker, 3, 2) reaches past the 4 Attacker hosts declared";
+        assert!(entry.contains(named), "{entry}");
+        assert!(wave.contains(named), "{wave}");
+        let fits = churn_star().traffic(TrafficSpec::flood(
+            HostSel::RoleSlice(Role::Attacker, 2, 2),
+            TargetSel::Victim,
+            100,
+            500,
+        ));
+        assert_eq!(fits.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_names_a_paired_target_pool_smaller_than_the_sources() {
+        let paired = || {
+            let on = HostSel::Role(Role::Attacker);
+            TrafficSpec::flood(on, TargetSel::Paired(Role::Victim), 100, 500)
+        };
+        let (entry, wave) = selection_errors(paired);
+        let named = "Paired(Victim) pairs 4 sources with only 1 Victim hosts";
+        assert!(entry.contains(named), "{entry}");
+        assert!(wave.contains(named), "{wave}");
+    }
+
+    #[test]
+    fn validate_names_an_aggregate_rate_below_one_pps_per_host() {
+        let thin = || {
+            TrafficSpec::flood_aggregate(HostSel::Role(Role::Attacker), TargetSel::Victim, 3, 500)
+        };
+        let (entry, wave) = selection_errors(thin);
+        let named = "aggregate flood of 3 pps cannot give each of its 4 sources";
+        assert!(entry.contains(named), "{entry}");
+        assert!(wave.contains(named), "{wave}");
+        let enough = churn_star().traffic(TrafficSpec::flood_aggregate(
+            HostSel::Role(Role::Attacker),
+            TargetSel::Victim,
+            4,
+            500,
+        ));
+        assert_eq!(enough.validate(), Ok(()));
     }
 
     // ------------------------------------------------------------------

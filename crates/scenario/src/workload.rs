@@ -16,7 +16,12 @@ use aitf_core::{HostId, TrafficApp};
 use aitf_netsim::{SimDuration, SimTime};
 use aitf_packet::{Addr, Prefix};
 
-use crate::topology::{BuiltWorld, Role};
+use crate::topology::{BuiltWorld, HostDecl, Role};
+
+/// How many of the declared `hosts` have `role`.
+fn with_role(hosts: &[HostDecl], role: Role) -> usize {
+    hosts.iter().filter(|h| h.role == role).count()
+}
 
 /// Selects the source hosts of a traffic entry.
 #[derive(Debug, Clone)]
@@ -58,6 +63,34 @@ impl HostSel {
                 hosts[start..start + count].to_vec()
             }
         }
+    }
+
+    /// How many of the declared `hosts` [`HostSel::resolve`] would pick,
+    /// without building a world; an error names the selection and the
+    /// numbers wherever `resolve` — or a caller that needs at least one
+    /// host — would panic.
+    pub(crate) fn check(&self, hosts: &[HostDecl]) -> Result<usize, String> {
+        let n = match *self {
+            HostSel::Index(i) => usize::from(i < hosts.len()),
+            HostSel::Role(role) => with_role(hosts, role),
+            HostSel::RoleFirst(role, n) => with_role(hosts, role).min(n),
+            HostSel::RoleSlice(role, start, count) => {
+                let pool = with_role(hosts, role);
+                if start + count > pool {
+                    return Err(format!(
+                        "{self:?} reaches past the {pool} {role:?} hosts declared"
+                    ));
+                }
+                count
+            }
+        };
+        if n == 0 {
+            return Err(format!(
+                "{self:?} selects no host (of {} declared)",
+                hosts.len()
+            ));
+        }
+        Ok(n)
     }
 }
 
@@ -394,6 +427,37 @@ impl TrafficSpec {
         self
     }
 
+    /// What [`TrafficSpec::install`] asserts about its selections, checked
+    /// against the declared `hosts` before any world exists: the sources
+    /// are a non-empty selection within their role's pool, a paired
+    /// target's pool covers every source, and an aggregate flood gives
+    /// every source at least one packet per second.
+    pub(crate) fn check(&self, hosts: &[HostDecl]) -> Result<(), String> {
+        let n = self.on.check(hosts)?;
+        if let TargetSel::Paired(role) = self.to {
+            let pool = with_role(hosts, role);
+            if pool < n {
+                return Err(format!(
+                    "{:?} pairs {n} sources with only {pool} {role:?} hosts",
+                    self.to
+                ));
+            }
+        }
+        if let TrafficKind::Flood {
+            rate: Rate::Aggregate(total),
+            ..
+        } = self.kind
+        {
+            if total < n as u64 {
+                return Err(format!(
+                    "an aggregate flood of {total} pps cannot give each of its \
+                     {n} sources one packet per second"
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Installs this entry's apps onto the built world — before the run
     /// starts (the [`WorkloadSpec::compile`] path) or *mid-run*, where the
     /// apps activate immediately at the current virtual time (the churn
@@ -405,7 +469,9 @@ impl TrafficSpec {
     /// Panics on specs the underlying sources cannot express (start/stop
     /// windows on kinds without them) and on entries that select no
     /// hosts — either way a scenario-authoring bug, and a silently empty
-    /// entry would masquerade as a perfectly defended run.
+    /// entry would masquerade as a perfectly defended run. The selection
+    /// panics are the backstop: [`crate::Scenario::validate`] reports the
+    /// same specs as errors first.
     pub fn install(&self, world: &mut BuiltWorld) {
         let sources = self.on.resolve(world);
         assert!(
