@@ -98,12 +98,12 @@ pub fn scenario(wave: SimDuration) -> Scenario {
                 for (k, &(onset_name, settled_name)) in WAVE_METRICS.iter().enumerate() {
                     let start = k as f64 * wave_s;
                     let end = start + wave_s;
-                    // NaN (empty window) → -1, the "no data" sentinel.
-                    let onset =
-                        store.window_mean("_series_attack_mbps", start, start + 0.4 * wave_s);
-                    let settled = store.window_mean("_series_attack_mbps", end - 0.4 * wave_s, end);
-                    m.set(onset_name, if onset.is_nan() { -1.0 } else { onset });
-                    m.set(settled_name, if settled.is_nan() { -1.0 } else { settled });
+                    // An empty window → -1, the "no data" sentinel.
+                    let mean = |from, to| {
+                        (store.window_mean("_series_attack_mbps", from, to)).unwrap_or(-1.0)
+                    };
+                    m.set(onset_name, mean(start, start + 0.4 * wave_s));
+                    m.set(settled_name, mean(end - 0.4 * wave_s, end));
                 }
             }),
     )

@@ -153,9 +153,9 @@ pub fn scenario(wave: SimDuration) -> Scenario {
                         .map(|(_, &v)| v)
                         .fold(0.0f64, f64::max);
                     m.set(spike_name, spike);
-                    // NaN (empty window) → -1, the "no data" sentinel.
+                    // An empty window → -1, the "no data" sentinel.
                     let settled = store.window_mean("_series_attack_mbps", end - 0.4 * wave_s, end);
-                    m.set(settled_name, if settled.is_nan() { -1.0 } else { settled });
+                    m.set(settled_name, settled.unwrap_or(-1.0));
                     let mut spiked = false;
                     let mut reblock = -1.0;
                     for (&t, &v) in store.time_s.iter().zip(series) {

@@ -50,16 +50,9 @@ pub fn scenario(defended: bool) -> Scenario {
             ProbeSet::new()
                 .bin(bin)
                 .summarize(|s, m| {
-                    // Empty-window means are NaN; -1 is the repo's "no
+                    // Empty-window means are `None`; -1 is the repo's "no
                     // data" metric sentinel (cf. time_to_block).
-                    let mean = |name, from, to| {
-                        let v = s.window_mean(name, from, to);
-                        if v.is_nan() {
-                            -1.0
-                        } else {
-                            v
-                        }
-                    };
+                    let mean = |name, from, to| s.window_mean(name, from, to).unwrap_or(-1.0);
                     m.set(
                         "goodput_before_mbps",
                         mean("_series_goodput_mbps", 0.5, 2.0),

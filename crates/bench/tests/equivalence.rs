@@ -12,8 +12,9 @@
 //!
 //! Every registered point runs through `harness::run_scenario` /
 //! `harness::checked`, so each record here also stands for a run that ended
-//! with the packet-pool identity holding and no shard queue rebased
-//! (`harness::assert_loop_invariants`, asserted in every build).
+//! with the packet-pool identity holding (`harness::assert_loop_invariants`,
+//! asserted in every build) and that never dispatched into a shard's past
+//! (the loop panics at such a pop, in every build).
 //!
 //! Refresh intentionally (for a *semantic* change, never to paper over
 //! drift) with:

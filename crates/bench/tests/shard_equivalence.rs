@@ -16,12 +16,10 @@
 //! so each of these runs — 1, 2 and 4 shards — also ends with
 //! `harness::assert_loop_invariants`, in release builds too: the
 //! packet-pool identity (`parked == Σ_links (queued + in flight) + pending
-//! Deliver events`) and **zero rebases in every shard queue**
-//! (`Simulator::queue_rebases`). A rebase there means the loop scheduled
-//! an event before the instant it was dispatching — a causality bug the
-//! queue copes with by re-filing, so unless event order happens to change
-//! only this count shows it. The coordinator's scratch queue is exempt:
-//! its barrier replay steps back in time by design.
+//! Deliver events`). Causality is checked where it is defined: a shard
+//! that pops an event firing before its own clock — one scheduled into the
+//! past — panics in the loop, so every run here also stands for a loop
+//! that never ran backwards.
 //!
 //! Under `--features trace` the same runs also compare their span trees:
 //! a traced sharded run executes on threads like an untraced one, and its

@@ -45,15 +45,16 @@
 //!
 //! The entries live in a **monotone radix heap** keyed on firing time
 //! (Ahuja, Mehlhorn, Orlin & Tarjan, "Faster algorithms for the shortest
-//! path problem", JACM 1990). `last` is the firing time of the last popped
-//! event, and every pending event fires at or after it:
+//! path problem", JACM 1990). `last` is the latest firing time popped so
+//! far:
 //!
-//! - **`due`**, a binary heap under the full order above, holds only the
-//!   events that fire *at* `last` — the ties that phase-locked flood
-//!   sources make the common case;
+//! - **`due`**, a binary heap under the full order above, holds every
+//!   pending event that fires *at or before* `last` — the ties that
+//!   phase-locked flood sources make the common case;
 //! - every other event sits, unordered, in **bucket `63 − lzcnt(time ^
 //!   last)`**, the highest bit its time differs from `last` in. An
-//!   `occupied` mask and a per-bucket minimum answer `peek_time` in O(1).
+//!   `occupied` mask and a per-bucket minimum answer `peek_time` in O(1)
+//!   when nothing is due.
 //!
 //! Filing an event is O(1). A pop takes from `due`; when `due` is empty it
 //! first empties the lowest occupied bucket: `last` becomes that bucket's
@@ -73,19 +74,14 @@
 //! reused forever.
 //!
 //! **`last` moves only at pops.** Build-time and between-run schedules may
-//! come in any order and all land at or above it; moving it on a schedule
-//! into an empty queue instead would make a start order that runs backwards
-//! re-file everything on every schedule. A schedule *below* `last` — open to
-//! callers of the public API, and routine in the coordinator's scratch
-//! queue, whose barrier replay steps back in time between cut-link
-//! operations — **rebases**: `last` drops to the new time and every pending
-//! event is re-filed, O(pending), and [`EventQueue::rebases`] counts it. The
-//! event loop never takes that path: scheduling before the instant being
-//! dispatched would be a causality bug, so every shard queue is held to
-//! zero rebases (`Simulator::queue_rebases`). The loop pops through
-//! `pop_entry_within`, which never moves `last` past its window's bound, so
-//! the `Deliver`s the coordinator transplants at a barrier (all at or after
-//! that bound) still land at or above it.
+//! come in any order; moving `last` on a schedule into an empty queue
+//! instead would make a start order that runs backwards re-file everything
+//! on every schedule. A schedule at or *below* `last` is one push into
+//! `due`, whose full-key order pops mixed times correctly. The event loop
+//! never schedules below the instant it dispatches — the loop itself panics
+//! if a popped event fires before its shard's clock — but the coordinator's
+//! scratch queue steps back in time between cut-link operations at every
+//! barrier, and callers of the public API may too.
 //!
 //! # Who owns a parked packet
 //!
@@ -271,10 +267,9 @@ pub(crate) struct ShardGuard {
 /// layout, its allocation behaviour and who owns a parked packet.
 #[derive(Debug)]
 pub struct EventQueue {
-    /// The firing time of the last popped event; nothing pending fires
-    /// before it.
+    /// The latest firing time popped so far.
     last: SimTime,
-    /// The pending events that fire at `last`, in event order.
+    /// The pending events that fire at or before `last`, in event order.
     due: BinaryHeap<HeapEntry>,
     /// Bit `b` is set while bucket `b` holds an event.
     occupied: u64,
@@ -286,13 +281,13 @@ pub struct EventQueue {
     chunks: Vec<Chunk>,
     spare: u32,
     len: usize,
-    rebases: u64,
     pool: Vec<Option<Packet>>,
     free: Vec<u32>,
     next_seq: u64,
     /// The current simulation instant, recorded as the produce time of
-    /// every [`EventQueue::schedule`] call. The event loop keeps it at the
-    /// dispatching event's time; between runs it is the simulation clock.
+    /// every [`EventQueue::schedule`] call — a shard's one clock. The event
+    /// loop keeps it at the dispatching event's time; between runs it is
+    /// the simulation clock.
     now: SimTime,
     /// The chain key of the dispatch currently running, inherited by every
     /// event it schedules. `None` outside any dispatch: scheduled events
@@ -319,7 +314,6 @@ impl EventQueue {
             chunks: Vec::new(),
             spare: NIL,
             len: 0,
-            rebases: 0,
             pool: Vec::new(),
             free: Vec::new(),
             next_seq: 0,
@@ -336,6 +330,13 @@ impl EventQueue {
     pub(crate) fn set_ctx(&mut self, now: SimTime, chain: Option<u64>) {
         self.now = now;
         self.chain = chain;
+    }
+
+    /// The current simulation instant: the produce time stamped onto the
+    /// next schedule call.
+    #[inline]
+    pub(crate) fn now(&self) -> SimTime {
+        self.now
     }
 
     /// The produce time and chain key a schedule call would be stamped
@@ -415,9 +416,6 @@ impl EventQueue {
     fn push(&mut self, time: SimTime, ptime: SimTime, chain: u64, fire: Fire) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        if time < self.last {
-            self.rebase(time);
-        }
         self.len += 1;
         self.file(HeapEntry {
             time,
@@ -428,17 +426,18 @@ impl EventQueue {
         });
     }
 
-    /// Files `entry` against `last`: into `due` if it fires then, else into
-    /// the bucket of the highest bit its time differs from `last` in.
+    /// Files `entry` against `last`: into `due` if it fires then or before,
+    /// else into the bucket of the highest bit its time differs from `last`
+    /// in.
     #[inline]
     fn file(&mut self, entry: HeapEntry) {
-        let diff = entry.time.0 ^ self.last.0;
-        if diff == 0 {
-            // Allocates only when more events tie at one instant than ever
+        if entry.time <= self.last {
+            // Allocates only when more events are due at once than ever
             // before.
             self.due.push(entry);
             return;
         }
+        let diff = entry.time.0 ^ self.last.0;
         let b = (u64::BITS - 1 - diff.leading_zeros()) as usize;
         let bit = 1u64 << b;
         if self.occupied & bit == 0 {
@@ -484,10 +483,17 @@ impl EventQueue {
         c
     }
 
-    /// Re-files every entry of the chunk list starting at `c` against
-    /// `last`, handing each chunk back to the free list once it is empty.
+    /// With nothing due, moves `last` to the earliest pending time and
+    /// re-files the lowest occupied bucket (which holds it) into `due` and
+    /// the buckets below, handing each chunk back to the free list once it
+    /// is empty.
     #[inline]
-    fn refile(&mut self, mut c: u32) {
+    fn refill(&mut self) {
+        debug_assert!(self.due.is_empty() && self.occupied != 0);
+        let b = self.occupied.trailing_zeros() as usize;
+        self.occupied &= !(1u64 << b);
+        self.last = SimTime(self.mins[b]);
+        let mut c = self.heads[b];
         while c != NIL {
             // The chunk is off every list while its entries move, so the
             // filing below cannot be handed it.
@@ -500,40 +506,6 @@ impl EventQueue {
             let next = std::mem::replace(&mut chunk.next, self.spare);
             self.spare = c;
             c = next;
-        }
-    }
-
-    /// With nothing due, moves `last` to the earliest pending time and
-    /// empties the lowest occupied bucket (which holds it) into `due` and
-    /// the buckets below.
-    #[inline]
-    fn refill(&mut self) {
-        debug_assert!(self.due.is_empty() && self.occupied != 0);
-        let b = self.occupied.trailing_zeros() as usize;
-        self.occupied &= !(1u64 << b);
-        self.last = SimTime(self.mins[b]);
-        self.refile(self.heads[b]);
-    }
-
-    /// A schedule below `last`: re-files every pending event against the
-    /// new earliest time (see the module docs, and
-    /// [`EventQueue::rebases`]).
-    #[cold]
-    #[inline(never)]
-    fn rebase(&mut self, below: SimTime) {
-        self.rebases += 1;
-        self.last = below;
-        // Detach every bucket before filing anything against the new base.
-        let (heads, mut occupied) = (self.heads, std::mem::take(&mut self.occupied));
-        let mut due = std::mem::take(&mut self.due);
-        for entry in due.drain() {
-            self.file(entry);
-        }
-        self.due = due;
-        while occupied != 0 {
-            let b = occupied.trailing_zeros() as usize;
-            occupied &= occupied - 1;
-            self.refile(heads[b]);
         }
     }
 
@@ -581,8 +553,8 @@ impl EventQueue {
     /// The firing time of the next event, if any.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        if !self.due.is_empty() {
-            Some(self.last)
+        if let Some(top) = self.due.peek() {
+            Some(top.time)
         } else if self.occupied != 0 {
             Some(SimTime(self.mins[self.occupied.trailing_zeros() as usize]))
         } else {
@@ -590,18 +562,13 @@ impl EventQueue {
         }
     }
 
-    /// Removes and returns the earliest entry if it fires before `bound`
-    /// (at or before it when `inclusive`); a `Deliver`'s packet stays
-    /// parked until the caller redeems the entry's handle. An event past
-    /// the bound stays pending and `last` stays put.
+    /// Removes and returns the earliest entry if it fires at or before
+    /// `limit`; a `Deliver`'s packet stays parked until the caller redeems
+    /// the entry's handle. An event past the limit stays pending and `last`
+    /// stays put.
     #[inline]
-    pub(crate) fn pop_entry_within(
-        &mut self,
-        bound: SimTime,
-        inclusive: bool,
-    ) -> Option<HeapEntry> {
-        let next = self.peek_time()?;
-        if next > bound || (next == bound && !inclusive) {
+    pub(crate) fn pop_entry_within(&mut self, limit: SimTime) -> Option<HeapEntry> {
+        if self.peek_time()? > limit {
             return None;
         }
         if self.due.is_empty() {
@@ -614,7 +581,7 @@ impl EventQueue {
     /// Removes and returns the earliest event, taking a `Deliver`'s packet
     /// out of the pool.
     pub fn pop(&mut self) -> Option<Event> {
-        let entry = self.pop_entry_within(SimTime::MAX, true)?;
+        let entry = self.pop_entry_within(SimTime::MAX)?;
         Some(self.redeem(entry))
     }
 
@@ -646,14 +613,6 @@ impl EventQueue {
     /// Returns `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// How many schedules landed before the last popped event's time and
-    /// re-filed every pending event (see the module docs). Only the public
-    /// API and the coordinator's scratch queue may do that; in a shard's
-    /// queue it means the loop scheduled into its own past.
-    pub fn rebases(&self) -> u64 {
-        self.rebases
     }
 
     /// Binds the queue to one shard of a partitioned simulation so
@@ -720,6 +679,11 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime(20)));
         q.pop();
         assert_eq!(q.peek_time(), Some(SimTime(50)));
+        // Below the last pop: reported, and popped, before everything else.
+        q.schedule(SimTime(10), timer(0, 2));
+        assert_eq!(q.peek_time(), Some(SimTime(10)));
+        assert_eq!(pop_token(&mut q), 2);
+        assert_eq!(q.peek_time(), Some(SimTime(50)));
     }
 
     #[test]
@@ -779,7 +743,6 @@ mod tests {
             "the arena or `due` grew after warm-up"
         );
         assert_eq!(popped + q.len() as u64, 100_000, "every schedule accounted");
-        assert_eq!(q.rebases(), 0);
     }
 
     #[test]
@@ -800,7 +763,7 @@ mod tests {
             assert_eq!(pop_token(&mut q), expected);
         }
         assert!(q.is_empty());
-        assert_eq!((chunks_in_use(&q), q.rebases()), (0, 0));
+        assert_eq!(chunks_in_use(&q), 0);
     }
 
     #[test]
@@ -895,8 +858,9 @@ mod proptests {
     /// The model's event: the documented ordering key, then the payload.
     type Modelled = ((u64, u64, Reverse<u64>, u64), EventKind);
 
-    /// An instant relative to `base`, the time of the last pop — where an
-    /// event is scheduled or where a pop's bound lies.
+    /// An instant relative to `base`, the latest time popped so far (the
+    /// queue's `last`) — where an event is scheduled or where a pop's limit
+    /// lies.
     #[derive(Debug, Clone, Copy)]
     enum At {
         /// `base + d`: ties and the lowest buckets.
@@ -909,7 +873,7 @@ mod proptests {
         Far(u32, u64),
         /// `u64::MAX − d`: the end of time.
         End(u64),
-        /// `base − d`: before the last pop, a rebase.
+        /// `base − d`: before the last pop, straight into `due`.
         Below(u64),
     }
 
@@ -942,8 +906,8 @@ mod proptests {
         /// tie-break level is exercised.
         Schedule(At, u64, u64, u8, bool),
         Pop,
-        /// `pop_entry_within(bound, inclusive)`.
-        PopWithin(At, bool),
+        /// `pop_entry_within(limit)`.
+        PopWithin(At),
     }
 
     proptest! {
@@ -952,10 +916,8 @@ mod proptests {
         /// back whole, in the documented `(time, ptime, chain descending,
         /// seq)` order — held to a sorted `Vec` that keeps events by value.
         /// Times reach every bucket, both sides of every carry, the end of
-        /// time and the past; a bounded pop must return the model's
-        /// earliest event exactly when it is within the bound; and the
-        /// queue must rebase exactly when a schedule lands below the last
-        /// pop (or below the previous rebase since).
+        /// time and the past; and a bounded pop must return the model's
+        /// earliest event exactly when it fires at or before the limit.
         #[test]
         fn schedule_and_pop_equal_the_sorted_vec_model(
             ops in proptest::collection::vec(
@@ -965,14 +927,14 @@ mod proptests {
                     (at(), 0u64..3, 0u64..4, 0u8..3, any::<bool>())
                         .prop_map(|(a, p, c, k, e)| Op::Schedule(a, p, c, k, e)),
                     Just(Op::Pop),
-                    (at(), any::<bool>()).prop_map(|(a, inclusive)| Op::PopWithin(a, inclusive)),
+                    at().prop_map(Op::PopWithin),
                 ],
                 1..200,
             ),
         ) {
             let mut q = EventQueue::new();
             let mut model: Vec<Modelled> = Vec::new();
-            let (mut base, mut rebases) = (0u64, 0u64);
+            let mut base = 0u64;
             for (seq, op) in ops.into_iter().enumerate() {
                 let seq = seq as u64;
                 if let Op::Schedule(at, ptime, chain, which, explicit) = op {
@@ -988,24 +950,20 @@ mod proptests {
                         q.set_ctx(produced, rooted);
                         q.schedule(at, kind(which, seq));
                     }
-                    if time < base {
-                        (base, rebases) = (time, rebases + 1);
-                    }
                     model.push(((time, ptime, Reverse(chain), seq), kind(which, seq)));
                 } else {
-                    let (bound, inclusive) = match op {
-                        Op::PopWithin(at, inclusive) => (at.resolve(base), inclusive),
-                        _ => (u64::MAX, true),
+                    let limit = match op {
+                        Op::PopWithin(at) => at.resolve(base),
+                        _ => u64::MAX,
                     };
                     model.sort_by_key(|m| m.0);
-                    let within = |t: u64| t < bound || (inclusive && t == bound);
-                    let want = (model.first().is_some_and(|m| within(m.0 .0))).then(|| model.remove(0));
+                    let want = (model.first().is_some_and(|m| m.0 .0 <= limit)).then(|| model.remove(0));
                     let got = match op {
                         Op::Pop => q.pop(),
-                        _ => (q.pop_entry_within(SimTime(bound), inclusive)).map(|e| q.redeem(e)),
+                        _ => (q.pop_entry_within(SimTime(limit))).map(|e| q.redeem(e)),
                     };
                     if let Some(e) = &got {
-                        base = e.time.0;
+                        base = base.max(e.time.0);
                     }
                     let got = got.map(|e| ((e.time.0, e.ptime.0, Reverse(e.chain)), e.kind));
                     prop_assert_eq!(got, want.map(|((t, p, c, _), k)| ((t, p, c), k)));
@@ -1013,7 +971,7 @@ mod proptests {
                 let parked = model.iter().filter(|m| matches!(m.1, EventKind::Deliver { .. })).count();
                 prop_assert_eq!((q.len(), q.parked(), q.pending_delivers()), (model.len(), parked, parked));
                 prop_assert_eq!(q.peek_time().map(|t| t.0), model.iter().map(|m| m.0 .0).min());
-                prop_assert_eq!(q.rebases(), rebases);
+                prop_assert_eq!(q.last.0, base);
             }
         }
     }

@@ -90,7 +90,7 @@ pub struct Context<'a> {
 impl Context<'_> {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.core.time
+        self.core.events.now()
     }
 
     /// Sends `packet` out on `link`.
@@ -160,11 +160,11 @@ impl Context<'_> {
     /// `link` (traffic from the peer towards this node). This is the
     /// enforcement half of AITF disconnection.
     ///
-    /// In a sharded simulation the enqueue-side check for this direction
-    /// lives in the peer's shard when `link` is a cut link; the change is
-    /// applied locally at once and propagated to every other copy at the
-    /// next window barrier (one lookahead window of skew, bounded by the
-    /// conservative protocol).
+    /// In a sharded simulation a cut link is owned by the coordinator: the
+    /// change is staged and replayed at the next window barrier in global
+    /// event order, ahead of every packet staged after it and behind every
+    /// one staged before — exactly where the single-threaded loop applies
+    /// it, with no skew.
     ///
     /// # Panics
     ///

@@ -14,17 +14,19 @@
 //! local links and `(seed, shard_id)`-derived RNG. Shards
 //! advance in lockstep through *conservative windows*: every window spans
 //! `[g, g + L)` where `g` is the global earliest pending event and `L` the
-//! minimum propagation delay over cut links.
+//! minimum propagation delay over cut links, run up to its **limit** `g + L
+//! − 1 ns` (time is integer ns) or the run's end. A shard has one clock, its
+//! queue's produce instant; popping an event that fires before it panics.
 //!
 //! **Workers belong to one `run_until` call.** A call that has a window
 //! to run wraps each shard in a `Mutex` and spawns `K - 1` scoped threads;
 //! they are joined before the call returns, so between calls the
 //! simulator is plain single-owner data. Each window the coordinator
 //! looks at every shard's `peek_time`. When **at most one shard has an
-//! event before the bound** — the common window when a flood converges on
+//! event within the limit** — the common window when a flood converges on
 //! one victim — it runs that shard's window itself and nobody is woken.
 //! Otherwise it releases the shards, sends every busy shard but one to a
-//! worker over that worker's channel (shard index and bound), runs the
+//! worker over that worker's channel (shard index and limit), runs the
 //! remaining one — the busy shard that has dispatched the most events so
 //! far, so the workers' wake-up time passes beside the longest window, not
 //! after it — and blocks until each worker has answered. A worker locks
@@ -42,7 +44,7 @@
 //! keyed `(time, produce time, chain descending, cut link, direction)`),
 //! so the replay costs O((operations + completions) · log cuts), and the
 //! set's top also answers "what is the earliest pending completion" for
-//! the window bound. That keeps every
+//! the window limit. That keeps every
 //! admission decision (queue drops, administrative blocks) exactly where
 //! the single-threaded loop makes it: a block staged anywhere in a window
 //! drops every later-staged packet, with no one-window skew. Replayed
@@ -80,7 +82,8 @@ use crate::time::{SimDuration, SimTime};
 /// standard way to give trait-object nodes access to the world without
 /// interior mutability.
 pub struct SimCore {
-    pub(crate) time: SimTime,
+    /// The shard's pending events, and through its produce instant the
+    /// shard's clock.
     pub(crate) events: EventQueue,
     /// The links this shard owns copies of (all links in single-shard
     /// mode; local links plus inert cut-link stubs in sharded mode — the
@@ -122,11 +125,11 @@ pub struct SimCore {
 /// A cut-link operation staged in a shard, replayed by the coordinator at
 /// the next window barrier.
 struct StagedCutOp {
+    /// When the staging dispatch ran — both the time and the produce time
+    /// of the heap key the operation would have run under in a
+    /// single-threaded loop (the dispatch *is* the operation: an enqueue or
+    /// a blocked-flag flip happens inline).
     time: SimTime,
-    /// Produce time of the staging dispatch — the heap key the operation
-    /// would have run under in a single-threaded loop (the dispatch *is*
-    /// the operation: an enqueue or a blocked-flag flip happens inline).
-    ptime: SimTime,
     /// Chain key of the staging dispatch (see [`crate::event`] docs).
     chain: u64,
     /// The staging shard, and its monotone staging counter.
@@ -141,7 +144,7 @@ struct StagedCutOp {
 impl StagedCutOp {
     /// The heap key the staging dispatch ran under.
     fn key(&self) -> (SimTime, SimTime, Reverse<u64>) {
-        (self.time, self.ptime, Reverse(self.chain))
+        (self.time, self.time, Reverse(self.chain))
     }
 }
 
@@ -183,18 +186,16 @@ impl SimCore {
                 return true;
             }
         }
-        let now = self.time;
+        let now = self.events.now();
         self.links[slot].enqueue(now, dir, packet, &mut self.events)
     }
 
     fn stage_cut(&mut self, cut: u32, dir: LinkDirection, op: CutOp) {
         let seq = self.staged_seq;
         self.staged_seq += 1;
-        let time = self.time;
-        let (ptime, chain) = self.events.produce_ctx();
+        let (time, chain) = self.events.produce_ctx();
         self.staged_cut.push(StagedCutOp {
             time,
-            ptime,
             chain: chain.unwrap_or(time.0),
             shard: (self.pkt_tag >> 48) as u16,
             seq,
@@ -206,8 +207,8 @@ impl SimCore {
 
     /// Arms a timer for `node`.
     pub fn schedule_timer(&mut self, node: NodeId, delay: SimDuration, token: u64) {
-        self.events
-            .schedule(self.time + delay, EventKind::Timer { node, token });
+        let at = self.events.now() + delay;
+        self.events.schedule(at, EventKind::Timer { node, token });
     }
 
     /// Links attached to `node`, in creation order.
@@ -320,7 +321,6 @@ impl NetworkBuilder {
         Simulator {
             shards: vec![Shard {
                 core: SimCore {
-                    time: SimTime::ZERO,
                     events: EventQueue::new(),
                     links,
                     link_idx: (0..link_total as u32).collect(),
@@ -359,16 +359,24 @@ struct Shard {
 }
 
 impl Shard {
-    /// Dispatches pending events with time `< bound` (`<= bound` when
-    /// `inclusive`), in `(time, seq)` order. This *is* the classic event
-    /// loop; single-shard runs call it once with `inclusive = true`.
-    fn run_window(&mut self, bound: SimTime, inclusive: bool) {
+    /// Dispatches pending events that fire at or before `limit`, in event
+    /// order, moving the shard clock to each. This *is* the classic event
+    /// loop; single-shard runs call it once with the run's end.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an event fires before the shard clock: something was
+    /// scheduled into the past.
+    fn run_window(&mut self, limit: SimTime) {
         #[cfg(feature = "trace")]
         // detlint::allow(wall-clock): this shard's in-loop wall for the subsystem profile, trace builds only — never enters simulation state
         let window_start = std::time::Instant::now();
-        while let Some(ev) = self.core.events.pop_entry_within(bound, inclusive) {
+        while let Some(ev) = self.core.events.pop_entry_within(limit) {
+            let clock = self.core.events.now();
+            if ev.time < clock {
+                fires_in_the_past(ev.time, clock);
+            }
             self.core.events.set_ctx(ev.time, Some(ev.chain));
-            self.core.time = ev.time;
             self.core.dispatched_events += 1;
             #[cfg(feature = "trace")]
             // detlint::allow(wall-clock): per-subsystem wall profiling, trace builds only — never enters simulation state
@@ -383,7 +391,7 @@ impl Shard {
                     {
                         self.core.dispatch_class = aitf_trace::Subsystem::Link;
                     }
-                    let now = self.core.time;
+                    let now = self.core.events.now();
                     // Split borrow: the link mutates itself and schedules
                     // follow-up events; nodes are not involved.
                     let slot = self.core.slot(link);
@@ -433,6 +441,14 @@ impl Shard {
         n.on_timer(token, &mut ctx);
         self.nodes[node.0] = Some(n);
     }
+}
+
+/// The causality check of [`Shard::run_window`], out of line: it takes only
+/// the two instants, so the popped entry stays in registers.
+#[cold]
+#[inline(never)]
+fn fires_in_the_past(fire: SimTime, clock: SimTime) -> ! {
+    panic!("causality violated: an event fires at {fire}, before its shard's clock {clock}")
 }
 
 /// Derives the RNG seed of one shard from the simulation seed (splitmix64
@@ -514,13 +530,12 @@ impl Coordinator {
     /// loop); enqueues and control changes happen inside their sender's
     /// already-counted dispatch and are not re-counted. `Deliver`s
     /// produced here go directly into the receiving shard's queue;
-    /// tx-dones landing past `bound` stay pending for a later window.
+    /// tx-dones landing past `limit` stay pending for a later window.
     fn replay<S: DerefMut<Target = Shard>>(
         &mut self,
         shards: &mut [S],
         shard_of: &[u16],
-        bound: SimTime,
-        inclusive: bool,
+        limit: SimTime,
     ) {
         #[cfg(feature = "trace")]
         // detlint::allow(wall-clock): the barrier's in-loop wall for the subsystem profile, trace builds only — never enters simulation state
@@ -528,8 +543,7 @@ impl Coordinator {
         for shard in shards.iter_mut() {
             self.ops.append(&mut shard.core.staged_cut);
         }
-        let within = |t: SimTime| if inclusive { t <= bound } else { t < bound };
-        if self.ops.is_empty() && !self.next_txdone().is_some_and(within) {
+        if self.ops.is_empty() && self.next_txdone().is_none_or(|t| t > limit) {
             return;
         }
         self.ops.sort_unstable_by_key(|o| (o.key(), o.shard, o.seq));
@@ -549,7 +563,7 @@ impl Coordinator {
         loop {
             // The earliest due transmission completion across cut links,
             // under the same ordering key the shard heaps use.
-            let tx = (self.pending.peek().map(|p| p.0)).filter(|p| within(p.time));
+            let tx = (self.pending.peek().map(|p| p.0)).filter(|p| p.time <= limit);
             let take_tx = match (tx, ops.peek()) {
                 (None, None) => break,
                 (None, Some(_)) => false,
@@ -779,16 +793,6 @@ impl Simulator {
             + self.cut.pending.len()
     }
 
-    /// How many times a shard's event queue re-filed its pending events
-    /// because something was scheduled before the last event it popped
-    /// (`EventQueue::rebases`). The loop only ever schedules at or after
-    /// the instant it dispatches, so anything but 0 is a causality bug. The
-    /// coordinator's scratch queue is not counted: its barrier replay steps
-    /// back in time between cut-link operations by design.
-    pub fn queue_rebases(&self) -> u64 {
-        self.shards.iter().map(|s| s.core.events.rebases()).sum()
-    }
-
     /// Packets parked in the event queues' pools right now: every shard's,
     /// plus the coordinator's scratch queue, where cut links park theirs.
     pub fn parked_packets(&self) -> usize {
@@ -861,8 +865,6 @@ impl Simulator {
     ) -> R {
         let shard = &mut self.shards[self.shard_of[id.0] as usize];
         let mut n = shard.nodes[id.0].take().expect("installed node");
-        let now = shard.core.time;
-        shard.core.events.set_ctx(now, None);
         let mut ctx = Context {
             node: id,
             core: &mut shard.core,
@@ -973,7 +975,6 @@ impl Simulator {
                 events.bind_shard(s as u16, Arc::clone(&shard_of));
                 Shard {
                     core: SimCore {
-                        time: SimTime::ZERO,
                         events,
                         links: Vec::new(),
                         link_idx: vec![u32::MAX; self.link_total],
@@ -1072,16 +1073,24 @@ impl Simulator {
 
     /// Runs the event loop until virtual time `t`; the clock ends exactly
     /// at `t` even if the queue drains early.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is before the clock.
     pub fn run_until(&mut self, t: SimTime) {
+        let now = self.time;
+        assert!(t >= now, "run_until({t}) is before the clock {now}");
         if !self.started {
             self.start();
         }
         if self.is_sharded() {
             self.run_sharded(t);
         } else {
-            let shard = &mut self.shards[0];
-            shard.run_window(t, true);
-            shard.core.time = t;
+            self.shards[0].run_window(t);
+        }
+        // Between runs every shard clock reads `t`, outside any dispatch.
+        for s in &mut self.shards {
+            s.core.events.set_ctx(t, None);
         }
         self.time = t;
         debug_assert_eq!(
@@ -1099,19 +1108,16 @@ impl Simulator {
         if self.next_event_time().is_some_and(|next| next <= t) {
             self.run_windows(t);
         }
+        #[cfg(feature = "trace")]
         for s in &mut self.shards {
-            s.core.time = t;
-            #[cfg(feature = "trace")]
-            {
-                self.cut.profile.merge(&s.core.profile);
-                s.core.profile = aitf_trace::SubsystemProfile::default();
-            }
+            self.cut.profile.merge(&s.core.profile);
+            s.core.profile = aitf_trace::SubsystemProfile::default();
         }
     }
 
     /// The conservative-window scheduler: every iteration processes the
-    /// window `[g, g+L)` (clamped inclusively at `t`) in the shards that
-    /// have an event in it, then replays the staged cut-link operations at
+    /// window `[g, g+L)` — up to its limit `g + L − 1 ns`, clamped to `t` —
+    /// in the shards that have an event in it, then replays the staged cut-link operations at
     /// the barrier. `g` counts the coordinator's pending cut-link
     /// transmission completions too, so a tx-done chain on an otherwise
     /// idle cut link still drives windows. Any cross-shard delivery fires
@@ -1132,17 +1138,17 @@ impl Simulator {
             .collect();
         let (cut, shard_of, lookahead) = (&mut self.cut, &*self.shard_of, self.lookahead);
         std::thread::scope(|scope| {
-            // A worker runs the window it is sent — shard index and bound
+            // A worker runs the window it is sent — shard index and limit
             // — and answers once the window is done and the shard
             // unlocked. Dropping the senders ends the workers.
             let workers: Vec<_> = (1..shards.len())
                 .map(|_| {
                     let shards = &shards;
-                    let (window_tx, window_rx) = mpsc::channel::<(usize, SimTime, bool)>();
+                    let (window_tx, window_rx) = mpsc::channel::<(usize, SimTime)>();
                     let (done_tx, done_rx) = mpsc::channel::<()>();
                     scope.spawn(move || {
-                        for (i, bound, inclusive) in window_rx {
-                            (shards[i].lock().expect(POISONED)).run_window(bound, inclusive);
+                        for (i, limit) in window_rx {
+                            (shards[i].lock().expect(POISONED)).run_window(limit);
                             if done_tx.send(()).is_err() {
                                 break;
                             }
@@ -1163,31 +1169,20 @@ impl Simulator {
                 if next > t {
                     break;
                 }
-                let (bound, inclusive) = match lookahead {
-                    Some(l) => {
-                        let end = next + l;
-                        if end > t {
-                            // Final window: processing through `t` stays
-                            // below `g + L`, so it is still conservative.
-                            (t, true)
-                        } else {
-                            (end, false)
-                        }
-                    }
+                let limit = match lookahead {
+                    // The final window stops at `t`, still below `g + L`.
+                    Some(l) => (next + l - SimDuration::from_nanos(1)).min(t),
                     // No cut links: shards are mutually invisible.
-                    None => (t, true),
+                    None => t,
                 };
-                let within = |at: SimTime| if inclusive { at <= bound } else { at < bound };
                 busy.clear();
-                busy.extend(
-                    (0..held.len())
-                        .filter(|&i| held[i].core.events.peek_time().is_some_and(within)),
-                );
+                let busy_now = |s: &Shard| s.core.events.peek_time().is_some_and(|at| at <= limit);
+                busy.extend((0..held.len()).filter(|&i| busy_now(&held[i])));
                 cut.windows += 1;
                 if busy.len() <= 1 {
                     cut.windows_inline += 1;
                     if let Some(&only) = busy.first() {
-                        held[only].run_window(bound, inclusive);
+                        held[only].run_window(limit);
                     }
                 } else {
                     // The coordinator takes the busy shard that has
@@ -1202,16 +1197,16 @@ impl Simulator {
                     // them all back.
                     held.clear();
                     for ((window_tx, _), &i) in workers.iter().zip(&busy[1..]) {
-                        let sent = window_tx.send((i, bound, inclusive));
+                        let sent = window_tx.send((i, limit));
                         sent.expect("a shard worker is gone");
                     }
-                    (shards[busy[0]].lock().expect(POISONED)).run_window(bound, inclusive);
+                    (shards[busy[0]].lock().expect(POISONED)).run_window(limit);
                     for ((_, done_rx), _) in workers.iter().zip(&busy[1..]) {
                         done_rx.recv().expect(POISONED);
                     }
                     lock_all(&shards, &mut held);
                 }
-                cut.replay(&mut held, shard_of, bound, inclusive);
+                cut.replay(&mut held, shard_of, limit);
             }
         });
         self.shards = shards
@@ -1226,7 +1221,7 @@ impl Simulator {
     fn flush_staged(&mut self) {
         let mut shards: Vec<&mut Shard> = self.shards.iter_mut().collect();
         let now = self.time;
-        self.cut.replay(&mut shards, &self.shard_of, now, true);
+        self.cut.replay(&mut shards, &self.shard_of, now);
     }
 
     /// How the sharded loop's work was spread so far: events per shard,
@@ -1357,6 +1352,31 @@ mod tests {
         assert_eq!(sim.node_ref::<FloodRelay>(ids[2]).unwrap().received, 0);
         sim.run_until(SimTime(2_500_000));
         assert_eq!(sim.node_ref::<FloodRelay>(ids[2]).unwrap().received, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "causality violated")]
+    fn an_event_scheduled_into_a_shards_past_panics_at_its_pop() {
+        let (mut sim, ids) = line_topology(2);
+        sim.install(ids[0], Box::new(Burst { count: 0 }));
+        sim.install(ids[1], Box::new(FloodRelay { received: 0 }));
+        sim.run_until(SimTime(1_000_000));
+        // A stale clock arms a timer before the instant the shard is at.
+        let core = &mut sim.shards[0].core;
+        core.events.set_ctx(SimTime(500_000), None);
+        core.schedule_timer(ids[0], SimDuration::from_nanos(1), 0);
+        core.events.set_ctx(SimTime(1_000_000), None);
+        sim.run_until(SimTime(2_000_000));
+    }
+
+    #[test]
+    #[should_panic(expected = "is before the clock")]
+    fn run_until_into_the_past_panics() {
+        let (mut sim, ids) = line_topology(2);
+        sim.install(ids[0], Box::new(Burst { count: 1 }));
+        sim.install(ids[1], Box::new(FloodRelay { received: 0 }));
+        sim.run_until(SimTime(2_000_000));
+        sim.run_until(SimTime(1_000_000));
     }
 
     #[test]

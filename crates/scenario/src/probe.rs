@@ -70,12 +70,12 @@ impl SeriesStore {
 
     /// Mean of a series over bins whose time is in `[from, to)` seconds.
     ///
-    /// Returns `f64::NAN` when the window contains no samples — an empty
+    /// Returns `None` when the window contains no samples — an empty
     /// window is "no data", not "zero", and a silent `0.0` once read as a
     /// perfectly-quelled attack in a window that was never sampled.
     /// Metric emitters follow the [`ProbeSet::time_to_block`] convention
-    /// and map the NaN to `-1` before recording.
-    pub fn window_mean(&self, name: &str, from: f64, to: f64) -> f64 {
+    /// and record `None` as `-1`.
+    pub fn window_mean(&self, name: &str, from: f64, to: f64) -> Option<f64> {
         let values = self.series(name);
         let mut sum = 0.0;
         let mut n = 0usize;
@@ -85,11 +85,7 @@ impl SeriesStore {
                 n += 1;
             }
         }
-        if n == 0 {
-            f64::NAN
-        } else {
-            sum / n as f64
-        }
+        (n > 0).then(|| sum / n as f64)
     }
 
     /// Simulated time of the first bin where the series satisfies `pred`,
@@ -305,14 +301,7 @@ impl ProbeSet {
                     hh_attack as f64 / hh_total as f64
                 },
             );
-            let quantile = |q| {
-                let v = tap.sizes().quantile(q);
-                if v.is_nan() {
-                    -1.0
-                } else {
-                    v
-                }
-            };
+            let quantile = |q| tap.sizes().quantile(q).unwrap_or(-1.0);
             m.set("rx_size_p50", quantile(0.5));
             m.set("rx_size_p95", quantile(0.95));
             m.set("probe_bytes", tap.footprint_bytes() as u64);
@@ -494,23 +483,27 @@ mod tests {
             time_s: vec![0.5, 1.0, 1.5, 2.0],
             series: vec![("x", vec![0.0, 2.0, 4.0, 0.0])],
         };
-        assert_eq!(store.window_mean("x", 1.0, 2.0), 3.0);
+        assert_eq!(store.window_mean("x", 1.0, 2.0), Some(3.0));
         assert_eq!(store.first_time("x", |v| v > 0.0), Some(1.0));
         assert_eq!(store.first_time("x", |v| v > 10.0), None);
     }
 
     #[test]
-    fn empty_window_mean_is_nan_not_zero() {
+    fn empty_window_mean_is_none_not_zero() {
         // Regression: a window past the sampled horizon used to read as
         // 0.0 — indistinguishable from a genuinely-zero series. It must
-        // be NaN so callers are forced to map it to the -1 sentinel.
+        // be `None` so callers are forced to map it to the -1 sentinel.
         let store = SeriesStore {
             time_s: vec![0.5, 1.0],
             series: vec![("x", vec![2.0, 4.0])],
         };
-        assert!(store.window_mean("x", 5.0, 6.0).is_nan());
-        assert!(store.window_mean("x", 1.0, 1.0).is_nan(), "[from, from)");
-        assert_eq!(store.window_mean("x", 0.0, 2.0), 3.0, "full window intact");
+        assert_eq!(store.window_mean("x", 5.0, 6.0), None);
+        assert_eq!(store.window_mean("x", 1.0, 1.0), None, "[from, from)");
+        assert_eq!(
+            store.window_mean("x", 0.0, 2.0),
+            Some(3.0),
+            "full window intact"
+        );
     }
 
     #[test]

@@ -203,7 +203,7 @@ impl TopK {
 ///     r.offer(v as f64);
 /// }
 /// assert_eq!(r.len(), 64);
-/// let p50 = r.quantile(0.5);
+/// let p50 = r.quantile(0.5).expect("a non-empty sample");
 /// assert!((200.0..800.0).contains(&p50), "median of 0..1000 ≈ 500, got {p50}");
 /// ```
 #[derive(Debug, Clone)]
@@ -261,25 +261,25 @@ impl Reservoir {
         self.values.is_empty()
     }
 
-    /// Mean of the held sample; `NaN` when empty.
-    pub fn mean(&self) -> f64 {
+    /// Mean of the held sample; `None` when empty.
+    pub fn mean(&self) -> Option<f64> {
         if self.values.is_empty() {
-            return f64::NAN;
+            return None;
         }
-        self.values.iter().sum::<f64>() / self.values.len() as f64
+        Some(self.values.iter().sum::<f64>() / self.values.len() as f64)
     }
 
     /// The `q`-quantile (0 ≤ q ≤ 1) of the held sample by
-    /// nearest-rank on a sorted copy; `NaN` when empty. Sorts a clone —
+    /// nearest-rank on a sorted copy; `None` when empty. Sorts a clone —
     /// an end-of-run operation, not for the per-event path.
-    pub fn quantile(&self, q: f64) -> f64 {
+    pub fn quantile(&self, q: f64) -> Option<f64> {
         if self.values.is_empty() {
-            return f64::NAN;
+            return None;
         }
         let mut sorted = self.values.clone();
         sorted.sort_by(f64::total_cmp);
         let rank = ((q * (sorted.len() - 1) as f64).round() as usize).min(sorted.len() - 1);
-        sorted[rank]
+        Some(sorted[rank])
     }
 
     /// Heap + inline bytes — constant for fixed `cap`.
@@ -375,9 +375,9 @@ mod tests {
         }
         assert_eq!(r.len(), 5);
         assert_eq!(r.seen(), 5);
-        assert_eq!(r.mean(), 2.0);
-        assert_eq!(r.quantile(0.0), 0.0);
-        assert_eq!(r.quantile(1.0), 4.0);
+        assert_eq!(r.mean(), Some(2.0));
+        assert_eq!(r.quantile(0.0), Some(0.0));
+        assert_eq!(r.quantile(1.0), Some(4.0));
     }
 
     #[test]
@@ -394,15 +394,15 @@ mod tests {
         assert_eq!(a.quantile(0.5), b.quantile(0.5), "same seed, same sample");
         // A uniform sample of 0..10000 has mean ≈ 5000; allow a wide band
         // (the point is "not stuck on a prefix", not statistics).
-        let mean = a.mean();
+        let mean = a.mean().expect("a full reservoir");
         assert!((3000.0..7000.0).contains(&mean), "mean {mean}");
     }
 
     #[test]
-    fn empty_reservoir_reports_nan() {
+    fn empty_reservoir_reports_none() {
         let r = Reservoir::new(4, 1);
-        assert!(r.mean().is_nan());
-        assert!(r.quantile(0.5).is_nan());
+        assert_eq!(r.mean(), None);
+        assert_eq!(r.quantile(0.5), None);
         assert!(r.is_empty());
     }
 
