@@ -69,7 +69,7 @@ pub use host::{EndHost, HostApi, HostCounters, RxTap, TrafficApp};
 pub use pipeline::{PolicyChains, StageId, Verdict};
 pub use policy::DefensePolicy;
 pub use pushback::{PushbackCounters, PushbackState, LINK_LOCAL, MAX_PUSHBACK_DEPTH};
-pub use router::{BorderRouter, RouterCounters, RouterSpec};
+pub use router::{BorderRouter, RouterCounters};
 pub use world::{HostId, NetId, RoutingMode, World, WorldBuilder};
 
 /// A world and everything in it can move to a shard thread — with the

@@ -307,22 +307,32 @@ fn idle_routers_and_hosts_stay_idle_and_only_the_gateways_hold_control_state() {
     assert!(f.world.host(f.victim).counters().requests_sent >= 1);
     assert_eq!(f.world.router(f.b_net).counters().filters_installed, 1);
 
-    // Off the path: nothing was ever made.
+    // Off the path: nothing was ever made. What an idle router reads is
+    // the world's idle data state: zero counters and empty tables at the
+    // configured capacities.
+    let cfg = &f.world.cfg;
     for net in side_nets {
         let r = f.world.router(net);
+        assert!(!r.has_data_state(), "{}", f.world.net_name(net));
         assert!(!r.has_control_state(), "{}", f.world.net_name(net));
+        let zeros = format!("{:?}", crate::RouterCounters::default());
+        assert_eq!(format!("{:?}", r.counters()), zeros);
         assert_eq!(r.filters().stats(), Default::default());
         assert_eq!(r.shadow().stats(), Default::default());
+        assert_eq!(r.filters().capacity(), cfg.filter_capacity);
+        assert_eq!(r.shadow().capacity(), cfg.shadow_capacity);
     }
     for h in bystanders {
         assert!(!f.world.host(h).has_victim_agent());
         assert_eq!(f.world.host(h).self_filters().stats(), Default::default());
     }
     // On the path, but only ever forwarding (the request goes gateway to
-    // gateway; transit routers carry it like data): counters, no state.
+    // gateway; transit routers carry it like data): a data state for the
+    // counters and the filter checks, no control state.
     for net in [f.g_isp, f.g_wan, f.b_wan, f.b_isp] {
         let r = f.world.router(net);
         assert!(r.counters().data_forwarded > 0);
+        assert!(r.has_data_state(), "{}", f.world.net_name(net));
         assert!(!r.has_control_state(), "{}", f.world.net_name(net));
         assert_eq!(r.filters().stats().installs, 0);
         assert_eq!(r.shadow().stats().inserts, 0);
@@ -360,6 +370,7 @@ fn idle_routers_and_hosts_stay_idle_and_only_the_gateways_hold_control_state() {
         n.on_packet(reply, uplink, ctx);
     });
     assert!(!f.world.router(idle).has_control_state());
+    assert!(!f.world.router(idle).has_data_state());
     // ... and an idle host idle.
     let node = f.world.host_node(bystanders[0]);
     f.world

@@ -15,7 +15,9 @@ use aitf_packet::{
 use aitf_trace::{Cause, SpanKind};
 use rand::Rng;
 
-use super::{flow_key, BorderRouter, GraceWatch, PendingHandshake, PendingPath, TimerAction};
+use super::{
+    flow_key, BorderRouter, DataState, GraceWatch, PendingHandshake, PendingPath, TimerAction,
+};
 
 impl BorderRouter {
     // ------------------------------------------------------------------
@@ -30,7 +32,7 @@ impl BorderRouter {
     ) {
         let now = ctx.now();
         if !self.policy.cooperating {
-            self.counters.requests_ignored += 1;
+            self.data_mut().counters.requests_ignored += 1;
             return;
         }
 
@@ -44,57 +46,66 @@ impl BorderRouter {
                     None => prefixes.overlaps(req.flow.dst),
                 };
                 if !dst_ok {
-                    self.counters.requests_invalid += 1;
+                    self.data_mut().counters.requests_invalid += 1;
                     return;
                 }
             }
             None => {
-                self.counters.requests_invalid += 1;
+                self.data_mut().counters.requests_invalid += 1;
                 return;
             }
         }
 
         // A repeat request for a flow we already acted on means the last
         // round failed: escalate. (The client always claims round 1; the
-        // shadow knows better.)
-        if let Some(entry) = self.shadow.get(&req.flow) {
+        // shadow knows better.) What the shadow knows is copied out, so the
+        // tables can be written below: its path only when the request
+        // carries none, into a route record that holds its hops inline.
+        let logged = self.shadow().get(&req.flow).map(|entry| {
+            let path = (req.path.is_empty() && !entry.path.is_empty())
+                .then(|| aitf_packet::RouteRecord::from_hops(entry.path.iter().copied()));
+            (entry.round, entry.last_action, path)
+        });
+        if let Some((round, last_action, path)) = logged {
             let cooldown = self.cfg.t_tmp / 2;
-            if entry.round >= req.round {
-                if now.saturating_since(entry.last_action) < cooldown {
+            if round >= req.round {
+                if now.saturating_since(last_action) < cooldown {
                     // Duplicate within the damping window: refresh only.
                     // A full table means even the refresh failed — the
                     // client is unprotected and must not look served.
                     let key = flow_key(&req.flow);
-                    match self.filters.install(req.flow, now, self.cfg.t_tmp) {
+                    let data = DataState::of(&mut self.data, &self.cfg);
+                    match data.filters.install(req.flow, now, self.cfg.t_tmp) {
                         Ok(_) => {
-                            self.counters.requests_refreshed += 1;
-                            self.span(SpanKind::Refresh, Cause::Duplicate, key, entry.round, now);
+                            data.counters.requests_refreshed += 1;
+                            self.span(SpanKind::Refresh, Cause::Duplicate, key, round, now);
                         }
                         Err(InstallError::TableFull) => {
-                            self.counters.requests_unsatisfiable += 1;
-                            self.span(SpanKind::Drop, Cause::TableFull, key, entry.round, now);
+                            data.counters.requests_unsatisfiable += 1;
+                            self.span(SpanKind::Drop, Cause::TableFull, key, round, now);
                         }
                     }
                     return;
                 }
-                req.round = entry.round.saturating_add(1).min(self.cfg.max_round);
+                req.round = round.saturating_add(1).min(self.cfg.max_round);
             }
-            if req.path.is_empty() && !entry.path.is_empty() {
-                req.path = aitf_packet::RouteRecord::from_hops(entry.path.iter().copied());
+            if let Some(path) = path {
+                req.path = path;
             }
         }
 
         // Temporary filter for Ttmp; shadow for T.
         let key = flow_key(&req.flow);
-        match self.filters.install(req.flow, now, self.cfg.t_tmp) {
+        let data = DataState::of(&mut self.data, &self.cfg);
+        match data.filters.install(req.flow, now, self.cfg.t_tmp) {
             Ok(_) => {}
             Err(InstallError::TableFull) => {
-                self.counters.requests_unsatisfiable += 1;
+                data.counters.requests_unsatisfiable += 1;
                 self.span(SpanKind::Drop, Cause::TableFull, key, req.round, now);
                 return;
             }
         }
-        self.counters.requests_accepted += 1;
+        data.counters.requests_accepted += 1;
         // One span per escalation round, opened where the round is
         // handled; everything the round causes (handshake, long filter,
         // disconnect — wherever it happens) parents under it.
@@ -112,7 +123,8 @@ impl BorderRouter {
             now.0,
         );
         self.span(SpanKind::TempFilter, Cause::Protocol, key, req.round, now);
-        self.shadow.insert_with_path(
+        let data = DataState::of(&mut self.data, &self.cfg);
+        data.shadow.insert_with_path(
             req.flow,
             req.id,
             now,
@@ -183,14 +195,15 @@ impl BorderRouter {
             let Some(parent) = parent else {
                 // No AITF-enabled ancestor left to escalate through; the
                 // request would otherwise vanish without a trace.
-                self.counters.escalations_dropped += 1;
+                self.data_mut().counters.escalations_dropped += 1;
                 self.span(SpanKind::Drop, Cause::NoAncestor, key, round, now);
                 self.tracer.close_round(key, round, now.0);
                 return;
             };
-            self.counters.escalations_sent += 1;
-            self.shadow.note_round(&flow, round);
-            self.shadow.touch_action(&flow, now);
+            let data = self.data_mut();
+            data.counters.escalations_sent += 1;
+            data.shadow.note_round(&flow, round);
+            data.shadow.touch_action(&flow, now);
             self.span(SpanKind::Escalate, Cause::Escalated, key, round, now);
             let escalated = FilteringRequest {
                 dest: RequestDestination::VictimGateway,
@@ -203,7 +216,7 @@ impl BorderRouter {
         // I am the handler: ask the round-k attacker-side node to filter.
         match target {
             Some(target) if target != self.addr => {
-                self.shadow.touch_action(&flow, now);
+                self.data_mut().shadow.touch_action(&flow, now);
                 let outgoing = FilteringRequest {
                     dest: RequestDestination::AttackerGateway,
                     ..req
@@ -240,27 +253,28 @@ impl BorderRouter {
         let Some(neighbor) = neighbor else {
             // Nobody identifiable to disconnect: the escalation dead-ends
             // here, which must be observable.
-            self.counters.escalations_dropped += 1;
+            self.data_mut().counters.escalations_dropped += 1;
             self.span(SpanKind::Drop, Cause::NoNeighbor, key, req.round, now);
             self.tracer.close_round(key, req.round, now.0);
             return;
         };
         let Some(link) = self.route(neighbor) else {
-            self.counters.escalations_dropped += 1;
+            self.data_mut().counters.escalations_dropped += 1;
             self.span(SpanKind::Drop, Cause::NoNeighbor, key, req.round, now);
             self.tracer.close_round(key, req.round, now.0);
             return;
         };
         if Some(link) == self.uplink {
-            self.counters.local_filter_fallbacks += 1;
+            let data = DataState::of(&mut self.data, &self.cfg);
+            data.counters.local_filter_fallbacks += 1;
             // Extend the temporary filter to the full horizon `T`; a full
             // table leaves the existing temporary protection in place.
-            let _ = self.filters.install(req.flow, now, self.cfg.t_long);
+            let _ = data.filters.install(req.flow, now, self.cfg.t_long);
             self.span(SpanKind::LocalFilter, Cause::Protocol, key, req.round, now);
             self.tracer.close_round(key, req.round, now.0);
             return;
         }
-        self.counters.disconnects_peer += 1;
+        self.data_mut().counters.disconnects_peer += 1;
         self.span(SpanKind::Disconnect, Cause::Protocol, key, req.round, now);
         self.tracer.close_round(key, req.round, now.0);
         ctx.set_incoming_blocked(link, true);
@@ -275,14 +289,15 @@ impl BorderRouter {
         ctx: &mut Context<'_>,
     ) {
         let now = ctx.now();
-        let _ = self.filters.install(entry.label, now, self.cfg.t_tmp);
+        let data = DataState::of(&mut self.data, &self.cfg);
+        let _ = data.filters.install(entry.label, now, self.cfg.t_tmp);
         let cooldown = self.cfg.t_tmp / 2;
         if now.saturating_since(entry.last_action) < cooldown {
             return;
         }
         let round = entry.round.saturating_add(1).min(self.cfg.max_round);
-        self.shadow.note_round(&entry.label, round);
-        self.shadow.touch_action(&entry.label, now);
+        data.shadow.note_round(&entry.label, round);
+        data.shadow.touch_action(&entry.label, now);
         // The temporary filter expired and the shadowed flow came back:
         // that expiry is the cause of this whole round.
         self.tracer.start(
@@ -321,7 +336,7 @@ impl BorderRouter {
 
     pub(super) fn attacker_gateway_role(&mut self, req: FilteringRequest, ctx: &mut Context<'_>) {
         if !self.policy.cooperating {
-            self.counters.requests_ignored += 1;
+            self.data_mut().counters.requests_ignored += 1;
             return;
         }
         if self.cfg.verification {
@@ -335,12 +350,13 @@ impl BorderRouter {
         let now = ctx.now();
         let Some(victim) = req.flow.dst_host() else {
             // Cannot query a wildcard victim; refuse conservatively.
-            self.counters.requests_invalid += 1;
+            self.data_mut().counters.requests_invalid += 1;
             return;
         };
         let nonce = Nonce(ctx.rng().gen());
-        self.counters.handshakes_started += 1;
-        self.counters.requests_accepted += 1;
+        let counters = &mut self.data_mut().counters;
+        counters.handshakes_started += 1;
+        counters.requests_accepted += 1;
         let span = self.tracer.start(
             SpanKind::Handshake,
             Cause::Protocol,
@@ -391,10 +407,10 @@ impl BorderRouter {
         }
         self.tracer.end(pending.span, now.0);
         if rep.confirm {
-            self.counters.handshakes_confirmed += 1;
+            self.data_mut().counters.handshakes_confirmed += 1;
             self.satisfy_attacker_side(pending.request, ctx, false);
         } else {
-            self.counters.handshakes_denied += 1;
+            self.data_mut().counters.handshakes_denied += 1;
             let key = flow_key(&pending.request.flow);
             self.span(
                 SpanKind::Drop,
@@ -422,11 +438,12 @@ impl BorderRouter {
         let flow = req.flow;
         let key = flow_key(&flow);
         let round = req.round;
-        match self.filters.install(flow, now, self.cfg.t_long) {
+        let data = DataState::of(&mut self.data, &self.cfg);
+        match data.filters.install(flow, now, self.cfg.t_long) {
             Ok(_) => {
-                self.counters.filters_installed += 1;
+                data.counters.filters_installed += 1;
                 if from_request {
-                    self.counters.requests_accepted += 1;
+                    data.counters.requests_accepted += 1;
                 }
                 let cause = if from_request {
                     Cause::Protocol
@@ -443,9 +460,9 @@ impl BorderRouter {
                 // handshake started, so counting it again here would break
                 // the received-request conservation identity.
                 if from_request {
-                    self.counters.requests_unsatisfiable += 1;
+                    data.counters.requests_unsatisfiable += 1;
                 } else {
-                    self.counters.deferred_unsatisfied += 1;
+                    data.counters.deferred_unsatisfied += 1;
                 }
                 self.span(SpanKind::Drop, Cause::TableFull, key, req.round, now);
                 self.tracer.close_round(key, req.round, now.0);
@@ -465,14 +482,14 @@ impl BorderRouter {
         let client_link = self.route(client);
         // Only police/disconnect parties that actually hang off a client
         // interface of ours.
-        let is_client = client_link.is_some_and(|l| self.client_links.contains_key(&l));
+        let is_client = client_link.is_some_and(|l| self.client_prefixes(l).is_some());
 
         // Moves `req` — the notice keeps the path and id without a clone.
         let notice = FilteringRequest {
             dest: RequestDestination::Attacker,
             ..req
         };
-        self.counters.attacker_notices_sent += 1;
+        self.data_mut().counters.attacker_notices_sent += 1;
         self.send_control(ctx, client, AitfMessage::FilteringRequest(notice));
 
         if is_client {
@@ -498,7 +515,7 @@ impl BorderRouter {
     /// the notice towards the true attacker.
     pub(super) fn attacker_role(&mut self, req: FilteringRequest, ctx: &mut Context<'_>) {
         if !self.policy.cooperating {
-            self.counters.requests_ignored += 1;
+            self.data_mut().counters.requests_ignored += 1;
             return;
         }
         // Block the flow ourselves and relay one step closer to the true

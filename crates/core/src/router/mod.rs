@@ -16,14 +16,15 @@
 //! - **plain forwarder** — stamps the route-record shim (or probabilistic
 //!   marks) on transit data packets and enforces ingress filtering.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::sync::Arc;
 
 use aitf_filter::{FilterTable, RateLimiterBank, ShadowCache};
-use aitf_netsim::{impl_node_any, Context, LinkId, Node, SimTime, Subsystem};
+use aitf_netsim::{impl_node_any, Buckets, Context, LinkId, Node, SimTime, Subsystem};
 use aitf_packet::{
-    Addr, AitfMessage, FilteringRequest, FlowLabel, LpmTable, Nonce, Packet, PayloadKind, Prefix,
-    PrefixSet, VerificationReply,
+    lpm, Addr, AitfMessage, FilteringRequest, FlowLabel, Nonce, Packet, PayloadKind, Prefix,
+    PrefixSlice, VerificationReply,
 };
 use aitf_trace::{Cause, SpanId, SpanKind, Tracer};
 
@@ -134,36 +135,101 @@ struct PendingPath {
     expires: SimTime,
 }
 
-/// Static wiring a router needs from the world builder. The two tables
-/// arrive built: the builder already holds every cone in address order,
-/// so the router keeps what it is given and sorts nothing.
-#[derive(Debug, Clone)]
-pub struct RouterSpec {
+/// What every router of a world reads and none writes, one array per kind
+/// for the whole world: made by `WorldBuilder::build` and immutable after.
+/// A router keeps its forwarding and client spans inline (a lookup then
+/// reads no offset array first) and its network index for the rest.
+#[derive(Debug)]
+pub(crate) struct Wiring {
+    /// Every router's longest-prefix-match forwarding table — network
+    /// prefixes towards remote networks plus /32 routes for its own hosts
+    /// — each one normalised run.
+    pub(crate) fwd: Vec<lpm::Entry<LinkId>>,
+    /// Per network, its router's client links (to end hosts and client
+    /// networks) ascending by id, each with the run of `ingress` holding
+    /// the addresses legitimately sourced behind it.
+    pub(crate) clients: Buckets<(LinkId, u32, u32)>,
+    /// Every network's customer cone in address order, then each network's
+    /// own prefix — what a host's tail circuit admits.
+    pub(crate) ingress: Vec<Prefix>,
+    /// Per network, the addresses of its router's ancestor gateways,
+    /// nearest first; escalation walks this chain, skipping ancestors known
+    /// not to run AITF.
+    pub(crate) ancestors: Buckets<Addr>,
+    /// What a router with no [`DataState`] of its own reads: zero counters
+    /// and empty tables at the configured capacities.
+    pub(crate) idle: DataState,
+}
+
+/// A router's place in its world's [`Wiring`], and what it is given of its
+/// own.
+pub(crate) struct RouterSpec<'a> {
     /// This router's control-plane address.
-    pub addr: Addr,
+    pub(crate) addr: Addr,
     /// The address block of this router's own network.
-    pub prefix: Prefix,
-    /// Longest-prefix-match forwarding table: network prefixes towards
-    /// remote networks plus /32 routes for this router's own clients.
-    pub fwd: LpmTable<LinkId>,
+    pub(crate) prefix: Prefix,
+    /// This router's network: its key in the wiring's per-network arrays.
+    pub(crate) net: usize,
+    /// This router's forwarding table, as a span of `wiring.fwd`.
+    pub(crate) fwd: Range<u32>,
     /// Link towards this router's provider; `None` at the top level.
-    pub uplink: Option<LinkId>,
-    /// Addresses of this router's ancestor gateways, nearest first —
-    /// escalation walks this chain, skipping ancestors known not to run
-    /// AITF. Empty at the top level; one chain is shared by every client
-    /// network of the same provider.
-    pub ancestors: Arc<[Addr]>,
+    pub(crate) uplink: Option<LinkId>,
     /// Border routers known (via capability advertisement at build time)
     /// not to participate in AITF, one list per world. Kept current at
     /// runtime through [`BorderRouter::set_peer_aitf_enabled`].
-    pub legacy_peers: Arc<[Addr]>,
-    /// Client links (to end-hosts and client networks) with the addresses
-    /// legitimately sourced behind each.
-    pub client_links: BTreeMap<LinkId, PrefixSet>,
+    pub(crate) legacy_peers: &'a [Addr],
+    /// What every router of the world reads.
+    pub(crate) wiring: Arc<Wiring>,
     /// Protocol parameters, shared by every node of the world.
-    pub config: Arc<AitfConfig>,
+    pub(crate) config: Arc<AitfConfig>,
     /// Behaviour knobs.
-    pub policy: RouterPolicy,
+    pub(crate) policy: RouterPolicy,
+}
+
+/// What a router writes about the packets it handles: its counters and its
+/// two filter tables. Made by the first stage that writes to it
+/// ([`DataState::of`]), so a router no packet ever reached holds none and
+/// reads the world's idle one.
+#[derive(Debug)]
+pub(crate) struct DataState {
+    counters: RouterCounters,
+    filters: FilterTable,
+    shadow: ShadowCache,
+}
+
+impl DataState {
+    pub(crate) fn new(cfg: &AitfConfig) -> Self {
+        DataState {
+            counters: RouterCounters::default(),
+            filters: FilterTable::with_policy(cfg.filter_capacity, cfg.eviction),
+            shadow: ShadowCache::new(cfg.shadow_capacity),
+        }
+    }
+
+    /// The state in `slot`, made now if this is the first write: an inlined
+    /// branch, with the creation out of line in [`make_data`]. It takes the
+    /// router's field rather than the router, so a caller can hold the
+    /// state and read the router's config beside it.
+    #[inline]
+    fn of<'a>(slot: &'a mut Option<Box<DataState>>, cfg: &AitfConfig) -> &'a mut DataState {
+        match *slot {
+            Some(ref mut data) => data,
+            None => make_data(slot, cfg),
+        }
+    }
+}
+
+/// The one place a [`DataState`] is created.
+#[cold]
+#[inline(never)]
+fn make_data<'a>(slot: &'a mut Option<Box<DataState>>, cfg: &AitfConfig) -> &'a mut DataState {
+    // detlint::allow(hot-alloc): one-off — the first packet a router forwards, filters or drops, or the first request it serves; every later one finds `data` set
+    slot.insert(Box::new(DataState::new(cfg)))
+}
+
+/// `items[span]`, for a span a router keeps inline.
+fn run<'a, T>(items: &'a [T], span: &Range<u32>) -> &'a [T] {
+    &items[span.start as usize..span.end as usize]
 }
 
 /// Everything a router holds for the requests it serves, as opposed to the
@@ -231,25 +297,28 @@ impl ControlState {
 /// statically through [`StageId`], so swapping the defense never costs an
 /// allocation or a virtual call on the per-packet path.
 pub struct BorderRouter {
-    // What a forwarded data packet touches: wiring, the two table heads
-    // and the counters.
+    // What a forwarded data packet touches: the wiring and this router's
+    // spans of it, the chains, and the data state.
     addr: Addr,
     prefix: Prefix,
     policy: RouterPolicy,
     uplink: Option<LinkId>,
-    fwd: LpmTable<LinkId>,
-    /// Per client link, the addresses legitimately sourced behind it.
-    client_links: BTreeMap<LinkId, PrefixSet>,
+    /// This router's forwarding table: a span of `wiring.fwd`.
+    fwd: Range<u32>,
+    /// This router's client links: a span of `wiring.clients`' items.
+    clients: Range<u32>,
+    /// What every router of the world reads; see [`Wiring`].
+    wiring: Arc<Wiring>,
     cfg: Arc<AitfConfig>,
     /// Which defense populates the chains (copied from the config).
     defense: DefensePolicy,
     /// The per-hook stage chains of `defense`.
     chains: PolicyChains,
-    filters: FilterTable,
-    shadow: ShadowCache,
-    counters: RouterCounters,
-    // Wiring only the control plane reads.
-    ancestors: Arc<[Addr]>,
+    /// First-use state; see [`DataState`].
+    data: Option<Box<DataState>>,
+    // What only the control plane reads.
+    /// This router's network, the key of its ancestor chain in `wiring`.
+    net: u32,
     /// The deployment view: peers currently known not to run AITF.
     disabled_peers: HashSet<Addr>,
     /// First-use state; see [`ControlState`].
@@ -276,22 +345,21 @@ fn flow_key(flow: &FlowLabel) -> u64 {
 }
 
 impl BorderRouter {
-    /// Builds a router from its spec.
-    pub fn new(spec: RouterSpec) -> Self {
+    /// Builds a router from its spec: wiring and spans, and nothing else.
+    pub(crate) fn new(spec: RouterSpec<'_>) -> Self {
         let cfg = spec.config;
         let defense = cfg.defense;
         let Ok(chains) = PolicyChains::build(defense);
         BorderRouter {
-            filters: FilterTable::with_policy(cfg.filter_capacity, cfg.eviction),
-            shadow: ShadowCache::new(cfg.shadow_capacity),
             defense,
             chains,
             cfg,
             policy: spec.policy,
             prefix: spec.prefix,
             fwd: spec.fwd,
+            clients: spec.wiring.clients.span(spec.net),
             uplink: spec.uplink,
-            ancestors: spec.ancestors,
+            net: u32::try_from(spec.net).expect("network count fits u32"),
             // A router never lists itself: its own participation is its
             // `policy`, and the view only answers "can this *peer* act?".
             disabled_peers: spec
@@ -301,11 +369,23 @@ impl BorderRouter {
                 .filter(|&a| a != spec.addr)
                 .collect(),
             addr: spec.addr,
-            client_links: spec.client_links,
-            counters: RouterCounters::default(),
+            wiring: spec.wiring,
+            data: None,
             ctl: None,
             tracer: Tracer::new(),
         }
+    }
+
+    /// What this router has written so far, or the world's idle state if
+    /// it has written nothing.
+    fn data(&self) -> &DataState {
+        self.data.as_deref().unwrap_or(&self.wiring.idle)
+    }
+
+    /// This router's data state, made now if this is its first write.
+    #[inline]
+    fn data_mut(&mut self) -> &mut DataState {
+        DataState::of(&mut self.data, &self.cfg)
     }
 
     /// The control-plane state, made now if this is the first event that
@@ -335,6 +415,12 @@ impl BorderRouter {
         self.ctl.is_some()
     }
 
+    /// Whether any stage has made this router's [`DataState`] yet.
+    #[cfg(test)]
+    pub(crate) fn has_data_state(&self) -> bool {
+        self.data.is_some()
+    }
+
     /// This router's span log, for [`Tracer::replay`].
     pub(crate) fn tracer(&self) -> &Tracer {
         &self.tracer
@@ -350,19 +436,19 @@ impl BorderRouter {
         self.uplink
     }
 
-    /// Counter snapshot.
+    /// Counter snapshot; all zeros for a router no packet reached.
     pub fn counters(&self) -> RouterCounters {
-        self.counters
+        self.data().counters
     }
 
     /// The wire-speed filter table (read-only).
     pub fn filters(&self) -> &FilterTable {
-        &self.filters
+        &self.data().filters
     }
 
     /// The DRAM shadow cache (read-only).
     pub fn shadow(&self) -> &ShadowCache {
-        &self.shadow
+        &self.data().shadow
     }
 
     /// The contract policer (read-only); empty until the first request.
@@ -394,7 +480,7 @@ impl BorderRouter {
     /// per-prefix policing buckets). The bake-off's "filter footprint"
     /// metric sums this over every router.
     pub fn defense_footprint(&self) -> usize {
-        self.filters.len()
+        self.filters().len()
             + self.ctl.as_deref().map_or(0, |c| {
                 c.stamp_blocks.len() + c.prefix_limiter.as_ref().map_or(0, RateLimiterBank::len)
             })
@@ -439,7 +525,9 @@ impl BorderRouter {
     /// lands on the nearest cooperating node instead of being silently
     /// eaten by a router that will only count it as ignored.
     fn escalation_parent(&self) -> Option<Addr> {
-        self.ancestors
+        self.wiring
+            .ancestors
+            .of(self.net as usize)
             .iter()
             .copied()
             .find(|&a| self.peer_participates(a))
@@ -460,7 +548,7 @@ impl BorderRouter {
     /// TTL expiry, so it is unroutable here — exactly as under all-pairs
     /// routing, whose tables hold no covering route for the own prefix.
     pub(crate) fn route(&self, dst: Addr) -> Option<LinkId> {
-        let link = *self.fwd.lookup(dst)?;
+        let link = *lpm::lookup(run(&self.wiring.fwd, &self.fwd), dst)?;
         if Some(link) == self.uplink && self.prefix.contains(dst) {
             return None;
         }
@@ -471,7 +559,7 @@ impl BorderRouter {
     /// table.
     fn send_control(&mut self, ctx: &mut Context<'_>, dst: Addr, msg: AitfMessage) {
         let Some(link) = self.route(dst) else {
-            self.counters.undeliverable += 1;
+            self.data_mut().counters.undeliverable += 1;
             return;
         };
         let id = ctx.next_packet_id();
@@ -479,8 +567,12 @@ impl BorderRouter {
     }
 
     /// Is `link` a client link, and if so, which addresses live behind it?
-    pub(crate) fn client_prefixes(&self, link: LinkId) -> Option<&PrefixSet> {
-        self.client_links.get(&link)
+    pub(crate) fn client_prefixes(&self, link: LinkId) -> Option<PrefixSlice<'_>> {
+        let clients = run(self.wiring.clients.items(), &self.clients);
+        let at = clients.binary_search_by_key(&link, |c| c.0).ok()?;
+        let (_, from, to) = clients[at];
+        let behind = &self.wiring.ingress[from as usize..to as usize];
+        Some(PrefixSlice::disjoint(behind))
     }
 
     // ------------------------------------------------------------------
@@ -557,9 +649,10 @@ impl BorderRouter {
         // Terminal action: route lookup + transmit (the datapath's one
         // fixed step — every policy forwards what its chains let through).
         let link = self.route(packet.header.dst);
+        let counters = &mut self.data_mut().counters;
         match link {
-            Some(_) => self.counters.data_forwarded += 1,
-            None => self.counters.undeliverable += 1,
+            Some(_) => counters.data_forwarded += 1,
+            None => counters.undeliverable += 1,
         }
         link
     }
@@ -593,12 +686,12 @@ impl BorderRouter {
         // Has the flow kept arriving well into the grace period?
         let margin = self.cfg.grace / 2;
         let still_flowing = self
-            .filters
+            .filters()
             .last_hit_of(&watch.flow)
             .is_some_and(|t| t > watch.armed_at + margin);
         if still_flowing {
             if let Some(link) = watch.client_link {
-                self.counters.disconnects_client += 1;
+                self.data_mut().counters.disconnects_client += 1;
                 self.span(
                     SpanKind::Disconnect,
                     Cause::GraceExpired,
@@ -636,7 +729,7 @@ impl Node for BorderRouter {
                 };
                 let origin = packet.header.src;
                 let victim = packet.header.dst;
-                self.counters.handshakes_forged += 1;
+                self.data_mut().counters.handshakes_forged += 1;
                 let id = ctx.next_packet_id();
                 // Spoof the victim's address as the reply source.
                 if let Some(out) = self.route(origin) {
@@ -663,7 +756,7 @@ impl Node for BorderRouter {
         match ctl.token_map.remove(&token) {
             Some(TimerAction::HandshakeTimeout { nonce }) => {
                 if let Some(pending) = ctl.pending_handshakes.remove(&nonce) {
-                    self.counters.handshakes_timed_out += 1;
+                    self.data_mut().counters.handshakes_timed_out += 1;
                     let now = ctx.now();
                     let key = flow_key(&pending.request.flow);
                     self.tracer.end(pending.span, now.0);

@@ -10,7 +10,7 @@ use aitf_packet::{
     AitfMessage, FlowLabel, Packet, PayloadKind, PushbackRequest, RequestDestination, TrafficClass,
 };
 
-use super::BorderRouter;
+use super::{BorderRouter, DataState};
 use crate::pipeline::Verdict;
 use crate::pushback::{LINK_LOCAL, MAX_PUSHBACK_DEPTH};
 
@@ -28,7 +28,7 @@ impl BorderRouter {
         if self.policy.aitf_enabled && self.policy.ingress_filtering && packet.is_data() {
             if let Some(prefixes) = self.client_prefixes(arrival) {
                 if !prefixes.contains(packet.header.src) {
-                    self.counters.spoofed_dropped += 1;
+                    self.data_mut().counters.spoofed_dropped += 1;
                     return Verdict::Drop;
                 }
             }
@@ -44,14 +44,16 @@ impl BorderRouter {
         ctx: &mut Context<'_>,
     ) -> Verdict {
         let now = ctx.now();
-        if self.policy.aitf_enabled && packet.is_data() && self.filters.matches(&packet.header, now)
-        {
-            self.counters.data_filtered_pkts += 1;
-            self.counters.data_filtered_bytes += packet.size_bytes as u64;
-            // The blocked packet still carries traceback information a
-            // pending request may be waiting for.
-            self.harvest_pending_path(packet, ctx);
-            return Verdict::Drop;
+        if self.policy.aitf_enabled && packet.is_data() {
+            let data = self.data_mut();
+            if data.filters.matches(&packet.header, now) {
+                data.counters.data_filtered_pkts += 1;
+                data.counters.data_filtered_bytes += packet.size_bytes as u64;
+                // The blocked packet still carries traceback information a
+                // pending request may be waiting for.
+                self.harvest_pending_path(packet, ctx);
+                return Verdict::Drop;
+            }
         }
         Verdict::Continue
     }
@@ -85,7 +87,8 @@ impl BorderRouter {
             hops.push(self.addr);
         }
         request.path = aitf_packet::RouteRecord::from_hops(hops.iter().copied());
-        self.shadow.insert_with_path(
+        let data = DataState::of(&mut self.data, &self.cfg);
+        data.shadow.insert_with_path(
             request.flow,
             request.id,
             now,
@@ -110,8 +113,9 @@ impl BorderRouter {
             && self.cfg.packet_triggered_reactivation
             && self.policy.cooperating
         {
-            if let Some(entry) = self.shadow.check_reactivation(&packet.header, now) {
-                self.counters.reactivations += 1;
+            let data = self.data_mut();
+            if let Some(entry) = data.shadow.check_reactivation(&packet.header, now) {
+                data.counters.reactivations += 1;
                 self.on_reactivation(entry, packet, ctx);
                 return Verdict::Drop;
             }
@@ -130,7 +134,7 @@ impl BorderRouter {
         _ctx: &mut Context<'_>,
     ) -> Verdict {
         if packet.header.ttl <= 1 {
-            self.counters.undeliverable += 1;
+            self.data_mut().counters.undeliverable += 1;
             return Verdict::Drop;
         }
         Verdict::Continue
@@ -176,13 +180,13 @@ impl BorderRouter {
     ) -> Verdict {
         let PayloadKind::Aitf(msg) = &packet.payload else {
             // A data payload addressed to a router is a misdelivery.
-            self.counters.undeliverable += 1;
+            self.data_mut().counters.undeliverable += 1;
             return Verdict::Drop;
         };
         if matches!(msg, AitfMessage::FilteringRequest(_)) {
-            self.counters.requests_received += 1;
+            self.data_mut().counters.requests_received += 1;
             if !self.policy.aitf_enabled {
-                self.counters.requests_ignored += 1;
+                self.data_mut().counters.requests_ignored += 1;
                 return Verdict::Drop;
             }
             // Contract policing per arrival interface (Section II-B): a
@@ -192,13 +196,13 @@ impl BorderRouter {
             // is the same as with every bucket made up front.
             let key = arrival.0 as u64;
             let contract = self.cfg.client_contract;
-            let is_client = self.client_links.contains_key(&arrival);
+            let is_client = self.client_prefixes(arrival).is_some();
             let limiter = &mut self.ctl_mut().limiter;
             if limiter.bucket(key).is_none() && is_client {
                 limiter.set_contract(key, contract.rate, contract.burst);
             }
             if !limiter.try_acquire(key, ctx.now()) {
-                self.counters.requests_policed += 1;
+                self.data_mut().counters.requests_policed += 1;
                 return Verdict::Drop;
             }
         }
@@ -230,7 +234,7 @@ impl BorderRouter {
             AitfMessage::VerificationQuery(_) | AitfMessage::Pushback(_) => {
                 // Queries are for victims (end hosts) and pushback belongs
                 // to the baseline policy; either here is a misdelivery.
-                self.counters.undeliverable += 1;
+                self.data_mut().counters.undeliverable += 1;
             }
         }
         Verdict::Continue
@@ -247,11 +251,14 @@ impl BorderRouter {
         ctx: &mut Context<'_>,
     ) -> Verdict {
         let now = ctx.now();
-        if packet.is_data() && self.filters.matches(&packet.header, now) {
-            self.counters.data_filtered_pkts += 1;
-            self.counters.data_filtered_bytes += packet.size_bytes as u64;
-            self.note_arrival(packet, arrival);
-            return Verdict::Drop;
+        if packet.is_data() {
+            let data = self.data_mut();
+            if data.filters.matches(&packet.header, now) {
+                data.counters.data_filtered_pkts += 1;
+                data.counters.data_filtered_bytes += packet.size_bytes as u64;
+                self.note_arrival(packet, arrival);
+                return Verdict::Drop;
+            }
         }
         Verdict::Continue
     }
@@ -303,14 +310,14 @@ impl BorderRouter {
             PayloadKind::Aitf(AitfMessage::FilteringRequest(req))
                 if req.dest == RequestDestination::VictimGateway =>
             {
-                self.counters.requests_received += 1;
+                self.data_mut().counters.requests_received += 1;
                 if self.policy.cooperating {
                     let (flow, id) = (req.flow, req.id);
                     self.pushback_block_and_propagate(flow, id, 0, ctx);
                 }
             }
             // Anything else has no handler under pushback: a misdelivery.
-            _ => self.counters.undeliverable += 1,
+            _ => self.data_mut().counters.undeliverable += 1,
         }
         Verdict::Continue
     }
@@ -325,8 +332,9 @@ impl BorderRouter {
         ctx: &mut Context<'_>,
     ) {
         let now = ctx.now();
-        if self.filters.install(flow, now, self.cfg.t_long).is_ok() {
-            self.counters.filters_installed += 1;
+        let data = DataState::of(&mut self.data, &self.cfg);
+        if data.filters.install(flow, now, self.cfg.t_long).is_ok() {
+            data.counters.filters_installed += 1;
         }
         if depth >= MAX_PUSHBACK_DEPTH {
             return;
@@ -378,8 +386,9 @@ impl BorderRouter {
                 .as_mut()
                 .expect("prefix limiter exists under IngressRateLimit");
             if !limiter.try_acquire(key, now) {
-                self.counters.data_filtered_pkts += 1;
-                self.counters.data_filtered_bytes += packet.size_bytes as u64;
+                let counters = &mut self.data_mut().counters;
+                counters.data_filtered_pkts += 1;
+                counters.data_filtered_bytes += packet.size_bytes as u64;
                 return Verdict::Drop;
             }
         }
@@ -396,10 +405,11 @@ impl BorderRouter {
         _ctx: &mut Context<'_>,
     ) -> Verdict {
         if let PayloadKind::Aitf(AitfMessage::FilteringRequest(_)) = &packet.payload {
-            self.counters.requests_received += 1;
-            self.counters.requests_ignored += 1;
+            let counters = &mut self.data_mut().counters;
+            counters.requests_received += 1;
+            counters.requests_ignored += 1;
         } else {
-            self.counters.undeliverable += 1;
+            self.data_mut().counters.undeliverable += 1;
         }
         Verdict::Drop
     }
@@ -421,8 +431,9 @@ impl BorderRouter {
             if let Some(&origin) = packet.route_record.hops().first() {
                 let now = ctx.now();
                 if blocks.iter().any(|&(o, exp)| o == origin && exp > now) {
-                    self.counters.data_filtered_pkts += 1;
-                    self.counters.data_filtered_bytes += packet.size_bytes as u64;
+                    let counters = &mut self.data_mut().counters;
+                    counters.data_filtered_pkts += 1;
+                    counters.data_filtered_bytes += packet.size_bytes as u64;
                     return Verdict::Drop;
                 }
             }
@@ -462,19 +473,19 @@ impl BorderRouter {
             // Anything else has no handler under path stamping: a
             // misdelivery.
             _ => {
-                self.counters.undeliverable += 1;
+                self.data_mut().counters.undeliverable += 1;
                 return Verdict::Continue;
             }
         };
-        self.counters.requests_received += 1;
+        self.data_mut().counters.requests_received += 1;
         if !self.policy.cooperating {
-            self.counters.requests_ignored += 1;
+            self.data_mut().counters.requests_ignored += 1;
             return Verdict::Continue;
         }
         let Some(&origin) = req.path.hops().first() else {
             // No stamped path sample (e.g. the flood never reached the
             // victim): nothing to revoke against.
-            self.counters.requests_invalid += 1;
+            self.data_mut().counters.requests_invalid += 1;
             return Verdict::Continue;
         };
         let now = ctx.now();
@@ -483,18 +494,19 @@ impl BorderRouter {
         let blocks = &mut self.ctl_mut().stamp_blocks;
         if let Some(entry) = blocks.iter_mut().find(|(o, _)| *o == origin) {
             entry.1 = until;
-            self.counters.requests_refreshed += 1;
+            self.data_mut().counters.requests_refreshed += 1;
             return Verdict::Continue;
         }
         // Reclaim expired revocations before refusing for capacity.
         blocks.retain(|&(_, exp)| exp > now);
         if blocks.len() >= capacity {
-            self.counters.requests_unsatisfiable += 1;
+            self.data_mut().counters.requests_unsatisfiable += 1;
             return Verdict::Continue;
         }
         blocks.push((origin, until));
-        self.counters.requests_accepted += 1;
-        self.counters.filters_installed += 1;
+        let counters = &mut self.data_mut().counters;
+        counters.requests_accepted += 1;
+        counters.filters_installed += 1;
         Verdict::Continue
     }
 }

@@ -8,6 +8,14 @@
 //! each other, and end hosts hang off their network's border router
 //! through a tail circuit.
 //!
+//! What the routers read — forwarding tables, ingress sets, ancestor
+//! chains — is built here as one array per kind for the whole world and
+//! kept after [`WorldBuilder::build`] returns, in one shared, immutable
+//! wiring value: the customer-cone array the tables are filled from
+//! outlives the build as the world's ingress array. A router is its spans
+//! of that wiring; what it writes (counters, filter tables, control
+//! state) is made by the first event that needs it.
+//!
 //! # Examples
 //!
 //! ```
@@ -23,18 +31,18 @@
 //! assert!(world.host_addr(host).to_string().starts_with("10.1."));
 //! ```
 
-use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use aitf_netsim::{
     Buckets, LinkDirection, LinkId, LinkParams, NetworkBuilder, NextHops, NodeId, PartitionSpec,
     SimDuration, Simulator,
 };
-use aitf_packet::{Addr, Prefix, PrefixSet};
+use aitf_packet::{lpm, Addr, Prefix};
 
 use crate::config::{AitfConfig, HostPolicy, RouterPolicy};
 use crate::host::{EndHost, TrafficApp, VictimAgent};
-use crate::router::{BorderRouter, RouterSpec};
+use crate::router::{BorderRouter, DataState, RouterSpec, Wiring};
 
 /// How forwarding tables are derived from the declared topology.
 ///
@@ -48,8 +56,8 @@ use crate::router::{BorderRouter, RouterSpec};
 /// the far side's cone across each declared peering — no all-pairs pass,
 /// and O(n·depth) routes in total, not per router: a leaf holds a default
 /// route, a provider its whole cone (65k of 100k networks at the largest
-/// power-law provider), which [`aitf_packet::lpm`] keeps at one
-/// allocation per table and O(log n) per lookup. On any
+/// power-law provider), which [`aitf_packet::lpm`] keeps as one run of the
+/// world's table arena and looks up in O(log n). On any
 /// tree-plus-peering topology (stars, trees, the power-law generators)
 /// both modes forward every packet *for a declared network* over the same
 /// links. They are not interchangeable: a destination in no declared
@@ -123,9 +131,13 @@ fn address_order(nets: &[NetSpec]) -> Vec<(Prefix, u32)> {
 /// O(n·depth) steps, which is the size of the routing state itself. (Not a
 /// [`Buckets::group`]: that would walk every chain a second time to count,
 /// and a parent precedes its children, so the sizes are one backward pass.)
+///
+/// The prefix array outlives the build: [`Cones::into_ingress`] makes it
+/// the world's ingress array, which every router's client links point into.
 struct Cones {
     /// Net `i`'s cone is `start[i]..start[i + 1]` of both arrays below.
     start: Vec<u32>,
+    /// With room reserved for each network's own prefix after the cones.
     prefix: Vec<Prefix>,
     /// For each cone member, the network one step below the cone's owner
     /// on the way down to it — the client whose uplink reaches it; the
@@ -151,10 +163,12 @@ impl Cones {
             total = total.checked_add(s).expect("routing state fits u32");
         }
         start.push(total);
+        let ingress_end = u32::try_from(total as usize + n).expect("ingress state fits u32");
         // Next free slot of each cone.
         let mut next = size;
         next.copy_from_slice(&start[..n]);
-        let mut prefix = vec![Prefix::ANY; total as usize];
+        let mut prefix = Vec::with_capacity(ingress_end as usize);
+        prefix.resize(total as usize, Prefix::ANY);
         let mut via = vec![0u32; total as usize];
         for &(p, member) in by_addr {
             let (mut owner, mut below) = (member as usize, member);
@@ -173,22 +187,38 @@ impl Cones {
         Cones { start, prefix, via }
     }
 
-    fn range(&self, net: usize) -> std::ops::Range<usize> {
-        self.start[net] as usize..self.start[net + 1] as usize
+    /// Where `net`'s cone lies in the arrays.
+    fn span(&self, net: usize) -> (u32, u32) {
+        (self.start[net], self.start[net + 1])
     }
 
     /// The prefixes of `net`'s cone, ascending.
     fn prefixes(&self, net: usize) -> &[Prefix] {
-        &self.prefix[self.range(net)]
+        let (from, to) = self.span(net);
+        &self.prefix[from as usize..to as usize]
     }
 
     /// `net`'s cone, ascending, as `(prefix, via)` pairs.
     fn members(&self, net: usize) -> impl Iterator<Item = (Prefix, usize)> + '_ {
-        let vias = self.via[self.range(net)].iter();
+        let (from, to) = self.span(net);
+        let vias = self.via[from as usize..to as usize].iter();
         self.prefixes(net)
             .iter()
             .zip(vias)
             .map(|(&p, &v)| (p, v as usize))
+    }
+
+    /// Index of network `net`'s own prefix in the ingress array.
+    fn own(&self, net: usize) -> u32 {
+        self.prefix.len() as u32 + net as u32
+    }
+
+    /// The ingress array: every cone, then each network's own prefix at
+    /// [`Cones::own`], in the room reserved for them.
+    fn into_ingress(self, own: impl Iterator<Item = Prefix>) -> Vec<Prefix> {
+        let mut ingress = self.prefix;
+        ingress.extend(own);
+        ingress
     }
 }
 
@@ -313,7 +343,11 @@ impl WorldBuilder {
     ///
     /// What is per world is one array here — the address order, the cones,
     /// each network's clients, hosts and peers — and nothing per network is
-    /// copied, sorted or allocated twice on the way into its router.
+    /// copied, sorted or allocated twice on the way into its router. What
+    /// the routers read stays that way after the build: one [`Wiring`] per
+    /// world holds every forwarding table, ingress set and ancestor chain,
+    /// and a router holds its spans of it, so a router no packet reaches is
+    /// its wiring and owns no heap memory.
     ///
     /// # Panics
     ///
@@ -358,8 +392,6 @@ impl WorldBuilder {
 
         // Who hangs off whom, each as one counting sort.
         let net_parent: Vec<Option<usize>> = self.nets.iter().map(|net| net.parent).collect();
-        let parents = net_parent.iter().enumerate();
-        let children = Buckets::group(n, parents.filter_map(|(i, &p)| Some((p?, i))));
         let homes = self.hosts.iter().enumerate();
         let hosts_of_net = Buckets::group(n, homes.map(|(h, hspec)| (hspec.net, h)));
         let peerings = self.peerings.iter().zip(&peer_links);
@@ -385,6 +417,24 @@ impl WorldBuilder {
             }
         }
 
+        // Every router's client links, each with the run of the ingress
+        // array legitimately sourced behind it: a client network's uplink
+        // admits its cone, and a host's tail circuit its network's own
+        // prefix — ingress filtering is at network granularity (Section
+        // III-A: a provider keeps spoofed flows from *exiting its
+        // network*); spoofing inside one's own prefix is exactly what
+        // ingress filtering cannot catch. Uplinks were connected before
+        // tail circuits, each in declaration order, so in this order every
+        // router's client links are ascending by id.
+        let client_nets = (0..n).filter_map(|c| {
+            let (from, to) = cones.span(c);
+            Some((net_parent[c]?, (uplink_of(c), from, to)))
+        });
+        let hosts = self.hosts.iter().zip(&tail_links);
+        let tails = hosts.map(|(h, &link)| (h.net, (link, cones.own(h.net), cones.own(h.net) + 1)));
+        let clients = Buckets::group(n, client_nets.chain(tails));
+        debug_assert!((0..n).all(|i| clients.of(i).windows(2).all(|w| w[0].0 < w[1].0)));
+
         // Longest-prefix-match forwarding, one table per router, plus /32
         // routes for the hosts of a router's own network. Only the gateway
         // carries its clients' /32s: remote routers reach a host through a
@@ -403,10 +453,12 @@ impl WorldBuilder {
         //
         // Either way a router's routes are listed into `routes` in address
         // order — its hosts' /32s stand where its own prefix would — and
-        // its table is built from the list, whose sort then has nothing to
-        // move. Only a peering's cone arrives as a second ascending run; a
-        // later route for the same prefix replaces an earlier one.
+        // its table is normalised from the list at the end of the world's
+        // one arena, which then has nothing to sort. Only a peering's cone
+        // arrives as a second ascending run; a later route for the same
+        // prefix replaces an earlier one.
         debug_assert!(router_nodes.iter().enumerate().all(|(i, n)| n.0 == i));
+        let mut fwd = Vec::new();
         let next_hops = match self.routing {
             RoutingMode::AllPairs => {
                 let up = (0..n).filter_map(|i| Some((i, net_parent[i]?, uplink_of(i))));
@@ -417,26 +469,25 @@ impl WorldBuilder {
                     .collect();
                 Some(NextHops::compute(n, &backbone))
             }
-            RoutingMode::Hierarchical => None,
+            RoutingMode::Hierarchical => {
+                // A router's table is its cone, its own prefix traded for
+                // its hosts' /32s and a default route, plus its peers'
+                // cones: at most this many routes in all, so the arena is
+                // allocated once.
+                let cone = |net: usize| cones.prefixes(net).len();
+                let peered: usize = self
+                    .peerings
+                    .iter()
+                    .map(|&(a, b, _)| cone(a) + cone(b))
+                    .sum();
+                fwd.reserve(cones.prefix.len() + self.hosts.len() + peered);
+                None
+            }
         };
         let mut routes: Vec<(Prefix, LinkId)> = Vec::new();
-
-        // Deployment view seeded at build time: which border routers do
-        // not participate in AITF (the capability "advertisement" every
-        // router sees), plus each router's full ancestor chain so
-        // escalation can skip legacy parents to the nearest AITF node. All
-        // clients of one provider escalate along the same chain, made when
-        // the provider is installed: its address, then its own chain.
-        let legacy = self.nets.iter().zip(&router_addr);
-        let legacy_peers: Arc<[Addr]> = legacy
-            .filter(|(net, _)| !net.policy.aitf_enabled)
-            .map(|(_, &addr)| addr)
-            .collect();
-        let no_ancestors: Arc<[Addr]> = Arc::from([]);
-        let mut chain_below: Vec<Option<Arc<[Addr]>>> = vec![None; n];
-
-        // Install routers.
-        for (i, net) in self.nets.iter().enumerate() {
+        let mut fwd_spans: Vec<Range<u32>> = Vec::with_capacity(n);
+        let offset = |at: usize| u32::try_from(at).expect("routing state fits u32");
+        for i in 0..n {
             let own_hosts = hosts_of_net.of(i).iter();
             let host_routes = own_hosts.map(|&h| (Prefix::host(host_addr[h]), tail_links[h]));
             match &next_hops {
@@ -472,36 +523,49 @@ impl WorldBuilder {
                     routes.extend(cones.prefixes(far).iter().map(|&p| (p, link)));
                 }
             }
-            let mut client_links: BTreeMap<LinkId, PrefixSet> = BTreeMap::new();
-            for &c in children.of(i) {
-                let cone = PrefixSet::new(cones.prefixes(c).to_vec());
-                client_links.insert(uplink_of(c), cone);
-            }
-            for &h in hosts_of_net.of(i) {
-                // Ingress filtering is at network granularity (Section
-                // III-A: a provider keeps spoofed flows from *exiting
-                // its network*); spoofing inside one's own prefix is
-                // exactly what ingress filtering cannot catch.
-                client_links.insert(tail_links[h], PrefixSet::new(vec![net.prefix]));
-            }
-            let ancestors = match net.parent {
-                Some(p) => chain_below[p]
-                    .clone()
-                    .expect("a provider is installed first"),
-                None => Arc::clone(&no_ancestors),
-            };
-            if !children.of(i).is_empty() {
-                let chain = std::iter::once(router_addr[i]).chain(ancestors.iter().copied());
-                chain_below[i] = Some(chain.collect());
-            }
+            let from = fwd.len();
+            fwd.extend(routes.drain(..).map(|(p, link)| lpm::Entry::new(p, link)));
+            lpm::normalise(&mut fwd, from);
+            fwd_spans.push(offset(from)..offset(fwd.len()));
+        }
+
+        // Each router's ancestor gateways, nearest first, so escalation can
+        // skip legacy parents to the nearest AITF node.
+        let (parent_of, addr_of) = (&net_parent, &router_addr);
+        let chains = (0..n).flat_map(|i| {
+            let up = std::iter::successors(parent_of[i], move |&p| parent_of[p]);
+            up.map(move |a| (i, addr_of[a]))
+        });
+        let ancestors = Buckets::group(n, chains);
+
+        // What every router reads, as one value for the world.
+        let wiring = Arc::new(Wiring {
+            fwd,
+            clients,
+            ingress: cones.into_ingress(self.nets.iter().map(|net| net.prefix)),
+            ancestors,
+            idle: DataState::new(&cfg),
+        });
+
+        // Deployment view seeded at build time: which border routers do
+        // not participate in AITF (the capability "advertisement" every
+        // router sees).
+        let legacy = self.nets.iter().zip(&router_addr);
+        let legacy_peers: Vec<Addr> = legacy
+            .filter(|(net, _)| !net.policy.aitf_enabled)
+            .map(|(_, &addr)| addr)
+            .collect();
+
+        // Install routers.
+        for ((i, net), fwd) in self.nets.iter().enumerate().zip(fwd_spans) {
             let spec = RouterSpec {
                 addr: router_addr[i],
                 prefix: net.prefix,
-                fwd: routes.drain(..).collect(),
+                net: i,
+                fwd,
                 uplink: uplinks[i],
-                ancestors,
-                legacy_peers: Arc::clone(&legacy_peers),
-                client_links,
+                legacy_peers: &legacy_peers,
+                wiring: Arc::clone(&wiring),
                 config: Arc::clone(&cfg),
                 policy: net.policy,
             };

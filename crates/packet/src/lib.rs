@@ -31,7 +31,7 @@ pub mod route_record;
 
 pub use addr::{Addr, AddrParseError, Prefix};
 pub use flow::{FlowLabel, PortPattern, ProtoPattern};
-pub use lpm::{LpmTable, PrefixSet};
+pub use lpm::{LpmTable, PrefixSet, PrefixSlice};
 pub use message::{
     AitfMessage, FilteringRequest, Nonce, PushbackRequest, RequestDestination, VerificationQuery,
     VerificationReply,

@@ -1,47 +1,141 @@
-//! Longest-prefix-match table and prefix membership set.
+//! Longest-prefix-match tables and prefix membership.
 //!
 //! Real routers forward on aggregated prefixes, not per-host entries; the
 //! AITF world gives each network a prefix, so a border router's forwarding
 //! table is prefix routes plus /32s for its own clients — a handful at an
 //! edge gateway, its whole customer cone (tens of thousands of routes) at a
-//! provider. Both structures here are one flat array in `(addr, len)`
-//! order, built in bulk with a sort and probed with one binary search, so a
-//! table costs one allocation however many routes it holds and a lookup
+//! provider. Both structures here are flat arrays in `(addr, len)` order,
+//! built in bulk and probed with one binary search, so a lookup costs
 //! `O(log n)` however deep the prefixes nest:
 //!
-//! - [`LpmTable`] maps prefixes to values and answers with the value of the
-//!   *longest* stored prefix containing an address. In `(addr, len)` order
-//!   a prefix sorts after every prefix covering it and before everything
-//!   nested inside it, so the last entry starting at or before the address
-//!   is either the answer or nested inside the answer; each entry carries
-//!   the index of its longest stored cover, and the lookup climbs that
-//!   chain — zero steps on tables of disjoint prefixes, one to reach a
-//!   default route.
-//! - [`PrefixSet`] only answers "is this address inside any of the
-//!   prefixes" (ingress filtering), so it drops covered prefixes when built
-//!   and needs no chain at all.
+//! - A forwarding table is a run of [`Entry`]s that [`normalise`] made and
+//!   [`lookup`] answers with the value of the *longest* stored prefix
+//!   containing an address. In `(addr, len)` order a prefix sorts after
+//!   every prefix covering it and before everything nested inside it, so
+//!   the last entry starting at or before the address is either the answer
+//!   or nested inside the answer; each entry carries the index of its
+//!   longest stored cover within its run, and the lookup climbs that chain
+//!   — zero steps on tables of disjoint prefixes, one to reach a default
+//!   route. Runs need not own their storage: a world keeps every router's
+//!   table as one run of a single arena. [`LpmTable`] is the one-table
+//!   owner of a run, with in-place `insert` and `remove`.
+//! - Membership ("is this address inside any of the prefixes", ingress
+//!   filtering) needs no chain: [`PrefixSlice`] answers it over ascending,
+//!   pairwise-disjoint prefixes it borrows, and [`PrefixSet`] owns such a
+//!   list, normalised from any prefixes when built.
 
 use crate::addr::{Addr, Prefix};
 
 /// `cover` of an entry no stored prefix covers; past the end of any table.
 const NO_COVER: u32 = u32::MAX;
 
+/// One route of a forwarding table.
 #[derive(Debug, Clone)]
-struct Entry<T> {
+pub struct Entry<T> {
     prefix: Prefix,
-    /// Index of the longest stored prefix strictly covering `prefix`.
+    /// Index, within the entry's run, of the longest stored prefix strictly
+    /// covering `prefix`.
     cover: u32,
     value: T,
 }
 
-/// A longest-prefix-match map from [`Prefix`] to `T`.
+impl<T> Entry<T> {
+    /// A route, to be placed in its table by [`normalise`].
+    pub fn new(prefix: Prefix, value: T) -> Self {
+        Entry {
+            prefix,
+            cover: NO_COVER,
+            value,
+        }
+    }
+}
+
+/// Makes the run `entries[from..]` one table: ascending by prefix, one
+/// entry per prefix — the value given last wins, as repeated
+/// [`LpmTable::insert`]s would have it — and each entry's cover chain
+/// derived. A run that is already ascending is not sorted, so a table
+/// listed in address order costs one pass.
 ///
-/// Collecting an iterator of `(prefix, value)` pairs builds the table in
-/// one `O(n log n)` pass (a later duplicate prefix replaces an earlier
-/// one, as repeated [`LpmTable::insert`]s would); `insert` in ascending
-/// prefix order appends in `O(log n)`. Any other `insert`, and every
-/// `remove`, shifts the array and re-derives the cover chain in `O(n)` —
-/// tables in this workspace are built once and mutated rarely.
+/// Many tables share one arena this way: append a table's routes, call
+/// this with the arena length from before, and keep `from..entries.len()`
+/// as the table's span for [`lookup`].
+pub fn normalise<T>(entries: &mut Vec<Entry<T>>, from: usize) {
+    let run = &mut entries[from..];
+    if run.windows(2).any(|w| w[0].prefix > w[1].prefix) {
+        // Stable, so equal prefixes stay in arrival order.
+        run.sort_by_key(|e| e.prefix);
+    }
+    // Compact in place: each prefix's last entry moves into the slot of
+    // its first, and what is left past `kept` is the replaced ones.
+    let mut kept = from;
+    for i in from..entries.len() {
+        if kept > from && entries[kept - 1].prefix == entries[i].prefix {
+            entries.swap(kept - 1, i);
+        } else {
+            entries.swap(kept, i);
+            kept += 1;
+        }
+    }
+    entries.truncate(kept);
+    reindex(&mut entries[from..]);
+}
+
+/// The value of the longest prefix of `table` containing `addr`, if any;
+/// `table` is one run [`normalise`] made.
+pub fn lookup<T>(table: &[Entry<T>], addr: Addr) -> Option<&T> {
+    let after = table.partition_point(|e| e.prefix.addr() <= addr);
+    let hit = climb(table, after.checked_sub(1)?, |p| p.contains(addr))?;
+    Some(&table[hit].value)
+}
+
+/// The first entry satisfying `hit` on the cover chain from entry `i`
+/// (itself included) outwards; `NO_COVER` ends the climb by indexing past
+/// the end.
+///
+/// This finds the longest stored prefix around an address or a prefix when
+/// `i` is the last entry starting at or before it: that entry is the one
+/// sought or starts inside it (and ends too early), so the one sought is
+/// among its covers, longest first.
+fn climb<T>(table: &[Entry<T>], mut i: usize, hit: impl Fn(Prefix) -> bool) -> Option<usize> {
+    loop {
+        let entry = table.get(i)?;
+        if hit(entry.prefix) {
+            return Some(i);
+        }
+        i = entry.cover as usize;
+    }
+}
+
+/// The longest stored strict cover of entry `i`, given the covers of the
+/// entries before it.
+fn cover_of<T>(table: &[Entry<T>], i: usize) -> u32 {
+    let prefix = table[i].prefix;
+    let before = i.checked_sub(1);
+    match before.and_then(|j| climb(table, j, |p| p.covers(prefix))) {
+        Some(j) => {
+            assert!(j < NO_COVER as usize, "LPM table too large");
+            j as u32
+        }
+        None => NO_COVER,
+    }
+}
+
+/// Re-derives every cover index, front to back. Each climb starts where the
+/// previous one ended, so the whole pass is `O(n)`.
+fn reindex<T>(table: &mut [Entry<T>]) {
+    for i in 0..table.len() {
+        table[i].cover = cover_of(table, i);
+    }
+}
+
+/// A longest-prefix-match map from [`Prefix`] to `T`: one table that owns
+/// its run.
+///
+/// Collecting an iterator of `(prefix, value)` pairs builds the table with
+/// [`normalise`] (a later duplicate prefix replaces an earlier one, as
+/// repeated [`LpmTable::insert`]s would); `insert` in ascending prefix
+/// order appends in `O(log n)`. Any other `insert`, and every `remove`,
+/// shifts the array and re-derives the cover chain in `O(n)`.
 ///
 /// # Examples
 ///
@@ -59,7 +153,7 @@ struct Entry<T> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct LpmTable<T> {
-    /// Ascending by `prefix`, no two equal.
+    /// One normalised run.
     entries: Vec<Entry<T>>,
 }
 
@@ -93,18 +187,13 @@ impl<T> LpmTable<T> {
         match self.entries.binary_search_by_key(&prefix, |e| e.prefix) {
             Ok(i) => Some(std::mem::replace(&mut self.entries[i].value, value)),
             Err(i) => {
-                let entry = Entry {
-                    prefix,
-                    cover: NO_COVER,
-                    value,
-                };
-                self.entries.insert(i, entry);
+                self.entries.insert(i, Entry::new(prefix, value));
                 if i + 1 == self.entries.len() {
                     // Appended: no index moved and nothing sorts after the
                     // new prefix, so only its own cover is unknown.
-                    self.entries[i].cover = self.cover_of(i);
+                    self.entries[i].cover = cover_of(&self.entries, i);
                 } else {
-                    self.reindex();
+                    reindex(&mut self.entries);
                 }
                 None
             }
@@ -118,86 +207,63 @@ impl<T> LpmTable<T> {
             .binary_search_by_key(&prefix, |e| e.prefix)
             .ok()?;
         let entry = self.entries.remove(i);
-        self.reindex();
+        reindex(&mut self.entries);
         Some(entry.value)
     }
 
     /// The value of the longest prefix containing `addr`, if any.
     pub fn lookup(&self, addr: Addr) -> Option<&T> {
-        let after = self.entries.partition_point(|e| e.prefix.addr() <= addr);
-        let hit = self.climb(after.checked_sub(1)?, |p| p.contains(addr))?;
-        Some(&self.entries[hit].value)
+        lookup(&self.entries, addr)
     }
 
     /// Returns `true` if any stored prefix contains `addr`.
     pub fn contains(&self, addr: Addr) -> bool {
         self.lookup(addr).is_some()
     }
-
-    /// The first entry satisfying `hit` on the cover chain from entry `i`
-    /// (itself included) outwards; `NO_COVER` ends the climb by indexing
-    /// past the end.
-    ///
-    /// This finds the longest stored prefix around an address or a prefix
-    /// when `i` is the last entry starting at or before it: that entry is
-    /// the one sought or starts inside it (and ends too early), so the one
-    /// sought is among its covers, longest first.
-    fn climb(&self, mut i: usize, hit: impl Fn(Prefix) -> bool) -> Option<usize> {
-        loop {
-            let entry = self.entries.get(i)?;
-            if hit(entry.prefix) {
-                return Some(i);
-            }
-            i = entry.cover as usize;
-        }
-    }
-
-    /// The longest stored strict cover of entry `i`, given the covers of
-    /// the entries before it.
-    fn cover_of(&self, i: usize) -> u32 {
-        let prefix = self.entries[i].prefix;
-        let before = i.checked_sub(1);
-        match before.and_then(|j| self.climb(j, |p| p.covers(prefix))) {
-            Some(j) => {
-                assert!(j < NO_COVER as usize, "LPM table too large");
-                j as u32
-            }
-            None => NO_COVER,
-        }
-    }
-
-    /// Re-derives every cover index, front to back. Each climb starts where
-    /// the previous one ended, so the whole pass is `O(n)`.
-    fn reindex(&mut self) {
-        for i in 0..self.entries.len() {
-            self.entries[i].cover = self.cover_of(i);
-        }
-    }
 }
 
 impl<T> FromIterator<(Prefix, T)> for LpmTable<T> {
     fn from_iter<I: IntoIterator<Item = (Prefix, T)>>(iter: I) -> Self {
-        let mut entries: Vec<Entry<T>> = iter
+        let routes = iter
             .into_iter()
-            .map(|(prefix, value)| Entry {
-                prefix,
-                cover: NO_COVER,
-                value,
-            })
-            .collect();
-        // Stable, so equal prefixes stay in arrival order and the swap
-        // below leaves the last of each run in the kept slot.
-        entries.sort_by_key(|e| e.prefix);
-        entries.dedup_by(|later, kept| {
-            let same = later.prefix == kept.prefix;
-            if same {
-                std::mem::swap(later, kept);
-            }
-            same
-        });
-        let mut table = LpmTable { entries };
-        table.reindex();
-        table
+            .map(|(prefix, value)| Entry::new(prefix, value));
+        let mut entries = routes.collect();
+        normalise(&mut entries, 0);
+        LpmTable { entries }
+    }
+}
+
+/// Ascending, pairwise-disjoint prefixes, borrowed: the one form address
+/// membership is answered in. [`PrefixSet`] lends its list as one, and a
+/// holder of such a run inside a larger array — a world keeps every ingress
+/// set as a run of one per-world array — makes one with
+/// [`PrefixSlice::disjoint`].
+#[derive(Debug, Clone, Copy)]
+pub struct PrefixSlice<'a>(&'a [Prefix]);
+
+impl<'a> PrefixSlice<'a> {
+    /// Borrows `prefixes`, which must be ascending and pairwise disjoint;
+    /// the answers for any other list are unspecified.
+    pub fn disjoint(prefixes: &'a [Prefix]) -> Self {
+        PrefixSlice(prefixes)
+    }
+
+    /// Returns `true` if some prefix contains `addr`.
+    pub fn contains(self, addr: Addr) -> bool {
+        // Disjoint members: only the last one starting at or before `addr`
+        // can hold it.
+        let after = self.0.partition_point(|p| p.addr() <= addr);
+        after > 0 && self.0[after - 1].contains(addr)
+    }
+
+    /// Returns `true` if some prefix shares an address with `prefix`.
+    pub fn overlaps(self, prefix: Prefix) -> bool {
+        // Disjoint members: the last one starting before `prefix` may reach
+        // into it, the first one starting at or after its first address may
+        // cover it or lie inside it, and nothing else can touch it.
+        let at = self.0.partition_point(|p| p.addr() < prefix.addr());
+        let mut nearest = self.0[at.saturating_sub(1)..].iter().take(2);
+        nearest.any(|p| p.overlaps(prefix))
     }
 }
 
@@ -236,23 +302,20 @@ impl PrefixSet {
         PrefixSet { prefixes }
     }
 
+    /// The set as the borrowed form membership is answered in.
+    pub fn as_slice(&self) -> PrefixSlice<'_> {
+        PrefixSlice(&self.prefixes)
+    }
+
     /// Returns `true` if some prefix of the set contains `addr`.
     pub fn contains(&self, addr: Addr) -> bool {
-        // Disjoint members: only the last one starting at or before `addr`
-        // can hold it.
-        let after = self.prefixes.partition_point(|p| p.addr() <= addr);
-        after > 0 && self.prefixes[after - 1].contains(addr)
+        self.as_slice().contains(addr)
     }
 
     /// Returns `true` if some prefix of the set shares an address with
     /// `prefix`.
     pub fn overlaps(&self, prefix: Prefix) -> bool {
-        // Disjoint members: the last one starting before `prefix` may reach
-        // into it, the first one starting at or after its first address may
-        // cover it or lie inside it, and nothing else can touch it.
-        let at = self.prefixes.partition_point(|p| p.addr() < prefix.addr());
-        let mut nearest = self.prefixes[at.saturating_sub(1)..].iter().take(2);
-        nearest.any(|p| p.overlaps(prefix))
+        self.as_slice().overlaps(prefix)
     }
 }
 
@@ -411,7 +474,9 @@ mod proptests {
 
     proptest! {
         /// The membership set is exactly "some listed prefix contains it",
-        /// and its overlap test exactly "some listed prefix overlaps it".
+        /// and its overlap test exactly "some listed prefix overlaps it" —
+        /// and so is the slice form over the outermost listed prefixes,
+        /// found by brute force instead of by the set's normalisation.
         #[test]
         fn prefix_set_agrees_with_linear_scan(
             prefixes in proptest::collection::vec(crowded_prefix(), 0..40),
@@ -419,21 +484,31 @@ mod proptests {
             queries in proptest::collection::vec(crowded_prefix(), 1..20),
         ) {
             let set = PrefixSet::new(prefixes.clone());
+            let covered = |p: Prefix| prefixes.iter().any(|&q| q != p && q.covers(p));
+            let mut outermost: Vec<Prefix> = prefixes.iter().copied().filter(|&p| !covered(p)).collect();
+            outermost.sort_unstable();
+            outermost.dedup();
+            let slice = PrefixSlice::disjoint(&outermost);
             for a in edges(&prefixes).chain(probes.into_iter().map(Addr)) {
-                prop_assert_eq!(set.contains(a), prefixes.iter().any(|p| p.contains(a)), "{}", a);
+                let expected = prefixes.iter().any(|p| p.contains(a));
+                prop_assert_eq!(set.contains(a), expected, "{}", a);
+                prop_assert_eq!(slice.contains(a), expected, "slice {}", a);
             }
             for &q in prefixes.iter().chain(&queries) {
-                prop_assert_eq!(set.overlaps(q), prefixes.iter().any(|p| p.overlaps(q)), "{}", q);
+                let expected = prefixes.iter().any(|p| p.overlaps(q));
+                prop_assert_eq!(set.overlaps(q), expected, "{}", q);
+                prop_assert_eq!(slice.overlaps(q), expected, "slice {}", q);
             }
         }
 
-        /// The bulk constructor, `insert` in either order and `remove`
-        /// all build the table the scan describes; among equal prefixes
-        /// the value given last wins.
+        /// The bulk constructor, `insert` in either order, `remove` and an
+        /// arena of 2–3 tables all build the tables the scan describes;
+        /// among equal prefixes the value given last wins.
         #[test]
         fn bulk_build_inserts_and_removes_agree_with_linear_scan(
             prefixes in proptest::collection::vec(crowded_prefix(), 1..60),
             probes in proptest::collection::vec(any::<u32>(), 1..20),
+            cuts in proptest::collection::vec(any::<u32>(), 1..3),
         ) {
             let bulk: LpmTable<usize> = prefixes.iter().copied().zip(0..).collect();
             let mut forwards = LpmTable::new();
@@ -452,18 +527,41 @@ mod proptests {
             for &p in prefixes.iter().filter(|p| p.len() % 2 == 1) {
                 pruned.remove(p);
             }
+            // The same routes cut into 2–3 tables of one arena, every other
+            // one listed in address order, so that both the sorting and the
+            // already-ascending path build a table.
+            let mut bounds: Vec<usize> = cuts.iter().map(|&c| c as usize % (prefixes.len() + 1)).collect();
+            bounds.sort_unstable();
+            bounds.insert(0, 0);
+            bounds.push(prefixes.len());
+            let mut arena = Vec::new();
+            let mut tables = Vec::new();
+            for (k, part) in bounds.windows(2).enumerate() {
+                let mut routes: Vec<(Prefix, usize)> = (part[0]..part[1]).map(|i| (prefixes[i], i)).collect();
+                if k % 2 == 1 {
+                    routes.sort_by_key(|r| r.0);
+                }
+                let from = arena.len();
+                arena.extend(routes.into_iter().map(|(p, i)| Entry::new(p, i)));
+                normalise(&mut arena, from);
+                tables.push((part[0]..part[1], from..arena.len()));
+            }
             let probes: Vec<Addr> = edges(&prefixes).chain(probes.into_iter().map(Addr)).collect();
-            let scan = |addr: Addr, keep: fn(&Prefix) -> bool| {
-                let hits = prefixes.iter().enumerate().filter(|(_, p)| keep(p) && p.contains(addr));
-                hits.max_by_key(|(i, p)| (p.len(), *i)).map(|(i, _)| i)
+            let scan = |addr: Addr, keep: fn(&Prefix) -> bool, listed: std::ops::Range<usize>| {
+                let hits = listed.filter(|&i| keep(&prefixes[i]) && prefixes[i].contains(addr));
+                hits.max_by_key(|&i| (prefixes[i].len(), i))
             };
             for &a in &probes {
-                let expected = scan(a, |_| true);
+                let expected = scan(a, |_| true, 0..prefixes.len());
                 prop_assert_eq!(bulk.lookup(a).copied(), expected, "bulk {}", a);
                 prop_assert_eq!(forwards.lookup(a).copied(), expected, "forwards {}", a);
                 prop_assert_eq!(backwards.lookup(a).copied(), expected, "backwards {}", a);
-                let even = scan(a, |p| p.len() % 2 == 0);
+                let even = scan(a, |p| p.len() % 2 == 0, 0..prefixes.len());
                 prop_assert_eq!(pruned.lookup(a).copied(), even, "pruned {}", a);
+                for (listed, span) in &tables {
+                    let own = scan(a, |_| true, listed.clone());
+                    prop_assert_eq!(lookup(&arena[span.clone()], a).copied(), own, "arena {:?} {}", listed, a);
+                }
             }
             prop_assert_eq!(bulk.len(), forwards.len());
             prop_assert_eq!(bulk.len(), backwards.len());

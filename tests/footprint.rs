@@ -1,9 +1,11 @@
-//! The footprint of an element nothing ever happened to: wiring and
-//! counters only. Protocol state — link queues, filter and shadow storage,
+//! The footprint of an element nothing ever happened to: its wiring only.
+//! What elements write — counters, link queues, filter and shadow storage,
 //! a router's control plane, a host's victim agent — is made by the first
-//! event that needs it, so the per-element sizes and the bytes a large
-//! world asks the allocator for are what the paper's resource argument
-//! (Section IV) says they should be: independent of the protocol's tables.
+//! event that needs it, and what routers read — forwarding tables, ingress
+//! sets, ancestor chains — is one array per world, so the per-element sizes
+//! and the bytes a large world asks the allocator for are what the paper's
+//! resource argument (Section IV) says they should be: independent of the
+//! protocol's tables.
 
 use aitf::core::{AitfConfig, BorderRouter, EndHost};
 use aitf::netsim::Link;
@@ -14,11 +16,12 @@ use aitf::scenario::{PowerLawSpec, TopologySpec};
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-// Exact sizes when these bounds were set: 64 / 600 / 296 bytes (592 /
-// 1,376 / 912 with every table and queue laid out inline).
+// Exact sizes when these bounds were set: 64 / 192 / 296 bytes (592 /
+// 1,376 / 912 with every table and queue laid out inline, and a router 600
+// with its counters and two empty tables inline).
 const _: () = {
     assert!(std::mem::size_of::<Link>() <= 64);
-    assert!(std::mem::size_of::<BorderRouter>() <= 640);
+    assert!(std::mem::size_of::<BorderRouter>() <= 192);
     assert!(std::mem::size_of::<EndHost>() <= 320);
 };
 
@@ -48,26 +51,27 @@ fn a_power_law_world_is_built_within_its_per_network_byte_budget() {
     assert_eq!(nets, spec.nets.len());
     let per_net = bytes / nets as u64;
     // Every byte requested while building, transient ones included:
-    // 1,869 B per network when the bound was set (measured + 10 %), against
-    // 2,125 B with one `Vec` per node, provider and name copy, and 3,435 B
-    // with tables, control plane and link queues laid out up front.
+    // 1,275 B per network when the bound was set, against 1,869 B with a
+    // forwarding table, ingress sets and counters per router, 2,125 B with
+    // one `Vec` per node, provider and name copy, and 3,435 B with tables,
+    // control plane and link queues laid out up front.
     assert!(
-        per_net <= 2_055,
+        per_net <= 1_530,
         "building a {nets}-net world requested {per_net} B per network"
     );
 }
 
 #[test]
-fn a_power_law_world_is_built_in_five_allocations_per_network() {
+fn a_power_law_world_is_built_in_two_and_a_half_allocations_per_network() {
     let spec = power_law_spec();
     let (built, allocs) = CountingAlloc::count(|| spec.build(7, AitfConfig::default()));
     let nets = built.world.net_count() as u64;
-    // 4.52 per network when the bound was set (4.29 at 100,000 networks):
-    // its name, its router, its forwarding table and the ingress set its
-    // provider keeps for it, plus the providers' link maps and ancestor
-    // chains. What is per world is a fixed number of arrays.
+    // 2.01 per network when the bound was set: its name and its router.
+    // What is per world is a fixed number of arrays, the forwarding tables,
+    // ingress sets and ancestor chains among them (4.52 when each router
+    // had its own table, link map, ingress sets and chain).
     assert!(
-        allocs <= 5 * nets,
+        2 * allocs <= 5 * nets,
         "building a {nets}-net world made {allocs} allocations"
     );
 }
