@@ -23,9 +23,9 @@ pub fn run_scenario(
 
 /// What the event loop of a finished run must satisfy, checked in every
 /// build (the simulator's own pool check is a `debug_assert`, and the
-/// at-scale smoke runs are release runs): the packet-pool identity
-/// (`aitf_netsim::event`, *Who owns a parked packet*) — one pass over the
-/// links and the pending events, once per point. (Causality needs no check
+/// at-scale smoke runs are release runs): the packet-pool identity of every
+/// shard (`aitf_netsim::event`, *Who owns a parked packet*) — one pass over
+/// the links and the pending events, once per point. (Causality needs no check
 /// here: the loop panics at the pop of any event that fires before its
 /// shard's clock.)
 ///
@@ -37,7 +37,8 @@ pub fn assert_loop_invariants(sim: &Simulator) {
     assert_eq!(
         sim.parked_packets(),
         sim.packets_in_network(),
-        "packet pool identity broken: parked packets vs. link entries + pending deliveries"
+        "packet pool identity broken: parked packets vs. link entries + pending deliveries, \
+         per shard"
     );
 }
 
@@ -149,7 +150,7 @@ impl Table {
 }
 
 /// Builds a [`Table`] from engine run records: parameter columns first,
-/// then metric columns (the engine's [`tabulate`] projection).
+/// then metric columns (the engine's [`tabulate()`] projection).
 pub fn table_from_records(title: &str, records: &[RunRecord]) -> Table {
     let (headers, rows) = tabulate(records);
     let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();

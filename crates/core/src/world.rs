@@ -344,7 +344,7 @@ impl WorldBuilder {
     /// What is per world is one array here — the address order, the cones,
     /// each network's clients, hosts and peers — and nothing per network is
     /// copied, sorted or allocated twice on the way into its router. What
-    /// the routers read stays that way after the build: one [`Wiring`] per
+    /// the routers read stays that way after the build: one `Wiring` per
     /// world holds every forwarding table, ingress set and ancestor chain,
     /// and a router holds its spans of it, so a router no packet reaches is
     /// its wiring and owns no heap memory.

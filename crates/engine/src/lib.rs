@@ -12,7 +12,7 @@
 //!   point index)`, and results land in pre-indexed slots, so sweeps are
 //!   **bit-identical at any thread count**;
 //! - each finished point is a [`RunRecord`]; the same records feed two
-//!   sinks — [`tabulate`] for the classic ASCII tables, and [`json`] for
+//!   sinks — [`tabulate()`] for the classic ASCII tables, and [`json`] for
 //!   `BENCH_<experiment>.json` telemetry files.
 //!
 //! ```

@@ -79,9 +79,8 @@
 //! on every schedule. A schedule at or *below* `last` is one push into
 //! `due`, whose full-key order pops mixed times correctly. The event loop
 //! never schedules below the instant it dispatches — the loop itself panics
-//! if a popped event fires before its shard's clock — but the coordinator's
-//! scratch queue steps back in time between cut-link operations at every
-//! barrier, and callers of the public API may too.
+//! if a popped event fires before its shard's clock — but callers of the
+//! public API may.
 //!
 //! # Who owns a parked packet
 //!
@@ -91,16 +90,16 @@
 //! slot does not compile. `EventQueue::unpark` consumes the handle and
 //! leaves the slot `None`, so redeeming a slot twice (only possible by
 //! forging a handle) is the `expect` in `unpark`, not a wrong packet. The
-//! ledger that licenses all this is one identity, checked at the end of
-//! every run: `parked == Σ_links (queued + in flight) + pending Deliver
-//! events` ([`EventQueue::parked`], `Simulator::parked_packets`).
+//! ledger that licenses all this is one identity per queue, checked at the
+//! end of every run: `parked == Σ_link directions delivering here (queued +
+//! in flight) + pending Deliver events` ([`EventQueue::parked`],
+//! `Simulator::parked_packets`).
 //!
-//! The one rule a caller of the public [`crate::Link`] API must keep: **a
-//! link redeems its handles from the queue it parked them in** — hand a
-//! link the same `EventQueue` for life. The simulator binds every link to
-//! one queue (its shard's, or the coordinator's scratch queue for a cut
-//! link), and re-homes links only in `apply_partition`, which runs on an
-//! empty queue.
+//! The one rule that keeps it: **a link redeems its handles from the queue
+//! of the shard each direction delivers to** — for a caller of the public
+//! [`crate::Link`] API, the one queue it hands the link for life. A cut
+//! link's replay parks into the receiving shard's pool; links are re-homed
+//! only in `apply_partition`, which runs on an empty queue.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -108,7 +107,7 @@ use std::sync::Arc;
 
 use aitf_packet::Packet;
 
-use crate::link::{LinkDirection, LinkId};
+use crate::link::{LinkDirection, LinkId, LinkSink};
 use crate::node::NodeId;
 use crate::time::SimTime;
 
@@ -252,10 +251,10 @@ impl Ord for HeapEntry {
 /// partitioned simulation. Every queue is purely local — shard code only
 /// ever schedules events for nodes it owns, because the only cross-shard
 /// paths (cut links) are owned by the coordinator, which replays their
-/// operations at window barriers and schedules the resulting `Deliver`s
-/// directly into the destination shard's queue. The guard turns any
-/// violation of that invariant into an immediate panic instead of a silent
-/// determinism bug.
+/// operations at window barriers and pushes the resulting `Deliver`s
+/// directly into the destination shard's queue. The guard checks every
+/// `Deliver` either way enters a queue by, turning any violation of that
+/// invariant into an immediate panic instead of a silent determinism bug.
 #[derive(Debug)]
 pub(crate) struct ShardGuard {
     my_shard: u16,
@@ -348,68 +347,50 @@ impl EventQueue {
 
     /// Schedules `kind` to fire at `time`, produced at the current instant
     /// on the current chain. A `Deliver`'s packet is parked in the pool.
-    ///
-    /// In a sharded simulation every queue stays purely local: shard code
-    /// only schedules for nodes it owns (cut links — the only cross-shard
-    /// paths — are coordinator-owned and replayed at window barriers), an
-    /// invariant [`EventQueue::bind_shard`] enforces for `Deliver`s.
     #[inline]
     pub fn schedule(&mut self, time: SimTime, kind: EventKind) {
-        let ptime = self.now;
-        let chain = self.chain.unwrap_or(time.0);
-        self.schedule_produced_at(time, ptime, chain, kind);
+        match kind {
+            EventKind::Deliver { node, link, packet } => {
+                let slot = self.park(packet);
+                self.deliver(time, node, link, slot);
+            }
+            EventKind::LinkTxDone { link, dir } => self.tx_done(time, link, dir),
+            EventKind::Timer { node, token } => self.push_now(time, Fire::Timer { node, token }),
+        }
     }
 
-    /// Schedules `kind` with an explicit produce time and chain key — the
-    /// coordinator uses this to transplant replay-produced events into a
-    /// shard's queue at the heap position their producing dispatch would
-    /// have given them in a single-threaded run.
+    /// Schedules the delivery of the packet `slot` owns — parked in this
+    /// queue's pool — to `node` at `time` under an explicit produce time and
+    /// chain key: the one path a `Deliver` enters a queue by (a cut-link
+    /// replay step passes its own keys).
     #[inline]
-    pub(crate) fn schedule_produced_at(
+    pub(crate) fn push_deliver(
         &mut self,
         time: SimTime,
         ptime: SimTime,
         chain: u64,
-        kind: EventKind,
-    ) {
-        let fire = match kind {
-            EventKind::Deliver { node, link, packet } => {
-                self.check_local(node);
-                let slot = self.park(packet);
-                Fire::Deliver { node, link, slot }
-            }
-            EventKind::LinkTxDone { link, dir } => Fire::LinkTxDone { link, dir },
-            EventKind::Timer { node, token } => Fire::Timer { node, token },
-        };
-        self.push(time, ptime, chain, fire);
-    }
-
-    /// Schedules the delivery of an already parked packet to `node` at
-    /// `time`, produced at the current instant on the current chain — what
-    /// a link does when a transmission completes.
-    #[inline]
-    pub(crate) fn schedule_deliver(
-        &mut self,
-        time: SimTime,
         node: NodeId,
         link: LinkId,
         slot: PacketSlot,
     ) {
-        self.check_local(node);
-        let chain = self.chain.unwrap_or(time.0);
-        self.push(time, self.now, chain, Fire::Deliver { node, link, slot });
-    }
-
-    /// The locality invariant of a shard-bound queue (see [`ShardGuard`]).
-    #[inline]
-    fn check_local(&self, node: NodeId) {
         if let Some(guard) = self.guard.as_deref() {
+            // The locality invariant of a shard-bound queue (see
+            // `ShardGuard`).
             assert_eq!(
                 guard.shard_of[node.0], guard.my_shard,
                 "Deliver for foreign node {node:?} scheduled in shard {}",
                 guard.my_shard
             );
         }
+        self.push(time, ptime, chain, Fire::Deliver { node, link, slot });
+    }
+
+    /// Files a timer or a tx-done at `time`, produced at the current
+    /// instant on the current chain.
+    #[inline]
+    pub(crate) fn push_now(&mut self, time: SimTime, fire: Fire) {
+        let chain = self.chain.unwrap_or(time.0);
+        self.push(time, self.now, chain, fire);
     }
 
     #[inline]
@@ -509,22 +490,6 @@ impl EventQueue {
         }
     }
 
-    /// Writes `packet` into a free pool slot and returns the handle that
-    /// owns it until [`EventQueue::unpark`].
-    #[inline]
-    pub(crate) fn park(&mut self, packet: Packet) -> PacketSlot {
-        let slot = self.free.pop().unwrap_or_else(|| {
-            let slot = u32::try_from(self.pool.len()).expect("pool exceeds u32 slots");
-            // Allocates only when more packets are in the network than
-            // ever before.
-            self.pool.push(None);
-            slot
-        });
-        debug_assert!(self.pool[slot as usize].is_none(), "free slot occupied");
-        self.pool[slot as usize] = Some(packet);
-        PacketSlot(slot)
-    }
-
     /// Takes the packet `slot` owns out of the pool and recycles the slot.
     #[inline]
     pub(crate) fn unpark(&mut self, slot: PacketSlot) -> Packet {
@@ -537,7 +502,8 @@ impl EventQueue {
     }
 
     /// Number of packets parked in the pool right now — every packet a link
-    /// bound to this queue holds, plus every pending `Deliver`.
+    /// direction delivering into this queue holds, plus every pending
+    /// `Deliver`.
     pub fn parked(&self) -> usize {
         self.pool.len() - self.free.len()
     }
@@ -620,6 +586,36 @@ impl EventQueue {
     /// `Deliver`.
     pub(crate) fn bind_shard(&mut self, my_shard: u16, shard_of: Arc<Vec<u16>>) {
         self.guard = Some(Box::new(ShardGuard { my_shard, shard_of }));
+    }
+}
+
+/// A shard's local links write into its queue, under `schedule`'s keys.
+impl LinkSink for EventQueue {
+    /// Writes `packet` into a free pool slot and returns the handle that
+    /// owns it until [`EventQueue::unpark`].
+    #[inline]
+    fn park(&mut self, packet: Packet) -> PacketSlot {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            let slot = u32::try_from(self.pool.len()).expect("pool exceeds u32 slots");
+            // Allocates only when more packets are in the network than
+            // ever before.
+            self.pool.push(None);
+            slot
+        });
+        debug_assert!(self.pool[slot as usize].is_none(), "free slot occupied");
+        self.pool[slot as usize] = Some(packet);
+        PacketSlot(slot)
+    }
+
+    #[inline]
+    fn tx_done(&mut self, at: SimTime, link: LinkId, dir: LinkDirection) {
+        self.push_now(at, Fire::LinkTxDone { link, dir });
+    }
+
+    #[inline]
+    fn deliver(&mut self, at: SimTime, node: NodeId, link: LinkId, slot: PacketSlot) {
+        let chain = self.chain.unwrap_or(at.0);
+        self.push_deliver(at, self.now, chain, node, link, slot);
     }
 }
 
@@ -902,9 +898,9 @@ mod proptests {
 
     #[derive(Debug, Clone)]
     enum Op {
-        /// `(when, ptime, chain, kind, explicit)`; tiny key ranges, so every
+        /// `(when, ptime, chain, kind)`; tiny key ranges, so every
         /// tie-break level is exercised.
-        Schedule(At, u64, u64, u8, bool),
+        Schedule(At, u64, u64, u8),
         Pop,
         /// `pop_entry_within(limit)`.
         PopWithin(At),
@@ -922,10 +918,8 @@ mod proptests {
         fn schedule_and_pop_equal_the_sorted_vec_model(
             ops in proptest::collection::vec(
                 prop_oneof![
-                    (at(), 0u64..3, 0u64..4, 0u8..3, any::<bool>())
-                        .prop_map(|(a, p, c, k, e)| Op::Schedule(a, p, c, k, e)),
-                    (at(), 0u64..3, 0u64..4, 0u8..3, any::<bool>())
-                        .prop_map(|(a, p, c, k, e)| Op::Schedule(a, p, c, k, e)),
+                    (at(), 0u64..3, 0u64..4, 0u8..3).prop_map(|(a, p, c, k)| Op::Schedule(a, p, c, k)),
+                    (at(), 0u64..3, 0u64..4, 0u8..3).prop_map(|(a, p, c, k)| Op::Schedule(a, p, c, k)),
                     Just(Op::Pop),
                     at().prop_map(Op::PopWithin),
                 ],
@@ -937,19 +931,14 @@ mod proptests {
             let mut base = 0u64;
             for (seq, op) in ops.into_iter().enumerate() {
                 let seq = seq as u64;
-                if let Op::Schedule(at, ptime, chain, which, explicit) = op {
+                if let Op::Schedule(at, ptime, chain, which) = op {
                     let time = at.resolve(base);
-                    let (at, produced) = (SimTime(time), SimTime(ptime));
                     // Stamped from the dispatch context; chain 3 stands for
                     // "outside any dispatch", which roots a chain at `time`.
                     let rooted = (chain < 3).then_some(chain);
-                    let chain = if explicit { chain } else { rooted.unwrap_or(time) };
-                    if explicit {
-                        q.schedule_produced_at(at, produced, chain, kind(which, seq));
-                    } else {
-                        q.set_ctx(produced, rooted);
-                        q.schedule(at, kind(which, seq));
-                    }
+                    q.set_ctx(SimTime(ptime), rooted);
+                    q.schedule(SimTime(time), kind(which, seq));
+                    let chain = rooted.unwrap_or(time);
                     model.push(((time, ptime, Reverse(chain), seq), kind(which, seq)));
                 } else {
                     let limit = match op {

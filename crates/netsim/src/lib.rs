@@ -20,7 +20,7 @@
 //! flows from seeded [`rand::rngs::StdRng`] streams. Two runs with the same
 //! seed produce identical results, which the integration suite asserts.
 //! A simulator runs single-threaded by default; [`sim::Simulator::apply_shards`]
-//! splits it into conservative-lookahead shards ([`partition`]) that may run
+//! splits it into conservative-lookahead shards ([`partition()`]) that may run
 //! on worker threads — the window protocol never consults thread
 //! interleaving, so sharded runs are bit-identical to single-threaded ones.
 //!

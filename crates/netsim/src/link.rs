@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 
 use aitf_packet::Packet;
 
-use crate::event::{EventKind, EventQueue, PacketSlot};
+use crate::event::{EventQueue, PacketSlot};
 use crate::node::NodeId;
 use crate::time::{SimDuration, SimTime};
 
@@ -135,8 +135,8 @@ static IDLE_STATS: LinkStats = LinkStats {
 };
 
 /// One packet a direction holds: the handle to where it is parked (in the
-/// [`EventQueue`] the link is used with) and its on-wire size, which is all
-/// the link ever reads of it.
+/// pool of the queue the direction delivers into) and its on-wire size,
+/// which is all the link ever reads of it.
 type Held = (PacketSlot, u32);
 
 #[derive(Debug, Default)]
@@ -261,11 +261,17 @@ impl Link {
         self.dir(dir).map_or(0, |d| d.queue.len())
     }
 
-    /// Packets this link holds a handle to, both directions: waiting or
-    /// being serialised.
-    pub(crate) fn held_pkts(&self) -> usize {
-        let held = |d: &DirState| d.queue.len() + usize::from(d.in_flight.is_some());
-        self.dirs.iter().flatten().map(|d| held(d)).sum()
+    /// Packets this link holds a handle to in `dir`, waiting or serialising.
+    pub(crate) fn held_pkts(&self, dir: LinkDirection) -> usize {
+        self.queued_pkts(dir) + usize::from(self.has_in_flight(dir))
+    }
+
+    /// The node traffic in `dir` is delivered to.
+    pub(crate) fn receiver(&self, dir: LinkDirection) -> NodeId {
+        match dir {
+            LinkDirection::AToB => self.b,
+            LinkDirection::BToA => self.a,
+        }
     }
 
     /// Returns `true` if a packet is being serialised in `dir` right now.
@@ -293,9 +299,9 @@ impl Link {
     /// [`Link::on_tx_done`] — must be handed the same queue. A dropped
     /// packet never enters the pool.
     ///
-    /// Schedules the necessary [`EventKind::LinkTxDone`] event if the
-    /// transmitter was idle. Returns `true` if the packet was accepted
-    /// (queued or started), `false` if it was dropped.
+    /// Schedules the transmission's completion if the transmitter was
+    /// idle. Returns `true` if the packet was accepted (queued or started),
+    /// `false` if it was dropped.
     #[inline]
     pub fn enqueue(
         &mut self,
@@ -303,6 +309,18 @@ impl Link {
         dir: LinkDirection,
         packet: Packet,
         events: &mut EventQueue,
+    ) -> bool {
+        self.enqueue_into(now, dir, packet, events)
+    }
+
+    /// [`Link::enqueue`] into any sink.
+    #[inline]
+    pub(crate) fn enqueue_into(
+        &mut self,
+        now: SimTime,
+        dir: LinkDirection,
+        packet: Packet,
+        sink: &mut impl LinkSink,
     ) -> bool {
         let link_id = self.id;
         let params = self.params;
@@ -320,9 +338,8 @@ impl Link {
         }
         if d.in_flight.is_none() {
             // Transmitter idle: start serialising immediately.
-            d.in_flight = Some((events.park(packet), size));
-            let tx = params.tx_time(size);
-            events.schedule(now + tx, EventKind::LinkTxDone { link: link_id, dir });
+            d.in_flight = Some((sink.park(packet), size));
+            sink.tx_done(now + params.tx_time(size), link_id, dir);
             true
         } else if d.queued_bytes + size as u64 <= params.queue_capacity_bytes as u64 {
             d.queued_bytes += size as u64;
@@ -331,7 +348,7 @@ impl Link {
                 // detlint::allow(hot-alloc): one-off — the first packet that has to wait reserves the whole ring, see `DirState::queue_target`
                 d.queue.reserve(DirState::queue_target(&params));
             }
-            d.queue.push_back((events.park(packet), size));
+            d.queue.push_back((sink.park(packet), size));
             true
         } else {
             d.stats.queue_drop_pkts += 1;
@@ -348,30 +365,49 @@ impl Link {
     ///
     /// Panics if no transmission was in flight (an internal scheduling bug).
     pub fn on_tx_done(&mut self, now: SimTime, dir: LinkDirection, events: &mut EventQueue) {
+        self.on_tx_done_into(now, dir, events)
+    }
+
+    /// [`Link::on_tx_done`] into any sink.
+    pub(crate) fn on_tx_done_into(
+        &mut self,
+        now: SimTime,
+        dir: LinkDirection,
+        sink: &mut impl LinkSink,
+    ) {
         let link_id = self.id;
         let params = self.params;
-        let receiver = match dir {
-            LinkDirection::AToB => self.b,
-            LinkDirection::BToA => self.a,
-        };
+        let receiver = self.receiver(dir);
         const IDLE: &str = "LinkTxDone with no in-flight packet";
         let d = self.dirs[dir.index()].as_deref_mut().expect(IDLE);
         let (slot, size) = d.in_flight.take().expect(IDLE);
         d.stats.sent_pkts += 1;
         d.stats.sent_bytes += size as u64;
-        events.schedule_deliver(now + params.delay, receiver, link_id, slot);
+        sink.deliver(now + params.delay, receiver, link_id, slot);
         if let Some((next, size)) = d.queue.pop_front() {
             d.queued_bytes -= size as u64;
             d.in_flight = Some((next, size));
-            let tx = params.tx_time(size);
-            events.schedule(now + tx, EventKind::LinkTxDone { link: link_id, dir });
+            sink.tx_done(now + params.tx_time(size), link_id, dir);
         }
     }
+}
+
+/// Where a link writes what it produces: a shard's [`EventQueue`], or the
+/// sink the coordinator lends a cut link for each replayed step.
+pub(crate) trait LinkSink {
+    /// Parks an accepted packet; the handle is redeemed where the packet
+    /// is delivered.
+    fn park(&mut self, packet: Packet) -> PacketSlot;
+    /// Schedules the end of `link`'s transmission in `dir` at `at`.
+    fn tx_done(&mut self, at: SimTime, link: LinkId, dir: LinkDirection);
+    /// Schedules the arrival of the packet `slot` owns at `node` at `at`.
+    fn deliver(&mut self, at: SimTime, node: NodeId, link: LinkId, slot: PacketSlot);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::EventKind;
     use aitf_packet::{Addr, Header, TrafficClass};
 
     fn pkt(id: u64, size: u32) -> Packet {

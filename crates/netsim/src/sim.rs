@@ -47,11 +47,13 @@
 //! the window limit. That keeps every
 //! admission decision (queue drops, administrative blocks) exactly where
 //! the single-threaded loop makes it: a block staged anywhere in a window
-//! drops every later-staged packet, with no one-window skew. Replayed
-//! transmissions schedule their `Deliver`s directly into the receiving
-//! shard's queue; each such delivery fires at `>= g + L` (the cut delay is
-//! at least the lookahead), so the barrier can never deliver into a window
-//! already processed. The schedule depends only on event times, never on
+//! drops every later-staged packet, with no one-window skew. Each replayed
+//! step lends the cut link a sink that parks its packet in the receiving
+//! shard's pool and pushes the `Deliver` into that shard's queue under the
+//! step's keys, so a cut-link packet is written once per hop, like a local
+//! one. Each delivery fires at `>= g + L` (the cut delay is at least the
+//! lookahead), so the barrier can never deliver into a window already
+//! processed. The schedule depends only on event times, never on
 //! thread interleaving or on which thread ran a shard's window, so results
 //! are bit-reproducible at any worker count. [`Simulator::shard_load`]
 //! counts what the loop did: events per shard, windows, inline windows,
@@ -68,8 +70,8 @@ use rand::SeedableRng;
 use aitf_packet::Packet;
 
 use crate::buckets::Buckets;
-use crate::event::{EventKind, EventQueue, Fire};
-use crate::link::{Link, LinkDirection, LinkId, LinkParams, LinkStats};
+use crate::event::{EventQueue, Fire, PacketSlot};
+use crate::link::{Link, LinkDirection, LinkId, LinkParams, LinkSink, LinkStats};
 use crate::node::{Context, Node, NodeId};
 use crate::partition::{partition, Partition, PartitionError, PartitionSpec};
 use crate::time::{SimDuration, SimTime};
@@ -208,7 +210,7 @@ impl SimCore {
     /// Arms a timer for `node`.
     pub fn schedule_timer(&mut self, node: NodeId, delay: SimDuration, token: u64) {
         let at = self.events.now() + delay;
-        self.events.schedule(at, EventKind::Timer { node, token });
+        self.events.push_now(at, Fire::Timer { node, token });
     }
 
     /// Links attached to `node`, in creation order.
@@ -345,7 +347,6 @@ impl NetworkBuilder {
             cut_of: Arc::new(Vec::new()),
             link_total,
             seed: self.seed,
-            time: SimTime::ZERO,
             started: false,
         }
     }
@@ -475,6 +476,39 @@ struct PendingTx {
     dir: LinkDirection,
 }
 
+/// What a cut link writes one replayed step into: it parks in, and
+/// delivers into, the queue of the shard the step's direction delivers to,
+/// and turns a tx-done into the direction's pending completion — all under
+/// the step's produce time and chain key.
+struct CutSink<'a> {
+    queue: &'a mut EventQueue,
+    pending: &'a mut BinaryHeap<Reverse<PendingTx>>,
+    cut: u32,
+    ptime: SimTime,
+    chain: u64,
+}
+
+impl LinkSink for CutSink<'_> {
+    fn park(&mut self, packet: Packet) -> PacketSlot {
+        self.queue.park(packet)
+    }
+
+    fn tx_done(&mut self, at: SimTime, _link: LinkId, dir: LinkDirection) {
+        self.pending.push(Reverse(PendingTx {
+            time: at,
+            ptime: self.ptime,
+            chain: Reverse(self.chain),
+            cut: self.cut,
+            dir,
+        }));
+    }
+
+    fn deliver(&mut self, at: SimTime, node: NodeId, link: LinkId, slot: PacketSlot) {
+        self.queue
+            .push_deliver(at, self.ptime, self.chain, node, link, slot);
+    }
+}
+
 /// What the coordinator of a sharded run owns: the cut links, their
 /// pending completions, and the barrier replay's buffers and counts. All
 /// operations on a cut link run in [`Coordinator::replay`]; the endpoint
@@ -487,10 +521,8 @@ struct Coordinator {
     /// The scheduled completion of every cut-link direction with a
     /// transmission in flight (at most one each), earliest first.
     pending: BinaryHeap<Reverse<PendingTx>>,
-    /// The operations being replayed, and the queue the links schedule
-    /// their follow-up events into — buffers kept across barriers.
+    /// The operations being replayed — a buffer kept across barriers.
     ops: Vec<StagedCutOp>,
-    scratch: EventQueue,
     /// Transmission completions dispatched by the replay, counted
     /// alongside the shard totals so sharded event counts match the
     /// single-threaded loop exactly.
@@ -574,21 +606,13 @@ impl Coordinator {
                 // blocked-flag flips ahead of the completions they race.
                 (Some(p), Some(o)) => (p.time, p.ptime, p.chain) < o.key(),
             };
-            let cut = if take_tx {
+            // One step on one direction of one cut link, at the time and
+            // chain its event carries; a staged operation's produce time is
+            // its time (the dispatch *is* the operation).
+            let (cut, dir, time, chain, packet) = if take_tx {
                 let p = tx.expect("due tx completion");
                 self.pending.pop();
-                #[cfg(feature = "trace")]
-                // detlint::allow(wall-clock): per-subsystem wall profiling, trace builds only — never enters simulation state
-                let ev_start = std::time::Instant::now();
-                self.scratch.set_ctx(p.time, Some(p.chain.0));
-                self.links[p.cut as usize].on_tx_done(p.time, p.dir, &mut self.scratch);
-                self.dispatched += 1;
-                #[cfg(feature = "trace")]
-                self.profile.record(
-                    aitf_trace::Subsystem::Link,
-                    ev_start.elapsed().as_nanos() as u64,
-                );
-                p.cut
+                (p.cut, p.dir, p.time, p.chain.0, None)
             } else {
                 let o = ops.next().expect("peeked op exists");
                 match o.op {
@@ -596,37 +620,35 @@ impl Coordinator {
                         self.links[o.cut as usize].set_blocked(o.dir, b);
                         continue;
                     }
-                    CutOp::Enqueue(p) => {
-                        // Acceptance is unobservable for staged sends; the
-                        // drop accounting lands on the authoritative copy.
-                        self.scratch.set_ctx(o.time, Some(o.chain));
-                        self.links[o.cut as usize].enqueue(o.time, o.dir, p, &mut self.scratch);
-                    }
+                    CutOp::Enqueue(p) => (o.cut, o.dir, o.time, o.chain, Some(p)),
                 }
-                o.cut
             };
-            // Route what the link scheduled: a tx-done becomes the
-            // direction's pending completion, a `Deliver` goes into the
-            // receiving node's shard queue.
-            while let Some(ev) = self.scratch.pop() {
-                match ev.kind {
-                    EventKind::LinkTxDone { dir, .. } => {
-                        self.pending.push(Reverse(PendingTx {
-                            time: ev.time,
-                            ptime: ev.ptime,
-                            chain: Reverse(ev.chain),
-                            cut,
-                            dir,
-                        }));
-                    }
-                    EventKind::Deliver { node, .. } => {
-                        let dst = shard_of[node.0] as usize;
-                        shards[dst]
-                            .core
-                            .events
-                            .schedule_produced_at(ev.time, ev.ptime, ev.chain, ev.kind);
-                    }
-                    EventKind::Timer { .. } => unreachable!("links never arm timers"),
+            let link = &mut self.links[cut as usize];
+            let to = shard_of[link.receiver(dir).0] as usize;
+            let sink = &mut CutSink {
+                queue: &mut shards[to].core.events,
+                pending: &mut self.pending,
+                cut,
+                ptime: time,
+                chain,
+            };
+            match packet {
+                // Acceptance is unobservable for staged sends; the drop
+                // accounting lands on the authoritative copy.
+                Some(p) => {
+                    link.enqueue_into(time, dir, p, sink);
+                }
+                None => {
+                    #[cfg(feature = "trace")]
+                    // detlint::allow(wall-clock): per-subsystem wall profiling, trace builds only — never enters simulation state
+                    let ev_start = std::time::Instant::now();
+                    link.on_tx_done_into(time, dir, sink);
+                    self.dispatched += 1;
+                    #[cfg(feature = "trace")]
+                    self.profile.record(
+                        aitf_trace::Subsystem::Link,
+                        ev_start.elapsed().as_nanos() as u64,
+                    );
                 }
             }
         }
@@ -656,7 +678,6 @@ pub struct Simulator {
     link_total: usize,
     /// Builder seed, retained for per-shard RNG derivation.
     seed: u64,
-    time: SimTime,
     started: bool,
 }
 
@@ -702,9 +723,10 @@ impl Simulator {
         *slot = Some(node);
     }
 
-    /// Current virtual time.
+    /// Current virtual time: shard 0's clock. Between runs every shard
+    /// clock reads the end of the last run (zero before the first).
     pub fn now(&self) -> SimTime {
-        self.time
+        self.shards[0].core.events.now()
     }
 
     /// Number of node slots.
@@ -793,26 +815,30 @@ impl Simulator {
             + self.cut.pending.len()
     }
 
-    /// Packets parked in the event queues' pools right now: every shard's,
-    /// plus the coordinator's scratch queue, where cut links park theirs.
-    pub fn parked_packets(&self) -> usize {
-        let shards = self.shards.iter().map(|s| s.core.events.parked());
-        shards.sum::<usize>() + self.cut.scratch.parked()
+    /// Packets parked in each shard's pool right now, by shard.
+    pub fn parked_packets(&self) -> Vec<usize> {
+        (self.shards.iter())
+            .map(|s| s.core.events.parked())
+            .collect()
     }
 
-    /// Packets the network holds a handle to: waiting in or being
-    /// serialised by a link, or propagating (a pending `Deliver`). The
-    /// pool identity is `parked_packets() == packets_in_network()` between
-    /// runs — a packet a staged cut-link send carries by value is in
-    /// neither count. One pass over the links and the pending events.
-    pub fn packets_in_network(&self) -> usize {
-        let held = |links: &[Link]| links.iter().map(Link::held_pkts).sum::<usize>();
-        let shards = self.shards.iter();
-        shards
-            .map(|s| held(&s.core.links) + s.core.events.pending_delivers())
-            .sum::<usize>()
-            + held(&self.cut.links)
-            + self.cut.scratch.pending_delivers()
+    /// Packets the network holds a handle to, by the shard whose pool holds
+    /// them: in a link direction delivering into the shard (waiting or
+    /// serialising) or propagating to it (a pending `Deliver`). The pool
+    /// identity is `parked_packets() == packets_in_network()` between runs;
+    /// a packet a staged cut-link send carries by value is in neither count.
+    pub fn packets_in_network(&self) -> Vec<usize> {
+        (0..self.shards.len()).map(|s| self.held_for(s)).collect()
+    }
+
+    /// `packets_in_network()[shard]`, without the vector (a shard's stub of
+    /// a cut link holds nothing).
+    fn held_for(&self, shard: usize) -> usize {
+        let core = &self.shards[shard].core;
+        let links = core.links.iter().chain(&self.cut.links);
+        let dirs = links.flat_map(|l| [LinkDirection::AToB, LinkDirection::BToA].map(|d| (l, d)));
+        let into = dirs.filter(|&(l, d)| self.shard_of(l.receiver(d)) == shard);
+        core.events.pending_delivers() + into.map(|(l, d)| l.held_pkts(d)).sum::<usize>()
     }
 
     /// The firing time of the earliest pending event, if any. Never less
@@ -1078,7 +1104,7 @@ impl Simulator {
     ///
     /// Panics if `t` is before the clock.
     pub fn run_until(&mut self, t: SimTime) {
-        let now = self.time;
+        let now = self.now();
         assert!(t >= now, "run_until({t}) is before the clock {now}");
         if !self.started {
             self.start();
@@ -1092,12 +1118,13 @@ impl Simulator {
         for s in &mut self.shards {
             s.core.events.set_ctx(t, None);
         }
-        self.time = t;
-        debug_assert_eq!(
-            self.parked_packets(),
-            self.packets_in_network(),
-            "a parked packet has no owner, or a handle no packet"
-        );
+        for (i, s) in self.shards.iter().enumerate() {
+            debug_assert_eq!(
+                s.core.events.parked(),
+                self.held_for(i),
+                "shard {i}: a parked packet has no owner, or a handle no packet"
+            );
+        }
     }
 
     /// The sharded side of [`Simulator::run_until`].
@@ -1219,8 +1246,8 @@ impl Simulator {
     /// handlers, or through [`Simulator::with_node_ctx`] between runs —
     /// so it reaches the authoritative link copies before the next window.
     fn flush_staged(&mut self) {
+        let now = self.now();
         let mut shards: Vec<&mut Shard> = self.shards.iter_mut().collect();
-        let now = self.time;
         self.cut.replay(&mut shards, &self.shard_of, now);
     }
 
@@ -1242,7 +1269,7 @@ impl Simulator {
 
     /// Runs for `d` of virtual time from the current clock.
     pub fn run_for(&mut self, d: SimDuration) {
-        let t = self.time + d;
+        let t = self.now() + d;
         self.run_until(t);
     }
 }
@@ -1640,6 +1667,7 @@ mod tests {
         let (mut sliced, _) = ticking_chain(2);
         for _ in 0..1000 {
             sliced.run_for(SimDuration::from_micros(20));
+            assert_eq!(sliced.parked_packets(), sliced.packets_in_network());
         }
         assert_eq!(sliced.now(), whole.now());
         assert_eq!(

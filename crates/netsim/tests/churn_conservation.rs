@@ -9,11 +9,14 @@
 //! This is the netsim half of the dynamic-worlds contract: higher layers
 //! (aitf-core's `detach_host`/`attach_host`, aitf-scenario's `ChurnSpec`)
 //! may flip link state between event-loop segments at any instant, and
-//! nothing may leak or double-count.
+//! nothing may leak or double-count. The chain also runs split one node per
+//! shard, where both links are cut links: their blocks land on the
+//! coordinator's copies while packets are queued on them, and their packets
+//! sit in the receiving shard's pool.
 
 use aitf_netsim::{
     impl_node_any, Context, LinkDirection, LinkId, LinkParams, NetworkBuilder, Node, NodeId,
-    SimDuration, Simulator,
+    PartitionSpec, SimDuration, Simulator,
 };
 use aitf_packet::{Addr, Header, Packet, TrafficClass};
 use proptest::prelude::*;
@@ -80,8 +83,9 @@ impl Node for Sink {
 }
 
 /// src → relay → sink over two finite-bandwidth links with small queues
-/// (so churn actually produces queue drops too, not just admin drops).
-fn chain(budget: u32) -> (Simulator, NodeId, NodeId, Vec<LinkId>) {
+/// (so churn actually produces queue drops too, not just admin drops), run
+/// as one shard or as three — one node each, both links cut.
+fn chain(budget: u32, shards: usize) -> (Simulator, NodeId, NodeId, Vec<LinkId>) {
     let mut b = NetworkBuilder::new(9);
     let src = b.add_node();
     let mid = b.add_node();
@@ -101,6 +105,10 @@ fn chain(budget: u32) -> (Simulator, NodeId, NodeId, Vec<LinkId>) {
     );
     sim.install(mid, Box::new(Relay));
     sim.install(sink, Box::new(Sink { received: 0 }));
+    if shards > 1 {
+        let part = (sim.apply_shards(shards, &PartitionSpec::flat(3))).expect("partition");
+        assert_eq!((part.shards, part.cut_links.len()), (3, 2));
+    }
     (sim, src, sink, vec![l0, l1])
 }
 
@@ -137,8 +145,9 @@ proptest! {
     fn packet_conservation_and_no_stale_events_under_link_churn(
         ops in proptest::collection::vec(arb_op(), 1..40),
         budget in 1u32..120,
+        shards in prop_oneof![Just(1usize), Just(3usize)],
     ) {
-        let (mut sim, src, sink, links) = chain(budget);
+        let (mut sim, src, sink, links) = chain(budget, shards);
         for op in &ops {
             let dir = if op.a_to_b {
                 LinkDirection::AToB
@@ -152,8 +161,9 @@ proptest! {
             if let Some(next) = sim.next_event_time() {
                 prop_assert!(next >= sim.now(), "stale event at {next:?}, now {:?}", sim.now());
             }
-            // The pool identity: every parked packet is owned by exactly
-            // one link entry or pending delivery, and nothing else is.
+            // The pool identity, per shard: every parked packet is owned by
+            // exactly one link entry or pending delivery into that shard,
+            // and nothing else is.
             prop_assert_eq!(sim.parked_packets(), sim.packets_in_network());
             // Mid-run conservation, per direction: offered packets are
             // sent, dropped, or still in custody — never lost.
@@ -181,7 +191,8 @@ proptest! {
         }
         sim.run_for(SimDuration::from_secs(5));
         prop_assert_eq!(sim.pending_events(), 0, "drained world must quiesce");
-        prop_assert_eq!((sim.parked_packets(), sim.packets_in_network()), (0, 0));
+        prop_assert_eq!(sim.parked_packets(), vec![0; shards]);
+        prop_assert_eq!(sim.packets_in_network(), vec![0; shards]);
         for &link in &links {
             for dir in [LinkDirection::AToB, LinkDirection::BToA] {
                 prop_assert_eq!(in_custody(&sim, link, dir), 0u64);

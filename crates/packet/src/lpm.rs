@@ -21,8 +21,8 @@
 //!   owner of a run, with in-place `insert` and `remove`.
 //! - Membership ("is this address inside any of the prefixes", ingress
 //!   filtering) needs no chain: [`PrefixSlice`] answers it over ascending,
-//!   pairwise-disjoint prefixes it borrows, and [`PrefixSet`] owns such a
-//!   list, normalised from any prefixes when built.
+//!   pairwise-disjoint prefixes it borrows — a world keeps every ingress set
+//!   as a run of one per-world array.
 
 use crate::addr::{Addr, Prefix};
 
@@ -234,10 +234,9 @@ impl<T> FromIterator<(Prefix, T)> for LpmTable<T> {
 }
 
 /// Ascending, pairwise-disjoint prefixes, borrowed: the one form address
-/// membership is answered in. [`PrefixSet`] lends its list as one, and a
-/// holder of such a run inside a larger array — a world keeps every ingress
-/// set as a run of one per-world array — makes one with
-/// [`PrefixSlice::disjoint`].
+/// membership is answered in. A holder of such a run inside a larger array
+/// — a world keeps every ingress set as a run of one per-world array —
+/// makes one with [`PrefixSlice::disjoint`].
 #[derive(Debug, Clone, Copy)]
 pub struct PrefixSlice<'a>(&'a [Prefix]);
 
@@ -264,58 +263,6 @@ impl<'a> PrefixSlice<'a> {
         let at = self.0.partition_point(|p| p.addr() < prefix.addr());
         let mut nearest = self.0[at.saturating_sub(1)..].iter().take(2);
         nearest.any(|p| p.overlaps(prefix))
-    }
-}
-
-/// A set of addresses given as prefixes, for membership tests only.
-///
-/// Built once from any prefix list — nested, duplicated, in any order —
-/// and normalised to the ascending, pairwise-disjoint prefixes holding the
-/// same addresses, so a probe is one binary search and one comparison.
-///
-/// # Examples
-///
-/// ```
-/// use aitf_packet::{Addr, PrefixSet};
-///
-/// let cone = PrefixSet::new(vec![
-///     "10.2.0.0/16".parse().unwrap(),
-///     "10.1.0.0/16".parse().unwrap(),
-///     "10.1.7.0/24".parse().unwrap(), // inside 10.1/16: dropped
-/// ]);
-/// assert!(cone.contains(Addr::new(10, 1, 7, 9)));
-/// assert!(!cone.contains(Addr::new(10, 3, 0, 1)));
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PrefixSet {
-    /// Ascending, pairwise disjoint.
-    prefixes: Vec<Prefix>,
-}
-
-impl PrefixSet {
-    /// Builds the set holding every address inside any of `prefixes`.
-    pub fn new(mut prefixes: Vec<Prefix>) -> Self {
-        prefixes.sort_unstable();
-        // A cover sorts before what it covers with only its own contents
-        // in between, so the last prefix kept is the only possible cover.
-        prefixes.dedup_by(|prefix, kept| kept.covers(*prefix));
-        PrefixSet { prefixes }
-    }
-
-    /// The set as the borrowed form membership is answered in.
-    pub fn as_slice(&self) -> PrefixSlice<'_> {
-        PrefixSlice(&self.prefixes)
-    }
-
-    /// Returns `true` if some prefix of the set contains `addr`.
-    pub fn contains(&self, addr: Addr) -> bool {
-        self.as_slice().contains(addr)
-    }
-
-    /// Returns `true` if some prefix of the set shares an address with
-    /// `prefix`.
-    pub fn overlaps(&self, prefix: Prefix) -> bool {
-        self.as_slice().overlaps(prefix)
     }
 }
 
@@ -425,24 +372,6 @@ mod tests {
             assert_eq!(table.lookup(addr).copied(), scan(&routes, addr), "{addr}");
         }
     }
-
-    #[test]
-    fn prefix_set_drops_covered_and_repeated_prefixes() {
-        let cone = PrefixSet::new(vec![
-            p("10.2.0.0/16"),
-            p("10.1.7.0/24"),
-            p("10.1.0.0/16"),
-            p("10.2.0.0/16"),
-            Prefix::host(Addr::new(10, 1, 7, 9)),
-        ]);
-        assert_eq!(
-            cone,
-            PrefixSet::new(vec![p("10.1.0.0/16"), p("10.2.0.0/16")])
-        );
-        assert!(cone.contains(Addr::new(10, 1, 7, 9)));
-        assert!(!cone.contains(Addr::new(10, 3, 0, 0)));
-        assert!(!PrefixSet::default().contains(Addr::ZERO));
-    }
 }
 
 #[cfg(test)]
@@ -473,17 +402,15 @@ mod proptests {
     }
 
     proptest! {
-        /// The membership set is exactly "some listed prefix contains it",
-        /// and its overlap test exactly "some listed prefix overlaps it" —
-        /// and so is the slice form over the outermost listed prefixes,
-        /// found by brute force instead of by the set's normalisation.
+        /// Over the outermost of any listed prefixes, found by brute force,
+        /// membership is exactly "some listed prefix contains it" and the
+        /// overlap test exactly "some listed prefix overlaps it".
         #[test]
-        fn prefix_set_agrees_with_linear_scan(
+        fn prefix_slice_over_the_outermost_prefixes_agrees_with_linear_scan(
             prefixes in proptest::collection::vec(crowded_prefix(), 0..40),
             probes in proptest::collection::vec(any::<u32>(), 1..20),
             queries in proptest::collection::vec(crowded_prefix(), 1..20),
         ) {
-            let set = PrefixSet::new(prefixes.clone());
             let covered = |p: Prefix| prefixes.iter().any(|&q| q != p && q.covers(p));
             let mut outermost: Vec<Prefix> = prefixes.iter().copied().filter(|&p| !covered(p)).collect();
             outermost.sort_unstable();
@@ -491,13 +418,11 @@ mod proptests {
             let slice = PrefixSlice::disjoint(&outermost);
             for a in edges(&prefixes).chain(probes.into_iter().map(Addr)) {
                 let expected = prefixes.iter().any(|p| p.contains(a));
-                prop_assert_eq!(set.contains(a), expected, "{}", a);
-                prop_assert_eq!(slice.contains(a), expected, "slice {}", a);
+                prop_assert_eq!(slice.contains(a), expected, "{}", a);
             }
             for &q in prefixes.iter().chain(&queries) {
                 let expected = prefixes.iter().any(|p| p.overlaps(q));
-                prop_assert_eq!(set.overlaps(q), expected, "{}", q);
-                prop_assert_eq!(slice.overlaps(q), expected, "slice {}", q);
+                prop_assert_eq!(slice.overlaps(q), expected, "{}", q);
             }
         }
 
