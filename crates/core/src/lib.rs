@@ -70,7 +70,7 @@ pub use pipeline::{PolicyChains, StageId, Verdict};
 pub use policy::DefensePolicy;
 pub use pushback::{PushbackCounters, PushbackState, LINK_LOCAL, MAX_PUSHBACK_DEPTH};
 pub use router::{BorderRouter, RouterCounters};
-pub use world::{HostId, NetId, RoutingMode, World, WorldBuilder};
+pub use world::{HostId, NetId, NetLabel, RoutingMode, World, WorldBuilder};
 
 /// A world and everything in it can move to a shard thread — with the
 /// `trace` feature too: span logs are plain router-private data.

@@ -808,9 +808,10 @@ fn spoof_from_leaf_a(src: Addr, isp_filters: bool) -> ([u64; 3], u64) {
     let link = WorldBuilder::default_net_link();
     let mut b = WorldBuilder::new(7, AitfConfig::default());
     let wan = b.network("wan", "10.100.0.0/16", None);
-    let isp = b.network_with("isp", "10.50.0.0/16", Some(wan), isp_policy, link);
-    let leaf_a = b.network_with("leaf_a", "10.1.0.0/16", Some(isp), lax, link);
-    b.network_with("leaf_b", "10.2.0.0/16", Some(isp), lax, link);
+    let prefix = |literal: &str| literal.parse().expect("a prefix literal");
+    let isp = b.network_with("isp", &prefix("10.50.0.0/16"), Some(wan), isp_policy, link);
+    let leaf_a = b.network_with("leaf_a", &prefix("10.1.0.0/16"), Some(isp), lax, link);
+    b.network_with("leaf_b", &prefix("10.2.0.0/16"), Some(isp), lax, link);
     let sink = b.host(wan);
     let sender = b.host(leaf_a);
     let mut w = b.build();

@@ -31,6 +31,7 @@
 //! assert!(world.host_addr(host).to_string().starts_with("10.1."));
 //! ```
 
+use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -82,12 +83,46 @@ pub struct NetId(pub usize);
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct HostId(pub usize);
 
+/// How a message names a network: its name, quoted, or `#index (prefix)`
+/// for an anonymous one (empty name), as the generated networks of an
+/// internet-scale world are. The alternate form (`{:#}`) always shows the
+/// prefix.
+#[derive(Clone, Copy, Debug)]
+pub struct NetLabel<'a> {
+    /// The network's name; empty for an anonymous network.
+    pub name: &'a str,
+    /// The network's declaration index.
+    pub index: usize,
+    /// The network's prefix.
+    pub prefix: Prefix,
+}
+
+impl fmt::Display for NetLabel<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.name {
+            "" => write!(f, "#{} ({})", self.index, self.prefix),
+            name if f.alternate() => write!(f, "{name:?} ({})", self.prefix),
+            name => write!(f, "{name:?}"),
+        }
+    }
+}
+
 struct NetSpec {
     name: String,
     prefix: Prefix,
     parent: Option<usize>,
     policy: RouterPolicy,
     uplink_params: LinkParams,
+}
+
+impl NetSpec {
+    fn label(&self, index: usize) -> NetLabel<'_> {
+        NetLabel {
+            name: &self.name,
+            index,
+            prefix: self.prefix,
+        }
+    }
 }
 
 struct HostSpec {
@@ -112,10 +147,11 @@ fn address_order(nets: &[NetSpec]) -> Vec<(Prefix, u32)> {
     let mut by_addr: Vec<(Prefix, u32)> = nets.iter().map(|n| n.prefix).zip(0..count).collect();
     by_addr.sort_unstable();
     if let Some(w) = by_addr.windows(2).find(|w| w[0].0.overlaps(w[1].0)) {
-        let (earlier, later) = (w[0].1.min(w[1].1), w[0].1.max(w[1].1));
+        let (earlier, later) = (w[0].1.min(w[1].1) as usize, w[0].1.max(w[1].1) as usize);
         panic!(
             "prefix {} overlaps existing network {}",
-            nets[later as usize].prefix, nets[earlier as usize].name
+            nets[later].prefix,
+            nets[earlier].label(earlier)
         );
     }
     by_addr
@@ -262,49 +298,57 @@ impl WorldBuilder {
         self
     }
 
-    /// Declares a network with the default router policy and uplink.
+    /// Declares a network with the default router policy and uplink, its
+    /// prefix written `a.b.c.d/len`.
     ///
     /// # Panics
     ///
-    /// As [`WorldBuilder::network_with`].
+    /// Panics if `prefix` does not parse, naming the network and the
+    /// literal; otherwise as [`WorldBuilder::network_with`].
     pub fn network(&mut self, name: &str, prefix: &str, parent: Option<NetId>) -> NetId {
+        let prefix: Prefix = prefix
+            .parse()
+            .unwrap_or_else(|_| panic!("network {name:?} has an unparsable prefix {prefix:?}"));
         self.network_with(
             name,
-            prefix,
+            &prefix,
             parent,
             RouterPolicy::default(),
             Self::default_net_link(),
         )
     }
 
-    /// Declares a network with explicit policy and uplink parameters.
+    /// Declares a network with explicit policy and uplink parameters. An
+    /// empty `name` declares an anonymous network: messages name it by
+    /// index and prefix.
     ///
     /// # Panics
     ///
-    /// Panics if `prefix` does not parse or if `parent` was not returned by
-    /// this builder. A prefix that overlaps another network's is rejected
-    /// by [`WorldBuilder::build`], which checks all of them in one pass.
+    /// Panics if `parent` was not returned by this builder. A prefix that
+    /// overlaps another network's is rejected by [`WorldBuilder::build`],
+    /// which checks all of them in one pass.
     pub fn network_with(
         &mut self,
         name: &str,
-        prefix: &str,
+        prefix: &Prefix,
         parent: Option<NetId>,
         policy: RouterPolicy,
         uplink_params: LinkParams,
     ) -> NetId {
-        let prefix: Prefix = prefix.parse().expect("invalid network prefix");
-        assert!(
-            parent.is_none_or(|p| p.0 < self.nets.len()),
-            "parent of {name} is not a network of this builder"
-        );
-        let id = NetId(self.nets.len());
-        self.nets.push(NetSpec {
+        let net = NetSpec {
             name: name.to_string(),
-            prefix,
+            prefix: *prefix,
             parent: parent.map(|p| p.0),
             policy,
             uplink_params,
-        });
+        };
+        let id = NetId(self.nets.len());
+        assert!(
+            parent.is_none_or(|p| p.0 < id.0),
+            "parent of network {} is not a network of this builder",
+            net.label(id.0)
+        );
+        self.nets.push(net);
         id
     }
 
@@ -408,8 +452,8 @@ impl WorldBuilder {
             let hosts = hosts_of_net.of(i);
             assert!(
                 hosts.len() <= 250,
-                "network {:?} has {} hosts; a network holds at most 250",
-                net.name,
+                "network {} has {} hosts; a network holds at most 250",
+                net.label(i),
                 hosts.len()
             );
             for (&h, k) in hosts.iter().zip(1..) {
@@ -650,9 +694,18 @@ impl World {
         self.host_nodes.len()
     }
 
-    /// A network's display name.
+    /// A network's display name; empty for an anonymous network.
     pub fn net_name(&self, net: NetId) -> &str {
         &self.net_names[net.0]
+    }
+
+    /// How a message names a network: see [`NetLabel`].
+    pub fn net_label(&self, net: NetId) -> NetLabel<'_> {
+        NetLabel {
+            name: &self.net_names[net.0],
+            index: net.0,
+            prefix: self.net_prefixes[net.0],
+        }
     }
 
     /// A network's prefix.
@@ -956,6 +1009,26 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "network #1 (10.1.7.0/24) has 251 hosts")]
+    fn an_anonymous_network_is_named_by_index_and_prefix() {
+        let mut b = WorldBuilder::new(1, AitfConfig::default());
+        let wan = b.network("wan", "10.100.0.0/16", None);
+        let prefix = Prefix::new(Addr::new(10, 1, 7, 0), 24);
+        let link = WorldBuilder::default_net_link();
+        let net = b.network_with("", &prefix, Some(wan), RouterPolicy::default(), link);
+        for _ in 0..251 {
+            b.host(net);
+        }
+        b.build();
+    }
+
+    #[test]
+    #[should_panic(expected = "network \"bad\" has an unparsable prefix \"10.1.0.0/33\"")]
+    fn a_prefix_literal_that_does_not_parse_names_its_network() {
+        WorldBuilder::new(1, AitfConfig::default()).network("bad", "10.1.0.0/33", None);
+    }
+
+    #[test]
     fn empty_world_runs() {
         let (mut w, ..) = two_level_world();
         w.sim.run_for(SimDuration::from_secs(1));
@@ -1105,7 +1178,7 @@ mod tests {
         let coop = b.network("coop", "10.1.0.0/16", Some(wan));
         let legacy = b.network_with(
             "legacy",
-            "10.9.0.0/16",
+            &"10.9.0.0/16".parse().expect("a prefix literal"),
             Some(wan),
             RouterPolicy {
                 aitf_enabled: false,
@@ -1490,8 +1563,10 @@ mod proptests {
         fn every_route_and_ingress_verdict_is_what_the_declarations_say(decl in arb_decl()) {
             let mut b = WorldBuilder::new(1, AitfConfig::default());
             b.routing(decl.mode);
+            let link = WorldBuilder::default_net_link();
             for (i, p) in decl.prefix.iter().enumerate() {
-                b.network(&format!("n{i}"), &p.to_string(), decl.parent[i].map(NetId));
+                let parent = decl.parent[i].map(NetId);
+                b.network_with(&format!("n{i}"), p, parent, RouterPolicy::default(), link);
             }
             for &(net, _) in &decl.hosts {
                 b.host(NetId(net));

@@ -51,22 +51,18 @@ impl std::error::Error for ScenarioError {}
 
 /// The topology half of [`Scenario::validate`]: the conditions
 /// `TopologySpec::build` and `WorldBuilder` assert, as errors naming the
-/// offender. O(n log n) in the network count.
+/// offender (an anonymous network as `#<index> (<prefix>)`). O(n log n) in
+/// the network count.
 fn check_topology(t: &TopologySpec) -> Result<(), ScenarioError> {
+    let label = |i: usize| t.nets[i].label(i);
     let mut prefixes: Vec<(Prefix, usize)> = Vec::with_capacity(t.nets.len());
     for (i, n) in t.nets.iter().enumerate() {
-        let Ok(prefix) = n.prefix.parse::<Prefix>() else {
-            return Err(ScenarioError(format!(
-                "network {:?} has an unparsable prefix {:?}",
-                n.name, n.prefix
-            )));
-        };
-        prefixes.push((prefix, i));
+        prefixes.push((n.prefix, i));
         if let Some(p) = n.parent.filter(|&p| p >= i) {
             return Err(ScenarioError(format!(
-                "network {:?} is declared before its parent (network #{p}); \
+                "network {} is declared before its parent (network #{p}); \
                  parents come first",
-                n.name
+                label(i)
             )));
         }
     }
@@ -74,10 +70,11 @@ fn check_topology(t: &TopologySpec) -> Result<(), ScenarioError> {
     // pair always shows up as neighbours.
     prefixes.sort_unstable();
     if let Some(w) = prefixes.windows(2).find(|w| w[0].0.overlaps(w[1].0)) {
-        let (a, b) = (&t.nets[w[0].1.min(w[1].1)], &t.nets[w[0].1.max(w[1].1)]);
+        let (a, b) = (w[0].1.min(w[1].1), w[0].1.max(w[1].1));
         return Err(ScenarioError(format!(
-            "network {:?} ({}) overlaps network {:?} ({})",
-            b.name, b.prefix, a.name, a.prefix
+            "network {:#} overlaps network {:#}",
+            label(b),
+            label(a)
         )));
     }
     let mut hosts_in = vec![0u32; t.nets.len()];
@@ -93,8 +90,9 @@ fn check_topology(t: &TopologySpec) -> Result<(), ScenarioError> {
     }
     if let Some(i) = hosts_in.iter().position(|&k| k > 250) {
         return Err(ScenarioError(format!(
-            "network {:?} has {} hosts; a network holds at most 250",
-            t.nets[i].name, hosts_in[i]
+            "network {} has {} hosts; a network holds at most 250",
+            label(i),
+            hosts_in[i]
         )));
     }
     for (k, p) in t.peerings.iter().enumerate() {
@@ -106,8 +104,8 @@ fn check_topology(t: &TopologySpec) -> Result<(), ScenarioError> {
         }
         if p.a == p.b {
             return Err(ScenarioError(format!(
-                "peering #{k} connects network {:?} to itself",
-                t.nets[p.a].name
+                "peering #{k} connects network {} to itself",
+                label(p.a)
             )));
         }
     }
@@ -364,11 +362,11 @@ impl Scenario {
     ///   clock, and a bin past the horizon would silently clamp to a
     ///   single end-of-run sample, turning "per-bin series" into one
     ///   point without complaint;
-    /// - the topology must lower: every prefix parses, no two network
-    ///   prefixes overlap, every network is declared after its parent, no
-    ///   network holds more than 250 hosts and every peering joins two
-    ///   different declared networks — what `WorldBuilder` would otherwise
-    ///   panic on halfway through the build;
+    /// - the topology must lower: no two network prefixes overlap, every
+    ///   network is declared after its parent, no network holds more than
+    ///   250 hosts and every peering joins two different declared networks
+    ///   — what `WorldBuilder` would otherwise panic on halfway through the
+    ///   build (a prefix is typed, so there is none that does not parse);
     /// - both contracts need a burst of at least one request and a finite,
     ///   non-negative rate, and a rate detector a positive, finite
     ///   threshold and a non-zero window — what the build's first victim
@@ -581,10 +579,10 @@ fn describe(world: &World, e: &PartitionError) -> String {
         (0..world.net_count())
             .map(NetId)
             .find(|&n| world.router_node(n) == node)
-            .map_or("?", |n| world.net_name(n))
+            .map_or("?".to_string(), |n| world.net_label(n).to_string())
     };
     format!(
-        "the zero-delay link between networks {:?} and {:?} would cross shards \
+        "the zero-delay link between networks {} and {} would cross shards \
          ({e}); give it a propagation delay or make one the other's provider",
         net_of(a),
         net_of(b)
@@ -974,17 +972,6 @@ mod tests {
     }
 
     #[test]
-    fn validate_names_a_network_whose_prefix_does_not_parse() {
-        let err = topology_error(|t| t.nets[1].prefix = "10.1.0.0/33".into());
-        assert!(err.contains("unparsable"), "{err}");
-        assert!(err.contains("10.1.0.0/33"), "names the prefix: {err}");
-        assert!(
-            err.contains(&flood_scenario().topology.nets[1].name),
-            "{err}"
-        );
-    }
-
-    #[test]
     fn validate_names_both_networks_of_an_overlapping_pair() {
         let err = topology_error(|t| {
             t.net("inside", "10.1.7.0/24", Some(0));
@@ -1039,6 +1026,24 @@ mod tests {
         let name = &flood_scenario().topology.nets[2].name;
         assert!(err.contains(name), "names the network: {err}");
         assert!(err.contains("at most 250"), "{err}");
+    }
+
+    #[test]
+    fn validate_names_an_anonymous_network_by_index_and_prefix() {
+        let mut s = Scenario::new(TopologySpec::power_law(&crate::PowerLawSpec {
+            n_nets: 20,
+            ..crate::PowerLawSpec::default()
+        }));
+        assert!(s.validate().is_ok());
+        assert!(s.topology.nets[7].name.is_empty(), "a generated network");
+        for _ in 0..251 {
+            s.topology.host(7, Role::Legit);
+        }
+        let err = s.validate().expect_err("an overfull network").to_string();
+        assert!(
+            err.contains("network #7 (10.1.7.0/24) has 251 hosts"),
+            "{err}"
+        );
     }
 
     /// The error a scenario reports once `edit` has had its way with its

@@ -19,10 +19,11 @@
 //! two specs with equal data produce bit-identical worlds.
 
 use aitf_core::{
-    AitfConfig, HostId, HostPolicy, NetId, RouterPolicy, RoutingMode, World, WorldBuilder,
+    AitfConfig, HostId, HostPolicy, NetId, NetLabel, RouterPolicy, RoutingMode, World, WorldBuilder,
 };
 use aitf_engine::splitmix;
 use aitf_netsim::{LinkParams, SimDuration};
+use aitf_packet::{Addr, Prefix};
 
 use crate::alloc::PrefixAlloc;
 
@@ -57,9 +58,11 @@ pub enum Side {
 #[derive(Debug, Clone)]
 pub struct NetDecl {
     /// Display name, unique within the spec (probes look nets up by it).
+    /// Empty for an anonymous network, which no lookup by name finds and
+    /// messages name as `#<index> (<prefix>)`.
     pub name: String,
-    /// The network prefix, in `a.b.c.d/len` form.
-    pub prefix: String,
+    /// The network prefix.
+    pub prefix: Prefix,
     /// Index of the provider network in [`TopologySpec::nets`].
     pub parent: Option<usize>,
     /// Border-router behaviour.
@@ -68,6 +71,17 @@ pub struct NetDecl {
     pub uplink: LinkParams,
     /// Conflict side, for aggregate probes.
     pub side: Side,
+}
+
+impl NetDecl {
+    /// How a message names this network, declared at `index`.
+    pub(crate) fn label(&self, index: usize) -> NetLabel<'_> {
+        NetLabel {
+            name: &self.name,
+            index,
+            prefix: self.prefix,
+        }
+    }
 }
 
 /// One declared end host.
@@ -168,7 +182,12 @@ impl TopologySpec {
         TopologySpec::default()
     }
 
-    /// Declares a network with the default router policy and uplink.
+    /// Declares a network with the default router policy and uplink, its
+    /// prefix written `a.b.c.d/len`.
+    ///
+    /// # Panics
+    ///
+    /// As [`TopologySpec::net_with`].
     pub fn net(&mut self, name: &str, prefix: &str, parent: Option<usize>) -> usize {
         self.net_with(
             name,
@@ -180,11 +199,34 @@ impl TopologySpec {
         )
     }
 
-    /// Declares a network with explicit policy, uplink and side.
+    /// Declares a network with explicit policy, uplink and side, its prefix
+    /// written `a.b.c.d/len`; the literal is parsed here, once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `prefix` does not parse, naming the network and the
+    /// literal, or if another network already has the name.
     pub fn net_with(
         &mut self,
         name: &str,
         prefix: &str,
+        parent: Option<usize>,
+        policy: RouterPolicy,
+        uplink: LinkParams,
+        side: Side,
+    ) -> usize {
+        let prefix = prefix
+            .parse()
+            .unwrap_or_else(|_| panic!("network {name:?} has an unparsable prefix {prefix:?}"));
+        self.declare(name, prefix, parent, policy, uplink, side)
+    }
+
+    /// [`TopologySpec::net_with`] for a prefix the generators already hold
+    /// typed.
+    fn declare(
+        &mut self,
+        name: &str,
+        prefix: Prefix,
         parent: Option<usize>,
         policy: RouterPolicy,
         uplink: LinkParams,
@@ -196,7 +238,7 @@ impl TopologySpec {
         );
         self.nets.push(NetDecl {
             name: name.to_string(),
-            prefix: prefix.to_string(),
+            prefix,
             parent,
             policy,
             uplink,
@@ -241,11 +283,12 @@ impl TopologySpec {
     ///
     /// # Panics
     ///
-    /// Panics if no such network was declared.
+    /// Panics if no such network was declared; an anonymous network has
+    /// no name to find it by.
     pub fn net_index(&self, name: &str) -> usize {
         self.nets
             .iter()
-            .position(|n| n.name == name)
+            .position(|n| !name.is_empty() && n.name == name)
             .unwrap_or_else(|| panic!("no network named {name:?} in the topology"))
     }
 
@@ -329,10 +372,7 @@ impl TopologySpec {
     pub fn chain_pair(depth: usize, attacker_policy: HostPolicy) -> Self {
         Self::chains(depth, attacker_policy, |side, level, alloc| {
             let tag = if side == 0 { "G" } else { "B" };
-            (
-                format!("{}_{}", tag, level + 1),
-                alloc.next_slash16().to_string(),
-            )
+            (format!("{}_{}", tag, level + 1), alloc.next_slash16())
         })
     }
 
@@ -341,9 +381,10 @@ impl TopologySpec {
     /// for record compatibility with the pushback comparison.
     pub fn chain_pair_by_level(depth: usize) -> Self {
         Self::chains(depth, HostPolicy::Malicious, |side, level, _| {
+            let second = u8::try_from(1 + 100 * side + level).expect("depth fits the /16 plan");
             (
                 format!("{side}-{level}"),
-                format!("10.{}.0.0/16", 1 + side * 100 + level),
+                Prefix::new(Addr::new(10, second, 0, 0), 16),
             )
         })
     }
@@ -351,7 +392,7 @@ impl TopologySpec {
     fn chains(
         depth: usize,
         attacker_policy: HostPolicy,
-        mut naming: impl FnMut(usize, usize, &mut PrefixAlloc) -> (String, String),
+        mut naming: impl FnMut(usize, usize, &mut PrefixAlloc) -> (String, Prefix),
     ) -> Self {
         assert!(depth > 0, "depth must be at least 1");
         let mut alloc = PrefixAlloc::new();
@@ -367,9 +408,9 @@ impl TopologySpec {
             let mut parent: Option<usize> = None;
             for level in (0..depth).rev() {
                 let (name, prefix) = naming(side, level, &mut alloc);
-                let id = t.net_with(
+                let id = t.declare(
                     &name,
-                    &prefix,
+                    prefix,
                     parent,
                     RouterPolicy::default(),
                     WorldBuilder::default_net_link(),
@@ -450,15 +491,14 @@ impl TopologySpec {
         );
         let mut alloc = PrefixAlloc::new();
         let mut t = TopologySpec::new();
-        let hub_prefix = alloc.next_slash16().to_string();
-        let hub = t.net("hub", &hub_prefix, None);
-        let victim_prefix = alloc.next_slash16().to_string();
-        let victim_net = t.net_with(
+        let (d, l) = (RouterPolicy::default, WorldBuilder::default_net_link);
+        let hub = t.declare("hub", alloc.next_slash16(), None, d(), l(), Side::Neutral);
+        let victim_net = t.declare(
             "victim_net",
-            &victim_prefix,
+            alloc.next_slash16(),
             Some(hub),
-            RouterPolicy::default(),
-            WorldBuilder::default_net_link(),
+            d(),
+            l(),
             Side::Victim,
         );
         t.host_with(
@@ -476,18 +516,11 @@ impl TopologySpec {
             .map(|i| (hub, 1, i.to_string()))
             .collect();
         while let Some((parent, level, path)) = stack.pop() {
-            let prefix = alloc.next_slash16().to_string();
+            let prefix = alloc.next_slash16();
             if level == levels {
                 let name = format!("zombie_net_{leaf_ordinal}");
                 leaf_ordinal += 1;
-                let net = t.net_with(
-                    &name,
-                    &prefix,
-                    Some(parent),
-                    RouterPolicy::default(),
-                    WorldBuilder::default_net_link(),
-                    Side::Attacker,
-                );
+                let net = t.declare(&name, prefix, Some(parent), d(), l(), Side::Attacker);
                 for _ in 0..hosts_per_leaf {
                     t.host_with(
                         net,
@@ -497,7 +530,8 @@ impl TopologySpec {
                     );
                 }
             } else {
-                let net = t.net(&format!("ad_{path}"), &prefix, Some(parent));
+                let name = format!("ad_{path}");
+                let net = t.declare(&name, prefix, Some(parent), d(), l(), Side::Neutral);
                 for i in (0..branching).rev() {
                     stack.push((net, level + 1, format!("{path}_{i}")));
                 }
@@ -514,10 +548,12 @@ impl TopologySpec {
     /// picking a parent in proportion to its degree, else uniformly),
     /// with peering shortcuts between a sampled fraction of networks.
     /// `nets[0]` is the `core` root, `nets[1]` the `victim_net` (with the
-    /// victim host installed); generated networks are named `pl_<i>`.
+    /// victim host installed); the generated networks are anonymous (see
+    /// [`NetDecl::name`]) and are selected by index range, side or role.
     /// Prefixes are /24s from [`PrefixAlloc::next_slash24`] and the spec
     /// switches itself to [`RoutingMode::Hierarchical`], so a 100k-net
-    /// world builds in O(n·depth) with O(n·depth) routing state.
+    /// world builds in O(n·depth) with O(n·depth) routing state, and the
+    /// spec itself in a number of allocations that does not grow with it.
     ///
     /// # Panics
     ///
@@ -541,15 +577,15 @@ impl TopologySpec {
         let mut alloc = PrefixAlloc::new();
         let mut t = TopologySpec::new();
         t.routing = RoutingMode::Hierarchical;
-        let core_prefix = alloc.next_slash24().to_string();
-        let core = t.net("core", &core_prefix, None);
-        let victim_prefix = alloc.next_slash24().to_string();
-        let victim_net = t.net_with(
+        t.nets.reserve_exact(spec.n_nets + 2);
+        let (d, l) = (RouterPolicy::default, WorldBuilder::default_net_link);
+        let core = t.declare("core", alloc.next_slash24(), None, d(), l(), Side::Neutral);
+        let victim_net = t.declare(
             "victim_net",
-            &victim_prefix,
+            alloc.next_slash24(),
             Some(core),
-            RouterPolicy::default(),
-            WorldBuilder::default_net_link(),
+            d(),
+            l(),
             Side::Victim,
         );
         t.host_with(
@@ -565,10 +601,15 @@ impl TopologySpec {
         // classic Barabási–Albert trick. Depth is capped by walking a too-
         // deep pick up its provider chain.
         let mut rng = splitmix(spec.seed ^ 0xA5_0000_0001);
-        let mut endpoints: Vec<u32> = vec![core as u32, victim_net as u32];
-        let mut depth: Vec<u32> = vec![0, 1];
-        let mut parent_of: Vec<u32> = vec![0, 0];
-        for i in 0..spec.n_nets {
+        let reserved = |capacity: usize, first: [u32; 2]| {
+            let mut v = Vec::with_capacity(capacity);
+            v.extend(first);
+            v
+        };
+        let mut endpoints = reserved(2 * spec.n_nets + 2, [core as u32, victim_net as u32]);
+        let mut depth = reserved(spec.n_nets + 2, [0, 1]);
+        let mut parent_of = reserved(spec.n_nets + 2, [0, 0]);
+        for _ in 0..spec.n_nets {
             rng = splitmix(rng);
             let preferential = (rng >> 32) as f64 / (1u64 << 32) as f64 <= spec.skew;
             rng = splitmix(rng);
@@ -580,12 +621,12 @@ impl TopologySpec {
             while depth[parent] as usize >= spec.max_depth {
                 parent = parent_of[parent] as usize;
             }
-            let prefix = alloc.next_slash24().to_string();
-            // Direct push: `net_with`'s duplicate-name scan is O(n) per
-            // net and the generated names are unique by construction.
+            // Direct push: `declare`'s duplicate-name scan is O(n) per net,
+            // and an anonymous network has no name to duplicate (an empty
+            // `String` does not allocate).
             t.nets.push(NetDecl {
-                name: format!("pl_{i}"),
-                prefix,
+                name: String::new(),
+                prefix: alloc.next_slash24(),
                 parent: Some(parent),
                 policy: RouterPolicy::default(),
                 uplink: WorldBuilder::default_net_link(),
@@ -687,13 +728,9 @@ impl TopologySpec {
         let mut b = WorldBuilder::new(seed, cfg);
         b.routing(self.routing);
         let mut ids: Vec<NetId> = Vec::with_capacity(self.nets.len());
-        for n in &self.nets {
+        for (i, n) in self.nets.iter().enumerate() {
             let parent = n.parent.map(|p| {
-                assert!(
-                    p < ids.len(),
-                    "network {:?} declared before its parent",
-                    n.name
-                );
+                assert!(p < i, "network {} declared before its parent", n.label(i));
                 ids[p]
             });
             ids.push(b.network_with(&n.name, &n.prefix, parent, n.policy, n.uplink));
@@ -767,10 +804,11 @@ impl BuiltWorld {
     ///
     /// # Panics
     ///
-    /// Panics if no such network exists.
+    /// Panics if no such network exists; an anonymous network has no name
+    /// to find it by.
     pub fn net(&self, name: &str) -> NetId {
         let mut ids = self.net_ids.iter().copied();
-        ids.find(|&id| self.world.net_name(id) == name)
+        ids.find(|&id| !name.is_empty() && self.world.net_name(id) == name)
             .unwrap_or_else(|| panic!("no network named {name:?} in the world"))
     }
 
@@ -954,6 +992,9 @@ mod tests {
         assert_eq!(t.routing, RoutingMode::Hierarchical);
         assert_eq!(t.nets[0].name, "core");
         assert_eq!(t.nets[1].name, "victim_net");
+        // Every generated network is anonymous and holds a /24.
+        assert!(t.nets.iter().all(|n| n.prefix.len() == 24));
+        assert!(t.nets[2..].iter().all(|n| n.name.is_empty()));
         // Depth cap honoured.
         let mut depth = vec![0usize; t.nets.len()];
         let mut degree = vec![0usize; t.nets.len()];
@@ -964,7 +1005,7 @@ mod tests {
                 degree[p] += 1;
                 degree[i] += 1;
             }
-            assert!(depth[i] <= 5, "depth cap violated at {}", n.name);
+            assert!(depth[i] <= 5, "depth cap violated at {}", n.label(i));
         }
         // Heavy tail: the best-connected provider dwarfs the median (a
         // uniform tree of 2000 nets has max degree ~15).
@@ -1003,6 +1044,33 @@ mod tests {
         assert_eq!(b.world.net_count(), 302);
         assert_eq!(b.hosts_with(Role::Legit).len(), 40);
         assert_eq!(b.role_of(b.victim()), Role::Victim);
+    }
+
+    fn small_power_law() -> TopologySpec {
+        TopologySpec::power_law(&PowerLawSpec {
+            n_nets: 10,
+            ..PowerLawSpec::default()
+        })
+    }
+
+    #[test]
+    #[should_panic(expected = "no network named")]
+    fn the_empty_name_finds_no_declared_network() {
+        let _ = small_power_law().net_index("");
+    }
+
+    #[test]
+    #[should_panic(expected = "no network named")]
+    fn the_empty_name_finds_no_built_network() {
+        let b = small_power_law().build(1, AitfConfig::default());
+        assert_eq!(b.net("victim_net"), NetId(1));
+        let _ = b.net("");
+    }
+
+    #[test]
+    #[should_panic(expected = "network \"a\" has an unparsable prefix \"10.1.0.0/33\"")]
+    fn net_with_names_the_network_whose_literal_does_not_parse() {
+        TopologySpec::new().net("a", "10.1.0.0/33", None);
     }
 
     #[test]
