@@ -7,9 +7,9 @@
 //! AITF ([`ChurnAction::SetRouterPolicy`] → legacy), which instantly
 //! reopens their zombies' flows — the leaves' wire-speed filters go
 //! dormant with the protocol. The victim gateway's shadow catches each
-//! reappearing flow, and because the policy flip is broadcast to every
-//! router's deployment view, the round-2 re-escalation routes *around*
-//! the now-legacy leaf to the nearest participating node — the
+//! reappearing flow, and because the policy flip is recorded in the
+//! deployment view every router reads, the round-2 re-escalation routes
+//! *around* the now-legacy leaf to the nearest participating node — the
 //! mid-tree provider — which re-blocks the flow. At the next boundary the
 //! dropped-out providers rejoin (their dormant filters resume matching)
 //! while a different subtree drops out.

@@ -17,7 +17,7 @@
 //!   [`HostPolicy::Malicious`] host ignores notices and risks
 //!   disconnection.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use aitf_filter::{FilterTable, TokenBucket};
@@ -209,28 +209,23 @@ pub trait RxTap: Send + 'static {
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
 }
 
-/// Host timer meanings (tokens below the app namespace).
-enum HostTimer {
-    Detect { flow: FlowLabel },
-}
-
 /// The victim agent: everything a host keeps about what it *receives*.
 /// Made by the first packet delivered to the host, so a host that only
 /// sends (a zombie) or never sees a packet holds none.
 pub(crate) struct VictimAgent {
-    /// Flows whose detection timer is pending.
-    detecting: HashMap<FlowLabel, ()>,
-    /// Flows this host has requested blocked, with the `T` expiry.
-    request_log: HashMap<FlowLabel, SimTime>,
-    /// Damping: last time a request was sent per flow.
-    last_request: HashMap<FlowLabel, SimTime>,
+    /// Sources whose detection timer is pending. A detected flow is always
+    /// `src → this host`, so the timer's token is `src` itself — below the
+    /// app namespace, which starts at bit 32.
+    detecting: HashSet<Addr>,
+    /// Flows this host has requested blocked: the `T` expiry of the last
+    /// request and when it was sent (damping). Once it holds more than 64
+    /// flows, the expired ones are dropped before a new one is logged.
+    request_log: HashMap<FlowLabel, (SimTime, SimTime)>,
     /// Self-policing of the client contract (R1).
     request_bucket: TokenBucket,
     /// The rate-threshold detector, when configured.
     rate_detector: Option<RateDetector>,
     traceback: RouteRecordTraceback,
-    token_map: HashMap<u64, HostTimer>,
-    next_token: u64,
 }
 
 impl VictimAgent {
@@ -241,9 +236,8 @@ impl VictimAgent {
     /// surfaces at build time.
     pub(crate) fn new(cfg: &AitfConfig) -> Self {
         VictimAgent {
-            detecting: HashMap::new(),
+            detecting: HashSet::new(),
             request_log: HashMap::new(),
-            last_request: HashMap::new(),
             request_bucket: TokenBucket::new(cfg.client_contract.rate, cfg.client_contract.burst),
             rate_detector: match cfg.detection {
                 DetectionMode::Oracle => None,
@@ -253,39 +247,38 @@ impl VictimAgent {
                 } => Some(RateDetector::new(bytes_per_sec, window, 4096)),
             },
             traceback: RouteRecordTraceback::new(4096),
-            token_map: HashMap::new(),
-            next_token: 0,
         }
     }
 
-    /// Starts the oracle's `Td` clock for `flow` unless it is running.
-    fn arm_detect(&mut self, flow: FlowLabel, delay: SimDuration, ctx: &mut Context<'_>) {
-        if self.detecting.insert(flow, ()).is_some() {
-            return;
+    /// Starts the oracle's `Td` clock for the flow from `src` unless it is
+    /// running.
+    fn arm_detect(&mut self, src: Addr, delay: SimDuration, ctx: &mut Context<'_>) {
+        if self.detecting.insert(src) {
+            ctx.set_timer(delay, u64::from(src.0));
         }
-        let token = self.next_token;
-        self.next_token += 1;
-        self.token_map.insert(token, HostTimer::Detect { flow });
-        ctx.set_timer(delay, token);
     }
 
-    fn purge_request_log(&mut self, now: SimTime) {
+    /// Logs a request for `flow` sent at `now`, blocking it until `until`.
+    fn log_request(&mut self, flow: FlowLabel, now: SimTime, until: SimTime) {
         if self.request_log.len() > 64 {
             // detlint::allow(hash-iter): per-entry expiry predicate — the surviving set is independent of visit order
-            self.request_log.retain(|_, &mut exp| exp > now);
+            self.request_log.retain(|_, &mut (until, _)| until > now);
         }
+        self.request_log.insert(flow, (until, now));
+    }
+
+    /// Whether `flow` is requested blocked at `now`.
+    fn requested(&self, flow: &FlowLabel, now: SimTime) -> bool {
+        self.request_log
+            .get(flow)
+            .is_some_and(|&(until, _)| until > now)
     }
 
     /// Whether `flow` was requested blocked and, if so, whether the last
     /// request for it is older than the damping window.
     fn logged(&self, flow: &FlowLabel, now: SimTime, cooldown: SimDuration) -> Option<bool> {
-        let expiry = *self.request_log.get(flow)?;
-        let recently = self
-            .last_request
-            .get(flow)
-            .copied()
-            .unwrap_or(SimTime::ZERO);
-        (expiry > now).then(|| now.saturating_since(recently) >= cooldown)
+        let &(until, sent) = self.request_log.get(flow)?;
+        (until > now).then(|| now.saturating_since(sent) >= cooldown)
     }
 }
 
@@ -461,9 +454,9 @@ impl EndHost {
 
     fn on_attack_packet(&mut self, packet: &Packet, ctx: &mut Context<'_>) {
         let now = ctx.now();
-        let flow = FlowLabel::src_dst(packet.header.src, self.addr);
+        let src = packet.header.src;
+        let flow = FlowLabel::src_dst(src, self.addr);
         let agent = self.victim.as_deref_mut().expect(AGENT);
-        agent.purge_request_log(now);
         match agent.logged(&flow, now, self.cfg.t_tmp / 2) {
             // A flow we already asked to have blocked is leaking. With
             // fast re-detection (footnote 8) the request goes out
@@ -474,19 +467,15 @@ impl EndHost {
             // Requested within the damping window: nothing to do.
             Some(false) => {}
             // New undesired flow: the oracle detector fires after Td.
-            Some(true) | None => agent.arm_detect(flow, self.cfg.detection_delay, ctx),
+            Some(true) | None => agent.arm_detect(src, self.cfg.detection_delay, ctx),
         }
     }
 
-    fn on_detect(&mut self, flow: FlowLabel, ctx: &mut Context<'_>) {
+    /// The oracle's `Td` clock for the flow from `src` ran out.
+    fn on_detect(&mut self, src: Addr, ctx: &mut Context<'_>) {
         ctx.profile_subsystem(aitf_netsim::Subsystem::Detector);
-        self.victim
-            .as_deref_mut()
-            .expect(AGENT)
-            .detecting
-            .remove(&flow);
         self.counters.detections += 1;
-        self.send_filtering_request(flow, ctx);
+        self.send_filtering_request(FlowLabel::src_dst(src, self.addr), ctx);
     }
 
     /// The rate detector flagged `src`: request a block immediately
@@ -496,7 +485,6 @@ impl EndHost {
         let now = ctx.now();
         let flow = FlowLabel::src_dst(src, self.addr);
         let agent = self.victim.as_deref_mut().expect(AGENT);
-        agent.purge_request_log(now);
         if let Some(due) = agent.logged(&flow, now, self.cfg.t_tmp / 2) {
             // Already requested; damp re-requests like the oracle path.
             if self.cfg.fast_redetect && due {
@@ -520,19 +508,17 @@ impl EndHost {
             self.counters.requests_self_limited += 1;
             return;
         }
-        let path = agent.traceback.attack_path(&flow).unwrap_or_default();
         let id = ctx.next_packet_id();
         let req = FilteringRequest {
             id,
             flow,
             dest: RequestDestination::VictimGateway,
             duration_ns: self.cfg.t_long.as_nanos(),
-            path: aitf_packet::RouteRecord::from_hops(path.iter().copied()),
+            path: agent.traceback.attack_path(&flow).unwrap_or_default(),
             round: 1,
         };
         self.counters.requests_sent += 1;
-        agent.request_log.insert(flow, now + self.cfg.t_long);
-        agent.last_request.insert(flow, now);
+        agent.log_request(flow, now, now + self.cfg.t_long);
         let pkt = Packet::control(
             ctx.next_packet_id(),
             self.addr,
@@ -555,8 +541,8 @@ impl EndHost {
         match msg {
             AitfMessage::VerificationQuery(q) => {
                 self.counters.verification_queries += 1;
-                let log = self.victim.as_deref().map(|a| &a.request_log);
-                let confirm = log.is_some_and(|l| l.get(&q.flow).is_some_and(|&exp| exp > now));
+                let agent = self.victim.as_deref();
+                let confirm = agent.is_some_and(|a| a.requested(&q.flow, now));
                 if confirm {
                     self.counters.verification_confirmed += 1;
                 } else {
@@ -660,39 +646,61 @@ impl Node for EndHost {
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Context<'_>) {
+        let app_ns = (token >> 32) & 0xffff;
+        if app_ns == 0 {
+            // A detect timer, keyed by the flow's source; a token nobody
+            // armed finds no agent and makes none. A detached host unwinds
+            // the detection, so the flow is re-detected fresh after
+            // reattachment.
+            let src = Addr(token as u32);
+            let agent = self.victim.as_deref_mut();
+            if agent.is_some_and(|a| a.detecting.remove(&src)) && self.attached {
+                self.on_detect(src, ctx);
+            }
+            return;
+        }
         if !self.attached {
             // Dropping the event breaks self-rearming timer chains, which
-            // is the point: a detached host goes fully quiet. Host-level
-            // detection state is unwound so the flow can be re-detected
-            // fresh after reattachment.
-            if let Some(agent) = self.victim.as_deref_mut() {
-                if let Some(HostTimer::Detect { flow }) = agent.token_map.remove(&token) {
-                    agent.detecting.remove(&flow);
-                }
-            }
+            // is the point: a detached host goes fully quiet.
             return;
         }
-        let epoch = (token >> 48) as u16;
-        let app_ns = (token >> 32) & 0xffff;
-        if app_ns > 0 {
-            if epoch != self.attach_epoch {
-                // A chain armed before a detach: stale, superseded by
-                // restart_apps — dropping it is what keeps a brief
-                // detach→attach from doubling the send rate.
-                return;
-            }
-            let app_index = (app_ns - 1) as usize;
-            let app_token = (token & 0xffff_ffff) as u32;
-            self.with_api(app_index, ctx, |app, api| app.on_timer(app_token, api));
+        if (token >> 48) as u16 != self.attach_epoch {
+            // A chain armed before a detach: stale, superseded by
+            // restart_apps — dropping it is what keeps a brief
+            // detach→attach from doubling the send rate.
             return;
         }
-        // A token nobody armed finds no agent and makes none.
-        let agent = self.victim.as_deref_mut();
-        match agent.and_then(|a| a.token_map.remove(&token)) {
-            Some(HostTimer::Detect { flow }) => self.on_detect(flow, ctx),
-            None => {}
-        }
+        let app_index = (app_ns - 1) as usize;
+        let app_token = (token & 0xffff_ffff) as u32;
+        self.with_api(app_index, ctx, |app, api| app.on_timer(app_token, api));
     }
 
     impl_node_any!();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn t(secs: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_secs(secs)
+    }
+
+    fn flow(i: u8) -> FlowLabel {
+        FlowLabel::src_dst(Addr::new(10, 9, 0, i), Addr::new(10, 1, 0, 1))
+    }
+
+    #[test]
+    fn the_request_log_drops_expired_flows_before_logging_a_new_one() {
+        let mut agent = VictimAgent::new(&AitfConfig::default());
+        for i in 0..100 {
+            agent.log_request(flow(i), t(0), t(60));
+        }
+        assert_eq!(agent.request_log.len(), 100);
+        agent.log_request(flow(200), t(61), t(121));
+        assert_eq!(agent.request_log.len(), 1, "only the live flow is held");
+        let cooldown = SimDuration::from_secs(5);
+        assert_eq!(agent.logged(&flow(200), t(62), cooldown), Some(false));
+        assert_eq!(agent.logged(&flow(7), t(62), cooldown), None);
+    }
 }

@@ -607,11 +607,11 @@ fn escalation_skips_legacy_hop_to_nearest_aitf_node() {
 fn provider_leaving_aitf_mid_attack_reescalates_around_it() {
     // The E17 mechanics at protocol level: the flood is blocked at B_gw1
     // in round 1; then B_net *and* B_isp leave AITF mid-attack
-    // (`World::set_router_policy` broadcasts the change). Their filters
-    // go dormant, the flow reappears, and the victim gateway's round-2
-    // re-escalation must route around both dropped-out providers to
-    // B_wan, which re-blocks the flow and holds its own client (B_isp's
-    // network) accountable. Grace is pushed past the horizon so the
+    // (`World::set_router_policy` records it in the deployment view).
+    // Their filters go dormant, the flow reappears, and the victim
+    // gateway's round-2 re-escalation must route around both dropped-out
+    // providers to B_wan, which re-blocks the flow and holds its own
+    // client (B_isp's network) accountable. Grace is pushed past the horizon so the
     // zombie is not simply unplugged before the churn happens.
     let cfg = AitfConfig {
         grace: SimDuration::from_secs(3600),

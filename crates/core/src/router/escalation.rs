@@ -58,18 +58,14 @@ impl BorderRouter {
 
         // A repeat request for a flow we already acted on means the last
         // round failed: escalate. (The client always claims round 1; the
-        // shadow knows better.) What the shadow knows is copied out, so the
-        // tables can be written below: its path only when the request
-        // carries none, into a route record that holds its hops inline.
-        let logged = self.shadow().get(&req.flow).map(|entry| {
-            let path = (req.path.is_empty() && !entry.path.is_empty())
-                .then(|| aitf_packet::RouteRecord::from_hops(entry.path.iter().copied()));
-            (entry.round, entry.last_action, path)
-        });
-        if let Some((round, last_action, path)) = logged {
+        // shadow knows better, and knows the path when the request does
+        // not.) The entry is read out whole, so the tables can be written
+        // below.
+        if let Some(logged) = self.shadow().get(&req.flow) {
+            let round = logged.round;
             let cooldown = self.cfg.t_tmp / 2;
             if round >= req.round {
-                if now.saturating_since(last_action) < cooldown {
+                if now.saturating_since(logged.last_action) < cooldown {
                     // Duplicate within the damping window: refresh only.
                     // A full table means even the refresh failed — the
                     // client is unprotected and must not look served.
@@ -89,8 +85,8 @@ impl BorderRouter {
                 }
                 req.round = round.saturating_add(1).min(self.cfg.max_round);
             }
-            if let Some(path) = path {
-                req.path = path;
+            if req.path.is_empty() {
+                req.path = logged.path;
             }
         }
 
@@ -130,7 +126,7 @@ impl BorderRouter {
             now,
             self.cfg.t_long,
             req.round,
-            req.path.hops().to_vec(),
+            req.path.clone(),
         );
 
         if req.path.is_empty() {
@@ -161,6 +157,9 @@ impl BorderRouter {
         req: FilteringRequest,
         ctx: &mut Context<'_>,
     ) {
+        // The deployment view does not list this router only because a
+        // legacy router never gets here.
+        debug_assert!(self.policy.aitf_enabled);
         let now = ctx.now();
         // Everything the decision needs is `Copy`-cheap; pulling it out up
         // front lets each branch *move* `req` into the outgoing message
@@ -311,20 +310,16 @@ impl BorderRouter {
         // Prefer the stored path; fall back to the triggering packet's
         // route record (plus our own hop).
         let path = if entry.path.is_empty() {
-            let mut hops = packet.route_record.hops().to_vec();
-            if hops.last() != Some(&self.addr) {
-                hops.push(self.addr);
-            }
-            hops
+            self.with_own_hop(&packet.route_record)
         } else {
-            entry.path.clone()
+            entry.path
         };
         let req = FilteringRequest {
             id: entry.request_id,
             flow: entry.label,
             dest: RequestDestination::VictimGateway,
             duration_ns: self.cfg.t_long.as_nanos(),
-            path: aitf_packet::RouteRecord::from_hops(path.iter().copied()),
+            path,
             round,
         };
         self.propagate_as_victim_gateway(req, ctx);

@@ -18,13 +18,13 @@
 
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 use aitf_filter::{FilterTable, RateLimiterBank, ShadowCache};
 use aitf_netsim::{impl_node_any, Buckets, Context, LinkId, Node, SimTime, Subsystem};
 use aitf_packet::{
     lpm, Addr, AitfMessage, FilteringRequest, FlowLabel, Nonce, Packet, PayloadKind, Prefix,
-    PrefixSlice, VerificationReply,
+    PrefixSlice, RouteRecord, VerificationReply,
 };
 use aitf_trace::{Cause, SpanId, SpanKind, Tracer};
 
@@ -136,9 +136,10 @@ struct PendingPath {
 }
 
 /// What every router of a world reads and none writes, one array per kind
-/// for the whole world: made by `WorldBuilder::build` and immutable after.
-/// A router keeps its forwarding and client spans inline (a lookup then
-/// reads no offset array first) and its network index for the rest.
+/// for the whole world: made by `WorldBuilder::build` and immutable after,
+/// but for the deployment view, which changes only between runs. A router
+/// keeps its forwarding and client spans inline (a lookup then reads no
+/// offset array first) and its network index for the rest.
 #[derive(Debug)]
 pub(crate) struct Wiring {
     /// Every router's longest-prefix-match forwarding table — network
@@ -159,11 +160,17 @@ pub(crate) struct Wiring {
     /// What a router with no [`DataState`] of its own reads: zero counters
     /// and empty tables at the configured capacities.
     pub(crate) idle: DataState,
+    /// The deployment view: the addresses of the border routers that do
+    /// not run AITF — the capability "advertisement" every router sees.
+    /// The one field written after the build, and only by
+    /// [`crate::World::set_router_policy`] through `&mut World` between
+    /// runs, so no window ever waits on the lock.
+    pub(crate) legacy: RwLock<HashSet<Addr>>,
 }
 
 /// A router's place in its world's [`Wiring`], and what it is given of its
 /// own.
-pub(crate) struct RouterSpec<'a> {
+pub(crate) struct RouterSpec {
     /// This router's control-plane address.
     pub(crate) addr: Addr,
     /// The address block of this router's own network.
@@ -174,10 +181,6 @@ pub(crate) struct RouterSpec<'a> {
     pub(crate) fwd: Range<u32>,
     /// Link towards this router's provider; `None` at the top level.
     pub(crate) uplink: Option<LinkId>,
-    /// Border routers known (via capability advertisement at build time)
-    /// not to participate in AITF, one list per world. Kept current at
-    /// runtime through [`BorderRouter::set_peer_aitf_enabled`].
-    pub(crate) legacy_peers: &'a [Addr],
     /// What every router of the world reads.
     pub(crate) wiring: Arc<Wiring>,
     /// Protocol parameters, shared by every node of the world.
@@ -319,8 +322,6 @@ pub struct BorderRouter {
     // What only the control plane reads.
     /// This router's network, the key of its ancestor chain in `wiring`.
     net: u32,
-    /// The deployment view: peers currently known not to run AITF.
-    disabled_peers: HashSet<Addr>,
     /// First-use state; see [`ControlState`].
     ctl: Option<Box<ControlState>>,
     /// This router's span log (a zero-sized no-op unless the `trace`
@@ -346,7 +347,7 @@ fn flow_key(flow: &FlowLabel) -> u64 {
 
 impl BorderRouter {
     /// Builds a router from its spec: wiring and spans, and nothing else.
-    pub(crate) fn new(spec: RouterSpec<'_>) -> Self {
+    pub(crate) fn new(spec: RouterSpec) -> Self {
         let cfg = spec.config;
         let defense = cfg.defense;
         let Ok(chains) = PolicyChains::build(defense);
@@ -360,14 +361,6 @@ impl BorderRouter {
             clients: spec.wiring.clients.span(spec.net),
             uplink: spec.uplink,
             net: u32::try_from(spec.net).expect("network count fits u32"),
-            // A router never lists itself: its own participation is its
-            // `policy`, and the view only answers "can this *peer* act?".
-            disabled_peers: spec
-                .legacy_peers
-                .iter()
-                .copied()
-                .filter(|&a| a != spec.addr)
-                .collect(),
             addr: spec.addr,
             wiring: spec.wiring,
             data: None,
@@ -493,31 +486,40 @@ impl BorderRouter {
 
     /// Replaces the behaviour policy (experiments flip cooperation at
     /// runtime). Prefer [`crate::World::set_router_policy`], which also
-    /// updates every other router's deployment view.
+    /// updates the world's deployment view.
     pub fn set_policy(&mut self, policy: RouterPolicy) {
         self.policy = policy;
     }
 
-    /// Updates the deployment view: records whether the border router at
-    /// `addr` currently participates in AITF. The world-level
-    /// [`crate::World::set_router_policy`] hook broadcasts this to every
-    /// router when a provider joins or leaves AITF — the simulation's
-    /// stand-in for a BGP-style capability advertisement.
-    pub fn set_peer_aitf_enabled(&mut self, addr: Addr, enabled: bool) {
-        if addr == self.addr {
-            return;
-        }
-        if enabled {
-            self.disabled_peers.remove(&addr);
+    /// Records in the world's deployment view whether this router runs
+    /// AITF — the simulation's stand-in for a BGP-style capability
+    /// advertisement. Only [`crate::World::set_router_policy`] calls it,
+    /// between runs.
+    pub(crate) fn advertise(&self, aitf_enabled: bool) {
+        let mut legacy = self.wiring.legacy.write().expect("deployment view");
+        if aitf_enabled {
+            legacy.remove(&self.addr);
         } else {
-            self.disabled_peers.insert(addr);
+            legacy.insert(self.addr);
         }
     }
 
-    /// Whether `addr` is believed to run AITF (this router itself always
-    /// answers yes — its own participation is its policy).
+    /// Whether the border router at `addr` is believed to run AITF. Only
+    /// an AITF-enabled router asks, so its own address always answers yes.
     fn peer_participates(&self, addr: Addr) -> bool {
-        !self.disabled_peers.contains(&addr)
+        let legacy = self.wiring.legacy.read().expect("deployment view");
+        !legacy.contains(&addr)
+    }
+
+    /// `record` completed with this router's own hop, unless it is already
+    /// the last one: the attack path as seen from here, of a packet that
+    /// has not crossed this router yet. A full record drops the hop.
+    fn with_own_hop(&self, record: &RouteRecord) -> RouteRecord {
+        let mut path = record.clone();
+        if path.victim_gateway() != Some(self.addr) {
+            let _ = path.push(self.addr);
+        }
+        path
     }
 
     /// The nearest ancestor gateway that participates in AITF — the

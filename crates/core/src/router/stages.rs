@@ -82,11 +82,7 @@ impl BorderRouter {
         let mut request = ctl.pending_paths.remove(pos).request;
         // The packet has not crossed this router yet, so the record lacks
         // our own hop; append it for a complete path.
-        let mut hops = packet.route_record.hops().to_vec();
-        if hops.last() != Some(&self.addr) {
-            hops.push(self.addr);
-        }
-        request.path = aitf_packet::RouteRecord::from_hops(hops.iter().copied());
+        request.path = self.with_own_hop(&packet.route_record);
         let data = DataState::of(&mut self.data, &self.cfg);
         data.shadow.insert_with_path(
             request.flow,
@@ -94,7 +90,7 @@ impl BorderRouter {
             now,
             self.cfg.t_long,
             request.round,
-            hops,
+            request.path.clone(),
         );
         self.propagate_as_victim_gateway(request, ctx);
     }

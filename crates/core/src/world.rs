@@ -33,7 +33,7 @@
 
 use std::fmt;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 use aitf_netsim::{
     Buckets, LinkDirection, LinkId, LinkParams, NetworkBuilder, NextHops, NodeId, PartitionSpec,
@@ -582,23 +582,18 @@ impl WorldBuilder {
         });
         let ancestors = Buckets::group(n, chains);
 
-        // What every router reads, as one value for the world.
+        // What every router reads, as one value for the world, the
+        // deployment view seeded with the routers built not to run AITF.
+        let legacy = self.nets.iter().zip(&router_addr);
+        let legacy = legacy.filter(|(net, _)| !net.policy.aitf_enabled);
         let wiring = Arc::new(Wiring {
             fwd,
             clients,
             ingress: cones.into_ingress(self.nets.iter().map(|net| net.prefix)),
             ancestors,
             idle: DataState::new(&cfg),
+            legacy: RwLock::new(legacy.map(|(_, &addr)| addr).collect()),
         });
-
-        // Deployment view seeded at build time: which border routers do
-        // not participate in AITF (the capability "advertisement" every
-        // router sees).
-        let legacy = self.nets.iter().zip(&router_addr);
-        let legacy_peers: Vec<Addr> = legacy
-            .filter(|(net, _)| !net.policy.aitf_enabled)
-            .map(|(_, &addr)| addr)
-            .collect();
 
         // Install routers.
         for ((i, net), fwd) in self.nets.iter().enumerate().zip(fwd_spans) {
@@ -608,7 +603,6 @@ impl WorldBuilder {
                 net: i,
                 fwd,
                 uplink: uplinks[i],
-                legacy_peers: &legacy_peers,
                 wiring: Arc::clone(&wiring),
                 config: Arc::clone(&cfg),
                 policy: net.policy,
@@ -928,26 +922,16 @@ impl World {
     }
 
     /// Replaces a network's router policy at any time — before the run
-    /// starts or mid-simulation — and broadcasts the AITF-participation
-    /// change to every other border router's deployment view, so
+    /// starts or mid-simulation, between runs — and records the
+    /// AITF-participation change in the world's one deployment view, so
     /// escalation immediately routes around a provider that just left
     /// AITF (and back through one that rejoined). This is the network
     /// counterpart of [`World::detach_host`] / [`World::attach_host`]:
     /// the runtime hook `ChurnAction::SetRouterPolicy` compiles onto.
     pub fn set_router_policy(&mut self, net: NetId, policy: RouterPolicy) {
-        let addr = self.router_addr[net.0];
-        let enabled = policy.aitf_enabled;
-        self.router_mut(net).set_policy(policy);
-        for (i, &node) in self.router_nodes.iter().enumerate() {
-            if i == net.0 {
-                continue;
-            }
-            let router = self
-                .sim
-                .node_mut::<BorderRouter>(node)
-                .expect("router node");
-            router.set_peer_aitf_enabled(addr, enabled);
-        }
+        let router = self.router_mut(net);
+        router.set_policy(policy);
+        router.advertise(policy.aitf_enabled);
     }
 
     /// A network's current router policy.

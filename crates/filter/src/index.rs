@@ -129,11 +129,10 @@ impl<V> LabelIndex<V> {
         &mut self.live_mut().slot_mut(i).value
     }
 
-    /// Keeps the later of the entry's expiry and `expires`; returns it.
-    pub(crate) fn extend(&mut self, i: usize, expires: SimTime) -> SimTime {
+    /// Keeps the later of the entry's expiry and `expires`.
+    pub(crate) fn extend(&mut self, i: usize, expires: SimTime) {
         let slot = self.live_mut().slot_mut(i);
         slot.expires = slot.expires.max(expires);
-        slot.expires
     }
 
     /// Live slots in ascending slot order.
@@ -260,18 +259,31 @@ impl<V> LabelIndex<V> {
 #[cfg(test)]
 mod spec {
     use super::*;
-    use crate::{EvictionPolicy, FilterStats, FilterTable, ShadowCache, ShadowStats};
+    use crate::{EvictionPolicy, FilterStats, FilterTable, ShadowCache, ShadowEntry, ShadowStats};
     use aitf_netsim::SimDuration;
-    use aitf_packet::{Prefix, Protocol};
+    use aitf_packet::{Prefix, Protocol, RouteRecord};
     use proptest::prelude::*;
 
-    /// One stored row: the union of both tables' payloads.
+    /// One stored row: a whole shadow entry — its label and expiry are
+    /// the key both tables share — and the filter's last hit.
     struct Row {
-        label: FlowLabel,
-        expires: SimTime,
+        e: ShadowEntry,
         last_hit: Option<SimTime>,
-        round: u8,
-        reactivations: u32,
+    }
+
+    /// An entry for `label` until `expires`, stored at `now`, that logs
+    /// nothing else.
+    fn entry(label: FlowLabel, expires: SimTime, now: SimTime) -> ShadowEntry {
+        let (request_id, round, reactivations, path) = (0, 0, 0, RouteRecord::new());
+        ShadowEntry {
+            label,
+            request_id,
+            expires,
+            round,
+            reactivations,
+            path,
+            last_action: now,
+        }
     }
 
     /// The spec: rows in storage order, every question a linear scan.
@@ -280,29 +292,22 @@ mod spec {
 
     impl Naive {
         fn find(&mut self, label: &FlowLabel) -> Option<&mut Row> {
-            self.0.iter_mut().find(|r| r.label == *label)
+            self.0.iter_mut().find(|r| r.e.label == *label)
         }
         fn first_match(&mut self, h: &Header, now: SimTime) -> Option<&mut Row> {
-            let hit = |r: &Row| r.expires > now && r.label.matches(h);
-            let host_dst = |r: &Row| hit(r) && r.label.dst_host().is_some();
+            let hit = |r: &Row| r.e.expires > now && r.e.label.matches(h);
+            let host_dst = |r: &Row| hit(r) && r.e.label.dst_host().is_some();
             let first = self.0.iter().position(host_dst);
             let first = first.or_else(|| self.0.iter().position(hit))?;
             self.0.get_mut(first)
         }
         fn purge(&mut self, now: SimTime) -> u64 {
             let stored = self.0.len();
-            self.0.retain(|r| r.expires > now);
+            self.0.retain(|r| r.e.expires > now);
             (stored - self.0.len()) as u64
         }
-        fn push(&mut self, label: FlowLabel, expires: SimTime, round: u8) {
-            let (last_hit, reactivations) = (None, 0);
-            self.0.push(Row {
-                label,
-                expires,
-                last_hit,
-                round,
-                reactivations,
-            });
+        fn push(&mut self, e: ShadowEntry) {
+            self.0.push(Row { e, last_hit: None });
         }
     }
 
@@ -318,19 +323,19 @@ mod spec {
     ) {
         stats.expirations += m.purge(now);
         if let Some(r) = m.find(&label) {
-            r.expires = r.expires.max(until);
+            r.e.expires = r.e.expires.max(until);
             stats.refreshes += 1;
             return;
         }
         if m.0
             .iter()
-            .any(|r| r.expires >= until && r.label.covers(&label))
+            .any(|r| r.e.expires >= until && r.e.label.covers(&label))
         {
             stats.covered += 1;
             return;
         }
         if m.0.len() >= cap {
-            let soonest = (0..m.0.len()).min_by_key(|&i| m.0[i].expires);
+            let soonest = (0..m.0.len()).min_by_key(|&i| m.0[i].e.expires);
             let Some(victim) = soonest.filter(|_| evict) else {
                 stats.rejections += 1;
                 return;
@@ -338,23 +343,22 @@ mod spec {
             m.0.remove(victim);
             stats.evictions += 1;
         }
-        m.push(label, until, 0);
+        m.push(entry(label, until, now));
         stats.installs += 1;
         stats.peak_occupancy = stats.peak_occupancy.max(m.0.len());
     }
 
-    /// `ShadowCache::insert`, naively.
-    fn shadow(
-        (m, stats): (&mut Naive, &mut ShadowStats),
-        cap: usize,
-        label: FlowLabel,
-        now: SimTime,
-        (until, round): (SimTime, u8),
-    ) {
-        stats.expirations += m.purge(now);
-        if let Some(r) = m.find(&label) {
-            r.expires = r.expires.max(until);
-            r.round = r.round.max(round);
+    /// `ShadowCache::insert_with_path` of `new`, stored at its
+    /// `last_action`, naively.
+    fn shadow((m, stats): (&mut Naive, &mut ShadowStats), cap: usize, new: ShadowEntry) {
+        stats.expirations += m.purge(new.last_action);
+        if let Some(Row { e, .. }) = m.find(&new.label) {
+            e.expires = e.expires.max(new.expires);
+            e.round = e.round.max(new.round);
+            e.request_id = new.request_id;
+            if new.path.len() > e.path.len() {
+                e.path = new.path;
+            }
             stats.refreshes += 1;
             return;
         }
@@ -365,7 +369,7 @@ mod spec {
             m.0.remove(0);
             stats.evictions += 1;
         }
-        m.push(label, until, round);
+        m.push(new);
         stats.inserts += 1;
         stats.peak_occupancy = stats.peak_occupancy.max(m.0.len());
     }
@@ -401,10 +405,19 @@ mod spec {
         pool
     }
 
+    /// A path of `hops` border routers, one of two per length, so a
+    /// refresh can log a longer, shorter or equally long but different
+    /// path than the stored one, spilled or inline.
+    fn path(hops: usize, id: u64) -> RouteRecord {
+        let side = 200 + (id % 2) as u8;
+        RouteRecord::from_hops((0..hops).map(|i| Addr::new(10, side, i as u8, 254)))
+    }
+
     #[derive(Debug, Clone)]
     enum Op {
-        /// Install / insert pool label `.0` for `.1` seconds at round `.2`.
-        Store(usize, u64, u8),
+        /// Install / insert pool label `.0` for `.1` seconds at round `.2`,
+        /// the shadow logging a path of `.3` hops.
+        Store(usize, u64, u8, usize),
         Remove(usize),
         Advance(u64),
         Purge,
@@ -419,7 +432,8 @@ mod spec {
             Op::Probe(header(source(s), dst, 1, port))
         });
         prop_oneof![
-            (0usize..12, 0u64..90, 1u8..4).prop_map(|(l, d, r)| Op::Store(l, d, r)),
+            (0usize..12, 0u64..90, 1u8..4, 0usize..11)
+                .prop_map(|(l, d, r, hops)| Op::Store(l, d, r, hops)),
             (0usize..12).prop_map(Op::Remove),
             (0u64..30).prop_map(Op::Advance),
             Just(Op::Purge),
@@ -459,22 +473,25 @@ mod spec {
             let mut cache = ShadowCache::new(cap);
             let (mut cm, mut cs) = (Naive::default(), ShadowStats::default());
             let mut now = SimTime::ZERO;
-            for op in ops {
+            for (id, op) in (0u64..).zip(ops) {
                 match op {
-                    Op::Store(l, secs, round) => {
+                    Op::Store(l, secs, round, hops) => {
                         // No two filters share an expiry (see `install`).
                         let mut dur = SimDuration::from_secs(secs);
-                        while tm.0.iter().any(|r| r.expires == now + dur) {
+                        while tm.0.iter().any(|r| r.e.expires == now + dur) {
                             dur = dur + SimDuration::from_secs(1);
                         }
                         let _ = table.install(pool[l], now, dur);
                         install((&mut tm, &mut ts), (cap, evict), pool[l], now, now + dur);
-                        cache.insert(pool[l], 0, now, dur, round);
-                        shadow((&mut cm, &mut cs), cap, pool[l], now, (now + dur, round));
+                        cache.insert_with_path(pool[l], id, now, dur, round, path(hops, id));
+                        let new = entry(pool[l], now + dur, now);
+                        let (request_id, path) = (id, path(hops, id));
+                        let new = ShadowEntry { request_id, round, path, ..new };
+                        shadow((&mut cm, &mut cs), cap, new);
                     }
                     Op::Remove(l) => {
                         let stored = tm.0.len();
-                        tm.0.retain(|r| r.label != pool[l]);
+                        tm.0.retain(|r| r.e.label != pool[l]);
                         prop_assert_eq!(table.remove(&pool[l]), tm.0.len() < stored);
                     }
                     Op::Advance(secs) => now += SimDuration::from_secs(secs),
@@ -490,24 +507,22 @@ mod spec {
                         ts.misses += u64::from(hit.is_none());
                         prop_assert_eq!(table.matches(&h, now), hit.is_some());
                         let hit = cm.first_match(&h, now).map(|r| {
-                            r.reactivations += 1;
-                            (r.label, r.reactivations)
+                            r.e.reactivations += 1;
+                            r.e.clone()
                         });
                         cs.reactivation_hits += u64::from(hit.is_some());
-                        let got = cache.check_reactivation(&h, now);
-                        prop_assert_eq!(got.map(|e| (e.label, e.reactivations)), hit);
+                        prop_assert_eq!(cache.check_reactivation(&h, now), hit);
                     }
                 }
                 prop_assert!(table.len() <= cap && cache.len() <= cap);
                 prop_assert_eq!((table.len(), table.stats()), (tm.0.len(), ts));
                 prop_assert_eq!((cache.len(), cache.stats()), (cm.0.len(), cs));
                 for l in &pool {
-                    let want = tm.find(l).map(|r| (r.expires, r.last_hit));
+                    let want = tm.find(l).map(|r| (r.e.expires, r.last_hit));
                     let got = table.expiry_of(l).map(|e| (e, table.last_hit_of(l)));
                     prop_assert_eq!(got, want, "table: {}", l);
-                    let want = cm.find(l).map(|r| (r.expires, r.round, r.reactivations));
-                    let got = cache.get(l).map(|e| (e.expires, e.round, e.reactivations));
-                    prop_assert_eq!(got, want, "shadow: {}", l);
+                    let want = cm.find(l).map(|r| r.e.clone());
+                    prop_assert_eq!(cache.get(l), want, "shadow: {}", l);
                 }
             }
         }

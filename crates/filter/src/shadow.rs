@@ -13,15 +13,18 @@
 //! oldest entry is evicted FIFO.
 //!
 //! This file is the policy layer only — capacity, FIFO eviction, statistics
-//! and the [`ShadowEntry`] payload. Storage, lookup, match order and lazy
-//! expiry live in the label index the filter table shares (`index.rs`).
+//! and what an entry logs beyond its key. Storage, lookup, match order and
+//! lazy expiry live in the label index the filter table shares
+//! (`index.rs`), whose slot owns the label and the `T` expiry; a
+//! [`ShadowEntry`] is built from the slot and its payload when read.
 
 use aitf_netsim::{SimDuration, SimTime};
-use aitf_packet::{Addr, FlowLabel, Header};
+use aitf_packet::{FlowLabel, Header, RouteRecord};
 
-use crate::index::LabelIndex;
+use crate::index::{LabelIndex, Slot};
 
-/// A logged filtering request.
+/// A logged filtering request, as a reader sees it: the index slot's key
+/// fields beside what the cache logged for it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShadowEntry {
     /// The blocked flow.
@@ -36,10 +39,36 @@ pub struct ShadowEntry {
     pub reactivations: u32,
     /// The attack path carried by the logged request (border routers,
     /// attacker side first). Escalation reads rounds off this path.
-    pub path: Vec<Addr>,
+    pub path: RouteRecord,
     /// Last time the logging router acted on this entry (propagated or
     /// escalated the request) — used to damp duplicate escalations.
     pub last_action: SimTime,
+}
+
+/// What a shadow slot stores beside its label and expiry: the fields of
+/// [`ShadowEntry`] the index does not own.
+#[derive(Debug)]
+struct Logged {
+    request_id: u64,
+    round: u8,
+    reactivations: u32,
+    path: RouteRecord,
+    last_action: SimTime,
+}
+
+impl Logged {
+    fn entry(slot: &Slot<Logged>) -> ShadowEntry {
+        let v = &slot.value;
+        ShadowEntry {
+            label: slot.label,
+            request_id: v.request_id,
+            expires: slot.expires,
+            round: v.round,
+            reactivations: v.reactivations,
+            path: v.path.clone(),
+            last_action: v.last_action,
+        }
+    }
 }
 
 /// Statistics for the shadow cache.
@@ -80,7 +109,7 @@ pub struct ShadowStats {
 #[derive(Debug)]
 pub struct ShadowCache {
     capacity: usize,
-    index: LabelIndex<ShadowEntry>,
+    index: LabelIndex<Logged>,
     stats: ShadowStats,
 }
 
@@ -125,7 +154,7 @@ impl ShadowCache {
         ttl: SimDuration,
         round: u8,
     ) {
-        self.insert_with_path(label, request_id, now, ttl, round, Vec::new());
+        self.insert_with_path(label, request_id, now, ttl, round, RouteRecord::new());
     }
 
     /// Like [`ShadowCache::insert`], also logging the request's attack path.
@@ -137,14 +166,13 @@ impl ShadowCache {
         now: SimTime,
         ttl: SimDuration,
         round: u8,
-        path: Vec<Addr>,
+        path: RouteRecord,
     ) {
         self.purge_expired(now);
         let expires = now.saturating_add(ttl);
         if let Some(i) = self.index.find(&label) {
-            let expires = self.index.extend(i, expires);
+            self.index.extend(i, expires);
             let e = self.index.value_mut(i);
-            e.expires = expires;
             e.round = e.round.max(round);
             e.request_id = request_id;
             if path.len() > e.path.len() {
@@ -161,16 +189,14 @@ impl ShadowCache {
             self.index.remove(oldest);
             self.stats.evictions += 1;
         }
-        let entry = ShadowEntry {
-            label,
+        let logged = Logged {
             request_id,
-            expires,
             round,
             reactivations: 0,
             path,
             last_action: now,
         };
-        self.index.insert(label, expires, entry);
+        self.index.insert(label, expires, logged);
         self.stats.inserts += 1;
         self.stats.peak_occupancy = self.stats.peak_occupancy.max(self.index.len());
     }
@@ -180,18 +206,14 @@ impl ShadowCache {
     /// copy — the caller reinstalls a temporary filter and escalates.
     pub fn check_reactivation(&mut self, header: &Header, now: SimTime) -> Option<ShadowEntry> {
         let i = self.index.first_match(header, now)?;
-        debug_assert_eq!(self.index.slot(i).expires, self.index.slot(i).value.expires);
-        let e = self.index.value_mut(i);
-        e.reactivations += 1;
+        self.index.value_mut(i).reactivations += 1;
         self.stats.reactivation_hits += 1;
-        Some(e.clone())
+        Some(Logged::entry(self.index.slot(i)))
     }
 
     /// Looks up the shadow for an exact label without touching statistics.
-    pub fn get(&self, label: &FlowLabel) -> Option<&ShadowEntry> {
-        let slot = self.index.slot(self.index.find(label)?);
-        debug_assert_eq!(slot.expires, slot.value.expires);
-        Some(&slot.value)
+    pub fn get(&self, label: &FlowLabel) -> Option<ShadowEntry> {
+        Some(Logged::entry(self.index.slot(self.index.find(label)?)))
     }
 
     /// Records that the request for `label` has escalated to `round`.
@@ -217,7 +239,12 @@ impl ShadowCache {
 
 #[cfg(test)]
 mod tests {
+    //! Fixed cases for the policy layer. The random-operation comparison
+    //! against a naive model, whole entry by whole entry, is
+    //! `index::spec::tables_agree_with_the_naive_model`.
+
     use super::*;
+    use aitf_packet::Addr;
 
     fn t(secs: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs(secs)
@@ -289,16 +316,6 @@ mod tests {
     }
 
     #[test]
-    fn note_round_monotonic() {
-        let mut c = ShadowCache::new(10);
-        c.insert(label(1), 1, t(0), SimDuration::from_secs(60), 1);
-        c.note_round(&label(1), 3);
-        assert_eq!(c.get(&label(1)).unwrap().round, 3);
-        c.note_round(&label(1), 2);
-        assert_eq!(c.get(&label(1)).unwrap().round, 3);
-    }
-
-    #[test]
     fn wildcard_labels_supported() {
         let mut c = ShadowCache::new(10);
         let wide = FlowLabel::net_to_host("10.9.0.0/16".parse().unwrap(), Addr::new(10, 1, 0, 1));
@@ -338,11 +355,22 @@ mod tests {
         assert_eq!(c.len(), 0);
         assert_eq!(c.stats().peak_occupancy, 10);
     }
+
+    #[test]
+    fn note_round_monotonic() {
+        let mut c = ShadowCache::new(10);
+        c.insert(label(1), 1, t(0), SimDuration::from_secs(60), 1);
+        c.note_round(&label(1), 3);
+        assert_eq!(c.get(&label(1)).unwrap().round, 3);
+        c.note_round(&label(1), 2);
+        assert_eq!(c.get(&label(1)).unwrap().round, 3);
+    }
 }
 
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use aitf_packet::Addr;
     use proptest::prelude::*;
 
     proptest! {

@@ -11,10 +11,12 @@
 //! from forging requests.
 //!
 //! In this reproduction the request additionally carries the attack path
-//! (copied from the route record of an attack packet the victim actually
-//! received) and the escalation round, so each recipient can locate the AITF
-//! node being asked to filter without global state. Durations are expressed
-//! in nanoseconds, the simulator's native unit.
+//! and the escalation round, so each recipient can locate the AITF node
+//! being asked to filter without global state. The path is one
+//! [`RouteRecord`] value end to end: the record of an attack packet the
+//! victim actually received, kept as-is in its traceback cache, sent in the
+//! request, and logged as-is in the gateway's shadow. Durations are
+//! expressed in nanoseconds, the simulator's native unit.
 
 use std::fmt;
 

@@ -80,8 +80,8 @@ pub enum ChurnAction {
     SetHostPolicy(HostSel, HostPolicy),
     /// Flip networks' router policy mid-run — providers joining or
     /// leaving AITF mid-attack. Compiles onto
-    /// [`aitf_core::World::set_router_policy`], which also broadcasts the
-    /// participation change to every other router's deployment view, so
+    /// [`aitf_core::World::set_router_policy`], which also records the
+    /// participation change in the world's one deployment view, so
     /// escalation immediately re-routes around (or back through) the
     /// flipped provider.
     SetRouterPolicy(NetSel, RouterPolicy),

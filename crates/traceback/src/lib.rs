@@ -14,29 +14,25 @@
 
 pub mod route_record;
 
-use aitf_packet::{Addr, FlowLabel, Packet};
+use aitf_packet::{FlowLabel, Packet, RouteRecord};
 
 pub use route_record::RouteRecordTraceback;
 
 /// A source of attack-path information for the victim side.
 ///
 /// One implementor; the trait stays because the frozen benchmark crate
-/// (`benchmark/src/kernels.rs`) imports it by name and calls through it.
+/// (`benchmark/src/kernels.rs`) imports it by name and calls through it,
+/// and it holds exactly the two calls anything makes.
 ///
 /// Implementations observe the data packets a node receives and answer path
-/// queries for a given undesired flow. Paths are ordered attacker side
-/// first, exactly like [`aitf_packet::RouteRecord`].
+/// queries for a given undesired flow. A path is a [`RouteRecord`], attacker
+/// side first, the same value a packet carries and a filtering request
+/// sends on.
 pub trait Traceback {
     /// Feeds one received packet to the provider.
     fn observe(&mut self, packet: &Packet);
 
     /// Best-known attack path for packets matching `flow`, attacker side
     /// first; `None` until the provider has converged for that flow.
-    fn attack_path(&self, flow: &FlowLabel) -> Option<Vec<Addr>>;
-
-    /// Human-readable provider name for experiment output.
-    fn name(&self) -> &'static str;
-
-    /// Packets observed so far (diagnostics).
-    fn observed(&self) -> u64;
+    fn attack_path(&self, flow: &FlowLabel) -> Option<RouteRecord>;
 }

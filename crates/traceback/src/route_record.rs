@@ -8,23 +8,22 @@
 
 use std::collections::BTreeMap;
 
-use aitf_packet::{Addr, FlowLabel, Packet};
+use aitf_packet::{Addr, FlowLabel, Packet, RouteRecord};
 
 use crate::Traceback;
 
 /// Per-source-host cache of observed attack paths.
 ///
 /// Keyed by `(src, dst)` host pair — the granularity AITF requests use.
-/// Bounded: when full, new pairs are not recorded until old ones are
-/// cleared (the protocol layer sizes this like the shadow cache).
+/// Bounded: when full, new pairs are not recorded (the protocol layer
+/// sizes this like the shadow cache). A cached path is the packet's own
+/// [`RouteRecord`], so a path of up to [`aitf_packet::INLINE_ROUTE_RECORD`]
+/// hops is stored, replaced and handed out without touching the heap.
 #[derive(Debug)]
 pub struct RouteRecordTraceback {
     capacity: usize,
     /// Ordered by `(src, dst)` so wildcard lookups scan deterministically.
-    paths: BTreeMap<(Addr, Addr), Vec<Addr>>,
-    observed: u64,
-    /// Observations ignored because the cache was full.
-    pub overflow: u64,
+    paths: BTreeMap<(Addr, Addr), RouteRecord>,
 }
 
 impl RouteRecordTraceback {
@@ -33,36 +32,14 @@ impl RouteRecordTraceback {
         RouteRecordTraceback {
             capacity,
             paths: BTreeMap::new(),
-            observed: 0,
-            overflow: 0,
         }
-    }
-
-    /// Number of host pairs currently cached.
-    pub fn len(&self) -> usize {
-        self.paths.len()
-    }
-
-    /// Returns `true` if nothing has been cached.
-    pub fn is_empty(&self) -> bool {
-        self.paths.is_empty()
-    }
-
-    /// Drops the cached path for one host pair (after a request completes).
-    pub fn forget(&mut self, src: Addr, dst: Addr) {
-        self.paths.remove(&(src, dst));
-    }
-
-    /// Clears the whole cache.
-    pub fn clear(&mut self) {
-        self.paths.clear();
     }
 }
 
 impl Traceback for RouteRecordTraceback {
     fn observe(&mut self, packet: &Packet) {
-        self.observed += 1;
-        if packet.route_record.is_empty() {
+        let record = &packet.route_record;
+        if record.is_empty() {
             return;
         }
         let key = (packet.header.src, packet.header.dst);
@@ -76,26 +53,23 @@ impl Traceback for RouteRecordTraceback {
                 // zombies sharing a pool produce many same-length records
                 // per flow key, and a sharded run interleaves their
                 // same-timestamp packets differently.
-                let new = packet.route_record.hops();
-                if new.len() > existing.len()
-                    || (new.len() == existing.len() && new < existing.as_slice())
-                {
-                    // detlint::allow(hot-alloc): amortized — fires only when a better record replaces the cached path; steady state takes the early return above
-                    *existing = new.to_vec();
+                let (new, old) = (record.hops(), existing.hops());
+                if new.len() > old.len() || (new.len() == old.len() && new < old) {
+                    // detlint::allow(hot-alloc): an inline record is copied in place; only one spilled past the inline cap allocates, and only when it replaces the cached path
+                    *existing = record.clone();
                 }
             }
             None => {
                 if self.paths.len() >= self.capacity {
-                    self.overflow += 1;
                     return;
                 }
-                // detlint::allow(hot-alloc): amortized — one allocation per newly seen host pair, bounded by `capacity`
-                self.paths.insert(key, packet.route_record.hops().to_vec());
+                // detlint::allow(hot-alloc): amortized — one map slot per newly seen host pair, bounded by `capacity`; the record itself is inline up to the inline cap
+                self.paths.insert(key, record.clone());
             }
         }
     }
 
-    fn attack_path(&self, flow: &FlowLabel) -> Option<Vec<Addr>> {
+    fn attack_path(&self, flow: &FlowLabel) -> Option<RouteRecord> {
         // Exact host-pair labels hit the cache directly; wildcard labels
         // fall back to any cached pair the label matches.
         if let (Some(src), Some(dst)) = (flow.src_host(), flow.dst_host()) {
@@ -108,25 +82,21 @@ impl Traceback for RouteRecordTraceback {
             .find(|((s, d), _)| flow.src.contains(*s) && flow.dst.contains(*d))
             .map(|(_, path)| path.clone())
     }
-
-    fn name(&self) -> &'static str {
-        "route-record"
-    }
-
-    fn observed(&self) -> u64 {
-        self.observed
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aitf_packet::{Header, RouteRecord, TrafficClass};
+    use aitf_packet::{Header, TrafficClass};
 
     fn attack_packet(src: Addr, dst: Addr, hops: &[Addr]) -> Packet {
         let mut p = Packet::data(0, Header::udp(src, dst, 1, 2), TrafficClass::Attack, 100);
-        p.route_record = RouteRecord::from_hops(hops.iter().copied());
+        p.route_record = record(hops);
         p
+    }
+
+    fn record(hops: &[Addr]) -> RouteRecord {
+        RouteRecord::from_hops(hops.iter().copied())
     }
 
     const A: Addr = Addr::new(10, 9, 0, 7);
@@ -141,8 +111,7 @@ mod tests {
         let mut tb = RouteRecordTraceback::new(16);
         tb.observe(&attack_packet(A, V, &[gw(9), gw(8), gw(1)]));
         let flow = FlowLabel::src_dst(A, V);
-        assert_eq!(tb.attack_path(&flow), Some(vec![gw(9), gw(8), gw(1)]));
-        assert_eq!(tb.observed(), 1);
+        assert_eq!(tb.attack_path(&flow), Some(record(&[gw(9), gw(8), gw(1)])));
     }
 
     #[test]
@@ -169,15 +138,17 @@ mod tests {
         reverse.observe(&attack_packet(A, V, &[gw(8), gw(1)]));
         reverse.observe(&attack_packet(A, V, &[gw(9), gw(1)]));
         assert_eq!(forward.attack_path(&flow), reverse.attack_path(&flow));
-        assert_eq!(forward.attack_path(&flow), Some(vec![gw(8), gw(1)]));
+        assert_eq!(forward.attack_path(&flow), Some(record(&[gw(8), gw(1)])));
     }
 
     #[test]
     fn empty_records_are_ignored() {
         let mut tb = RouteRecordTraceback::new(16);
         tb.observe(&attack_packet(A, V, &[]));
-        assert!(tb.attack_path(&FlowLabel::src_dst(A, V)).is_none());
-        assert!(tb.is_empty());
+        assert!(
+            tb.attack_path(&FlowLabel::ANY).is_none(),
+            "nothing is cached"
+        );
     }
 
     #[test]
@@ -193,27 +164,17 @@ mod tests {
         let mut tb = RouteRecordTraceback::new(16);
         tb.observe(&attack_packet(A, V, &[gw(9), gw(1)]));
         let net_label = FlowLabel::net_to_host("10.9.0.0/16".parse().unwrap(), V);
-        assert_eq!(tb.attack_path(&net_label), Some(vec![gw(9), gw(1)]));
+        assert_eq!(tb.attack_path(&net_label), Some(record(&[gw(9), gw(1)])));
     }
 
     #[test]
     fn capacity_bound_holds() {
         let mut tb = RouteRecordTraceback::new(2);
-        for i in 0..5u8 {
-            tb.observe(&attack_packet(Addr::new(10, 9, 0, i), V, &[gw(9)]));
+        let flows = (0..5u8).map(|i| FlowLabel::src_dst(Addr::new(10, 9, 0, i), V));
+        for f in flows.clone() {
+            tb.observe(&attack_packet(f.src.addr(), V, &[gw(9)]));
         }
-        assert_eq!(tb.len(), 2);
-        assert_eq!(tb.overflow, 3);
-    }
-
-    #[test]
-    fn forget_releases_capacity() {
-        let mut tb = RouteRecordTraceback::new(1);
-        tb.observe(&attack_packet(A, V, &[gw(9)]));
-        tb.forget(A, V);
-        assert!(tb.is_empty());
-        tb.observe(&attack_packet(Addr::new(10, 9, 0, 8), V, &[gw(9)]));
-        assert_eq!(tb.len(), 1);
-        assert_eq!(tb.overflow, 0);
+        let cached = flows.map(|f| tb.attack_path(&f).is_some());
+        assert!(cached.eq([true, true, false, false, false]));
     }
 }

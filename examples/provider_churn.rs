@@ -8,8 +8,8 @@
 //! zombies' already-blocked flows, and at `t = 6 s` they rejoin (their
 //! dormant wire-speed filters resume matching on the spot).
 //!
-//! Because every policy flip is broadcast to the other routers'
-//! deployment views, escalation never knocks on a legacy door: flows
+//! Because every policy flip is recorded in the deployment view all
+//! routers read, escalation never knocks on a legacy door: flows
 //! from never-deployed leaves are blocked at their mid-tree provider in
 //! round 1 (the leaf simply is not on the route record), and flows
 //! re-opened by the mid-attack dropout are *re*-escalated around the

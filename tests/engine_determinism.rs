@@ -68,8 +68,8 @@ fn e16_deployment_incentive_is_thread_count_invariant() {
 
 #[test]
 fn e17_provider_churn_is_thread_count_invariant() {
-    // Network churn: SetRouterPolicy events broadcast deployment-view
-    // updates between event-loop segments; re-escalation must stay
+    // Network churn: SetRouterPolicy events update the deployment view
+    // between event-loop segments; re-escalation must stay
     // schedule-independent.
     assert_thread_invariant(aitf_bench::e17_provider_churn::spec(true));
 }
