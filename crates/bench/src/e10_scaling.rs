@@ -196,8 +196,8 @@ mod tests {
     fn star_world_at_4096_nets_builds_hierarchically() {
         // The full sweep's largest point, as a build-only regression test:
         // 4096 spoke networks + hub + victim net, prefixes drawn from the
-        // checked PrefixAlloc, hierarchical routing state computed in
-        // O(n·depth) (all-pairs tables would be 16M entries).
+        // checked PrefixAlloc, hierarchical routing from the O(n) provider
+        // tree (an all-pairs next-hop matrix would be 16M entries).
         use aitf_core::AitfConfig;
         use aitf_scenario::TopologySpec;
         let mut topo = TopologySpec::star(4096, 1, HostPolicy::Malicious, 10_000_000);

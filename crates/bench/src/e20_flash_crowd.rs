@@ -11,7 +11,7 @@
 //! The world is a ≥100k-network [`TopologySpec::power_law`] graph
 //! (preferential attachment, capped provider depth, peering shortcuts)
 //! built under hierarchical routing, so construction and routing state
-//! stay O(n·depth). The flash crowd is heavy-tailed
+//! stay O(n). The flash crowd is heavy-tailed
 //! ([`TrafficSpec::legit_pareto`]: Pareto per-host rates, Poisson
 //! arrivals) and scattered over one half of the edge networks; the
 //! zombies sit in the other half, each spraying a spoofed source pool.

@@ -39,11 +39,11 @@ impl BorderRouter {
         // The requester must be a client, and may only claim victimhood for
         // destinations behind itself (trivial ingress verification,
         // Section II-E).
-        match self.client_prefixes(arrival) {
-            Some(prefixes) => {
+        match self.client_behind(arrival) {
+            Some(behind) => {
                 let dst_ok = match req.flow.dst_host() {
-                    Some(dst) => prefixes.contains(dst),
-                    None => prefixes.overlaps(req.flow.dst),
+                    Some(dst) => behind.contains(dst),
+                    None => behind.overlaps(req.flow.dst),
                 };
                 if !dst_ok {
                     self.data_mut().counters.requests_invalid += 1;
@@ -477,7 +477,7 @@ impl BorderRouter {
         let client_link = self.route(client);
         // Only police/disconnect parties that actually hang off a client
         // interface of ours.
-        let is_client = client_link.is_some_and(|l| self.client_prefixes(l).is_some());
+        let is_client = client_link.is_some_and(|l| self.client_behind(l).is_some());
 
         // Moves `req` — the notice keeps the path and id without a clone.
         let notice = FilteringRequest {

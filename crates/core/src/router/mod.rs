@@ -17,13 +17,14 @@
 //!   marks) on transit data packets and enforces ingress filtering.
 
 use std::collections::{HashMap, HashSet};
-use std::ops::Range;
 use std::sync::{Arc, RwLock};
 
 use aitf_filter::{FilterTable, RateLimiterBank, ShadowCache};
-use aitf_netsim::{impl_node_any, Buckets, Context, LinkId, Node, SimTime, Subsystem};
+use aitf_netsim::{
+    impl_node_any, Buckets, Context, LinkId, NextHops, Node, NodeId, SimTime, Subsystem,
+};
 use aitf_packet::{
-    lpm, Addr, AitfMessage, FilteringRequest, FlowLabel, Nonce, Packet, PayloadKind, Prefix,
+    Addr, AitfMessage, FilteringRequest, FlowLabel, Nonce, Packet, PayloadKind, Prefix,
     PrefixSlice, RouteRecord, VerificationReply,
 };
 use aitf_trace::{Cause, SpanId, SpanKind, Tracer};
@@ -135,28 +136,35 @@ struct PendingPath {
     expires: SimTime,
 }
 
-/// What every router of a world reads and none writes, one array per kind
-/// for the whole world: made by `WorldBuilder::build` and immutable after,
-/// but for the deployment view, which changes only between runs. A router
-/// keeps its forwarding and client spans inline (a lookup then reads no
-/// offset array first) and its network index for the rest.
+/// What every router of a world reads and none writes: the declared
+/// provider tree, stored once, from which every routing, ingress and
+/// escalation question is answered. Made by `WorldBuilder::build` and
+/// immutable after, but for the deployment view, which changes only
+/// between runs. A router keeps its network index into these arrays.
 #[derive(Debug)]
 pub(crate) struct Wiring {
-    /// Every router's longest-prefix-match forwarding table — network
-    /// prefixes towards remote networks plus /32 routes for its own hosts
-    /// — each one normalised run.
-    pub(crate) fwd: Vec<lpm::Entry<LinkId>>,
-    /// Per network, its router's client links (to end hosts and client
-    /// networks) ascending by id, each with the run of `ingress` holding
-    /// the addresses legitimately sourced behind it.
-    pub(crate) clients: Buckets<(LinkId, u32, u32)>,
-    /// Every network's customer cone in address order, then each network's
-    /// own prefix — what a host's tail circuit admits.
-    pub(crate) ingress: Vec<Prefix>,
-    /// Per network, the addresses of its router's ancestor gateways,
-    /// nearest first; escalation walks this chain, skipping ancestors known
-    /// not to run AITF.
-    pub(crate) ancestors: Buckets<Addr>,
+    /// The declared networks' prefixes in address order: pairwise disjoint,
+    /// so an address lies in at most one ([`PrefixSlice::position`]).
+    pub(crate) by_addr: Vec<Prefix>,
+    /// The network of each of `by_addr`.
+    pub(crate) net_at: Vec<u32>,
+    /// Per network, its provider; a provider is declared before its
+    /// clients.
+    pub(crate) parent: Vec<Option<usize>>,
+    /// Per network, its link towards its provider.
+    pub(crate) uplink: Vec<Option<LinkId>>,
+    /// Per network, its border router's address.
+    pub(crate) router_addr: Vec<Addr>,
+    /// Per network, its hosts' tail circuits in host order — ascending by
+    /// id, and host `k` of the network is address `k + 1` of its prefix.
+    pub(crate) tails: Buckets<LinkId>,
+    /// Per network, its peerings as `(far network, link)`, in declaration
+    /// order.
+    pub(crate) peers: Buckets<(usize, LinkId)>,
+    /// Under [`crate::RoutingMode::AllPairs`], the next hop from every
+    /// router to every network's router; `None` under provider-tree
+    /// routing.
+    pub(crate) hops: Option<NextHops>,
     /// What a router with no [`DataState`] of its own reads: zero counters
     /// and empty tables at the configured capacities.
     pub(crate) idle: DataState,
@@ -168,6 +176,79 @@ pub(crate) struct Wiring {
     pub(crate) legacy: RwLock<HashSet<Addr>>,
 }
 
+impl Wiring {
+    /// The declared network holding `addr`, if any.
+    #[inline]
+    fn net_of(&self, addr: Addr) -> Option<usize> {
+        let at = PrefixSlice::disjoint(&self.by_addr).position(addr)?;
+        Some(self.net_at[at] as usize)
+    }
+
+    /// `net` and its providers, nearest first.
+    #[inline]
+    fn chain(&self, net: usize) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(Some(net), |&x| self.parent[x])
+    }
+
+    /// Provider-tree routing from `from`'s router towards network `d`:
+    /// across the last-declared peering whose far side's cone holds `d`,
+    /// else down the uplink of the client on `d`'s provider chain just
+    /// below `from`; `None` leaves it to the default route.
+    #[inline]
+    fn towards(&self, from: usize, d: usize) -> Option<LinkId> {
+        let mut peers = self.peers.of(from).iter().rev();
+        if let Some(&(_, link)) = peers.find(|&&(far, _)| self.chain(d).any(|x| x == far)) {
+            return Some(link);
+        }
+        let client = self.chain(d).find(|&x| self.parent[x] == Some(from))?;
+        self.uplink[client]
+    }
+}
+
+/// Who may source packets that arrive on one of a router's client links.
+/// Ingress filtering is at network granularity (Section III-A: a provider
+/// keeps spoofed flows from *exiting its network*); spoofing inside one's
+/// own prefix is exactly what ingress filtering cannot catch.
+#[derive(Clone, Copy)]
+pub(crate) enum Behind<'a> {
+    /// A host's tail circuit: the router's own network.
+    Own(Prefix),
+    /// A client network's uplink: that client's customer cone — every
+    /// network with the client on its provider chain.
+    Cone(&'a Wiring, LinkId),
+}
+
+impl Behind<'_> {
+    /// Whether `net` is behind a client network's uplink `link`.
+    fn in_cone(wiring: &Wiring, link: LinkId, net: usize) -> bool {
+        wiring.chain(net).any(|x| wiring.uplink[x] == Some(link))
+    }
+
+    /// Whether `addr` is legitimately sourced behind the link.
+    #[inline]
+    pub(crate) fn contains(self, addr: Addr) -> bool {
+        match self {
+            Behind::Own(prefix) => prefix.contains(addr),
+            Behind::Cone(wiring, link) => wiring
+                .net_of(addr)
+                .is_some_and(|d| Self::in_cone(wiring, link, d)),
+        }
+    }
+
+    /// Whether some address of `prefix` is: a declared network overlapping
+    /// it is behind the link.
+    pub(crate) fn overlaps(self, prefix: Prefix) -> bool {
+        match self {
+            Behind::Own(own) => own.overlaps(prefix),
+            Behind::Cone(wiring, link) => {
+                let touching = PrefixSlice::disjoint(&wiring.by_addr).overlapping(prefix);
+                let mut nets = touching.map(|at| wiring.net_at[at] as usize);
+                nets.any(|d| Self::in_cone(wiring, link, d))
+            }
+        }
+    }
+}
+
 /// A router's place in its world's [`Wiring`], and what it is given of its
 /// own.
 pub(crate) struct RouterSpec {
@@ -177,8 +258,9 @@ pub(crate) struct RouterSpec {
     pub(crate) prefix: Prefix,
     /// This router's network: its key in the wiring's per-network arrays.
     pub(crate) net: usize,
-    /// This router's forwarding table, as a span of `wiring.fwd`.
-    pub(crate) fwd: Range<u32>,
+    /// Whether this router has no client network and no peering, so that
+    /// under provider-tree routing everything but its own hosts goes up.
+    pub(crate) stub: bool,
     /// Link towards this router's provider; `None` at the top level.
     pub(crate) uplink: Option<LinkId>,
     /// What every router of the world reads.
@@ -228,11 +310,6 @@ impl DataState {
 fn make_data<'a>(slot: &'a mut Option<Box<DataState>>, cfg: &AitfConfig) -> &'a mut DataState {
     // detlint::allow(hot-alloc): one-off — the first packet a router forwards, filters or drops, or the first request it serves; every later one finds `data` set
     slot.insert(Box::new(DataState::new(cfg)))
-}
-
-/// `items[span]`, for a span a router keeps inline.
-fn run<'a, T>(items: &'a [T], span: &Range<u32>) -> &'a [T] {
-    &items[span.start as usize..span.end as usize]
 }
 
 /// Everything a router holds for the requests it serves, as opposed to the
@@ -301,15 +378,15 @@ impl ControlState {
 /// allocation or a virtual call on the per-packet path.
 pub struct BorderRouter {
     // What a forwarded data packet touches: the wiring and this router's
-    // spans of it, the chains, and the data state.
+    // place in it, the chains, and the data state.
     addr: Addr,
     prefix: Prefix,
     policy: RouterPolicy,
+    /// No client network and no peering; see [`RouterSpec::stub`].
+    stub: bool,
     uplink: Option<LinkId>,
-    /// This router's forwarding table: a span of `wiring.fwd`.
-    fwd: Range<u32>,
-    /// This router's client links: a span of `wiring.clients`' items.
-    clients: Range<u32>,
+    /// This router's network: its key in the wiring's per-network arrays.
+    net: u32,
     /// What every router of the world reads; see [`Wiring`].
     wiring: Arc<Wiring>,
     cfg: Arc<AitfConfig>,
@@ -320,8 +397,6 @@ pub struct BorderRouter {
     /// First-use state; see [`DataState`].
     data: Option<Box<DataState>>,
     // What only the control plane reads.
-    /// This router's network, the key of its ancestor chain in `wiring`.
-    net: u32,
     /// First-use state; see [`ControlState`].
     ctl: Option<Box<ControlState>>,
     /// This router's span log (a zero-sized no-op unless the `trace`
@@ -346,7 +421,8 @@ fn flow_key(flow: &FlowLabel) -> u64 {
 }
 
 impl BorderRouter {
-    /// Builds a router from its spec: wiring and spans, and nothing else.
+    /// Builds a router from its spec: its place in the wiring, and nothing
+    /// else.
     pub(crate) fn new(spec: RouterSpec) -> Self {
         let cfg = spec.config;
         let defense = cfg.defense;
@@ -357,8 +433,7 @@ impl BorderRouter {
             cfg,
             policy: spec.policy,
             prefix: spec.prefix,
-            fwd: spec.fwd,
-            clients: spec.wiring.clients.span(spec.net),
+            stub: spec.stub,
             uplink: spec.uplink,
             net: u32::try_from(spec.net).expect("network count fits u32"),
             addr: spec.addr,
@@ -527,11 +602,10 @@ impl BorderRouter {
     /// lands on the nearest cooperating node instead of being silently
     /// eaten by a router that will only count it as ignored.
     fn escalation_parent(&self) -> Option<Addr> {
-        self.wiring
-            .ancestors
-            .of(self.net as usize)
-            .iter()
-            .copied()
+        let w = &*self.wiring;
+        let ancestors = w.chain(self.net as usize).skip(1);
+        ancestors
+            .map(|a| w.router_addr[a])
             .find(|&a| self.peer_participates(a))
     }
 
@@ -543,22 +617,45 @@ impl BorderRouter {
 
     /// The one forwarding decision: the link towards `dst`, if any.
     ///
+    /// A host of the own network goes down its tail circuit. Anything else
+    /// goes towards the declared network `d` holding it: under
+    /// [`crate::RoutingMode::AllPairs`] on the next hop to `d`'s router
+    /// (none for a `dst` in no network); under
+    /// [`crate::RoutingMode::Hierarchical`] across a peering or down a
+    /// client uplink whose cone holds `d` ([`Wiring::towards`]), else up the
+    /// default route.
+    ///
     /// Invariant: a gateway never sends traffic for its own prefix back up
-    /// its default route. Without a /32 client route such a destination
-    /// does not exist; under [`crate::RoutingMode::Hierarchical`] the
-    /// provider's subtree route would bounce it straight back down until
-    /// TTL expiry, so it is unroutable here — exactly as under all-pairs
-    /// routing, whose tables hold no covering route for the own prefix.
+    /// its default route. Such a destination is no host, so it does not
+    /// exist; the provider would route it straight back down until TTL
+    /// expiry, so it is unroutable here — as under all-pairs routing, which
+    /// has no next hop from a router to itself.
     pub(crate) fn route(&self, dst: Addr) -> Option<LinkId> {
-        let link = *lpm::lookup(run(&self.wiring.fwd, &self.fwd), dst)?;
-        if Some(link) == self.uplink && self.prefix.contains(dst) {
+        let w = &*self.wiring;
+        let own = self.net as usize;
+        let host = dst
+            .raw()
+            .wrapping_sub(self.prefix.addr().raw())
+            .wrapping_sub(1);
+        if let Some(&tail) = w.tails.of(own).get(host as usize) {
+            return Some(tail);
+        }
+        let link = match &w.hops {
+            Some(hops) => hops.next_hop(NodeId(own), NodeId(w.net_of(dst)?)),
+            None if self.stub => self.uplink,
+            None => w
+                .net_of(dst)
+                .and_then(|d| w.towards(own, d))
+                .or(self.uplink),
+        };
+        if link == self.uplink && self.prefix.contains(dst) {
             return None;
         }
-        Some(link)
+        link
     }
 
-    /// Sends an AITF control message towards `dst` through the forwarding
-    /// table.
+    /// Sends an AITF control message towards `dst` on the link
+    /// [`BorderRouter::route`] picks.
     fn send_control(&mut self, ctx: &mut Context<'_>, dst: Addr, msg: AitfMessage) {
         let Some(link) = self.route(dst) else {
             self.data_mut().counters.undeliverable += 1;
@@ -568,13 +665,21 @@ impl BorderRouter {
         ctx.send(link, Packet::control(id, self.addr, dst, msg));
     }
 
-    /// Is `link` a client link, and if so, which addresses live behind it?
-    pub(crate) fn client_prefixes(&self, link: LinkId) -> Option<PrefixSlice<'_>> {
-        let clients = run(self.wiring.clients.items(), &self.clients);
-        let at = clients.binary_search_by_key(&link, |c| c.0).ok()?;
-        let (_, from, to) = clients[at];
-        let behind = &self.wiring.ingress[from as usize..to as usize];
-        Some(PrefixSlice::disjoint(behind))
+    /// Is `link` a client link, and if so, who lives behind it? A router's
+    /// links are its uplink, its peerings, its hosts' tail circuits and
+    /// its client networks' uplinks, so a link that is none of the first
+    /// three is a client's uplink.
+    #[inline]
+    pub(crate) fn client_behind(&self, link: LinkId) -> Option<Behind<'_>> {
+        let w = &*self.wiring;
+        let own = self.net as usize;
+        if Some(link) == self.uplink || w.peers.of(own).iter().any(|&(_, l)| l == link) {
+            return None;
+        }
+        if w.tails.of(own).binary_search(&link).is_ok() {
+            return Some(Behind::Own(self.prefix));
+        }
+        Some(Behind::Cone(w, link))
     }
 
     // ------------------------------------------------------------------

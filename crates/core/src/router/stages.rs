@@ -18,7 +18,7 @@ impl BorderRouter {
     // --- AITF ingress --------------------------------------------------
 
     /// Ingress filtering: a client packet must be sourced inside the
-    /// client's own prefixes (Section III-A's incentive).
+    /// client's own addresses (Section III-A's incentive).
     pub(super) fn aitf_ingress_filter(
         &mut self,
         packet: &mut Packet,
@@ -26,8 +26,8 @@ impl BorderRouter {
         _ctx: &mut Context<'_>,
     ) -> Verdict {
         if self.policy.aitf_enabled && self.policy.ingress_filtering && packet.is_data() {
-            if let Some(prefixes) = self.client_prefixes(arrival) {
-                if !prefixes.contains(packet.header.src) {
+            if let Some(behind) = self.client_behind(arrival) {
+                if !behind.contains(packet.header.src) {
                     self.data_mut().counters.spoofed_dropped += 1;
                     return Verdict::Drop;
                 }
@@ -192,7 +192,7 @@ impl BorderRouter {
             // is the same as with every bucket made up front.
             let key = arrival.0 as u64;
             let contract = self.cfg.client_contract;
-            let is_client = self.client_prefixes(arrival).is_some();
+            let is_client = self.client_behind(arrival).is_some();
             let limiter = &mut self.ctl_mut().limiter;
             if limiter.bucket(key).is_none() && is_client {
                 limiter.set_contract(key, contract.rate, contract.burst);
@@ -372,7 +372,7 @@ impl BorderRouter {
         arrival: LinkId,
         ctx: &mut Context<'_>,
     ) -> Verdict {
-        if packet.is_data() && self.client_prefixes(arrival).is_some() {
+        if packet.is_data() && self.client_behind(arrival).is_some() {
             let key = (packet.header.src.0 >> 16) as u64;
             let now = ctx.now();
             // The first policed packet makes the state the policer is in.

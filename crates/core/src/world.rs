@@ -8,13 +8,14 @@
 //! each other, and end hosts hang off their network's border router
 //! through a tail circuit.
 //!
-//! What the routers read — forwarding tables, ingress sets, ancestor
-//! chains — is built here as one array per kind for the whole world and
-//! kept after [`WorldBuilder::build`] returns, in one shared, immutable
-//! wiring value: the customer-cone array the tables are filled from
-//! outlives the build as the world's ingress array. A router is its spans
-//! of that wiring; what it writes (counters, filter tables, control
-//! state) is made by the first event that needs it.
+//! What the routers read is the declaration itself, stored once per world
+//! in one shared, immutable wiring value kept after [`WorldBuilder::build`]
+//! returns: the networks' prefixes in address order, the provider tree
+//! (parents, uplinks, router addresses), each network's tail circuits and
+//! peerings, and under all-pairs routing the next-hop matrix. Every route,
+//! ingress verdict and escalation target is answered from it, so no
+//! router holds a table of its own; what a router writes (counters, filter
+//! tables, control state) is made by the first event that needs it.
 //!
 //! # Examples
 //!
@@ -32,40 +33,38 @@
 //! ```
 
 use std::fmt;
-use std::ops::Range;
 use std::sync::{Arc, RwLock};
 
 use aitf_netsim::{
     Buckets, LinkDirection, LinkId, LinkParams, NetworkBuilder, NextHops, NodeId, PartitionSpec,
     SimDuration, Simulator,
 };
-use aitf_packet::{lpm, Addr, Prefix};
+use aitf_packet::{Addr, Prefix};
 
 use crate::config::{AitfConfig, HostPolicy, RouterPolicy};
 use crate::host::{EndHost, TrafficApp, VictimAgent};
 use crate::router::{BorderRouter, DataState, RouterSpec, Wiring};
 
-/// How forwarding tables are derived from the declared topology.
+/// How routers forward towards the declared networks.
 ///
-/// [`RoutingMode::AllPairs`] runs a shortest-path computation over the
-/// router backbone and gives every router one route per remote network —
-/// correct for arbitrary graphs, but O(n²) time *and* memory, which is
-/// prohibitive past a few thousand networks. [`RoutingMode::Hierarchical`]
-/// exploits the provider-tree structure the builder already enforces:
-/// each router gets a default route up its provider uplink, one route per
-/// network of its customer cone down the child uplink leading there, and
-/// the far side's cone across each declared peering — no all-pairs pass,
-/// and O(n·depth) routes in total, not per router: a leaf holds a default
-/// route, a provider its whole cone (65k of 100k networks at the largest
-/// power-law provider), which [`aitf_packet::lpm`] keeps as one run of the
-/// world's table arena and looks up in O(log n). On any
-/// tree-plus-peering topology (stars, trees, the power-law generators)
-/// both modes forward every packet *for a declared network* over the same
-/// links. They are not interchangeable: a destination in no declared
-/// network is dropped at the first gateway under all-pairs and carried to
-/// the provider root under default routes, so recorded event counts
-/// differ — which is why both stay, selected by the generators from world
-/// size.
+/// Either way a host of a router's own network goes down its tail circuit,
+/// and any other destination is first mapped to the one declared network
+/// holding it. [`RoutingMode::AllPairs`] then takes the next hop towards
+/// that network's router from a shortest-path pass over the router
+/// backbone — correct for arbitrary graphs, but O(n²) time *and* memory,
+/// which is prohibitive past a few thousand networks.
+/// [`RoutingMode::Hierarchical`] exploits the provider-tree structure the
+/// builder already enforces: across the last-declared peering whose far
+/// side's customer cone holds the network, else down the uplink of the
+/// client whose cone holds it, else up the default route — answered by
+/// walking the network's provider chain, so no router holds any route and
+/// the routing state is the O(n) tree itself. On any tree-plus-peering
+/// topology (stars, trees, the power-law generators) both modes forward
+/// every packet *for a declared network* over the same links. They are not
+/// interchangeable: a destination in no declared network is dropped at the
+/// first gateway under all-pairs and carried to the provider root under
+/// default routes, so recorded event counts differ — which is why both
+/// stay, selected by the generators from world size.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum RoutingMode {
     /// All-pairs shortest paths over the router backbone (the default).
@@ -133,10 +132,11 @@ struct HostSpec {
 
 /// The networks' prefixes in address order, each with its network's index.
 ///
-/// Declared prefixes must be pairwise disjoint, and prefixes either nest
-/// or are disjoint, so in address order an overlapping pair is always
-/// adjacent: the one sort that checks the whole declaration is also the
-/// order every forwarding table and ingress set of the world is filled in.
+/// Declared prefixes must be pairwise disjoint in either routing mode —
+/// nested networks are rejected too — and prefixes either nest or are
+/// disjoint, so in address order an overlapping pair is always adjacent:
+/// the one sort that checks the whole declaration is also the world's
+/// address map, in which an address lies in at most one network.
 ///
 /// # Panics
 ///
@@ -155,107 +155,6 @@ fn address_order(nets: &[NetSpec]) -> Vec<(Prefix, u32)> {
         );
     }
     by_addr
-}
-
-/// Every network's customer cone — its own prefix and those of all its
-/// descendants — in address order, as slices of one pair of arrays.
-///
-/// A provider's forwarding table and the ingress set of each of its client
-/// links are both read off these slices, so no cone is ever sorted: the
-/// arrays are filled by one walk over the networks in address order, each
-/// network appending itself to its own cone and to every ancestor's —
-/// O(n·depth) steps, which is the size of the routing state itself. (Not a
-/// [`Buckets::group`]: that would walk every chain a second time to count,
-/// and a parent precedes its children, so the sizes are one backward pass.)
-///
-/// The prefix array outlives the build: [`Cones::into_ingress`] makes it
-/// the world's ingress array, which every router's client links point into.
-struct Cones {
-    /// Net `i`'s cone is `start[i]..start[i + 1]` of both arrays below.
-    start: Vec<u32>,
-    /// With room reserved for each network's own prefix after the cones.
-    prefix: Vec<Prefix>,
-    /// For each cone member, the network one step below the cone's owner
-    /// on the way down to it — the client whose uplink reaches it; the
-    /// owner itself at the owner's own prefix.
-    via: Vec<u32>,
-}
-
-impl Cones {
-    fn build(by_addr: &[(Prefix, u32)], parent: &[Option<usize>]) -> Self {
-        let n = parent.len();
-        // A parent is declared before its children, so one backward pass
-        // has every cone's size.
-        let mut size = vec![1u32; n];
-        for i in (0..n).rev() {
-            if let Some(p) = parent[i] {
-                size[p] = size[p].checked_add(size[i]).expect("cone size fits u32");
-            }
-        }
-        let mut start = Vec::with_capacity(n + 1);
-        let mut total = 0u32;
-        for &s in &size {
-            start.push(total);
-            total = total.checked_add(s).expect("routing state fits u32");
-        }
-        start.push(total);
-        let ingress_end = u32::try_from(total as usize + n).expect("ingress state fits u32");
-        // Next free slot of each cone.
-        let mut next = size;
-        next.copy_from_slice(&start[..n]);
-        let mut prefix = Vec::with_capacity(ingress_end as usize);
-        prefix.resize(total as usize, Prefix::ANY);
-        let mut via = vec![0u32; total as usize];
-        for &(p, member) in by_addr {
-            let (mut owner, mut below) = (member as usize, member);
-            loop {
-                let slot = next[owner] as usize;
-                next[owner] += 1;
-                prefix[slot] = p;
-                via[slot] = below;
-                below = owner as u32;
-                match parent[owner] {
-                    Some(up) => owner = up,
-                    None => break,
-                }
-            }
-        }
-        Cones { start, prefix, via }
-    }
-
-    /// Where `net`'s cone lies in the arrays.
-    fn span(&self, net: usize) -> (u32, u32) {
-        (self.start[net], self.start[net + 1])
-    }
-
-    /// The prefixes of `net`'s cone, ascending.
-    fn prefixes(&self, net: usize) -> &[Prefix] {
-        let (from, to) = self.span(net);
-        &self.prefix[from as usize..to as usize]
-    }
-
-    /// `net`'s cone, ascending, as `(prefix, via)` pairs.
-    fn members(&self, net: usize) -> impl Iterator<Item = (Prefix, usize)> + '_ {
-        let (from, to) = self.span(net);
-        let vias = self.via[from as usize..to as usize].iter();
-        self.prefixes(net)
-            .iter()
-            .zip(vias)
-            .map(|(&p, &v)| (p, v as usize))
-    }
-
-    /// Index of network `net`'s own prefix in the ingress array.
-    fn own(&self, net: usize) -> u32 {
-        self.prefix.len() as u32 + net as u32
-    }
-
-    /// The ingress array: every cone, then each network's own prefix at
-    /// [`Cones::own`], in the room reserved for them.
-    fn into_ingress(self, own: impl Iterator<Item = Prefix>) -> Vec<Prefix> {
-        let mut ingress = self.prefix;
-        ingress.extend(own);
-        ingress
-    }
 }
 
 /// Builder for an AITF world.
@@ -378,20 +277,21 @@ impl WorldBuilder {
         self.peerings.push((a.0, b.0, params));
     }
 
-    /// Assembles the simulator, routing tables and protocol nodes, with
+    /// Assembles the simulator, routing state and protocol nodes, with
     /// [`BorderRouter`]s at every network. Which defense the routers run
     /// is the configuration's [`crate::AitfConfig::defense`] policy — the
     /// pushback baseline and the other bake-off defenses reuse all the
     /// topology, addressing and routing machinery through their hook
     /// chains instead of substituting a different node type.
     ///
-    /// What is per world is one array here — the address order, the cones,
-    /// each network's clients, hosts and peers — and nothing per network is
-    /// copied, sorted or allocated twice on the way into its router. What
-    /// the routers read stays that way after the build: one `Wiring` per
-    /// world holds every forwarding table, ingress set and ancestor chain,
-    /// and a router holds its spans of it, so a router no packet reaches is
-    /// its wiring and owns no heap memory.
+    /// What is per world is one array here — the address order, the
+    /// provider tree, each network's hosts and peers — and nothing per
+    /// network is copied, sorted or allocated twice on the way into its
+    /// router. What the routers read stays that way after the build: one
+    /// `Wiring` per world holds the declaration every route, ingress
+    /// verdict and escalation target is answered from, and a router holds
+    /// its network index into it, so a router no packet reaches is its
+    /// wiring and owns no heap memory.
     ///
     /// # Panics
     ///
@@ -405,7 +305,7 @@ impl WorldBuilder {
         // One config for the whole world, shared by every node.
         let cfg = Arc::new(self.cfg);
         let n = self.nets.len();
-        let by_addr = address_order(&self.nets);
+        let (by_addr, net_at) = address_order(&self.nets).into_iter().unzip();
         let mut nb = NetworkBuilder::new(self.seed);
 
         // One node per router, one per host.
@@ -419,7 +319,6 @@ impl WorldBuilder {
                 uplinks[i] = Some(nb.connect(router_nodes[i], router_nodes[p], net.uplink_params));
             }
         }
-        let uplink_of = |client: usize| uplinks[client].expect("a client network has an uplink");
         let tail_links: Vec<LinkId> = self
             .hosts
             .iter()
@@ -435,17 +334,20 @@ impl WorldBuilder {
         let mut sim = nb.build();
 
         // Who hangs off whom, each as one counting sort.
-        let net_parent: Vec<Option<usize>> = self.nets.iter().map(|net| net.parent).collect();
+        let parent: Vec<Option<usize>> = self.nets.iter().map(|net| net.parent).collect();
         let homes = self.hosts.iter().enumerate();
         let hosts_of_net = Buckets::group(n, homes.map(|(h, hspec)| (hspec.net, h)));
+        let hosts = self.hosts.iter().zip(&tail_links);
+        let tails = Buckets::group(n, hosts.map(|(h, &link)| (h.net, link)));
         let peerings = self.peerings.iter().zip(&peer_links);
-        let peers_of = Buckets::group(
+        let peers = Buckets::group(
             n,
             peerings.flat_map(|(&(a, b, _), &link)| [(a, (b, link)), (b, (a, link))]),
         );
-        let cones = Cones::build(&by_addr, &net_parent);
 
-        // Address assignment: router = .254 of the first /24, hosts from 1.
+        // Address assignment: router = .254 of the first /24, hosts from 1
+        // — host `k` of a network is its prefix's address `k + 1`, which is
+        // how a router finds a host's tail circuit.
         let router_addr: Vec<Addr> = self.nets.iter().map(|n| n.prefix.host_at(254)).collect();
         let mut host_addr = vec![Addr::ZERO; self.hosts.len()];
         for (i, net) in self.nets.iter().enumerate() {
@@ -461,148 +363,54 @@ impl WorldBuilder {
             }
         }
 
-        // Every router's client links, each with the run of the ingress
-        // array legitimately sourced behind it: a client network's uplink
-        // admits its cone, and a host's tail circuit its network's own
-        // prefix — ingress filtering is at network granularity (Section
-        // III-A: a provider keeps spoofed flows from *exiting its
-        // network*); spoofing inside one's own prefix is exactly what
-        // ingress filtering cannot catch. Uplinks were connected before
-        // tail circuits, each in declaration order, so in this order every
-        // router's client links are ascending by id.
-        let client_nets = (0..n).filter_map(|c| {
-            let (from, to) = cones.span(c);
-            Some((net_parent[c]?, (uplink_of(c), from, to)))
-        });
-        let hosts = self.hosts.iter().zip(&tail_links);
-        let tails = hosts.map(|(h, &link)| (h.net, (link, cones.own(h.net), cones.own(h.net) + 1)));
-        let clients = Buckets::group(n, client_nets.chain(tails));
-        debug_assert!((0..n).all(|i| clients.of(i).windows(2).all(|w| w[0].0 < w[1].0)));
-
-        // Longest-prefix-match forwarding, one table per router, plus /32
-        // routes for the hosts of a router's own network. Only the gateway
-        // carries its clients' /32s: remote routers reach a host through a
-        // covering prefix route along the same path.
-        //
-        // - AllPairs: one route per remote network prefix towards its
-        //   border router, from a shortest-path pass over the backbone —
-        //   the aggregation a real AS-level forwarding table has, at O(n²)
-        //   build cost. Routing runs over the router backbone only: hosts
-        //   are leaves on their tail circuit and can never be transit.
-        // - Hierarchical: a len-0 default route up the provider uplink,
-        //   each client's cone down its uplink, and each peering's
-        //   far-side cone across the peering link — O(n·depth) total
-        //   state, no all-pairs pass, identical forwarding on any
-        //   tree-plus-peering topology.
-        //
-        // Either way a router's routes are listed into `routes` in address
-        // order — its hosts' /32s stand where its own prefix would — and
-        // its table is normalised from the list at the end of the world's
-        // one arena, which then has nothing to sort. Only a peering's cone
-        // arrives as a second ascending run; a later route for the same
-        // prefix replaces an earlier one.
+        // All-pairs routing runs a shortest-path pass over the router
+        // backbone — one next hop per remote network, the aggregation a
+        // real AS-level forwarding table has, at O(n²) build cost and
+        // memory. Hosts are leaves on their tail circuit and can never be
+        // transit.
         debug_assert!(router_nodes.iter().enumerate().all(|(i, n)| n.0 == i));
-        let mut fwd = Vec::new();
-        let next_hops = match self.routing {
-            RoutingMode::AllPairs => {
-                let up = (0..n).filter_map(|i| Some((i, net_parent[i]?, uplink_of(i))));
-                let across = self.peerings.iter().zip(&peer_links);
-                let backbone: Vec<(NodeId, NodeId, LinkId, u64)> = up
-                    .chain(across.map(|(&(a, b, _), &link)| (a, b, link)))
-                    .map(|(a, b, link)| (router_nodes[a], router_nodes[b], link, 1))
-                    .collect();
-                Some(NextHops::compute(n, &backbone))
-            }
-            RoutingMode::Hierarchical => {
-                // A router's table is its cone, its own prefix traded for
-                // its hosts' /32s and a default route, plus its peers'
-                // cones: at most this many routes in all, so the arena is
-                // allocated once.
-                let cone = |net: usize| cones.prefixes(net).len();
-                let peered: usize = self
-                    .peerings
-                    .iter()
-                    .map(|&(a, b, _)| cone(a) + cone(b))
-                    .sum();
-                fwd.reserve(cones.prefix.len() + self.hosts.len() + peered);
-                None
-            }
-        };
-        let mut routes: Vec<(Prefix, LinkId)> = Vec::new();
-        let mut fwd_spans: Vec<Range<u32>> = Vec::with_capacity(n);
-        let offset = |at: usize| u32::try_from(at).expect("routing state fits u32");
-        for i in 0..n {
-            let own_hosts = hosts_of_net.of(i).iter();
-            let host_routes = own_hosts.map(|&h| (Prefix::host(host_addr[h]), tail_links[h]));
-            match &next_hops {
-                Some(next_hops) => {
-                    for &(prefix, remote) in &by_addr {
-                        let remote = remote as usize;
-                        if remote == i {
-                            routes.extend(host_routes.clone());
-                        } else if let Some(link) =
-                            next_hops.next_hop(router_nodes[i], router_nodes[remote])
-                        {
-                            routes.push((prefix, link));
-                        }
-                    }
-                }
-                None => {
-                    routes.extend(uplinks[i].map(|up| (Prefix::ANY, up)));
-                    for (prefix, via) in cones.members(i) {
-                        if via == i {
-                            routes.extend(host_routes.clone());
-                        } else {
-                            routes.push((prefix, uplink_of(via)));
-                        }
-                    }
-                }
-            }
-            debug_assert!(
-                routes.windows(2).all(|w| w[0].0 < w[1].0),
-                "routes are listed in address order"
-            );
-            if next_hops.is_none() {
-                for &(far, link) in peers_of.of(i) {
-                    routes.extend(cones.prefixes(far).iter().map(|&p| (p, link)));
-                }
-            }
-            let from = fwd.len();
-            fwd.extend(routes.drain(..).map(|(p, link)| lpm::Entry::new(p, link)));
-            lpm::normalise(&mut fwd, from);
-            fwd_spans.push(offset(from)..offset(fwd.len()));
-        }
-
-        // Each router's ancestor gateways, nearest first, so escalation can
-        // skip legacy parents to the nearest AITF node.
-        let (parent_of, addr_of) = (&net_parent, &router_addr);
-        let chains = (0..n).flat_map(|i| {
-            let up = std::iter::successors(parent_of[i], move |&p| parent_of[p]);
-            up.map(move |a| (i, addr_of[a]))
+        let hops = (self.routing == RoutingMode::AllPairs).then(|| {
+            let up = (0..n).filter_map(|i| Some((i, parent[i]?, uplinks[i]?)));
+            let across = self.peerings.iter().zip(&peer_links);
+            let backbone: Vec<(NodeId, NodeId, LinkId, u64)> = up
+                .chain(across.map(|(&(a, b, _), &link)| (a, b, link)))
+                .map(|(a, b, link)| (router_nodes[a], router_nodes[b], link, 1))
+                .collect();
+            NextHops::compute(n, &backbone)
         });
-        let ancestors = Buckets::group(n, chains);
+        // A router with no client network and no peering sends everything
+        // but its own hosts' traffic up its uplink.
+        let mut stub: Vec<bool> = (0..n).map(|i| peers.of(i).is_empty()).collect();
+        for &p in parent.iter().flatten() {
+            stub[p] = false;
+        }
 
         // What every router reads, as one value for the world, the
         // deployment view seeded with the routers built not to run AITF.
         let legacy = self.nets.iter().zip(&router_addr);
         let legacy = legacy.filter(|(net, _)| !net.policy.aitf_enabled);
+        let legacy = RwLock::new(legacy.map(|(_, &addr)| addr).collect());
         let wiring = Arc::new(Wiring {
-            fwd,
-            clients,
-            ingress: cones.into_ingress(self.nets.iter().map(|net| net.prefix)),
-            ancestors,
+            by_addr,
+            net_at,
+            parent,
+            uplink: uplinks,
+            router_addr,
+            tails,
+            peers,
+            hops,
             idle: DataState::new(&cfg),
-            legacy: RwLock::new(legacy.map(|(_, &addr)| addr).collect()),
+            legacy,
         });
 
         // Install routers.
-        for ((i, net), fwd) in self.nets.iter().enumerate().zip(fwd_spans) {
+        for (i, net) in self.nets.iter().enumerate() {
             let spec = RouterSpec {
-                addr: router_addr[i],
+                addr: wiring.router_addr[i],
                 prefix: net.prefix,
                 net: i,
-                fwd,
-                uplink: uplinks[i],
+                stub: stub[i],
+                uplink: wiring.uplink[i],
                 wiring: Arc::clone(&wiring),
                 config: Arc::clone(&cfg),
                 policy: net.policy,
@@ -614,7 +422,7 @@ impl WorldBuilder {
         for (h, hspec) in self.hosts.iter().enumerate() {
             let host = EndHost::new(
                 host_addr[h],
-                router_addr[hspec.net],
+                wiring.router_addr[hspec.net],
                 tail_links[h],
                 Arc::clone(&cfg),
                 hspec.policy,
@@ -627,18 +435,16 @@ impl WorldBuilder {
             cfg,
             net_prefixes: self.nets.iter().map(|n| n.prefix).collect(),
             router_nodes,
-            router_addr,
             host_nodes,
             host_addr,
             host_net: self.hosts.iter().map(|h| h.net).collect(),
-            net_parent,
             net_cooperating: self
                 .nets
                 .iter()
                 .map(|n| n.policy.aitf_enabled && n.policy.cooperating)
                 .collect(),
             tail_links,
-            uplinks,
+            wiring,
             // Last: the names move out of the declarations.
             net_names: self.nets.into_iter().map(|n| n.name).collect(),
         }
@@ -665,16 +471,16 @@ pub struct World {
     net_names: Vec<String>,
     net_prefixes: Vec<Prefix>,
     router_nodes: Vec<NodeId>,
-    router_addr: Vec<Addr>,
     host_nodes: Vec<NodeId>,
     host_addr: Vec<Addr>,
     host_net: Vec<usize>,
-    net_parent: Vec<Option<usize>>,
     /// Build-time `aitf_enabled && cooperating` per network; drives the
     /// shard-hint merging of [`World::shard_hints`].
     net_cooperating: Vec<bool>,
     tail_links: Vec<LinkId>,
-    uplinks: Vec<Option<LinkId>>,
+    /// What the routers read: the world's parent, uplink and router-address
+    /// arrays among it.
+    wiring: Arc<Wiring>,
 }
 
 impl World {
@@ -709,7 +515,7 @@ impl World {
 
     /// A network's border-router address.
     pub fn router_addr(&self, net: NetId) -> Addr {
-        self.router_addr[net.0]
+        self.wiring.router_addr[net.0]
     }
 
     /// A network's border-router node id.
@@ -752,7 +558,7 @@ impl World {
 
     /// A network's uplink towards its provider.
     pub fn uplink(&self, net: NetId) -> Option<LinkId> {
-        self.uplinks[net.0]
+        self.wiring.uplink[net.0]
     }
 
     /// Shard hints for [`aitf_netsim::Simulator::apply_shards`]: one group
@@ -784,7 +590,7 @@ impl World {
         let mut target: Vec<usize> = (0..n).collect();
         for i in 0..n {
             if escalating && !self.net_cooperating[i] {
-                if let Some(p) = self.net_parent[i] {
+                if let Some(p) = self.wiring.parent[i] {
                     target[i] = target[p];
                 }
             }
@@ -811,7 +617,7 @@ impl World {
         }
         let parents: Vec<Option<usize>> = roots
             .iter()
-            .map(|&r| self.net_parent[r].map(|p| group_of[p]))
+            .map(|&r| self.wiring.parent[r].map(|p| group_of[p]))
             .collect();
         let loads = (groups.iter().zip(&apps))
             .map(|(members, &apps)| (members.len() as u64).max(APP_LOAD * apps))
@@ -1367,14 +1173,25 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "overlaps existing network")]
-    fn nested_prefixes_rejected_in_hierarchical_mode() {
-        let mut b = WorldBuilder::new(1, AitfConfig::default());
-        b.routing(RoutingMode::Hierarchical);
-        b.network("a", "10.1.0.0/16", None);
-        b.network("far", "10.200.0.0/16", None);
-        b.network("b", "10.1.2.0/24", None);
-        b.build();
+    fn nested_prefixes_are_rejected_in_either_routing_mode() {
+        // Routing maps an address to the one declared network holding it,
+        // in both modes.
+        for mode in [RoutingMode::AllPairs, RoutingMode::Hierarchical] {
+            let built = std::panic::catch_unwind(|| {
+                let mut b = WorldBuilder::new(1, AitfConfig::default());
+                b.routing(mode);
+                let a = b.network("a", "10.1.0.0/16", None);
+                b.network("far", "10.200.0.0/16", None);
+                b.network("b", "10.1.2.0/24", Some(a));
+                b.build()
+            });
+            let panic = built.err().expect("a nested network must not build");
+            let msg = panic.downcast_ref::<String>().expect("a formatted message");
+            assert!(
+                msg.contains("overlaps existing network \"a\""),
+                "{mode:?}: {msg}"
+            );
+        }
     }
 
     #[test]
@@ -1542,24 +1359,58 @@ mod proptests {
         })
     }
 
+    /// The world `decl` declares, its networks named by index.
+    fn build(decl: &Decl, name: impl Fn(usize) -> String) -> World {
+        let mut b = WorldBuilder::new(1, AitfConfig::default());
+        b.routing(decl.mode);
+        let link = WorldBuilder::default_net_link();
+        for (i, p) in decl.prefix.iter().enumerate() {
+            let parent = decl.parent[i].map(NetId);
+            b.network_with(&name(i), p, parent, RouterPolicy::default(), link);
+        }
+        for &(net, _) in &decl.hosts {
+            b.host(NetId(net));
+        }
+        for &(a, c, _) in &decl.peerings {
+            b.peer(NetId(a), NetId(c), WorldBuilder::default_net_link());
+        }
+        b.build()
+    }
+
+    /// Every host's address, and `routers`' addresses, routes to `probes`
+    /// and ingress verdicts on every link for sources at `probes`, as
+    /// `decl` says.
+    fn check(decl: &Decl, w: &World, routers: &[usize], probes: &[Addr]) {
+        for h in 0..decl.hosts.len() {
+            assert_eq!(w.host_addr(HostId(h)), decl.host_addr(h));
+        }
+        for &i in routers {
+            let router = w.router(NetId(i));
+            assert_eq!(router.addr(), decl.prefix[i].host_at(254));
+            let routes = decl.routes(i);
+            for &dst in probes {
+                let expected = decl.route(i, &routes, dst);
+                assert_eq!(router.route(dst), expected, "router {} to {}", i, dst);
+            }
+            for &link in w.sim.links_of(w.router_node(NetId(i))) {
+                let behind = decl.behind(i, link);
+                for &src in probes {
+                    let expected = behind.as_ref().map(|b| b.iter().any(|p| p.contains(src)));
+                    let verdict = router.client_behind(link).map(|set| set.contains(src));
+                    assert_eq!(
+                        verdict, expected,
+                        "router {} link {:?} src {}",
+                        i, link, src
+                    );
+                }
+            }
+        }
+    }
+
     proptest! {
         #[test]
         fn every_route_and_ingress_verdict_is_what_the_declarations_say(decl in arb_decl()) {
-            let mut b = WorldBuilder::new(1, AitfConfig::default());
-            b.routing(decl.mode);
-            let link = WorldBuilder::default_net_link();
-            for (i, p) in decl.prefix.iter().enumerate() {
-                let parent = decl.parent[i].map(NetId);
-                b.network_with(&format!("n{i}"), p, parent, RouterPolicy::default(), link);
-            }
-            for &(net, _) in &decl.hosts {
-                b.host(NetId(net));
-            }
-            for &(a, c, _) in &decl.peerings {
-                b.peer(NetId(a), NetId(c), WorldBuilder::default_net_link());
-            }
-            let w = b.build();
-
+            let w = build(&decl, |i| format!("n{i}"));
             // Every host, every router, an unassigned address in every
             // network, and one address in no network.
             let hosts = (0..decl.hosts.len()).map(|h| decl.host_addr(h));
@@ -1568,26 +1419,95 @@ mod proptests {
                 .chain(nets.flat_map(|p| [p.host_at(254), p.host_at(77)]))
                 .collect();
             probes.push(Addr::new(172, 16, 0, 1));
-            for h in 0..decl.hosts.len() {
-                prop_assert_eq!(w.host_addr(HostId(h)), decl.host_addr(h));
+            let routers: Vec<usize> = (0..decl.prefix.len()).collect();
+            check(&decl, &w, &routers, &probes);
+        }
+    }
+
+    /// The model at internet depth, which the small worlds above never
+    /// reach: a 2,000-network provider graph grown as `power_law` grows
+    /// one (preferential attachment, depth capped at 5, peerings between
+    /// sampled pairs neither of which is the other's ancestor), its /24s
+    /// scrambled in address order and a few hosts in every fourth network.
+    /// Sampled so that a debug build checks it in seconds: every peering
+    /// endpoint, the 20 largest cones and 20 others; each of those
+    /// networks' router address, first host and `.77`, and one address in
+    /// no network.
+    #[test]
+    fn a_power_law_world_at_internet_depth_routes_as_declared() {
+        use rand::{Rng, SeedableRng};
+        let n = 2_000;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(31);
+        let (mut parent, mut depth, mut ends) = (vec![None], vec![0], vec![0]);
+        for i in 1..n {
+            // Three in four by degree, else uniformly.
+            let mut up = match rng.gen_range(0..4u32) {
+                0 => rng.gen_range(0..i),
+                _ => ends[rng.gen_range(0..ends.len())],
+            };
+            while depth[up] >= 5 {
+                up = parent[up].expect("only the root is at depth 0");
             }
-            for i in 0..decl.prefix.len() {
-                let router = w.router(NetId(i));
-                prop_assert_eq!(router.addr(), decl.prefix[i].host_at(254));
-                let routes = decl.routes(i);
-                for &dst in &probes {
-                    let expected = decl.route(i, &routes, dst);
-                    prop_assert_eq!(router.route(dst), expected, "router {} to {}", i, dst);
-                }
-                for &link in w.sim.links_of(w.router_node(NetId(i))) {
-                    let behind = decl.behind(i, link);
-                    for &src in &probes {
-                        let expected = behind.as_ref().map(|b| b.iter().any(|p| p.contains(src)));
-                        let verdict = router.client_prefixes(link).map(|set| set.contains(src));
-                        prop_assert_eq!(verdict, expected, "router {} link {:?} src {}", i, link, src);
-                    }
-                }
+            parent.push(Some(up));
+            depth.push(depth[up] + 1);
+            ends.extend([up, i]);
+        }
+        let below =
+            |a: usize, b: usize| std::iter::successors(Some(b), |&x| parent[x]).any(|x| x == a);
+        let mut pairs = Vec::new();
+        for _ in 0..40 {
+            let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if a != b && !below(a, b) && !below(b, a) {
+                pairs.push((a, b));
             }
         }
+        // 997 is coprime to 2,000: the /24s land in scrambled order.
+        let slash24 = |i: usize| {
+            let slot = (i * 997 % n) as u32;
+            Prefix::new(Addr((10 << 24) | (slot << 8)), 24)
+        };
+        let mut links = (0..).map(LinkId);
+        let decl = Decl {
+            mode: RoutingMode::Hierarchical,
+            prefix: (0..n).map(slash24).collect(),
+            uplink: parent
+                .iter()
+                .map(|p| p.and_then(|_| links.next()))
+                .collect(),
+            hosts: (0..n)
+                .filter(|i| i % 4 == 0)
+                .flat_map(|i| vec![i; 1 + i % 3])
+                .map(|i| (i, links.next().expect("unbounded")))
+                .collect(),
+            peerings: pairs
+                .iter()
+                .map(|&(a, b)| (a, b, links.next().expect("unbounded")))
+                .collect(),
+            parent,
+        };
+        assert!(
+            decl.peerings.len() >= 20,
+            "{} peerings",
+            decl.peerings.len()
+        );
+        let w = build(&decl, |_| String::new());
+
+        let mut cone = vec![1usize; n];
+        for i in (1..n).rev() {
+            cone[decl.parent[i].expect("a client")] += cone[i];
+        }
+        let mut by_cone: Vec<usize> = (0..n).collect();
+        by_cone.sort_by_key(|&i| (std::cmp::Reverse(cone[i]), i));
+        let mut routers: Vec<usize> = decl.peerings.iter().flat_map(|&(a, b, _)| [a, b]).collect();
+        routers.extend(&by_cone[..20]);
+        routers.extend((0..20).map(|_| rng.gen_range(0..n)));
+        routers.sort_unstable();
+        routers.dedup();
+        let nets = routers.iter().map(|&i| decl.prefix[i]);
+        let mut probes: Vec<Addr> = nets
+            .flat_map(|p| [p.host_at(254), p.host_at(1), p.host_at(77)])
+            .collect();
+        probes.push(Addr::new(172, 16, 0, 1));
+        check(&decl, &w, &routers, &probes);
     }
 }

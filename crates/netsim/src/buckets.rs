@@ -62,19 +62,7 @@ impl<T: Copy> Buckets<T> {
 
     /// The items of bucket `key`.
     pub fn of(&self, key: usize) -> &[T] {
-        let span = self.span(key);
-        &self.items[span.start as usize..span.end as usize]
-    }
-
-    /// Where bucket `key` lies in [`Buckets::items`] — for a holder that
-    /// keeps its span and so reads no offset to find its items.
-    pub fn span(&self, key: usize) -> std::ops::Range<u32> {
-        self.start[key]..self.start[key + 1]
-    }
-
-    /// Every item, bucket after bucket.
-    pub fn items(&self) -> &[T] {
-        &self.items
+        &self.items[self.start[key] as usize..self.start[key + 1] as usize]
     }
 }
 
@@ -91,8 +79,6 @@ mod tests {
         assert_eq!(gaps.of(1), [8]);
         assert_eq!(gaps.of(2), []);
         assert_eq!(gaps.of(3), [7, 9]);
-        assert_eq!((gaps.span(2), gaps.span(3)), (1..1, 1..3));
-        assert_eq!(gaps.items(), [8, 7, 9]);
     }
 
     #[test]

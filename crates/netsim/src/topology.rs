@@ -21,15 +21,16 @@ use crate::node::NodeId;
 #[derive(Debug, Clone)]
 pub struct NextHops {
     n: usize,
-    /// `table[from * n + to]` = outgoing link, `None` when unreachable or
-    /// `from == to`.
-    table: Vec<Option<LinkId>>,
-    /// `dist[from * n + to]` = shortest-path weight, `u64::MAX` when
-    /// unreachable.
-    dist: Vec<u64>,
+    /// `table[from * n + to]` = outgoing link index, [`NextHops::NONE`]
+    /// when unreachable or `from == to`: 4 bytes a pair, the n² a world
+    /// routing this way keeps for its lifetime.
+    table: Vec<u32>,
 }
 
 impl NextHops {
+    /// The table entry of a pair with no next hop.
+    const NONE: u32 = u32::MAX;
+
     /// Computes the table from an edge list `(a, b, link, weight)`.
     ///
     /// Links are bidirectional. Weights must be positive.
@@ -37,12 +38,17 @@ impl NextHops {
     /// # Panics
     ///
     /// Panics if any weight is zero (zero-weight cycles break Dijkstra's
-    /// invariants) or an endpoint is out of range.
+    /// invariants), an endpoint is out of range, or a link index does not
+    /// fit below `u32::MAX`.
     pub fn compute(n: usize, links: &[(NodeId, NodeId, LinkId, u64)]) -> Self {
-        let mut adj: Vec<Vec<(NodeId, LinkId, u64)>> = vec![Vec::new(); n];
+        let mut adj: Vec<Vec<(NodeId, u32, u64)>> = vec![Vec::new(); n];
         for &(a, b, id, w) in links {
             assert!(w > 0, "link weights must be positive");
             assert!(a.0 < n && b.0 < n, "endpoint out of range");
+            let id = u32::try_from(id.0)
+                .ok()
+                .filter(|&id| id != Self::NONE)
+                .expect("link index fits below u32::MAX");
             adj[a.0].push((b, id, w));
             adj[b.0].push((a, id, w));
         }
@@ -50,33 +56,30 @@ impl NextHops {
         for neighbours in &mut adj {
             neighbours.sort_by_key(|&(_, id, w)| (w, id));
         }
-        let mut table = vec![None; n * n];
-        let mut dist = vec![u64::MAX; n * n];
-        for src in 0..n {
-            Self::dijkstra(
-                src,
-                &adj,
-                &mut table[src * n..(src + 1) * n],
-                &mut dist[src * n..(src + 1) * n],
-            );
+        let mut table = vec![Self::NONE; n * n];
+        // One source's distances at a time; only the next hops are kept.
+        let mut dist = vec![u64::MAX; n];
+        for (src, first_link) in table.chunks_exact_mut(n.max(1)).enumerate() {
+            dist.fill(u64::MAX);
+            Self::dijkstra(src, &adj, first_link, &mut dist);
         }
-        NextHops { n, table, dist }
+        NextHops { n, table }
     }
 
     /// Dijkstra from `src`; records, for each destination, the *first* link
     /// out of `src` on the shortest path.
     fn dijkstra(
         src: usize,
-        adj: &[Vec<(NodeId, LinkId, u64)>],
-        first_link: &mut [Option<LinkId>],
+        adj: &[Vec<(NodeId, u32, u64)>],
+        first_link: &mut [u32],
         dist: &mut [u64],
     ) {
         let n = adj.len();
         let mut done = vec![false; n];
         dist[src] = 0;
         // Heap entries: (distance, node, first link taken out of src).
-        let mut heap: BinaryHeap<Reverse<(u64, usize, Option<LinkId>)>> = BinaryHeap::new();
-        heap.push(Reverse((0, src, None)));
+        let mut heap: BinaryHeap<Reverse<(u64, usize, u32)>> = BinaryHeap::new();
+        heap.push(Reverse((0, src, Self::NONE)));
         while let Some(Reverse((d, u, first))) = heap.pop() {
             if done[u] {
                 continue;
@@ -87,7 +90,7 @@ impl NextHops {
                 let nd = d + w;
                 if nd < dist[v.0] {
                     dist[v.0] = nd;
-                    let f = if u == src { Some(link) } else { first };
+                    let f = if u == src { link } else { first };
                     heap.push(Reverse((nd, v.0, f)));
                 }
             }
@@ -96,19 +99,10 @@ impl NextHops {
 
     /// The link `from` forwards on towards `to`; `None` if unreachable or
     /// `from == to`.
+    #[inline]
     pub fn next_hop(&self, from: NodeId, to: NodeId) -> Option<LinkId> {
-        self.table[from.0 * self.n + to.0]
-    }
-
-    /// Shortest-path weight from `from` to `to`; `None` if unreachable.
-    pub fn distance(&self, from: NodeId, to: NodeId) -> Option<u64> {
-        let d = self.dist[from.0 * self.n + to.0];
-        (d != u64::MAX).then_some(d)
-    }
-
-    /// Number of nodes the table covers.
-    pub fn node_count(&self) -> usize {
-        self.n
+        let link = self.table[from.0 * self.n + to.0];
+        (link != Self::NONE).then_some(LinkId(link as usize))
     }
 }
 
@@ -138,7 +132,6 @@ mod tests {
         assert_eq!(nh.next_hop(nid(2), nid(3)), Some(lid(2)));
         assert_eq!(nh.next_hop(nid(3), nid(0)), Some(lid(2)));
         assert_eq!(nh.next_hop(nid(0), nid(0)), None);
-        assert_eq!(nh.distance(nid(0), nid(3)), Some(3));
     }
 
     #[test]
@@ -152,7 +145,9 @@ mod tests {
         ];
         let nh = NextHops::compute(4, &links);
         assert_eq!(nh.next_hop(nid(0), nid(3)), Some(lid(0)));
-        assert_eq!(nh.distance(nid(0), nid(3)), Some(2));
+        assert_eq!(nh.next_hop(nid(1), nid(3)), Some(lid(1)));
+        // Node 2 goes round through 3 (weight 1) rather than 0 (weight 5).
+        assert_eq!(nh.next_hop(nid(2), nid(0)), Some(lid(3)));
     }
 
     #[test]
@@ -160,7 +155,7 @@ mod tests {
         let links = [(nid(0), nid(1), lid(0), 1)];
         let nh = NextHops::compute(4, &links);
         assert_eq!(nh.next_hop(nid(0), nid(2)), None);
-        assert_eq!(nh.distance(nid(0), nid(2)), None);
+        assert_eq!(nh.next_hop(nid(2), nid(0)), None);
         assert_eq!(nh.next_hop(nid(2), nid(3)), None);
     }
 
@@ -196,8 +191,9 @@ mod tests {
         for i in 1..5 {
             for j in 1..5 {
                 if i != j {
+                    // Up to the hub, then down: two hops.
                     assert_eq!(nh.next_hop(nid(i), nid(j)), Some(lid(i - 1)));
-                    assert_eq!(nh.distance(nid(i), nid(j)), Some(2));
+                    assert_eq!(nh.next_hop(nid(0), nid(j)), Some(lid(j - 1)));
                 }
             }
         }
@@ -209,8 +205,7 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Random connected graphs: next-hop tables must route every pair, and
-    /// following next hops must reach the destination in ≤ n steps.
+    /// Random connected graphs with positive weights.
     fn arb_connected_graph() -> impl Strategy<Value = (usize, Vec<(NodeId, NodeId, LinkId, u64)>)> {
         (2usize..20).prop_flat_map(|n| {
             // A random spanning tree guarantees connectivity; extra random
@@ -238,39 +233,49 @@ mod proptests {
         })
     }
 
-    proptest! {
-        #[test]
-        fn next_hops_always_converge((n, links) in arb_connected_graph()) {
-            let nh = NextHops::compute(n, &links);
-            // Adjacency for walking.
-            for from in 0..n {
-                for to in 0..n {
-                    if from == to {
-                        continue;
-                    }
-                    let mut cur = from;
-                    let mut steps = 0;
-                    while cur != to {
-                        let link = nh.next_hop(NodeId(cur), NodeId(to))
-                            .expect("connected graph must route");
-                        let (a, b, _, _) = links[link.0];
-                        cur = if a.0 == cur { b.0 } else { a.0 };
-                        steps += 1;
-                        prop_assert!(steps <= n, "routing loop from {} to {}", from, to);
-                    }
+    /// Every pair's shortest-path weight, by Floyd–Warshall.
+    fn shortest(n: usize, links: &[(NodeId, NodeId, LinkId, u64)]) -> Vec<u64> {
+        let mut d = vec![u64::MAX; n * n];
+        (0..n).for_each(|i| d[i * n + i] = 0);
+        for &(a, b, _, w) in links {
+            for (x, y) in [(a.0, b.0), (b.0, a.0)] {
+                d[x * n + y] = d[x * n + y].min(w);
+            }
+        }
+        for k in 0..n {
+            for i in 0..n {
+                for j in 0..n {
+                    let via = d[i * n + k].saturating_add(d[k * n + j]);
+                    d[i * n + j] = d[i * n + j].min(via);
                 }
             }
         }
+        d
+    }
 
+    proptest! {
+        /// Following next hops from any node reaches any other, loop-free,
+        /// over a path of the shortest weight.
         #[test]
-        fn distances_satisfy_triangle_inequality((n, links) in arb_connected_graph()) {
+        fn next_hops_always_converge((n, links) in arb_connected_graph()) {
             let nh = NextHops::compute(n, &links);
-            for &(a, b, _, w) in &links {
-                for dst in 0..n {
-                    let da = nh.distance(a, NodeId(dst)).unwrap();
-                    let db = nh.distance(b, NodeId(dst)).unwrap();
-                    prop_assert!(da <= db + w);
-                    prop_assert!(db <= da + w);
+            let best = shortest(n, &links);
+            for from in 0..n {
+                for to in 0..n {
+                    if from == to {
+                        prop_assert_eq!(nh.next_hop(NodeId(from), NodeId(to)), None);
+                        continue;
+                    }
+                    let (mut cur, mut steps, mut weight) = (from, 0, 0);
+                    while cur != to {
+                        let link = nh.next_hop(NodeId(cur), NodeId(to))
+                            .expect("connected graph must route");
+                        let (a, b, _, w) = links[link.0];
+                        cur = if a.0 == cur { b.0 } else { a.0 };
+                        (steps, weight) = (steps + 1, weight + w);
+                        prop_assert!(steps <= n, "routing loop from {} to {}", from, to);
+                    }
+                    prop_assert_eq!(weight, best[from * n + to], "{} to {}", from, to);
                 }
             }
         }

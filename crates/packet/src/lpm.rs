@@ -1,91 +1,47 @@
-//! Longest-prefix-match tables and prefix membership.
+//! Longest-prefix-match tables and the address map of disjoint prefixes.
 //!
-//! Real routers forward on aggregated prefixes, not per-host entries; the
-//! AITF world gives each network a prefix, so a border router's forwarding
-//! table is prefix routes plus /32s for its own clients — a handful at an
-//! edge gateway, its whole customer cone (tens of thousands of routes) at a
-//! provider. Both structures here are flat arrays in `(addr, len)` order,
-//! built in bulk and probed with one binary search, so a lookup costs
-//! `O(log n)` however deep the prefixes nest:
+//! Both structures here are flat arrays in `(addr, len)` order, probed with
+//! one binary search, so a lookup costs `O(log n)` however deep the
+//! prefixes nest:
 //!
-//! - A forwarding table is a run of [`Entry`]s that [`normalise`] made and
-//!   [`lookup`] answers with the value of the *longest* stored prefix
-//!   containing an address. In `(addr, len)` order a prefix sorts after
-//!   every prefix covering it and before everything nested inside it, so
-//!   the last entry starting at or before the address is either the answer
-//!   or nested inside the answer; each entry carries the index of its
-//!   longest stored cover within its run, and the lookup climbs that chain
-//!   — zero steps on tables of disjoint prefixes, one to reach a default
-//!   route. Runs need not own their storage: a world keeps every router's
-//!   table as one run of a single arena. [`LpmTable`] is the one-table
-//!   owner of a run, with in-place `insert` and `remove`.
-//! - Membership ("is this address inside any of the prefixes", ingress
-//!   filtering) needs no chain: [`PrefixSlice`] answers it over ascending,
-//!   pairwise-disjoint prefixes it borrows — a world keeps every ingress set
-//!   as a run of one per-world array.
+//! - [`LpmTable`] maps prefixes, nested as they please, to values and
+//!   answers an address with the value of the *longest* stored prefix
+//!   containing it. In `(addr, len)` order a prefix sorts after every
+//!   prefix covering it and before everything nested inside it, so the
+//!   last entry starting at or before the address is either the answer or
+//!   nested inside the answer; each entry carries the index of its longest
+//!   stored cover, and the lookup climbs that chain — zero steps on tables
+//!   of disjoint prefixes, one to reach a default route.
+//! - Where the prefixes are pairwise disjoint no chain is needed:
+//!   [`PrefixSlice`] borrows them ascending and says which one holds an
+//!   address, or which ones share an address with a prefix. A world's
+//!   declared networks are such a list, and every router answers its
+//!   routing and ingress questions from that one per-world map.
+
+use std::ops::Range;
 
 use crate::addr::{Addr, Prefix};
 
 /// `cover` of an entry no stored prefix covers; past the end of any table.
 const NO_COVER: u32 = u32::MAX;
 
-/// One route of a forwarding table.
+/// One route of a table.
 #[derive(Debug, Clone)]
-pub struct Entry<T> {
+struct Entry<T> {
     prefix: Prefix,
-    /// Index, within the entry's run, of the longest stored prefix strictly
-    /// covering `prefix`.
+    /// Index of the longest stored prefix strictly covering `prefix`.
     cover: u32,
     value: T,
 }
 
 impl<T> Entry<T> {
-    /// A route, to be placed in its table by [`normalise`].
-    pub fn new(prefix: Prefix, value: T) -> Self {
+    fn new(prefix: Prefix, value: T) -> Self {
         Entry {
             prefix,
             cover: NO_COVER,
             value,
         }
     }
-}
-
-/// Makes the run `entries[from..]` one table: ascending by prefix, one
-/// entry per prefix — the value given last wins, as repeated
-/// [`LpmTable::insert`]s would have it — and each entry's cover chain
-/// derived. A run that is already ascending is not sorted, so a table
-/// listed in address order costs one pass.
-///
-/// Many tables share one arena this way: append a table's routes, call
-/// this with the arena length from before, and keep `from..entries.len()`
-/// as the table's span for [`lookup`].
-pub fn normalise<T>(entries: &mut Vec<Entry<T>>, from: usize) {
-    let run = &mut entries[from..];
-    if run.windows(2).any(|w| w[0].prefix > w[1].prefix) {
-        // Stable, so equal prefixes stay in arrival order.
-        run.sort_by_key(|e| e.prefix);
-    }
-    // Compact in place: each prefix's last entry moves into the slot of
-    // its first, and what is left past `kept` is the replaced ones.
-    let mut kept = from;
-    for i in from..entries.len() {
-        if kept > from && entries[kept - 1].prefix == entries[i].prefix {
-            entries.swap(kept - 1, i);
-        } else {
-            entries.swap(kept, i);
-            kept += 1;
-        }
-    }
-    entries.truncate(kept);
-    reindex(&mut entries[from..]);
-}
-
-/// The value of the longest prefix of `table` containing `addr`, if any;
-/// `table` is one run [`normalise`] made.
-pub fn lookup<T>(table: &[Entry<T>], addr: Addr) -> Option<&T> {
-    let after = table.partition_point(|e| e.prefix.addr() <= addr);
-    let hit = climb(table, after.checked_sub(1)?, |p| p.contains(addr))?;
-    Some(&table[hit].value)
 }
 
 /// The first entry satisfying `hit` on the cover chain from entry `i`
@@ -128,14 +84,14 @@ fn reindex<T>(table: &mut [Entry<T>]) {
     }
 }
 
-/// A longest-prefix-match map from [`Prefix`] to `T`: one table that owns
-/// its run.
+/// A longest-prefix-match map from [`Prefix`] to `T`.
 ///
-/// Collecting an iterator of `(prefix, value)` pairs builds the table with
-/// [`normalise`] (a later duplicate prefix replaces an earlier one, as
-/// repeated [`LpmTable::insert`]s would); `insert` in ascending prefix
-/// order appends in `O(log n)`. Any other `insert`, and every `remove`,
-/// shifts the array and re-derives the cover chain in `O(n)`.
+/// Collecting an iterator of `(prefix, value)` pairs builds the table in
+/// one pass if they come ascending, one sort otherwise (a later duplicate
+/// prefix replaces an earlier one, as repeated [`LpmTable::insert`]s
+/// would); `insert` in ascending prefix order appends in `O(log n)`. Any
+/// other `insert`, and every `remove`, shifts the array and re-derives the
+/// cover chain in `O(n)`.
 ///
 /// # Examples
 ///
@@ -153,7 +109,7 @@ fn reindex<T>(table: &mut [Entry<T>]) {
 /// ```
 #[derive(Debug, Clone)]
 pub struct LpmTable<T> {
-    /// One normalised run.
+    /// Ascending by prefix, one entry per prefix, covers derived.
     entries: Vec<Entry<T>>,
 }
 
@@ -213,7 +169,10 @@ impl<T> LpmTable<T> {
 
     /// The value of the longest prefix containing `addr`, if any.
     pub fn lookup(&self, addr: Addr) -> Option<&T> {
-        lookup(&self.entries, addr)
+        let table = &self.entries;
+        let after = table.partition_point(|e| e.prefix.addr() <= addr);
+        let hit = climb(table, after.checked_sub(1)?, |p| p.contains(addr))?;
+        Some(&table[hit].value)
     }
 
     /// Returns `true` if any stored prefix contains `addr`.
@@ -224,19 +183,32 @@ impl<T> LpmTable<T> {
 
 impl<T> FromIterator<(Prefix, T)> for LpmTable<T> {
     fn from_iter<I: IntoIterator<Item = (Prefix, T)>>(iter: I) -> Self {
-        let routes = iter
-            .into_iter()
-            .map(|(prefix, value)| Entry::new(prefix, value));
-        let mut entries = routes.collect();
-        normalise(&mut entries, 0);
+        let routes = iter.into_iter();
+        let mut entries: Vec<Entry<T>> = routes.map(|(p, value)| Entry::new(p, value)).collect();
+        if entries.windows(2).any(|w| w[0].prefix > w[1].prefix) {
+            // Stable, so equal prefixes stay in arrival order.
+            entries.sort_by_key(|e| e.prefix);
+        }
+        // Compact in place: each prefix's last entry moves into the slot of
+        // its first, and what is left past `kept` is the replaced ones.
+        let mut kept = 0;
+        for i in 0..entries.len() {
+            if kept > 0 && entries[kept - 1].prefix == entries[i].prefix {
+                entries.swap(kept - 1, i);
+            } else {
+                entries.swap(kept, i);
+                kept += 1;
+            }
+        }
+        entries.truncate(kept);
+        reindex(&mut entries);
         LpmTable { entries }
     }
 }
 
-/// Ascending, pairwise-disjoint prefixes, borrowed: the one form address
-/// membership is answered in. A holder of such a run inside a larger array
-/// — a world keeps every ingress set as a run of one per-world array —
-/// makes one with [`PrefixSlice::disjoint`].
+/// Ascending, pairwise-disjoint prefixes, borrowed: an address map in
+/// which an address lies in at most one member. A world's declared
+/// networks in address order are one; [`PrefixSlice::disjoint`] makes it.
 #[derive(Debug, Clone, Copy)]
 pub struct PrefixSlice<'a>(&'a [Prefix]);
 
@@ -247,22 +219,26 @@ impl<'a> PrefixSlice<'a> {
         PrefixSlice(prefixes)
     }
 
-    /// Returns `true` if some prefix contains `addr`.
-    pub fn contains(self, addr: Addr) -> bool {
+    /// The index of the member containing `addr`, if any.
+    #[inline]
+    pub fn position(self, addr: Addr) -> Option<usize> {
         // Disjoint members: only the last one starting at or before `addr`
         // can hold it.
-        let after = self.0.partition_point(|p| p.addr() <= addr);
-        after > 0 && self.0[after - 1].contains(addr)
+        let at = self
+            .0
+            .partition_point(|p| p.addr() <= addr)
+            .checked_sub(1)?;
+        self.0[at].contains(addr).then_some(at)
     }
 
-    /// Returns `true` if some prefix shares an address with `prefix`.
-    pub fn overlaps(self, prefix: Prefix) -> bool {
-        // Disjoint members: the last one starting before `prefix` may reach
-        // into it, the first one starting at or after its first address may
-        // cover it or lie inside it, and nothing else can touch it.
-        let at = self.0.partition_point(|p| p.addr() < prefix.addr());
-        let mut nearest = self.0[at.saturating_sub(1)..].iter().take(2);
-        nearest.any(|p| p.overlaps(prefix))
+    /// The indices of the members sharing an address with `prefix`.
+    pub fn overlapping(self, prefix: Prefix) -> Range<usize> {
+        // Disjoint members ascend by first and by last address alike: the
+        // ones ending before `prefix` come first, then the ones touching
+        // it, then the ones starting after it.
+        let last = |p: Prefix| p.addr().raw() + (p.size() - 1) as u32;
+        let from = self.0.partition_point(|&p| last(p) < prefix.addr().raw());
+        from..self.0.partition_point(|p| p.addr().raw() <= last(prefix))
     }
 }
 
@@ -403,8 +379,9 @@ mod proptests {
 
     proptest! {
         /// Over the outermost of any listed prefixes, found by brute force,
-        /// membership is exactly "some listed prefix contains it" and the
-        /// overlap test exactly "some listed prefix overlaps it".
+        /// the member holding an address is the one listed prefix around it
+        /// that no other covers, and the members sharing an address with a
+        /// prefix are exactly those a scan finds.
         #[test]
         fn prefix_slice_over_the_outermost_prefixes_agrees_with_linear_scan(
             prefixes in proptest::collection::vec(crowded_prefix(), 0..40),
@@ -417,25 +394,29 @@ mod proptests {
             outermost.dedup();
             let slice = PrefixSlice::disjoint(&outermost);
             for a in edges(&prefixes).chain(probes.into_iter().map(Addr)) {
-                let expected = prefixes.iter().any(|p| p.contains(a));
-                prop_assert_eq!(slice.contains(a), expected, "{}", a);
+                let expected = outermost.iter().position(|p| p.contains(a));
+                prop_assert_eq!(slice.position(a), expected, "{}", a);
             }
             for &q in prefixes.iter().chain(&queries) {
-                let expected = prefixes.iter().any(|p| p.overlaps(q));
-                prop_assert_eq!(slice.overlaps(q), expected, "{}", q);
+                let touching = outermost.iter().enumerate().filter(|(_, p)| p.overlaps(q));
+                let expected: Vec<usize> = touching.map(|(i, _)| i).collect();
+                prop_assert_eq!(slice.overlapping(q).collect::<Vec<_>>(), expected, "{}", q);
             }
         }
 
-        /// The bulk constructor, `insert` in either order, `remove` and an
-        /// arena of 2–3 tables all build the tables the scan describes;
-        /// among equal prefixes the value given last wins.
+        /// The bulk constructor from any order and from address order,
+        /// `insert` in either order, and `remove` all build the tables the
+        /// scan describes; among equal prefixes the value given last wins.
         #[test]
         fn bulk_build_inserts_and_removes_agree_with_linear_scan(
             prefixes in proptest::collection::vec(crowded_prefix(), 1..60),
             probes in proptest::collection::vec(any::<u32>(), 1..20),
-            cuts in proptest::collection::vec(any::<u32>(), 1..3),
         ) {
             let bulk: LpmTable<usize> = prefixes.iter().copied().zip(0..).collect();
+            // Stable, so equal prefixes keep their order: the one-pass path.
+            let mut listed: Vec<(Prefix, usize)> = prefixes.iter().copied().zip(0..).collect();
+            listed.sort_by_key(|r| r.0);
+            let ascending: LpmTable<usize> = listed.into_iter().collect();
             let mut forwards = LpmTable::new();
             let mut backwards = LpmTable::new();
             for (i, &p) in prefixes.iter().enumerate() {
@@ -452,44 +433,23 @@ mod proptests {
             for &p in prefixes.iter().filter(|p| p.len() % 2 == 1) {
                 pruned.remove(p);
             }
-            // The same routes cut into 2–3 tables of one arena, every other
-            // one listed in address order, so that both the sorting and the
-            // already-ascending path build a table.
-            let mut bounds: Vec<usize> = cuts.iter().map(|&c| c as usize % (prefixes.len() + 1)).collect();
-            bounds.sort_unstable();
-            bounds.insert(0, 0);
-            bounds.push(prefixes.len());
-            let mut arena = Vec::new();
-            let mut tables = Vec::new();
-            for (k, part) in bounds.windows(2).enumerate() {
-                let mut routes: Vec<(Prefix, usize)> = (part[0]..part[1]).map(|i| (prefixes[i], i)).collect();
-                if k % 2 == 1 {
-                    routes.sort_by_key(|r| r.0);
-                }
-                let from = arena.len();
-                arena.extend(routes.into_iter().map(|(p, i)| Entry::new(p, i)));
-                normalise(&mut arena, from);
-                tables.push((part[0]..part[1], from..arena.len()));
-            }
             let probes: Vec<Addr> = edges(&prefixes).chain(probes.into_iter().map(Addr)).collect();
-            let scan = |addr: Addr, keep: fn(&Prefix) -> bool, listed: std::ops::Range<usize>| {
-                let hits = listed.filter(|&i| keep(&prefixes[i]) && prefixes[i].contains(addr));
+            let scan = |addr: Addr, keep: fn(&Prefix) -> bool| {
+                let hits = (0..prefixes.len()).filter(|&i| keep(&prefixes[i]) && prefixes[i].contains(addr));
                 hits.max_by_key(|&i| (prefixes[i].len(), i))
             };
             for &a in &probes {
-                let expected = scan(a, |_| true, 0..prefixes.len());
+                let expected = scan(a, |_| true);
                 prop_assert_eq!(bulk.lookup(a).copied(), expected, "bulk {}", a);
+                prop_assert_eq!(ascending.lookup(a).copied(), expected, "ascending {}", a);
                 prop_assert_eq!(forwards.lookup(a).copied(), expected, "forwards {}", a);
                 prop_assert_eq!(backwards.lookup(a).copied(), expected, "backwards {}", a);
-                let even = scan(a, |p| p.len() % 2 == 0, 0..prefixes.len());
+                let even = scan(a, |p| p.len() % 2 == 0);
                 prop_assert_eq!(pruned.lookup(a).copied(), even, "pruned {}", a);
-                for (listed, span) in &tables {
-                    let own = scan(a, |_| true, listed.clone());
-                    prop_assert_eq!(lookup(&arena[span.clone()], a).copied(), own, "arena {:?} {}", listed, a);
-                }
             }
             prop_assert_eq!(bulk.len(), forwards.len());
             prop_assert_eq!(bulk.len(), backwards.len());
+            prop_assert_eq!(bulk.len(), ascending.len());
         }
 
         /// LPM must agree with the brute-force scan over stored prefixes.

@@ -168,10 +168,10 @@ pub struct TopologySpec {
     pub hosts: Vec<HostDecl>,
     /// Declared peerings, in build order.
     pub peerings: Vec<PeeringDecl>,
-    /// How the lowered world derives forwarding tables. The default is
+    /// How the lowered world's routers forward. The default is
     /// [`RoutingMode::AllPairs`]; the internet-scale generators switch to
-    /// [`RoutingMode::Hierarchical`], whose build cost is O(n·depth)
-    /// instead of O(n²). The two differ on destinations in no declared
+    /// [`RoutingMode::Hierarchical`], which routes from the O(n) provider
+    /// tree instead of an O(n²) next-hop matrix. The two differ on destinations in no declared
     /// network, so recorded runs keep the mode they were recorded under.
     pub routing: RoutingMode,
 }
@@ -552,8 +552,9 @@ impl TopologySpec {
     /// [`NetDecl::name`]) and are selected by index range, side or role.
     /// Prefixes are /24s from [`PrefixAlloc::next_slash24`] and the spec
     /// switches itself to [`RoutingMode::Hierarchical`], so a 100k-net
-    /// world builds in O(n·depth) with O(n·depth) routing state, and the
-    /// spec itself in a number of allocations that does not grow with it.
+    /// world's routing state is its O(n) provider tree, and the spec
+    /// itself is made in a number of allocations that does not grow with
+    /// it.
     ///
     /// # Panics
     ///

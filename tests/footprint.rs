@@ -1,10 +1,10 @@
 //! The footprint of an element nothing ever happened to: its wiring only.
 //! What elements write — counters, link queues, filter and shadow storage,
 //! a router's control plane, a host's victim agent — is made by the first
-//! event that needs it, and what routers read — forwarding tables, ingress
-//! sets, ancestor chains — is one array per world, so the per-element sizes
-//! and the bytes a large world asks the allocator for are what the paper's
-//! resource argument (Section IV) says they should be: independent of the
+//! event that needs it, and what routers read is the declared provider
+//! tree, stored once per world, so the per-element sizes and the bytes a
+//! large world asks the allocator for are what the paper's resource
+//! argument (Section IV) says they should be: independent of the
 //! protocol's tables.
 
 use aitf::core::{AitfConfig, BorderRouter, EndHost};
@@ -16,13 +16,14 @@ use aitf::scenario::{PowerLawSpec, TopologySpec};
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-// Exact sizes when these bounds were set: 64 / 144 / 296 bytes (592 /
+// Exact sizes when these bounds were set: 64 / 136 / 296 bytes (592 /
 // 1,376 / 912 with every table and queue laid out inline, a router 600
-// with its counters and two empty tables inline, and 192 while every
-// router held its own copy of the deployment view).
+// with its counters and two empty tables inline, 192 while every router
+// held its own copy of the deployment view, and 144 while it kept spans
+// of the world's forwarding and client arrays).
 const _: () = {
     assert!(std::mem::size_of::<Link>() <= 64);
-    assert!(std::mem::size_of::<BorderRouter>() <= 144);
+    assert!(std::mem::size_of::<BorderRouter>() <= 136);
     assert!(std::mem::size_of::<EndHost>() <= 320);
 };
 
@@ -52,13 +53,14 @@ fn a_power_law_world_is_built_within_its_per_network_byte_budget() {
     assert_eq!(nets, spec.nets.len());
     let per_net = bytes / nets as u64;
     // Every byte requested while building, transient ones included:
-    // 1,275 B per network when the bound was set (1,219 B measured since
-    // routers share one deployment view), against 1,869 B with a
-    // forwarding table, ingress sets and counters per router, 2,125 B with
-    // one `Vec` per node, provider and name copy, and 3,435 B with tables,
-    // control plane and link queues laid out up front.
+    // 883 B per network when the bound was set, since routers route from
+    // the provider tree (1,219 B with every forwarding table, cone and
+    // ancestor chain in per-world arrays, 1,869 B with a forwarding table,
+    // ingress sets and counters per router, 2,125 B with one `Vec` per
+    // node, provider and name copy, and 3,435 B with tables, control plane
+    // and link queues laid out up front).
     assert!(
-        per_net <= 1_530,
+        per_net <= 1_060,
         "building a {nets}-net world requested {per_net} B per network"
     );
 }
@@ -69,10 +71,11 @@ fn a_power_law_world_is_built_in_one_and_a_quarter_allocations_per_network() {
     let (built, allocs) = CountingAlloc::count(|| spec.build(7, AitfConfig::default()));
     let nets = built.world.net_count() as u64;
     // 1.01 per network when the bound was set: its router. What is per
-    // world is a fixed number of arrays, the forwarding tables, ingress
-    // sets and ancestor chains among them (2.01 while every network carried
-    // a formatted name, 4.52 when each router had its own table, link map,
-    // ingress sets and chain).
+    // world is a fixed number of arrays, the address map and provider tree
+    // the routers read among them (1.01 also while they read per-world
+    // forwarding, ingress and ancestor arrays, 2.01 while every network
+    // carried a formatted name, 4.52 when each router had its own table,
+    // link map, ingress sets and chain).
     assert!(
         4 * allocs <= 5 * nets,
         "building a {nets}-net world made {allocs} allocations"

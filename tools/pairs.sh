@@ -4,16 +4,17 @@
 # ruler's own output. It times nothing itself and judges nothing: no
 # thresholds, no baseline file.
 #
-#   tools/pairs.sh PARENT_DIR CHANGE_DIR WORKLOAD [PAIRS=10] [SECONDS=30]
+#   tools/pairs.sh PARENT_DIR CHANGE_DIR WORKLOAD [PAIRS=10] [SECONDS=30] [SEED=42]
 #
-# Each pair runs `benchmark/run.sh --workload W --seed 42 --seconds S
+# Each pair runs `benchmark/run.sh --workload W --seed SEED --seconds S
 # --trace 0` once in each checkout (which side goes first flips every
-# pair) and keeps the last stdout line of each. Per end-to-end metric it
-# prints both medians, both quartile pairs and in how many pairs the change
-# read better, then the failed operations of each side.
+# pair) and keeps the last stdout line of each; a held-out seed is the
+# sixth argument. Per end-to-end metric it prints both medians, both
+# quartile pairs and in how many pairs the change read better, then the
+# failed operations of each side.
 set -euo pipefail
 if [ $# -lt 3 ]; then
-    sed -n '2,13p' "$0" >&2
+    sed -n '2,14p' "$0" >&2
     exit 2
 fi
 parent=$(cd "$1" && pwd)
@@ -21,9 +22,10 @@ change=$(cd "$2" && pwd)
 workload=$3
 pairs=${4:-10}
 seconds=${5:-30}
+seed=${6:-42}
 
 one_run() {
-    bash "$1/benchmark/run.sh" --workload "$workload" --seed 42 \
+    bash "$1/benchmark/run.sh" --workload "$workload" --seed "$seed" \
         --seconds "$seconds" --trace 0 | tail -n 1 || true
 }
 
@@ -50,7 +52,7 @@ def spread(values):
     return f"{median:.6g} [{q1:.6g}, {q3:.6g}]"
 
 row = "{:28} {:38} {:38} {}"
-print(sys.argv[2] + ":", len(runs["parent"]), "alternating pairs; median [q1, q3]")
+print(f"{sys.argv[2]} (seed {sys.argv[3]}):", len(runs["parent"]), "alternating pairs; median [q1, q3]")
 print(row.format("metric", "parent", "change", "change better in"))
 for name in runs["parent"][0]["metrics"]:
     p, c = ([r["metrics"][name]["value"] for r in runs[side]] for side in ("parent", "change"))
@@ -61,4 +63,4 @@ for name in runs["parent"][0]["metrics"]:
 for side in ("parent", "change"):
     failed, attempted = (sum(r[k] for r in runs[side]) for k in ("failed", "attempted"))
     print(f"failed ({side}): {failed} of {attempted} operations")
-' "$change/BENCHMARK.json" "$workload"
+' "$change/BENCHMARK.json" "$workload" "$seed"
