@@ -60,7 +60,8 @@ pub fn scenario(r2: f64, t: SimDuration, zombies: usize) -> Scenario {
                     let clients_peak: usize = w
                         .hosts_with(Role::Attacker)
                         .iter()
-                        .map(|&z| w.world.host(z).self_filters().stats().peak_occupancy)
+                        .filter_map(|&z| w.world.host(z).self_filters())
+                        .map(|t| t.stats().peak_occupancy)
                         .sum();
                     m.set("clients_peak", clients_peak);
                     m.set(

@@ -79,8 +79,8 @@ pub struct HostApi<'a, 'b> {
     /// detach) and are dropped on delivery.
     epoch: u16,
     suppress: bool,
-    self_filters: &'a mut FilterTable,
-    counters: &'a mut HostCounters,
+    data: &'a mut Option<Box<HostData>>,
+    cfg: &'a AitfConfig,
 }
 
 impl HostApi<'_, '_> {
@@ -143,13 +143,14 @@ impl HostApi<'_, '_> {
             dst_port,
             ttl: Header::DEFAULT_TTL,
         };
-        if self.suppress && self.self_filters.matches(&header, self.ctx.now()) {
-            self.counters.tx_suppressed += 1;
+        let data = HostData::of(self.data, self.cfg);
+        if self.suppress && data.self_filters.matches(&header, self.ctx.now()) {
+            data.counters.tx_suppressed += 1;
             return false;
         }
         let id = self.ctx.next_packet_id();
-        self.counters.tx_pkts += 1;
-        self.counters.tx_bytes += size_bytes.max(40) as u64;
+        data.counters.tx_pkts += 1;
+        data.counters.tx_bytes += size_bytes.max(40) as u64;
         self.ctx
             .send(self.uplink, Packet::data(id, header, class, size_bytes))
     }
@@ -285,6 +286,40 @@ impl VictimAgent {
 /// Every victim-agent path below runs inside or after a packet delivery.
 const AGENT: &str = "the first delivered packet made the victim agent";
 
+/// What a host writes: its counters and its self-filters. Made by the
+/// first send, delivery or notice that writes to it ([`HostData::of`]), so
+/// a host nothing ever happened to holds none and reads zero counters.
+struct HostData {
+    counters: HostCounters,
+    /// Self-filters: flows this host agreed to stop sending (sized
+    /// `na = R2·T`, Section IV-D). Storage is made by the first install.
+    self_filters: FilterTable,
+}
+
+impl HostData {
+    /// The data in `slot`, made now if this is the first write: an inlined
+    /// branch, with the creation out of line in [`make_data`].
+    #[inline]
+    fn of<'a>(slot: &'a mut Option<Box<HostData>>, cfg: &AitfConfig) -> &'a mut HostData {
+        match *slot {
+            Some(ref mut data) => data,
+            None => make_data(slot, cfg),
+        }
+    }
+}
+
+/// The one place a [`HostData`] is created.
+#[cold]
+#[inline(never)]
+fn make_data<'a>(slot: &'a mut Option<Box<HostData>>, cfg: &AitfConfig) -> &'a mut HostData {
+    let data = HostData {
+        counters: HostCounters::default(),
+        self_filters: FilterTable::new(cfg.na().ceil().max(1.0) as usize),
+    };
+    // detlint::allow(hot-alloc): one-off — the first packet a host sends, receives or is told to stop; every later one finds `data` set
+    slot.insert(Box::new(data))
+}
+
 /// An AITF end host node.
 pub struct EndHost {
     addr: Addr,
@@ -295,10 +330,8 @@ pub struct EndHost {
     apps: Vec<Option<Box<dyn TrafficApp>>>,
     /// First-use state; see [`VictimAgent`].
     victim: Option<Box<VictimAgent>>,
-    /// Self-filters: flows this host agreed to stop sending (sized
-    /// `na = R2·T`, Section IV-D). Storage is made by the first install.
-    self_filters: FilterTable,
-    counters: HostCounters,
+    /// First-use state; see [`HostData`].
+    data: Option<Box<HostData>>,
     /// Dynamic-world state: a detached host is off the network — its tail
     /// circuit is blocked by the world layer and this flag silences its
     /// traffic apps (timer chains are dropped, so nothing is even offered
@@ -322,17 +355,15 @@ impl EndHost {
         cfg: Arc<AitfConfig>,
         policy: HostPolicy,
     ) -> Self {
-        let na = cfg.na().ceil().max(1.0) as usize;
         EndHost {
             addr,
             gateway,
             uplink,
-            self_filters: FilterTable::new(na),
             cfg,
             policy,
             apps: Vec::new(),
             victim: None,
-            counters: HostCounters::default(),
+            data: None,
             attached: true,
             attach_epoch: 0,
             rx_tap: None,
@@ -343,6 +374,13 @@ impl EndHost {
     #[cfg(test)]
     pub(crate) fn has_victim_agent(&self) -> bool {
         self.victim.is_some()
+    }
+
+    /// Whether any send, delivery or notice has made this host's
+    /// [`HostData`].
+    #[cfg(test)]
+    pub(crate) fn has_host_data(&self) -> bool {
+        self.data.is_some()
     }
 
     /// Installs the streaming probe tap (replacing any previous one).
@@ -360,14 +398,17 @@ impl EndHost {
         self.addr
     }
 
-    /// Counter snapshot.
+    /// Counter snapshot; all zeros for a host nothing happened to.
     pub fn counters(&self) -> HostCounters {
-        self.counters
+        self.data
+            .as_ref()
+            .map_or_else(HostCounters::default, |d| d.counters)
     }
 
-    /// The self-filter table (compliance state).
-    pub fn self_filters(&self) -> &FilterTable {
-        &self.self_filters
+    /// The self-filter table (compliance state); `None` for a host that
+    /// has not sent, received or been told anything.
+    pub fn self_filters(&self) -> Option<&FilterTable> {
+        self.data.as_ref().map(|d| &d.self_filters)
     }
 
     /// Installs a traffic application. Must be called before the simulation
@@ -440,8 +481,8 @@ impl EndHost {
             app_index,
             epoch: self.attach_epoch,
             suppress: self.policy == HostPolicy::Compliant,
-            self_filters: &mut self.self_filters,
-            counters: &mut self.counters,
+            data: &mut self.data,
+            cfg: &self.cfg,
         };
         let r = f(app.as_mut(), &mut api);
         self.apps[app_index] = Some(app);
@@ -474,7 +515,7 @@ impl EndHost {
     /// The oracle's `Td` clock for the flow from `src` ran out.
     fn on_detect(&mut self, src: Addr, ctx: &mut Context<'_>) {
         ctx.profile_subsystem(aitf_netsim::Subsystem::Detector);
-        self.counters.detections += 1;
+        HostData::of(&mut self.data, &self.cfg).counters.detections += 1;
         self.send_filtering_request(FlowLabel::src_dst(src, self.addr), ctx);
     }
 
@@ -492,7 +533,7 @@ impl EndHost {
             }
             return;
         }
-        self.counters.detections += 1;
+        HostData::of(&mut self.data, &self.cfg).counters.detections += 1;
         if let Some(d) = &mut agent.rate_detector {
             d.forget(src);
         }
@@ -502,10 +543,11 @@ impl EndHost {
     fn send_filtering_request(&mut self, flow: FlowLabel, ctx: &mut Context<'_>) {
         let now = ctx.now();
         let agent = self.victim.as_deref_mut().expect(AGENT);
+        let counters = &mut HostData::of(&mut self.data, &self.cfg).counters;
         // Self-police the contract: the gateway would drop the excess
         // anyway (Section II-B), so do not waste the wire.
         if !agent.request_bucket.try_acquire(now) {
-            self.counters.requests_self_limited += 1;
+            counters.requests_self_limited += 1;
             return;
         }
         let id = ctx.next_packet_id();
@@ -517,7 +559,7 @@ impl EndHost {
             path: agent.traceback.attack_path(&flow).unwrap_or_default(),
             round: 1,
         };
-        self.counters.requests_sent += 1;
+        counters.requests_sent += 1;
         agent.log_request(flow, now, now + self.cfg.t_long);
         let pkt = Packet::control(
             ctx.next_packet_id(),
@@ -540,13 +582,14 @@ impl EndHost {
         let now = ctx.now();
         match msg {
             AitfMessage::VerificationQuery(q) => {
-                self.counters.verification_queries += 1;
+                let counters = &mut HostData::of(&mut self.data, &self.cfg).counters;
+                counters.verification_queries += 1;
                 let agent = self.victim.as_deref();
                 let confirm = agent.is_some_and(|a| a.requested(&q.flow, now));
                 if confirm {
-                    self.counters.verification_confirmed += 1;
+                    counters.verification_confirmed += 1;
                 } else {
-                    self.counters.verification_denied += 1;
+                    counters.verification_denied += 1;
                 }
                 let reply = VerificationReply {
                     request_id: q.request_id,
@@ -563,13 +606,14 @@ impl EndHost {
                 ctx.send(self.uplink, pkt);
             }
             AitfMessage::FilteringRequest(req) if req.dest == RequestDestination::Attacker => {
-                self.counters.notices_received += 1;
+                let data = HostData::of(&mut self.data, &self.cfg);
+                data.counters.notices_received += 1;
                 // A malicious host ignores the notice; its gateway's grace
                 // timer deals with it.
                 if self.policy == HostPolicy::Compliant {
                     let dur = SimDuration::from_nanos(req.duration_ns);
-                    if self.self_filters.install(req.flow, now, dur).is_ok() {
-                        self.counters.flows_stopped += 1;
+                    if data.self_filters.install(req.flow, now, dur).is_ok() {
+                        data.counters.flows_stopped += 1;
                     }
                 }
             }
@@ -608,17 +652,18 @@ impl Node for EndHost {
             return;
         }
         if packet.is_data() {
+            let counters = &mut HostData::of(&mut self.data, &self.cfg).counters;
             match packet.payload {
                 aitf_packet::PayloadKind::Data(TrafficClass::Attack) => {
-                    self.counters.rx_attack_pkts += 1;
-                    self.counters.rx_attack_bytes += packet.size_bytes as u64;
+                    counters.rx_attack_pkts += 1;
+                    counters.rx_attack_bytes += packet.size_bytes as u64;
                     if self.cfg.detection == DetectionMode::Oracle {
                         self.on_attack_packet(&packet, ctx);
                     }
                 }
                 aitf_packet::PayloadKind::Data(TrafficClass::Legit) => {
-                    self.counters.rx_legit_pkts += 1;
-                    self.counters.rx_legit_bytes += packet.size_bytes as u64;
+                    counters.rx_legit_pkts += 1;
+                    counters.rx_legit_bytes += packet.size_bytes as u64;
                 }
                 aitf_packet::PayloadKind::Aitf(_) => unreachable!("is_data checked"),
             }

@@ -322,9 +322,15 @@ fn idle_routers_and_hosts_stay_idle_and_only_the_gateways_hold_control_state() {
         assert_eq!(r.filters().capacity(), cfg.filter_capacity);
         assert_eq!(r.shadow().capacity(), cfg.shadow_capacity);
     }
+    // A bystander host holds neither agent nor data, reads zero counters
+    // and has no self-filter table to show.
+    let zeros = format!("{:?}", crate::HostCounters::default());
     for h in bystanders {
-        assert!(!f.world.host(h).has_victim_agent());
-        assert_eq!(f.world.host(h).self_filters().stats(), Default::default());
+        let host = f.world.host(h);
+        assert!(!host.has_victim_agent());
+        assert_eq!(format!("{:?}", host.counters()), zeros);
+        assert!(host.self_filters().is_none());
+        assert!(!host.has_host_data(), "reads make nothing");
     }
     // On the path, but only ever forwarding (the request goes gateway to
     // gateway; transit routers carry it like data): a data state for the
@@ -377,6 +383,24 @@ fn idle_routers_and_hosts_stay_idle_and_only_the_gateways_hold_control_state() {
         .sim
         .with_node_ctx(node, |n, ctx| n.on_timer(12_345, ctx));
     assert!(!f.world.host(bystanders[0]).has_victim_agent());
+    assert!(!f.world.host(bystanders[0]).has_host_data());
+
+    // A zombie that only sends (to an address in no declared network, so
+    // its first gateway drops everything and nothing ever comes back)
+    // holds the data its sends write, but no victim agent.
+    let zombie = bystanders[1];
+    let nowhere = TestFlood {
+        target: Addr::new(192, 0, 2, 1),
+        period: SimDuration::from_millis(1),
+        size: 100,
+    };
+    f.world.activate_app(zombie, Box::new(nowhere));
+    f.world.sim.run_for(SimDuration::from_secs(1));
+    let host = f.world.host(zombie);
+    assert!(host.counters().tx_pkts > 0);
+    assert!(host.has_host_data());
+    assert!(!host.has_victim_agent());
+    assert_eq!(host.self_filters().map(|t| t.len()), Some(0));
 }
 
 #[test]

@@ -50,9 +50,10 @@ use crate::router::{BorderRouter, DataState, RouterSpec, Wiring};
 /// Either way a host of a router's own network goes down its tail circuit,
 /// and any other destination is first mapped to the one declared network
 /// holding it. [`RoutingMode::AllPairs`] then takes the next hop towards
-/// that network's router from a shortest-path pass over the router
-/// backbone — correct for arbitrary graphs, but O(n²) time *and* memory,
-/// which is prohibitive past a few thousand networks.
+/// that network's router from a fewest-hop path over the router backbone,
+/// one breadth-first search per router — correct for arbitrary graphs, but
+/// O(n·(n + e)) build time for e links and an n² table of `u32`, which is
+/// prohibitive past a few thousand networks.
 /// [`RoutingMode::Hierarchical`] exploits the provider-tree structure the
 /// builder already enforces: across the last-declared peering whose far
 /// side's customer cone holds the network, else down the uplink of the
@@ -67,7 +68,7 @@ use crate::router::{BorderRouter, DataState, RouterSpec, Wiring};
 /// stay, selected by the generators from world size.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum RoutingMode {
-    /// All-pairs shortest paths over the router backbone (the default).
+    /// All-pairs fewest-hop paths over the router backbone (the default).
     #[default]
     AllPairs,
     /// Provider-tree routing: default-up, subtree-down, peering shortcuts.
@@ -363,18 +364,18 @@ impl WorldBuilder {
             }
         }
 
-        // All-pairs routing runs a shortest-path pass over the router
-        // backbone — one next hop per remote network, the aggregation a
-        // real AS-level forwarding table has, at O(n²) build cost and
-        // memory. Hosts are leaves on their tail circuit and can never be
-        // transit.
+        // All-pairs routing runs one breadth-first search per router over
+        // the router backbone — one next hop per remote network, the
+        // aggregation a real AS-level forwarding table has, at O(n·(n + e))
+        // build cost and n² memory. Hosts are leaves on their tail circuit
+        // and can never be transit.
         debug_assert!(router_nodes.iter().enumerate().all(|(i, n)| n.0 == i));
         let hops = (self.routing == RoutingMode::AllPairs).then(|| {
             let up = (0..n).filter_map(|i| Some((i, parent[i]?, uplinks[i]?)));
             let across = self.peerings.iter().zip(&peer_links);
-            let backbone: Vec<(NodeId, NodeId, LinkId, u64)> = up
+            let backbone: Vec<(NodeId, NodeId, LinkId)> = up
                 .chain(across.map(|(&(a, b, _), &link)| (a, b, link)))
-                .map(|(a, b, link)| (router_nodes[a], router_nodes[b], link, 1))
+                .map(|(a, b, link)| (router_nodes[a], router_nodes[b], link))
                 .collect();
             NextHops::compute(n, &backbone)
         });
@@ -1263,7 +1264,7 @@ mod proptests {
             match self.mode {
                 RoutingMode::AllPairs => {
                     let up = (0..n).filter_map(|x| Some((x, self.parent[x]?, self.uplink[x]?)));
-                    let edge = |(a, b, link)| (NodeId(a), NodeId(b), link, 1);
+                    let edge = |(a, b, link)| (NodeId(a), NodeId(b), link);
                     let edges: Vec<_> = up.chain(self.peerings.iter().copied()).map(edge).collect();
                     let hops = NextHops::compute(n, &edges);
                     let hop = |r| Some((self.prefix[r], hops.next_hop(NodeId(i), NodeId(r))?));

@@ -995,6 +995,17 @@ impl Simulator {
         } = single.core;
         let node_total = part.shard_of.len();
         let shard_of = Arc::clone(&part.shard_of);
+        // Each shard's links, a cut link's stubs included, counted first so
+        // every shard's array is allocated once at its size.
+        let mut link_count = vec![0usize; k];
+        for link in &links {
+            let (a, b) = link.endpoints();
+            let (sa, sb) = (part.shard_of[a.0] as usize, part.shard_of[b.0] as usize);
+            link_count[sa] += 1;
+            if sb != sa {
+                link_count[sb] += 1;
+            }
+        }
         let mut shards: Vec<Shard> = (0..k)
             .map(|s| {
                 let mut events = EventQueue::new();
@@ -1002,7 +1013,7 @@ impl Simulator {
                 Shard {
                     core: SimCore {
                         events,
-                        links: Vec::new(),
+                        links: Vec::with_capacity(link_count[s]),
                         link_idx: vec![u32::MAX; self.link_total],
                         cut_of: Arc::new(Vec::new()),
                         staged_cut: Vec::new(),
@@ -1048,6 +1059,7 @@ impl Simulator {
             }
         }
         debug_assert_eq!(cut_links.len(), part.cut_links.len());
+        debug_assert!((shards.iter().zip(&link_count)).all(|(s, &n)| s.core.links.len() == n));
         let cut_of = Arc::new(cut_of);
         for shard in &mut shards {
             shard.core.cut_of = Arc::clone(&cut_of);

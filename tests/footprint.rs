@@ -1,13 +1,13 @@
 //! The footprint of an element nothing ever happened to: its wiring only.
 //! What elements write — counters, link queues, filter and shadow storage,
-//! a router's control plane, a host's victim agent — is made by the first
-//! event that needs it, and what routers read is the declared provider
-//! tree, stored once per world, so the per-element sizes and the bytes a
-//! large world asks the allocator for are what the paper's resource
-//! argument (Section IV) says they should be: independent of the
-//! protocol's tables.
+//! a router's control plane, a host's victim agent, counters and
+//! self-filters — is made by the first event that needs it, and what
+//! routers read is the declared provider tree, stored once per world, so
+//! the per-element sizes and the bytes a large world asks the allocator
+//! for are what the paper's resource argument (Section IV) says they
+//! should be: independent of the protocol's tables.
 
-use aitf::core::{AitfConfig, BorderRouter, EndHost};
+use aitf::core::{AitfConfig, BorderRouter, EndHost, HostPolicy};
 use aitf::netsim::Link;
 use aitf::packet::alloc_probe::CountingAlloc;
 use aitf::packet::Packet;
@@ -16,15 +16,16 @@ use aitf::scenario::{PowerLawSpec, TopologySpec};
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-// Exact sizes when these bounds were set: 64 / 136 / 296 bytes (592 /
+// Exact sizes when these bounds were set: 64 / 136 / 88 bytes (592 /
 // 1,376 / 912 with every table and queue laid out inline, a router 600
 // with its counters and two empty tables inline, 192 while every router
-// held its own copy of the deployment view, and 144 while it kept spans
-// of the world's forwarding and client arrays).
+// held its own copy of the deployment view, 144 while it kept spans of
+// the world's forwarding and client arrays, and a host 296 with its
+// counters and self-filter table inline).
 const _: () = {
     assert!(std::mem::size_of::<Link>() <= 64);
     assert!(std::mem::size_of::<BorderRouter>() <= 136);
-    assert!(std::mem::size_of::<EndHost>() <= 320);
+    assert!(std::mem::size_of::<EndHost>() <= 96);
 };
 
 // What a hop moves: a packet is written into the event queue's pool once
@@ -92,5 +93,34 @@ fn a_power_law_spec_is_generated_in_a_fixed_number_of_allocations() {
     assert!(
         allocs <= 128,
         "generating the spec made {allocs} allocations"
+    );
+}
+
+/// The world the per-host pins build: a two-level tree of 100 leaf
+/// networks with 100 hosts each, and the victim.
+fn tree_spec() -> TopologySpec {
+    TopologySpec::tree(2, 10, 100, HostPolicy::Malicious, 10_000_000)
+}
+
+#[test]
+fn a_tree_world_is_built_within_its_per_host_budget() {
+    let spec = tree_spec();
+    let build = || CountingAlloc::count_bytes(|| spec.build(7, AitfConfig::default()));
+    let ((built, bytes), allocs) = CountingAlloc::count(build);
+    let hosts = built.world.host_count() as u64;
+    assert_eq!(hosts, 10_001);
+    // Every byte and allocation requested while building, transient ones
+    // included: 527 B and 1.03 allocations per host when the bounds were
+    // set, one box of the host's wiring each (805 B and 1.12 while every
+    // host held its counters and self-filter table inline and next hops
+    // came from a heap-based Dijkstra pass per router).
+    let per_host = bytes / hosts;
+    assert!(
+        per_host <= 605,
+        "building a {hosts}-host tree requested {per_host} B per host"
+    );
+    assert!(
+        100 * allocs <= 119 * hosts,
+        "building a {hosts}-host tree made {allocs} allocations"
     );
 }
