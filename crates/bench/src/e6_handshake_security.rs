@@ -12,8 +12,7 @@
 //! 3. **verification disabled** (ablation) — the off-path forgery
 //!    succeeds, demonstrating why the handshake exists.
 
-use aitf_attack::RequestForger;
-use aitf_core::{AitfConfig, RouterPolicy};
+use aitf_core::{AitfConfig, RequestForger, RouterPolicy};
 use aitf_engine::{Params, ScenarioSpec};
 use aitf_netsim::SimDuration;
 use aitf_packet::FlowLabel;

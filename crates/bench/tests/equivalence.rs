@@ -1,13 +1,9 @@
 //! Equivalence suite: pins the quick-mode `RunRecord`s of every registered
 //! experiment bit-identically against a committed fixture.
 //!
-//! The E1–E11 + figures lines were captured from the pre-`aitf-scenario`
-//! experiment code (each experiment hand-rolling its `WorldBuilder` +
-//! `aitf-attack` setup); the declarative ports must reproduce the exact
-//! same records — same params, same metrics (every f64 bit), same seeds,
-//! same simulator event counts — at any thread count. Experiments born on
-//! the new API (E12 onward) are pinned from their introduction.
-//! `deterministic_eq`'s fields are exactly what the rendered lines
+//! Every record must reproduce exactly — same params, same metrics (every
+//! f64 bit), same seeds, same simulator event counts — at any thread
+//! count. `deterministic_eq`'s fields are exactly what the rendered lines
 //! contain; wall time is excluded.
 //!
 //! Every registered point runs through `harness::run_scenario` /

@@ -15,9 +15,7 @@
 
 #![cfg(not(feature = "trace"))]
 
-use aitf_netsim::{
-    impl_node_any, Context, LinkId, LinkParams, NetworkBuilder, Node, SimDuration, Simulator,
-};
+use aitf_netsim::{Context, LinkId, LinkParams, NetworkBuilder, Node, SimDuration, Simulator};
 use aitf_packet::alloc_probe::CountingAlloc;
 use aitf_packet::{Addr, Header, Packet, TrafficClass};
 
@@ -44,8 +42,6 @@ impl Node for Source {
         ctx.send(link, Packet::data(id, h, TrafficClass::Attack, 600));
         ctx.set_timer(self.gap, 0);
     }
-
-    impl_node_any!();
 }
 
 /// Forwards every arrival out of its other link, stamping the route
@@ -69,16 +65,12 @@ impl Node for Relay {
             }
         }
     }
-
-    impl_node_any!();
 }
 
 struct Sink;
 
 impl Node for Sink {
     fn on_packet(&mut self, _p: Packet, _l: LinkId, _ctx: &mut Context<'_>) {}
-
-    impl_node_any!();
 }
 
 /// Source → relay × `hops` → sink over finite links, as in the bench.
@@ -122,27 +114,10 @@ fn chain(hops: usize) -> Simulator {
 // ----------------------------------------------------------------------
 
 use aitf_core::{AitfConfig, DefensePolicy, HostPolicy, WorldBuilder};
-use aitf_packet::Protocol;
 
-/// Steady flood as a host app (mirrors aitf-attack's FloodSource without
-/// the dependency).
-struct HostFlood {
-    target: Addr,
-    period: SimDuration,
-}
-
-impl aitf_core::TrafficApp for HostFlood {
-    fn on_start(&mut self, api: &mut aitf_core::HostApi<'_, '_>) {
-        api.set_timer(self.period, 0);
-    }
-
-    fn on_timer(&mut self, _t: u32, api: &mut aitf_core::HostApi<'_, '_>) {
-        api.send_from_self(self.target, Protocol::Udp, 80, TrafficClass::Attack, 500);
-        api.set_timer(self.period, 0);
-    }
-}
-
-/// A two-zombie star flooding one victim, every router running `policy`.
+/// A two-zombie star flooding one victim, every router running `policy`:
+/// each zombie runs the workloads' own [`aitf_core::Source`], 10,000
+/// packets/s of 500 B with the first one period in.
 /// Long timers keep installs/expiries/disconnections out of the probe
 /// window: after warm-up the defense is pure per-packet work.
 fn policy_world(policy: DefensePolicy) -> aitf_core::World {
@@ -163,13 +138,9 @@ fn policy_world(policy: DefensePolicy) -> aitf_core::World {
     let mut w = b.build();
     let target = w.host_addr(v);
     for a in [a0, a1] {
-        w.add_app(
-            a,
-            Box::new(HostFlood {
-                target,
-                period: SimDuration::from_micros(100),
-            }),
-        );
+        let flood = aitf_core::Source::flood(target, 10_000, 500)
+            .starting_after(SimDuration::from_micros(100));
+        w.add_app(a, Box::new(flood));
     }
     w
 }

@@ -3,9 +3,9 @@
 //! An [`EndHost`] is a victim, an attacker, a legitimate client, or any mix
 //! of the three. It carries:
 //!
-//! - pluggable **traffic applications** ([`TrafficApp`]) — flood sources,
-//!   on-off attackers, legitimate request generators (implemented in the
-//!   `aitf-attack` crate);
+//! - pluggable **traffic applications** ([`TrafficApp`]) — floods,
+//!   on-off attackers, spoofers and legitimate clients, all a
+//!   [`Source`](crate::Source) (see [`crate::traffic`]);
 //! - the **victim agent**: attack detection (oracle with delay `Td`; fast
 //!   re-detection of logged flows per footnote 8), filtering-request
 //!   origination, the request log used to answer verification queries, and
@@ -21,7 +21,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use aitf_filter::{FilterTable, TokenBucket};
-use aitf_netsim::{impl_node_any, Context, LinkId, Node, SimDuration, SimTime};
+use aitf_netsim::{Context, LinkId, Node, SimDuration, SimTime};
 use aitf_packet::{
     Addr, AitfMessage, FilteringRequest, FlowLabel, Header, Packet, Protocol, RequestDestination,
     TrafficClass, VerificationReply,
@@ -71,7 +71,6 @@ pub struct HostCounters {
 pub struct HostApi<'a, 'b> {
     ctx: &'a mut Context<'b>,
     addr: Addr,
-    gateway: Addr,
     uplink: LinkId,
     app_index: usize,
     /// The host's attachment generation at arming time; timers from an
@@ -94,30 +93,19 @@ impl HostApi<'_, '_> {
         self.addr
     }
 
-    /// This host's gateway address.
-    pub fn gateway(&self) -> Addr {
-        self.gateway
-    }
-
-    /// Deterministic RNG.
-    pub fn rng(&mut self) -> &mut rand::rngs::StdRng {
-        self.ctx.rng()
-    }
-
     /// Arms a one-shot timer delivered back to this app's
-    /// [`TrafficApp::on_timer`] with `app_token`.
+    /// [`TrafficApp::on_timer`].
     ///
-    /// The token carries the app index and the host's current attachment
+    /// The timer carries the app index and the host's current attachment
     /// epoch; a timer armed before a detach is stale afterwards and never
     /// delivered, so a detach→attach cycle can never leave two concurrent
     /// timer chains running (the double-rate hazard of dynamic worlds).
-    pub fn set_timer(&mut self, delay: SimDuration, app_token: u32) {
+    pub fn set_timer(&mut self, delay: SimDuration) {
         assert!(
             self.app_index + 1 < 1 << 16,
             "more than 65534 apps on one host"
         );
-        let token =
-            ((self.epoch as u64) << 48) | ((self.app_index as u64 + 1) << 32) | app_token as u64;
+        let token = ((self.epoch as u64) << 48) | ((self.app_index as u64 + 1) << 32);
         self.ctx.set_timer(delay, token);
     }
 
@@ -162,33 +150,18 @@ impl HostApi<'_, '_> {
         packet.id = self.ctx.next_packet_id();
         self.ctx.send(self.uplink, packet)
     }
-
-    /// Sends a data packet sourced from this host's own address.
-    pub fn send_from_self(
-        &mut self,
-        dst: Addr,
-        proto: Protocol,
-        dst_port: u16,
-        class: TrafficClass,
-        size_bytes: u32,
-    ) -> bool {
-        self.send_data(self.addr, dst, proto, 0, dst_port, class, size_bytes)
-    }
 }
 
-/// A traffic generator or responder running on an [`EndHost`].
-///
-/// Implementations live in the `aitf-attack` crate (floods, on-off
-/// attackers, legitimate clients and echo servers).
+/// A traffic generator running on an [`EndHost`]: the
+/// [`Source`](crate::Source) every workload runs, the
+/// [`RequestForger`](crate::RequestForger), or a test's own burst.
 pub trait TrafficApp: Send + 'static {
-    /// Called once when the simulation starts.
+    /// Called when the simulation starts, and again when a detached host
+    /// is reattached.
     fn on_start(&mut self, api: &mut HostApi<'_, '_>);
 
     /// A timer armed through [`HostApi::set_timer`] fired.
-    fn on_timer(&mut self, _token: u32, _api: &mut HostApi<'_, '_>) {}
-
-    /// A data packet was delivered to this host.
-    fn on_packet(&mut self, _packet: &Packet, _api: &mut HostApi<'_, '_>) {}
+    fn on_timer(&mut self, _api: &mut HostApi<'_, '_>) {}
 }
 
 /// A streaming observer of every data packet a host accepts.
@@ -197,7 +170,7 @@ pub trait TrafficApp: Send + 'static {
 /// scenario layer hangs a sketch/reservoir aggregator off the victim and
 /// sees `(src, class, size)` per delivered packet without the host
 /// materializing any per-flow state. Exactly one tap per host; it fires
-/// after the delivery counters update, before the traffic apps.
+/// after the delivery counters update.
 pub trait RxTap: Send + 'static {
     /// One data packet was delivered: source address, traffic class, wire
     /// size. Must be O(1) and allocation-free — it runs on the hot path.
@@ -476,7 +449,6 @@ impl EndHost {
         let mut api = HostApi {
             ctx,
             addr: self.addr,
-            gateway: self.gateway,
             uplink: self.uplink,
             app_index,
             epoch: self.attach_epoch,
@@ -682,9 +654,6 @@ impl Node for EndHost {
                     self.on_rate_trip(src, ctx);
                 }
             }
-            for i in 0..self.apps.len() {
-                self.with_api(i, ctx, |app, api| app.on_packet(&packet, api));
-            }
         } else {
             self.handle_control(&packet, ctx);
         }
@@ -716,11 +685,8 @@ impl Node for EndHost {
             return;
         }
         let app_index = (app_ns - 1) as usize;
-        let app_token = (token & 0xffff_ffff) as u32;
-        self.with_api(app_index, ctx, |app, api| app.on_timer(app_token, api));
+        self.with_api(app_index, ctx, |app, api| app.on_timer(api));
     }
-
-    impl_node_any!();
 }
 
 #[cfg(test)]

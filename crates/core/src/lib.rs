@@ -29,6 +29,8 @@
 //! - [`pushback`] — state for the hop-by-hop pushback baseline policy.
 //! - [`host`] — [`EndHost`]: victim agent, attacker compliance, pluggable
 //!   [`TrafficApp`]s.
+//! - [`traffic`] — [`Source`], the one sender every workload runs (flood,
+//!   on-off, spoof, client), and the [`RequestForger`].
 //! - [`world`] — [`WorldBuilder`]: networks, hosts, routing, contracts.
 //!
 //! ## Quickstart
@@ -58,6 +60,7 @@ pub mod policy;
 mod proto_tests;
 pub mod pushback;
 pub mod router;
+pub mod traffic;
 pub mod world;
 
 pub use config::{AitfConfig, Contract, HostPolicy, RouterPolicy};
@@ -70,6 +73,7 @@ pub use pipeline::{PolicyChains, StageId, Verdict};
 pub use policy::DefensePolicy;
 pub use pushback::{PushbackCounters, PushbackState, LINK_LOCAL, MAX_PUSHBACK_DEPTH};
 pub use router::{BorderRouter, RouterCounters};
+pub use traffic::{RequestForger, Source};
 pub use world::{HostId, NetId, NetLabel, RoutingMode, World, WorldBuilder};
 
 /// A world and everything in it can move to a shard thread — with the

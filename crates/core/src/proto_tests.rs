@@ -9,89 +9,19 @@
 #![cfg(test)]
 
 use aitf_netsim::{SimDuration, SimTime};
-use aitf_packet::{
-    Addr, AitfMessage, FilteringRequest, FlowLabel, Packet, Protocol, RequestDestination,
-    TrafficClass,
-};
+use aitf_packet::{Addr, AitfMessage, FlowLabel, Packet, Protocol, TrafficClass};
 
 use crate::config::{AitfConfig, HostPolicy, RouterPolicy};
 use crate::host::{HostApi, TrafficApp};
 use crate::policy::DefensePolicy;
+use crate::traffic::{RequestForger, Source};
 use crate::world::{HostId, NetId, World, WorldBuilder};
 
-/// A constant-rate UDP flood: one packet every `period`.
-struct TestFlood {
-    target: Addr,
-    period: SimDuration,
-    size: u32,
-}
-
-impl TrafficApp for TestFlood {
-    fn on_start(&mut self, api: &mut HostApi<'_, '_>) {
-        api.set_timer(self.period, 0);
-    }
-
-    fn on_timer(&mut self, _token: u32, api: &mut HostApi<'_, '_>) {
-        api.send_from_self(
-            self.target,
-            Protocol::Udp,
-            80,
-            TrafficClass::Attack,
-            self.size,
-        );
-        api.set_timer(self.period, 0);
-    }
-}
-
-/// A one-shot forged filtering request sent straight to a gateway address.
-struct ForgeRequest {
-    to_gateway: Addr,
-    claim_flow: FlowLabel,
-    delay: SimDuration,
-}
-
-impl TrafficApp for ForgeRequest {
-    fn on_start(&mut self, api: &mut HostApi<'_, '_>) {
-        api.set_timer(self.delay, 1);
-    }
-
-    fn on_timer(&mut self, _token: u32, api: &mut HostApi<'_, '_>) {
-        let req = FilteringRequest {
-            id: 999_999,
-            flow: self.claim_flow,
-            dest: RequestDestination::AttackerGateway,
-            duration_ns: 60_000_000_000,
-            path: Default::default(),
-            round: 1,
-        };
-        // Hand-roll the control packet (a compromised node is not polite).
-        let now_unused = api.now();
-        let _ = now_unused;
-        let src = api.my_addr();
-        let pkt = Packet::control(0, src, self.to_gateway, AitfMessage::FilteringRequest(req));
-        // Send through the host's uplink via the public API: send_data is
-        // for data packets, so use a tiny shim — the forged request is a
-        // control payload, which HostApi does not offer; emulate by direct
-        // construction through send_raw below.
-        api.send_raw(pkt);
-    }
-}
-
-/// Legitimate constant-rate traffic for collateral-damage checks.
-struct TestLegit {
-    target: Addr,
-    period: SimDuration,
-}
-
-impl TrafficApp for TestLegit {
-    fn on_start(&mut self, api: &mut HostApi<'_, '_>) {
-        api.set_timer(self.period, 2);
-    }
-
-    fn on_timer(&mut self, _token: u32, api: &mut HostApi<'_, '_>) {
-        api.send_from_self(self.target, Protocol::Tcp, 443, TrafficClass::Legit, 500);
-        api.set_timer(self.period, 2);
-    }
+/// A constant-rate flood of `pps` packets/second whose first packet goes
+/// out one period in.
+fn periodic_flood(target: Addr, pps: u64, size: u32) -> Box<Source> {
+    let period = SimDuration::from_nanos(1_000_000_000 / pps);
+    Box::new(Source::flood(target, pps, size).starting_after(period))
 }
 
 /// The paper's Figure 1: G_host–G_gw1–G_gw2–G_gw3 = B_gw3–B_gw2–B_gw1–B_host.
@@ -134,14 +64,8 @@ fn fig1(cfg: AitfConfig, attacker_policy: HostPolicy) -> Fig1 {
 
 fn flood(f: &mut Fig1, pps: u64, size: u32) {
     let target = f.world.host_addr(f.victim);
-    f.world.add_app(
-        f.attacker,
-        Box::new(TestFlood {
-            target,
-            period: SimDuration::from_nanos(1_000_000_000 / pps),
-            size,
-        }),
-    );
+    f.world
+        .add_app(f.attacker, periodic_flood(target, pps, size));
 }
 
 #[test]
@@ -389,12 +313,8 @@ fn idle_routers_and_hosts_stay_idle_and_only_the_gateways_hold_control_state() {
     // its first gateway drops everything and nothing ever comes back)
     // holds the data its sends write, but no victim agent.
     let zombie = bystanders[1];
-    let nowhere = TestFlood {
-        target: Addr::new(192, 0, 2, 1),
-        period: SimDuration::from_millis(1),
-        size: 100,
-    };
-    f.world.activate_app(zombie, Box::new(nowhere));
+    let nowhere = periodic_flood(Addr::new(192, 0, 2, 1), 1000, 100);
+    f.world.activate_app(zombie, nowhere);
     f.world.sim.run_for(SimDuration::from_secs(1));
     let host = f.world.host(zombie);
     assert!(host.counters().tx_pkts > 0);
@@ -480,21 +400,15 @@ fn forged_request_is_denied_by_handshake() {
     let v_addr = world.host_addr(v);
     let a_gw = world.router_addr(a_net);
     // A sends legitimate traffic to V.
-    world.add_app(
-        a,
-        Box::new(TestLegit {
-            target: v_addr,
-            period: SimDuration::from_millis(10),
-        }),
-    );
+    world.add_app(a, Box::new(Source::client(v_addr, 100, 500)));
     // M forges a request claiming V wants A blocked.
     world.add_app(
         m,
-        Box::new(ForgeRequest {
-            to_gateway: a_gw,
-            claim_flow: FlowLabel::src_dst(a_addr, v_addr),
-            delay: SimDuration::from_secs(1),
-        }),
+        Box::new(RequestForger::new(
+            a_gw,
+            FlowLabel::src_dst(a_addr, v_addr),
+            SimDuration::from_secs(1),
+        )),
     );
     world.sim.run_for(SimDuration::from_secs(5));
 
@@ -535,20 +449,14 @@ fn forgery_succeeds_without_verification_ablation() {
     let a_addr = world.host_addr(a);
     let v_addr = world.host_addr(v);
     let a_gw = world.router_addr(a_net);
-    world.add_app(
-        a,
-        Box::new(TestLegit {
-            target: v_addr,
-            period: SimDuration::from_millis(10),
-        }),
-    );
+    world.add_app(a, Box::new(Source::client(v_addr, 100, 500)));
     world.add_app(
         m,
-        Box::new(ForgeRequest {
-            to_gateway: a_gw,
-            claim_flow: FlowLabel::src_dst(a_addr, v_addr),
-            delay: SimDuration::from_secs(1),
-        }),
+        Box::new(RequestForger::new(
+            a_gw,
+            FlowLabel::src_dst(a_addr, v_addr),
+            SimDuration::from_secs(1),
+        )),
     );
     world.sim.run_for(SimDuration::from_secs(5));
 
@@ -724,14 +632,7 @@ fn deterministic_end_to_end() {
         );
         let mut w = b.build();
         let target = w.host_addr(v);
-        w.add_app(
-            a,
-            Box::new(TestFlood {
-                target,
-                period: SimDuration::from_millis(2),
-                size: 600,
-            }),
-        );
+        w.add_app(a, periodic_flood(target, 500, 600));
         w.sim.run_for(SimDuration::from_secs(5));
         let vc = w.host(v).counters();
         (

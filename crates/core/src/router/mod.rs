@@ -20,9 +20,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, RwLock};
 
 use aitf_filter::{FilterTable, RateLimiterBank, ShadowCache};
-use aitf_netsim::{
-    impl_node_any, Buckets, Context, LinkId, NextHops, Node, NodeId, SimTime, Subsystem,
-};
+use aitf_netsim::{Buckets, Context, LinkId, NextHops, Node, NodeId, SimTime, Subsystem};
 use aitf_packet::{
     Addr, AitfMessage, FilteringRequest, FlowLabel, Nonce, Packet, PayloadKind, Prefix,
     PrefixSlice, RouteRecord, VerificationReply,
@@ -885,6 +883,4 @@ impl Node for BorderRouter {
     fn subsystem(&self) -> Subsystem {
         Subsystem::RouterData
     }
-
-    impl_node_any!();
 }

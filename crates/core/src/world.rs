@@ -32,6 +32,7 @@
 //! assert!(world.host_addr(host).to_string().starts_with("10.1."));
 //! ```
 
+use std::any::Any;
 use std::fmt;
 use std::sync::{Arc, RwLock};
 
@@ -684,7 +685,7 @@ impl World {
         }
         let node = self.host_nodes[host.0];
         self.sim.with_node_ctx(node, |n, ctx| {
-            n.as_any_mut()
+            (n as &mut dyn Any)
                 .downcast_mut::<EndHost>()
                 .expect("host node")
                 .install_app_now(app, ctx);
@@ -720,7 +721,7 @@ impl World {
         if self.sim.is_started() {
             let node = self.host_nodes[host.0];
             self.sim.with_node_ctx(node, |n, ctx| {
-                n.as_any_mut()
+                (n as &mut dyn Any)
                     .downcast_mut::<EndHost>()
                     .expect("host node")
                     .restart_apps(ctx);
@@ -826,58 +827,24 @@ mod tests {
         assert_eq!(w.sim.now().as_secs_f64(), 1.0);
     }
 
-    /// A minimal constant-rate sender for the dynamic-world tests (the
-    /// real sources live in `aitf-attack`, which this crate cannot
-    /// depend on).
-    struct TestTicker {
-        to: Addr,
+    /// A legitimate client sending 100 B every 10 ms, the first packet
+    /// 10 ms in.
+    fn ticker(to: Addr) -> Box<crate::Source> {
+        Box::new(crate::Source::client(to, 100, 100))
     }
 
-    impl crate::TrafficApp for TestTicker {
-        fn on_start(&mut self, api: &mut crate::HostApi<'_, '_>) {
-            api.set_timer(SimDuration::from_millis(10), 0);
-        }
-
-        fn on_timer(&mut self, _token: u32, api: &mut crate::HostApi<'_, '_>) {
-            api.send_from_self(
-                self.to,
-                aitf_packet::Protocol::Udp,
-                80,
-                aitf_packet::TrafficClass::Legit,
-                100,
-            );
-            api.set_timer(SimDuration::from_millis(10), 0);
-        }
-    }
-
-    /// [`TestTicker`] sending attack-class packets: what AITF filters at
-    /// the sender's gateway.
-    struct TestFlood {
-        to: Addr,
-    }
-
-    impl crate::TrafficApp for TestFlood {
-        fn on_start(&mut self, api: &mut crate::HostApi<'_, '_>) {
-            api.set_timer(SimDuration::from_millis(10), 0);
-        }
-
-        fn on_timer(&mut self, _token: u32, api: &mut crate::HostApi<'_, '_>) {
-            api.send_from_self(
-                self.to,
-                aitf_packet::Protocol::Udp,
-                80,
-                aitf_packet::TrafficClass::Attack,
-                100,
-            );
-            api.set_timer(SimDuration::from_millis(10), 0);
-        }
+    /// [`ticker`]'s schedule in attack-class packets: what AITF filters
+    /// at the sender's gateway.
+    fn flood(to: Addr) -> Box<crate::Source> {
+        let period = SimDuration::from_millis(10);
+        Box::new(crate::Source::flood(to, 100, 100).starting_after(period))
     }
 
     #[test]
     fn detach_silences_a_host_and_attach_revives_it() {
         let (mut w, _, _, v, a) = two_level_world();
         let victim_addr = w.host_addr(v);
-        w.add_app(a, Box::new(TestTicker { to: victim_addr }));
+        w.add_app(a, ticker(victim_addr));
         w.sim.run_for(SimDuration::from_secs(1));
         let tx_before = w.host(a).counters().tx_pkts;
         let rx_before = w.host(v).counters().rx_legit_pkts;
@@ -904,7 +871,7 @@ mod tests {
     fn host_detached_before_start_joins_on_attach() {
         let (mut w, _, _, v, a) = two_level_world();
         let victim_addr = w.host_addr(v);
-        w.add_app(a, Box::new(TestTicker { to: victim_addr }));
+        w.add_app(a, ticker(victim_addr));
         w.detach_host(a);
         w.sim.run_for(SimDuration::from_secs(1));
         assert_eq!(w.host(a).counters().tx_pkts, 0, "dormant until attach");
@@ -920,7 +887,7 @@ mod tests {
         // stamp must kill it, or restart_apps doubles the send rate.
         let (mut w, _, _, v, a) = two_level_world();
         let victim_addr = w.host_addr(v);
-        w.add_app(a, Box::new(TestTicker { to: victim_addr }));
+        w.add_app(a, ticker(victim_addr));
         w.sim.run_for(SimDuration::from_secs(1));
         let tx_before = w.host(a).counters().tx_pkts;
         w.detach_host(a);
@@ -935,7 +902,7 @@ mod tests {
     fn attaching_an_attached_host_is_a_no_op() {
         let (mut w, _, _, v, a) = two_level_world();
         let victim_addr = w.host_addr(v);
-        w.add_app(a, Box::new(TestTicker { to: victim_addr }));
+        w.add_app(a, ticker(victim_addr));
         w.sim.run_for(SimDuration::from_secs(1));
         let tx_before = w.host(a).counters().tx_pkts;
         // Never detached: attach must not restart (and duplicate) the
@@ -996,7 +963,7 @@ mod tests {
         let run = |shards: usize| {
             let (mut w, _, _, v, a) = two_level_world();
             let victim_addr = w.host_addr(v);
-            w.add_app(a, Box::new(TestTicker { to: victim_addr }));
+            w.add_app(a, ticker(victim_addr));
             if shards > 1 {
                 let spec = w.shard_hints();
                 let part = w.sim.apply_shards(shards, &spec).expect("partition");
@@ -1053,7 +1020,7 @@ mod tests {
         let victim_addr = w.host_addr(victim);
         let senders = &hosts[..8];
         for &h in senders {
-            w.add_app(h, Box::new(TestFlood { to: victim_addr }));
+            w.add_app(h, flood(victim_addr));
         }
         let spec = w.shard_hints();
         let part = w.sim.apply_shards(2, &spec).expect("partition");
@@ -1092,7 +1059,7 @@ mod tests {
             let a = b.host(leaf);
             let mut w = b.build();
             let victim_addr = w.host_addr(v);
-            w.add_app(a, Box::new(TestTicker { to: victim_addr }));
+            w.add_app(a, ticker(victim_addr));
             w.sim.run_for(SimDuration::from_secs(2));
             (
                 w.sim.dispatched_events(),
@@ -1111,16 +1078,16 @@ mod tests {
 
     impl crate::TrafficApp for OneShot {
         fn on_start(&mut self, api: &mut crate::HostApi<'_, '_>) {
-            api.send_from_self(
+            api.send_data(
+                api.my_addr(),
                 self.to,
                 aitf_packet::Protocol::Udp,
+                0,
                 80,
                 aitf_packet::TrafficClass::Legit,
                 100,
             );
         }
-
-        fn on_timer(&mut self, _token: u32, _api: &mut crate::HostApi<'_, '_>) {}
     }
 
     /// One packet from the host in `leaf` to `dst` on a wan → isp → leaf
@@ -1211,7 +1178,7 @@ mod tests {
         let victim_addr = w.host_addr(v);
         w.sim.run_for(SimDuration::from_secs(1));
         assert_eq!(w.host(a).counters().tx_pkts, 0);
-        w.activate_app(a, Box::new(TestTicker { to: victim_addr }));
+        w.activate_app(a, ticker(victim_addr));
         w.sim.run_for(SimDuration::from_secs(1));
         let tx = w.host(a).counters().tx_pkts;
         assert!((90..=101).contains(&tx), "tx = {tx}");

@@ -3,10 +3,10 @@
 //! ported behavioral suite of the former `aitf-baseline` crate.
 
 use aitf_core::{
-    AitfConfig, DefensePolicy, HostId, HostPolicy, NetId, StageId, World, WorldBuilder,
+    AitfConfig, DefensePolicy, HostId, HostPolicy, NetId, Source, StageId, World, WorldBuilder,
 };
 use aitf_netsim::SimDuration;
-use aitf_packet::{Addr, Protocol, TrafficClass};
+use aitf_packet::Addr;
 
 fn pushback_config() -> AitfConfig {
     AitfConfig {
@@ -15,22 +15,10 @@ fn pushback_config() -> AitfConfig {
     }
 }
 
-/// Minimal flood app (mirrors aitf-attack's FloodSource without the
-/// dependency, to keep the crate graph acyclic).
-struct Flood {
-    target: Addr,
-    period: SimDuration,
-}
-
-impl aitf_core::TrafficApp for Flood {
-    fn on_start(&mut self, api: &mut aitf_core::HostApi<'_, '_>) {
-        api.set_timer(self.period, 0);
-    }
-
-    fn on_timer(&mut self, _t: u32, api: &mut aitf_core::HostApi<'_, '_>) {
-        api.send_from_self(self.target, Protocol::Udp, 80, TrafficClass::Attack, 500);
-        api.set_timer(self.period, 0);
-    }
+/// 1000 packets/s of 500 B, the first one 1 ms in.
+fn flood(target: Addr) -> Box<Source> {
+    let period = SimDuration::from_millis(1);
+    Box::new(Source::flood(target, 1000, 500).starting_after(period))
 }
 
 fn chain_world(
@@ -77,13 +65,7 @@ fn chain_world(
 fn pushback_walks_hop_by_hop_to_the_attacker_edge() {
     let (mut w, g_chain, b_chain, v, a) = chain_world(3, None);
     let target = w.host_addr(v);
-    w.add_app(
-        a,
-        Box::new(Flood {
-            target,
-            period: SimDuration::from_millis(1),
-        }),
-    );
+    w.add_app(a, flood(target));
     w.sim.run_for(SimDuration::from_secs(5));
 
     // EVERY router on the path ends up holding a filter — the paper's
@@ -107,13 +89,7 @@ fn one_rogue_hop_silently_breaks_the_chain() {
     // The middle attacker-side router ignores pushback.
     let (mut w, _g, b_chain, v, a) = chain_world(3, Some(1));
     let target = w.host_addr(v);
-    w.add_app(
-        a,
-        Box::new(Flood {
-            target,
-            period: SimDuration::from_millis(1),
-        }),
-    );
+    w.add_app(a, flood(target));
     w.sim.run_for(SimDuration::from_secs(5));
 
     // Nothing upstream of the rogue ever installs a filter: pushback
@@ -148,13 +124,7 @@ fn one_rogue_hop_silently_breaks_the_chain() {
 fn victim_side_still_blocks_under_pushback() {
     let (mut w, _g, _b, v, a) = chain_world(2, None);
     let target = w.host_addr(v);
-    w.add_app(
-        a,
-        Box::new(Flood {
-            target,
-            period: SimDuration::from_millis(1),
-        }),
-    );
+    w.add_app(a, flood(target));
     w.sim.run_for(SimDuration::from_secs(3));
     let c = w.host(v).counters();
     assert!(c.rx_attack_pkts < 400, "victim leak {}", c.rx_attack_pkts);

@@ -27,14 +27,13 @@
 //! # Examples
 //!
 //! ```
-//! use aitf_netsim::{impl_node_any, Context, LinkId, LinkParams, NetworkBuilder, Node, SimDuration};
+//! use aitf_netsim::{Context, LinkId, LinkParams, NetworkBuilder, Node, SimDuration};
 //! use aitf_packet::Packet;
 //!
 //! struct Sink;
 //!
 //! impl Node for Sink {
 //!     fn on_packet(&mut self, _p: Packet, _l: LinkId, _ctx: &mut Context<'_>) {}
-//!     impl_node_any!();
 //! }
 //!
 //! let mut b = NetworkBuilder::new(42);

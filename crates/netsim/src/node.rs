@@ -22,11 +22,11 @@ pub struct NodeId(pub usize);
 /// An event-driven participant in the simulated network.
 ///
 /// Handlers must not block or sleep; they react to one event and return.
-/// The `as_any` hooks allow experiments to downcast installed nodes and read
-/// their state after a run (e.g. a victim's goodput counters). Nodes are
-/// `Send` in every build: the shard workers of a partitioned simulation run
-/// on threads, traced or not.
-pub trait Node: Send + 'static {
+/// A node upcasts to [`Any`], so experiments can downcast installed nodes
+/// and read their state after a run (e.g. a victim's goodput counters).
+/// Nodes are `Send` in every build: the shard workers of a partitioned
+/// simulation run on threads, traced or not.
+pub trait Node: Any + Send {
     /// Called once when the simulation starts, in node-id order; sources
     /// typically arm their first timer here.
     fn on_start(&mut self, _ctx: &mut Context<'_>) {}
@@ -45,40 +45,6 @@ pub trait Node: Send + 'static {
     fn subsystem(&self) -> aitf_trace::Subsystem {
         aitf_trace::Subsystem::HostApp
     }
-
-    /// Downcast support.
-    fn as_any(&self) -> &dyn Any;
-
-    /// Mutable downcast support.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
-}
-
-/// Implements the `as_any`/`as_any_mut` boilerplate for a node type.
-///
-/// # Examples
-///
-/// ```
-/// use aitf_netsim::{impl_node_any, Context, LinkId, Node};
-/// use aitf_packet::Packet;
-///
-/// struct Sink;
-///
-/// impl Node for Sink {
-///     fn on_packet(&mut self, _p: Packet, _l: LinkId, _ctx: &mut Context<'_>) {}
-///     impl_node_any!();
-/// }
-/// ```
-#[macro_export]
-macro_rules! impl_node_any {
-    () => {
-        fn as_any(&self) -> &dyn ::std::any::Any {
-            self
-        }
-
-        fn as_any_mut(&mut self) -> &mut dyn ::std::any::Any {
-            self
-        }
-    };
 }
 
 /// The capability handle a node acts through during an event handler.
@@ -210,8 +176,6 @@ mod tests {
         fn on_packet(&mut self, _packet: Packet, _link: LinkId, _ctx: &mut Context<'_>) {
             self.received += 1;
         }
-
-        impl_node_any!();
     }
 
     #[test]
@@ -248,8 +212,6 @@ mod tests {
                 ctx.set_timer(SimDuration::from_millis(10), 0);
             }
         }
-
-        impl_node_any!();
     }
 
     #[test]

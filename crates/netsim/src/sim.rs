@@ -59,6 +59,7 @@
 //! counts what the loop did: events per shard, windows, inline windows,
 //! replayed operations.
 
+use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::DerefMut;
@@ -933,14 +934,14 @@ impl Simulator {
     pub fn node_ref<T: Node>(&self, id: NodeId) -> Option<&T> {
         self.shards[self.shard_of[id.0] as usize].nodes[id.0]
             .as_deref()
-            .and_then(|n| n.as_any().downcast_ref::<T>())
+            .and_then(|n| (n as &dyn Any).downcast_ref::<T>())
     }
 
     /// Mutable downcast of the node in slot `id`.
     pub fn node_mut<T: Node>(&mut self, id: NodeId) -> Option<&mut T> {
         self.shards[self.shard_of[id.0] as usize].nodes[id.0]
             .as_deref_mut()
-            .and_then(|n| n.as_any_mut().downcast_mut::<T>())
+            .and_then(|n| (n as &mut dyn Any).downcast_mut::<T>())
     }
 
     /// Splits the world into at most `k` shards along the group forest in
@@ -1289,7 +1290,6 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::impl_node_any;
     use aitf_packet::{Addr, Header, TrafficClass};
 
     /// Forwards every packet out of every other link; counts receptions.
@@ -1317,8 +1317,6 @@ mod tests {
                 }
             }
         }
-
-        impl_node_any!();
     }
 
     /// Sends `count` packets at start.
@@ -1337,8 +1335,6 @@ mod tests {
         }
 
         fn on_packet(&mut self, _p: Packet, _l: LinkId, _ctx: &mut Context<'_>) {}
-
-        impl_node_any!();
     }
 
     fn line_topology(n: usize) -> (Simulator, Vec<NodeId>) {
@@ -1589,8 +1585,6 @@ mod tests {
         fn on_packet(&mut self, _p: Packet, _l: LinkId, _ctx: &mut Context<'_>) {
             self.received += 1;
         }
-
-        impl_node_any!();
     }
 
     /// A chain of six nodes on 1 µs links with a ticker at either end

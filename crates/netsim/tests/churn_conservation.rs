@@ -15,8 +15,8 @@
 //! sit in the receiving shard's pool.
 
 use aitf_netsim::{
-    impl_node_any, Context, LinkDirection, LinkId, LinkParams, NetworkBuilder, Node, NodeId,
-    PartitionSpec, SimDuration, Simulator,
+    Context, LinkDirection, LinkId, LinkParams, NetworkBuilder, Node, NodeId, PartitionSpec,
+    SimDuration, Simulator,
 };
 use aitf_packet::{Addr, Header, Packet, TrafficClass};
 use proptest::prelude::*;
@@ -48,8 +48,6 @@ impl Node for FiniteSource {
         ctx.send(link, Packet::data(id, h, TrafficClass::Legit, 400));
         ctx.set_timer(self.period, 0);
     }
-
-    impl_node_any!();
 }
 
 /// Forwards everything from one side to the other along a chain.
@@ -65,8 +63,6 @@ impl Node for Relay {
             }
         }
     }
-
-    impl_node_any!();
 }
 
 /// Counts deliveries.
@@ -78,8 +74,6 @@ impl Node for Sink {
     fn on_packet(&mut self, _p: Packet, _l: LinkId, _ctx: &mut Context<'_>) {
         self.received += 1;
     }
-
-    impl_node_any!();
 }
 
 /// src → relay → sink over two finite-bandwidth links with small queues

@@ -3,10 +3,8 @@
 //! Scenario generators hand every AD a fresh /16; the allocator's sequence
 //! is part of a scenario's identity (addresses feed routing, flow labels
 //! and therefore results), so it is fixed forever: allocation `i` is
-//! `(10 + i/250).(i%250 + 1).0.0/16`. The first 12,500 allocations are
-//! identical to the historical `aitf_attack::scenarios::PrefixAlloc`
-//! sequence; the bound is now an explicit, checked [`PrefixAlloc::CAPACITY`]
-//! (60,000 networks) instead of an undocumented panic, which is what lets
+//! `(10 + i/250).(i%250 + 1).0.0/16`, up to the checked
+//! [`PrefixAlloc::CAPACITY`] (60,000 networks), which is what lets
 //! star/tree scenarios grow zombie armies far past 64 nets.
 
 use aitf_packet::{Addr, Prefix};
@@ -158,8 +156,7 @@ mod tests {
 
     #[test]
     fn sequence_matches_the_historical_allocator() {
-        // The first allocations must stay what `aitf_attack::scenarios`
-        // always produced: 10.1, 10.2, ..., 10.250, 11.1, ...
+        // The first allocations: 10.1, 10.2, ..., 10.250, 11.1, ...
         let mut alloc = PrefixAlloc::new();
         assert_eq!(alloc.next_slash16().to_string(), "10.1.0.0/16");
         for _ in 1..249 {

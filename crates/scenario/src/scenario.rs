@@ -1183,6 +1183,77 @@ mod tests {
         assert_eq!(enough.validate(), Ok(()));
     }
 
+    #[test]
+    fn validate_names_a_custom_entry_with_a_start_window() {
+        let custom = |on: HostSel| {
+            TrafficSpec::custom(on, |w, _| {
+                let victim = w.world.host_addr(w.victim());
+                Box::new(aitf_core::Source::flood(victim, 100, 500))
+            })
+        };
+        let staggered =
+            || custom(HostSel::Role(Role::Attacker)).staggered(SimDuration::from_millis(10));
+        let (entry, wave) = selection_errors(staggered);
+        let named = "custom traffic on Role(Attacker) cannot take a start window \
+                     (start_after 0s, stagger 10ms)";
+        assert!(entry.starts_with("workload entry #1: "), "{entry}");
+        assert!(entry.contains(named), "{entry}");
+        assert!(wave.contains(named), "{wave}");
+        let late = churn_star()
+            .traffic(custom(HostSel::Index(1)).starting_after(SimDuration::from_secs(1)));
+        let err = late
+            .validate()
+            .expect_err("a delayed custom entry")
+            .to_string();
+        assert!(err.contains("(start_after 1s, stagger 0s)"), "{err}");
+        let bare = churn_star().traffic(custom(HostSel::Role(Role::Attacker)));
+        assert_eq!(bare.validate(), Ok(()));
+    }
+
+    #[test]
+    fn onoff_and_legit_entries_take_start_windows() {
+        let mut topology = TopologySpec::star(4, 1, HostPolicy::Malicious, 10_000_000);
+        let zombies: Vec<usize> = (0..topology.hosts.len())
+            .filter(|&i| topology.hosts[i].role == Role::Attacker)
+            .collect();
+        for &i in &zombies[2..] {
+            topology.hosts[i].role = Role::Legit;
+        }
+        let ms = SimDuration::from_millis;
+        let onoff = TrafficSpec::onoff(
+            HostSel::Role(Role::Attacker),
+            TargetSel::Victim,
+            200,
+            500,
+            ms(300),
+            ms(300),
+        );
+        let scenario = Scenario::new(topology)
+            .duration(SimDuration::from_secs(2))
+            .traffic(onoff.starting_after(ms(500)).staggered(ms(100)))
+            .traffic(
+                TrafficSpec::legit(HostSel::Role(Role::Legit), TargetSel::Victim, 100, 500)
+                    .staggered(ms(250)),
+            );
+        assert_eq!(scenario.validate(), Ok(()));
+        let mut built = scenario.build(1);
+        built
+            .world
+            .sim
+            .run_until(aitf_netsim::SimTime::ZERO + ms(552));
+        let tx = |role| -> Vec<u64> {
+            let hosts = built.hosts_with(role);
+            hosts
+                .iter()
+                .map(|&h| built.world.host(h).counters().tx_pkts)
+                .collect()
+        };
+        // On-off zombies start at 500 and 600 ms, sending every 5 ms;
+        // clients start at 0 and 250 ms, sending every 10 ms one period in.
+        assert_eq!(tx(Role::Attacker), vec![11, 0]);
+        assert_eq!(tx(Role::Legit), vec![55, 30]);
+    }
+
     // ------------------------------------------------------------------
     // Partial deployment & provider churn.
     // ------------------------------------------------------------------

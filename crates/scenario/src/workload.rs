@@ -1,8 +1,8 @@
 //! Declarative workloads: a `WorkloadSpec` is an ordered list of
 //! [`TrafficSpec`] entries — flood armies, legitimate flow pools, on/off
 //! phases, spoofing floods — each selecting its source hosts by
-//! [`Role`] and compiling onto them via the existing
-//! [`aitf_core::TrafficApp`] machinery.
+//! [`Role`] and compiling onto one [`aitf_core::Source`] per host (a
+//! [`TrafficKind::Custom`] entry builds its own [`TrafficApp`]).
 //!
 //! Compilation order is part of a scenario's identity (it fixes timer
 //! sequence numbers and therefore event ordering), so entries install in
@@ -11,9 +11,8 @@
 
 use std::sync::Arc;
 
-use aitf_attack::{FloodSource, LegitClient, OnOffSource, SpoofingFlood};
-use aitf_core::{HostId, TrafficApp};
-use aitf_netsim::{SimDuration, SimTime};
+use aitf_core::{HostId, Source, TrafficApp};
+use aitf_netsim::SimDuration;
 use aitf_packet::{Addr, Prefix};
 
 use crate::topology::{BuiltWorld, HostDecl, Role};
@@ -177,14 +176,14 @@ pub type AppFactory = Arc<dyn Fn(&BuiltWorld, HostId) -> Box<dyn TrafficApp> + S
 
 /// What kind of traffic an entry generates.
 pub enum TrafficKind {
-    /// A constant-rate flood ([`FloodSource`]).
+    /// A constant-rate flood ([`Source::flood`]).
     Flood {
         /// Flood rate.
         rate: Rate,
         /// Packet size in bytes.
         size: u32,
     },
-    /// The on-off evasion pattern ([`OnOffSource`]).
+    /// The on-off evasion pattern ([`Source::onoff`]).
     OnOff {
         /// Rate during on-phases, packets/second.
         pps: u64,
@@ -195,7 +194,7 @@ pub enum TrafficKind {
         /// Off-phase length.
         off_period: SimDuration,
     },
-    /// A source-address spoofing flood ([`SpoofingFlood`]).
+    /// A round-robin source-address spoofing flood ([`Source::spoof`]).
     Spoof {
         /// Rate, packets/second.
         pps: u64,
@@ -205,17 +204,14 @@ pub enum TrafficKind {
         pool: Prefix,
         /// Number of distinct spoofed sources.
         pool_size: u32,
-        /// Draw randomly instead of round-robin.
-        random: bool,
     },
-    /// Legitimate foreground traffic ([`LegitClient`]).
+    /// Legitimate constant-bit-rate foreground traffic
+    /// ([`Source::client`]).
     Legit {
         /// Rate, packets/second.
         pps: u64,
         /// Packet size in bytes.
         size: u32,
-        /// Poisson inter-arrivals instead of CBR.
-        poisson: bool,
     },
     /// Heavy-tailed legitimate background load: host `i` of the selection
     /// sends Poisson traffic at `base_pps / uᵢ^(1/alpha)` packets/second,
@@ -236,7 +232,8 @@ pub enum TrafficKind {
         /// independent of the run seed.
         seed: u64,
     },
-    /// A bespoke [`TrafficApp`] built at install time.
+    /// A bespoke [`TrafficApp`] built at install time. The one kind
+    /// without a start window: its app times itself.
     Custom(AppFactory),
 }
 
@@ -264,7 +261,7 @@ impl std::fmt::Debug for TrafficKind {
 }
 
 /// One workload entry: a kind of traffic, its sources, its target and its
-/// activation window.
+/// start window.
 #[derive(Debug)]
 pub struct TrafficSpec {
     /// Source hosts.
@@ -278,8 +275,6 @@ pub struct TrafficSpec {
     /// Extra delay per selected host (`i`-th host starts at
     /// `start_after + i · stagger`) — staggered zombie armies.
     pub stagger: SimDuration,
-    /// Absolute stop time, if any.
-    pub stop_at: Option<SimTime>,
 }
 
 impl TrafficSpec {
@@ -290,7 +285,6 @@ impl TrafficSpec {
             kind,
             start_after: SimDuration::ZERO,
             stagger: SimDuration::ZERO,
-            stop_at: None,
         }
     }
 
@@ -356,22 +350,13 @@ impl TrafficSpec {
                 size,
                 pool,
                 pool_size,
-                random: false,
             },
         )
     }
 
     /// A legitimate CBR client.
     pub fn legit(on: HostSel, to: TargetSel, pps: u64, size: u32) -> Self {
-        Self::new(
-            on,
-            to,
-            TrafficKind::Legit {
-                pps,
-                size,
-                poisson: false,
-            },
-        )
+        Self::new(on, to, TrafficKind::Legit { pps, size })
     }
 
     /// Heavy-tailed legitimate background load (Pareto per-host rates,
@@ -421,19 +406,23 @@ impl TrafficSpec {
         self
     }
 
-    /// Stops the entry at an absolute time.
-    pub fn stopping_at(mut self, t: SimTime) -> Self {
-        self.stop_at = Some(t);
-        self
-    }
-
     /// What [`TrafficSpec::install`] asserts about its selections, checked
     /// against the declared `hosts` before any world exists: the sources
     /// are a non-empty selection within their role's pool, a paired
-    /// target's pool covers every source, and an aggregate flood gives
-    /// every source at least one packet per second.
+    /// target's pool covers every source, an aggregate flood gives
+    /// every source at least one packet per second, and a custom entry
+    /// has no start window.
     pub(crate) fn check(&self, hosts: &[HostDecl]) -> Result<(), String> {
         let n = self.on.check(hosts)?;
+        if matches!(self.kind, TrafficKind::Custom(_))
+            && !(self.start_after.is_zero() && self.stagger.is_zero())
+        {
+            return Err(format!(
+                "custom traffic on {:?} cannot take a start window \
+                 (start_after {:?}, stagger {:?})",
+                self.on, self.start_after, self.stagger
+            ));
+        }
         if let TargetSel::Paired(role) = self.to {
             let pool = with_role(hosts, role);
             if pool < n {
@@ -466,12 +455,11 @@ impl TrafficSpec {
     ///
     /// # Panics
     ///
-    /// Panics on specs the underlying sources cannot express (start/stop
-    /// windows on kinds without them) and on entries that select no
-    /// hosts — either way a scenario-authoring bug, and a silently empty
-    /// entry would masquerade as a perfectly defended run. The selection
-    /// panics are the backstop: [`crate::Scenario::validate`] reports the
-    /// same specs as errors first.
+    /// Panics on a start window on a custom entry and on entries that
+    /// select no hosts — either way a scenario-authoring bug, and a
+    /// silently empty entry would masquerade as a perfectly defended run.
+    /// The panics are the backstop: [`crate::Scenario::validate`] reports
+    /// the same specs as errors first.
     pub fn install(&self, world: &mut BuiltWorld) {
         let sources = self.on.resolve(world);
         assert!(
@@ -486,65 +474,25 @@ impl TrafficSpec {
         let targets = self.to.resolve_all(world, sources.len());
         for (i, &host) in sources.iter().enumerate() {
             let start = self.start_after + self.stagger * i as u64;
-            let windowless = |what: &str| {
-                assert!(
-                    start.is_zero() && self.stop_at.is_none(),
-                    "{what} traffic does not support start/stop windows"
-                );
-            };
-            let app: Box<dyn TrafficApp> = match &self.kind {
+            let target = targets[i];
+            let source = match &self.kind {
                 TrafficKind::Flood { size, .. } => {
                     let pps = rates.as_ref().expect("rates computed for floods")[i];
-                    let mut flood = FloodSource::new(targets[i], pps, *size).starting_after(start);
-                    if let Some(stop) = self.stop_at {
-                        flood = flood.stopping_at(stop);
-                    }
-                    Box::new(flood)
+                    Source::flood(target, pps, *size)
                 }
                 TrafficKind::OnOff {
                     pps,
                     size,
                     on_period,
                     off_period,
-                } => {
-                    windowless("on-off");
-                    Box::new(OnOffSource::new(
-                        targets[i],
-                        *pps,
-                        *size,
-                        *on_period,
-                        *off_period,
-                    ))
-                }
+                } => Source::onoff(target, *pps, *size, *on_period, *off_period),
                 TrafficKind::Spoof {
                     pps,
                     size,
                     pool,
                     pool_size,
-                    random,
-                } => {
-                    // Spoofing floods support a start window (so a zombie
-                    // army can stagger off a shared period lattice) but no
-                    // stop window.
-                    assert!(
-                        self.stop_at.is_none(),
-                        "spoofing traffic does not support a stop window"
-                    );
-                    let mut s = SpoofingFlood::new(targets[i], *pps, *size, *pool, *pool_size)
-                        .starting_after(start);
-                    if *random {
-                        s = s.randomised();
-                    }
-                    Box::new(s)
-                }
-                TrafficKind::Legit { pps, size, poisson } => {
-                    windowless("legitimate");
-                    let mut c = LegitClient::new(targets[i], *pps, *size);
-                    if *poisson {
-                        c = c.poisson();
-                    }
-                    Box::new(c)
-                }
+                } => Source::spoof(target, *pps, *size, *pool, *pool_size),
+                TrafficKind::Legit { pps, size } => Source::client(target, *pps, *size),
                 TrafficKind::LegitPareto {
                     base_pps,
                     cap_pps,
@@ -552,25 +500,24 @@ impl TrafficSpec {
                     size,
                     seed,
                 } => {
-                    windowless("legitimate");
                     // u ∈ (0, 1] from the top 53 bits of a splitmix draw;
                     // rate = base/u^(1/α) is the Pareto inverse-CDF.
                     let draw = aitf_engine::splitmix(*seed ^ (i as u64).wrapping_mul(0x9E37));
                     let u = ((draw >> 11) as f64 + 1.0) / (1u64 << 53) as f64;
                     let rate = (*base_pps as f64 / u.powf(1.0 / *alpha)) as u64;
                     let pps = rate.clamp(*base_pps, *cap_pps);
-                    // Per-client seeded Poisson: the shared simulation
-                    // stream is per-shard, so drawing from it would make
-                    // arrivals depend on the shard partition.
                     let arrivals = aitf_engine::splitmix(draw ^ 0x00AA_1234);
-                    Box::new(LegitClient::new(targets[i], pps, *size).poisson_seeded(arrivals))
+                    Source::poisson_client(target, pps, *size, arrivals)
                 }
                 TrafficKind::Custom(make) => {
-                    windowless("custom");
-                    make(&*world, host)
+                    assert!(start.is_zero(), "custom traffic takes no start window");
+                    world.world.activate_app(host, make(&*world, host));
+                    continue;
                 }
             };
-            world.world.activate_app(host, app);
+            world
+                .world
+                .activate_app(host, Box::new(source.starting_after(start)));
         }
     }
 }

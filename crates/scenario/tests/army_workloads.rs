@@ -1,7 +1,6 @@
 //! End-to-end workload behaviour on star topologies: flood armies congest
 //! the victim's tail circuit, AITF rescues it, and staggered starts spread
-//! the detections — the cross-crate tests that used to live next to
-//! `aitf_attack::army`, now expressed through the declarative API.
+//! the detections.
 
 use aitf_core::HostPolicy;
 use aitf_netsim::SimDuration;

@@ -10,8 +10,7 @@
 //!
 //! Run with `cargo run --example forged_request`.
 
-use aitf_attack::{LegitClient, RequestForger};
-use aitf_core::{AitfConfig, WorldBuilder};
+use aitf_core::{AitfConfig, RequestForger, Source, WorldBuilder};
 use aitf_netsim::SimDuration;
 use aitf_packet::FlowLabel;
 
@@ -33,7 +32,7 @@ fn run(verification: bool) {
     let a_addr = w.host_addr(a);
     let v_addr = w.host_addr(v);
     // A sends a steady legitimate stream to V.
-    w.add_app(a, Box::new(LegitClient::new(v_addr, 200, 500)));
+    w.add_app(a, Box::new(Source::client(v_addr, 200, 500)));
     // M (off-path) forges "V does not want A's traffic" at A's gateway.
     w.add_app(
         m,

@@ -6,9 +6,10 @@
 //! on one name:
 //!
 //! - [`core`] (`aitf-core`) — the AITF protocol: border routers, end
-//!   hosts, contracts, the 3-way handshake and escalation; plus the
+//!   hosts, contracts, the 3-way handshake and escalation; the
 //!   `DefensePolicy` axis (AITF, pushback, rate-limiting, path stamps)
-//!   and the static per-policy stage table the router runs.
+//!   and the static per-policy stage table the router runs; and the one
+//!   traffic `Source` (flood, on-off, spoof, legitimate client) hosts run.
 //! - [`netsim`] (`aitf-netsim`) — the deterministic discrete-event network
 //!   simulator the protocol runs on.
 //! - [`packet`] (`aitf-packet`) — addresses, flow labels, messages and the
@@ -17,7 +18,6 @@
 //!   cache and contract rate limiters.
 //! - [`traceback`] (`aitf-traceback`) — the route-record traceback
 //!   provider.
-//! - [`attack`] (`aitf-attack`) — attack and legitimate traffic sources.
 //! - [`scenario`] (`aitf-scenario`) — the declarative scenario API:
 //!   topology × workload × probes. Its `TopologySpec` generators (Figure
 //!   1, stars, chains, provider trees, power-law graphs) are the one way
@@ -27,7 +27,6 @@
 //! `aitf-bench` crate for the experiment suite that regenerates the
 //! paper's evaluation.
 
-pub use aitf_attack as attack;
 pub use aitf_core as core;
 pub use aitf_filter as filter;
 pub use aitf_netsim as netsim;
