@@ -51,27 +51,35 @@
 //! - **`due`**, a binary heap under the full order above, holds every
 //!   pending event that fires *at or before* `last` — the ties that
 //!   phase-locked flood sources make the common case;
-//! - every other event sits, unordered, in **bucket `63 − lzcnt(time ^
-//!   last)`**, the highest bit its time differs from `last` in. An
-//!   `occupied` mask and a per-bucket minimum answer `peek_time` in O(1)
-//!   when nothing is due.
+//! - every other event sits, unordered, in a **bucket `(L, d)`**. A firing
+//!   time is read as 6-bit digits, level 0 lowest: ten of six bits and a
+//!   top level of four (bits 60–63), eleven levels in all. With `h = 63 −
+//!   lzcnt(time ^ last)` the highest bit the time differs from `last` in,
+//!   the event's level is `L = h / 6` and its digit `d = (time >> 6L) &
+//!   63`. The time is above `last`, so `d` is above `last`'s digit at `L`:
+//!   buckets ordered by `(L, d)` are ordered by time. A `u16` level mask,
+//!   one `u64` digit mask per level and a per-bucket minimum answer
+//!   `peek_time` in O(1) when nothing is due — the lowest level bit, then
+//!   its lowest digit bit.
 //!
 //! Filing an event is O(1). A pop takes from `due`; when `due` is empty it
-//! first empties the lowest occupied bucket: `last` becomes that bucket's
-//! minimum, and the bucket's entries are re-filed strictly lower — into
-//! `due` if they fire at the new `last`, into a lower bucket otherwise. An
-//! event is therefore re-filed at most 64 times and usually once or twice,
-//! and only the events due now are ever compared key by key.
+//! first empties the lowest occupied bucket `(L, d)`: `last` becomes that
+//! bucket's minimum, which agrees with every entry of the bucket on every
+//! digit from `L` up, so the entries are re-filed strictly lower — into
+//! `due` if they fire at the new `last`, into a level below `L` otherwise.
+//! A level-0 bucket holds one instant, and its refill sends every entry to
+//! `due`. An event is therefore re-filed at most 11 times and usually once
+//! or twice, and only the events due now are ever compared key by key.
 //!
-//! A bucket is a singly linked list of fixed 64-entry **chunks** (3.5 KB)
+//! A bucket is a singly linked list of fixed 32-entry **chunks** (1.75 KB)
 //! taken from one arena with a free list: a refill hands the emptied
 //! bucket's chunks back, and the next filing into any bucket reuses them,
-//! so memory stays O(pending) — at most one part-filled chunk per occupied
-//! bucket beyond ⌈pending / 64⌉. In steady state the queue performs **zero
-//! heap allocations per event**: the arena grows to its high-water mark of
-//! chunks in use, `due` to the most events ever tied at one instant, the
-//! pool to the most packets ever in the network at once, and all three are
-//! reused forever.
+//! so memory stays O(pending) — only a bucket's head chunk is ever part
+//! filled, so at most one per occupied bucket beyond ⌈pending / 32⌉. In
+//! steady state the queue performs **zero heap allocations per event**:
+//! the arena grows to its high-water mark of chunks in use, `due` to the
+//! most events ever tied at one instant, the pool to the most packets ever
+//! in the network at once, and all three are reused forever.
 //!
 //! **`last` moves only at pops.** Build-time and between-run schedules may
 //! come in any order; moving `last` on a schedule into an empty queue
@@ -195,10 +203,19 @@ pub(crate) struct HeapEntry {
 }
 
 /// Entries per bucket chunk.
-const CHUNK: usize = 64;
+const CHUNK: usize = 32;
 
-/// One radix bucket per bit a firing time can differ from `last` in.
-const BUCKETS: usize = 64;
+/// Bits per radix digit: a firing time is six-bit digits, lowest first.
+const DIGIT_BITS: u32 = 6;
+
+/// Buckets per level, one per digit value.
+const DIGITS: usize = 1 << DIGIT_BITS;
+
+/// Digit levels of a 64-bit time: ten of six bits and a top one of four.
+const LEVELS: usize = u64::BITS.div_ceil(DIGIT_BITS) as usize;
+
+/// One radix bucket per `(level, digit)`.
+const BUCKETS: usize = LEVELS * DIGITS;
 
 /// The end of a chunk list.
 const NIL: u32 = u32::MAX;
@@ -207,6 +224,8 @@ const NIL: u32 = u32::MAX;
 const _: () = assert!(std::mem::size_of::<HeapEntry>() <= 56);
 // A chunk's entries stay within one 4 KiB page.
 const _: () = assert!(CHUNK * std::mem::size_of::<HeapEntry>() <= 4096);
+// One bit per level in the level mask.
+const _: () = assert!(LEVELS <= u16::BITS as usize);
 
 /// Up to [`CHUNK`] entries of one bucket, unordered, and the next chunk of
 /// that bucket's list — or, while the chunk is free, of the free list.
@@ -270,11 +289,13 @@ pub struct EventQueue {
     last: SimTime,
     /// The pending events that fire at or before `last`, in event order.
     due: BinaryHeap<HeapEntry>,
-    /// Bit `b` is set while bucket `b` holds an event.
-    occupied: u64,
-    /// The head chunk of each occupied bucket's list.
+    /// Bit `L` is set while some bucket of level `L` holds an event.
+    levels: u16,
+    /// Per level, bit `d` is set while bucket `(L, d)` holds an event.
+    digits: [u64; LEVELS],
+    /// The head chunk of each occupied bucket's list, by `L · 64 + d`.
     heads: [u32; BUCKETS],
-    /// The earliest firing time in each occupied bucket.
+    /// The earliest firing time in each occupied bucket, by `L · 64 + d`.
     mins: [u64; BUCKETS],
     /// Every chunk ever allocated; the free ones are listed from `spare`.
     chunks: Vec<Chunk>,
@@ -293,6 +314,9 @@ pub struct EventQueue {
     /// then root fresh chains keyed by their own firing time.
     chain: Option<u64>,
     guard: Option<Box<ShardGuard>>,
+    /// How many times each event, by `seq`, has been filed so far.
+    #[cfg(test)]
+    filings: Vec<u8>,
 }
 
 impl Default for EventQueue {
@@ -307,7 +331,8 @@ impl EventQueue {
         EventQueue {
             last: SimTime::ZERO,
             due: BinaryHeap::new(),
-            occupied: 0,
+            levels: 0,
+            digits: [0; LEVELS],
             heads: [NIL; BUCKETS],
             mins: [0; BUCKETS],
             chunks: Vec::new(),
@@ -319,6 +344,8 @@ impl EventQueue {
             now: SimTime::ZERO,
             chain: None,
             guard: None,
+            #[cfg(test)]
+            filings: Vec::new(),
         }
     }
 
@@ -408,10 +435,18 @@ impl EventQueue {
     }
 
     /// Files `entry` against `last`: into `due` if it fires then or before,
-    /// else into the bucket of the highest bit its time differs from `last`
-    /// in.
+    /// else into bucket `(L, d)` — `L` the level of the highest bit its
+    /// time differs from `last` in, `d` its time's digit at that level.
     #[inline]
     fn file(&mut self, entry: HeapEntry) {
+        #[cfg(test)]
+        {
+            let seq = entry.seq as usize;
+            if self.filings.len() <= seq {
+                self.filings.resize(seq + 1, 0);
+            }
+            self.filings[seq] += 1;
+        }
         if entry.time <= self.last {
             // Allocates only when more events are due at once than ever
             // before.
@@ -419,10 +454,13 @@ impl EventQueue {
             return;
         }
         let diff = entry.time.0 ^ self.last.0;
-        let b = (u64::BITS - 1 - diff.leading_zeros()) as usize;
-        let bit = 1u64 << b;
-        if self.occupied & bit == 0 {
-            self.occupied |= bit;
+        let level = (u64::BITS - 1 - diff.leading_zeros()) / DIGIT_BITS;
+        let digit = (entry.time.0 >> (level * DIGIT_BITS)) as usize % DIGITS;
+        let b = level as usize * DIGITS + digit;
+        let bit = 1u64 << digit;
+        if self.digits[level as usize] & bit == 0 {
+            self.digits[level as usize] |= bit;
+            self.levels |= 1 << level;
             self.mins[b] = entry.time.0;
             self.heads[b] = self.take_chunk(NIL);
         } else {
@@ -434,6 +472,14 @@ impl EventQueue {
         // Never allocates: a chunk is made with room for `CHUNK` entries
         // and a full one is never pushed to.
         self.chunks[self.heads[b] as usize].entries.push(entry);
+    }
+
+    /// The lowest occupied bucket, `L · 64 + d`: the lowest level with an
+    /// occupied bucket, then its lowest digit. Needs one.
+    #[inline]
+    fn lowest(&self) -> usize {
+        let level = self.levels.trailing_zeros() as usize;
+        level * DIGITS + self.digits[level].trailing_zeros() as usize
     }
 
     /// An empty chunk, linked in front of `next`: a free one if any.
@@ -465,14 +511,19 @@ impl EventQueue {
     }
 
     /// With nothing due, moves `last` to the earliest pending time and
-    /// re-files the lowest occupied bucket (which holds it) into `due` and
-    /// the buckets below, handing each chunk back to the free list once it
-    /// is empty.
+    /// re-files the lowest occupied bucket `(L, d)` (which holds it) into
+    /// `due` and the levels below `L`, handing each chunk back to the free
+    /// list once it is empty. Every entry of the bucket agrees with its
+    /// minimum on every digit from `L` up, so none is filed at `L` again.
     #[inline]
     fn refill(&mut self) {
-        debug_assert!(self.due.is_empty() && self.occupied != 0);
-        let b = self.occupied.trailing_zeros() as usize;
-        self.occupied &= !(1u64 << b);
+        debug_assert!(self.due.is_empty() && self.levels != 0);
+        let b = self.lowest();
+        let level = b / DIGITS;
+        self.digits[level] &= !(1u64 << (b % DIGITS));
+        if self.digits[level] == 0 {
+            self.levels &= !(1 << level);
+        }
         self.last = SimTime(self.mins[b]);
         let mut c = self.heads[b];
         while c != NIL {
@@ -521,8 +572,8 @@ impl EventQueue {
     pub fn peek_time(&self) -> Option<SimTime> {
         if let Some(top) = self.due.peek() {
             Some(top.time)
-        } else if self.occupied != 0 {
-            Some(SimTime(self.mins[self.occupied.trailing_zeros() as usize]))
+        } else if self.levels != 0 {
+            Some(SimTime(self.mins[self.lowest()]))
         } else {
             None
         }
@@ -703,12 +754,30 @@ mod tests {
         q.chunks.len() - free
     }
 
+    /// Every occupied bucket, `L · 64 + d`, lowest first.
+    fn occupied(q: &EventQueue) -> Vec<usize> {
+        (0..BUCKETS)
+            .filter(|&b| q.digits[b / DIGITS] & (1 << (b % DIGITS)) != 0)
+            .collect()
+    }
+
+    /// The entry counts of bucket `b`'s chunks, head first.
+    fn bucket_chunks(q: &EventQueue, b: usize) -> Vec<usize> {
+        let mut lens = Vec::new();
+        let mut c = q.heads[b];
+        while c != NIL {
+            lens.push(q.chunks[c as usize].entries.len());
+            c = q.chunks[c as usize].next;
+        }
+        lens
+    }
+
     #[test]
     fn timers_and_tx_dones_never_touch_the_pool() {
         let mut q = EventQueue::new();
         // A backlog of 8 — 9 at its high-water mark, between a schedule
         // and the pop that follows — then many cycles at that backlog,
-        // crossing every power of two up to 2^16 on the way.
+        // crossing every digit boundary of levels 0–2 on the way.
         for i in 0..9 {
             q.schedule(SimTime(i), timer(0, i));
         }
@@ -724,8 +793,18 @@ mod tests {
                 }
             };
             q.schedule(SimTime(i), kind);
-            let bound = q.len().div_ceil(CHUNK) + q.occupied.count_ones() as usize;
-            assert!(chunks_in_use(&q) <= bound, "more chunks than buckets need");
+            // Only a bucket's head chunk is ever part filled, and every
+            // chunk in use is on an occupied bucket's list.
+            let mut listed = 0;
+            for b in occupied(&q) {
+                let lens = bucket_chunks(&q, b);
+                assert!(
+                    lens[1..].iter().all(|&n| n == CHUNK),
+                    "part-filled chunk behind the head"
+                );
+                listed += lens.len();
+            }
+            assert_eq!(chunks_in_use(&q), listed, "a chunk on no list");
             popped += u64::from(q.pop().is_some());
             if i == 1_000 {
                 warm = Some((q.chunks.len(), q.due.capacity()));
@@ -746,13 +825,19 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule(SimTime(0), timer(0, 0));
         assert_eq!(pop_token(&mut q), 0);
-        // 3.5 chunks' worth, all in bucket 20 (times in [2^20, 2^21)),
-        // scheduled in descending time order.
+        // 3.5 chunks' worth, all in bucket (3, 4): level 3 is bits 18–23,
+        // and every time is in [2^20, 2^20 + 2^18). Scheduled in descending
+        // time order.
         let n = CHUNK as u64 * 7 / 2;
         for i in (0..n).rev() {
             q.schedule(SimTime((1 << 20) + 3 * i), timer(0, i));
         }
-        assert_eq!(q.occupied, 1 << 20);
+        assert_eq!((q.levels, q.digits[3]), (1 << 3, 1 << 4));
+        assert_eq!(occupied(&q), [3 * DIGITS + 4]);
+        assert_eq!(
+            bucket_chunks(&q, 3 * DIGITS + 4),
+            [CHUNK / 2, CHUNK, CHUNK, CHUNK]
+        );
         assert_eq!(chunks_in_use(&q), 4);
         assert_eq!(q.peek_time(), Some(SimTime(1 << 20)));
         for expected in 0..n {
@@ -760,6 +845,79 @@ mod tests {
         }
         assert!(q.is_empty());
         assert_eq!(chunks_in_use(&q), 0);
+    }
+
+    #[test]
+    fn refilling_a_level_0_bucket_sends_every_entry_to_due() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime(64), timer(0, 0));
+        assert_eq!(pop_token(&mut q), 0);
+        // 200 and five events at 201 differ from 64 first at bit 7: all in
+        // bucket (1, 3). Its refill moves `last` to 200 and files the 201s
+        // into bucket (0, 9), one instant.
+        let first = q.next_seq;
+        q.schedule(SimTime(200), timer(0, 1));
+        for token in 2..7 {
+            q.schedule(SimTime(201), timer(0, token));
+        }
+        assert_eq!(occupied(&q), [DIGITS + 3]);
+        assert_eq!(pop_token(&mut q), 1);
+        assert_eq!((occupied(&q), q.due.len()), (vec![9], 0));
+        // The level-0 refill leaves no bucket: all five are due.
+        assert_eq!(pop_token(&mut q), 2);
+        assert_eq!((q.levels, q.due.len()), (0, 4));
+        for token in 3..7 {
+            assert_eq!(pop_token(&mut q), token);
+        }
+        // 200 was filed at level 1 and into `due`; each 201 at level 1, at
+        // level 0 and into `due`.
+        let filed = &q.filings[first as usize..];
+        assert_eq!(filed, [2, 3, 3, 3, 3, 3]);
+    }
+
+    #[test]
+    fn a_far_event_is_re_filed_at_most_eleven_times() {
+        let mut q = EventQueue::new();
+        // The watched event, 2^62 ahead with every lower digit set (63), and
+        // a ladder below it: one event per level that agrees with it on
+        // every digit above that level and is zero below. Each refill of
+        // its bucket moves `last` onto the next rung, so the watched event
+        // steps down one level at a time — every level, then `due`.
+        let far = (1u64 << 62) | ((1 << 60) - 1);
+        let watched = q.next_seq;
+        q.schedule(SimTime(far), timer(1, 0));
+        for level in 1..LEVELS as u32 {
+            q.schedule(
+                SimTime(far & !((1 << (6 * level)) - 1)),
+                timer(1, u64::from(level)),
+            );
+        }
+        // Meanwhile a dense stream of near events: each pop schedules the
+        // next two nanoseconds ahead, for 20,000 instants.
+        q.schedule(SimTime(1), timer(0, 1));
+        let mut rungs = Vec::new();
+        while let Some(ev) = q.pop() {
+            match ev.kind {
+                EventKind::Timer {
+                    node: NodeId(0),
+                    token,
+                } if token < 20_000 => {
+                    q.schedule(SimTime(ev.time.0 + 2), timer(0, token + 1));
+                    q.schedule(SimTime(ev.time.0 + 1), timer(2, token));
+                }
+                EventKind::Timer {
+                    node: NodeId(1),
+                    token,
+                } => rungs.push(token),
+                _ => {}
+            }
+        }
+        // The rungs pop top first, then the watched event.
+        assert_eq!(rungs, [10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0]);
+        // Filed once at level 10, re-filed at levels 9..=0 and into `due`.
+        assert_eq!(q.filings[watched as usize], 12);
+        let most = q.filings.iter().copied().max();
+        assert!(most <= Some(12), "an event re-filed more than 11 times");
     }
 
     #[test]
@@ -865,6 +1023,11 @@ mod proptests {
         /// instant below a bit-`k` carry and the first above it — the
         /// `2^k − 1 / 2^k` pairs when `base` is 0.
         Edge(u32, u64),
+        /// `base` with the digit at level `L` replaced by `d` (masked to
+        /// the top level's four bits there) and every lower digit all
+        /// zeros or, if the flag is set, all ones: every bucket of every
+        /// level, and both sides of each digit boundary.
+        Digit(u32, u64, bool),
         /// `base + 2^k + d` with `k >= 40`: the top buckets.
         Far(u32, u64),
         /// `u64::MAX − d`: the end of time.
@@ -878,6 +1041,15 @@ mod proptests {
             match self {
                 At::Near(d) => base.saturating_add(d),
                 At::Edge(k, d) => (base | ((1u64 << k) - 1)).saturating_add(d),
+                At::Digit(level, d, ones) => {
+                    let shift = level * DIGIT_BITS;
+                    // The digit and every bit below it.
+                    let low = u64::MAX
+                        .checked_shl(shift + DIGIT_BITS)
+                        .map_or(u64::MAX, |above| !above);
+                    let below = (1u64 << shift) - 1;
+                    (base & !low) | ((d << shift) & low) | if ones { below } else { 0 }
+                }
                 At::Far(k, d) => base.saturating_add(1 << k).saturating_add(d),
                 At::End(d) => u64::MAX - d,
                 At::Below(d) => base.saturating_sub(d),
@@ -890,6 +1062,8 @@ mod proptests {
             (0u64..4).prop_map(At::Near),
             (0u64..4).prop_map(At::Near),
             (0u32..64, 0u64..2).prop_map(|(k, d)| At::Edge(k, d)),
+            (0..LEVELS as u32, 0..DIGITS as u64, any::<bool>())
+                .prop_map(|(l, d, o)| At::Digit(l, d, o)),
             (40u32..64, 0u64..3).prop_map(|(k, d)| At::Far(k, d)),
             (0u64..3).prop_map(At::End),
             (1u64..100).prop_map(At::Below),
@@ -911,8 +1085,8 @@ mod proptests {
         /// entry + unpark): whatever is interleaved, every event must come
         /// back whole, in the documented `(time, ptime, chain descending,
         /// seq)` order — held to a sorted `Vec` that keeps events by value.
-        /// Times reach every bucket, both sides of every carry, the end of
-        /// time and the past; and a bounded pop must return the model's
+        /// Times reach every `(level, digit)` bucket, both sides of every
+        /// digit boundary and every carry, the end of time and the past; and a bounded pop must return the model's
         /// earliest event exactly when it fires at or before the limit.
         #[test]
         fn schedule_and_pop_equal_the_sorted_vec_model(
