@@ -23,8 +23,7 @@ use crate::harness::run_scenario;
 pub fn scenario(td: SimDuration, tr: SimDuration, t: SimDuration, periods: u64) -> Scenario {
     let cfg = AitfConfig {
         t_long: t,
-        packet_triggered_reactivation: false,
-        fast_redetect: false,
+        fast_reblock: false,
         grace: t * (periods + 2),
         ..AitfConfig::default()
     };

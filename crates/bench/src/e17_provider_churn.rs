@@ -70,8 +70,7 @@ pub fn scenario(wave: SimDuration) -> Scenario {
         // flow — measurable but invisible at any plotting resolution.
         // Conservatively, every wave costs a fresh `Td + Tr`, which is
         // exactly the per-wave price the experiment quantifies.
-        packet_triggered_reactivation: false,
-        fast_redetect: false,
+        fast_reblock: false,
         ..AitfConfig::default()
     };
     let mut s = Scenario::new(TopologySpec::tree(

@@ -47,16 +47,15 @@ impl Point {
 
 /// The declarative E2 scenario: Figure 1 with the victim's tail circuit
 /// delayed by `Tr` and `n - 1` non-cooperating attacker-side gateways.
-/// `assists` enables the shadow-reactivation and fast-redetect
-/// optimisations (the default deployment); disabling them reproduces the
+/// `assists` enables [`AitfConfig::fast_reblock`], shadow reactivation
+/// and fast re-detection (the default deployment); disabling them reproduces the
 /// formula's conservative model where every failed round costs the victim
 /// a fresh `Td + Tr`.
 pub fn scenario(p: Point, assists: bool, periods: u64) -> Scenario {
     let cfg = AitfConfig {
         t_long: p.t,
         detection_delay: p.td,
-        packet_triggered_reactivation: assists,
-        fast_redetect: assists,
+        fast_reblock: assists,
         grace: p.t * (periods + 2),
         ..AitfConfig::default()
     };

@@ -19,15 +19,15 @@ use aitf_scenario::{HostSel, ProbeSet, Role, Scenario, TargetSel, TopologySpec, 
 
 use crate::harness::run_scenario;
 
-/// The declarative E7 scenario. `shadow_assist` toggles packet-triggered
-/// reactivation and fast re-detection together.
+/// The declarative E7 scenario. `shadow_assist` toggles
+/// [`AitfConfig::fast_reblock`]: packet-triggered reactivation and fast
+/// re-detection together.
 pub fn scenario(shadow_assist: bool) -> Scenario {
     let t_tmp = SimDuration::from_secs(1);
     let cfg = AitfConfig {
         t_long: SimDuration::from_secs(30),
         t_tmp,
-        packet_triggered_reactivation: shadow_assist,
-        fast_redetect: shadow_assist,
+        fast_reblock: shadow_assist,
         detection_delay: SimDuration::from_millis(50),
         grace: SimDuration::from_secs(3600),
         ..AitfConfig::default()

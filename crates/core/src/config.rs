@@ -65,15 +65,18 @@ pub struct AitfConfig {
     /// Hard bound on escalation rounds (paths are short; this is a loop
     /// guard, not a policy knob).
     pub max_round: u8,
+    /// A flow that reappears after it was blocked is blocked again at once,
+    /// from both ends of the victim's tail circuit.
+    ///
     /// Victim-gateway shadow assist: a data packet hitting a live shadow
     /// (after its temporary filter expired) immediately reinstalls the
     /// filter and escalates. Turning this off is the E7 ablation — the
     /// victim must then re-detect each on-off cycle itself, which is the
     /// conservative model behind the paper's `r ≈ n(Td+Tr)/T` formula.
-    pub packet_triggered_reactivation: bool,
-    /// Victims detect a *reappearing* logged flow instantly instead of
-    /// waiting `Td` again (footnote 8 of the paper).
-    pub fast_redetect: bool,
+    ///
+    /// Fast re-detection: victims detect a *reappearing* logged flow
+    /// instantly instead of waiting `Td` again (footnote 8 of the paper).
+    pub fast_reblock: bool,
     /// Which defense populates every border router's hook chains. The
     /// default is the paper's AITF protocol; `Scenario::defense(..)`
     /// sweeps the axis (pushback baseline, per-prefix rate-limiting,
@@ -99,8 +102,7 @@ impl Default for AitfConfig {
             eviction: EvictionPolicy::Reject,
             verification: true,
             max_round: 16,
-            packet_triggered_reactivation: true,
-            fast_redetect: true,
+            fast_reblock: true,
             defense: DefensePolicy::Aitf,
         }
     }

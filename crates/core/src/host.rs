@@ -476,7 +476,7 @@ impl EndHost {
             // immediately; without it, re-detection costs a fresh `Td`
             // like any new flow — the conservative model behind the
             // paper's `r ≈ n(Td+Tr)/T`.
-            Some(true) if self.cfg.fast_redetect => self.send_filtering_request(flow, ctx),
+            Some(true) if self.cfg.fast_reblock => self.send_filtering_request(flow, ctx),
             // Requested within the damping window: nothing to do.
             Some(false) => {}
             // New undesired flow: the oracle detector fires after Td.
@@ -500,7 +500,7 @@ impl EndHost {
         let agent = self.victim.as_deref_mut().expect(AGENT);
         if let Some(due) = agent.logged(&flow, now, self.cfg.t_tmp / 2) {
             // Already requested; damp re-requests like the oracle path.
-            if self.cfg.fast_redetect && due {
+            if self.cfg.fast_reblock && due {
                 self.send_filtering_request(flow, ctx);
             }
             return;

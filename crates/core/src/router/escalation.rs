@@ -9,7 +9,7 @@
 use aitf_filter::InstallError;
 use aitf_netsim::{Context, LinkId};
 use aitf_packet::{
-    Addr, AitfMessage, FilteringRequest, Nonce, Packet, RequestDestination, VerificationQuery,
+    AitfMessage, FilteringRequest, Nonce, Packet, RequestDestination, VerificationQuery,
     VerificationReply,
 };
 use aitf_trace::{Cause, SpanKind};
@@ -41,11 +41,7 @@ impl BorderRouter {
         // Section II-E).
         match self.client_behind(arrival) {
             Some(behind) => {
-                let dst_ok = match req.flow.dst_host() {
-                    Some(dst) => behind.contains(dst),
-                    None => behind.overlaps(req.flow.dst),
-                };
-                if !dst_ok {
+                if !behind.contains(req.flow.dst) {
                     self.data_mut().counters.requests_invalid += 1;
                     return;
                 }
@@ -247,16 +243,7 @@ impl BorderRouter {
         // the route towards the flow source as a fallback.
         let neighbor = my_pos
             .and_then(|p| p.checked_sub(1))
-            .and_then(|i| req.path.hops().get(i).copied())
-            .or_else(|| req.flow.src_host());
-        let Some(neighbor) = neighbor else {
-            // Nobody identifiable to disconnect: the escalation dead-ends
-            // here, which must be observable.
-            self.data_mut().counters.escalations_dropped += 1;
-            self.span(SpanKind::Drop, Cause::NoNeighbor, key, req.round, now);
-            self.tracer.close_round(key, req.round, now.0);
-            return;
-        };
+            .map_or(req.flow.src, |i| req.path.hops()[i]);
         let Some(link) = self.route(neighbor) else {
             self.data_mut().counters.escalations_dropped += 1;
             self.span(SpanKind::Drop, Cause::NoNeighbor, key, req.round, now);
@@ -343,11 +330,7 @@ impl BorderRouter {
 
     fn start_handshake(&mut self, req: FilteringRequest, ctx: &mut Context<'_>) {
         let now = ctx.now();
-        let Some(victim) = req.flow.dst_host() else {
-            // Cannot query a wildcard victim; refuse conservatively.
-            self.data_mut().counters.requests_invalid += 1;
-            return;
-        };
+        let victim = req.flow.dst;
         let nonce = Nonce(ctx.rng().gen());
         let counters = &mut self.data_mut().counters;
         counters.handshakes_started += 1;
@@ -366,14 +349,8 @@ impl BorderRouter {
             nonce,
         };
         let ctl = self.ctl_mut();
-        ctl.pending_handshakes.insert(
-            nonce.0,
-            PendingHandshake {
-                request: req,
-                nonce,
-                span,
-            },
-        );
+        ctl.pending_handshakes
+            .insert(nonce.0, PendingHandshake { request: req, span });
         let token = ctl.alloc_token(TimerAction::HandshakeTimeout { nonce: nonce.0 });
         ctx.set_timer(self.cfg.handshake_timeout, token);
         self.send_control(ctx, victim, AitfMessage::VerificationQuery(query));
@@ -392,11 +369,8 @@ impl BorderRouter {
         let Some(pending) = ctl.pending_handshakes.remove(&rep.nonce.0) else {
             return;
         };
-        // The reply must echo the exact flow, nonce and request id.
-        if pending.request.id != rep.request_id
-            || pending.request.flow != rep.flow
-            || pending.nonce != rep.nonce
-        {
+        // The reply must echo the flow and request id of its nonce's query.
+        if pending.request.id != rep.request_id || pending.request.flow != rep.flow {
             ctl.pending_handshakes.insert(rep.nonce.0, pending);
             return;
         }
@@ -469,11 +443,9 @@ impl BorderRouter {
         // host itself. Round k: the (k-1)-th node on the path — the client
         // network that failed to cooperate.
         let my_pos = req.path.position(self.addr);
-        let client: Option<Addr> = match my_pos {
-            Some(0) | None => flow.src_host(),
-            Some(p) => req.path.hops().get(p - 1).copied(),
-        };
-        let Some(client) = client else { return };
+        let client = my_pos
+            .and_then(|p| p.checked_sub(1))
+            .map_or(flow.src, |i| req.path.hops()[i]);
         let client_link = self.route(client);
         // Only police/disconnect parties that actually hang off a client
         // interface of ours.
@@ -488,19 +460,13 @@ impl BorderRouter {
         self.send_control(ctx, client, AitfMessage::FilteringRequest(notice));
 
         if is_client {
-            let ctl = self.ctl_mut();
-            let watch_id = ctl.next_id;
-            ctl.next_id += 1;
-            ctl.grace_watches.insert(
-                watch_id,
-                GraceWatch {
-                    flow,
-                    client_link,
-                    armed_at: now,
-                    round,
-                },
-            );
-            let token = ctl.alloc_token(TimerAction::GraceCheck { watch: watch_id });
+            let watch = GraceWatch {
+                flow,
+                client_link,
+                armed_at: now,
+                round,
+            };
+            let token = self.ctl_mut().alloc_token(TimerAction::GraceCheck(watch));
             ctx.set_timer(self.cfg.grace, token);
         }
     }

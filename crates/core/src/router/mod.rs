@@ -22,8 +22,8 @@ use std::sync::{Arc, RwLock};
 use aitf_filter::{FilterTable, RateLimiterBank, ShadowCache};
 use aitf_netsim::{Buckets, Context, LinkId, NextHops, Node, NodeId, SimTime, Subsystem};
 use aitf_packet::{
-    Addr, AitfMessage, FilteringRequest, FlowLabel, Nonce, Packet, PayloadKind, Prefix,
-    PrefixSlice, RouteRecord, VerificationReply,
+    Addr, AitfMessage, FilteringRequest, FlowLabel, Packet, PayloadKind, Prefix, PrefixSlice,
+    RouteRecord, VerificationReply,
 };
 use aitf_trace::{Cause, SpanId, SpanKind, Tracer};
 
@@ -108,13 +108,13 @@ pub struct RouterCounters {
 #[derive(Debug)]
 enum TimerAction {
     HandshakeTimeout { nonce: u64 },
-    GraceCheck { watch: u64 },
+    GraceCheck(GraceWatch),
 }
 
+/// An open handshake, keyed by its nonce in `pending_handshakes`.
 #[derive(Debug)]
 struct PendingHandshake {
     request: FilteringRequest,
-    nonce: Nonce,
     /// The open handshake span ([`SpanId::NONE`] when tracing is off).
     span: SpanId,
 }
@@ -232,19 +232,6 @@ impl Behind<'_> {
                 .is_some_and(|d| Self::in_cone(wiring, link, d)),
         }
     }
-
-    /// Whether some address of `prefix` is: a declared network overlapping
-    /// it is behind the link.
-    pub(crate) fn overlaps(self, prefix: Prefix) -> bool {
-        match self {
-            Behind::Own(own) => own.overlaps(prefix),
-            Behind::Cone(wiring, link) => {
-                let touching = PrefixSlice::disjoint(&wiring.by_addr).overlapping(prefix);
-                let mut nets = touching.map(|at| wiring.net_at[at] as usize);
-                nets.any(|d| Self::in_cone(wiring, link, d))
-            }
-        }
-    }
 }
 
 /// A router's place in its world's [`Wiring`], and what it is given of its
@@ -320,9 +307,8 @@ struct ControlState {
     limiter: RateLimiterBank,
     pending_handshakes: HashMap<u64, PendingHandshake>,
     pending_paths: Vec<PendingPath>,
-    grace_watches: HashMap<u64, GraceWatch>,
     token_map: HashMap<u64, TimerAction>,
-    next_id: u64,
+    next_token: u64,
     /// Pushback baseline state (arrival-link memory + counters); inert
     /// under every other policy.
     pushback: PushbackState,
@@ -343,9 +329,8 @@ impl ControlState {
             limiter: RateLimiterBank::new(cfg.peer_contract.rate, cfg.peer_contract.burst),
             pending_handshakes: HashMap::new(),
             pending_paths: Vec::new(),
-            grace_watches: HashMap::new(),
             token_map: HashMap::new(),
-            next_id: 0,
+            next_token: 0,
             pushback: PushbackState::default(),
             prefix_limiter: match cfg.defense {
                 DefensePolicy::IngressRateLimit { rate_pps, burst } => {
@@ -358,8 +343,8 @@ impl ControlState {
     }
 
     fn alloc_token(&mut self, action: TimerAction) -> u64 {
-        let token = self.next_id;
-        self.next_id += 1;
+        let token = self.next_token;
+        self.next_token += 1;
         self.token_map.insert(token, action);
         token
     }
@@ -409,13 +394,9 @@ pub struct BorderRouter {
 static NO_LIMITER: std::sync::LazyLock<RateLimiterBank> =
     std::sync::LazyLock::new(|| RateLimiterBank::new(0.0, 1));
 
-/// Compact span key for a flow: `src_host << 32 | dst_host` (0 for a
-/// wildcard end). Escalation flows are host-to-host labels, so the key is
-/// unique within a world.
+/// Compact span key for a flow, unique within a world: `src << 32 | dst`.
 fn flow_key(flow: &FlowLabel) -> u64 {
-    let src = flow.src_host().map(|a| a.0).unwrap_or(0) as u64;
-    let dst = flow.dst_host().map(|a| a.0).unwrap_or(0) as u64;
-    (src << 32) | dst
+    u64::from(flow.src.0) << 32 | u64::from(flow.dst.0)
 }
 
 impl BorderRouter {
@@ -782,12 +763,8 @@ impl BorderRouter {
 
     /// The grace period armed by `satisfy_attacker_side` ran out:
     /// disconnect the client if its flow kept arriving regardless.
-    fn on_grace_check(&mut self, watch_id: u64, ctx: &mut Context<'_>) {
+    fn on_grace_check(&mut self, watch: GraceWatch, ctx: &mut Context<'_>) {
         let now = ctx.now();
-        let ctl = self.ctl.as_deref_mut();
-        let Some(watch) = ctl.and_then(|c| c.grace_watches.remove(&watch_id)) else {
-            return;
-        };
         // Has the flow kept arriving well into the grace period?
         let margin = self.cfg.grace / 2;
         let still_flowing = self
@@ -875,7 +852,7 @@ impl Node for BorderRouter {
                     self.tracer.close_round(key, pending.request.round, now.0);
                 }
             }
-            Some(TimerAction::GraceCheck { watch }) => self.on_grace_check(watch, ctx),
+            Some(TimerAction::GraceCheck(watch)) => self.on_grace_check(watch, ctx),
             None => {}
         }
     }

@@ -106,7 +106,7 @@ impl BorderRouter {
         let now = ctx.now();
         if self.policy.aitf_enabled
             && packet.is_data()
-            && self.cfg.packet_triggered_reactivation
+            && self.cfg.fast_reblock
             && self.policy.cooperating
         {
             let data = self.data_mut();
@@ -337,10 +337,7 @@ impl BorderRouter {
         }
         // The contributing upstream neighbour is whoever the aggregate has
         // been arriving from.
-        let key = match (flow.src_host(), flow.dst_host()) {
-            (Some(s), Some(d)) => (s, d),
-            _ => return,
-        };
+        let key = (flow.src, flow.dst);
         // A router that never saw the aggregate arrive learned no link
         // (and holds no state to ask).
         let Some(ctl) = self.ctl.as_deref_mut() else {
@@ -353,7 +350,6 @@ impl BorderRouter {
         let msg = AitfMessage::Pushback(PushbackRequest {
             id,
             flow,
-            limit_bps: 0,
             duration_ns: self.cfg.t_long.as_nanos(),
             depth: depth + 1,
         });

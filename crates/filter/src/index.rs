@@ -4,19 +4,14 @@
 //! The paper treats both tables as constant-time label lookups (Section I's
 //! wire-speed filters, Section II-B's DRAM shadow). [`LabelIndex`] is that
 //! lookup, stated once: a slab of `(label, expiry, payload)` slots with a
-//! free list, in which plain host-pair labels — the only shape a simulated
-//! path installs — are keyed exactly by the packed `src << 32 | dst`, so a
-//! lookup is one probe however many filters share a destination. Every
-//! other label shape (prefixes, port- or protocol-restricted pairs,
-//! wildcard destinations) sits in the short `wide` list, kept in storage
-//! order and scanned.
+//! free list, keyed exactly by the host pair packed as `src << 32 | dst`,
+//! so a lookup is one probe however many filters share a destination.
 //!
 //! Four behaviours are load-bearing for the fixtures and goldens:
 //!
-//! 1. **Match order.** Among the live labels matching a header, the
-//!    earliest-stored one with a /32 destination wins; a label with a wider
-//!    destination wins only when there is none (again the earliest-stored).
-//!    The owner updates that entry's payload and no other.
+//! 1. **One probe.** A header is matched by one label only, its own host
+//!    pair, so [`LabelIndex::first_match`] is the probe of that key. The
+//!    owner updates that entry's payload and no other.
 //! 2. **Expiry is lazy.** [`LabelIndex::find`] sees an expired entry until
 //!    [`LabelIndex::purge`] removes it, and owners purge only on their own
 //!    install / insert / explicit purge calls; [`LabelIndex::first_match`]
@@ -25,8 +20,8 @@
 //!    list is LIFO, so slot numbers — which break eviction ties — are a pure
 //!    function of the operation sequence.
 //! 4. **Storage order.** Every entry carries the sequence number of its
-//!    insertion; refreshing an entry in place keeps it, so match order and
-//!    the shadow's FIFO eviction follow original insertion.
+//!    insertion; refreshing an entry in place keeps it, so the shadow's
+//!    FIFO eviction follows original insertion.
 //!
 //! `purge` with nothing expired is O(1): `earliest` is a lower bound on
 //! every live expiry, lowered on insert and recomputed by each full sweep.
@@ -60,10 +55,8 @@ struct Store<V> {
     /// Slab of entries; `None` slots are on the free list.
     slots: Vec<Option<Slot<V>>>,
     free: Vec<usize>,
-    /// Plain host-pair labels: packed `(src, dst)` → slot.
+    /// Packed `(src, dst)` → slot.
     pairs: HashMap<u64, usize>,
-    /// Slots of every other label shape, in storage order.
-    wide: Vec<usize>,
     next_seq: u64,
     /// Lower bound on the expiry of every live entry.
     earliest: SimTime,
@@ -73,10 +66,8 @@ fn pack(src: Addr, dst: Addr) -> u64 {
     u64::from(src.0) << 32 | u64::from(dst.0)
 }
 
-/// The exact key of a plain host-pair label; `None` for any other shape.
-fn pair_key(label: &FlowLabel) -> Option<u64> {
-    let (src, dst) = (label.src.addr(), label.dst.addr());
-    (*label == FlowLabel::src_dst(src, dst)).then(|| pack(src, dst))
+fn key(label: &FlowLabel) -> u64 {
+    pack(label.src, label.dst)
 }
 
 impl<V> Store<V> {
@@ -90,12 +81,7 @@ impl<V> Store<V> {
 
     fn remove(&mut self, i: usize) {
         let slot = self.slots[i].take().expect("removing a live slot");
-        match pair_key(&slot.label) {
-            Some(key) => {
-                self.pairs.remove(&key);
-            }
-            None => self.wide.retain(|&w| w != i),
-        }
+        self.pairs.remove(&key(&slot.label));
         self.free.push(i);
     }
 }
@@ -144,53 +130,16 @@ impl<V> LabelIndex<V> {
             .filter_map(|(i, s)| Some((i, s.as_ref()?)))
     }
 
-    /// The slot holding exactly `label`, expired or not.
+    /// The slot holding `label`, expired or not.
     pub(crate) fn find(&self, label: &FlowLabel) -> Option<usize> {
-        let s = self.store.as_deref()?;
-        match pair_key(label) {
-            Some(key) => s.pairs.get(&key).copied(),
-            None => s.wide.iter().copied().find(|&i| s.slot(i).label == *label),
-        }
+        self.store.as_deref()?.pairs.get(&key(label)).copied()
     }
 
-    /// The live entry that wins `header` under the module's match order.
+    /// The live entry for `header`'s host pair.
     pub(crate) fn first_match(&self, header: &Header, now: SimTime) -> Option<usize> {
         let s = self.store.as_deref()?;
-        let pair = s
-            .pairs
-            .get(&pack(header.src, header.dst))
-            .copied()
-            .filter(|&i| s.slot(i).expires > now);
-        let mut wide_dst = None;
-        for &i in &s.wide {
-            let e = s.slot(i);
-            if e.expires <= now || !e.label.matches(header) {
-                continue;
-            }
-            if e.label.dst_host().is_some() {
-                // The earliest /32-destination match in `wide`: only the
-                // exact pair can have been stored before it.
-                return pair.filter(|&p| s.slot(p).seq < e.seq).or(Some(i));
-            }
-            wide_dst = wide_dst.or(Some(i));
-        }
-        pair.or(wide_dst)
-    }
-
-    /// Whether an entry lasting at least until `until` blocks every packet
-    /// of `label`. Callers purge first, so every candidate is live.
-    pub(crate) fn covered(&self, label: &FlowLabel, until: SimTime) -> bool {
-        let Some(s) = self.store.as_deref() else {
-            return false;
-        };
-        let pair = match (label.src_host(), label.dst_host()) {
-            (Some(src), Some(dst)) => s.pairs.get(&pack(src, dst)),
-            _ => None,
-        };
-        pair.into_iter().chain(&s.wide).any(|&i| {
-            let e = s.slot(i);
-            e.expires >= until && e.label.covers(label)
-        })
+        let i = *s.pairs.get(&pack(header.src, header.dst))?;
+        (s.slot(i).expires > now).then_some(i)
     }
 
     /// Stores a label the index does not hold yet.
@@ -201,7 +150,6 @@ impl<V> LabelIndex<V> {
                 slots: Vec::new(),
                 free: Vec::new(),
                 pairs: HashMap::new(),
-                wide: Vec::new(),
                 next_seq: 0,
                 earliest: SimTime::MAX,
             })
@@ -217,12 +165,7 @@ impl<V> LabelIndex<V> {
             value,
         });
         s.next_seq += 1;
-        match pair_key(&label) {
-            Some(key) => {
-                s.pairs.insert(key, i);
-            }
-            None => s.wide.push(i),
-        }
+        s.pairs.insert(key(&label), i);
         s.earliest = s.earliest.min(expires);
     }
 
@@ -261,7 +204,7 @@ mod spec {
     use super::*;
     use crate::{EvictionPolicy, FilterStats, FilterTable, ShadowCache, ShadowEntry, ShadowStats};
     use aitf_netsim::SimDuration;
-    use aitf_packet::{Prefix, Protocol, RouteRecord};
+    use aitf_packet::RouteRecord;
     use proptest::prelude::*;
 
     /// One stored row: a whole shadow entry — its label and expiry are
@@ -295,11 +238,9 @@ mod spec {
             self.0.iter_mut().find(|r| r.e.label == *label)
         }
         fn first_match(&mut self, h: &Header, now: SimTime) -> Option<&mut Row> {
-            let hit = |r: &Row| r.e.expires > now && r.e.label.matches(h);
-            let host_dst = |r: &Row| hit(r) && r.e.label.dst_host().is_some();
-            let first = self.0.iter().position(host_dst);
-            let first = first.or_else(|| self.0.iter().position(hit))?;
-            self.0.get_mut(first)
+            self.0
+                .iter_mut()
+                .find(|r| r.e.expires > now && r.e.label.matches(h))
         }
         fn purge(&mut self, now: SimTime) -> u64 {
             let stored = self.0.len();
@@ -325,13 +266,6 @@ mod spec {
         if let Some(r) = m.find(&label) {
             r.e.expires = r.e.expires.max(until);
             stats.refreshes += 1;
-            return;
-        }
-        if m.0
-            .iter()
-            .any(|r| r.e.expires >= until && r.e.label.covers(&label))
-        {
-            stats.covered += 1;
             return;
         }
         if m.0.len() >= cap {
@@ -380,29 +314,12 @@ mod spec {
         Addr::new(10, 9, 0, i)
     }
 
-    /// Host pairs to two victims plus every other shape, overlapping on
-    /// the first victim: prefixes, port- and protocol-restricted pairs and
-    /// two wildcard destinations.
+    /// Host pairs from four sources to each of two victims.
     fn pool() -> Vec<FlowLabel> {
-        let v = VICTIMS[0];
-        let pair = |i| FlowLabel::src_dst(source(i), v);
-        let net = |p: &str| p.parse::<Prefix>().expect("valid prefix");
-        let mut from_0 = FlowLabel::ANY;
-        from_0.src = Prefix::host(source(0));
-        let mut from_0_to_net = from_0;
-        from_0_to_net.dst = net("10.1.0.0/16");
-        let mut pool: Vec<FlowLabel> = (0..4).map(pair).collect();
-        pool.extend([
-            FlowLabel::src_dst(source(0), VICTIMS[1]),
-            FlowLabel::net_to_host(net("10.9.0.0/16"), v),
-            FlowLabel::net_to_host(net("10.9.0.0/31"), v),
-            FlowLabel::to_host(v),
-            pair(0).with_dst_port(2),
-            pair(1).with_proto(Protocol::Udp),
-            from_0_to_net,
-            from_0,
-        ]);
-        pool
+        let pairs = VICTIMS.iter().flat_map(|&v| (0..4).map(move |i| (i, v)));
+        pairs
+            .map(|(i, v)| FlowLabel::src_dst(source(i), v))
+            .collect()
     }
 
     /// A path of `hops` border routers, one of two per length, so a
@@ -426,15 +343,15 @@ mod spec {
 
     fn arb_op() -> impl Strategy<Value = Op> {
         let probe = (0u8..5, 0usize..3, 2u16..4, any::<bool>()).prop_map(|(s, d, port, udp)| {
-            // The third destination matches wildcard-destination labels only.
+            // The fifth source and the third destination are in no label.
             let dst = [VICTIMS[0], VICTIMS[1], Addr::new(10, 1, 7, 7)][d];
             let header = if udp { Header::udp } else { Header::tcp };
             Op::Probe(header(source(s), dst, 1, port))
         });
         prop_oneof![
-            (0usize..12, 0u64..90, 1u8..4, 0usize..11)
+            (0usize..8, 0u64..90, 1u8..4, 0usize..11)
                 .prop_map(|(l, d, r, hops)| Op::Store(l, d, r, hops)),
-            (0usize..12).prop_map(Op::Remove),
+            (0usize..8).prop_map(Op::Remove),
             (0u64..30).prop_map(Op::Advance),
             Just(Op::Purge),
             probe,
@@ -449,7 +366,6 @@ mod spec {
         assert_eq!((index.len(), index.iter().count()), (0, 0));
         assert_eq!(index.find(&label), None);
         assert_eq!(index.first_match(&probe, SimTime::ZERO), None);
-        assert!(!index.covered(&label, SimTime::ZERO));
         assert_eq!(index.purge(SimTime::MAX), 0);
         assert!(index.store.is_none(), "a read or a purge made the store");
         index.insert(label, SimTime::MAX, 7);

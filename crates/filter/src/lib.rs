@@ -17,10 +17,9 @@
 //!   indiscriminately dropped (Section II-B), which is what bounds a
 //!   router's filter and CPU consumption.
 //!
-//! Both tables are policy layers over one private label index (`index.rs`):
-//! host-pair labels keyed exactly, every other shape in a short scanned
-//! list. Its module doc states the match order, lazy expiry, slot reuse
-//! and storage order both tables rely on.
+//! Both tables are policy layers over one private label index (`index.rs`)
+//! keyed exactly by host pair. Its module doc states the one-probe match,
+//! lazy expiry, slot reuse and storage order both tables rely on.
 
 mod index;
 pub mod rate;

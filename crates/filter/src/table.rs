@@ -9,8 +9,8 @@
 //! `nv = R1·Ttmp` and `na = R2·T` formulas.
 //!
 //! This file is the policy layer only — capacity, eviction, statistics and
-//! the `last_hit` payload. Storage, lookup, match order and lazy expiry
-//! live in the label index the shadow cache shares (`index.rs`).
+//! the `last_hit` payload. Storage, lookup and lazy expiry live in the
+//! label index the shadow cache shares (`index.rs`).
 
 use aitf_netsim::SimTime;
 use aitf_packet::{FlowLabel, Header};
@@ -53,11 +53,8 @@ impl std::error::Error for InstallError {}
 pub enum InstallOutcome {
     /// A new entry was created.
     Installed,
-    /// An identical label already existed; its expiry was extended.
+    /// The label was already installed; its expiry was extended.
     Refreshed,
-    /// An existing, *wider* entry already blocks this flow for at least
-    /// the requested duration; nothing added.
-    AlreadyCovered,
     /// A new entry was created after evicting another (policy-dependent).
     InstalledWithEviction,
 }
@@ -67,10 +64,8 @@ pub enum InstallOutcome {
 pub struct FilterStats {
     /// Successful new installations (including with eviction).
     pub installs: u64,
-    /// Refreshes of an existing identical label.
+    /// Refreshes of an already installed label.
     pub refreshes: u64,
-    /// Requests absorbed by an already-covering entry.
-    pub covered: u64,
     /// Installations rejected because the table was full.
     pub rejections: u64,
     /// Entries evicted to make room.
@@ -167,18 +162,11 @@ impl FilterTable {
         let expires = now.saturating_add(duration);
         self.purge_expired(now);
 
-        // Refresh an identical label in place.
+        // Refresh the label in place.
         if let Some(i) = self.index.find(&label) {
             self.index.extend(i, expires);
             self.stats.refreshes += 1;
             return Ok(InstallOutcome::Refreshed);
-        }
-
-        // A wider entry already blocks every packet of `label` for at least
-        // as long as requested.
-        if self.index.covered(&label, expires) {
-            self.stats.covered += 1;
-            return Ok(InstallOutcome::AlreadyCovered);
         }
 
         let mut evicted = false;
@@ -272,7 +260,7 @@ impl FilterTable {
 mod tests {
     use super::*;
     use aitf_netsim::SimDuration;
-    use aitf_packet::{Addr, Prefix};
+    use aitf_packet::Addr;
 
     fn t(secs: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs(secs)
@@ -348,33 +336,6 @@ mod tests {
         tbl.install(label(1), t(6), SimDuration::from_secs(1))
             .unwrap();
         assert_eq!(tbl.expiry_of(&label(1)), Some(t(15)));
-    }
-
-    #[test]
-    fn covering_entry_absorbs_narrower_request() {
-        let mut tbl = FilterTable::new(10);
-        let wide = FlowLabel::net_to_host("10.9.0.0/16".parse().unwrap(), Addr::new(10, 1, 0, 1));
-        tbl.install(wide, t(0), SimDuration::from_secs(60)).unwrap();
-        assert_eq!(
-            tbl.install(label(1), t(0), SimDuration::from_secs(60)),
-            Ok(InstallOutcome::AlreadyCovered)
-        );
-        assert_eq!(tbl.len(), 1);
-        assert_eq!(tbl.stats().covered, 1);
-    }
-
-    #[test]
-    fn shorter_lived_covering_entry_does_not_absorb() {
-        let mut tbl = FilterTable::new(10);
-        let wide = FlowLabel::net_to_host("10.9.0.0/16".parse().unwrap(), Addr::new(10, 1, 0, 1));
-        tbl.install(wide, t(0), SimDuration::from_secs(10)).unwrap();
-        assert_eq!(
-            tbl.install(label(1), t(0), SimDuration::from_secs(60)),
-            Ok(InstallOutcome::Installed)
-        );
-        // The narrow flow stays blocked after the wide entry is gone.
-        assert!(tbl.matches(&header(1), t(10)));
-        assert!(!tbl.matches(&header(2), t(10)));
     }
 
     #[test]
@@ -460,22 +421,6 @@ mod tests {
         assert!(tbl
             .install(label(2), t(0), SimDuration::from_secs(60))
             .is_ok());
-    }
-
-    #[test]
-    fn wider_destination_labels_are_matched() {
-        let mut tbl = FilterTable::new(10);
-        let net_label = FlowLabel {
-            src: Prefix::host(Addr::new(10, 9, 0, 1)),
-            dst: "10.1.0.0/16".parse().unwrap(),
-            ..FlowLabel::ANY
-        };
-        tbl.install(net_label, t(0), SimDuration::from_secs(60))
-            .unwrap();
-        let hdr = Header::udp(Addr::new(10, 9, 0, 1), Addr::new(10, 1, 77, 3), 1, 2);
-        assert!(tbl.matches(&hdr, t(1)));
-        assert!(tbl.remove(&net_label));
-        assert!(!tbl.matches(&hdr, t(1)));
     }
 
     #[test]
@@ -591,22 +536,16 @@ mod proptests {
 
     #[derive(Debug, Clone)]
     enum TinyOp {
-        /// Install a host-pair label (keyed exactly).
-        InstallPair(u8, u64),
-        /// Install a wildcard-destination label (scanned).
-        InstallWild(u8, u64),
-        RemovePair(u8),
-        RemoveWild(u8),
+        Install(u8, u64),
+        Remove(u8),
         Advance(u64),
         Lookup(u8),
     }
 
     fn arb_tiny_op() -> impl Strategy<Value = TinyOp> {
         prop_oneof![
-            (0u8..6, 1u64..90).prop_map(|(i, d)| TinyOp::InstallPair(i, d)),
-            (0u8..6, 1u64..90).prop_map(|(i, d)| TinyOp::InstallWild(i, d)),
-            (0u8..6).prop_map(TinyOp::RemovePair),
-            (0u8..6).prop_map(TinyOp::RemoveWild),
+            (0u8..6, 1u64..90).prop_map(|(i, d)| TinyOp::Install(i, d)),
+            (0u8..6).prop_map(TinyOp::Remove),
             (1u64..30).prop_map(TinyOp::Advance),
             (0u8..6).prop_map(TinyOp::Lookup),
         ]
@@ -616,23 +555,13 @@ mod proptests {
         FlowLabel::src_dst(Addr::new(10, 9, 0, i), Addr::new(10, 1, 0, 1))
     }
 
-    fn wild_label(i: u8) -> FlowLabel {
-        FlowLabel {
-            src: aitf_packet::Prefix::host(Addr::new(10, 9, 0, i)),
-            dst: format!("10.{}.0.0/16", 100 + i).parse().unwrap(),
-            ..FlowLabel::ANY
-        }
-    }
-
     proptest! {
-        /// Tiny-capacity hammering with mixed host-pair and
-        /// wildcard-destination labels, every install past the first few
+        /// Tiny-capacity hammering, every install past the first few
         /// evicting. Invariants after every operation:
         ///
         /// - occupancy never exceeds the capacity;
         /// - `lookup` agrees with a plain scan of `entries()` — a dropped
-        ///   index entry would silently stop matching a live filter, the
-        ///   wildcard-dst scan in particular;
+        ///   index entry would silently stop matching a live filter;
         /// - the `installs = live + evictions + expirations + removes`
         ///   lifecycle identity holds.
         #[test]
@@ -645,19 +574,11 @@ mod proptests {
             let mut removes = 0u64;
             for op in ops {
                 match op {
-                    TinyOp::InstallPair(i, d) => {
+                    TinyOp::Install(i, d) => {
                         let _ = tbl.install(pair_label(i), now, SimDuration::from_secs(d));
                     }
-                    TinyOp::InstallWild(i, d) => {
-                        let _ = tbl.install(wild_label(i), now, SimDuration::from_secs(d));
-                    }
-                    TinyOp::RemovePair(i) => {
+                    TinyOp::Remove(i) => {
                         if tbl.remove(&pair_label(i)) {
-                            removes += 1;
-                        }
-                    }
-                    TinyOp::RemoveWild(i) => {
-                        if tbl.remove(&wild_label(i)) {
                             removes += 1;
                         }
                     }
@@ -666,30 +587,19 @@ mod proptests {
                         tbl.purge_expired(now);
                     }
                     TinyOp::Lookup(i) => {
-                        // One header served by the exact key, one only by the
-                        // wildcard scan.
-                        for hdr in [
-                            Header::udp(Addr::new(10, 9, 0, i), Addr::new(10, 1, 0, 1), 1, 2),
-                            Header::udp(
-                                Addr::new(10, 9, 0, i),
-                                Addr::new(10, 100 + i, 3, 7),
-                                1,
-                                2,
-                            ),
-                        ] {
-                            let via_index = tbl.lookup(&hdr, now);
-                            let via_scan = tbl
-                                .entries()
-                                .into_iter()
-                                .find(|(label, exp)| *exp > now && label.matches(&hdr));
-                            prop_assert_eq!(
-                                via_index.is_some(),
-                                via_scan.is_some(),
-                                "index lookup and slab scan disagree for {:?}",
-                                hdr
-                            );
-                            let _ = tbl.matches(&hdr, now);
-                        }
+                        let hdr = Header::udp(Addr::new(10, 9, 0, i), Addr::new(10, 1, 0, 1), 1, 2);
+                        let via_index = tbl.lookup(&hdr, now);
+                        let via_scan = tbl
+                            .entries()
+                            .into_iter()
+                            .find(|(label, exp)| *exp > now && label.matches(&hdr));
+                        prop_assert_eq!(
+                            via_index.is_some(),
+                            via_scan.is_some(),
+                            "index lookup and slab scan disagree for {:?}",
+                            hdr
+                        );
+                        let _ = tbl.matches(&hdr, now);
                     }
                 }
                 prop_assert!(tbl.len() <= cap, "occupancy {} > cap {cap}", tbl.len());

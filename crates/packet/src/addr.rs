@@ -161,11 +161,6 @@ impl Prefix {
         self.len
     }
 
-    /// Returns `true` if this is the catch-all zero-length prefix.
-    pub const fn is_any(self) -> bool {
-        self.len == 0
-    }
-
     /// Returns `true` if `addr` falls inside this prefix.
     pub const fn contains(self, addr: Addr) -> bool {
         addr.masked(self.len).0 == self.addr.0

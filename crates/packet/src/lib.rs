@@ -6,8 +6,8 @@
 //! - [`Addr`] and [`Prefix`] — IPv4-like addressing with longest-prefix
 //!   semantics, used both for end hosts and for the address blocks owned by
 //!   AITF networks (Autonomous Domains).
-//! - [`FlowLabel`] — the wildcarded flow description carried by AITF
-//!   filtering requests ("all packets with IP source address S and IP
+//! - [`FlowLabel`] — the source-host / destination-host pair carried by
+//!   AITF filtering requests ("all packets with IP source address S and IP
 //!   destination address D", Section II-A of the paper).
 //! - [`Packet`] and [`Header`] — the simulated datagram, including the AITF
 //!   *route record shim* appended by border routers (the traceback substrate
@@ -30,7 +30,7 @@ pub mod packet;
 pub mod route_record;
 
 pub use addr::{Addr, AddrParseError, Prefix};
-pub use flow::{FlowLabel, PortPattern, ProtoPattern};
+pub use flow::FlowLabel;
 pub use lpm::{LpmTable, PrefixSlice};
 pub use message::{
     AitfMessage, FilteringRequest, Nonce, PushbackRequest, RequestDestination, VerificationQuery,

@@ -14,11 +14,9 @@
 //!   of disjoint prefixes, one to reach a default route.
 //! - Where the prefixes are pairwise disjoint no chain is needed:
 //!   [`PrefixSlice`] borrows them ascending and says which one holds an
-//!   address, or which ones share an address with a prefix. A world's
-//!   declared networks are such a list, and every router answers its
-//!   routing and ingress questions from that one per-world map.
-
-use std::ops::Range;
+//!   address. A world's declared networks are such a list, and every
+//!   router answers its routing and ingress questions from that one
+//!   per-world map.
 
 use crate::addr::{Addr, Prefix};
 
@@ -230,16 +228,6 @@ impl<'a> PrefixSlice<'a> {
             .checked_sub(1)?;
         self.0[at].contains(addr).then_some(at)
     }
-
-    /// The indices of the members sharing an address with `prefix`.
-    pub fn overlapping(self, prefix: Prefix) -> Range<usize> {
-        // Disjoint members ascend by first and by last address alike: the
-        // ones ending before `prefix` come first, then the ones touching
-        // it, then the ones starting after it.
-        let last = |p: Prefix| p.addr().raw() + (p.size() - 1) as u32;
-        let from = self.0.partition_point(|&p| last(p) < prefix.addr().raw());
-        from..self.0.partition_point(|p| p.addr().raw() <= last(prefix))
-    }
 }
 
 #[cfg(test)]
@@ -380,13 +368,11 @@ mod proptests {
     proptest! {
         /// Over the outermost of any listed prefixes, found by brute force,
         /// the member holding an address is the one listed prefix around it
-        /// that no other covers, and the members sharing an address with a
-        /// prefix are exactly those a scan finds.
+        /// that no other covers.
         #[test]
         fn prefix_slice_over_the_outermost_prefixes_agrees_with_linear_scan(
             prefixes in proptest::collection::vec(crowded_prefix(), 0..40),
             probes in proptest::collection::vec(any::<u32>(), 1..20),
-            queries in proptest::collection::vec(crowded_prefix(), 1..20),
         ) {
             let covered = |p: Prefix| prefixes.iter().any(|&q| q != p && q.covers(p));
             let mut outermost: Vec<Prefix> = prefixes.iter().copied().filter(|&p| !covered(p)).collect();
@@ -396,11 +382,6 @@ mod proptests {
             for a in edges(&prefixes).chain(probes.into_iter().map(Addr)) {
                 let expected = outermost.iter().position(|p| p.contains(a));
                 prop_assert_eq!(slice.position(a), expected, "{}", a);
-            }
-            for &q in prefixes.iter().chain(&queries) {
-                let touching = outermost.iter().enumerate().filter(|(_, p)| p.overlaps(q));
-                let expected: Vec<usize> = touching.map(|(i, _)| i).collect();
-                prop_assert_eq!(slice.overlapping(q).collect::<Vec<_>>(), expected, "{}", q);
             }
         }
 

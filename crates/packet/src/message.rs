@@ -69,30 +69,6 @@ pub struct FilteringRequest {
     pub round: u8,
 }
 
-impl FilteringRequest {
-    /// Builds a round-1 request with no attack-path sample.
-    pub fn new(flow: FlowLabel, dest: RequestDestination, duration_ns: u64) -> Self {
-        FilteringRequest {
-            id: 0,
-            flow,
-            dest,
-            duration_ns,
-            path: RouteRecord::new(),
-            round: 1,
-        }
-    }
-
-    /// Returns a copy escalated by one round and re-addressed to the
-    /// victim-gateway role (the shape a gateway sends to *its* gateway when
-    /// the attacker side did not cooperate).
-    pub fn escalated(&self) -> Self {
-        let mut copy = self.clone();
-        copy.round = copy.round.saturating_add(1);
-        copy.dest = RequestDestination::VictimGateway;
-        copy
-    }
-}
-
 impl fmt::Display for FilteringRequest {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -148,18 +124,16 @@ pub struct VerificationReply {
 
 /// A hop-by-hop pushback request (the \[MBF+01\] baseline re-implemented
 /// for comparison, Section V). A congested router asks its *adjacent
-/// upstream* router to rate-limit an aggregate; recipients recursively
-/// propagate further upstream.
+/// upstream* router to block an aggregate (AITF's blocking semantics, so
+/// the comparison is fair); recipients recursively propagate further
+/// upstream.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct PushbackRequest {
     /// Correlation id.
     pub id: u64,
-    /// The aggregate to limit.
+    /// The aggregate to block.
     pub flow: FlowLabel,
-    /// Target rate in bits/second (0 = drop everything, matching AITF's
-    /// blocking semantics for a fair comparison).
-    pub limit_bps: u64,
-    /// How long the limit should stay, in nanoseconds.
+    /// How long the block should stay, in nanoseconds.
     pub duration_ns: u64,
     /// Hops travelled from the congested router (loop/depth guard).
     pub depth: u8,
@@ -178,18 +152,6 @@ pub enum AitfMessage {
     Pushback(PushbackRequest),
 }
 
-impl AitfMessage {
-    /// Returns the flow label the message is about.
-    pub fn flow(&self) -> &FlowLabel {
-        match self {
-            AitfMessage::FilteringRequest(r) => &r.flow,
-            AitfMessage::VerificationQuery(q) => &q.flow,
-            AitfMessage::VerificationReply(r) => &r.flow,
-            AitfMessage::Pushback(p) => &p.flow,
-        }
-    }
-}
-
 impl fmt::Display for AitfMessage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -206,11 +168,7 @@ impl fmt::Display for AitfMessage {
                 "verify-reply req#{} {} nonce={} confirm={}",
                 r.request_id, r.flow, r.nonce, r.confirm
             ),
-            AitfMessage::Pushback(p) => write!(
-                f,
-                "pushback#{} {} limit={}bps depth={}",
-                p.id, p.flow, p.limit_bps, p.depth
-            ),
+            AitfMessage::Pushback(p) => write!(f, "pushback#{} {} depth={}", p.id, p.flow, p.depth),
         }
     }
 }
@@ -220,51 +178,16 @@ mod tests {
     use super::*;
     use crate::addr::Addr;
 
-    fn flow() -> FlowLabel {
-        FlowLabel::src_dst(Addr::new(10, 9, 0, 7), Addr::new(10, 1, 0, 1))
-    }
-
-    #[test]
-    fn new_request_starts_at_round_one() {
-        let r = FilteringRequest::new(flow(), RequestDestination::VictimGateway, 60);
-        assert_eq!(r.round, 1);
-        assert!(r.path.is_empty());
-    }
-
-    #[test]
-    fn escalated_bumps_round_and_targets_victim_gateway() {
-        let r = FilteringRequest::new(flow(), RequestDestination::AttackerGateway, 60);
-        let e = r.escalated();
-        assert_eq!(e.round, 2);
-        assert_eq!(e.dest, RequestDestination::VictimGateway);
-        let e2 = e.escalated();
-        assert_eq!(e2.round, 3);
-    }
-
-    #[test]
-    fn escalation_round_saturates() {
-        let mut r = FilteringRequest::new(flow(), RequestDestination::VictimGateway, 60);
-        r.round = u8::MAX;
-        assert_eq!(r.escalated().round, u8::MAX);
-    }
-
-    #[test]
-    fn message_flow_accessor() {
-        let f = flow();
-        let q = AitfMessage::VerificationQuery(VerificationQuery {
-            request_id: 1,
-            flow: f,
-            nonce: Nonce(42),
-        });
-        assert_eq!(*q.flow(), f);
-    }
-
     #[test]
     fn display_includes_round_and_duration() {
-        let mut r =
-            FilteringRequest::new(flow(), RequestDestination::AttackerGateway, 60_000_000_000);
-        r.id = 9;
-        r.round = 2;
+        let r = FilteringRequest {
+            id: 9,
+            flow: FlowLabel::src_dst(Addr::new(10, 9, 0, 7), Addr::new(10, 1, 0, 1)),
+            dest: RequestDestination::AttackerGateway,
+            duration_ns: 60_000_000_000,
+            path: RouteRecord::new(),
+            round: 2,
+        };
         let s = r.to_string();
         assert!(s.contains("req#9"));
         assert!(s.contains("round=2"));

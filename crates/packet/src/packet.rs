@@ -207,7 +207,7 @@ impl fmt::Display for Packet {
 mod tests {
     use super::*;
     use crate::flow::FlowLabel;
-    use crate::message::{AitfMessage, FilteringRequest, RequestDestination};
+    use crate::message::{AitfMessage, Nonce, VerificationQuery};
 
     #[test]
     fn data_packet_clamps_size_to_header_minimum() {
@@ -222,14 +222,14 @@ mod tests {
     fn control_packet_carries_message() {
         let a = Addr::new(1, 1, 1, 1);
         let v = Addr::new(2, 2, 2, 2);
-        let req = FilteringRequest::new(
-            FlowLabel::src_dst(a, v),
-            RequestDestination::VictimGateway,
-            60_000,
-        );
-        let p = Packet::control(1, v, a, AitfMessage::FilteringRequest(req.clone()));
+        let msg = AitfMessage::VerificationQuery(VerificationQuery {
+            request_id: 1,
+            flow: FlowLabel::src_dst(a, v),
+            nonce: Nonce(42),
+        });
+        let p = Packet::control(1, v, a, msg.clone());
         assert_eq!(p.header.proto, Protocol::Aitf);
-        assert_eq!(p.aitf_message(), Some(&AitfMessage::FilteringRequest(req)));
+        assert_eq!(p.aitf_message(), Some(&msg));
         assert!(!p.is_data());
     }
 

@@ -201,24 +201,9 @@ impl RouteRecord {
         matches!(self.hops, Hops::Spilled(_))
     }
 
-    /// The attacker's gateway: the first border router crossed.
-    pub fn attacker_gateway(&self) -> Option<Addr> {
-        self.hops().first().copied()
-    }
-
     /// The border router closest to the destination.
     pub fn victim_gateway(&self) -> Option<Addr> {
         self.hops().last().copied()
-    }
-
-    /// The AITF node asked to filter at escalation round `round`
-    /// (1-indexed): round 1 is the attacker's gateway, round 2 the next
-    /// border router, and so on.
-    pub fn node_for_round(&self, round: usize) -> Option<Addr> {
-        if round == 0 {
-            return None;
-        }
-        self.hops().get(round - 1).copied()
     }
 
     /// Returns `true` if `addr` appears anywhere on the recorded path.
@@ -267,26 +252,15 @@ mod tests {
     #[test]
     fn gateways_are_path_ends() {
         let rr = RouteRecord::from_hops([addr(1), addr(2), addr(3), addr(4)]);
-        assert_eq!(rr.attacker_gateway(), Some(addr(1)));
+        assert_eq!(rr.hops().first(), Some(&addr(1)));
         assert_eq!(rr.victim_gateway(), Some(addr(4)));
     }
 
     #[test]
     fn empty_record_has_no_gateways() {
         let rr = RouteRecord::new();
-        assert_eq!(rr.attacker_gateway(), None);
+        assert_eq!(rr.hops().first(), None);
         assert_eq!(rr.victim_gateway(), None);
-        assert_eq!(rr.node_for_round(1), None);
-    }
-
-    #[test]
-    fn rounds_walk_away_from_attacker() {
-        let rr = RouteRecord::from_hops([addr(1), addr(2), addr(3)]);
-        assert_eq!(rr.node_for_round(0), None);
-        assert_eq!(rr.node_for_round(1), Some(addr(1)));
-        assert_eq!(rr.node_for_round(2), Some(addr(2)));
-        assert_eq!(rr.node_for_round(3), Some(addr(3)));
-        assert_eq!(rr.node_for_round(4), None);
     }
 
     #[test]
@@ -393,13 +367,7 @@ mod proptests {
             prop_assert_eq!(rr.len(), model.len());
             prop_assert_eq!(rr.is_empty(), model.is_empty());
             prop_assert_eq!(rr.is_spilled(), model.len() > INLINE_ROUTE_RECORD);
-            prop_assert_eq!(rr.attacker_gateway(), model.first().copied());
             prop_assert_eq!(rr.victim_gateway(), model.last().copied());
-            // Every round maps to the model's 0-indexed entries.
-            for round in 0..=MAX_ROUTE_RECORD + 1 {
-                let expected = round.checked_sub(1).and_then(|i| model.get(i).copied());
-                prop_assert_eq!(rr.node_for_round(round), expected);
-            }
             // Membership and position agree for present and absent hops.
             for &hop in &model {
                 prop_assert!(rr.contains(hop));

@@ -104,7 +104,7 @@ fn full_tables_on_the_deferred_confirm_path_keep_the_identity_strict() {
         // One slot per router. With every attacker-side net below legacy,
         // all four flows' requests target the hub; the first confirmed
         // handshake's long filter holds the hub's only slot for T, and
-        // every later confirm (of a flow retried via fast_redetect once
+        // every later confirm (of a flow retried via fast_reblock once
         // the victim gateway's temp slot frees) hits TableFull on the
         // deferred path.
         filter_capacity: 1,

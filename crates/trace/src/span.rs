@@ -83,7 +83,7 @@ pub enum Cause {
     TableFull,
     /// No AITF-enabled ancestor left to escalate through.
     NoAncestor,
-    /// No identifiable neighbour to disconnect.
+    /// No route towards the neighbour to disconnect.
     NoNeighbor,
     /// The grace period expired with the flow still arriving.
     GraceExpired,
@@ -125,8 +125,7 @@ pub struct SpanRecord {
     pub kind: SpanKind,
     /// The decision that caused it.
     pub cause: Cause,
-    /// Compact flow key (`src_host << 32 | dst_host` for host-to-host
-    /// labels; caller-defined otherwise).
+    /// Compact flow key: the label's `src << 32 | dst`.
     pub flow: u64,
     /// Escalation round the span belongs to.
     pub round: u8,

@@ -32,7 +32,7 @@ pub trait Traceback {
     /// Feeds one received packet to the provider.
     fn observe(&mut self, packet: &Packet);
 
-    /// Best-known attack path for packets matching `flow`, attacker side
+    /// Best-known attack path of `flow`, attacker side
     /// first; `None` until the provider has converged for that flow.
     fn attack_path(&self, flow: &FlowLabel) -> Option<RouteRecord>;
 }

@@ -22,7 +22,7 @@ use crate::Traceback;
 #[derive(Debug)]
 pub struct RouteRecordTraceback {
     capacity: usize,
-    /// Ordered by `(src, dst)` so wildcard lookups scan deterministically.
+    /// Cached path per `(src, dst)` host pair.
     paths: BTreeMap<(Addr, Addr), RouteRecord>,
 }
 
@@ -70,17 +70,7 @@ impl Traceback for RouteRecordTraceback {
     }
 
     fn attack_path(&self, flow: &FlowLabel) -> Option<RouteRecord> {
-        // Exact host-pair labels hit the cache directly; wildcard labels
-        // fall back to any cached pair the label matches.
-        if let (Some(src), Some(dst)) = (flow.src_host(), flow.dst_host()) {
-            return self.paths.get(&(src, dst)).cloned();
-        }
-        // Deterministic choice among matches: the map is ordered by
-        // (src, dst), so the first hit is the smallest key.
-        self.paths
-            .iter()
-            .find(|((s, d), _)| flow.src.contains(*s) && flow.dst.contains(*d))
-            .map(|(_, path)| path.clone())
+        self.paths.get(&(flow.src, flow.dst)).cloned()
     }
 }
 
@@ -146,7 +136,7 @@ mod tests {
         let mut tb = RouteRecordTraceback::new(16);
         tb.observe(&attack_packet(A, V, &[]));
         assert!(
-            tb.attack_path(&FlowLabel::ANY).is_none(),
+            tb.attack_path(&FlowLabel::src_dst(A, V)).is_none(),
             "nothing is cached"
         );
     }
@@ -160,19 +150,11 @@ mod tests {
     }
 
     #[test]
-    fn wildcard_label_matches_cached_pairs() {
-        let mut tb = RouteRecordTraceback::new(16);
-        tb.observe(&attack_packet(A, V, &[gw(9), gw(1)]));
-        let net_label = FlowLabel::net_to_host("10.9.0.0/16".parse().unwrap(), V);
-        assert_eq!(tb.attack_path(&net_label), Some(record(&[gw(9), gw(1)])));
-    }
-
-    #[test]
     fn capacity_bound_holds() {
         let mut tb = RouteRecordTraceback::new(2);
         let flows = (0..5u8).map(|i| FlowLabel::src_dst(Addr::new(10, 9, 0, i), V));
         for f in flows.clone() {
-            tb.observe(&attack_packet(f.src.addr(), V, &[gw(9)]));
+            tb.observe(&attack_packet(f.src, V, &[gw(9)]));
         }
         let cached = flows.map(|f| tb.attack_path(&f).is_some());
         assert!(cached.eq([true, true, false, false, false]));

@@ -47,8 +47,7 @@ fn main() {
         // The conservative detection model (see E17): with the shadow
         // fast paths on, a re-opened flow is re-blocked within a single
         // packet and the t=3s spike would be invisible on any plot.
-        packet_triggered_reactivation: false,
-        fast_redetect: false,
+        fast_reblock: false,
         ..AitfConfig::default()
     })
     // ad_2's leaves never deployed AITF in the first place.

@@ -10,7 +10,7 @@
 use aitf::core::{AitfConfig, BorderRouter, EndHost, HostPolicy};
 use aitf::netsim::Link;
 use aitf::packet::alloc_probe::CountingAlloc;
-use aitf::packet::Packet;
+use aitf::packet::{FlowLabel, Packet};
 use aitf::scenario::{PowerLawSpec, TopologySpec};
 
 #[global_allocator]
@@ -29,14 +29,18 @@ const _: () = {
 };
 
 // What a hop moves: a packet is written into the event queue's pool once
-// and read out once (160 B, 88 of them the payload enum), and while it
-// waits in a link's ring the ring holds a handle and a size (8 B). The
-// heap entry's own pin (56 B) sits beside its definition in
-// `netsim/src/event.rs`.
+// and read out once (144 B, 72 of them the payload enum; 160 and 88 while
+// a flow label held prefixes, protocol and ports), and while it waits in a
+// link's ring the ring holds a handle and a size (8 B). The heap entry's
+// own pin (56 B) sits beside its definition in `netsim/src/event.rs`.
 const _: () = {
-    assert!(std::mem::size_of::<Packet>() <= 160);
+    assert!(std::mem::size_of::<Packet>() <= 144);
     assert!(Link::QUEUE_ENTRY_BYTES <= 8);
 };
+
+// A flow label is a host pair (8 B; 28 with prefix, protocol and port
+// patterns): every control message, filter slot and shadow slot holds one.
+const _: () = assert!(std::mem::size_of::<FlowLabel>() <= 8);
 
 /// The world both pins build: 10,000 power-law networks and one host.
 fn power_law_spec() -> TopologySpec {
