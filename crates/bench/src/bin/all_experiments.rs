@@ -15,6 +15,10 @@
 //! - `--seed`     base seed all per-point seeds derive from (default 42)
 //! - `--shards`   event-loop shards per simulated world (default 1)
 //!
+//! Built with the `trace` feature it also prints each sweep's profile, and
+//! `--json` also writes the sweep's folded stacks to
+//! `PROFILE_<experiment>.folded` (`aitf_bench::harness::render_profile`).
+//!
 //! Results are bit-identical at any `--threads` or `--shards` value: every
 //! point's RNG seed derives only from `(seed, experiment id, point index)`,
 //! and the sharded event loop's window protocol never consults thread
@@ -128,6 +132,7 @@ fn main() {
     let mut total_events = 0u64;
     for (spec, records) in specs.iter().zip(&grouped) {
         aitf_bench::harness::render_sweep(spec, records);
+        let folded = aitf_bench::harness::render_profile(spec, records);
         total_points += records.len();
         total_events += records.iter().map(|r| r.events).sum::<u64>();
         if let Some(dir) = &args.json_dir {
@@ -141,6 +146,13 @@ fn main() {
             ) {
                 Ok(path) => println!("wrote {}\n", path.display()),
                 Err(e) => die(&format!("writing {}: {e}", spec.id)),
+            }
+            if let Some(folded) = folded {
+                let path = dir.join(format!("PROFILE_{}.folded", spec.id));
+                match std::fs::write(&path, folded) {
+                    Ok(()) => println!("wrote {}\n", path.display()),
+                    Err(e) => die(&format!("writing {}: {e}", path.display())),
+                }
             }
         }
     }

@@ -1,11 +1,16 @@
 //! What every experiment shares: the one place a sweep point is executed
-//! ([`run_scenario`]) and the table rendering of finished sweeps.
+//! ([`run_scenario`]) and the table rendering of finished sweeps — their
+//! results ([`render_sweep`]) and, from a build with the `trace` feature,
+//! their per-subsystem profile ([`render_profile`]).
 //! (Measurement helpers — leak ratios, binned sampling — live in
 //! `aitf_scenario::probe`.)
+
+use std::collections::BTreeMap;
 
 use aitf_engine::{tabulate, Outcome, Params, RunCtx, RunRecord, ScenarioSpec};
 use aitf_netsim::Simulator;
 use aitf_scenario::Scenario;
+use aitf_trace::SubsystemProfile;
 
 /// Turns an experiment's `params → Scenario` mapping into its point
 /// runner. This is the only place that knows how a sweep point is
@@ -58,10 +63,8 @@ pub fn checked(mut scenario: Scenario) -> Scenario {
 /// use aitf_bench::Table;
 ///
 /// let mut t = Table::new("demo", &["x", "y"]);
-/// t.row(&["1", "2.0"]);
-/// let s = t.render();
-/// assert!(s.contains("demo"));
-/// assert!(s.contains("1"));
+/// t.row(vec!["1".into(), "2.0".into()]);
+/// assert!(t.render().starts_with("## demo\n"));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -85,31 +88,14 @@ impl Table {
     /// # Panics
     ///
     /// Panics if the cell count does not match the header count.
-    pub fn row(&mut self, cells: &[&str]) {
-        assert_eq!(cells.len(), self.headers.len(), "row width mismatch");
-        self.rows
-            .push(cells.iter().map(|s| s.to_string()).collect());
-    }
-
-    /// Appends a row of already-owned cells.
-    pub fn row_owned(&mut self, cells: Vec<String>) {
+    pub fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.headers.len(), "row width mismatch");
         self.rows.push(cells);
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
     }
 
     /// Returns `true` if no rows were added.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
-    }
-
-    /// Cell accessor (row, column) for tests.
-    pub fn cell(&self, row: usize, col: usize) -> &str {
-        &self.rows[row][col]
     }
 
     /// Renders the table with aligned columns.
@@ -142,33 +128,90 @@ impl Table {
         }
         out
     }
-
-    /// Renders and prints to stdout.
-    pub fn print(&self) {
-        println!("{}", self.render());
-    }
 }
 
 /// Builds a [`Table`] from engine run records: parameter columns first,
 /// then metric columns (the engine's [`tabulate()`] projection).
 pub fn table_from_records(title: &str, records: &[RunRecord]) -> Table {
     let (headers, rows) = tabulate(records);
-    let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
-    let mut table = Table::new(title, &header_refs);
-    for row in rows {
-        table.row_owned(row);
+    Table {
+        title: title.to_string(),
+        headers,
+        rows,
     }
-    table
 }
 
 /// Prints a finished sweep (table + expectation) and returns the table.
 pub fn render_sweep(spec: &ScenarioSpec, records: &[RunRecord]) -> Table {
     let table = table_from_records(&spec.title, records);
-    table.print();
+    println!("{}", table.render());
     if !spec.expectation.is_empty() {
         println!("paper expectation: {}\n", spec.expectation);
     }
     table
+}
+
+/// Prints the profile of a sweep whose records carry a trace payload (as
+/// they do exactly when built with the `trace` feature): events, wall,
+/// ns/event and share of loop wall per subsystem, merged over the points
+/// (the queue row is [`SubsystemProfile::finalized`]'s residual), then one
+/// `shard_load()` line per sharded point. Returns the span trees' folded
+/// stacks for `flamegraph.pl`, one `path;to;frame weight` line per stack
+/// with weights summed over the points — or `None`, printing nothing, if
+/// no record carries a payload.
+pub fn render_profile(spec: &ScenarioSpec, records: &[RunRecord]) -> Option<String> {
+    let mut merged = SubsystemProfile::default();
+    let mut folded: BTreeMap<String, u64> = BTreeMap::new();
+    let mut traced = 0usize;
+    let mut spans = 0usize;
+    for report in records.iter().filter_map(|r| r.trace.as_deref()) {
+        traced += 1;
+        spans += report.spans.len();
+        merged.merge(&report.subsystems);
+        for line in report.folded() {
+            let (stack, weight) = line.rsplit_once(' ').expect("folded line has a weight");
+            *folded.entry(stack.to_string()).or_default() +=
+                weight.parse::<u64>().expect("folded weight is an integer");
+        }
+    }
+    if traced == 0 {
+        return None;
+    }
+
+    let loop_nanos = merged.loop_nanos().max(1);
+    let mut table = Table::new(
+        &format!(
+            "{}: per-subsystem profile, {traced} traced point(s), {spans} span(s)",
+            spec.id
+        ),
+        &["subsystem", "events", "wall_ms", "ns/event", "share"],
+    );
+    for (sub, bucket) in merged.rows() {
+        table.row(vec![
+            sub.name().to_string(),
+            bucket.events.to_string(),
+            format!("{:.3}", bucket.nanos as f64 / 1e6),
+            format!("{}", bucket.nanos.checked_div(bucket.events).unwrap_or(0)),
+            format!("{:.1}%", 100.0 * bucket.nanos as f64 / loop_nanos as f64),
+        ]);
+    }
+    print!("{}", table.render());
+    for rec in records {
+        if let Some(t) = rec
+            .trace
+            .as_deref()
+            .filter(|t| t.shard_load.events.len() > 1)
+        {
+            println!("point {}: {}", rec.index, t.shard_load);
+        }
+    }
+    println!();
+    Some(
+        folded
+            .iter()
+            .map(|(stack, weight)| format!("{stack} {weight}\n"))
+            .collect(),
+    )
 }
 
 #[cfg(test)]
@@ -188,15 +231,14 @@ mod tests {
     #[test]
     fn table_renders_aligned() {
         let mut t = Table::new("t", &["aa", "b"]);
-        t.row(&["1", "22222"]);
-        t.row(&["333", "4"]);
-        let s = t.render();
-        assert!(s.contains("## t"));
-        let lines: Vec<&str> = s.lines().collect();
-        // Header, rule, two rows.
-        assert_eq!(lines.len(), 5);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.cell(0, 1), "22222");
+        t.row(vec!["1".into(), "22222".into()]);
+        t.row(vec!["333".into(), "4".into()]);
+        // Title, header, rule, two rows: every column right-aligned to its
+        // widest cell.
+        assert_eq!(
+            t.render(),
+            "## t\n aa      b\n----------\n  1  22222\n333      4\n"
+        );
     }
 
     #[test]
@@ -209,9 +251,51 @@ mod tests {
     }
 
     #[test]
+    fn a_profile_is_rendered_only_from_traced_records_and_sums_their_stacks() {
+        use aitf_trace::{Cause, SpanKind, SpanRecord, Subsystem, TraceReport};
+
+        let spec = ScenarioSpec::new("p1", "profile test", "§x");
+        let record = |trace: Option<TraceReport>| RunRecord {
+            experiment: "p1",
+            index: 0,
+            seed: 1,
+            params: Params::new(),
+            metrics: Params::new(),
+            events: 1,
+            wall_secs: 0.0,
+            shards: 1,
+            trace: trace.map(Box::new),
+            defense: None,
+        };
+        assert_eq!(render_profile(&spec, &[record(None), record(None)]), None);
+
+        let mut report = TraceReport::default();
+        report.subsystems.record(Subsystem::Link, 100);
+        report.spans.push(SpanRecord {
+            id: 0,
+            parent: None,
+            kind: SpanKind::Round,
+            cause: Cause::Detection,
+            flow: 1,
+            round: 1,
+            router: 1,
+            start_ns: 0,
+            end_ns: 3_000,
+        });
+        let line = report.folded().pop().expect("one stack");
+        let (stack, _) = line.rsplit_once(' ').expect("weighted");
+        let two = [record(Some(report.clone())), record(Some(report))];
+        assert_eq!(
+            render_profile(&spec, &two).as_deref(),
+            Some(format!("{stack} 6\n").as_str()),
+            "3 us of exclusive span time per point, summed over two points"
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "row width mismatch")]
     fn row_width_is_checked() {
         let mut t = Table::new("t", &["a", "b"]);
-        t.row(&["only-one"]);
+        t.row(vec!["only-one".into()]);
     }
 }

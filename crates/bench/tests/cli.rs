@@ -1,8 +1,9 @@
 //! CLI behaviour of the `all_experiments` driver: a `--filter` that
 //! matches nothing (or is empty) must fail loudly (listing the known
 //! experiment ids and exiting non-zero), even when other filters do
-//! match. And for both binaries: `--help` agrees with the argument parser
-//! and the doc table.
+//! match; `--help` agrees with the argument parser and the doc table; and
+//! `--json` writes the profile's folded stacks exactly when the build is
+//! traced.
 
 use std::process::Command;
 
@@ -98,12 +99,10 @@ fn assert_help_matches(exe: &str, source: &str, expected: &[&str]) {
     for flag in &expected {
         assert!(help.contains(flag), "--help omits {flag}: {help}");
     }
-    if expected.contains(&"--filter") {
-        assert!(
-            !help.contains("SUBSTR") && help.contains("boundary"),
-            "--filter is boundary-matched, not a plain substring: {help}"
-        );
-    }
+    assert!(
+        !help.contains("SUBSTR") && help.contains("boundary"),
+        "--filter is boundary-matched, not a plain substring: {help}"
+    );
 }
 
 #[test]
@@ -123,17 +122,31 @@ fn all_experiments_help_names_every_flag() {
 }
 
 #[test]
-fn profiling_runner_help_works_on_an_untraced_build() {
-    assert_help_matches(
-        env!("CARGO_BIN_EXE_profiling_runner"),
-        include_str!("../src/bin/profiling_runner.rs"),
-        &[
-            "--quick",
-            "--filter",
-            "--threads",
-            "--out",
-            "--seed",
-            "--shards",
-        ],
+fn json_carries_the_profile_exactly_when_the_build_is_traced() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_profile_e1");
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = driver()
+        .args(["--quick", "--filter", "e1", "--threads", "1", "--json"])
+        .arg(&dir)
+        .output()
+        .expect("run all_experiments");
+    assert!(out.status.success(), "{out:?}");
+
+    let document =
+        std::fs::read_to_string(dir.join("BENCH_e1_escalation.json")).expect("BENCH document");
+    let records: Vec<&str> = document
+        .lines()
+        .filter(|l| l.starts_with("    {"))
+        .collect();
+    let traced = cfg!(feature = "trace");
+    assert!(!records.is_empty(), "{document}");
+    assert!(
+        records
+            .iter()
+            .all(|r| r.contains("\"subsystems\":") == traced),
+        "every record has a subsystems block exactly when traced: {document}"
     );
+    // A traced run writes non-empty folded stacks; an untraced one none.
+    let folded = std::fs::read_to_string(dir.join("PROFILE_e1_escalation.folded"));
+    assert_eq!(folded.ok().map(|f| f.is_empty()), traced.then_some(false));
 }

@@ -178,9 +178,6 @@ pub trait RxTap: Send + 'static {
 
     /// Downcast support for reading aggregates back at end of run.
     fn as_any(&self) -> &dyn std::any::Any;
-
-    /// Mutable downcast support.
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
 }
 
 /// The victim agent: everything a host keeps about what it *receives*.
@@ -393,11 +390,6 @@ impl EndHost {
     /// Number of traffic applications installed on the host.
     pub fn app_count(&self) -> usize {
         self.apps.len()
-    }
-
-    /// Changes the host's compliance policy (experiments flip this).
-    pub fn set_policy(&mut self, policy: HostPolicy) {
-        self.policy = policy;
     }
 
     /// Whether the host is attached to the network (dynamic worlds detach

@@ -9,7 +9,10 @@
 #![cfg(test)]
 
 use aitf_netsim::{SimDuration, SimTime};
-use aitf_packet::{Addr, AitfMessage, FlowLabel, Packet, Protocol, TrafficClass};
+use aitf_packet::{
+    Addr, AitfMessage, FilteringRequest, FlowLabel, Packet, Protocol, RequestDestination,
+    TrafficClass,
+};
 
 use crate::config::{AitfConfig, HostPolicy, RouterPolicy};
 use crate::host::{HostApi, TrafficApp};
@@ -492,6 +495,132 @@ fn victim_gateway_filter_is_temporary_not_long() {
     // The shadow outlives the filter by design.
     let shadow = g_gw1.shadow().get(&flow).expect("shadow present");
     assert!(shadow.expires > exp);
+}
+
+// ----------------------------------------------------------------------
+// A request that arrives with no attack path.
+// ----------------------------------------------------------------------
+
+/// A victim-side app that sends one round-1 request for `flow` to its
+/// gateway `at` after start, with an empty path: the victim's gateway has
+/// to find the path on the flow's own packets.
+struct PathlessRequest {
+    gateway: Addr,
+    flow: FlowLabel,
+    at: SimDuration,
+}
+
+impl TrafficApp for PathlessRequest {
+    fn on_start(&mut self, api: &mut HostApi<'_, '_>) {
+        api.set_timer(self.at);
+    }
+
+    fn on_timer(&mut self, api: &mut HostApi<'_, '_>) {
+        let req = FilteringRequest {
+            id: 1,
+            flow: self.flow,
+            dest: RequestDestination::VictimGateway,
+            duration_ns: 60_000_000_000,
+            path: Default::default(),
+            round: 1,
+        };
+        let msg = AitfMessage::FilteringRequest(req);
+        api.send_raw(Packet::control(0, api.my_addr(), self.gateway, msg));
+    }
+}
+
+/// Figure 1 with the attacker sending `source(victim address)` and the
+/// victim sending one pathless request `at`. Without verification and
+/// with a detection delay past any horizon, neither the handshake nor the
+/// victim's own agent takes part: whatever leaves the victim's gateway is
+/// that one request.
+fn pathless_request_under(source: impl FnOnce(Addr) -> Box<Source>, at: SimDuration) -> Fig1 {
+    let cfg = AitfConfig {
+        verification: false,
+        detection_delay: SimDuration::from_secs(3600),
+        ..AitfConfig::default()
+    };
+    let mut f = fig1(cfg, HostPolicy::Malicious);
+    let victim = f.world.host_addr(f.victim);
+    let flow = FlowLabel::src_dst(f.world.host_addr(f.attacker), victim);
+    let gateway = f.world.router_addr(f.g_net);
+    f.world.add_app(f.attacker, source(victim));
+    f.world
+        .add_app(f.victim, Box::new(PathlessRequest { gateway, flow, at }));
+    f
+}
+
+/// Requests received by every router but the victim's gateway.
+fn requests_beyond_victim_gateway(f: &Fig1) -> u64 {
+    [f.g_isp, f.g_wan, f.b_net, f.b_isp, f.b_wan]
+        .iter()
+        .map(|&net| f.world.router(net).counters().requests_received)
+        .sum()
+}
+
+#[test]
+fn a_pathless_request_takes_its_path_from_the_first_blocked_packet() {
+    let t_tmp = AitfConfig::default().t_tmp;
+    let at = SimDuration::from_millis(500);
+    let mut f = pathless_request_under(|victim| periodic_flood(victim, 1000, 500), at);
+    f.world.sim.run_for(at);
+    assert_eq!(requests_beyond_victim_gateway(&f), 0);
+
+    // The temporary filter blocks the next flood packet within a
+    // millisecond; its route record is the path, and round 1 goes to the
+    // first hop on it, B_gw1, long before the temporary filter expires.
+    f.world.sim.run_for(t_tmp / 2);
+    let g_gw1 = f.world.router(f.g_net).counters();
+    assert_eq!(g_gw1.requests_accepted, 1, "{g_gw1:?}");
+    assert!(g_gw1.data_filtered_pkts >= 1, "{g_gw1:?}");
+    assert_eq!(g_gw1.reactivations, 0, "{g_gw1:?}");
+    assert_eq!(g_gw1.escalations_sent, 0, "{g_gw1:?}");
+    let b_gw1 = f.world.router(f.b_net).counters();
+    assert_eq!(b_gw1.requests_received, 1, "{b_gw1:?}");
+    assert_eq!(b_gw1.filters_installed, 1, "{b_gw1:?}");
+    assert_eq!(requests_beyond_victim_gateway(&f), 1);
+}
+
+#[test]
+fn a_pathless_request_for_a_silent_flow_takes_its_path_from_the_reactivating_packet() {
+    let t_tmp = AitfConfig::default().t_tmp;
+    // On for 300 ms, then silent for 2 s > Ttmp; the request lands in the
+    // silence, so no packet is blocked while the temporary filter lives.
+    let (on, off) = (SimDuration::from_millis(300), SimDuration::from_secs(2));
+    let at = SimDuration::from_millis(400);
+    let mut f = pathless_request_under(
+        |victim| Box::new(Source::onoff(victim, 1000, 500, on, off)),
+        at,
+    );
+    f.world.sim.run_for(at + t_tmp);
+    let g_gw1 = f.world.router(f.g_net).counters();
+    assert_eq!(g_gw1.requests_accepted, 1, "{g_gw1:?}");
+    assert_eq!(g_gw1.data_filtered_pkts, 0, "{g_gw1:?}");
+    assert_eq!(requests_beyond_victim_gateway(&f), 0);
+
+    // Still nothing until the flow comes back at 2.3 s ...
+    f.world
+        .sim
+        .run_for(on + off - at - t_tmp - SimDuration::from_millis(1));
+    assert_eq!(requests_beyond_victim_gateway(&f), 0);
+
+    // ... when its first packet hits the shadow. The shadow holds no path,
+    // so the packet's route record (plus G_gw1's own hop) becomes it: round
+    // 2 escalates to G_gw2, which asks the second hop on the path, B_gw2.
+    f.world.sim.run_for(SimDuration::from_millis(100));
+    let g_gw1 = f.world.router(f.g_net).counters();
+    assert_eq!(g_gw1.reactivations, 1, "{g_gw1:?}");
+    assert_eq!(g_gw1.escalations_sent, 1, "{g_gw1:?}");
+    let g_gw2 = f.world.router(f.g_isp).counters();
+    assert_eq!(g_gw2.requests_accepted, 1, "{g_gw2:?}");
+    let b_gw2 = f.world.router(f.b_isp).counters();
+    assert_eq!(b_gw2.requests_received, 1, "{b_gw2:?}");
+    assert_eq!(b_gw2.filters_installed, 1, "{b_gw2:?}");
+    for net in [f.g_net, f.g_isp, f.g_wan, f.b_net, f.b_isp, f.b_wan] {
+        let c = f.world.router(net).counters();
+        assert_eq!(c.local_filter_fallbacks, 0, "{c:?}");
+        assert_eq!(c.disconnects_peer, 0, "{c:?}");
+    }
 }
 
 // ----------------------------------------------------------------------

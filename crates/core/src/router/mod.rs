@@ -13,8 +13,8 @@
 //!   and disconnects the client after the grace period if it does not;
 //! - **escalation relay** — both of the above, one level up, in later
 //!   rounds;
-//! - **plain forwarder** — stamps the route-record shim (or probabilistic
-//!   marks) on transit data packets and enforces ingress filtering.
+//! - **plain forwarder** — stamps the route-record shim on transit data
+//!   packets and enforces ingress filtering.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, RwLock};

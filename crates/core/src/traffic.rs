@@ -451,10 +451,6 @@ mod tests {
         fn as_any(&self) -> &dyn std::any::Any {
             self
         }
-
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
 
     fn received(w: &World, v: HostId) -> &[Addr] {

@@ -58,16 +58,14 @@
 //! assert!(outcome.events > 0);
 //! ```
 
-use aitf_core::{HostPolicy, RouterPolicy};
+use aitf_core::RouterPolicy;
 use aitf_netsim::SimDuration;
 
 use crate::topology::{BuiltWorld, NetSel};
 use crate::workload::{HostSel, TrafficSpec};
 
-/// A bespoke mutation closure (the churn escape hatch).
-pub type ChurnFn = Box<dyn FnOnce(&mut BuiltWorld)>;
-
 /// One scheduled world mutation.
+#[derive(Debug)]
 pub enum ChurnAction {
     /// Retire hosts: tail circuits blocked both ways, traffic apps go
     /// quiet. At `t = 0` this declares hosts that have not joined yet.
@@ -75,9 +73,6 @@ pub enum ChurnAction {
     /// (Re)join hosts: tail circuits unblocked; any installed apps restart
     /// (their `starting_after` windows count from this instant).
     Attach(HostSel),
-    /// Flip hosts' compliance policy mid-run (a zombie "cleaned up", a
-    /// client compromised).
-    SetHostPolicy(HostSel, HostPolicy),
     /// Flip networks' router policy mid-run — providers joining or
     /// leaving AITF mid-attack. Compiles onto
     /// [`aitf_core::World::set_router_policy`], which also records the
@@ -89,27 +84,6 @@ pub enum ChurnAction {
     /// growth waves, legitimate arrivals. The entry's `starting_after` /
     /// `stagger` windows are relative to the event time.
     StartTraffic(TrafficSpec),
-    /// Arbitrary mutation.
-    Custom(ChurnFn),
-}
-
-impl std::fmt::Debug for ChurnAction {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ChurnAction::Detach(sel) => f.debug_tuple("Detach").field(sel).finish(),
-            ChurnAction::Attach(sel) => f.debug_tuple("Attach").field(sel).finish(),
-            ChurnAction::SetHostPolicy(sel, p) => {
-                f.debug_tuple("SetHostPolicy").field(sel).field(p).finish()
-            }
-            ChurnAction::SetRouterPolicy(sel, p) => f
-                .debug_tuple("SetRouterPolicy")
-                .field(sel)
-                .field(p)
-                .finish(),
-            ChurnAction::StartTraffic(spec) => f.debug_tuple("StartTraffic").field(spec).finish(),
-            ChurnAction::Custom(_) => f.write_str("Custom(..)"),
-        }
-    }
 }
 
 impl ChurnAction {
@@ -132,11 +106,6 @@ impl ChurnAction {
                     world.world.attach_host(host);
                 }
             }
-            ChurnAction::SetHostPolicy(sel, policy) => {
-                for host in resolve_nonempty(&sel, world, "SetHostPolicy") {
-                    world.world.host_mut(host).set_policy(policy);
-                }
-            }
             ChurnAction::SetRouterPolicy(sel, policy) => {
                 let nets = sel.resolve(world);
                 assert!(
@@ -148,7 +117,6 @@ impl ChurnAction {
                 }
             }
             ChurnAction::StartTraffic(spec) => spec.install(world),
-            ChurnAction::Custom(f) => f(world),
         }
     }
 }
@@ -214,7 +182,6 @@ impl ChurnSpec {
 mod tests {
     use super::*;
     use crate::topology::{Role, TopologySpec};
-    use crate::workload::TargetSel;
 
     #[test]
     fn schedule_sorts_by_time_stably() {
@@ -244,18 +211,5 @@ mod tests {
         let topo = TopologySpec::star(2, 1, aitf_core::HostPolicy::Malicious, 10_000_000);
         let mut world = crate::Scenario::new(topo).build(1);
         ChurnAction::Detach(HostSel::Role(Role::Legit)).apply(&mut world);
-    }
-
-    #[test]
-    fn set_host_policy_applies_to_selection() {
-        let topo = TopologySpec::star(2, 1, aitf_core::HostPolicy::Malicious, 10_000_000);
-        let mut world = crate::Scenario::new(topo).build(1);
-        ChurnAction::SetHostPolicy(HostSel::Role(Role::Attacker), HostPolicy::Compliant)
-            .apply(&mut world);
-        // No panic and the world still runs; compliance is observable via
-        // behaviour (covered by E15 / host tests), here we just exercise
-        // the action path.
-        world.world.sim.run_for(SimDuration::from_millis(10));
-        let _ = TargetSel::Victim;
     }
 }

@@ -207,10 +207,6 @@ impl RxTap for VictimStreamTap {
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 /// The measurement plan of a scenario.

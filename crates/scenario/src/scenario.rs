@@ -176,8 +176,7 @@ fn check_selections(
             ChurnAction::StartTraffic(spec) => ("StartTraffic", spec.check(hosts)),
             ChurnAction::Detach(sel) => ("Detach", sel.check(hosts).map(drop)),
             ChurnAction::Attach(sel) => ("Attach", sel.check(hosts).map(drop)),
-            ChurnAction::SetHostPolicy(sel, _) => ("SetHostPolicy", sel.check(hosts).map(drop)),
-            ChurnAction::SetRouterPolicy(..) | ChurnAction::Custom(_) => continue,
+            ChurnAction::SetRouterPolicy(..) => continue,
         };
         if let Err(e) = checked {
             return Err(ScenarioError(format!(
