@@ -148,6 +148,25 @@ mod tests {
         );
     }
 
+    /// At the full sweep's busiest point the victim sees more than 4,096
+    /// senders, and still every request it sends names the attack path:
+    /// each one its gateway accepts reaches the zombie's gateway.
+    #[test]
+    fn every_accepted_request_reaches_the_attacker_gateway() {
+        let t = SimDuration::from_secs(30);
+        let mut built = scenario(100.0, SimDuration::from_secs(1), t).build(42);
+        built.world.sim.run_for(t * 2);
+        // Stop the flood and let the requests still in flight land.
+        let zombie = built.hosts_with(Role::Attacker)[0];
+        built.world.detach_host(zombie);
+        built.world.sim.run_for(SimDuration::from_secs(1));
+        let g_net = built.world.router(built.net("g_net")).counters();
+        let b_net = built.world.router(built.net("b_net")).counters();
+        assert_eq!(g_net.requests_invalid, 0, "{g_net:?}");
+        assert!(g_net.requests_accepted > 4096, "{g_net:?}");
+        assert_eq!(b_net.requests_received, g_net.requests_accepted);
+    }
+
     #[test]
     fn filters_are_a_small_fraction_of_shadows() {
         let o = scenario(50.0, SimDuration::from_secs(1), SimDuration::from_secs(20)).run(5);

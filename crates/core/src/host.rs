@@ -9,7 +9,8 @@
 //! - the **victim agent**: attack detection (oracle with delay `Td`; fast
 //!   re-detection of logged flows per footnote 8), filtering-request
 //!   origination, the request log used to answer verification queries, and
-//!   a traceback collector fed by every received packet;
+//!   a traceback collector fed by every data packet delivered to the host
+//!   (the agent itself is made by the first delivered packet);
 //! - the **attacker agent**: compliance with `dest=Attacker` notices. A
 //!   [`HostPolicy::Compliant`] host installs a self-filter and stops
 //!   sending matching traffic ("a legitimate AITF node must be provisioned
@@ -196,6 +197,7 @@ pub(crate) struct VictimAgent {
     request_bucket: TokenBucket,
     /// The rate-threshold detector, when configured.
     rate_detector: Option<RateDetector>,
+    /// The best route record per sender, uncapped.
     traceback: RouteRecordTraceback,
 }
 
@@ -217,7 +219,7 @@ impl VictimAgent {
                     window,
                 } => Some(RateDetector::new(bytes_per_sec, window, 4096)),
             },
-            traceback: RouteRecordTraceback::new(4096),
+            traceback: RouteRecordTraceback::new(usize::MAX),
         }
     }
 
@@ -603,19 +605,20 @@ impl Node for EndHost {
             // A packet already in flight when the host detached: gone.
             return;
         }
-        // Feed traceback with everything we receive; the first delivery
-        // makes the agent that holds it.
+        // The first delivery makes the victim agent.
         let cfg = &self.cfg;
         let agent = self
             .victim
             .get_or_insert_with(|| Box::new(VictimAgent::new(cfg)));
-        agent.traceback.observe(&packet);
 
         if packet.header.dst != self.addr {
             // Mis-routed packet; hosts do not forward.
             return;
         }
         if packet.is_data() {
+            // Only data packets carry a route record; the victim keeps
+            // every sender's, so any flow it requests has its path.
+            agent.traceback.observe(&packet);
             let counters = &mut HostData::of(&mut self.data, &self.cfg).counters;
             match packet.payload {
                 aitf_packet::PayloadKind::Data(TrafficClass::Attack) => {

@@ -9,15 +9,12 @@
 use aitf_filter::InstallError;
 use aitf_netsim::{Context, LinkId};
 use aitf_packet::{
-    AitfMessage, FilteringRequest, Nonce, Packet, RequestDestination, VerificationQuery,
-    VerificationReply,
+    AitfMessage, FilteringRequest, Nonce, RequestDestination, VerificationQuery, VerificationReply,
 };
 use aitf_trace::{Cause, SpanKind};
 use rand::Rng;
 
-use super::{
-    flow_key, BorderRouter, DataState, GraceWatch, PendingHandshake, PendingPath, TimerAction,
-};
+use super::{flow_key, BorderRouter, DataState, GraceWatch, PendingHandshake, TimerAction};
 
 impl BorderRouter {
     // ------------------------------------------------------------------
@@ -51,12 +48,17 @@ impl BorderRouter {
                 return;
             }
         }
+        // The victim has received the flow's route record before it asks,
+        // so only a malformed client sends a request with no path.
+        if req.path.is_empty() {
+            self.data_mut().counters.requests_invalid += 1;
+            return;
+        }
 
         // A repeat request for a flow we already acted on means the last
         // round failed: escalate. (The client always claims round 1; the
-        // shadow knows better, and knows the path when the request does
-        // not.) The entry is read out whole, so the tables can be written
-        // below.
+        // shadow knows better.) The entry is read out whole, so the tables
+        // can be written below.
         if let Some(logged) = self.shadow().get(&req.flow) {
             let round = logged.round;
             let cooldown = self.cfg.t_tmp / 2;
@@ -80,9 +82,6 @@ impl BorderRouter {
                     return;
                 }
                 req.round = round.saturating_add(1).min(self.cfg.max_round);
-            }
-            if req.path.is_empty() {
-                req.path = logged.path;
             }
         }
 
@@ -124,18 +123,6 @@ impl BorderRouter {
             req.round,
             req.path.clone(),
         );
-
-        if req.path.is_empty() {
-            // No attack-path sample yet: wait for one (the temporary filter
-            // is already protecting the client; blocked packets will carry
-            // the route record).
-            let expires = now + self.cfg.t_tmp;
-            self.ctl_mut().pending_paths.push(PendingPath {
-                request: req,
-                expires,
-            });
-            return;
-        }
         self.propagate_as_victim_gateway(req, ctx);
     }
 
@@ -271,7 +258,6 @@ impl BorderRouter {
     pub(super) fn on_reactivation(
         &mut self,
         entry: aitf_filter::ShadowEntry,
-        packet: &Packet,
         ctx: &mut Context<'_>,
     ) {
         let now = ctx.now();
@@ -294,19 +280,12 @@ impl BorderRouter {
             self.addr.0,
             now.0,
         );
-        // Prefer the stored path; fall back to the triggering packet's
-        // route record (plus our own hop).
-        let path = if entry.path.is_empty() {
-            self.with_own_hop(&packet.route_record)
-        } else {
-            entry.path
-        };
         let req = FilteringRequest {
             id: entry.request_id,
             flow: entry.label,
             dest: RequestDestination::VictimGateway,
             duration_ns: self.cfg.t_long.as_nanos(),
-            path,
+            path: entry.path,
             round,
         };
         self.propagate_as_victim_gateway(req, ctx);

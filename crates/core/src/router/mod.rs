@@ -23,7 +23,7 @@ use aitf_filter::{FilterTable, RateLimiterBank, ShadowCache};
 use aitf_netsim::{Buckets, Context, LinkId, NextHops, Node, NodeId, SimTime, Subsystem};
 use aitf_packet::{
     Addr, AitfMessage, FilteringRequest, FlowLabel, Packet, PayloadKind, Prefix, PrefixSlice,
-    RouteRecord, VerificationReply,
+    VerificationReply,
 };
 use aitf_trace::{Cause, SpanId, SpanKind, Tracer};
 
@@ -55,7 +55,8 @@ pub struct RouterCounters {
     /// Requests ignored because this router is non-cooperating or legacy.
     pub requests_ignored: u64,
     /// Victim-gateway-role requests rejected as invalid (wrong direction,
-    /// destination not behind the requesting client).
+    /// destination not behind the requesting client), or naming no attack
+    /// path.
     pub requests_invalid: u64,
     /// Damped duplicate requests whose temporary filter was refreshed in
     /// place.
@@ -125,13 +126,6 @@ struct GraceWatch {
     round: u8,
     client_link: Option<LinkId>,
     armed_at: SimTime,
-}
-
-/// A victim-gateway request waiting for an attack-path sample.
-#[derive(Debug)]
-struct PendingPath {
-    request: FilteringRequest,
-    expires: SimTime,
 }
 
 /// What every router of a world reads and none writes: the declared
@@ -306,7 +300,6 @@ struct ControlState {
     /// The contract policer (Section II-B), one bucket per arrival link.
     limiter: RateLimiterBank,
     pending_handshakes: HashMap<u64, PendingHandshake>,
-    pending_paths: Vec<PendingPath>,
     token_map: HashMap<u64, TimerAction>,
     next_token: u64,
     /// Pushback baseline state (arrival-link memory + counters); inert
@@ -328,7 +321,6 @@ impl ControlState {
             // when that link's bucket is first needed.
             limiter: RateLimiterBank::new(cfg.peer_contract.rate, cfg.peer_contract.burst),
             pending_handshakes: HashMap::new(),
-            pending_paths: Vec::new(),
             token_map: HashMap::new(),
             next_token: 0,
             pushback: PushbackState::default(),
@@ -563,17 +555,6 @@ impl BorderRouter {
     fn peer_participates(&self, addr: Addr) -> bool {
         let legacy = self.wiring.legacy.read().expect("deployment view");
         !legacy.contains(&addr)
-    }
-
-    /// `record` completed with this router's own hop, unless it is already
-    /// the last one: the attack path as seen from here, of a packet that
-    /// has not crossed this router yet. A full record drops the hop.
-    fn with_own_hop(&self, record: &RouteRecord) -> RouteRecord {
-        let mut path = record.clone();
-        if path.victim_gateway() != Some(self.addr) {
-            let _ = path.push(self.addr);
-        }
-        path
     }
 
     /// The nearest ancestor gateway that participates in AITF — the

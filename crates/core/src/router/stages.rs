@@ -49,50 +49,10 @@ impl BorderRouter {
             if data.filters.matches(&packet.header, now) {
                 data.counters.data_filtered_pkts += 1;
                 data.counters.data_filtered_bytes += packet.size_bytes as u64;
-                // The blocked packet still carries traceback information a
-                // pending request may be waiting for.
-                self.harvest_pending_path(packet, ctx);
                 return Verdict::Drop;
             }
         }
         Verdict::Continue
-    }
-
-    /// A packet matching a pending-path request supplies the missing
-    /// attack-path sample; complete the propagation step.
-    fn harvest_pending_path(&mut self, packet: &Packet, ctx: &mut Context<'_>) {
-        let Some(ctl) = self.ctl.as_deref_mut() else {
-            return;
-        };
-        if ctl.pending_paths.is_empty() {
-            return;
-        }
-        let now = ctx.now();
-        ctl.pending_paths.retain(|p| p.expires > now);
-        let Some(pos) = ctl
-            .pending_paths
-            .iter()
-            .position(|p| p.request.flow.matches(&packet.header))
-        else {
-            return;
-        };
-        if packet.route_record.is_empty() {
-            return;
-        }
-        let mut request = ctl.pending_paths.remove(pos).request;
-        // The packet has not crossed this router yet, so the record lacks
-        // our own hop; append it for a complete path.
-        request.path = self.with_own_hop(&packet.route_record);
-        let data = DataState::of(&mut self.data, &self.cfg);
-        data.shadow.insert_with_path(
-            request.flow,
-            request.id,
-            now,
-            self.cfg.t_long,
-            request.round,
-            request.path.clone(),
-        );
-        self.propagate_as_victim_gateway(request, ctx);
     }
 
     /// Shadow reactivation: a recently blocked flow reappeared after its
@@ -112,7 +72,7 @@ impl BorderRouter {
             let data = self.data_mut();
             if let Some(entry) = data.shadow.check_reactivation(&packet.header, now) {
                 data.counters.reactivations += 1;
-                self.on_reactivation(entry, packet, ctx);
+                self.on_reactivation(entry, ctx);
                 return Verdict::Drop;
             }
         }

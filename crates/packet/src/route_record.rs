@@ -201,11 +201,6 @@ impl RouteRecord {
         matches!(self.hops, Hops::Spilled(_))
     }
 
-    /// The border router closest to the destination.
-    pub fn victim_gateway(&self) -> Option<Addr> {
-        self.hops().last().copied()
-    }
-
     /// Returns `true` if `addr` appears anywhere on the recorded path.
     pub fn contains(&self, addr: Addr) -> bool {
         self.hops().contains(&addr)
@@ -253,14 +248,14 @@ mod tests {
     fn gateways_are_path_ends() {
         let rr = RouteRecord::from_hops([addr(1), addr(2), addr(3), addr(4)]);
         assert_eq!(rr.hops().first(), Some(&addr(1)));
-        assert_eq!(rr.victim_gateway(), Some(addr(4)));
+        assert_eq!(rr.hops().last(), Some(&addr(4)));
     }
 
     #[test]
     fn empty_record_has_no_gateways() {
         let rr = RouteRecord::new();
         assert_eq!(rr.hops().first(), None);
-        assert_eq!(rr.victim_gateway(), None);
+        assert_eq!(rr.hops().last(), None);
     }
 
     #[test]
@@ -304,7 +299,7 @@ mod tests {
         rr.push(addr(100)).unwrap();
         assert!(rr.is_spilled(), "one past the cap spills");
         assert_eq!(rr.len(), INLINE_ROUTE_RECORD + 1);
-        assert_eq!(rr.victim_gateway(), Some(addr(100)));
+        assert_eq!(rr.hops().last(), Some(&addr(100)));
     }
 
     #[test]
@@ -367,7 +362,6 @@ mod proptests {
             prop_assert_eq!(rr.len(), model.len());
             prop_assert_eq!(rr.is_empty(), model.is_empty());
             prop_assert_eq!(rr.is_spilled(), model.len() > INLINE_ROUTE_RECORD);
-            prop_assert_eq!(rr.victim_gateway(), model.last().copied());
             // Membership and position agree for present and absent hops.
             for &hop in &model {
                 prop_assert!(rr.contains(hop));

@@ -15,10 +15,10 @@ use crate::Traceback;
 /// Per-source-host cache of observed attack paths.
 ///
 /// Keyed by `(src, dst)` host pair — the granularity AITF requests use.
-/// Bounded: when full, new pairs are not recorded (the protocol layer
-/// sizes this like the shadow cache). A cached path is the packet's own
-/// [`RouteRecord`], so a path of up to [`aitf_packet::INLINE_ROUTE_RECORD`]
-/// hops is stored, replaced and handed out without touching the heap.
+/// When `capacity` pairs are held, new pairs are not recorded. A cached
+/// path is the packet's own [`RouteRecord`], so a path of up to
+/// [`aitf_packet::INLINE_ROUTE_RECORD`] hops is stored, replaced and
+/// handed out without touching the heap.
 #[derive(Debug)]
 pub struct RouteRecordTraceback {
     capacity: usize,
@@ -28,6 +28,10 @@ pub struct RouteRecordTraceback {
 
 impl RouteRecordTraceback {
     /// Creates a provider remembering at most `capacity` host pairs.
+    ///
+    /// The one caller in the simulator passes `usize::MAX`; the parameter
+    /// stays only because the frozen benchmark crate
+    /// (`benchmark/src/kernels.rs`) calls `new(4096)`.
     pub fn new(capacity: usize) -> Self {
         RouteRecordTraceback {
             capacity,
@@ -63,7 +67,7 @@ impl Traceback for RouteRecordTraceback {
                 if self.paths.len() >= self.capacity {
                     return;
                 }
-                // detlint::allow(hot-alloc): amortized — one map slot per newly seen host pair, bounded by `capacity`; the record itself is inline up to the inline cap
+                // detlint::allow(hot-alloc): amortized — one map slot per distinct sender, bounded by the workload rather than a capacity; the record itself is inline up to the inline cap
                 self.paths.insert(key, record.clone());
             }
         }
