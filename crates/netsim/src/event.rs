@@ -48,9 +48,9 @@
 //! path problem", JACM 1990). `last` is the latest firing time popped so
 //! far:
 //!
-//! - **`due`**, a binary heap under the full order above, holds every
-//!   pending event that fires *at or before* `last` — the ties that
-//!   phase-locked flood sources make the common case;
+//! - **`due`**, one run (a `VecDeque`) ascending in the full order above,
+//!   holds every pending event that fires *at or before* `last` — the ties
+//!   that phase-locked flood sources make the common case;
 //! - every other event sits, unordered, in a **bucket `(L, d)`**. A firing
 //!   time is read as 6-bit digits, level 0 lowest: ten of six bits and a
 //!   top level of four (bits 60–63), eleven levels in all. With `h = 63 −
@@ -62,14 +62,17 @@
 //!   `peek_time` in O(1) when nothing is due — the lowest level bit, then
 //!   its lowest digit bit.
 //!
-//! Filing an event is O(1). A pop takes from `due`; when `due` is empty it
-//! first empties the lowest occupied bucket `(L, d)`: `last` becomes that
-//! bucket's minimum, which agrees with every entry of the bucket on every
-//! digit from `L` up, so the entries are re-filed strictly lower — into
-//! `due` if they fire at the new `last`, into a level below `L` otherwise.
-//! A level-0 bucket holds one instant, and its refill sends every entry to
-//! `due`. An event is therefore re-filed at most 11 times and usually once
-//! or twice, and only the events due now are ever compared key by key.
+//! Filing an event is O(1). A pop takes the front of `due`; when `due` is
+//! empty it first empties the lowest occupied bucket `(L, d)`: `last`
+//! becomes that bucket's minimum, which agrees with every entry of the
+//! bucket on every digit from `L` up, so the entries are re-filed strictly
+//! lower — onto the back of `due` if they fire at the new `last`, into a
+//! level below `L` otherwise. A level-0 bucket holds one instant, and its
+//! refill sends every entry to `due`. An event is therefore re-filed at
+//! most 11 times and usually once or twice. What a refill sends to `due`
+//! is one instant, so one in-place sort of those k entries, O(k log k),
+//! puts it in order; only the events due now are ever compared key by key,
+//! and each is then popped in O(1).
 //!
 //! A bucket is a singly linked list of fixed 32-entry **chunks** (1.75 KB)
 //! taken from one arena with a free list: a refill hands the emptied
@@ -77,18 +80,23 @@
 //! so memory stays O(pending) — only a bucket's head chunk is ever part
 //! filled, so at most one per occupied bucket beyond ⌈pending / 32⌉. In
 //! steady state the queue performs **zero heap allocations per event**:
-//! the arena grows to its high-water mark of chunks in use, `due` to the
-//! most events ever tied at one instant, the pool to the most packets ever
-//! in the network at once, and all three are reused forever.
+//! the arena grows to its high-water mark of chunks in use, `due`'s ring
+//! to the most events ever due at once, the pool to the most packets ever
+//! in the network at once, and all three are reused forever; the sort is
+//! in place.
 //!
 //! **`last` moves only at pops.** Build-time and between-run schedules may
 //! come in any order; moving `last` on a schedule into an empty queue
 //! instead would make a start order that runs backwards re-file everything
-//! on every schedule. A schedule at or *below* `last` is one push into
-//! `due`, whose full-key order pops mixed times correctly. The event loop
-//! never schedules below the instant it dispatches — the loop itself panics
-//! if a popped event fires before its shard's clock — but callers of the
-//! public API may.
+//! on every schedule. A schedule at or *below* `last` is inserted into
+//! `due` at its place in the full-key order (a binary search, then a
+//! shift), which pops mixed times correctly. In the loop such a schedule
+//! fires at the instant being dispatched and was produced then, so only
+//! that instant's other late arrivals — the events scheduled for now
+//! since the refill — sort after it: an insert shifts those, never the
+//! whole run. The event loop never schedules below the instant it
+//! dispatches — the loop itself panics if a popped event fires before its
+//! shard's clock — but callers of the public API may.
 //!
 //! # Who owns a parked packet
 //!
@@ -110,7 +118,7 @@
 //! only in `apply_partition`, which runs on an empty queue.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use aitf_packet::Packet;
@@ -191,8 +199,9 @@ pub(crate) enum Fire {
     },
 }
 
-/// One pending event, whole: when, in what order, and what fires. Filing
-/// and `due`'s sift operations move these entries; packets never move.
+/// One pending event, whole: when, in what order, and what fires. Filing,
+/// a refill's sort and `due`'s inserts move these entries; packets never
+/// move.
 #[derive(Debug)]
 pub(crate) struct HeapEntry {
     pub(crate) time: SimTime,
@@ -252,17 +261,14 @@ impl PartialOrd for HeapEntry {
     }
 }
 
+/// The event order, `chain` descending.
 impl Ord for HeapEntry {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest event
-        // on top. Note `chain` compares descending (younger chain first),
-        // so it is NOT flipped here.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.ptime.cmp(&self.ptime))
-            .then_with(|| self.chain.cmp(&other.chain))
-            .then_with(|| other.seq.cmp(&self.seq))
+        self.time
+            .cmp(&other.time)
+            .then_with(|| self.ptime.cmp(&other.ptime))
+            .then_with(|| other.chain.cmp(&self.chain))
+            .then_with(|| self.seq.cmp(&other.seq))
     }
 }
 
@@ -287,8 +293,9 @@ pub(crate) struct ShardGuard {
 pub struct EventQueue {
     /// The latest firing time popped so far.
     last: SimTime,
-    /// The pending events that fire at or before `last`, in event order.
-    due: BinaryHeap<HeapEntry>,
+    /// The pending events that fire at or before `last`, ascending in
+    /// event order.
+    due: VecDeque<HeapEntry>,
     /// Bit `L` is set while some bucket of level `L` holds an event.
     levels: u16,
     /// Per level, bit `d` is set while bucket `(L, d)` holds an event.
@@ -314,9 +321,34 @@ pub struct EventQueue {
     /// then root fresh chains keyed by their own firing time.
     chain: Option<u64>,
     guard: Option<Box<ShardGuard>>,
-    /// How many times each event, by `seq`, has been filed so far.
     #[cfg(test)]
-    filings: Vec<u8>,
+    pub(crate) counts: QueueCounts,
+}
+
+/// What the queue did so far, counted for the tests only.
+#[cfg(test)]
+#[derive(Debug, Default)]
+pub(crate) struct QueueCounts {
+    /// How many times each event, by `seq`, has been filed so far.
+    pub(crate) filings: Vec<u8>,
+    /// Schedules at or below `last`, placed into `due` by `insert`.
+    pub(crate) inserts: u64,
+    /// Refills, and the entries their sorted runs held in all.
+    pub(crate) refills: u64,
+    pub(crate) run_entries: u64,
+    /// The longest run a refill sorted.
+    pub(crate) longest_run: usize,
+}
+
+#[cfg(test)]
+impl QueueCounts {
+    fn filed(&mut self, seq: u64) {
+        let seq = seq as usize;
+        if self.filings.len() <= seq {
+            self.filings.resize(seq + 1, 0);
+        }
+        self.filings[seq] += 1;
+    }
 }
 
 impl Default for EventQueue {
@@ -330,7 +362,7 @@ impl EventQueue {
     pub fn new() -> Self {
         EventQueue {
             last: SimTime::ZERO,
-            due: BinaryHeap::new(),
+            due: VecDeque::new(),
             levels: 0,
             digits: [0; LEVELS],
             heads: [NIL; BUCKETS],
@@ -345,7 +377,7 @@ impl EventQueue {
             chain: None,
             guard: None,
             #[cfg(test)]
-            filings: Vec::new(),
+            counts: QueueCounts::default(),
         }
     }
 
@@ -425,32 +457,49 @@ impl EventQueue {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.len += 1;
-        self.file(HeapEntry {
+        let entry = HeapEntry {
             time,
             ptime,
             chain,
             seq,
             fire,
-        });
+        };
+        if time <= self.last {
+            self.insert(entry);
+        } else {
+            self.file(entry);
+        }
     }
 
-    /// Files `entry` against `last`: into `due` if it fires then or before,
-    /// else into bucket `(L, d)` — `L` the level of the highest bit its
-    /// time differs from `last` in, `d` its time's digit at that level.
+    /// Places a schedule at or below `last` into `due` at its place in
+    /// event order. In the loop it fires at the dispatching instant and
+    /// was produced then, so only that instant's other late arrivals sort
+    /// after it: the insert shifts those, never the whole run.
+    #[inline]
+    fn insert(&mut self, entry: HeapEntry) {
+        #[cfg(test)]
+        {
+            self.counts.filed(entry.seq);
+            self.counts.inserts += 1;
+        }
+        let at = self.due.partition_point(|e| *e < entry);
+        // Allocates only when more events are due at once than ever before.
+        self.due.insert(at, entry);
+    }
+
+    /// Files `entry` against `last`: onto the back of `due` if it fires
+    /// then — only a refill files such an entry, and sorts the run once
+    /// it is whole — else into bucket `(L, d)`, `L` the level of the
+    /// highest bit its time differs from `last` in, `d` its time's digit
+    /// at that level.
     #[inline]
     fn file(&mut self, entry: HeapEntry) {
         #[cfg(test)]
-        {
-            let seq = entry.seq as usize;
-            if self.filings.len() <= seq {
-                self.filings.resize(seq + 1, 0);
-            }
-            self.filings[seq] += 1;
-        }
+        self.counts.filed(entry.seq);
         if entry.time <= self.last {
             // Allocates only when more events are due at once than ever
             // before.
-            self.due.push(entry);
+            self.due.push_back(entry);
             return;
         }
         let diff = entry.time.0 ^ self.last.0;
@@ -515,6 +564,8 @@ impl EventQueue {
     /// `due` and the levels below `L`, handing each chunk back to the free
     /// list once it is empty. Every entry of the bucket agrees with its
     /// minimum on every digit from `L` up, so none is filed at `L` again.
+    /// What lands in `due` is one instant, `last`, and one sort puts it in
+    /// event order.
     #[inline]
     fn refill(&mut self) {
         debug_assert!(self.due.is_empty() && self.levels != 0);
@@ -538,6 +589,20 @@ impl EventQueue {
             let next = std::mem::replace(&mut chunk.next, self.spare);
             self.spare = c;
             c = next;
+        }
+        // `seq` makes every key unique, so the unstable sort is
+        // deterministic; it sorts in place.
+        self.due.make_contiguous().sort_unstable();
+        debug_assert!(
+            self.due.front().map(|e| e.time) == Some(self.last)
+                && self.due.back().map(|e| e.time) == Some(self.last),
+            "a refill's run is one instant"
+        );
+        #[cfg(test)]
+        {
+            self.counts.refills += 1;
+            self.counts.run_entries += self.due.len() as u64;
+            self.counts.longest_run = self.counts.longest_run.max(self.due.len());
         }
     }
 
@@ -570,8 +635,8 @@ impl EventQueue {
     /// The firing time of the next event, if any.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        if let Some(top) = self.due.peek() {
-            Some(top.time)
+        if let Some(front) = self.due.front() {
+            Some(front.time)
         } else if self.levels != 0 {
             Some(SimTime(self.mins[self.lowest()]))
         } else {
@@ -592,7 +657,7 @@ impl EventQueue {
             self.refill();
         }
         self.len -= 1;
-        self.due.pop()
+        self.due.pop_front()
     }
 
     /// Removes and returns the earliest event, taking a `Deliver`'s packet
@@ -871,7 +936,7 @@ mod tests {
         }
         // 200 was filed at level 1 and into `due`; each 201 at level 1, at
         // level 0 and into `due`.
-        let filed = &q.filings[first as usize..];
+        let filed = &q.counts.filings[first as usize..];
         assert_eq!(filed, [2, 3, 3, 3, 3, 3]);
     }
 
@@ -915,8 +980,8 @@ mod tests {
         // The rungs pop top first, then the watched event.
         assert_eq!(rungs, [10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0]);
         // Filed once at level 10, re-filed at levels 9..=0 and into `due`.
-        assert_eq!(q.filings[watched as usize], 12);
-        let most = q.filings.iter().copied().max();
+        assert_eq!(q.counts.filings[watched as usize], 12);
+        let most = q.counts.filings.iter().copied().max();
         assert!(most <= Some(12), "an event re-filed more than 11 times");
     }
 
@@ -1075,6 +1140,10 @@ mod proptests {
         /// `(when, ptime, chain, kind)`; tiny key ranges, so every
         /// tie-break level is exercised.
         Schedule(At, u64, u64, u8),
+        /// Up to 80 `(ptime, chain, kind)` at one instant: one refill
+        /// sorts them into a run spanning several chunks, and later
+        /// schedules at or below `last` insert into it at every position.
+        Burst(At, Vec<(u64, u64, u8)>),
         Pop,
         /// `pop_entry_within(limit)`.
         PopWithin(At),
@@ -1086,8 +1155,10 @@ mod proptests {
         /// back whole, in the documented `(time, ptime, chain descending,
         /// seq)` order — held to a sorted `Vec` that keeps events by value.
         /// Times reach every `(level, digit)` bucket, both sides of every
-        /// digit boundary and every carry, the end of time and the past; and a bounded pop must return the model's
-        /// earliest event exactly when it fires at or before the limit.
+        /// digit boundary and every carry, the end of time and the past;
+        /// bursts tie up to 80 events at one instant; and a bounded pop
+        /// must return the model's earliest event exactly when it fires at
+        /// or before the limit.
         #[test]
         fn schedule_and_pop_equal_the_sorted_vec_model(
             ops in proptest::collection::vec(
@@ -1099,21 +1170,40 @@ mod proptests {
                 ],
                 1..200,
             ),
+            // At most two per case, each spliced in before op `i`: the
+            // pending events, and so every check below, stay few.
+            bursts in proptest::collection::vec(
+                (0usize..200, at(), proptest::collection::vec((0u64..3, 0u64..4, 0u8..3), 1..=80)),
+                0..=2,
+            ),
         ) {
+            let mut ops = ops;
+            for (i, at, events) in bursts {
+                ops.insert(i.min(ops.len()), Op::Burst(at, events));
+            }
             let mut q = EventQueue::new();
             let mut model: Vec<Modelled> = Vec::new();
             let mut base = 0u64;
-            for (seq, op) in ops.into_iter().enumerate() {
-                let seq = seq as u64;
-                if let Op::Schedule(at, ptime, chain, which) = op {
+            let mut seq = 0u64;
+            for op in ops {
+                let schedules = match op {
+                    Op::Schedule(at, ptime, chain, which) => Some((at, vec![(ptime, chain, which)])),
+                    Op::Burst(at, ref events) => Some((at, events.clone())),
+                    _ => None,
+                };
+                if let Some((at, events)) = schedules {
                     let time = at.resolve(base);
-                    // Stamped from the dispatch context; chain 3 stands for
-                    // "outside any dispatch", which roots a chain at `time`.
-                    let rooted = (chain < 3).then_some(chain);
-                    q.set_ctx(SimTime(ptime), rooted);
-                    q.schedule(SimTime(time), kind(which, seq));
-                    let chain = rooted.unwrap_or(time);
-                    model.push(((time, ptime, Reverse(chain), seq), kind(which, seq)));
+                    for (ptime, chain, which) in events {
+                        // Stamped from the dispatch context; chain 3 stands
+                        // for "outside any dispatch", which roots a chain at
+                        // `time`.
+                        let rooted = (chain < 3).then_some(chain);
+                        q.set_ctx(SimTime(ptime), rooted);
+                        q.schedule(SimTime(time), kind(which, seq));
+                        let chain = rooted.unwrap_or(time);
+                        model.push(((time, ptime, Reverse(chain), seq), kind(which, seq)));
+                        seq += 1;
+                    }
                 } else {
                     let limit = match op {
                         Op::PopWithin(at) => at.resolve(base),
