@@ -30,7 +30,7 @@
 use std::collections::HashMap;
 
 use aitf_netsim::LinkId;
-use aitf_packet::Addr;
+use aitf_packet::{Addr, FoldHash};
 
 /// Maximum hops a pushback request travels (loop guard).
 pub const MAX_PUSHBACK_DEPTH: u8 = 32;
@@ -56,7 +56,7 @@ pub struct PushbackCounters {
 pub struct PushbackState {
     /// Which link packets of a given `(src, dst)` pair arrive on — the
     /// "contributing upstream neighbour" needed for propagation.
-    flow_arrivals: HashMap<(Addr, Addr), LinkId>,
+    flow_arrivals: HashMap<(Addr, Addr), LinkId, FoldHash>,
     /// Pushback-plane counters.
     pub counters: PushbackCounters,
 }

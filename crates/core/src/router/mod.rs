@@ -22,7 +22,7 @@ use std::sync::{Arc, RwLock};
 use aitf_filter::{FilterTable, RateLimiterBank, ShadowCache};
 use aitf_netsim::{Buckets, Context, LinkId, NextHops, Node, NodeId, SimTime, Subsystem};
 use aitf_packet::{
-    Addr, AitfMessage, FilteringRequest, FlowLabel, Packet, PayloadKind, Prefix, PrefixSlice,
+    Addr, AitfMessage, FilteringRequest, FlowLabel, Packet, PayloadKind, Prefix, PrefixMap,
     VerificationReply,
 };
 use aitf_trace::{Cause, SpanId, SpanKind, Tracer};
@@ -135,11 +135,9 @@ struct GraceWatch {
 /// between runs. A router keeps its network index into these arrays.
 #[derive(Debug)]
 pub(crate) struct Wiring {
-    /// The declared networks' prefixes in address order: pairwise disjoint,
-    /// so an address lies in at most one ([`PrefixSlice::position`]).
-    pub(crate) by_addr: Vec<Prefix>,
-    /// The network of each of `by_addr`.
-    pub(crate) net_at: Vec<u32>,
+    /// Each declared network's prefix mapped to the network: pairwise
+    /// disjoint, so an address lies in at most one.
+    pub(crate) net_map: PrefixMap,
     /// Per network, its provider; a provider is declared before its
     /// clients.
     pub(crate) parent: Vec<Option<usize>>,
@@ -172,8 +170,7 @@ impl Wiring {
     /// The declared network holding `addr`, if any.
     #[inline]
     fn net_of(&self, addr: Addr) -> Option<usize> {
-        let at = PrefixSlice::disjoint(&self.by_addr).position(addr)?;
-        Some(self.net_at[at] as usize)
+        self.net_map.get(addr).map(|net| net as usize)
     }
 
     /// `net` and its providers, nearest first.

@@ -40,7 +40,7 @@ use aitf_netsim::{
     Buckets, LinkDirection, LinkId, LinkParams, NetworkBuilder, NextHops, NodeId, PartitionSpec,
     SimDuration, Simulator,
 };
-use aitf_packet::{Addr, Prefix};
+use aitf_packet::{Addr, Prefix, PrefixMap};
 
 use crate::config::{AitfConfig, HostPolicy, RouterPolicy};
 use crate::host::{EndHost, TrafficApp, VictimAgent};
@@ -137,8 +137,8 @@ struct HostSpec {
 /// Declared prefixes must be pairwise disjoint in either routing mode —
 /// nested networks are rejected too — and prefixes either nest or are
 /// disjoint, so in address order an overlapping pair is always adjacent:
-/// the one sort that checks the whole declaration is also the world's
-/// address map, in which an address lies in at most one network.
+/// the one sort that checks the whole declaration is also the list the
+/// world's address map is built from.
 ///
 /// # Panics
 ///
@@ -307,7 +307,7 @@ impl WorldBuilder {
         // One config for the whole world, shared by every node.
         let cfg = Arc::new(self.cfg);
         let n = self.nets.len();
-        let (by_addr, net_at) = address_order(&self.nets).into_iter().unzip();
+        let net_map = PrefixMap::new(&address_order(&self.nets));
         let mut nb = NetworkBuilder::new(self.seed);
 
         // One node per router, one per host.
@@ -393,8 +393,7 @@ impl WorldBuilder {
         let legacy = legacy.filter(|(net, _)| !net.policy.aitf_enabled);
         let legacy = RwLock::new(legacy.map(|(_, &addr)| addr).collect());
         let wiring = Arc::new(Wiring {
-            by_addr,
-            net_at,
+            net_map,
             parent,
             uplink: uplinks,
             router_addr,

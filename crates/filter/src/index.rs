@@ -29,7 +29,7 @@
 use std::collections::HashMap;
 
 use aitf_netsim::SimTime;
-use aitf_packet::{Addr, FlowLabel, Header};
+use aitf_packet::{Addr, FlowLabel, FoldHash, Header};
 
 /// One stored record. The index owns the key fields; owners mutate only
 /// `value` (and raise `expires` through [`LabelIndex::extend`]).
@@ -56,7 +56,7 @@ struct Store<V> {
     slots: Vec<Option<Slot<V>>>,
     free: Vec<usize>,
     /// Packed `(src, dst)` → slot.
-    pairs: HashMap<u64, usize>,
+    pairs: HashMap<u64, usize, FoldHash>,
     next_seq: u64,
     /// Lower bound on the expiry of every live entry.
     earliest: SimTime,
@@ -149,7 +149,7 @@ impl<V> LabelIndex<V> {
             Box::new(Store {
                 slots: Vec::new(),
                 free: Vec::new(),
-                pairs: HashMap::new(),
+                pairs: HashMap::default(),
                 next_seq: 0,
                 earliest: SimTime::MAX,
             })

@@ -13,6 +13,7 @@
 use std::collections::HashMap;
 
 use aitf_netsim::SimTime;
+use aitf_packet::FoldHash;
 
 /// Micro-tokens per request.
 const TOKEN: u64 = 1_000_000;
@@ -138,7 +139,7 @@ impl TokenBucket {
 pub struct RateLimiterBank {
     default_rate: f64,
     default_burst: u32,
-    buckets: HashMap<u64, TokenBucket>,
+    buckets: HashMap<u64, TokenBucket, FoldHash>,
 }
 
 impl RateLimiterBank {
@@ -147,7 +148,7 @@ impl RateLimiterBank {
         RateLimiterBank {
             default_rate,
             default_burst,
-            buckets: HashMap::new(),
+            buckets: HashMap::default(),
         }
     }
 

@@ -24,6 +24,7 @@
 pub mod addr;
 pub mod alloc_probe;
 pub mod flow;
+pub mod fold_hash;
 pub mod lpm;
 pub mod message;
 pub mod packet;
@@ -31,7 +32,8 @@ pub mod route_record;
 
 pub use addr::{Addr, AddrParseError, Prefix};
 pub use flow::FlowLabel;
-pub use lpm::{LpmTable, PrefixSlice};
+pub use fold_hash::FoldHash;
+pub use lpm::{LpmTable, PrefixMap};
 pub use message::{
     AitfMessage, FilteringRequest, Nonce, PushbackRequest, RequestDestination, VerificationQuery,
     VerificationReply,

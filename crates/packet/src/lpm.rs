@@ -1,22 +1,19 @@
 //! Longest-prefix-match tables and the address map of disjoint prefixes.
 //!
-//! Both structures here are flat arrays in `(addr, len)` order, probed with
-//! one binary search, so a lookup costs `O(log n)` however deep the
-//! prefixes nest:
-//!
 //! - [`LpmTable`] maps prefixes, nested as they please, to values and
 //!   answers an address with the value of the *longest* stored prefix
-//!   containing it. In `(addr, len)` order a prefix sorts after every
-//!   prefix covering it and before everything nested inside it, so the
-//!   last entry starting at or before the address is either the answer or
-//!   nested inside the answer; each entry carries the index of its longest
-//!   stored cover, and the lookup climbs that chain — zero steps on tables
-//!   of disjoint prefixes, one to reach a default route.
+//!   containing it. It is a flat array in `(addr, len)` order probed with
+//!   one binary search, so a lookup costs `O(log n)` however deep the
+//!   prefixes nest. In that order a prefix sorts after every prefix
+//!   covering it and before everything nested inside it, so the last entry
+//!   starting at or before the address is either the answer or nested
+//!   inside the answer; each entry carries the index of its longest stored
+//!   cover, and the lookup climbs that chain — zero steps on tables of
+//!   disjoint prefixes, one to reach a default route.
 //! - Where the prefixes are pairwise disjoint no chain is needed:
-//!   [`PrefixSlice`] borrows them ascending and says which one holds an
-//!   address. A world's declared networks are such a list, and every
-//!   router answers its routing and ingress questions from that one
-//!   per-world map.
+//!   [`PrefixMap`] indexes them directly by address, 16, 8 and 8 bits at a
+//!   time, so a lookup costs at most three loads however many prefixes it
+//!   holds. A world's declared networks are such a set.
 
 use crate::addr::{Addr, Prefix};
 
@@ -90,6 +87,11 @@ fn reindex<T>(table: &mut [Entry<T>]) {
 /// would); `insert` in ascending prefix order appends in `O(log n)`. Any
 /// other `insert`, and every `remove`, shifts the array and re-derives the
 /// cover chain in `O(n)`.
+///
+/// No router routes with it: a world's routers read its declared networks
+/// from one [`PrefixMap`]. Its one caller is the benchmark's
+/// `packet.lpm_lookup_ns` kernel, which therefore does not time the
+/// simulator's lookup.
 ///
 /// # Examples
 ///
@@ -204,32 +206,152 @@ impl<T> FromIterator<(Prefix, T)> for LpmTable<T> {
     }
 }
 
-/// Ascending, pairwise-disjoint prefixes, borrowed: an address map in
-/// which an address lies in at most one member. A world's declared
-/// networks in address order are one; [`PrefixSlice::disjoint`] makes it.
-#[derive(Debug, Clone, Copy)]
-pub struct PrefixSlice<'a>(&'a [Prefix]);
+/// A [`PrefixMap`] entry that holds nothing.
+const EMPTY: u32 = 0;
+/// The tag of a [`PrefixMap`] entry that names a child block; any other
+/// non-empty entry is its value plus one.
+const CHILD: u32 = 1 << 31;
+/// Entries in a child block, one per value of the next 8 address bits.
+const BLOCK: usize = 256;
 
-impl<'a> PrefixSlice<'a> {
-    /// Borrows `prefixes`, which must be ascending and pairwise disjoint;
-    /// the answers for any other list are unspecified.
-    pub fn disjoint(prefixes: &'a [Prefix]) -> Self {
-        PrefixSlice(prefixes)
-    }
-
-    /// The index of the member containing `addr`, if any.
-    #[inline]
-    pub fn position(self, addr: Addr) -> Option<usize> {
-        // Disjoint members: only the last one starting at or before `addr`
-        // can hold it.
-        let at = self
-            .0
-            .partition_point(|p| p.addr() <= addr)
-            .checked_sub(1)?;
-        self.0[at].contains(addr).then_some(at)
-    }
+/// Where the child block an entry names starts in [`PrefixMap::blocks`].
+#[inline]
+fn child(entry: u32) -> usize {
+    (entry & !CHILD) as usize * BLOCK
 }
 
+/// An owned map from pairwise-disjoint prefixes to `u32` values, indexed
+/// directly by address in strides of 16, 8 and 8 bits, after DIR-24-8
+/// (Gupta, Lin & McKeown, INFOCOM 1998): a lookup is at most three
+/// dependent loads and compares no prefixes, however many the map holds.
+/// A world's declared networks are such a set, and every router answers
+/// its routing and ingress questions from that one per-world map.
+///
+/// The root has one entry per /16 from the first one a prefix touches to
+/// the last. Each entry is empty, a value (the whole /16 lies in one
+/// prefix), or the index of a 256-entry child block indexed by the next 8
+/// bits, for a /16 that a longer prefix splits; a block's entries work the
+/// same way one level down, for /24s split by prefixes longer than /24.
+/// All child blocks sit in one flat array, so the root is at most 256 KiB,
+/// each split /16 or /24 adds 1 KiB, and a build makes at most three
+/// allocations.
+///
+/// # Examples
+///
+/// ```
+/// use aitf_packet::{Addr, Prefix};
+/// use aitf_packet::lpm::PrefixMap;
+///
+/// let map = PrefixMap::new(&[
+///     ("10.0.0.0/8".parse().unwrap(), 1),
+///     ("11.1.2.0/24".parse().unwrap(), 2),
+///     ("11.1.3.128/25".parse().unwrap(), 3),
+/// ]);
+///
+/// assert_eq!(map.get(Addr::new(10, 9, 9, 9)), Some(1));
+/// assert_eq!(map.get(Addr::new(11, 1, 2, 3)), Some(2));
+/// assert_eq!(map.get(Addr::new(11, 1, 3, 200)), Some(3));
+/// assert_eq!(map.get(Addr::new(11, 1, 3, 1)), None);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct PrefixMap {
+    /// The /16 that `root[0]` stands for.
+    base: u32,
+    /// One entry per /16 from `base` on.
+    root: Vec<u32>,
+    /// The child blocks, [`BLOCK`] entries each: those of split /16s first,
+    /// then those of split /24s.
+    blocks: Vec<u32>,
+}
+
+impl PrefixMap {
+    /// The largest value a map holds.
+    pub const MAX_VALUE: u32 = CHILD - 2;
+
+    /// Maps each prefix of `routes`, in any order, to its value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if two of the prefixes overlap or a value exceeds
+    /// [`PrefixMap::MAX_VALUE`].
+    pub fn new(routes: &[(Prefix, u32)]) -> Self {
+        let last = |p: Prefix| p.addr().raw() + (p.size() - 1) as u32;
+        let span = routes
+            .iter()
+            .map(|&(p, _)| (p.addr().raw() >> 16, last(p) >> 16));
+        let Some((lo, hi)) = span.reduce(|(a, b), (c, d)| (a.min(c), b.max(d))) else {
+            return PrefixMap::default();
+        };
+        let mut map = PrefixMap {
+            base: lo,
+            root: vec![EMPTY; (hi - lo) as usize + 1],
+            blocks: Vec::new(),
+        };
+        // Number a block for every /16 a prefix longer than /16 lies in,
+        // then for every /24 a prefix longer than /24 lies in, and size the
+        // flat array once per level.
+        let mut blocks = 0;
+        for depth in [16, 24] {
+            for &(p, _) in routes.iter().filter(|r| r.0.len() > depth) {
+                let entry = map.above(p, depth);
+                if *entry == EMPTY {
+                    *entry = CHILD | blocks;
+                    blocks += 1;
+                }
+            }
+            let more = blocks as usize * BLOCK - map.blocks.len();
+            map.blocks.reserve_exact(more);
+            map.blocks.resize(blocks as usize * BLOCK, EMPTY);
+        }
+        for &(p, value) in routes {
+            assert!(
+                value <= Self::MAX_VALUE,
+                "prefix map value {value} too large"
+            );
+            let (first, last) = (p.addr().raw(), last(p));
+            let run = if p.len() <= 16 {
+                let at = |a: u32| ((a >> 16) - lo) as usize;
+                &mut map.root[at(first)..=at(last)]
+            } else {
+                let shift = if p.len() <= 24 { 8 } else { 0 };
+                let block = child(*map.above(p, p.len() - 1));
+                let at = |a: u32| block + (a >> shift & 0xff) as usize;
+                &mut map.blocks[at(first)..=at(last)]
+            };
+            for entry in run {
+                assert!(*entry == EMPTY, "prefix {p} overlaps another in the map");
+                *entry = value + 1;
+            }
+        }
+        map
+    }
+
+    /// The entry for the /16 (`depth` 16 to 23) or the /24 (`depth` 24 and
+    /// more) that `p` lies in; a /24's entry is in its /16's block, which
+    /// must be numbered already.
+    fn above(&mut self, p: Prefix, depth: u8) -> &mut u32 {
+        let a = p.addr().raw();
+        let entry = &mut self.root[((a >> 16) - self.base) as usize];
+        if depth < 24 {
+            return entry;
+        }
+        &mut self.blocks[child(*entry) + (a >> 8 & 0xff) as usize]
+    }
+
+    /// The value of the prefix holding `addr`, if any.
+    #[inline]
+    pub fn get(&self, addr: Addr) -> Option<u32> {
+        let a = addr.raw();
+        let mut entry = *self.root.get((a >> 16).wrapping_sub(self.base) as usize)?;
+        if entry & CHILD != 0 {
+            entry = self.blocks[child(entry) + (a >> 8 & 0xff) as usize];
+            if entry & CHILD != 0 {
+                entry = self.blocks[child(entry) + (a & 0xff) as usize];
+            }
+        }
+        entry.checked_sub(1)
+    }
+}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,6 +421,19 @@ mod tests {
         assert!(t.contains(Addr::new(11, 1, 1, 1)));
     }
 
+    #[test]
+    fn an_empty_prefix_map_holds_nothing() {
+        let map = PrefixMap::new(&[]);
+        assert_eq!(map.get(Addr::ZERO), None);
+        assert_eq!(map.get(Addr(u32::MAX)), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "prefix 10.0.0.0/8 overlaps another in the map")]
+    fn a_prefix_around_a_longer_one_is_refused() {
+        PrefixMap::new(&[(p("10.1.2.128/25"), 1), (p("10.0.0.0/8"), 2)]);
+    }
+
     /// The longest match among `routes` (distinct prefixes), by brute force.
     fn scan(routes: &[(Prefix, u32)], addr: Addr) -> Option<u32> {
         let hits = routes.iter().filter(|(p, _)| p.contains(addr));
@@ -356,6 +491,20 @@ mod proptests {
             .prop_map(|(hi, mid, lo, len)| Prefix::new(Addr((hi << 30) | (mid << 8) | lo), len))
     }
 
+    /// Prefixes of every length, most of them within a few /16s of each
+    /// other: shorter than /16 and spanning several root entries, /16 to
+    /// /24 sharing a /16's block, or longer than /24 sharing a /24's. One
+    /// in five is shorter than /16, since it overlaps most of the others.
+    fn map_prefix() -> impl Strategy<Value = Prefix> {
+        let len = prop_oneof![0u8..16, 16u8..=24, 16u8..=24, 25u8..=32, 25u8..=32];
+        let near = (0u32..4, 0u32..4, any::<u8>());
+        let near = near.prop_map(|(b, c, d)| (10 << 24) | (b << 16) | (c << 8) | u32::from(d));
+        // One in four anywhere at all.
+        let addr =
+            (near, any::<u32>(), 0u8..4).prop_map(|(n, a, pick)| if pick == 0 { a } else { n });
+        (addr, len).prop_map(|(a, len)| Prefix::new(Addr(a), len))
+    }
+
     /// Each prefix's first and last address and the addresses just outside.
     fn edges(prefixes: &[Prefix]) -> impl Iterator<Item = Addr> + '_ {
         prefixes.iter().flat_map(|p| {
@@ -366,22 +515,33 @@ mod proptests {
     }
 
     proptest! {
-        /// Over the outermost of any listed prefixes, found by brute force,
-        /// the member holding an address is the one listed prefix around it
-        /// that no other covers.
+        /// Over any pairwise-disjoint prefixes, of every length from /0 to
+        /// /32 and in any order, the map holds the value of the one prefix
+        /// around an address, on block boundaries and outside the root's
+        /// span too.
         #[test]
-        fn prefix_slice_over_the_outermost_prefixes_agrees_with_linear_scan(
-            prefixes in proptest::collection::vec(crowded_prefix(), 0..40),
+        fn prefix_map_agrees_with_linear_scan(
+            candidates in proptest::collection::vec((map_prefix(), 0..=PrefixMap::MAX_VALUE), 0..40),
             probes in proptest::collection::vec(any::<u32>(), 1..20),
         ) {
-            let covered = |p: Prefix| prefixes.iter().any(|&q| q != p && q.covers(p));
-            let mut outermost: Vec<Prefix> = prefixes.iter().copied().filter(|&p| !covered(p)).collect();
-            outermost.sort_unstable();
-            outermost.dedup();
-            let slice = PrefixSlice::disjoint(&outermost);
-            for a in edges(&prefixes).chain(probes.into_iter().map(Addr)) {
-                let expected = outermost.iter().position(|p| p.contains(a));
-                prop_assert_eq!(slice.position(a), expected, "{}", a);
+            // The candidates that overlap none kept before them.
+            let mut routes: Vec<(Prefix, u32)> = Vec::new();
+            for &(p, v) in &candidates {
+                if routes.iter().all(|r| !r.0.overlaps(p)) {
+                    routes.push((p, v));
+                }
+            }
+            let map = PrefixMap::new(&routes);
+            let prefixes: Vec<Prefix> = candidates.iter().map(|c| c.0).collect();
+            let boundaries = prefixes.iter().flat_map(|p| {
+                let a = p.addr().raw();
+                [a | 0xffff, a & !0xffff, a | 0xff, a & !0xff]
+                    .map(|b| [b.wrapping_sub(1), b, b.wrapping_add(1)].map(Addr))
+            });
+            let ends = [Addr(0), Addr(u32::MAX)];
+            for a in edges(&prefixes).chain(boundaries.flatten()).chain(ends).chain(probes.into_iter().map(Addr)) {
+                let expected = routes.iter().find(|r| r.0.contains(a)).map(|r| r.1);
+                prop_assert_eq!(map.get(a), expected, "{}", a);
             }
         }
 

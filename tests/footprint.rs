@@ -10,7 +10,7 @@
 use aitf::core::{AitfConfig, BorderRouter, EndHost, HostPolicy};
 use aitf::netsim::Link;
 use aitf::packet::alloc_probe::CountingAlloc;
-use aitf::packet::{FlowLabel, Packet};
+use aitf::packet::{FlowLabel, Packet, Prefix, PrefixMap};
 use aitf::scenario::{PowerLawSpec, TopologySpec};
 
 #[global_allocator]
@@ -42,7 +42,8 @@ const _: () = {
 // patterns): every control message, filter slot and shadow slot holds one.
 const _: () = assert!(std::mem::size_of::<FlowLabel>() <= 8);
 
-/// The world both pins build: 10,000 power-law networks and one host.
+/// The world the power-law pins build: 10,000 power-law networks and one
+/// host.
 fn power_law_spec() -> TopologySpec {
     TopologySpec::power_law(&PowerLawSpec {
         n_nets: 10_000,
@@ -58,12 +59,14 @@ fn a_power_law_world_is_built_within_its_per_network_byte_budget() {
     assert_eq!(nets, spec.nets.len());
     let per_net = bytes / nets as u64;
     // Every byte requested while building, transient ones included:
-    // 883 B per network when the bound was set, since routers route from
-    // the provider tree (1,219 B with every forwarding table, cone and
-    // ancestor chain in per-world arrays, 1,869 B with a forwarding table,
-    // ingress sets and counters per router, 2,125 B with one `Vec` per
-    // node, provider and name copy, and 3,435 B with tables, control plane
-    // and link queues laid out up front).
+    // 876 B per network since the address map is a direct index (884 B
+    // while it was the sorted prefixes beside their network numbers, 883
+    // when the bound was set, since routers route from the provider tree;
+    // 1,219 B with every forwarding table, cone and ancestor chain in
+    // per-world arrays, 1,869 B with a forwarding table, ingress sets and
+    // counters per router, 2,125 B with one `Vec` per node, provider and
+    // name copy, and 3,435 B with tables, control plane and link queues
+    // laid out up front).
     assert!(
         per_net <= 1_060,
         "building a {nets}-net world requested {per_net} B per network"
@@ -75,15 +78,31 @@ fn a_power_law_world_is_built_in_one_and_a_quarter_allocations_per_network() {
     let spec = power_law_spec();
     let (built, allocs) = CountingAlloc::count(|| spec.build(7, AitfConfig::default()));
     let nets = built.world.net_count() as u64;
-    // 1.01 per network when the bound was set: its router. What is per
-    // world is a fixed number of arrays, the address map and provider tree
-    // the routers read among them (1.01 also while they read per-world
-    // forwarding, ingress and ancestor arrays, 2.01 while every network
-    // carried a formatted name, 4.52 when each router had its own table,
-    // link map, ingress sets and chain).
+    // 1.008 per network, its router, when the bound was set and again
+    // since the address map is a direct index (two allocations, as its two
+    // sorted arrays were). What is per world is a fixed number of arrays,
+    // the address map and provider tree the routers read among them (1.01
+    // also while they read per-world forwarding, ingress and ancestor
+    // arrays, 2.01 while every network carried a formatted name, 4.52 when
+    // each router had its own table, link map, ingress sets and chain).
     assert!(
         4 * allocs <= 5 * nets,
         "building a {nets}-net world made {allocs} allocations"
+    );
+}
+
+#[test]
+fn a_power_law_worlds_address_map_costs_a_kib_per_split_slash16() {
+    let spec = power_law_spec();
+    let routes: Vec<(Prefix, u32)> = spec.nets.iter().map(|n| n.prefix).zip(0..).collect();
+    let count = || CountingAlloc::count_bytes(|| PrefixMap::new(&routes));
+    let ((_, bytes), allocs) = CountingAlloc::count(count);
+    // 41,120 B in 2 allocations when the bound was set: the 10,000 /24s
+    // split 40 /16s, a 1 KiB block each, under a root of 40 entries (the
+    // sorted prefixes and their network numbers it replaced took 120 KB).
+    assert!(
+        bytes <= 44 * 1024 && allocs <= 3,
+        "the address map took {bytes} B in {allocs} allocations"
     );
 }
 
