@@ -237,7 +237,7 @@ impl BorderRouter {
             self.tracer.close_round(key, req.round, now.0);
             return;
         };
-        if Some(link) == self.uplink {
+        if Some(link) == self.uplink() {
             let data = DataState::of(&mut self.data, &self.cfg);
             data.counters.local_filter_fallbacks += 1;
             // Extend the temporary filter to the full horizon `T`; a full

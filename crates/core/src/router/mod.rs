@@ -138,11 +138,13 @@ pub(crate) struct Wiring {
     /// Each declared network's prefix mapped to the network: pairwise
     /// disjoint, so an address lies in at most one.
     pub(crate) net_map: PrefixMap,
-    /// Per network, its provider; a provider is declared before its
-    /// clients.
-    pub(crate) parent: Vec<Option<usize>>,
-    /// Per network, its link towards its provider.
-    pub(crate) uplink: Vec<Option<LinkId>>,
+    /// Per network, its provider, or [`NONE`] at the top level; a
+    /// provider is declared before its clients. Read through
+    /// [`Wiring::parent`].
+    pub(crate) parent: Vec<u32>,
+    /// Per network, the index of its link towards its provider, or
+    /// [`NONE`] at the top level. Read through [`Wiring::uplink`].
+    pub(crate) uplink: Vec<u32>,
     /// Per network, its border router's address.
     pub(crate) router_addr: Vec<Addr>,
     /// Per network, its hosts' tail circuits in host order — ascending by
@@ -166,7 +168,39 @@ pub(crate) struct Wiring {
     pub(crate) legacy: RwLock<HashSet<Addr>>,
 }
 
+/// What a per-network `u32` of the [`Wiring`] holds where there is no
+/// network or link to name: at the top level, no provider and no uplink.
+pub(crate) const NONE: u32 = u32::MAX;
+
+/// `index` as a per-network `u32`.
+///
+/// # Panics
+///
+/// Panics if `index` does not fit below [`NONE`].
+pub(crate) fn word(index: usize) -> u32 {
+    let word = u32::try_from(index).ok().filter(|&w| w != NONE);
+    word.expect("a network or link index fits below u32::MAX")
+}
+
+/// A per-network `u32` as the index it holds, if any.
+#[inline]
+pub(crate) fn index_of(word: u32) -> Option<usize> {
+    (word != NONE).then_some(word as usize)
+}
+
 impl Wiring {
+    /// `net`'s provider; `None` at the top level.
+    #[inline]
+    pub(crate) fn parent(&self, net: usize) -> Option<usize> {
+        index_of(self.parent[net])
+    }
+
+    /// `net`'s link towards its provider; `None` at the top level.
+    #[inline]
+    pub(crate) fn uplink(&self, net: usize) -> Option<LinkId> {
+        index_of(self.uplink[net]).map(LinkId)
+    }
+
     /// The declared network holding `addr`, if any.
     #[inline]
     fn net_of(&self, addr: Addr) -> Option<usize> {
@@ -176,7 +210,7 @@ impl Wiring {
     /// `net` and its providers, nearest first.
     #[inline]
     fn chain(&self, net: usize) -> impl Iterator<Item = usize> + '_ {
-        std::iter::successors(Some(net), |&x| self.parent[x])
+        std::iter::successors(Some(net), |&x| self.parent(x))
     }
 
     /// Provider-tree routing from `from`'s router towards network `d`:
@@ -189,8 +223,8 @@ impl Wiring {
         if let Some(&(_, link)) = peers.find(|&&(far, _)| self.chain(d).any(|x| x == far)) {
             return Some(link);
         }
-        let client = self.chain(d).find(|&x| self.parent[x] == Some(from))?;
-        self.uplink[client]
+        let client = self.chain(d).find(|&x| self.parent(x) == Some(from))?;
+        self.uplink(client)
     }
 }
 
@@ -210,7 +244,7 @@ pub(crate) enum Behind<'a> {
 impl Behind<'_> {
     /// Whether `net` is behind a client network's uplink `link`.
     fn in_cone(wiring: &Wiring, link: LinkId, net: usize) -> bool {
-        wiring.chain(net).any(|x| wiring.uplink[x] == Some(link))
+        wiring.chain(net).any(|x| wiring.uplink(x) == Some(link))
     }
 
     /// Whether `addr` is legitimately sourced behind the link.
@@ -237,8 +271,6 @@ pub(crate) struct RouterSpec {
     /// Whether this router has no client network and no peering, so that
     /// under provider-tree routing everything but its own hosts goes up.
     pub(crate) stub: bool,
-    /// Link towards this router's provider; `None` at the top level.
-    pub(crate) uplink: Option<LinkId>,
     /// What every router of the world reads.
     pub(crate) wiring: Arc<Wiring>,
     /// Protocol parameters, shared by every node of the world.
@@ -350,22 +382,24 @@ impl ControlState {
 /// allocation or a virtual call on the per-packet path.
 pub struct BorderRouter {
     // What a forwarded data packet touches: the wiring and this router's
-    // place in it, the chains, and the data state.
+    // place in it, the defense whose chains it runs, and the data state.
     addr: Addr,
     prefix: Prefix,
     policy: RouterPolicy,
     /// No client network and no peering; see [`RouterSpec::stub`].
     stub: bool,
-    uplink: Option<LinkId>,
+    /// The index of the link towards this router's provider, or [`NONE`]
+    /// at the top level: the wiring's entry for `net`, kept beside the
+    /// route lookup that compares against it.
+    uplink: u32,
     /// This router's network: its key in the wiring's per-network arrays.
     net: u32,
     /// What every router of the world reads; see [`Wiring`].
     wiring: Arc<Wiring>,
     cfg: Arc<AitfConfig>,
-    /// Which defense populates the chains (copied from the config).
+    /// Which defense's chains this router runs (copied from the config);
+    /// see [`BorderRouter::chains`].
     defense: DefensePolicy,
-    /// The per-hook stage chains of `defense`.
-    chains: PolicyChains,
     /// First-use state; see [`DataState`].
     data: Option<Box<DataState>>,
     // What only the control plane reads.
@@ -393,16 +427,13 @@ impl BorderRouter {
     /// else.
     pub(crate) fn new(spec: RouterSpec) -> Self {
         let cfg = spec.config;
-        let defense = cfg.defense;
-        let Ok(chains) = PolicyChains::build(defense);
         BorderRouter {
-            defense,
-            chains,
+            defense: cfg.defense,
             cfg,
             policy: spec.policy,
             prefix: spec.prefix,
             stub: spec.stub,
-            uplink: spec.uplink,
+            uplink: spec.wiring.uplink[spec.net],
             net: u32::try_from(spec.net).expect("network count fits u32"),
             addr: spec.addr,
             wiring: spec.wiring,
@@ -468,8 +499,9 @@ impl BorderRouter {
     }
 
     /// The link towards this router's provider, if any.
+    #[inline]
     pub fn uplink(&self) -> Option<LinkId> {
-        self.uplink
+        index_of(self.uplink).map(LinkId)
     }
 
     /// Counter snapshot; all zeros for a router no packet reached.
@@ -498,9 +530,13 @@ impl BorderRouter {
     }
 
     /// The hook chains this router runs (experiments and docs
-    /// introspect the stage order).
+    /// introspect the stage order): a function of [`BorderRouter::defense`],
+    /// so every router of a world answers the same table rows and none
+    /// holds a copy of them.
+    #[inline]
     pub fn chains(&self) -> PolicyChains {
-        self.chains
+        let Ok(chains) = PolicyChains::build(self.defense);
+        chains
     }
 
     /// Pushback-plane counters (all zero unless the world runs
@@ -599,13 +635,13 @@ impl BorderRouter {
         }
         let link = match &w.hops {
             Some(hops) => hops.next_hop(NodeId(own), NodeId(w.net_of(dst)?)),
-            None if self.stub => self.uplink,
+            None if self.stub => self.uplink(),
             None => w
                 .net_of(dst)
                 .and_then(|d| w.towards(own, d))
-                .or(self.uplink),
+                .or(self.uplink()),
         };
-        if link == self.uplink && self.prefix.contains(dst) {
+        if link == self.uplink() && self.prefix.contains(dst) {
             return None;
         }
         link
@@ -630,7 +666,7 @@ impl BorderRouter {
     pub(crate) fn client_behind(&self, link: LinkId) -> Option<Behind<'_>> {
         let w = &*self.wiring;
         let own = self.net as usize;
-        if Some(link) == self.uplink || w.peers.of(own).iter().any(|&(_, l)| l == link) {
+        if Some(link) == self.uplink() || w.peers.of(own).iter().any(|&(_, l)| l == link) {
             return None;
         }
         if w.tails.of(own).binary_search(&link).is_ok() {
@@ -702,7 +738,8 @@ impl BorderRouter {
     ) -> Option<LinkId> {
         // The Ingress hook (spoofing, filters, policing), then the Egress
         // hook (TTL accounting, traceback stamping).
-        for chain in [self.chains.ingress, self.chains.egress] {
+        let chains = self.chains();
+        for chain in [chains.ingress, chains.egress] {
             if self.run_chain(chain, packet, arrival, ctx) == Verdict::Drop {
                 // The defense consumed the packet: attribute this event's
                 // cost to the hook pipeline, not plain forwarding.
@@ -732,7 +769,7 @@ impl BorderRouter {
             DefensePolicy::Aitf => Subsystem::Escalation,
             _ => Subsystem::DefenseHook,
         });
-        self.run_chain(self.chains.escalate, packet, arrival, ctx);
+        self.run_chain(self.chains().escalate, packet, arrival, ctx);
     }
 
     // ------------------------------------------------------------------

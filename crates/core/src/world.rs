@@ -10,12 +10,12 @@
 //!
 //! What the routers read is the declaration itself, stored once per world
 //! in one shared, immutable wiring value kept after [`WorldBuilder::build`]
-//! returns: the networks' prefixes in address order, the provider tree
-//! (parents, uplinks, router addresses), each network's tail circuits and
-//! peerings, and under all-pairs routing the next-hop matrix. Every route,
-//! ingress verdict and escalation target is answered from it, so no
-//! router holds a table of its own; what a router writes (counters, filter
-//! tables, control state) is made by the first event that needs it.
+//! returns: the networks' address map, the provider tree (parents, uplinks,
+//! router addresses), each network's tail circuits and peerings, and under
+//! all-pairs routing the next-hop matrix. Every route, ingress verdict and
+//! escalation target is answered from it, so no router holds a table of
+//! its own; what a router writes (counters, filter tables, control state)
+//! is made by the first event that needs it.
 //!
 //! # Examples
 //!
@@ -44,7 +44,7 @@ use aitf_packet::{Addr, Prefix, PrefixMap};
 
 use crate::config::{AitfConfig, HostPolicy, RouterPolicy};
 use crate::host::{EndHost, TrafficApp, VictimAgent};
-use crate::router::{BorderRouter, DataState, RouterSpec, Wiring};
+use crate::router::{index_of, word, BorderRouter, DataState, RouterSpec, Wiring, NONE};
 
 /// How routers forward towards the declared networks.
 ///
@@ -111,12 +111,17 @@ impl fmt::Display for NetLabel<'_> {
 struct NetSpec {
     name: String,
     prefix: Prefix,
-    parent: Option<usize>,
+    /// The provider's index, or [`NONE`] at the top level.
+    parent: u32,
     policy: RouterPolicy,
     uplink_params: LinkParams,
 }
 
 impl NetSpec {
+    fn parent(&self) -> Option<usize> {
+        index_of(self.parent)
+    }
+
     fn label(&self, index: usize) -> NetLabel<'_> {
         NetLabel {
             name: &self.name,
@@ -130,33 +135,6 @@ struct HostSpec {
     net: usize,
     policy: HostPolicy,
     link_params: LinkParams,
-}
-
-/// The networks' prefixes in address order, each with its network's index.
-///
-/// Declared prefixes must be pairwise disjoint in either routing mode —
-/// nested networks are rejected too — and prefixes either nest or are
-/// disjoint, so in address order an overlapping pair is always adjacent:
-/// the one sort that checks the whole declaration is also the list the
-/// world's address map is built from.
-///
-/// # Panics
-///
-/// Panics if two networks' prefixes overlap, naming the later-declared
-/// prefix and the earlier-declared network.
-fn address_order(nets: &[NetSpec]) -> Vec<(Prefix, u32)> {
-    let count = u32::try_from(nets.len()).expect("network count fits u32");
-    let mut by_addr: Vec<(Prefix, u32)> = nets.iter().map(|n| n.prefix).zip(0..count).collect();
-    by_addr.sort_unstable();
-    if let Some(w) = by_addr.windows(2).find(|w| w[0].0.overlaps(w[1].0)) {
-        let (earlier, later) = (w[0].1.min(w[1].1) as usize, w[0].1.max(w[1].1) as usize);
-        panic!(
-            "prefix {} overlaps existing network {}",
-            nets[later].prefix,
-            nets[earlier].label(earlier)
-        );
-    }
-    by_addr
 }
 
 /// Builder for an AITF world.
@@ -227,7 +205,7 @@ impl WorldBuilder {
     ///
     /// Panics if `parent` was not returned by this builder. A prefix that
     /// overlaps another network's is rejected by [`WorldBuilder::build`],
-    /// which checks all of them in one pass.
+    /// which finds it while building the world's address map.
     pub fn network_with(
         &mut self,
         name: &str,
@@ -236,19 +214,22 @@ impl WorldBuilder {
         policy: RouterPolicy,
         uplink_params: LinkParams,
     ) -> NetId {
-        let net = NetSpec {
+        let mut net = NetSpec {
             name: name.to_string(),
             prefix: *prefix,
-            parent: parent.map(|p| p.0),
+            parent: NONE,
             policy,
             uplink_params,
         };
         let id = NetId(self.nets.len());
-        assert!(
-            parent.is_none_or(|p| p.0 < id.0),
-            "parent of network {} is not a network of this builder",
-            net.label(id.0)
-        );
+        if let Some(p) = parent {
+            assert!(
+                p.0 < id.0,
+                "parent of network {} is not a network of this builder",
+                net.label(id.0)
+            );
+            net.parent = word(p.0);
+        }
         self.nets.push(net);
         id
     }
@@ -286,10 +267,10 @@ impl WorldBuilder {
     /// topology, addressing and routing machinery through their hook
     /// chains instead of substituting a different node type.
     ///
-    /// What is per world is one array here — the address order, the
-    /// provider tree, each network's hosts and peers — and nothing per
-    /// network is copied, sorted or allocated twice on the way into its
-    /// router. What the routers read stays that way after the build: one
+    /// What is per world is one array here — the address map, the provider
+    /// tree, each network's hosts and peers — and nothing per network is
+    /// copied, sorted or allocated twice on the way into its router. What
+    /// the routers read stays that way after the build: one
     /// `Wiring` per world holds the declaration every route, ingress
     /// verdict and escalation target is answered from, and a router holds
     /// its network index into it, so a router no packet reaches is its
@@ -307,36 +288,49 @@ impl WorldBuilder {
         // One config for the whole world, shared by every node.
         let cfg = Arc::new(self.cfg);
         let n = self.nets.len();
-        let net_map = PrefixMap::new(&address_order(&self.nets));
+        // The address map is the overlap check: it refuses nested prefixes
+        // too, in either routing mode.
+        let net_map = PrefixMap::new(self.nets.iter().map(|n| n.prefix).zip(0..));
+        let net_map = net_map.unwrap_or_else(|overlap| {
+            let (earlier, later) = (overlap.earlier as usize, overlap.later as usize);
+            panic!(
+                "prefix {} overlaps existing network {}",
+                self.nets[later].prefix,
+                self.nets[earlier].label(earlier)
+            )
+        });
         let mut nb = NetworkBuilder::new(self.seed);
 
-        // One node per router, one per host.
-        let router_nodes: Vec<NodeId> = self.nets.iter().map(|_| nb.add_node()).collect();
-        let host_nodes: Vec<NodeId> = self.hosts.iter().map(|_| nb.add_node()).collect();
+        // One node per router, then one per host: the rule
+        // `World::router_node` and `World::host_node` answer by.
+        for _ in 0..n + self.hosts.len() {
+            nb.add_node();
+        }
+        let host_node = |h: usize| NodeId(n + h);
 
         // Links: child → parent uplinks, host tail circuits, peerings.
-        let mut uplinks: Vec<Option<LinkId>> = vec![None; n];
+        let mut uplink = vec![NONE; n];
         for (i, net) in self.nets.iter().enumerate() {
-            if let Some(p) = net.parent {
-                uplinks[i] = Some(nb.connect(router_nodes[i], router_nodes[p], net.uplink_params));
+            if let Some(p) = net.parent() {
+                uplink[i] = word(nb.connect(NodeId(i), NodeId(p), net.uplink_params).0);
             }
         }
         let tail_links: Vec<LinkId> = self
             .hosts
             .iter()
             .enumerate()
-            .map(|(i, h)| nb.connect(host_nodes[i], router_nodes[h.net], h.link_params))
+            .map(|(i, h)| nb.connect(host_node(i), NodeId(h.net), h.link_params))
             .collect();
         let peer_links: Vec<LinkId> = self
             .peerings
             .iter()
-            .map(|&(a, b, params)| nb.connect(router_nodes[a], router_nodes[b], params))
+            .map(|&(a, b, params)| nb.connect(NodeId(a), NodeId(b), params))
             .collect();
 
         let mut sim = nb.build();
 
         // Who hangs off whom, each as one counting sort.
-        let parent: Vec<Option<usize>> = self.nets.iter().map(|net| net.parent).collect();
+        let parent: Vec<u32> = self.nets.iter().map(|net| net.parent).collect();
         let homes = self.hosts.iter().enumerate();
         let hosts_of_net = Buckets::group(n, homes.map(|(h, hspec)| (hspec.net, h)));
         let hosts = self.hosts.iter().zip(&tail_links);
@@ -370,20 +364,20 @@ impl WorldBuilder {
         // aggregation a real AS-level forwarding table has, at O(n·(n + e))
         // build cost and n² memory. Hosts are leaves on their tail circuit
         // and can never be transit.
-        debug_assert!(router_nodes.iter().enumerate().all(|(i, n)| n.0 == i));
         let hops = (self.routing == RoutingMode::AllPairs).then(|| {
-            let up = (0..n).filter_map(|i| Some((i, parent[i]?, uplinks[i]?)));
+            let up = |i| Some((i, index_of(parent[i])?, LinkId(index_of(uplink[i])?)));
             let across = self.peerings.iter().zip(&peer_links);
-            let backbone: Vec<(NodeId, NodeId, LinkId)> = up
+            let backbone: Vec<(NodeId, NodeId, LinkId)> = (0..n)
+                .filter_map(up)
                 .chain(across.map(|(&(a, b, _), &link)| (a, b, link)))
-                .map(|(a, b, link)| (router_nodes[a], router_nodes[b], link))
+                .map(|(a, b, link)| (NodeId(a), NodeId(b), link))
                 .collect();
             NextHops::compute(n, &backbone)
         });
         // A router with no client network and no peering sends everything
         // but its own hosts' traffic up its uplink.
         let mut stub: Vec<bool> = (0..n).map(|i| peers.of(i).is_empty()).collect();
-        for &p in parent.iter().flatten() {
+        for p in parent.iter().filter_map(|&p| index_of(p)) {
             stub[p] = false;
         }
 
@@ -395,7 +389,7 @@ impl WorldBuilder {
         let wiring = Arc::new(Wiring {
             net_map,
             parent,
-            uplink: uplinks,
+            uplink,
             router_addr,
             tails,
             peers,
@@ -411,12 +405,11 @@ impl WorldBuilder {
                 prefix: net.prefix,
                 net: i,
                 stub: stub[i],
-                uplink: wiring.uplink[i],
                 wiring: Arc::clone(&wiring),
                 config: Arc::clone(&cfg),
                 policy: net.policy,
             };
-            sim.install(router_nodes[i], Box::new(BorderRouter::new(spec)));
+            sim.install(NodeId(i), Box::new(BorderRouter::new(spec)));
         }
 
         // Install hosts.
@@ -428,17 +421,15 @@ impl WorldBuilder {
                 Arc::clone(&cfg),
                 hspec.policy,
             );
-            sim.install(host_nodes[h], Box::new(host));
+            sim.install(host_node(h), Box::new(host));
         }
 
         World {
             sim,
             cfg,
             net_prefixes: self.nets.iter().map(|n| n.prefix).collect(),
-            router_nodes,
-            host_nodes,
             host_addr,
-            host_net: self.hosts.iter().map(|h| h.net).collect(),
+            host_net: self.hosts.iter().map(|h| word(h.net)).collect(),
             net_cooperating: self
                 .nets
                 .iter()
@@ -446,7 +437,8 @@ impl WorldBuilder {
                 .collect(),
             tail_links,
             wiring,
-            // Last: the names move out of the declarations.
+            // Last: the names move out of the declarations, in place, so they
+            // keep its buffer: releasing it measured slower and no smaller.
             net_names: self.nets.into_iter().map(|n| n.name).collect(),
         }
     }
@@ -471,10 +463,9 @@ pub struct World {
     pub cfg: Arc<AitfConfig>,
     net_names: Vec<String>,
     net_prefixes: Vec<Prefix>,
-    router_nodes: Vec<NodeId>,
-    host_nodes: Vec<NodeId>,
     host_addr: Vec<Addr>,
-    host_net: Vec<usize>,
+    /// Per host, its network's index.
+    host_net: Vec<u32>,
     /// Build-time `aitf_enabled && cooperating` per network; drives the
     /// shard-hint merging of [`World::shard_hints`].
     net_cooperating: Vec<bool>,
@@ -487,12 +478,12 @@ pub struct World {
 impl World {
     /// Number of networks.
     pub fn net_count(&self) -> usize {
-        self.router_nodes.len()
+        self.net_prefixes.len()
     }
 
     /// Number of hosts.
     pub fn host_count(&self) -> usize {
-        self.host_nodes.len()
+        self.host_addr.len()
     }
 
     /// A network's display name; empty for an anonymous network.
@@ -519,9 +510,10 @@ impl World {
         self.wiring.router_addr[net.0]
     }
 
-    /// A network's border-router node id.
+    /// A network's border-router node id: the routers are the world's
+    /// first nodes, in declaration order.
     pub fn router_node(&self, net: NetId) -> NodeId {
-        self.router_nodes[net.0]
+        NodeId(net.0)
     }
 
     /// A host's address.
@@ -529,14 +521,15 @@ impl World {
         self.host_addr[host.0]
     }
 
-    /// A host's node id.
+    /// A host's node id: the hosts follow the routers, in declaration
+    /// order.
     pub fn host_node(&self, host: HostId) -> NodeId {
-        self.host_nodes[host.0]
+        NodeId(self.net_count() + host.0)
     }
 
     /// The network a host belongs to.
     pub fn host_net(&self, host: HostId) -> NetId {
-        NetId(self.host_net[host.0])
+        NetId(self.host_net[host.0] as usize)
     }
 
     /// Whether span recording is compiled in (the `trace` feature).
@@ -559,7 +552,7 @@ impl World {
 
     /// A network's uplink towards its provider.
     pub fn uplink(&self, net: NetId) -> Option<LinkId> {
-        self.wiring.uplink[net.0]
+        self.wiring.uplink(net.0)
     }
 
     /// Shard hints for [`aitf_netsim::Simulator::apply_shards`]: one group
@@ -591,7 +584,7 @@ impl World {
         let mut target: Vec<usize> = (0..n).collect();
         for i in 0..n {
             if escalating && !self.net_cooperating[i] {
-                if let Some(p) = self.wiring.parent[i] {
+                if let Some(p) = self.wiring.parent(i) {
                     target[i] = target[p];
                 }
             }
@@ -610,15 +603,16 @@ impl World {
         let mut groups: Vec<Vec<NodeId>> = vec![Vec::new(); roots.len()];
         let mut apps = vec![0u64; roots.len()];
         for i in 0..n {
-            groups[group_of[i]].push(self.router_nodes[i]);
+            groups[group_of[i]].push(self.router_node(NetId(i)));
         }
         for (h, &net) in self.host_net.iter().enumerate() {
-            groups[group_of[net]].push(self.host_nodes[h]);
-            apps[group_of[net]] += self.host(HostId(h)).app_count() as u64;
+            let group = group_of[net as usize];
+            groups[group].push(self.host_node(HostId(h)));
+            apps[group] += self.host(HostId(h)).app_count() as u64;
         }
         let parents: Vec<Option<usize>> = roots
             .iter()
-            .map(|&r| self.wiring.parent[r].map(|p| group_of[p]))
+            .map(|&r| self.wiring.parent(r).map(|p| group_of[p]))
             .collect();
         let loads = (groups.iter().zip(&apps))
             .map(|(members, &apps)| (members.len() as u64).max(APP_LOAD * apps))
@@ -634,28 +628,28 @@ impl World {
     /// from this world).
     pub fn router(&self, net: NetId) -> &BorderRouter {
         self.sim
-            .node_ref::<BorderRouter>(self.router_nodes[net.0])
+            .node_ref::<BorderRouter>(self.router_node(net))
             .expect("router node")
     }
 
     /// Mutable access to a border router.
     pub fn router_mut(&mut self, net: NetId) -> &mut BorderRouter {
         self.sim
-            .node_mut::<BorderRouter>(self.router_nodes[net.0])
+            .node_mut::<BorderRouter>(self.router_node(net))
             .expect("router node")
     }
 
     /// Read access to a host.
     pub fn host(&self, host: HostId) -> &EndHost {
         self.sim
-            .node_ref::<EndHost>(self.host_nodes[host.0])
+            .node_ref::<EndHost>(self.host_node(host))
             .expect("host node")
     }
 
     /// Mutable access to a host.
     pub fn host_mut(&mut self, host: HostId) -> &mut EndHost {
         self.sim
-            .node_mut::<EndHost>(self.host_nodes[host.0])
+            .node_mut::<EndHost>(self.host_node(host))
             .expect("host node")
     }
 
@@ -682,7 +676,7 @@ impl World {
             self.add_app(host, app);
             return;
         }
-        let node = self.host_nodes[host.0];
+        let node = self.host_node(host);
         self.sim.with_node_ctx(node, |n, ctx| {
             (n as &mut dyn Any)
                 .downcast_mut::<EndHost>()
@@ -718,7 +712,7 @@ impl World {
         self.sim.set_link_blocked(link, LinkDirection::BToA, false);
         self.host_mut(host).set_attached(true);
         if self.sim.is_started() {
-            let node = self.host_nodes[host.0];
+            let node = self.host_node(host);
             self.sim.with_node_ctx(node, |n, ctx| {
                 (n as &mut dyn Any)
                     .downcast_mut::<EndHost>()
@@ -1159,6 +1153,18 @@ mod tests {
                 "{mode:?}: {msg}"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "prefix 10.1.0.0/16 overlaps existing network \"b\"")]
+    fn a_prefix_around_an_earlier_nested_one_is_rejected() {
+        // The longer prefix first: the map meets the overlap at the /16,
+        // and the message still names the later-declared prefix.
+        let mut b = WorldBuilder::new(1, AitfConfig::default());
+        b.network("b", "10.1.2.0/24", None);
+        b.network("far", "10.200.0.0/16", None);
+        b.network("a", "10.1.0.0/16", None);
+        b.build();
     }
 
     #[test]

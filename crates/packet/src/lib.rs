@@ -33,7 +33,7 @@ pub mod route_record;
 pub use addr::{Addr, AddrParseError, Prefix};
 pub use flow::FlowLabel;
 pub use fold_hash::FoldHash;
-pub use lpm::{LpmTable, PrefixMap};
+pub use lpm::{LpmTable, Overlap, PrefixMap};
 pub use message::{
     AitfMessage, FilteringRequest, Nonce, PushbackRequest, RequestDestination, VerificationQuery,
     VerificationReply,

@@ -242,11 +242,12 @@ fn child(entry: u32) -> usize {
 /// use aitf_packet::{Addr, Prefix};
 /// use aitf_packet::lpm::PrefixMap;
 ///
-/// let map = PrefixMap::new(&[
+/// let map = PrefixMap::new([
 ///     ("10.0.0.0/8".parse().unwrap(), 1),
 ///     ("11.1.2.0/24".parse().unwrap(), 2),
 ///     ("11.1.3.128/25".parse().unwrap(), 3),
-/// ]);
+/// ])
+/// .unwrap();
 ///
 /// assert_eq!(map.get(Addr::new(10, 9, 9, 9)), Some(1));
 /// assert_eq!(map.get(Addr::new(11, 1, 2, 3)), Some(2));
@@ -264,23 +265,39 @@ pub struct PrefixMap {
     blocks: Vec<u32>,
 }
 
+/// Two prefixes given to [`PrefixMap::new`] that overlap, named by their
+/// values.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Overlap {
+    /// The value of the one listed first.
+    pub earlier: u32,
+    /// The value of the one listed later.
+    pub later: u32,
+}
+
 impl PrefixMap {
     /// The largest value a map holds.
     pub const MAX_VALUE: u32 = CHILD - 2;
 
-    /// Maps each prefix of `routes`, in any order, to its value.
+    /// Maps each prefix of `routes`, in any order, to its value, or names
+    /// two of them that overlap. `routes` is walked a few times and never
+    /// collected, so a caller lists its prefixes without a copy.
     ///
     /// # Panics
     ///
-    /// Panics if two of the prefixes overlap or a value exceeds
-    /// [`PrefixMap::MAX_VALUE`].
-    pub fn new(routes: &[(Prefix, u32)]) -> Self {
+    /// Panics if a value exceeds [`PrefixMap::MAX_VALUE`].
+    pub fn new<I>(routes: I) -> Result<Self, Overlap>
+    where
+        I: IntoIterator<Item = (Prefix, u32)>,
+        I::IntoIter: Clone,
+    {
+        let routes = routes.into_iter();
         let last = |p: Prefix| p.addr().raw() + (p.size() - 1) as u32;
         let span = routes
-            .iter()
-            .map(|&(p, _)| (p.addr().raw() >> 16, last(p) >> 16));
+            .clone()
+            .map(|(p, _)| (p.addr().raw() >> 16, last(p) >> 16));
         let Some((lo, hi)) = span.reduce(|(a, b), (c, d)| (a.min(c), b.max(d))) else {
-            return PrefixMap::default();
+            return Ok(PrefixMap::default());
         };
         let mut map = PrefixMap {
             base: lo,
@@ -292,7 +309,7 @@ impl PrefixMap {
         // flat array once per level.
         let mut blocks = 0;
         for depth in [16, 24] {
-            for &(p, _) in routes.iter().filter(|r| r.0.len() > depth) {
+            for (p, _) in routes.clone().filter(|r| r.0.len() > depth) {
                 let entry = map.above(p, depth);
                 if *entry == EMPTY {
                     *entry = CHILD | blocks;
@@ -303,7 +320,7 @@ impl PrefixMap {
             map.blocks.reserve_exact(more);
             map.blocks.resize(blocks as usize * BLOCK, EMPTY);
         }
-        for &(p, value) in routes {
+        for (at, (p, value)) in routes.clone().enumerate() {
             assert!(
                 value <= Self::MAX_VALUE,
                 "prefix map value {value} too large"
@@ -318,12 +335,14 @@ impl PrefixMap {
                 let at = |a: u32| block + (a >> shift & 0xff) as usize;
                 &mut map.blocks[at(first)..=at(last)]
             };
-            for entry in run {
-                assert!(*entry == EMPTY, "prefix {p} overlaps another in the map");
-                *entry = value + 1;
+            // A value there is an earlier prefix around `p`'s addresses,
+            // and a child block one inside them.
+            if run.iter().any(|&entry| entry != EMPTY) {
+                return Err(overlap(routes, at, p, value));
             }
+            run.fill(value + 1);
         }
-        map
+        Ok(map)
     }
 
     /// The entry for the /16 (`depth` 16 to 23) or the /24 (`depth` 24 and
@@ -352,6 +371,28 @@ impl PrefixMap {
         entry.checked_sub(1)
     }
 }
+
+/// The overlap [`PrefixMap::new`] met at the `at`-th route, `(p, value)`:
+/// that route and the first other one around or inside it.
+#[cold]
+fn overlap(
+    routes: impl Iterator<Item = (Prefix, u32)>,
+    at: usize,
+    p: Prefix,
+    value: u32,
+) -> Overlap {
+    let mut others = routes.enumerate().filter(|&(k, _)| k != at);
+    let (k, (_, other)) = others
+        .find(|(_, (q, _))| q.overlaps(p))
+        .expect("an occupied entry is another route's");
+    let (earlier, later) = if k < at {
+        (other, value)
+    } else {
+        (value, other)
+    };
+    Overlap { earlier, later }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -423,15 +464,22 @@ mod tests {
 
     #[test]
     fn an_empty_prefix_map_holds_nothing() {
-        let map = PrefixMap::new(&[]);
+        let map = PrefixMap::new([]).unwrap();
         assert_eq!(map.get(Addr::ZERO), None);
         assert_eq!(map.get(Addr(u32::MAX)), None);
     }
 
     #[test]
-    #[should_panic(expected = "prefix 10.0.0.0/8 overlaps another in the map")]
     fn a_prefix_around_a_longer_one_is_refused() {
-        PrefixMap::new(&[(p("10.1.2.128/25"), 1), (p("10.0.0.0/8"), 2)]);
+        let map = PrefixMap::new([(p("10.1.2.128/25"), 1), (p("10.0.0.0/8"), 2)]);
+        let overlap = Overlap {
+            earlier: 1,
+            later: 2,
+        };
+        assert_eq!(map.unwrap_err(), overlap);
+        // Found at the /8, before the /25's value is written.
+        let map = PrefixMap::new([(p("10.0.0.0/8"), 1), (p("10.1.2.128/25"), 2)]);
+        assert_eq!(map.unwrap_err(), overlap);
     }
 
     /// The longest match among `routes` (distinct prefixes), by brute force.
@@ -531,7 +579,7 @@ mod proptests {
                     routes.push((p, v));
                 }
             }
-            let map = PrefixMap::new(&routes);
+            let map = PrefixMap::new(routes.iter().copied()).unwrap();
             let prefixes: Vec<Prefix> = candidates.iter().map(|c| c.0).collect();
             let boundaries = prefixes.iter().flat_map(|p| {
                 let a = p.addr().raw();
@@ -542,6 +590,21 @@ mod proptests {
             for a in edges(&prefixes).chain(boundaries.flatten()).chain(ends).chain(probes.into_iter().map(Addr)) {
                 let expected = routes.iter().find(|r| r.0.contains(a)).map(|r| r.1);
                 prop_assert_eq!(map.get(a), expected, "{}", a);
+            }
+        }
+
+        /// Over any prefixes, the map refuses exactly the lists in which
+        /// two overlap, and names such a pair in list order.
+        #[test]
+        fn prefix_map_refuses_exactly_the_overlapping_lists(
+            prefixes in proptest::collection::vec(map_prefix(), 0..40),
+        ) {
+            let overlap = |a: usize, b: usize| a < b && prefixes[a].overlaps(prefixes[b]);
+            let n = prefixes.len();
+            let any = (0..n).any(|a| (0..n).any(|b| overlap(a, b)));
+            match PrefixMap::new(prefixes.iter().copied().zip(0..)) {
+                Ok(_) => prop_assert!(!any),
+                Err(o) => prop_assert!(overlap(o.earlier as usize, o.later as usize), "{:?}", o),
             }
         }
 

@@ -7,24 +7,27 @@
 //! for are what the paper's resource argument (Section IV) says they
 //! should be: independent of the protocol's tables.
 
-use aitf::core::{AitfConfig, BorderRouter, EndHost, HostPolicy};
+use aitf::core::{
+    AitfConfig, BorderRouter, DefensePolicy, EndHost, HostPolicy, NetId, PolicyChains, WorldBuilder,
+};
 use aitf::netsim::Link;
 use aitf::packet::alloc_probe::CountingAlloc;
-use aitf::packet::{FlowLabel, Packet, Prefix, PrefixMap};
+use aitf::packet::{FlowLabel, Packet, PrefixMap};
 use aitf::scenario::{PowerLawSpec, TopologySpec};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-// Exact sizes when these bounds were set: 64 / 136 / 88 bytes (592 /
+// Exact sizes when these bounds were set: 64 / 72 / 88 bytes (592 /
 // 1,376 / 912 with every table and queue laid out inline, a router 600
 // with its counters and two empty tables inline, 192 while every router
 // held its own copy of the deployment view, 144 while it kept spans of
-// the world's forwarding and client arrays, and a host 296 with its
-// counters and self-filter table inline).
+// the world's forwarding and client arrays, 136 while it held a copy of
+// its defense's stage chains and its uplink as an `Option<LinkId>`, and a
+// host 296 with its counters and self-filter table inline).
 const _: () = {
     assert!(std::mem::size_of::<Link>() <= 64);
-    assert!(std::mem::size_of::<BorderRouter>() <= 136);
+    assert!(std::mem::size_of::<BorderRouter>() <= 72);
     assert!(std::mem::size_of::<EndHost>() <= 96);
 };
 
@@ -59,16 +62,19 @@ fn a_power_law_world_is_built_within_its_per_network_byte_budget() {
     assert_eq!(nets, spec.nets.len());
     let per_net = bytes / nets as u64;
     // Every byte requested while building, transient ones included:
-    // 876 B per network since the address map is a direct index (884 B
-    // while it was the sorted prefixes beside their network numbers, 883
-    // when the bound was set, since routers route from the provider tree;
-    // 1,219 B with every forwarding table, cone and ancestor chain in
-    // per-world arrays, 1,869 B with a forwarding table, ingress sets and
-    // counters per router, 2,125 B with one `Vec` per node, provider and
-    // name copy, and 3,435 B with tables, control plane and link queues
-    // laid out up front).
+    // 689 B per network when the bound was set, since a router holds no
+    // copy of its stage chains, the provider tree and node ids are 4-byte
+    // words or no array at all, and overlaps are found by the address map
+    // (876 B while the prefixes were also sorted into a checking list and
+    // the tree held 16-byte `Option`s, 884 B while the address map was the
+    // sorted prefixes beside their network numbers, 883 since routers
+    // route from the provider tree; 1,219 B with every forwarding table,
+    // cone and ancestor chain in per-world arrays, 1,869 B with a
+    // forwarding table, ingress sets and counters per router, 2,125 B with
+    // one `Vec` per node, provider and name copy, and 3,435 B with tables,
+    // control plane and link queues laid out up front).
     assert!(
-        per_net <= 1_060,
+        per_net <= 830,
         "building a {nets}-net world requested {per_net} B per network"
     );
 }
@@ -94,8 +100,8 @@ fn a_power_law_world_is_built_in_one_and_a_quarter_allocations_per_network() {
 #[test]
 fn a_power_law_worlds_address_map_costs_a_kib_per_split_slash16() {
     let spec = power_law_spec();
-    let routes: Vec<(Prefix, u32)> = spec.nets.iter().map(|n| n.prefix).zip(0..).collect();
-    let count = || CountingAlloc::count_bytes(|| PrefixMap::new(&routes));
+    let routes = spec.nets.iter().map(|n| n.prefix).zip(0..);
+    let count = || CountingAlloc::count_bytes(|| PrefixMap::new(routes.clone()));
     let ((_, bytes), allocs) = CountingAlloc::count(count);
     // 41,120 B in 2 allocations when the bound was set: the 10,000 /24s
     // split 40 /16s, a 1 KiB block each, under a root of 40 entries (the
@@ -146,4 +152,25 @@ fn a_tree_world_is_built_within_its_per_host_budget() {
         100 * allocs <= 119 * hosts,
         "building a {hosts}-host tree made {allocs} allocations"
     );
+}
+
+#[test]
+fn every_router_runs_its_worlds_defense_chains_without_holding_them() {
+    for policy in DefensePolicy::BAKEOFF {
+        let cfg = AitfConfig {
+            defense: policy,
+            ..AitfConfig::default()
+        };
+        let mut b = WorldBuilder::new(7, cfg);
+        let wan = b.network("wan", "10.100.0.0/16", None);
+        let net = b.network("net", "10.1.0.0/16", Some(wan));
+        b.host(net);
+        let world = b.build();
+        let Ok(chains) = PolicyChains::build(policy);
+        for i in 0..world.net_count() {
+            let router = world.router(NetId(i));
+            assert_eq!(router.defense(), policy);
+            assert_eq!(router.chains(), chains, "{policy:?} router {i}");
+        }
+    }
 }
