@@ -40,8 +40,6 @@ pub struct AitfConfig {
     /// Grace period the attacker (or a downstream gateway) gets to stop the
     /// flow before disconnection.
     pub grace: SimDuration,
-    /// How long the attacker's gateway waits for a verification reply.
-    pub handshake_timeout: SimDuration,
     /// `Td`: oracle detection delay for a *new* undesired flow. Reappearing
     /// flows are detected instantly from the request log (footnote 8).
     pub detection_delay: SimDuration,
@@ -85,14 +83,13 @@ pub struct AitfConfig {
 }
 
 impl Default for AitfConfig {
-    /// The paper's running example: `T` = 1 min, handshake ≈ 600 ms
-    /// (Section IV-B), `Ttmp` = 1 s, `R1` = 100 req/s, `R2` = 1 req/s.
+    /// The paper's running example: `T` = 1 min, `Ttmp` = 1 s,
+    /// `R1` = 100 req/s, `R2` = 1 req/s.
     fn default() -> Self {
         AitfConfig {
             t_long: SimDuration::from_secs(60),
             t_tmp: SimDuration::from_secs(1),
             grace: SimDuration::from_millis(500),
-            handshake_timeout: SimDuration::from_millis(600),
             detection_delay: SimDuration::from_millis(100),
             detection: DetectionMode::Oracle,
             client_contract: Contract::new(100.0, 100),

@@ -74,7 +74,10 @@ pub use policy::DefensePolicy;
 pub use pushback::{PushbackCounters, PushbackState, LINK_LOCAL, MAX_PUSHBACK_DEPTH};
 pub use router::{BorderRouter, RouterCounters};
 pub use traffic::{RequestForger, Source};
-pub use world::{HostId, NetId, NetLabel, RoutingMode, World, WorldBuilder};
+pub use world::{
+    HostDecl, HostId, NetDecl, NetId, NetLabel, PeeringDecl, Role, RoutingMode, Side, World,
+    WorldBuilder, WorldError,
+};
 
 /// A world and everything in it can move to a shard thread — with the
 /// `trace` feature too: span logs are plain router-private data.

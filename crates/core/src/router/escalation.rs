@@ -7,7 +7,7 @@
 //! private state.
 
 use aitf_filter::InstallError;
-use aitf_netsim::{Context, LinkId};
+use aitf_netsim::{Context, LinkId, SimDuration};
 use aitf_packet::{
     AitfMessage, FilteringRequest, Nonce, RequestDestination, VerificationQuery, VerificationReply,
 };
@@ -15,6 +15,11 @@ use aitf_trace::{Cause, SpanKind};
 use rand::Rng;
 
 use super::{flow_key, BorderRouter, DataState, GraceWatch, PendingHandshake, TimerAction};
+
+/// How long the attacker's gateway waits for the victim's verification
+/// reply: the ≈ 600 ms 3-way handshake of the paper's running example
+/// (Section IV-B).
+const HANDSHAKE_TIMEOUT: SimDuration = SimDuration::from_millis(600);
 
 impl BorderRouter {
     // ------------------------------------------------------------------
@@ -331,7 +336,7 @@ impl BorderRouter {
         ctl.pending_handshakes
             .insert(nonce.0, PendingHandshake { request: req, span });
         let token = ctl.alloc_token(TimerAction::HandshakeTimeout { nonce: nonce.0 });
-        ctx.set_timer(self.cfg.handshake_timeout, token);
+        ctx.set_timer(HANDSHAKE_TIMEOUT, token);
         self.send_control(ctx, victim, AitfMessage::VerificationQuery(query));
     }
 

@@ -498,6 +498,11 @@ impl BorderRouter {
         self.addr
     }
 
+    /// This router's network prefix: the world's one copy of it.
+    pub(crate) fn prefix(&self) -> Prefix {
+        self.prefix
+    }
+
     /// The link towards this router's provider, if any.
     #[inline]
     pub fn uplink(&self) -> Option<LinkId> {

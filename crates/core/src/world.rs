@@ -108,21 +108,55 @@ impl fmt::Display for NetLabel<'_> {
     }
 }
 
-struct NetSpec {
-    name: String,
-    prefix: Prefix,
-    /// The provider's index, or [`NONE`] at the top level.
-    parent: u32,
-    policy: RouterPolicy,
-    uplink_params: LinkParams,
+/// What a host is *for* in a scenario — workload compilation and probes
+/// select hosts by role, independent of the host's protocol
+/// [`HostPolicy`] (a compliant zombie is still [`Role::Attacker`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Role {
+    /// The flood's target (and legitimate traffic's server).
+    Victim,
+    /// A source of undesired traffic (zombie, spoofer, forger).
+    Attacker,
+    /// A source of legitimate foreground traffic.
+    Legit,
+    /// Anything else (observers, idle hosts).
+    Aux,
 }
 
-impl NetSpec {
-    fn parent(&self) -> Option<usize> {
-        index_of(self.parent)
-    }
+/// Which side of the conflict a network sits on — probes aggregate
+/// filter/request counters over a side.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Side {
+    /// Core / transit ADs (hubs, mid-tree providers).
+    Neutral,
+    /// The victim's provider chain.
+    Victim,
+    /// Networks hosting attack sources.
+    Attacker,
+}
 
-    fn label(&self, index: usize) -> NetLabel<'_> {
+/// One declared network (AD): the record a world is built from.
+#[derive(Debug, Clone)]
+pub struct NetDecl {
+    /// Display name, unique within a scenario's topology (probes look nets
+    /// up by it). Empty for an anonymous network, which no lookup by name
+    /// finds and messages name as `#<index> (<prefix>)`.
+    pub name: String,
+    /// The network prefix.
+    pub prefix: Prefix,
+    /// Index of the provider network among the declared networks.
+    pub parent: Option<usize>,
+    /// Border-router behaviour.
+    pub policy: RouterPolicy,
+    /// Uplink parameters towards the provider.
+    pub uplink: LinkParams,
+    /// Conflict side, for aggregate probes.
+    pub side: Side,
+}
+
+impl NetDecl {
+    /// How a message names this network, declared at `index`.
+    pub fn label(&self, index: usize) -> NetLabel<'_> {
         NetLabel {
             name: &self.name,
             index,
@@ -131,19 +165,91 @@ impl NetSpec {
     }
 }
 
-struct HostSpec {
-    net: usize,
-    policy: HostPolicy,
-    link_params: LinkParams,
+/// One declared end host.
+#[derive(Debug, Clone)]
+pub struct HostDecl {
+    /// Index of the home network among the declared networks.
+    pub net: usize,
+    /// Whether the host complies with filtering requests.
+    pub policy: HostPolicy,
+    /// Tail-circuit parameters.
+    pub link: LinkParams,
+    /// Scenario role, for workload/probe selection.
+    pub role: Role,
 }
 
-/// Builder for an AITF world.
+/// One declared peering between (typically top-level) networks.
+#[derive(Debug, Clone)]
+pub struct PeeringDecl {
+    /// First peer's index among the declared networks.
+    pub a: usize,
+    /// Second peer's index.
+    pub b: usize,
+    /// Link parameters.
+    pub link: LinkParams,
+}
+
+/// Why declared networks, hosts and peerings make no world; each case
+/// names its offender. [`World::try_build`] is the one check.
+#[derive(Clone, Copy, Debug)]
+pub enum WorldError<'a> {
+    /// A network whose prefix overlaps an earlier network's, nested ones
+    /// included: `(later, earlier)`.
+    Overlap(NetLabel<'a>, NetLabel<'a>),
+    /// A network, and the provider index it names, which is not declared
+    /// before it.
+    ParentAfter(NetLabel<'a>, usize),
+    /// A network, and its host count, which is past 250.
+    Overfull(NetLabel<'a>, usize),
+    /// A host naming an undeclared network: `(host, network, networks
+    /// declared)`.
+    HostNet(usize, usize, usize),
+    /// A peering naming an undeclared network: `(peering, network,
+    /// networks declared)`.
+    PeeringNet(usize, usize, usize),
+    /// A peering that connects a network to itself: `(peering, network)`.
+    SelfPeering(usize, NetLabel<'a>),
+}
+
+impl fmt::Display for WorldError<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            WorldError::Overlap(later, earlier) => {
+                write!(f, "network {later:#} overlaps existing network {earlier:#}")
+            }
+            WorldError::ParentAfter(net, p) => write!(
+                f,
+                "network {net} is declared before its parent (network #{p}); parents come first"
+            ),
+            WorldError::Overfull(net, hosts) => write!(
+                f,
+                "network {net} has {hosts} hosts; a network holds at most 250"
+            ),
+            WorldError::HostNet(h, net, n) => write!(
+                f,
+                "host #{h} is declared in network #{net}, but only {n} networks exist"
+            ),
+            WorldError::PeeringNet(k, net, n) => write!(
+                f,
+                "peering #{k} names network #{net}, but only {n} networks exist"
+            ),
+            WorldError::SelfPeering(k, net) => {
+                write!(f, "peering #{k} connects network {net} to itself")
+            }
+        }
+    }
+}
+
+impl std::error::Error for WorldError<'_> {}
+
+/// Builder for an AITF world: [`NetDecl`], [`HostDecl`] and
+/// [`PeeringDecl`] records pushed one call at a time.
 pub struct WorldBuilder {
     seed: u64,
     cfg: AitfConfig,
-    nets: Vec<NetSpec>,
-    hosts: Vec<HostSpec>,
-    peerings: Vec<(usize, usize, LinkParams)>,
+    nets: Vec<NetDecl>,
+    hosts: Vec<HostDecl>,
+    peerings: Vec<PeeringDecl>,
     routing: RoutingMode,
 }
 
@@ -183,7 +289,7 @@ impl WorldBuilder {
     /// # Panics
     ///
     /// Panics if `prefix` does not parse, naming the network and the
-    /// literal; otherwise as [`WorldBuilder::network_with`].
+    /// literal.
     pub fn network(&mut self, name: &str, prefix: &str, parent: Option<NetId>) -> NetId {
         let prefix: Prefix = prefix
             .parse()
@@ -199,13 +305,9 @@ impl WorldBuilder {
 
     /// Declares a network with explicit policy and uplink parameters. An
     /// empty `name` declares an anonymous network: messages name it by
-    /// index and prefix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parent` was not returned by this builder. A prefix that
-    /// overlaps another network's is rejected by [`WorldBuilder::build`],
-    /// which finds it while building the world's address map.
+    /// index and prefix. A parent that is not an earlier network of this
+    /// builder, or a prefix that overlaps another network's, is rejected
+    /// by [`WorldBuilder::build`].
     pub fn network_with(
         &mut self,
         name: &str,
@@ -214,24 +316,15 @@ impl WorldBuilder {
         policy: RouterPolicy,
         uplink_params: LinkParams,
     ) -> NetId {
-        let mut net = NetSpec {
+        self.nets.push(NetDecl {
             name: name.to_string(),
             prefix: *prefix,
-            parent: NONE,
+            parent: parent.map(|p| p.0),
             policy,
-            uplink_params,
-        };
-        let id = NetId(self.nets.len());
-        if let Some(p) = parent {
-            assert!(
-                p.0 < id.0,
-                "parent of network {} is not a network of this builder",
-                net.label(id.0)
-            );
-            net.parent = word(p.0);
-        }
-        self.nets.push(net);
-        id
+            uplink: uplink_params,
+            side: Side::Neutral,
+        });
+        NetId(self.nets.len() - 1)
     }
 
     /// Overrides a network's router policy before building.
@@ -246,130 +339,174 @@ impl WorldBuilder {
 
     /// Adds a host with explicit policy and tail-circuit parameters.
     pub fn host_with(&mut self, net: NetId, policy: HostPolicy, link_params: LinkParams) -> HostId {
-        let id = HostId(self.hosts.len());
-        self.hosts.push(HostSpec {
+        self.hosts.push(HostDecl {
             net: net.0,
             policy,
-            link_params,
+            link: link_params,
+            role: Role::Aux,
         });
-        id
+        HostId(self.hosts.len() - 1)
     }
 
     /// Connects two (typically top-level) networks as peers.
     pub fn peer(&mut self, a: NetId, b: NetId, params: LinkParams) {
-        self.peerings.push((a.0, b.0, params));
+        self.peerings.push(PeeringDecl {
+            a: a.0,
+            b: b.0,
+            link: params,
+        });
     }
 
-    /// Assembles the simulator, routing state and protocol nodes, with
-    /// [`BorderRouter`]s at every network. Which defense the routers run
+    /// Builds the declared world: see [`World::try_build`].
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`WorldError`]'s text on inconsistent declarations,
+    /// and if a disconnected topology is asked to route.
+    pub fn build(self) -> World {
+        let (nets, hosts, peerings) = (&self.nets, &self.hosts, &self.peerings);
+        World::try_build(self.seed, self.cfg, self.routing, nets, hosts, peerings)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+}
+
+impl World {
+    /// Assembles the simulator, routing state and protocol nodes of the
+    /// world the `nets`, `hosts` and `peerings` records declare, with
+    /// [`BorderRouter`]s at every network; declaration `i` is
+    /// [`NetId`]`(i)` / [`HostId`]`(i)`. Which defense the routers run
     /// is the configuration's [`crate::AitfConfig::defense`] policy — the
     /// pushback baseline and the other bake-off defenses reuse all the
     /// topology, addressing and routing machinery through their hook
     /// chains instead of substituting a different node type.
     ///
-    /// What is per world is one array here — the address map, the provider
-    /// tree, each network's hosts and peers — and nothing per network is
-    /// copied, sorted or allocated twice on the way into its router. What
-    /// the routers read stays that way after the build: one
-    /// `Wiring` per world holds the declaration every route, ingress
-    /// verdict and escalation target is answered from, and a router holds
-    /// its network index into it, so a router no packet reaches is its
-    /// wiring and owns no heap memory.
+    /// This is the one check of a declared topology, made while the world
+    /// is built from the records it reads in place: nothing per network
+    /// is copied, sorted or allocated twice on the way into its router.
+    /// What the routers read stays that way after the build: one `Wiring`
+    /// per world holds the declaration every route, ingress verdict and
+    /// escalation target is answered from, and a router holds its network
+    /// index into it, so a router no packet reaches is its wiring and
+    /// owns no heap memory.
+    ///
+    /// # Errors
+    ///
+    /// The first [`WorldError`] the declarations make, naming its offender.
     ///
     /// # Panics
     ///
-    /// Panics on inconsistent input: two networks whose prefixes overlap, a
-    /// network with more than 250 hosts, or a disconnected topology being
-    /// asked to route.
-    pub fn build(self) -> World {
+    /// Panics if a disconnected topology is asked to route all pairs, or
+    /// if the config is one no victim agent can be made from.
+    pub fn try_build<'a>(
+        seed: u64,
+        cfg: AitfConfig,
+        routing: RoutingMode,
+        nets: &'a [NetDecl],
+        hosts: &'a [HostDecl],
+        peerings: &'a [PeeringDecl],
+    ) -> Result<World, WorldError<'a>> {
         // Hosts make their victim agent on first use; making one here keeps
         // a config no agent can be made from a build-time failure.
-        drop(VictimAgent::new(&self.cfg));
-        // One config for the whole world, shared by every node.
-        let cfg = Arc::new(self.cfg);
-        let n = self.nets.len();
+        drop(VictimAgent::new(&cfg));
+        let n = nets.len();
+        let label = |i: usize| nets[i].label(i);
+
+        // The provider tree, each parent ahead of its clients: the rule
+        // escalation and the shard hints walk the tree by.
+        let mut parent = Vec::with_capacity(n);
+        for (i, net) in nets.iter().enumerate() {
+            parent.push(match net.parent {
+                None => NONE,
+                Some(p) if p < i => word(p),
+                Some(p) => return Err(WorldError::ParentAfter(label(i), p)),
+            });
+        }
+        let mut host_net = Vec::with_capacity(hosts.len());
+        for (h, host) in hosts.iter().enumerate() {
+            if host.net >= n {
+                return Err(WorldError::HostNet(h, host.net, n));
+            }
+            host_net.push(word(host.net));
+        }
+        for (k, p) in peerings.iter().enumerate() {
+            if let Some(net) = [p.a, p.b].into_iter().find(|&end| end >= n) {
+                return Err(WorldError::PeeringNet(k, net, n));
+            }
+            if p.a == p.b {
+                return Err(WorldError::SelfPeering(k, label(p.a)));
+            }
+        }
         // The address map is the overlap check: it refuses nested prefixes
         // too, in either routing mode.
-        let net_map = PrefixMap::new(self.nets.iter().map(|n| n.prefix).zip(0..));
-        let net_map = net_map.unwrap_or_else(|overlap| {
-            let (earlier, later) = (overlap.earlier as usize, overlap.later as usize);
-            panic!(
-                "prefix {} overlaps existing network {}",
-                self.nets[later].prefix,
-                self.nets[earlier].label(earlier)
-            )
-        });
-        let mut nb = NetworkBuilder::new(self.seed);
+        let net_map = PrefixMap::new(nets.iter().map(|n| n.prefix).zip(0..))
+            .map_err(|o| WorldError::Overlap(label(o.later as usize), label(o.earlier as usize)))?;
+
+        // Address assignment: router = .254 of the first /24, hosts from 1
+        // — host `k` of a network is its prefix's address `k + 1`, which is
+        // how a router finds a host's tail circuit.
+        let homes = hosts.iter().enumerate();
+        let hosts_of_net = Buckets::group(n, homes.map(|(h, host)| (host.net, h)));
+        let mut host_addr = vec![Addr::ZERO; hosts.len()];
+        for (i, net) in nets.iter().enumerate() {
+            let homed = hosts_of_net.of(i);
+            if homed.len() > 250 {
+                return Err(WorldError::Overfull(label(i), homed.len()));
+            }
+            for (&h, k) in homed.iter().zip(1..) {
+                host_addr[h] = net.prefix.host_at(k);
+            }
+        }
+        let router_addr: Vec<Addr> = nets.iter().map(|n| n.prefix.host_at(254)).collect();
+
+        // One config for the whole world, shared by every node.
+        let cfg = Arc::new(cfg);
+        let mut nb = NetworkBuilder::new(seed);
 
         // One node per router, then one per host: the rule
         // `World::router_node` and `World::host_node` answer by.
-        for _ in 0..n + self.hosts.len() {
+        for _ in 0..n + hosts.len() {
             nb.add_node();
         }
         let host_node = |h: usize| NodeId(n + h);
 
         // Links: child → parent uplinks, host tail circuits, peerings.
         let mut uplink = vec![NONE; n];
-        for (i, net) in self.nets.iter().enumerate() {
-            if let Some(p) = net.parent() {
-                uplink[i] = word(nb.connect(NodeId(i), NodeId(p), net.uplink_params).0);
+        for (i, net) in nets.iter().enumerate() {
+            if let Some(p) = net.parent {
+                uplink[i] = word(nb.connect(NodeId(i), NodeId(p), net.uplink).0);
             }
         }
-        let tail_links: Vec<LinkId> = self
-            .hosts
+        let tail_links: Vec<LinkId> = hosts
             .iter()
             .enumerate()
-            .map(|(i, h)| nb.connect(host_node(i), NodeId(h.net), h.link_params))
+            .map(|(i, h)| nb.connect(host_node(i), NodeId(h.net), h.link))
             .collect();
-        let peer_links: Vec<LinkId> = self
-            .peerings
+        let peer_links: Vec<LinkId> = peerings
             .iter()
-            .map(|&(a, b, params)| nb.connect(NodeId(a), NodeId(b), params))
+            .map(|p| nb.connect(NodeId(p.a), NodeId(p.b), p.link))
             .collect();
 
         let mut sim = nb.build();
 
         // Who hangs off whom, each as one counting sort.
-        let parent: Vec<u32> = self.nets.iter().map(|net| net.parent).collect();
-        let homes = self.hosts.iter().enumerate();
-        let hosts_of_net = Buckets::group(n, homes.map(|(h, hspec)| (hspec.net, h)));
-        let hosts = self.hosts.iter().zip(&tail_links);
-        let tails = Buckets::group(n, hosts.map(|(h, &link)| (h.net, link)));
-        let peerings = self.peerings.iter().zip(&peer_links);
+        let tails = Buckets::group(n, hosts.iter().zip(&tail_links).map(|(h, &l)| (h.net, l)));
+        let across = peerings.iter().zip(&peer_links);
         let peers = Buckets::group(
             n,
-            peerings.flat_map(|(&(a, b, _), &link)| [(a, (b, link)), (b, (a, link))]),
+            across.flat_map(|(p, &link)| [(p.a, (p.b, link)), (p.b, (p.a, link))]),
         );
-
-        // Address assignment: router = .254 of the first /24, hosts from 1
-        // — host `k` of a network is its prefix's address `k + 1`, which is
-        // how a router finds a host's tail circuit.
-        let router_addr: Vec<Addr> = self.nets.iter().map(|n| n.prefix.host_at(254)).collect();
-        let mut host_addr = vec![Addr::ZERO; self.hosts.len()];
-        for (i, net) in self.nets.iter().enumerate() {
-            let hosts = hosts_of_net.of(i);
-            assert!(
-                hosts.len() <= 250,
-                "network {} has {} hosts; a network holds at most 250",
-                net.label(i),
-                hosts.len()
-            );
-            for (&h, k) in hosts.iter().zip(1..) {
-                host_addr[h] = net.prefix.host_at(k);
-            }
-        }
 
         // All-pairs routing runs one breadth-first search per router over
         // the router backbone — one next hop per remote network, the
         // aggregation a real AS-level forwarding table has, at O(n·(n + e))
         // build cost and n² memory. Hosts are leaves on their tail circuit
         // and can never be transit.
-        let hops = (self.routing == RoutingMode::AllPairs).then(|| {
+        let hops = (routing == RoutingMode::AllPairs).then(|| {
             let up = |i| Some((i, index_of(parent[i])?, LinkId(index_of(uplink[i])?)));
-            let across = self.peerings.iter().zip(&peer_links);
+            let across = peerings.iter().zip(&peer_links);
             let backbone: Vec<(NodeId, NodeId, LinkId)> = (0..n)
                 .filter_map(up)
-                .chain(across.map(|(&(a, b, _), &link)| (a, b, link)))
+                .chain(across.map(|(p, &link)| (p.a, p.b, link)))
                 .map(|(a, b, link)| (NodeId(a), NodeId(b), link))
                 .collect();
             NextHops::compute(n, &backbone)
@@ -383,7 +520,7 @@ impl WorldBuilder {
 
         // What every router reads, as one value for the world, the
         // deployment view seeded with the routers built not to run AITF.
-        let legacy = self.nets.iter().zip(&router_addr);
+        let legacy = nets.iter().zip(&router_addr);
         let legacy = legacy.filter(|(net, _)| !net.policy.aitf_enabled);
         let legacy = RwLock::new(legacy.map(|(_, &addr)| addr).collect());
         let wiring = Arc::new(Wiring {
@@ -399,7 +536,7 @@ impl WorldBuilder {
         });
 
         // Install routers.
-        for (i, net) in self.nets.iter().enumerate() {
+        for (i, net) in nets.iter().enumerate() {
             let spec = RouterSpec {
                 addr: wiring.router_addr[i],
                 prefix: net.prefix,
@@ -413,34 +550,31 @@ impl WorldBuilder {
         }
 
         // Install hosts.
-        for (h, hspec) in self.hosts.iter().enumerate() {
-            let host = EndHost::new(
+        for (h, host) in hosts.iter().enumerate() {
+            let end_host = EndHost::new(
                 host_addr[h],
-                wiring.router_addr[hspec.net],
+                wiring.router_addr[host.net],
                 tail_links[h],
                 Arc::clone(&cfg),
-                hspec.policy,
+                host.policy,
             );
-            sim.install(host_node(h), Box::new(host));
+            sim.install(host_node(h), Box::new(end_host));
         }
 
-        World {
+        Ok(World {
             sim,
             cfg,
-            net_prefixes: self.nets.iter().map(|n| n.prefix).collect(),
+            // An anonymous network's empty name allocates nothing.
+            net_names: nets.iter().map(|n| n.name.clone()).collect(),
             host_addr,
-            host_net: self.hosts.iter().map(|h| word(h.net)).collect(),
-            net_cooperating: self
-                .nets
+            host_net,
+            net_cooperating: nets
                 .iter()
                 .map(|n| n.policy.aitf_enabled && n.policy.cooperating)
                 .collect(),
             tail_links,
             wiring,
-            // Last: the names move out of the declarations, in place, so they
-            // keep its buffer: releasing it measured slower and no smaller.
-            net_names: self.nets.into_iter().map(|n| n.name).collect(),
-        }
+        })
     }
 }
 
@@ -462,7 +596,6 @@ pub struct World {
     /// router and host of the world shares.
     pub cfg: Arc<AitfConfig>,
     net_names: Vec<String>,
-    net_prefixes: Vec<Prefix>,
     host_addr: Vec<Addr>,
     /// Per host, its network's index.
     host_net: Vec<u32>,
@@ -478,7 +611,7 @@ pub struct World {
 impl World {
     /// Number of networks.
     pub fn net_count(&self) -> usize {
-        self.net_prefixes.len()
+        self.net_names.len()
     }
 
     /// Number of hosts.
@@ -496,13 +629,13 @@ impl World {
         NetLabel {
             name: &self.net_names[net.0],
             index: net.0,
-            prefix: self.net_prefixes[net.0],
+            prefix: self.net_prefix(net),
         }
     }
 
     /// A network's prefix.
     pub fn net_prefix(&self, net: NetId) -> Prefix {
-        self.net_prefixes[net.0]
+        self.router(net).prefix()
     }
 
     /// A network's border-router address.
@@ -578,8 +711,8 @@ impl World {
     pub fn shard_hints(&self) -> PartitionSpec {
         let n = self.net_count();
         let escalating = self.cfg.defense.escalates();
-        // Resolve each net to its merge target. Parents are declared
-        // before children in WorldBuilder, so target[parent] is final by
+        // Resolve each net to its merge target. A parent precedes its
+        // clients (see `World::try_build`), so target[parent] is final by
         // the time a child reads it.
         let mut target: Vec<usize> = (0..n).collect();
         for i in 0..n {
@@ -804,6 +937,27 @@ mod tests {
         for _ in 0..251 {
             b.host(net);
         }
+        b.build();
+    }
+
+    #[test]
+    #[should_panic(expected = "host #1 is declared in network #3, but only 2 networks exist")]
+    fn a_host_in_an_undeclared_network_is_named() {
+        let mut b = WorldBuilder::new(1, AitfConfig::default());
+        let wan = b.network("wan", "10.100.0.0/16", None);
+        b.network("net", "10.1.0.0/16", Some(wan));
+        b.host(wan);
+        b.host(NetId(3));
+        b.build();
+    }
+
+    #[test]
+    #[should_panic(expected = "peering #0 names network #3, but only 2 networks exist")]
+    fn a_peering_to_an_undeclared_network_is_named() {
+        let mut b = WorldBuilder::new(1, AitfConfig::default());
+        let wan = b.network("wan", "10.100.0.0/16", None);
+        b.network("net", "10.1.0.0/16", Some(wan));
+        b.peer(wan, NetId(3), WorldBuilder::default_net_link());
         b.build();
     }
 
@@ -1156,10 +1310,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "prefix 10.1.0.0/16 overlaps existing network \"b\"")]
+    #[should_panic(
+        expected = "network \"a\" (10.1.0.0/16) overlaps existing network \"b\" (10.1.2.0/24)"
+    )]
     fn a_prefix_around_an_earlier_nested_one_is_rejected() {
         // The longer prefix first: the map meets the overlap at the /16,
-        // and the message still names the later-declared prefix.
+        // and the message still names the later-declared network first.
         let mut b = WorldBuilder::new(1, AitfConfig::default());
         b.network("b", "10.1.2.0/24", None);
         b.network("far", "10.200.0.0/16", None);

@@ -27,8 +27,7 @@
 
 use aitf_core::{AitfConfig, DefensePolicy, DetectionMode, EvictionPolicy, NetId, World};
 use aitf_engine::{Outcome, Params};
-use aitf_netsim::{PartitionError, SimDuration};
-use aitf_packet::Prefix;
+use aitf_netsim::{NodeId, PartitionError, SimDuration};
 
 use crate::churn::{ChurnAction, ChurnSpec};
 use crate::deploy::DeploymentSpec;
@@ -48,69 +47,6 @@ impl std::fmt::Display for ScenarioError {
 }
 
 impl std::error::Error for ScenarioError {}
-
-/// The topology half of [`Scenario::validate`]: the conditions
-/// `TopologySpec::build` and `WorldBuilder` assert, as errors naming the
-/// offender (an anonymous network as `#<index> (<prefix>)`). O(n log n) in
-/// the network count.
-fn check_topology(t: &TopologySpec) -> Result<(), ScenarioError> {
-    let label = |i: usize| t.nets[i].label(i);
-    let mut prefixes: Vec<(Prefix, usize)> = Vec::with_capacity(t.nets.len());
-    for (i, n) in t.nets.iter().enumerate() {
-        prefixes.push((n.prefix, i));
-        if let Some(p) = n.parent.filter(|&p| p >= i) {
-            return Err(ScenarioError(format!(
-                "network {} is declared before its parent (network #{p}); \
-                 parents come first",
-                label(i)
-            )));
-        }
-    }
-    // Prefixes nest or are disjoint, so in address order an overlapping
-    // pair always shows up as neighbours.
-    prefixes.sort_unstable();
-    if let Some(w) = prefixes.windows(2).find(|w| w[0].0.overlaps(w[1].0)) {
-        let (a, b) = (w[0].1.min(w[1].1), w[0].1.max(w[1].1));
-        return Err(ScenarioError(format!(
-            "network {:#} overlaps network {:#}",
-            label(b),
-            label(a)
-        )));
-    }
-    let mut hosts_in = vec![0u32; t.nets.len()];
-    for h in &t.hosts {
-        let Some(k) = hosts_in.get_mut(h.net) else {
-            return Err(ScenarioError(format!(
-                "a host is declared in network #{}, but only {} networks exist",
-                h.net,
-                t.nets.len()
-            )));
-        };
-        *k += 1;
-    }
-    if let Some(i) = hosts_in.iter().position(|&k| k > 250) {
-        return Err(ScenarioError(format!(
-            "network {} has {} hosts; a network holds at most 250",
-            label(i),
-            hosts_in[i]
-        )));
-    }
-    for (k, p) in t.peerings.iter().enumerate() {
-        if let Some(missing) = [p.a, p.b].into_iter().find(|&end| end >= t.nets.len()) {
-            return Err(ScenarioError(format!(
-                "peering #{k} names network #{missing}, but only {} networks exist",
-                t.nets.len()
-            )));
-        }
-        if p.a == p.b {
-            return Err(ScenarioError(format!(
-                "peering #{k} connects network {} to itself",
-                label(p.a)
-            )));
-        }
-    }
-    Ok(())
-}
 
 /// What every agent's constructor would otherwise assert on, starting
 /// with the throwaway victim agent of `WorldBuilder::build`: a contract's
@@ -351,7 +287,9 @@ impl Scenario {
     }
 
     /// Checks the scenario for specification errors before anything is
-    /// built or simulated. Currently validated:
+    /// built or simulated. The topology is checked by the build itself
+    /// ([`aitf_core::World::try_build`]), which [`Scenario::run`] reports
+    /// as an invalid scenario before any event runs. Validated here:
     ///
     /// - every churn event must fire strictly before the scenario horizon
     ///   — an event at or past it could never take effect, and a silent
@@ -361,11 +299,6 @@ impl Scenario {
     ///   clock, and a bin past the horizon would silently clamp to a
     ///   single end-of-run sample, turning "per-bin series" into one
     ///   point without complaint;
-    /// - the topology must lower: no two network prefixes overlap, every
-    ///   network is declared after its parent, no network holds more than
-    ///   250 hosts and every peering joins two different declared networks
-    ///   — what `WorldBuilder` would otherwise panic on halfway through the
-    ///   build (a prefix is typed, so there is none that does not parse);
     /// - both contracts need a burst of at least one request and a finite,
     ///   non-negative rate, and a rate detector a positive, finite
     ///   threshold and a non-zero window — what the build's first victim
@@ -377,7 +310,6 @@ impl Scenario {
     ///   second — what installing the traffic or applying the churn event
     ///   would otherwise panic on, possibly mid-run.
     pub fn validate(&self) -> Result<(), ScenarioError> {
-        check_topology(&self.topology)?;
         check_config(&self.config)?;
         check_selections(&self.topology.hosts, &self.workload, &self.churn)?;
         if let Some(event) = self.churn.events.iter().find(|e| e.at >= self.duration) {
@@ -412,13 +344,21 @@ impl Scenario {
     /// custom phases (mid-run snapshots, incremental sampling). The
     /// deployment spec is applied first, so non-participating networks
     /// are legacy from the moment their routers exist.
+    ///
+    /// # Panics
+    ///
+    /// Panics with `invalid scenario: …` if the topology does not make a
+    /// world, naming the offender as [`aitf_core::WorldError`] does.
     pub fn build(&self, seed: u64) -> BuiltWorld {
-        let cfg = self.config.clone();
-        let mut world = if self.deployment.is_full() {
-            self.topology.build(seed, cfg)
+        let patched;
+        let topology = if self.deployment.is_full() {
+            &self.topology
         } else {
-            self.deployment.apply(&self.topology, seed).build(seed, cfg)
+            patched = self.deployment.apply(&self.topology, seed);
+            &patched
         };
+        let built = topology.try_build(seed, self.config.clone());
+        let mut world = built.unwrap_or_else(|e| panic!("invalid scenario: {e}"));
         self.workload.compile(&mut world);
         if self.shards > 1 {
             let hints = world.world.shard_hints();
@@ -446,7 +386,8 @@ impl Scenario {
     /// Panics if [`Scenario::validate`] rejects the spec — e.g. a churn
     /// event scheduled at or past the scenario duration: no simulated
     /// time would remain for it to take effect, and probes and churn
-    /// must not extend the declared horizon.
+    /// must not extend the declared horizon — or if the topology does not
+    /// build (see [`Scenario::build`]).
     pub fn run(self, seed: u64) -> Outcome {
         if let Err(e) = self.validate() {
             panic!("invalid scenario: {e}");
@@ -574,11 +515,10 @@ fn describe(world: &World, e: &PartitionError) -> String {
         return e.to_string();
     };
     let (a, b) = world.sim.link_endpoints(link);
-    let net_of = |node| {
-        (0..world.net_count())
-            .map(NetId)
-            .find(|&n| world.router_node(n) == node)
-            .map_or("?".to_string(), |n| world.net_label(n).to_string())
+    // Node `i` is network `i`'s router; the hosts follow the routers.
+    let net_of = |node: NodeId| match node.0 < world.net_count() {
+        true => world.net_label(NetId(node.0)).to_string(),
+        false => "?".to_string(),
     };
     format!(
         "the zero-delay link between networks {} and {} would cross shards \
@@ -961,17 +901,18 @@ mod tests {
         assert!(churn_star().validate().is_ok());
     }
 
-    /// `flood_scenario` with its topology edited into an unbuildable one.
+    /// What the build reports once `edit` has made `flood_scenario`'s
+    /// topology unbuildable; the scenario itself still validates.
     fn topology_error(edit: impl FnOnce(&mut TopologySpec)) -> String {
         let mut bad = flood_scenario();
         edit(&mut bad.topology);
-        bad.validate()
-            .expect_err("unbuildable topology")
-            .to_string()
+        assert_eq!(bad.validate(), Ok(()));
+        let built = bad.topology.try_build(1, bad.config.clone());
+        built.err().expect("unbuildable topology").to_string()
     }
 
     #[test]
-    fn validate_names_both_networks_of_an_overlapping_pair() {
+    fn the_build_names_both_networks_of_an_overlapping_pair() {
         let err = topology_error(|t| {
             t.net("inside", "10.1.7.0/24", Some(0));
             t.net("beside", "10.250.0.0/16", Some(0));
@@ -982,7 +923,7 @@ mod tests {
     }
 
     #[test]
-    fn validate_names_a_network_declared_before_its_parent() {
+    fn the_build_names_a_network_declared_before_its_parent() {
         let err = topology_error(|t| {
             let n = t.nets.len();
             t.net("orphan", "10.250.0.0/16", Some(n + 1));
@@ -992,7 +933,7 @@ mod tests {
     }
 
     #[test]
-    fn validate_names_a_peering_with_an_undeclared_network() {
+    fn the_build_names_a_peering_with_an_undeclared_network() {
         let err = topology_error(|t| {
             let n = t.nets.len();
             t.peer(1, n, aitf_core::WorldBuilder::default_net_link());
@@ -1007,7 +948,7 @@ mod tests {
     }
 
     #[test]
-    fn validate_names_a_network_peered_with_itself() {
+    fn the_build_names_a_network_peered_with_itself() {
         let err = topology_error(|t| t.peer(2, 2, aitf_core::WorldBuilder::default_net_link()));
         let name = &flood_scenario().topology.nets[2].name;
         assert!(err.contains(name), "names the network: {err}");
@@ -1015,7 +956,7 @@ mod tests {
     }
 
     #[test]
-    fn validate_names_a_network_with_more_than_250_hosts() {
+    fn the_build_names_a_network_with_more_than_250_hosts() {
         let err = topology_error(|t| {
             // The victim's network: one host declared, 250 more.
             for _ in 0..250 {
@@ -1028,21 +969,18 @@ mod tests {
     }
 
     #[test]
-    fn validate_names_an_anonymous_network_by_index_and_prefix() {
+    #[should_panic(expected = "invalid scenario: network #7 (10.1.7.0/24) has 251 hosts")]
+    fn a_run_names_an_anonymous_network_by_index_and_prefix() {
         let mut s = Scenario::new(TopologySpec::power_law(&crate::PowerLawSpec {
             n_nets: 20,
             ..crate::PowerLawSpec::default()
         }));
-        assert!(s.validate().is_ok());
         assert!(s.topology.nets[7].name.is_empty(), "a generated network");
         for _ in 0..251 {
             s.topology.host(7, Role::Legit);
         }
-        let err = s.validate().expect_err("an overfull network").to_string();
-        assert!(
-            err.contains("network #7 (10.1.7.0/24) has 251 hosts"),
-            "{err}"
-        );
+        assert_eq!(s.validate(), Ok(()));
+        s.run(1);
     }
 
     /// The error a scenario reports once `edit` has had its way with its

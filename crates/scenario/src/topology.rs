@@ -14,99 +14,21 @@
 //!
 //! Because the spec is data, experiments tweak it declaratively (flip a
 //! router policy by name, make the last spoke host a legitimate client)
-//! instead of re-rolling `WorldBuilder` calls; [`TopologySpec::build`]
-//! lowers it onto [`aitf_core::WorldBuilder`] in one canonical order, so
-//! two specs with equal data produce bit-identical worlds.
+//! instead of re-rolling `WorldBuilder` calls. Its records are the ones
+//! [`aitf_core::World::try_build`] reads in place, so
+//! [`TopologySpec::build`] copies no declaration and two specs with equal
+//! data produce bit-identical worlds.
 
 use aitf_core::{
-    AitfConfig, HostId, HostPolicy, NetId, NetLabel, RouterPolicy, RoutingMode, World, WorldBuilder,
+    AitfConfig, HostId, HostPolicy, NetId, RouterPolicy, RoutingMode, World, WorldBuilder,
+    WorldError,
 };
+pub use aitf_core::{HostDecl, NetDecl, PeeringDecl, Role, Side};
 use aitf_engine::splitmix;
 use aitf_netsim::{LinkParams, SimDuration};
 use aitf_packet::{Addr, Prefix};
 
 use crate::alloc::PrefixAlloc;
-
-/// What a host is *for* in the scenario — workload compilation and probes
-/// select hosts by role, independent of the host's protocol
-/// [`HostPolicy`] (a compliant zombie is still [`Role::Attacker`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Role {
-    /// The flood's target (and legitimate traffic's server).
-    Victim,
-    /// A source of undesired traffic (zombie, spoofer, forger).
-    Attacker,
-    /// A source of legitimate foreground traffic.
-    Legit,
-    /// Anything else (observers, idle hosts).
-    Aux,
-}
-
-/// Which side of the conflict a network sits on — probes aggregate
-/// filter/request counters over a side.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Side {
-    /// Core / transit ADs (hubs, mid-tree providers).
-    Neutral,
-    /// The victim's provider chain.
-    Victim,
-    /// Networks hosting attack sources.
-    Attacker,
-}
-
-/// One declared network (AD).
-#[derive(Debug, Clone)]
-pub struct NetDecl {
-    /// Display name, unique within the spec (probes look nets up by it).
-    /// Empty for an anonymous network, which no lookup by name finds and
-    /// messages name as `#<index> (<prefix>)`.
-    pub name: String,
-    /// The network prefix.
-    pub prefix: Prefix,
-    /// Index of the provider network in [`TopologySpec::nets`].
-    pub parent: Option<usize>,
-    /// Border-router behaviour.
-    pub policy: RouterPolicy,
-    /// Uplink parameters towards the provider.
-    pub uplink: LinkParams,
-    /// Conflict side, for aggregate probes.
-    pub side: Side,
-}
-
-impl NetDecl {
-    /// How a message names this network, declared at `index`.
-    pub(crate) fn label(&self, index: usize) -> NetLabel<'_> {
-        NetLabel {
-            name: &self.name,
-            index,
-            prefix: self.prefix,
-        }
-    }
-}
-
-/// One declared end host.
-#[derive(Debug, Clone)]
-pub struct HostDecl {
-    /// Index of the home network in [`TopologySpec::nets`].
-    pub net: usize,
-    /// Whether the host complies with filtering requests.
-    pub policy: HostPolicy,
-    /// Tail-circuit parameters.
-    pub link: LinkParams,
-    /// Scenario role, for workload/probe selection.
-    pub role: Role,
-}
-
-/// One declared peering between (typically top-level) networks.
-#[derive(Debug, Clone)]
-pub struct PeeringDecl {
-    /// First peer's index in [`TopologySpec::nets`].
-    pub a: usize,
-    /// Second peer's index.
-    pub b: usize,
-    /// Link parameters.
-    pub link: LinkParams,
-}
 
 /// Parameters for [`TopologySpec::power_law`] — an AS-graph-like world
 /// grown by preferential attachment.
@@ -725,33 +647,27 @@ impl TopologySpec {
     /// Builds the world. Every border router runs the defense named by
     /// `cfg.defense` (see [`aitf_core::DefensePolicy`]); the scenario
     /// layer sets it through `Scenario::defense(..)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`WorldError`]'s text if the declarations do not
+    /// make a world (see [`World::try_build`]).
     pub fn build(&self, seed: u64, cfg: AitfConfig) -> BuiltWorld {
-        let mut b = WorldBuilder::new(seed, cfg);
-        b.routing(self.routing);
-        let mut ids: Vec<NetId> = Vec::with_capacity(self.nets.len());
-        for (i, n) in self.nets.iter().enumerate() {
-            let parent = n.parent.map(|p| {
-                assert!(p < i, "network {} declared before its parent", n.label(i));
-                ids[p]
-            });
-            ids.push(b.network_with(&n.name, &n.prefix, parent, n.policy, n.uplink));
-        }
-        for p in &self.peerings {
-            b.peer(ids[p.a], ids[p.b], p.link);
-        }
-        let host_ids: Vec<HostId> = self
-            .hosts
-            .iter()
-            .map(|h| b.host_with(ids[h.net], h.policy, h.link))
-            .collect();
-        let world = b.build();
-        BuiltWorld {
-            world,
-            net_ids: ids,
-            host_ids,
+        self.try_build(seed, cfg).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`TopologySpec::build`], returning the build's error.
+    pub(crate) fn try_build(
+        &self,
+        seed: u64,
+        cfg: AitfConfig,
+    ) -> Result<BuiltWorld, WorldError<'_>> {
+        let (nets, hosts, peerings) = (&self.nets, &self.hosts, &self.peerings);
+        Ok(BuiltWorld {
+            world: World::try_build(seed, cfg, self.routing, nets, hosts, peerings)?,
             net_sides: self.nets.iter().map(|n| n.side).collect(),
             host_roles: self.hosts.iter().map(|h| h.role).collect(),
-        }
+        })
     }
 }
 
@@ -782,20 +698,17 @@ impl NetSel {
             NetSel::Name(name) => vec![world.net(name)],
             NetSel::Names(names) => names.iter().map(|n| world.net(n)).collect(),
             NetSel::Side(side) => world.nets_on(*side),
-            NetSel::All => world.net_ids.clone(),
+            NetSel::All => (0..world.world.net_count()).map(NetId).collect(),
         }
     }
 }
 
-/// A built world plus the role/name bookkeeping workloads and probes
-/// select by. Net/host handles are the ones the builder actually
-/// returned, indexed by declaration position — lookups never assume
-/// anything about how `WorldBuilder` allocates ids.
+/// A built world plus the role/side bookkeeping workloads and probes
+/// select by. Declaration `i` is [`NetId`]`(i)` / [`HostId`]`(i)`, the
+/// rule [`World::router_node`] and [`World::host_node`] follow.
 pub struct BuiltWorld {
     /// The runnable world.
     pub world: World,
-    net_ids: Vec<NetId>,
-    host_ids: Vec<HostId>,
     net_sides: Vec<Side>,
     host_roles: Vec<Role>,
 }
@@ -808,7 +721,7 @@ impl BuiltWorld {
     /// Panics if no such network exists; an anonymous network has no name
     /// to find it by.
     pub fn net(&self, name: &str) -> NetId {
-        let mut ids = self.net_ids.iter().copied();
+        let mut ids = (0..self.world.net_count()).map(NetId);
         ids.find(|&id| !name.is_empty() && self.world.net_name(id) == name)
             .unwrap_or_else(|| panic!("no network named {name:?} in the world"))
     }
@@ -817,9 +730,9 @@ impl BuiltWorld {
     pub fn nets_on(&self, side: Side) -> Vec<NetId> {
         self.net_sides
             .iter()
-            .zip(&self.net_ids)
-            .filter(|&(s, _)| *s == side)
-            .map(|(_, &id)| id)
+            .enumerate()
+            .filter(|&(_, &s)| s == side)
+            .map(|(i, _)| NetId(i))
             .collect()
     }
 
@@ -827,9 +740,9 @@ impl BuiltWorld {
     pub fn hosts_with(&self, role: Role) -> Vec<HostId> {
         self.host_roles
             .iter()
-            .zip(&self.host_ids)
-            .filter(|&(r, _)| *r == role)
-            .map(|(_, &id)| id)
+            .enumerate()
+            .filter(|&(_, &r)| r == role)
+            .map(|(i, _)| HostId(i))
             .collect()
     }
 
@@ -839,12 +752,8 @@ impl BuiltWorld {
     ///
     /// Panics if no host has the role.
     pub fn first_with(&self, role: Role) -> HostId {
-        let i = self
-            .host_roles
-            .iter()
-            .position(|&r| r == role)
-            .unwrap_or_else(|| panic!("no host with role {role:?} in the world"));
-        self.host_ids[i]
+        let i = self.host_roles.iter().position(|&r| r == role);
+        HostId(i.unwrap_or_else(|| panic!("no host with role {role:?} in the world")))
     }
 
     /// The victim (first [`Role::Victim`] host).
@@ -854,8 +763,8 @@ impl BuiltWorld {
 
     /// A host by declaration index.
     pub fn host_id(&self, index: usize) -> HostId {
-        assert!(index < self.host_ids.len(), "host index out of range");
-        self.host_ids[index]
+        assert!(index < self.host_roles.len(), "host index out of range");
+        HostId(index)
     }
 
     /// The role a host was declared with.
@@ -864,12 +773,8 @@ impl BuiltWorld {
     ///
     /// Panics on a handle that did not come from this world.
     pub fn role_of(&self, host: HostId) -> Role {
-        let i = self
-            .host_ids
-            .iter()
-            .position(|&h| h == host)
-            .unwrap_or_else(|| panic!("host handle {host:?} is not from this world"));
-        self.host_roles[i]
+        let role = self.host_roles.get(host.0);
+        *role.unwrap_or_else(|| panic!("host handle {host:?} is not from this world"))
     }
 }
 

@@ -62,19 +62,22 @@ fn a_power_law_world_is_built_within_its_per_network_byte_budget() {
     assert_eq!(nets, spec.nets.len());
     let per_net = bytes / nets as u64;
     // Every byte requested while building, transient ones included:
-    // 689 B per network when the bound was set, since a router holds no
-    // copy of its stage chains, the provider tree and node ids are 4-byte
-    // words or no array at all, and overlaps are found by the address map
-    // (876 B while the prefixes were also sorted into a checking list and
-    // the tree held 16-byte `Option`s, 884 B while the address map was the
-    // sorted prefixes beside their network numbers, 883 since routers
-    // route from the provider tree; 1,219 B with every forwarding table,
-    // cone and ancestor chain in per-world arrays, 1,869 B with a
-    // forwarding table, ingress sets and counters per router, 2,125 B with
-    // one `Vec` per node, provider and name copy, and 3,435 B with tables,
-    // control plane and link queues laid out up front).
+    // 382 B per network when the bound was set, since the build reads the
+    // spec's own records in place (689 B while `WorldBuilder` replayed
+    // them into copies of its own beside a handle map, since a router
+    // holds no copy of its stage chains, the provider tree and node ids
+    // are 4-byte words or no array at all, and overlaps are found by the
+    // address map; 876 B while the prefixes were also sorted into a
+    // checking list and the tree held 16-byte `Option`s, 884 B while the
+    // address map was the sorted prefixes beside their network numbers,
+    // 883 since routers route from the provider tree; 1,219 B with every
+    // forwarding table, cone and ancestor chain in per-world arrays,
+    // 1,869 B with a forwarding table, ingress sets and counters per
+    // router, 2,125 B with one `Vec` per node, provider and name copy, and
+    // 3,435 B with tables, control plane and link queues laid out up
+    // front).
     assert!(
-        per_net <= 830,
+        per_net <= 458,
         "building a {nets}-net world requested {per_net} B per network"
     );
 }
