@@ -10,7 +10,7 @@
 //! Setup: the two-level provider tree (E12/E15's shape — 18 zombies
 //! behind 9 leaf networks and 3 intermediate providers). The victim's
 //! network always runs AITF; a seed-derived, **nested** fraction of the
-//! remaining 13 networks joins it ([`aitf_scenario::DeploymentSpec::fraction`] — for a
+//! remaining 13 networks joins it ([`Scenario::aitf_fraction()`] — for a
 //! fixed seed, the deployed set at a lower fraction is a subset of the
 //! deployed set at any higher one, so the sweep isolates the deployment
 //! axis). The victim gateway's filter table is deliberately small (6

@@ -144,8 +144,7 @@ fn non_cooperating_attacker_gateway_forces_escalation() {
     let mut f = fig1(cfg, HostPolicy::Malicious);
     // B_gw1 ignores filtering requests.
     f.world
-        .router_mut(f.b_net)
-        .set_policy(RouterPolicy::non_cooperating());
+        .set_router_policy(f.b_net, RouterPolicy::non_cooperating());
     flood(&mut f, 1000, 500);
     f.world.sim.run_for(SimDuration::from_secs(10));
 
@@ -171,8 +170,7 @@ fn contract_buckets_are_made_by_the_first_request_at_the_links_contract() {
     let (r1, r2) = (cfg.client_contract.burst, cfg.peer_contract.burst);
     let mut f = fig1(cfg, HostPolicy::Malicious);
     f.world
-        .router_mut(f.b_net)
-        .set_policy(RouterPolicy::non_cooperating());
+        .set_router_policy(f.b_net, RouterPolicy::non_cooperating());
     flood(&mut f, 1000, 500);
     for net in [f.g_net, f.g_isp, f.b_net] {
         assert!(f.world.router(net).limiter().is_empty());
@@ -364,8 +362,7 @@ fn fully_rogue_attacker_side_triggers_peer_disconnect() {
     let mut f = fig1(cfg, HostPolicy::Malicious);
     for net in [f.b_net, f.b_isp, f.b_wan] {
         f.world
-            .router_mut(net)
-            .set_policy(RouterPolicy::non_cooperating());
+            .set_router_policy(net, RouterPolicy::non_cooperating());
     }
     flood(&mut f, 1000, 500);
     f.world.sim.run_for(SimDuration::from_secs(20));

@@ -65,6 +65,9 @@ pub struct RouterCounters {
     /// filter installed, handshake started, or long filter attempted) —
     /// together with the policed/ignored/invalid/refreshed/unsatisfiable
     /// counters, every received request lands in exactly one bucket.
+    /// The exception is a router under [`crate::DefensePolicy::Pushback`]:
+    /// its handler counts a filtering request in `requests_received` and
+    /// in no bucket (ROADMAP item 1).
     pub requests_accepted: u64,
     /// Requests this router satisfied by installing a filter.
     pub filters_installed: u64,
@@ -568,24 +571,11 @@ impl BorderRouter {
         self.policy
     }
 
-    /// Replaces the behaviour policy (experiments flip cooperation at
-    /// runtime). Prefer [`crate::World::set_router_policy`], which also
-    /// updates the world's deployment view.
-    pub fn set_policy(&mut self, policy: RouterPolicy) {
+    /// Replaces the behaviour policy. Only
+    /// [`crate::World::set_router_policy`] calls it, and it also updates
+    /// the world's deployment view.
+    pub(crate) fn set_policy(&mut self, policy: RouterPolicy) {
         self.policy = policy;
-    }
-
-    /// Records in the world's deployment view whether this router runs
-    /// AITF — the simulation's stand-in for a BGP-style capability
-    /// advertisement. Only [`crate::World::set_router_policy`] calls it,
-    /// between runs.
-    pub(crate) fn advertise(&self, aitf_enabled: bool) {
-        let mut legacy = self.wiring.legacy.write().expect("deployment view");
-        if aitf_enabled {
-            legacy.remove(&self.addr);
-        } else {
-            legacy.insert(self.addr);
-        }
     }
 
     /// Whether the border router at `addr` is believed to run AITF. Only

@@ -568,10 +568,6 @@ impl World {
             net_names: nets.iter().map(|n| n.name.clone()).collect(),
             host_addr,
             host_net,
-            net_cooperating: nets
-                .iter()
-                .map(|n| n.policy.aitf_enabled && n.policy.cooperating)
-                .collect(),
             tail_links,
             wiring,
         })
@@ -599,9 +595,6 @@ pub struct World {
     host_addr: Vec<Addr>,
     /// Per host, its network's index.
     host_net: Vec<u32>,
-    /// Build-time `aitf_enabled && cooperating` per network; drives the
-    /// shard-hint merging of [`World::shard_hints`].
-    net_cooperating: Vec<bool>,
     tail_links: Vec<LinkId>,
     /// What the routers read: the world's parent, uplink and router-address
     /// arrays among it.
@@ -710,15 +703,17 @@ impl World {
     /// flood. Call it after the workload is installed.
     pub fn shard_hints(&self) -> PartitionSpec {
         let n = self.net_count();
-        let escalating = self.cfg.defense.escalates();
-        // Resolve each net to its merge target. A parent precedes its
-        // clients (see `World::try_build`), so target[parent] is final by
-        // the time a child reads it.
+        // Resolve each net to its merge target, by its router's current
+        // policy. A parent precedes its clients (see `World::try_build`),
+        // so target[parent] is final by the time a child reads it.
         let mut target: Vec<usize> = (0..n).collect();
-        for i in 0..n {
-            if escalating && !self.net_cooperating[i] {
-                if let Some(p) = self.wiring.parent(i) {
-                    target[i] = target[p];
+        if self.cfg.defense.escalates() {
+            for i in 0..n {
+                let policy = self.router_policy(NetId(i));
+                if !(policy.aitf_enabled && policy.cooperating) {
+                    if let Some(p) = self.wiring.parent(i) {
+                        target[i] = target[p];
+                    }
                 }
             }
         }
@@ -863,9 +858,14 @@ impl World {
     /// counterpart of [`World::detach_host`] / [`World::attach_host`]:
     /// the runtime hook `ChurnAction::SetRouterPolicy` compiles onto.
     pub fn set_router_policy(&mut self, net: NetId, policy: RouterPolicy) {
-        let router = self.router_mut(net);
-        router.set_policy(policy);
-        router.advertise(policy.aitf_enabled);
+        self.router_mut(net).set_policy(policy);
+        let addr = self.wiring.router_addr[net.0];
+        let mut legacy = self.wiring.legacy.write().expect("deployment view");
+        if policy.aitf_enabled {
+            legacy.remove(&addr);
+        } else {
+            legacy.insert(addr);
+        }
     }
 
     /// A network's current router policy.
@@ -1102,6 +1102,20 @@ mod tests {
         assert!(spec.groups()[0].contains(&w.host_node(h)));
         assert!(spec.groups()[1].contains(&w.router_node(coop)));
         assert_eq!(spec.parents(), &[None, Some(0)]);
+
+        // The hints read each router's current policy: a network that
+        // leaves AITF after the build merges too.
+        let mut b = WorldBuilder::new(1, AitfConfig::default());
+        let wan = b.network("wan", "10.100.0.0/16", None);
+        let coop = b.network("coop", "10.1.0.0/16", Some(wan));
+        let leaver = b.network("leaver", "10.9.0.0/16", Some(wan));
+        let mut w = b.build();
+        assert_eq!(w.shard_hints().groups().len(), 3, "everyone cooperates");
+        w.set_router_policy(leaver, RouterPolicy::legacy());
+        let spec = w.shard_hints();
+        assert_eq!(spec.groups().len(), 2, "leaver merges into wan's group");
+        assert!(spec.groups()[0].contains(&w.router_node(leaver)));
+        assert!(spec.groups()[1].contains(&w.router_node(coop)));
     }
 
     #[test]

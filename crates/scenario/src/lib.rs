@@ -4,12 +4,13 @@
 //!
 //! ```text
 //! Scenario {
-//!     topology:   TopologySpec,   // fig1 / chain_pair / star / tree / custom
-//!     deployment: DeploymentSpec, // which networks run AITF (partial deployment)
-//!     workload:   WorkloadSpec,   // floods, legit pools, on/off, spoofing
-//!     churn:      ChurnSpec,      // scheduled mid-run mutations (dynamic worlds)
-//!     probes:     ProbeSet,       // leak ratio, filter peaks, sampled series
-//!     config:     AitfConfig,     // + duration, defense (AITF vs pushback vs ...)
+//!     topology:      TopologySpec, // fig1 / chain_pair / star / tree / custom;
+//!                                  // each network's policy says whether it runs AITF
+//!     aitf_fraction: f64,          // a seed-drawn partial deployment (1 = as declared)
+//!     workload:      WorkloadSpec, // floods, legit pools, on/off, spoofing
+//!     churn:         ChurnSpec,    // scheduled mid-run mutations (dynamic worlds)
+//!     probes:        ProbeSet,     // leak ratio, filter peaks, sampled series
+//!     config:        AitfConfig,   // + duration, defense (AITF vs pushback vs ...)
 //! }
 //! ```
 //!
@@ -35,7 +36,6 @@
 
 pub mod alloc;
 pub mod churn;
-pub mod deploy;
 pub mod probe;
 pub mod scenario;
 pub mod stream;
@@ -44,7 +44,6 @@ pub mod workload;
 
 pub use alloc::PrefixAlloc;
 pub use churn::{ChurnAction, ChurnSpec, EventSpec};
-pub use deploy::{DeploymentChoice, DeploymentSpec};
 pub use probe::{leak_ratio, ProbeSet, SeriesStore, StreamProbeConfig, VictimStreamTap};
 pub use scenario::{Scenario, ScenarioError};
 pub use stream::{CountMinSketch, Reservoir, TopK};

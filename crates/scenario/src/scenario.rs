@@ -25,14 +25,17 @@
 //! assert!(outcome.events > 0);
 //! ```
 
-use aitf_core::{AitfConfig, DefensePolicy, DetectionMode, EvictionPolicy, NetId, World};
-use aitf_engine::{Outcome, Params};
+use aitf_core::{
+    AitfConfig, DefensePolicy, DetectionMode, EvictionPolicy, NetId, RouterPolicy, World,
+};
+// The seed-derived rank of a partial deployment's draw is the engine
+// family's SplitMix64 mixer, shared with derived sweep seeds.
+use aitf_engine::{splitmix, Outcome, Params};
 use aitf_netsim::{NodeId, PartitionError, SimDuration};
 
 use crate::churn::{ChurnAction, ChurnSpec};
-use crate::deploy::DeploymentSpec;
 use crate::probe::{ProbeSet, SeriesStore};
-use crate::topology::{BuiltWorld, HostDecl, Role, TopologySpec};
+use crate::topology::{BuiltWorld, HostDecl, Role, Side, TopologySpec};
 use crate::workload::{TrafficSpec, WorkloadSpec};
 
 /// A scenario-specification error, detected by [`Scenario::validate`]
@@ -128,10 +131,11 @@ fn check_selections(
 pub struct Scenario {
     /// Protocol configuration shared by every node.
     pub config: AitfConfig,
-    /// The world's shape.
+    /// The world's shape, with each network's declared router policy.
     pub topology: TopologySpec,
-    /// Which networks participate in AITF (default: all of them).
-    pub deployment: DeploymentSpec,
+    /// The share of the eligible networks that runs AITF; 1 (the default)
+    /// builds every network as declared. See the `aitf_fraction` setter.
+    pub aitf_fraction: f64,
     /// The traffic driving it.
     pub workload: WorkloadSpec,
     /// Scheduled mid-run world mutations (empty = a static world).
@@ -153,7 +157,7 @@ impl Scenario {
         Scenario {
             config: AitfConfig::default(),
             topology,
-            deployment: DeploymentSpec::full(),
+            aitf_fraction: 1.0,
             workload: WorkloadSpec::new(),
             churn: ChurnSpec::new(),
             probes: ProbeSet::new(),
@@ -225,18 +229,16 @@ impl Scenario {
         self
     }
 
-    /// Sets the deployment dimension: which networks participate in AITF
-    /// (§III — the partial-deployment incentive E16 sweeps).
-    pub fn deployment(mut self, deployment: DeploymentSpec) -> Self {
-        self.deployment = deployment;
+    /// Sets the partial-deployment axis (§III — the incentive E16
+    /// sweeps): a seed-drawn `fraction` of the eligible networks, those
+    /// off the victim's side and declared AITF-enabled, runs AITF, and the
+    /// rest are built [`RouterPolicy::legacy`]. The draw is nested: for a
+    /// fixed seed, the networks deployed at a lower fraction are a subset
+    /// of those deployed at any higher one. The fraction must lie in
+    /// `[0, 1]` ([`Scenario::validate`]).
+    pub fn aitf_fraction(mut self, fraction: f64) -> Self {
+        self.aitf_fraction = fraction;
         self
-    }
-
-    /// First-class sweep axis over [`DeploymentSpec::fraction`]: this
-    /// seed-derived fraction of the eligible networks runs AITF, nested
-    /// across fractions for a fixed seed.
-    pub fn aitf_fraction(self, fraction: f64) -> Self {
-        self.deployment(DeploymentSpec::fraction(fraction))
     }
 
     /// Sets `Tr`, the one-way victim→gateway delay, by rewriting the
@@ -287,10 +289,13 @@ impl Scenario {
     }
 
     /// Checks the scenario for specification errors before anything is
-    /// built or simulated. The topology is checked by the build itself
-    /// ([`aitf_core::World::try_build`]), which [`Scenario::run`] reports
-    /// as an invalid scenario before any event runs. Validated here:
+    /// built or simulated; [`Scenario::build`] runs it first. The topology
+    /// is checked by the build itself ([`aitf_core::World::try_build`]),
+    /// which reports it as an invalid scenario before any event runs.
+    /// Validated here:
     ///
+    /// - the deployment fraction lies in `[0, 1]` — a fraction above 1
+    ///   would silently mean full deployment;
     /// - every churn event must fire strictly before the scenario horizon
     ///   — an event at or past it could never take effect, and a silent
     ///   no-op would masquerade as "the late wave changed nothing";
@@ -310,6 +315,12 @@ impl Scenario {
     ///   second — what installing the traffic or applying the churn event
     ///   would otherwise panic on, possibly mid-run.
     pub fn validate(&self) -> Result<(), ScenarioError> {
+        if !(0.0..=1.0).contains(&self.aitf_fraction) {
+            return Err(ScenarioError(format!(
+                "aitf_fraction is {}; a deployment fraction must be in [0, 1]",
+                self.aitf_fraction
+            )));
+        }
         check_config(&self.config)?;
         check_selections(&self.topology.hosts, &self.workload, &self.churn)?;
         if let Some(event) = self.churn.events.iter().find(|e| e.at >= self.duration) {
@@ -341,24 +352,29 @@ impl Scenario {
 
     /// Builds the world and installs the workload without running it —
     /// the escape hatch for experiments that drive the simulation in
-    /// custom phases (mid-run snapshots, incremental sampling). The
-    /// deployment spec is applied first, so non-participating networks
-    /// are legacy from the moment their routers exist.
+    /// custom phases (mid-run snapshots, incremental sampling). Under an
+    /// `aitf_fraction` below 1 the drawn networks are made legacy through
+    /// [`World::set_router_policy`] before the workload is installed or
+    /// the world is sharded, so no event sees them participate.
     ///
     /// # Panics
     ///
-    /// Panics with `invalid scenario: …` if the topology does not make a
-    /// world, naming the offender as [`aitf_core::WorldError`] does.
+    /// Panics with `invalid scenario: …` if [`Scenario::validate`] rejects
+    /// the spec, or if the topology does not make a world, naming the
+    /// offender as [`aitf_core::WorldError`] does.
     pub fn build(&self, seed: u64) -> BuiltWorld {
-        let patched;
-        let topology = if self.deployment.is_full() {
-            &self.topology
-        } else {
-            patched = self.deployment.apply(&self.topology, seed);
-            &patched
-        };
-        let built = topology.try_build(seed, self.config.clone());
+        if let Err(e) = self.validate() {
+            panic!("invalid scenario: {e}");
+        }
+        let built = self.topology.try_build(seed, self.config.clone());
         let mut world = built.unwrap_or_else(|e| panic!("invalid scenario: {e}"));
+        if self.aitf_fraction < 1.0 {
+            for net in legacy_draw(&self.topology, self.aitf_fraction, seed) {
+                world
+                    .world
+                    .set_router_policy(NetId(net), RouterPolicy::legacy());
+            }
+        }
         self.workload.compile(&mut world);
         if self.shards > 1 {
             let hints = world.world.shard_hints();
@@ -383,15 +399,12 @@ impl Scenario {
     ///
     /// # Panics
     ///
-    /// Panics if [`Scenario::validate`] rejects the spec — e.g. a churn
-    /// event scheduled at or past the scenario duration: no simulated
-    /// time would remain for it to take effect, and probes and churn
-    /// must not extend the declared horizon — or if the topology does not
-    /// build (see [`Scenario::build`]).
+    /// Panics as [`Scenario::build`] does: if [`Scenario::validate`]
+    /// rejects the spec — e.g. a churn event scheduled at or past the
+    /// scenario duration: no simulated time would remain for it to take
+    /// effect, and probes and churn must not extend the declared horizon —
+    /// or if the topology does not build.
     pub fn run(self, seed: u64) -> Outcome {
-        if let Err(e) = self.validate() {
-            panic!("invalid scenario: {e}");
-        }
         let mut world = self.build(seed);
         let ProbeSet {
             setup,
@@ -416,8 +429,8 @@ impl Scenario {
         for probe in &sampled {
             store.series.push((probe.name, Vec::new()));
         }
-        // The horizon check ran in `validate` above, before the world was
-        // built — a bad spec fails at compile time, not mid-run.
+        // The horizon check ran in `build`'s `validate`, before the world
+        // was built — a bad spec fails at compile time, not mid-run.
         let schedule = self.churn.into_schedule();
         let mut churn = schedule.into_iter().peekable();
         let mut elapsed = SimDuration::ZERO;
@@ -506,6 +519,25 @@ impl Scenario {
         });
         outcome
     }
+}
+
+/// The networks a partial deployment at `fraction` leaves legacy, for
+/// `seed`. Eligible are the networks off the victim's side that the
+/// topology declares AITF-enabled (the victim's own provider is the first
+/// adopter, the paper's incentive ordering). Ranked by a seed-derived key,
+/// the first `round(fraction · eligible)` participate, so for a fixed seed
+/// the deployed set grows by inclusion with the fraction.
+fn legacy_draw(topology: &TopologySpec, fraction: f64, seed: u64) -> Vec<usize> {
+    let mut ranked: Vec<usize> = topology
+        .nets
+        .iter()
+        .enumerate()
+        .filter(|(_, n)| n.side != Side::Victim && n.policy.aitf_enabled)
+        .map(|(i, _)| i)
+        .collect();
+    let deployed = (fraction * ranked.len() as f64).round() as usize;
+    ranked.sort_by_key(|&i| (splitmix(seed ^ (i as u64 + 1)), i));
+    ranked.split_off(deployed.min(ranked.len()))
 }
 
 /// A partition error in the world's terms: a zero-delay cut names the two
@@ -1220,18 +1252,92 @@ mod tests {
         assert!(outcome.metrics.bool("hub_aitf"));
     }
 
+    /// The networks running AITF once `scenario` is built at `seed`.
+    fn aitf_nets(scenario: &Scenario, seed: u64) -> Vec<usize> {
+        let w = scenario.build(seed);
+        (0..w.world.net_count())
+            .filter(|&i| w.world.router_policy(NetId(i)).aitf_enabled)
+            .collect()
+    }
+
     #[test]
-    fn deployment_spec_builds_legacy_routers_from_the_start() {
-        let outcome = churn_star()
-            .deployment(crate::deploy::DeploymentSpec::legacy_nets(["zombie_net_1"]))
-            .probes(ProbeSet::new().end(|w, m| {
-                let aitf = (0..w.world.net_count())
-                    .filter(|&i| w.world.router_policy(aitf_core::NetId(i)).aitf_enabled)
-                    .count();
-                m.set("aitf_nets", aitf as u64);
-            }))
-            .run(5);
+    fn a_declared_legacy_net_is_legacy_from_the_start() {
+        let mut s = churn_star();
+        s.topology
+            .set_net_policy("zombie_net_1", RouterPolicy::legacy());
         // star(4, ..): hub + victim_net + 4 zombie nets = 6, one legacy.
-        assert_eq!(outcome.metrics.u64("aitf_nets"), 5);
+        let legacy = s.topology.net_index("zombie_net_1");
+        let aitf = aitf_nets(&s, 5);
+        assert_eq!(aitf.len(), 5);
+        assert!(!aitf.contains(&legacy));
+    }
+
+    fn tree() -> TopologySpec {
+        TopologySpec::tree(2, 3, 2, HostPolicy::Malicious, 10_000_000)
+    }
+
+    #[test]
+    fn the_legacy_draw_is_nested_across_fractions_and_spares_the_victim_side() {
+        let topo = tree();
+        let seed = 42;
+        let mut previous: Option<std::collections::HashSet<usize>> = None;
+        for f in [0.0, 0.25, 0.5, 0.75, 1.0] {
+            let legacy: std::collections::HashSet<usize> =
+                legacy_draw(&topo, f, seed).into_iter().collect();
+            for &i in &legacy {
+                assert_ne!(
+                    topo.nets[i].side,
+                    Side::Victim,
+                    "victim side always deploys"
+                );
+            }
+            if let Some(prev) = &previous {
+                // Higher fraction ⇒ fewer legacy nets, and a subset of the
+                // previous legacy set (nested deployment).
+                assert!(legacy.is_subset(prev), "assignment must be nested");
+            }
+            previous = Some(legacy);
+        }
+        // f = 1 means everyone deploys; f = 0 means every eligible net is
+        // legacy (13 of the 14 tree nets — all but victim_net).
+        assert!(previous.expect("loop ran").is_empty());
+        assert_eq!(legacy_draw(&topo, 0.0, seed).len(), topo.nets.len() - 1);
+        // The build applies the draw, and nothing else.
+        let s = Scenario::new(tree()).aitf_fraction(0.5);
+        let drawn = legacy_draw(&s.topology, 0.5, seed);
+        let aitf = aitf_nets(&s, seed);
+        assert_eq!(aitf.len() + drawn.len(), topo.nets.len());
+        assert!(drawn.iter().all(|i| !aitf.contains(i)));
+    }
+
+    #[test]
+    fn the_legacy_draw_depends_on_the_seed() {
+        let topo = tree();
+        let a = legacy_draw(&topo, 0.5, 1);
+        assert_eq!(a, legacy_draw(&topo, 0.5, 1));
+        assert_ne!(
+            a,
+            legacy_draw(&topo, 0.5, 2),
+            "different seeds should shuffle the assignment"
+        );
+    }
+
+    #[test]
+    fn validate_names_an_aitf_fraction_outside_zero_one() {
+        for bad in [1.5, -0.25, f64::NAN] {
+            let err = flood_scenario().aitf_fraction(bad).validate();
+            let err = err.expect_err("a fraction outside [0, 1]").to_string();
+            assert!(err.contains("aitf_fraction"), "{err}");
+            assert!(err.contains(&bad.to_string()), "names the value: {err}");
+        }
+        for edge in [0.0, 1.0] {
+            assert_eq!(flood_scenario().aitf_fraction(edge).validate(), Ok(()));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid scenario: aitf_fraction is 1.5")]
+    fn build_rejects_an_aitf_fraction_above_one() {
+        let _ = flood_scenario().aitf_fraction(1.5).build(1);
     }
 }

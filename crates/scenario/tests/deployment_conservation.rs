@@ -18,19 +18,15 @@
 //! is tallied in the separate non-identity `deferred_unsatisfied`
 //! counter, never double-counted into `unsatisfiable`.)
 //!
-//! The proptest drives a two-level provider tree with every one of the
-//! 2^8 legacy/AITF subsets reachable from the random mask — including
-//! worlds where the victim's own gateway, the hub, or the whole attacker
-//! side is legacy — and checks the identity at every router after the
-//! flood has provoked detection, escalation and (where possible)
-//! filtering.
+//! The test drives a two-level provider tree through every one of its
+//! 2^8 legacy/AITF subsets — including worlds where the victim's own
+//! gateway, the hub, or the whole attacker side is legacy — and checks
+//! the identity at every router after the flood has provoked detection,
+//! escalation and (where possible) filtering.
 
-use aitf_core::{AitfConfig, HostPolicy, NetId};
+use aitf_core::{AitfConfig, HostPolicy, NetId, RouterPolicy};
 use aitf_netsim::SimDuration;
-use aitf_scenario::{
-    DeploymentSpec, HostSel, Role, Scenario, TargetSel, TopologySpec, TrafficSpec,
-};
-use proptest::prelude::*;
+use aitf_scenario::{HostSel, Role, Scenario, TargetSel, TopologySpec, TrafficSpec};
 
 /// The test world: hub + victim_net + 2 mid providers + 4 leaf networks,
 /// one zombie per leaf.
@@ -38,20 +34,24 @@ fn topology() -> TopologySpec {
     TopologySpec::tree(2, 2, 1, HostPolicy::Malicious, 10_000_000)
 }
 
-proptest! {
-    #[test]
-    fn random_legacy_subsets_never_lose_a_request(mask in 0u32..256) {
-        let topo = topology();
-        let legacy: Vec<String> = topo
-            .nets
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| mask & (1 << i) != 0)
-            .map(|(_, n)| n.name.clone())
-            .collect();
-        let scenario = Scenario::new(topo)
+/// [`topology`] with every network `legacy` picks declared legacy.
+fn topology_with_legacy(legacy: impl Fn(usize, &str) -> bool) -> TopologySpec {
+    let mut topo = topology();
+    let names: Vec<String> = topo.nets.iter().map(|n| n.name.clone()).collect();
+    for (i, name) in names.iter().enumerate() {
+        if legacy(i, name) {
+            topo.set_net_policy(name, RouterPolicy::legacy());
+        }
+    }
+    topo
+}
+
+#[test]
+fn every_legacy_subset_never_loses_a_request() {
+    assert_eq!(topology().nets.len(), 8, "one mask bit per network");
+    for mask in 0u32..256 {
+        let scenario = Scenario::new(topology_with_legacy(|i, _| mask & (1 << i) != 0))
             .config(AitfConfig::default())
-            .deployment(DeploymentSpec::legacy_nets(legacy))
             .duration(SimDuration::from_secs(2))
             .traffic(TrafficSpec::flood(
                 HostSel::Role(Role::Attacker),
@@ -75,21 +75,17 @@ proptest! {
                 + c.requests_refreshed
                 + c.requests_unsatisfiable
                 + c.requests_accepted;
-            prop_assert_eq!(
-                c.requests_received,
-                accounted,
-                "router {} lost a request under legacy mask {:#010b}: {:?}",
-                i,
-                mask,
-                c
+            assert_eq!(
+                c.requests_received, accounted,
+                "router {i} lost a request under legacy mask {mask:#010b}: {c:?}"
             );
         }
         // Non-triviality: the victim always detects the flood and asks
         // its gateway, and that request is received (and then accounted
         // above) whether or not the gateway runs AITF.
         let victim = world.victim();
-        prop_assert!(world.world.host(victim).counters().requests_sent >= 1);
-        prop_assert!(total_received >= 1, "mask {:#010b}", mask);
+        assert!(world.world.host(victim).counters().requests_sent >= 1);
+        assert!(total_received >= 1, "mask {mask:#010b}");
     }
 }
 
@@ -110,16 +106,9 @@ fn full_tables_on_the_deferred_confirm_path_keep_the_identity_strict() {
         filter_capacity: 1,
         ..AitfConfig::default()
     };
-    let topo = topology();
-    let legacy: Vec<String> = topo
-        .nets
-        .iter()
-        .filter(|n| n.name != "hub" && n.name != "victim_net")
-        .map(|n| n.name.clone())
-        .collect();
+    let topo = topology_with_legacy(|_, name| name != "hub" && name != "victim_net");
     let scenario = Scenario::new(topo)
         .config(cfg)
-        .deployment(DeploymentSpec::legacy_nets(legacy))
         .duration(SimDuration::from_secs(4))
         .traffic(TrafficSpec::flood(
             HostSel::Role(Role::Attacker),

@@ -24,8 +24,7 @@ fn main() {
         for (_, net) in B_SIDE.iter().take(rogues as usize) {
             let net = f.net(net);
             f.world
-                .router_mut(net)
-                .set_policy(RouterPolicy::non_cooperating());
+                .set_router_policy(net, RouterPolicy::non_cooperating());
         }
         TrafficSpec::flood(HostSel::Role(Role::Attacker), TargetSel::Victim, 1000, 500)
             .install(&mut f);

@@ -27,8 +27,7 @@ fn main() {
     // would end the game immediately.
     let b_net = f.net("B_net");
     f.world
-        .router_mut(b_net)
-        .set_policy(RouterPolicy::non_cooperating());
+        .set_router_policy(b_net, RouterPolicy::non_cooperating());
 
     let target = f.world.host_addr(victim);
     // Bursts of 200 ms separated by 1.5 s of silence: tuned to outlive the

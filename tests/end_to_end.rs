@@ -80,8 +80,7 @@ fn onoff_attacker_is_caught_even_with_rogue_gateway() {
     let mut f = TopologySpec::fig1(HostPolicy::Malicious).build(5, cfg);
     let b_net = f.net("B_net");
     f.world
-        .router_mut(b_net)
-        .set_policy(RouterPolicy::non_cooperating());
+        .set_router_policy(b_net, RouterPolicy::non_cooperating());
     TrafficSpec::onoff(
         HostSel::Role(Role::Attacker),
         TargetSel::Victim,
