@@ -69,7 +69,7 @@ pub use config::{AitfConfig, Contract, HostPolicy, RouterPolicy};
 pub use aitf_filter::EvictionPolicy;
 pub use detector::{DetectionMode, RateDetector};
 pub use host::{EndHost, HostApi, HostCounters, RxTap, TrafficApp};
-pub use pipeline::{PolicyChains, StageId, Verdict};
+pub use pipeline::{PolicyChains, RequestOutcome, StageId, Verdict};
 pub use policy::DefensePolicy;
 pub use pushback::{PushbackCounters, PushbackState, LINK_LOCAL, MAX_PUSHBACK_DEPTH};
 pub use router::{BorderRouter, RouterCounters};

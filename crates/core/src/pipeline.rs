@@ -11,20 +11,44 @@
 //! per policy — the hook map *is* the code. The stage bodies are inherent
 //! methods on `BorderRouter` (`router/stages.rs`), reached through one
 //! `match` on [`StageId`]: static dispatch, no allocation, whatever the
-//! policy.
+//! policy. A stage returns a [`Verdict`], a drop's [`Cause`] or a request's
+//! [`RequestOutcome`], and the router counts it in one place.
 
 use std::convert::Infallible;
 
+use aitf_trace::Cause;
+
 use crate::policy::DefensePolicy;
 
-/// What a stage decided about the packet it was handed.
+/// What a stage decided about the packet it was handed. A stage counts
+/// nothing itself: `run_chain` hands every verdict but `Continue` to the
+/// router's one counting site.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Verdict {
     /// Hand the packet to the next stage in the chain.
     Continue,
-    /// Stop processing; the packet does not travel further. The stage
-    /// has already done any accounting (counters, notices) it owes.
-    Drop,
+    /// Stop processing: the packet does not travel further, for this reason.
+    Drop(Cause),
+    /// Stop processing: the packet was a filtering request, and this became of it.
+    Request(RequestOutcome),
+}
+
+/// What became of a filtering request a router received: exactly one of
+/// these, each with its counter bucket.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum RequestOutcome {
+    /// Dropped by contract policing (Section II-B).
+    Policed,
+    /// Not served: the router does not cooperate or has no escalation plane.
+    Ignored,
+    /// A request the client may not make (Section II-E), or one naming no path.
+    Invalid,
+    /// A damped duplicate whose filter was refreshed in place.
+    Refreshed,
+    /// The filter (or revocation) table was full.
+    Unsatisfiable,
+    /// Work committed: a filter installed or a handshake started.
+    Accepted,
 }
 
 /// Every stage any policy can run; the router `match`es on these per

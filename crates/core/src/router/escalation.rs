@@ -15,6 +15,7 @@ use aitf_trace::{Cause, SpanKind};
 use rand::Rng;
 
 use super::{flow_key, BorderRouter, DataState, GraceWatch, PendingHandshake, TimerAction};
+use crate::pipeline::RequestOutcome;
 
 /// How long the attacker's gateway waits for the victim's verification
 /// reply: the ≈ 600 ms 3-way handshake of the paper's running example
@@ -31,33 +32,16 @@ impl BorderRouter {
         mut req: FilteringRequest,
         arrival: LinkId,
         ctx: &mut Context<'_>,
-    ) {
+    ) -> RequestOutcome {
         let now = ctx.now();
-        if !self.policy.cooperating {
-            self.data_mut().counters.requests_ignored += 1;
-            return;
-        }
-
         // The requester must be a client, and may only claim victimhood for
         // destinations behind itself (trivial ingress verification,
-        // Section II-E).
-        match self.client_behind(arrival) {
-            Some(behind) => {
-                if !behind.contains(req.flow.dst) {
-                    self.data_mut().counters.requests_invalid += 1;
-                    return;
-                }
-            }
-            None => {
-                self.data_mut().counters.requests_invalid += 1;
-                return;
-            }
-        }
-        // The victim has received the flow's route record before it asks,
-        // so only a malformed client sends a request with no path.
-        if req.path.is_empty() {
-            self.data_mut().counters.requests_invalid += 1;
-            return;
+        // Section II-E). The victim has received the flow's route record
+        // before it asks, so only a malformed client sends a request with
+        // no path.
+        let behind = self.client_behind(arrival);
+        if !behind.is_some_and(|b| b.contains(req.flow.dst)) || req.path.is_empty() {
+            return RequestOutcome::Invalid;
         }
 
         // A repeat request for a flow we already acted on means the last
@@ -74,17 +58,16 @@ impl BorderRouter {
                     // client is unprotected and must not look served.
                     let key = flow_key(&req.flow);
                     let data = DataState::of(&mut self.data, &self.cfg);
-                    match data.filters.install(req.flow, now, self.cfg.t_tmp) {
+                    return match data.filters.install(req.flow, now, self.cfg.t_tmp) {
                         Ok(_) => {
-                            data.counters.requests_refreshed += 1;
                             self.span(SpanKind::Refresh, Cause::Duplicate, key, round, now);
+                            RequestOutcome::Refreshed
                         }
                         Err(InstallError::TableFull) => {
-                            data.counters.requests_unsatisfiable += 1;
                             self.span(SpanKind::Drop, Cause::TableFull, key, round, now);
+                            RequestOutcome::Unsatisfiable
                         }
-                    }
-                    return;
+                    };
                 }
                 req.round = round.saturating_add(1).min(self.cfg.max_round);
             }
@@ -93,15 +76,10 @@ impl BorderRouter {
         // Temporary filter for Ttmp; shadow for T.
         let key = flow_key(&req.flow);
         let data = DataState::of(&mut self.data, &self.cfg);
-        match data.filters.install(req.flow, now, self.cfg.t_tmp) {
-            Ok(_) => {}
-            Err(InstallError::TableFull) => {
-                data.counters.requests_unsatisfiable += 1;
-                self.span(SpanKind::Drop, Cause::TableFull, key, req.round, now);
-                return;
-            }
+        if let Err(InstallError::TableFull) = data.filters.install(req.flow, now, self.cfg.t_tmp) {
+            self.span(SpanKind::Drop, Cause::TableFull, key, req.round, now);
+            return RequestOutcome::Unsatisfiable;
         }
-        data.counters.requests_accepted += 1;
         // One span per escalation round, opened where the round is
         // handled; everything the round causes (handshake, long filter,
         // disconnect — wherever it happens) parents under it.
@@ -129,6 +107,7 @@ impl BorderRouter {
             req.path.clone(),
         );
         self.propagate_as_victim_gateway(req, ctx);
+        RequestOutcome::Accepted
     }
 
     /// Decides, for round `k`, whether this router propagates to the
@@ -300,25 +279,23 @@ impl BorderRouter {
     // Attacker-gateway role.
     // ------------------------------------------------------------------
 
-    pub(super) fn attacker_gateway_role(&mut self, req: FilteringRequest, ctx: &mut Context<'_>) {
-        if !self.policy.cooperating {
-            self.data_mut().counters.requests_ignored += 1;
-            return;
-        }
+    pub(super) fn attacker_gateway_role(
+        &mut self,
+        req: FilteringRequest,
+        ctx: &mut Context<'_>,
+    ) -> RequestOutcome {
         if self.cfg.verification {
-            self.start_handshake(req, ctx);
+            self.start_handshake(req, ctx)
         } else {
-            self.satisfy_attacker_side(req, ctx, true);
+            self.satisfy_attacker_side(req, ctx, Cause::Protocol)
         }
     }
 
-    fn start_handshake(&mut self, req: FilteringRequest, ctx: &mut Context<'_>) {
+    fn start_handshake(&mut self, req: FilteringRequest, ctx: &mut Context<'_>) -> RequestOutcome {
         let now = ctx.now();
         let victim = req.flow.dst;
         let nonce = Nonce(ctx.rng().gen());
-        let counters = &mut self.data_mut().counters;
-        counters.handshakes_started += 1;
-        counters.requests_accepted += 1;
+        self.data_mut().counters.handshakes_started += 1;
         let span = self.tracer.start(
             SpanKind::Handshake,
             Cause::Protocol,
@@ -338,6 +315,7 @@ impl BorderRouter {
         let token = ctl.alloc_token(TimerAction::HandshakeTimeout { nonce: nonce.0 });
         ctx.set_timer(HANDSHAKE_TIMEOUT, token);
         self.send_control(ctx, victim, AitfMessage::VerificationQuery(query));
+        RequestOutcome::Accepted
     }
 
     pub(super) fn handle_verification_reply(
@@ -361,7 +339,13 @@ impl BorderRouter {
         self.tracer.end(pending.span, now.0);
         if rep.confirm {
             self.data_mut().counters.handshakes_confirmed += 1;
-            self.satisfy_attacker_side(pending.request, ctx, false);
+            // Counted `accepted` when its handshake started: a full table now
+            // is committed work left undone, outside the request identity.
+            let outcome =
+                self.satisfy_attacker_side(pending.request, ctx, Cause::HandshakeConfirmed);
+            if outcome == RequestOutcome::Unsatisfiable {
+                self.data_mut().counters.deferred_unsatisfied += 1;
+            }
         } else {
             self.data_mut().counters.handshakes_denied += 1;
             let key = flow_key(&pending.request.flow);
@@ -377,51 +361,27 @@ impl BorderRouter {
     }
 
     /// Installs the long filter and pushes the request one step closer to
-    /// the attacker, arming the disconnection grace timer. `from_request`
-    /// marks calls made synchronously while handling a received request
-    /// (as opposed to a verification reply arriving later), so the
-    /// request-accounting buckets stay exact.
+    /// the attacker, arming the disconnection grace timer. `cause` is the
+    /// long filter's span cause: what made this router act now.
     fn satisfy_attacker_side(
         &mut self,
         req: FilteringRequest,
         ctx: &mut Context<'_>,
-        from_request: bool,
-    ) {
+        cause: Cause,
+    ) -> RequestOutcome {
         let now = ctx.now();
         let flow = req.flow;
         let key = flow_key(&flow);
         let round = req.round;
         let data = DataState::of(&mut self.data, &self.cfg);
-        match data.filters.install(flow, now, self.cfg.t_long) {
-            Ok(_) => {
-                data.counters.filters_installed += 1;
-                if from_request {
-                    data.counters.requests_accepted += 1;
-                }
-                let cause = if from_request {
-                    Cause::Protocol
-                } else {
-                    Cause::HandshakeConfirmed
-                };
-                self.span(SpanKind::LongFilter, cause, key, req.round, now);
-                self.tracer.close_round(key, req.round, now.0);
-            }
-            Err(InstallError::TableFull) => {
-                // Only a synchronously handled request may count towards
-                // `requests_unsatisfiable`: the deferred handshake-confirm
-                // path already counted this request as accepted when the
-                // handshake started, so counting it again here would break
-                // the received-request conservation identity.
-                if from_request {
-                    data.counters.requests_unsatisfiable += 1;
-                } else {
-                    data.counters.deferred_unsatisfied += 1;
-                }
-                self.span(SpanKind::Drop, Cause::TableFull, key, req.round, now);
-                self.tracer.close_round(key, req.round, now.0);
-                return;
-            }
+        if let Err(InstallError::TableFull) = data.filters.install(flow, now, self.cfg.t_long) {
+            self.span(SpanKind::Drop, Cause::TableFull, key, round, now);
+            self.tracer.close_round(key, round, now.0);
+            return RequestOutcome::Unsatisfiable;
         }
+        data.counters.filters_installed += 1;
+        self.span(SpanKind::LongFilter, cause, key, round, now);
+        self.tracer.close_round(key, round, now.0);
 
         // Who is my misbehaving client for this flow? Round 1: the attacker
         // host itself. Round k: the (k-1)-th node on the path — the client
@@ -453,18 +413,19 @@ impl BorderRouter {
             let token = self.ctl_mut().alloc_token(TimerAction::GraceCheck(watch));
             ctx.set_timer(self.cfg.grace, token);
         }
+        RequestOutcome::Accepted
     }
 
     /// `dest=Attacker` addressed to a *router*: an upstream gateway holds us
     /// responsible. A cooperating router blocks the flow itself and relays
     /// the notice towards the true attacker.
-    pub(super) fn attacker_role(&mut self, req: FilteringRequest, ctx: &mut Context<'_>) {
-        if !self.policy.cooperating {
-            self.data_mut().counters.requests_ignored += 1;
-            return;
-        }
+    pub(super) fn attacker_role(
+        &mut self,
+        req: FilteringRequest,
+        ctx: &mut Context<'_>,
+    ) -> RequestOutcome {
         // Block the flow ourselves and relay one step closer to the true
         // attacker, with the same grace-watch policing of our own client.
-        self.satisfy_attacker_side(req, ctx, true);
+        self.satisfy_attacker_side(req, ctx, Cause::Protocol)
     }
 }

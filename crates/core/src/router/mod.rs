@@ -28,7 +28,7 @@ use aitf_packet::{
 use aitf_trace::{Cause, SpanId, SpanKind, Tracer};
 
 use crate::config::{AitfConfig, RouterPolicy};
-use crate::pipeline::{PolicyChains, StageId, Verdict};
+use crate::pipeline::{PolicyChains, RequestOutcome, StageId, Verdict};
 use crate::policy::DefensePolicy;
 use crate::pushback::{PushbackCounters, PushbackState, LINK_LOCAL};
 
@@ -42,11 +42,10 @@ pub struct RouterCounters {
     pub data_forwarded: u64,
     /// Data packets dropped by a wire-speed filter.
     pub data_filtered_pkts: u64,
-    /// Bytes dropped by a wire-speed filter.
-    pub data_filtered_bytes: u64,
     /// Client packets dropped by ingress filtering (spoofed source).
     pub spoofed_dropped: u64,
-    /// Packets dropped for TTL exhaustion or no route.
+    /// Packets dropped for TTL exhaustion, no route, or misdelivery (no
+    /// handler at the router they were addressed to).
     pub undeliverable: u64,
     /// Filtering requests received (before policing).
     pub requests_received: u64,
@@ -62,12 +61,12 @@ pub struct RouterCounters {
     /// place.
     pub requests_refreshed: u64,
     /// Requests this router accepted and committed work to (temporary
-    /// filter installed, handshake started, or long filter attempted) —
-    /// together with the policed/ignored/invalid/refreshed/unsatisfiable
-    /// counters, every received request lands in exactly one bucket.
-    /// The exception is a router under [`crate::DefensePolicy::Pushback`]:
-    /// its handler counts a filtering request in `requests_received` and
-    /// in no bucket (ROADMAP item 1).
+    /// filter installed, handshake started, or long filter installed).
+    /// With the policed/ignored/invalid/refreshed/unsatisfiable counters
+    /// these are the [`RequestOutcome`] buckets: `BorderRouter::count` adds
+    /// one to a bucket with every `requests_received`. The exception is
+    /// [`crate::DefensePolicy::Pushback`]: its edge trigger counts a request
+    /// received and in no bucket (ROADMAP item 1).
     pub requests_accepted: u64,
     /// Requests this router satisfied by installing a filter.
     pub filters_installed: u64,
@@ -646,7 +645,7 @@ impl BorderRouter {
     /// [`BorderRouter::route`] picks.
     fn send_control(&mut self, ctx: &mut Context<'_>, dst: Addr, msg: AitfMessage) {
         let Some(link) = self.route(dst) else {
-            self.data_mut().counters.undeliverable += 1;
+            self.count(Verdict::Drop(Cause::NoRoute));
             return;
         };
         let id = ctx.next_packet_id();
@@ -704,8 +703,8 @@ impl BorderRouter {
         }
     }
 
-    /// Walks one hook's chain until a stage vetoes the packet — the one
-    /// loop all three hooks share.
+    /// Walks one hook's chain until a stage stops the packet — the one
+    /// loop all three hooks share — and counts what stopped it.
     fn run_chain(
         &mut self,
         chain: &[StageId],
@@ -714,11 +713,52 @@ impl BorderRouter {
         ctx: &mut Context<'_>,
     ) -> Verdict {
         for &id in chain {
-            if self.run_stage(id, packet, arrival, ctx) == Verdict::Drop {
-                return Verdict::Drop;
+            let verdict = self.run_stage(id, packet, arrival, ctx);
+            if verdict != Verdict::Continue {
+                self.count(verdict);
+                return verdict;
             }
         }
         Verdict::Continue
+    }
+
+    /// The one site that counts a stopped packet or a received request.
+    /// Its `match` names every [`Cause`], so a new one must be given its
+    /// counter (or none) here.
+    fn count(&mut self, verdict: Verdict) {
+        let c = &mut self.data_mut().counters;
+        match verdict {
+            Verdict::Continue => {}
+            Verdict::Drop(cause) => match cause {
+                Cause::Spoofed => c.spoofed_dropped += 1,
+                Cause::Filtered => c.data_filtered_pkts += 1,
+                // A shadowed flow came back after its temporary filter expired.
+                Cause::TempFilterExpired => c.reactivations += 1,
+                Cause::TtlExpired | Cause::Misdelivered | Cause::NoRoute => c.undeliverable += 1,
+                Cause::Detection
+                | Cause::Escalated
+                | Cause::Duplicate
+                | Cause::HandshakeConfirmed
+                | Cause::HandshakeDenied
+                | Cause::HandshakeTimeout
+                | Cause::TableFull
+                | Cause::NoAncestor
+                | Cause::NoNeighbor
+                | Cause::GraceExpired
+                | Cause::Protocol => unreachable!("{cause:?}: a span cause, not a drop reason"),
+            },
+            Verdict::Request(outcome) => {
+                c.requests_received += 1;
+                *match outcome {
+                    RequestOutcome::Policed => &mut c.requests_policed,
+                    RequestOutcome::Ignored => &mut c.requests_ignored,
+                    RequestOutcome::Invalid => &mut c.requests_invalid,
+                    RequestOutcome::Refreshed => &mut c.requests_refreshed,
+                    RequestOutcome::Unsatisfiable => &mut c.requests_unsatisfiable,
+                    RequestOutcome::Accepted => &mut c.requests_accepted,
+                } += 1;
+            }
+        }
     }
 
     /// The data plane up to the wire: both hooks, then the route lookup.
@@ -735,7 +775,7 @@ impl BorderRouter {
         // hook (TTL accounting, traceback stamping).
         let chains = self.chains();
         for chain in [chains.ingress, chains.egress] {
-            if self.run_chain(chain, packet, arrival, ctx) == Verdict::Drop {
+            if self.run_chain(chain, packet, arrival, ctx) != Verdict::Continue {
                 // The defense consumed the packet: attribute this event's
                 // cost to the hook pipeline, not plain forwarding.
                 ctx.profile_subsystem(Subsystem::DefenseHook);
@@ -745,10 +785,9 @@ impl BorderRouter {
         // Terminal action: route lookup + transmit (the datapath's one
         // fixed step — every policy forwards what its chains let through).
         let link = self.route(packet.header.dst);
-        let counters = &mut self.data_mut().counters;
         match link {
-            Some(_) => counters.data_forwarded += 1,
-            None => counters.undeliverable += 1,
+            Some(_) => self.data_mut().counters.data_forwarded += 1,
+            None => self.count(Verdict::Drop(Cause::NoRoute)),
         }
         link
     }

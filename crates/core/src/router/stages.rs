@@ -1,17 +1,19 @@
 //! The stage bodies [`crate::pipeline::StageId`] names, as inherent
 //! methods sharing one signature so `run_stage` can dispatch them from a
 //! single `match`. A child module of `router`, so they keep direct access
-//! to the router's private state. A stage that vetoes the packet returns
-//! [`Verdict::Drop`] after doing its own accounting; a stage that only
-//! mutates the packet or router state returns [`Verdict::Continue`].
+//! to the router's private state. A stage returns [`Verdict::Drop`] with
+//! its reason, [`Verdict::Request`] with what became of a request, or
+//! [`Verdict::Continue`]; `run_chain` counts the verdict, not the stage.
 
 use aitf_netsim::{Context, LinkId};
 use aitf_packet::{
     AitfMessage, FlowLabel, Packet, PayloadKind, PushbackRequest, RequestDestination, TrafficClass,
 };
 
+use aitf_trace::Cause;
+
 use super::{BorderRouter, DataState};
-use crate::pipeline::Verdict;
+use crate::pipeline::{RequestOutcome, Verdict};
 use crate::pushback::{LINK_LOCAL, MAX_PUSHBACK_DEPTH};
 
 impl BorderRouter {
@@ -28,8 +30,7 @@ impl BorderRouter {
         if self.policy.aitf_enabled && self.policy.ingress_filtering && packet.is_data() {
             if let Some(behind) = self.client_behind(arrival) {
                 if !behind.contains(packet.header.src) {
-                    self.data_mut().counters.spoofed_dropped += 1;
-                    return Verdict::Drop;
+                    return Verdict::Drop(Cause::Spoofed);
                 }
             }
         }
@@ -43,14 +44,11 @@ impl BorderRouter {
         _arrival: LinkId,
         ctx: &mut Context<'_>,
     ) -> Verdict {
-        let now = ctx.now();
-        if self.policy.aitf_enabled && packet.is_data() {
-            let data = self.data_mut();
-            if data.filters.matches(&packet.header, now) {
-                data.counters.data_filtered_pkts += 1;
-                data.counters.data_filtered_bytes += packet.size_bytes as u64;
-                return Verdict::Drop;
-            }
+        if self.policy.aitf_enabled
+            && packet.is_data()
+            && self.data_mut().filters.matches(&packet.header, ctx.now())
+        {
+            return Verdict::Drop(Cause::Filtered);
         }
         Verdict::Continue
     }
@@ -63,17 +61,15 @@ impl BorderRouter {
         _arrival: LinkId,
         ctx: &mut Context<'_>,
     ) -> Verdict {
-        let now = ctx.now();
         if self.policy.aitf_enabled
             && packet.is_data()
             && self.cfg.fast_reblock
             && self.policy.cooperating
         {
-            let data = self.data_mut();
-            if let Some(entry) = data.shadow.check_reactivation(&packet.header, now) {
-                data.counters.reactivations += 1;
+            let shadow = &mut self.data_mut().shadow;
+            if let Some(entry) = shadow.check_reactivation(&packet.header, ctx.now()) {
                 self.on_reactivation(entry, ctx);
-                return Verdict::Drop;
+                return Verdict::Drop(Cause::TempFilterExpired);
             }
         }
         Verdict::Continue
@@ -90,8 +86,7 @@ impl BorderRouter {
         _ctx: &mut Context<'_>,
     ) -> Verdict {
         if packet.header.ttl <= 1 {
-            self.data_mut().counters.undeliverable += 1;
-            return Verdict::Drop;
+            return Verdict::Drop(Cause::TtlExpired);
         }
         Verdict::Continue
     }
@@ -125,9 +120,9 @@ impl BorderRouter {
 
     // --- AITF escalate -------------------------------------------------
 
-    /// Request admission: counting, enablement and contract policing
-    /// (Section II-B) — every received request lands in exactly one
-    /// counter bucket, starting here.
+    /// Request admission: enablement and contract policing (Section II-B).
+    /// A request stopped here ends as `Ignored` or `Policed`; one admitted
+    /// goes on to dispatch, which returns its outcome.
     pub(super) fn aitf_admission(
         &mut self,
         packet: &mut Packet,
@@ -136,14 +131,11 @@ impl BorderRouter {
     ) -> Verdict {
         let PayloadKind::Aitf(msg) = &packet.payload else {
             // A data payload addressed to a router is a misdelivery.
-            self.data_mut().counters.undeliverable += 1;
-            return Verdict::Drop;
+            return Verdict::Drop(Cause::Misdelivered);
         };
         if matches!(msg, AitfMessage::FilteringRequest(_)) {
-            self.data_mut().counters.requests_received += 1;
             if !self.policy.aitf_enabled {
-                self.data_mut().counters.requests_ignored += 1;
-                return Verdict::Drop;
+                return Verdict::Request(RequestOutcome::Ignored);
             }
             // Contract policing per arrival interface (Section II-B): a
             // client link's bucket is created at the client contract (R1)
@@ -158,8 +150,7 @@ impl BorderRouter {
                 limiter.set_contract(key, contract.rate, contract.burst);
             }
             if !limiter.try_acquire(key, ctx.now()) {
-                self.data_mut().counters.requests_policed += 1;
-                return Verdict::Drop;
+                return Verdict::Request(RequestOutcome::Policed);
             }
         }
         Verdict::Continue
@@ -181,19 +172,25 @@ impl BorderRouter {
             return Verdict::Continue;
         };
         match msg {
-            AitfMessage::FilteringRequest(req) => match req.dest {
+            // A router that does not cooperate plays no role.
+            AitfMessage::FilteringRequest(_) if !self.policy.cooperating => {
+                Verdict::Request(RequestOutcome::Ignored)
+            }
+            AitfMessage::FilteringRequest(req) => Verdict::Request(match req.dest {
                 RequestDestination::VictimGateway => self.victim_gateway_role(req, arrival, ctx),
                 RequestDestination::AttackerGateway => self.attacker_gateway_role(req, ctx),
                 RequestDestination::Attacker => self.attacker_role(req, ctx),
-            },
-            AitfMessage::VerificationReply(rep) => self.handle_verification_reply(rep, ctx),
+            }),
+            AitfMessage::VerificationReply(rep) => {
+                self.handle_verification_reply(rep, ctx);
+                Verdict::Continue
+            }
+            // Queries are for victims (end hosts) and pushback belongs to
+            // the baseline policy; either here is a misdelivery.
             AitfMessage::VerificationQuery(_) | AitfMessage::Pushback(_) => {
-                // Queries are for victims (end hosts) and pushback belongs
-                // to the baseline policy; either here is a misdelivery.
-                self.data_mut().counters.undeliverable += 1;
+                Verdict::Drop(Cause::Misdelivered)
             }
         }
-        Verdict::Continue
     }
 
     // --- Pushback ------------------------------------------------------
@@ -206,15 +203,9 @@ impl BorderRouter {
         arrival: LinkId,
         ctx: &mut Context<'_>,
     ) -> Verdict {
-        let now = ctx.now();
-        if packet.is_data() {
-            let data = self.data_mut();
-            if data.filters.matches(&packet.header, now) {
-                data.counters.data_filtered_pkts += 1;
-                data.counters.data_filtered_bytes += packet.size_bytes as u64;
-                self.note_arrival(packet, arrival);
-                return Verdict::Drop;
-            }
+        if packet.is_data() && self.data_mut().filters.matches(&packet.header, ctx.now()) {
+            self.note_arrival(packet, arrival);
+            return Verdict::Drop(Cause::Filtered);
         }
         Verdict::Continue
     }
@@ -273,7 +264,7 @@ impl BorderRouter {
                 }
             }
             // Anything else has no handler under pushback: a misdelivery.
-            _ => self.data_mut().counters.undeliverable += 1,
+            _ => return Verdict::Drop(Cause::Misdelivered),
         }
         Verdict::Continue
     }
@@ -338,32 +329,25 @@ impl BorderRouter {
                 .as_mut()
                 .expect("prefix limiter exists under IngressRateLimit");
             if !limiter.try_acquire(key, now) {
-                let counters = &mut self.data_mut().counters;
-                counters.data_filtered_pkts += 1;
-                counters.data_filtered_bytes += packet.size_bytes as u64;
-                return Verdict::Drop;
+                return Verdict::Drop(Cause::Filtered);
             }
         }
         Verdict::Continue
     }
 
     /// Control sink: the policy has no escalation plane, so filtering
-    /// requests are counted (for the bake-off's request accounting) and
-    /// dropped; anything else addressed here is a misdelivery.
+    /// requests are ignored (and counted for the bake-off's request
+    /// accounting); anything else addressed here is a misdelivery.
     pub(super) fn ratelimit_control(
         &mut self,
         packet: &mut Packet,
         _arrival: LinkId,
         _ctx: &mut Context<'_>,
     ) -> Verdict {
-        if let PayloadKind::Aitf(AitfMessage::FilteringRequest(_)) = &packet.payload {
-            let counters = &mut self.data_mut().counters;
-            counters.requests_received += 1;
-            counters.requests_ignored += 1;
-        } else {
-            self.data_mut().counters.undeliverable += 1;
+        if let PayloadKind::Aitf(AitfMessage::FilteringRequest(_)) = packet.payload {
+            return Verdict::Request(RequestOutcome::Ignored);
         }
-        Verdict::Drop
+        Verdict::Drop(Cause::Misdelivered)
     }
 
     // --- Path stamping -------------------------------------------------
@@ -383,10 +367,7 @@ impl BorderRouter {
             if let Some(&origin) = packet.route_record.hops().first() {
                 let now = ctx.now();
                 if blocks.iter().any(|&(o, exp)| o == origin && exp > now) {
-                    let counters = &mut self.data_mut().counters;
-                    counters.data_filtered_pkts += 1;
-                    counters.data_filtered_bytes += packet.size_bytes as u64;
-                    return Verdict::Drop;
+                    return Verdict::Drop(Cause::Filtered);
                 }
             }
         }
@@ -424,21 +405,15 @@ impl BorderRouter {
             }
             // Anything else has no handler under path stamping: a
             // misdelivery.
-            _ => {
-                self.data_mut().counters.undeliverable += 1;
-                return Verdict::Continue;
-            }
+            _ => return Verdict::Drop(Cause::Misdelivered),
         };
-        self.data_mut().counters.requests_received += 1;
         if !self.policy.cooperating {
-            self.data_mut().counters.requests_ignored += 1;
-            return Verdict::Continue;
+            return Verdict::Request(RequestOutcome::Ignored);
         }
         let Some(&origin) = req.path.hops().first() else {
             // No stamped path sample (e.g. the flood never reached the
             // victim): nothing to revoke against.
-            self.data_mut().counters.requests_invalid += 1;
-            return Verdict::Continue;
+            return Verdict::Request(RequestOutcome::Invalid);
         };
         let now = ctx.now();
         let until = now + self.cfg.t_long;
@@ -446,19 +421,15 @@ impl BorderRouter {
         let blocks = &mut self.ctl_mut().stamp_blocks;
         if let Some(entry) = blocks.iter_mut().find(|(o, _)| *o == origin) {
             entry.1 = until;
-            self.data_mut().counters.requests_refreshed += 1;
-            return Verdict::Continue;
+            return Verdict::Request(RequestOutcome::Refreshed);
         }
         // Reclaim expired revocations before refusing for capacity.
         blocks.retain(|&(_, exp)| exp > now);
         if blocks.len() >= capacity {
-            self.data_mut().counters.requests_unsatisfiable += 1;
-            return Verdict::Continue;
+            return Verdict::Request(RequestOutcome::Unsatisfiable);
         }
         blocks.push((origin, until));
-        let counters = &mut self.data_mut().counters;
-        counters.requests_accepted += 1;
-        counters.filters_installed += 1;
-        Verdict::Continue
+        self.data_mut().counters.filters_installed += 1;
+        Verdict::Request(RequestOutcome::Accepted)
     }
 }

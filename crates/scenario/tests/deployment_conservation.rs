@@ -22,9 +22,11 @@
 //! 2^8 legacy/AITF subsets — including worlds where the victim's own
 //! gateway, the hub, or the whole attacker side is legacy — and checks
 //! the identity at every router after the flood has provoked detection,
-//! escalation and (where possible) filtering.
+//! escalation and (where possible) filtering. The same tree, all AITF,
+//! then runs every bake-off defense, whose request handlers return their
+//! outcome to the same counting site.
 
-use aitf_core::{AitfConfig, HostPolicy, NetId, RouterPolicy};
+use aitf_core::{AitfConfig, DefensePolicy, HostPolicy, NetId, RouterCounters, RouterPolicy};
 use aitf_netsim::SimDuration;
 use aitf_scenario::{HostSel, Role, Scenario, TargetSel, TopologySpec, TrafficSpec};
 
@@ -32,6 +34,21 @@ use aitf_scenario::{HostSel, Role, Scenario, TargetSel, TopologySpec, TrafficSpe
 /// one zombie per leaf.
 fn topology() -> TopologySpec {
     TopologySpec::tree(2, 2, 1, HostPolicy::Malicious, 10_000_000)
+}
+
+/// The right-hand side of the identity: `c`'s requests counted in a bucket.
+fn bucketed(c: &RouterCounters) -> u64 {
+    c.requests_policed
+        + c.requests_ignored
+        + c.requests_invalid
+        + c.requests_refreshed
+        + c.requests_unsatisfiable
+        + c.requests_accepted
+}
+
+/// The test flood: every attacker at 200 pps, 400 B packets.
+fn flood() -> TrafficSpec {
+    TrafficSpec::flood(HostSel::Role(Role::Attacker), TargetSel::Victim, 200, 400)
 }
 
 /// [`topology`] with every network `legacy` picks declared legacy.
@@ -53,12 +70,7 @@ fn every_legacy_subset_never_loses_a_request() {
         let scenario = Scenario::new(topology_with_legacy(|i, _| mask & (1 << i) != 0))
             .config(AitfConfig::default())
             .duration(SimDuration::from_secs(2))
-            .traffic(TrafficSpec::flood(
-                HostSel::Role(Role::Attacker),
-                TargetSel::Victim,
-                200,
-                400,
-            ));
+            .traffic(flood());
         // The escape hatch: run by hand so the raw router counters stay
         // inspectable after the horizon.
         let mut world = scenario.build(7);
@@ -69,14 +81,9 @@ fn every_legacy_subset_never_loses_a_request() {
         for i in 0..net_count {
             let c = world.world.router(NetId(i)).counters();
             total_received += c.requests_received;
-            let accounted = c.requests_policed
-                + c.requests_ignored
-                + c.requests_invalid
-                + c.requests_refreshed
-                + c.requests_unsatisfiable
-                + c.requests_accepted;
             assert_eq!(
-                c.requests_received, accounted,
+                c.requests_received,
+                bucketed(&c),
                 "router {i} lost a request under legacy mask {mask:#010b}: {c:?}"
             );
         }
@@ -110,12 +117,7 @@ fn full_tables_on_the_deferred_confirm_path_keep_the_identity_strict() {
     let scenario = Scenario::new(topo)
         .config(cfg)
         .duration(SimDuration::from_secs(4))
-        .traffic(TrafficSpec::flood(
-            HostSel::Role(Role::Attacker),
-            TargetSel::Victim,
-            200,
-            400,
-        ));
+        .traffic(flood());
     let mut world = scenario.build(7);
     world.world.sim.run_for(SimDuration::from_secs(4));
 
@@ -127,14 +129,9 @@ fn full_tables_on_the_deferred_confirm_path_keep_the_identity_strict() {
         total_received += c.requests_received;
         total_deferred += c.deferred_unsatisfied;
         total_confirmed += c.handshakes_confirmed;
-        let accounted = c.requests_policed
-            + c.requests_ignored
-            + c.requests_invalid
-            + c.requests_refreshed
-            + c.requests_unsatisfiable
-            + c.requests_accepted;
         assert_eq!(
-            c.requests_received, accounted,
+            c.requests_received,
+            bucketed(&c),
             "router {i} broke the identity under capacity 1: {c:?}"
         );
     }
@@ -150,4 +147,41 @@ fn full_tables_on_the_deferred_confirm_path_keep_the_identity_strict() {
         "capacity 1 never starved a deferred confirm; the regression path \
          went unexercised"
     );
+}
+
+/// Every bake-off defense on the all-AITF tree: AITF, ingress
+/// rate-limiting and path stamping keep the identity at every router.
+/// Pushback is the one known exception (ROADMAP item 1): its edge trigger
+/// counts a request received and in no bucket, so its routers hold
+/// received requests and empty buckets.
+#[test]
+fn every_bakeoff_policy_keeps_the_request_identity() {
+    for policy in DefensePolicy::BAKEOFF {
+        let scenario = Scenario::new(topology())
+            .config(AitfConfig::default())
+            .defense(policy)
+            .duration(SimDuration::from_secs(2))
+            .traffic(flood());
+        let mut world = scenario.build(7);
+        world.world.sim.run_for(SimDuration::from_secs(2));
+
+        let (mut received, mut in_buckets) = (0u64, 0u64);
+        for i in 0..world.world.net_count() {
+            let c = world.world.router(NetId(i)).counters();
+            received += c.requests_received;
+            in_buckets += bucketed(&c);
+            if policy != DefensePolicy::Pushback {
+                assert_eq!(
+                    c.requests_received,
+                    bucketed(&c),
+                    "router {i} lost a request under {policy:?}: {c:?}"
+                );
+            }
+        }
+        // Non-triviality: the victim's request reached a router.
+        assert!(received >= 1, "{policy:?}: no request received");
+        if policy == DefensePolicy::Pushback {
+            assert_eq!(in_buckets, 0, "pushback's edge trigger found a bucket");
+        }
+    }
 }

@@ -62,7 +62,7 @@ impl SpanKind {
     }
 }
 
-/// Why a span exists — the decision that caused it.
+/// Why a span exists, or why a router stopped a packet: the decision behind it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub enum Cause {
     /// The victim detected the flow and asked its gateway.
@@ -89,6 +89,16 @@ pub enum Cause {
     GraceExpired,
     /// Plain protocol progress (no special trigger).
     Protocol,
+    /// A client packet sourced outside the client's own addresses.
+    Spoofed,
+    /// A data packet a defense's filter or policer stopped.
+    Filtered,
+    /// A packet whose TTL would not survive the next hop.
+    TtlExpired,
+    /// A packet addressed to a router that has no handler for it.
+    Misdelivered,
+    /// A packet with no route towards its destination.
+    NoRoute,
 }
 
 impl Cause {
@@ -107,6 +117,11 @@ impl Cause {
             Cause::NoNeighbor => "no_neighbor",
             Cause::GraceExpired => "grace_expired",
             Cause::Protocol => "protocol",
+            Cause::Spoofed => "spoofed",
+            Cause::Filtered => "filtered",
+            Cause::TtlExpired => "ttl_expired",
+            Cause::Misdelivered => "misdelivered",
+            Cause::NoRoute => "no_route",
         }
     }
 }

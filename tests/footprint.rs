@@ -8,7 +8,8 @@
 //! should be: independent of the protocol's tables.
 
 use aitf::core::{
-    AitfConfig, BorderRouter, DefensePolicy, EndHost, HostPolicy, NetId, PolicyChains, WorldBuilder,
+    AitfConfig, BorderRouter, DefensePolicy, EndHost, HostPolicy, NetId, PolicyChains,
+    RequestOutcome, Verdict, WorldBuilder,
 };
 use aitf::netsim::Link;
 use aitf::packet::alloc_probe::CountingAlloc;
@@ -39,6 +40,15 @@ const _: () = {
 const _: () = {
     assert!(std::mem::size_of::<Packet>() <= 144);
     assert!(Link::QUEUE_ENTRY_BYTES <= 8);
+};
+
+// What a stage hands the chain runner per packet it stops: a tag and a
+// drop reason or request outcome, returned by value (2 B).
+const _: () = {
+    const fn copy<T: Copy>() {}
+    copy::<Verdict>();
+    copy::<RequestOutcome>();
+    assert!(std::mem::size_of::<Verdict>() <= 2);
 };
 
 // A flow label is a host pair (8 B; 28 with prefix, protocol and port
