@@ -588,6 +588,69 @@ impl EndHost {
     }
 }
 
+/// One host as [`crate::World::host`] shows it, whether or not any event
+/// has made it. A host nothing has happened to is never built; its view
+/// answers what such a host would — zero counters, no self-filters, no
+/// tap, no apps, attached — so reading every host of a world builds none
+/// of them. Every reference it hands out borrows the world, not the view.
+#[derive(Clone, Copy)]
+pub struct HostView<'w> {
+    host: Option<&'w EndHost>,
+    addr: Addr,
+}
+
+impl<'w> HostView<'w> {
+    /// The view of the host at `addr`, `host` if it has been made.
+    pub(crate) fn new(host: Option<&'w EndHost>, addr: Addr) -> Self {
+        HostView { host, addr }
+    }
+
+    /// The host's address.
+    pub fn addr(self) -> Addr {
+        self.addr
+    }
+
+    /// Counter snapshot; all zeros for a host nothing happened to.
+    pub fn counters(self) -> HostCounters {
+        self.host
+            .map_or_else(HostCounters::default, EndHost::counters)
+    }
+
+    /// The self-filter table; see [`EndHost::self_filters`].
+    pub fn self_filters(self) -> Option<&'w FilterTable> {
+        self.host.and_then(EndHost::self_filters)
+    }
+
+    /// The installed tap, for end-of-run readback.
+    pub fn rx_tap(self) -> Option<&'w dyn RxTap> {
+        self.host.and_then(EndHost::rx_tap)
+    }
+
+    /// Number of traffic applications installed on the host.
+    pub fn app_count(self) -> usize {
+        self.host.map_or(0, EndHost::app_count)
+    }
+
+    /// Whether the host is attached to the network; a host never made
+    /// was never detached.
+    pub fn is_attached(self) -> bool {
+        self.host.is_none_or(EndHost::is_attached)
+    }
+
+    /// Whether any delivered packet has made the host's [`VictimAgent`].
+    #[cfg(test)]
+    pub(crate) fn has_victim_agent(self) -> bool {
+        self.host.is_some_and(EndHost::has_victim_agent)
+    }
+
+    /// Whether any send, delivery or notice has made the host's
+    /// [`HostData`].
+    #[cfg(test)]
+    pub(crate) fn has_host_data(self) -> bool {
+        self.host.is_some_and(EndHost::has_host_data)
+    }
+}
+
 impl Node for EndHost {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         // A host detached before the run starts (an "arrives later" world)

@@ -68,11 +68,11 @@ pub use config::{AitfConfig, Contract, HostPolicy, RouterPolicy};
 // without a direct aitf-filter dependency.
 pub use aitf_filter::EvictionPolicy;
 pub use detector::{DetectionMode, RateDetector};
-pub use host::{EndHost, HostApi, HostCounters, RxTap, TrafficApp};
+pub use host::{EndHost, HostApi, HostCounters, HostView, RxTap, TrafficApp};
 pub use pipeline::{PolicyChains, RequestOutcome, StageId, Verdict};
 pub use policy::DefensePolicy;
 pub use pushback::{PushbackCounters, PushbackState, LINK_LOCAL, MAX_PUSHBACK_DEPTH};
-pub use router::{BorderRouter, RouterCounters};
+pub use router::{BorderRouter, RouterCounters, RouterView};
 pub use traffic::{RequestForger, Source};
 pub use world::{
     HostDecl, HostId, NetDecl, NetId, NetLabel, PeeringDecl, Role, RoutingMode, Side, World,

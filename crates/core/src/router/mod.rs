@@ -27,7 +27,7 @@ use aitf_packet::{
 };
 use aitf_trace::{Cause, SpanId, SpanKind, Tracer};
 
-use crate::config::{AitfConfig, RouterPolicy};
+use crate::config::{AitfConfig, HostPolicy, RouterPolicy};
 use crate::pipeline::{PolicyChains, RequestOutcome, StageId, Verdict};
 use crate::policy::DefensePolicy;
 use crate::pushback::{PushbackCounters, PushbackState, LINK_LOCAL};
@@ -132,14 +132,25 @@ struct GraceWatch {
 
 /// What every router of a world reads and none writes: the declared
 /// provider tree, stored once, from which every routing, ingress and
-/// escalation question is answered. Made by `WorldBuilder::build` and
-/// immutable after, but for the deployment view, which changes only
-/// between runs. A router keeps its network index into these arrays.
+/// escalation question is answered — and the rest of the declaration the
+/// world's maker builds a router or host from on its first event. Made by
+/// `World::try_build` and immutable after, but for the deployment view,
+/// which changes only between runs. A router keeps its network index into
+/// these arrays.
 #[derive(Debug)]
 pub(crate) struct Wiring {
     /// Each declared network's prefix mapped to the network: pairwise
     /// disjoint, so an address lies in at most one.
     pub(crate) net_map: PrefixMap,
+    /// Per network, its prefix.
+    pub(crate) prefix: Vec<Prefix>,
+    /// Per network, whether it has no client network and no peering, so
+    /// that under provider-tree routing everything but its own hosts goes
+    /// up.
+    pub(crate) stub: Vec<bool>,
+    /// Per network, its router's declared policy: what a router no event
+    /// has reached answers, and is made with.
+    pub(crate) policy: Vec<RouterPolicy>,
     /// Per network, its provider, or [`NONE`] at the top level; a
     /// provider is declared before its clients. Read through
     /// [`Wiring::parent`].
@@ -168,6 +179,12 @@ pub(crate) struct Wiring {
     /// [`crate::World::set_router_policy`] through `&mut World` between
     /// runs, so no window ever waits on the lock.
     pub(crate) legacy: RwLock<HashSet<Addr>>,
+    /// Per host, its address, its network, its tail circuit and its
+    /// declared policy.
+    pub(crate) host_addr: Vec<Addr>,
+    pub(crate) host_net: Vec<u32>,
+    pub(crate) tail_link: Vec<LinkId>,
+    pub(crate) host_policy: Vec<HostPolicy>,
 }
 
 /// What a per-network `u32` of the [`Wiring`] holds where there is no
@@ -259,26 +276,6 @@ impl Behind<'_> {
                 .is_some_and(|d| Self::in_cone(wiring, link, d)),
         }
     }
-}
-
-/// A router's place in its world's [`Wiring`], and what it is given of its
-/// own.
-pub(crate) struct RouterSpec {
-    /// This router's control-plane address.
-    pub(crate) addr: Addr,
-    /// The address block of this router's own network.
-    pub(crate) prefix: Prefix,
-    /// This router's network: its key in the wiring's per-network arrays.
-    pub(crate) net: usize,
-    /// Whether this router has no client network and no peering, so that
-    /// under provider-tree routing everything but its own hosts goes up.
-    pub(crate) stub: bool,
-    /// What every router of the world reads.
-    pub(crate) wiring: Arc<Wiring>,
-    /// Protocol parameters, shared by every node of the world.
-    pub(crate) config: Arc<AitfConfig>,
-    /// Behaviour knobs.
-    pub(crate) policy: RouterPolicy,
 }
 
 /// What a router writes about the packets it handles: its counters and its
@@ -388,7 +385,7 @@ pub struct BorderRouter {
     addr: Addr,
     prefix: Prefix,
     policy: RouterPolicy,
-    /// No client network and no peering; see [`RouterSpec::stub`].
+    /// No client network and no peering; see [`Wiring::stub`].
     stub: bool,
     /// The index of the link towards this router's provider, or [`NONE`]
     /// at the top level: the wiring's entry for `net`, kept beside the
@@ -425,20 +422,19 @@ fn flow_key(flow: &FlowLabel) -> u64 {
 }
 
 impl BorderRouter {
-    /// Builds a router from its spec: its place in the wiring, and nothing
-    /// else.
-    pub(crate) fn new(spec: RouterSpec) -> Self {
-        let cfg = spec.config;
+    /// Builds network `net`'s router from its place in the wiring, and
+    /// nothing else.
+    pub(crate) fn new(wiring: Arc<Wiring>, cfg: Arc<AitfConfig>, net: usize) -> Self {
         BorderRouter {
             defense: cfg.defense,
             cfg,
-            policy: spec.policy,
-            prefix: spec.prefix,
-            stub: spec.stub,
-            uplink: spec.wiring.uplink[spec.net],
-            net: u32::try_from(spec.net).expect("network count fits u32"),
-            addr: spec.addr,
-            wiring: spec.wiring,
+            policy: wiring.policy[net],
+            prefix: wiring.prefix[net],
+            stub: wiring.stub[net],
+            uplink: wiring.uplink[net],
+            net: word(net),
+            addr: wiring.router_addr[net],
+            wiring,
             data: None,
             ctl: None,
             tracer: Tracer::new(),
@@ -498,11 +494,6 @@ impl BorderRouter {
     /// This router's address.
     pub fn addr(&self) -> Addr {
         self.addr
-    }
-
-    /// This router's network prefix: the world's one copy of it.
-    pub(crate) fn prefix(&self) -> Prefix {
-        self.prefix
     }
 
     /// The link towards this router's provider, if any.
@@ -833,6 +824,115 @@ impl BorderRouter {
                 ctx.set_incoming_blocked(link, true);
             }
         }
+    }
+}
+
+/// One network's border router as [`crate::World::router`] shows it,
+/// whether or not any event has made it. A router no event has reached is
+/// never built; its view answers from the world's idle data state (zero
+/// counters, empty tables at the configured capacities) and the network's
+/// declared values — what the router would answer if it were made now — so
+/// reading every router of a world builds none of them. Every reference it
+/// hands out borrows the world, not the view.
+#[derive(Clone, Copy)]
+pub struct RouterView<'w> {
+    router: Option<&'w BorderRouter>,
+    wiring: &'w Wiring,
+    defense: DefensePolicy,
+    net: usize,
+}
+
+impl<'w> RouterView<'w> {
+    /// The view of network `net`'s router, `router` if it has been made.
+    pub(crate) fn new(
+        router: Option<&'w BorderRouter>,
+        wiring: &'w Wiring,
+        cfg: &AitfConfig,
+        net: usize,
+    ) -> Self {
+        RouterView {
+            router,
+            wiring,
+            defense: cfg.defense,
+            net,
+        }
+    }
+
+    fn data(self) -> &'w DataState {
+        self.router.map_or(&self.wiring.idle, BorderRouter::data)
+    }
+
+    /// The router's address.
+    pub fn addr(self) -> Addr {
+        self.wiring.router_addr[self.net]
+    }
+
+    /// The link towards the router's provider, if any.
+    pub fn uplink(self) -> Option<LinkId> {
+        self.wiring.uplink(self.net)
+    }
+
+    /// Counter snapshot; all zeros for a router no packet reached.
+    pub fn counters(self) -> RouterCounters {
+        self.data().counters
+    }
+
+    /// The wire-speed filter table (read-only).
+    pub fn filters(self) -> &'w FilterTable {
+        &self.data().filters
+    }
+
+    /// The DRAM shadow cache (read-only).
+    pub fn shadow(self) -> &'w ShadowCache {
+        &self.data().shadow
+    }
+
+    /// The contract policer (read-only); empty until the first request.
+    pub fn limiter(self) -> &'w RateLimiterBank {
+        self.router.map_or(&*NO_LIMITER, BorderRouter::limiter)
+    }
+
+    /// Which defense policy populates the router's hook chains: the
+    /// world's.
+    pub fn defense(self) -> DefensePolicy {
+        self.defense
+    }
+
+    /// The hook chains the router runs; see [`BorderRouter::chains`].
+    pub fn chains(self) -> PolicyChains {
+        let Ok(chains) = PolicyChains::build(self.defense);
+        chains
+    }
+
+    /// Pushback-plane counters; see [`BorderRouter::pushback`].
+    pub fn pushback(self) -> PushbackCounters {
+        self.router
+            .map_or_else(PushbackCounters::default, BorderRouter::pushback)
+    }
+
+    /// Total defense state the router holds; see
+    /// [`BorderRouter::defense_footprint`].
+    pub fn defense_footprint(self) -> usize {
+        self.router.map_or(0, BorderRouter::defense_footprint)
+    }
+
+    /// The current behaviour policy: the declared one until the router is
+    /// made.
+    pub fn policy(self) -> RouterPolicy {
+        self.router
+            .map_or(self.wiring.policy[self.net], BorderRouter::policy)
+    }
+
+    /// Whether any stage has made the router's [`DataState`] yet.
+    #[cfg(test)]
+    pub(crate) fn has_data_state(self) -> bool {
+        self.router.is_some_and(BorderRouter::has_data_state)
+    }
+
+    /// Whether any event has made the router's [`ControlState`] yet.
+    #[cfg(test)]
+    pub(crate) fn has_control_state(self) -> bool {
+        self.router.is_some_and(BorderRouter::has_control_state)
     }
 }
 

@@ -37,14 +37,14 @@ use std::fmt;
 use std::sync::{Arc, RwLock};
 
 use aitf_netsim::{
-    Buckets, LinkDirection, LinkId, LinkParams, NetworkBuilder, NextHops, NodeId, PartitionSpec,
-    SimDuration, Simulator,
+    Buckets, LinkDirection, LinkId, LinkParams, NetworkBuilder, NextHops, Node, NodeId,
+    PartitionSpec, SimDuration, Simulator,
 };
 use aitf_packet::{Addr, Prefix, PrefixMap};
 
 use crate::config::{AitfConfig, HostPolicy, RouterPolicy};
-use crate::host::{EndHost, TrafficApp, VictimAgent};
-use crate::router::{index_of, word, BorderRouter, DataState, RouterSpec, Wiring, NONE};
+use crate::host::{EndHost, HostView, TrafficApp, VictimAgent};
+use crate::router::{index_of, word, BorderRouter, DataState, RouterView, Wiring, NONE};
 
 /// How routers forward towards the declared networks.
 ///
@@ -371,10 +371,10 @@ impl WorldBuilder {
 }
 
 impl World {
-    /// Assembles the simulator, routing state and protocol nodes of the
-    /// world the `nets`, `hosts` and `peerings` records declare, with
-    /// [`BorderRouter`]s at every network; declaration `i` is
-    /// [`NetId`]`(i)` / [`HostId`]`(i)`. Which defense the routers run
+    /// Assembles the simulator and routing state of the world the `nets`,
+    /// `hosts` and `peerings` records declare, with a [`BorderRouter`] at
+    /// every network; declaration `i` is [`NetId`]`(i)` / [`HostId`]`(i)`.
+    /// Which defense the routers run
     /// is the configuration's [`crate::AitfConfig::defense`] policy — the
     /// pushback baseline and the other bake-off defenses reuse all the
     /// topology, addressing and routing machinery through their hook
@@ -386,8 +386,10 @@ impl World {
     /// What the routers read stays that way after the build: one `Wiring`
     /// per world holds the declaration every route, ingress verdict and
     /// escalation target is answered from, and a router holds its network
-    /// index into it, so a router no packet reaches is its wiring and
-    /// owns no heap memory.
+    /// index into it. No router or host is built here: the simulator's
+    /// maker builds each from the wiring on the first event that reaches
+    /// it (or the first `&mut World` call that writes to it), so a node no
+    /// event reaches costs its slot and its entries in the wiring's arrays.
     ///
     /// # Errors
     ///
@@ -525,6 +527,9 @@ impl World {
         let legacy = RwLock::new(legacy.map(|(_, &addr)| addr).collect());
         let wiring = Arc::new(Wiring {
             net_map,
+            prefix: nets.iter().map(|n| n.prefix).collect(),
+            stub,
+            policy: nets.iter().map(|n| n.policy).collect(),
             parent,
             uplink,
             router_addr,
@@ -533,45 +538,52 @@ impl World {
             hops,
             idle: DataState::new(&cfg),
             legacy,
+            host_addr,
+            host_net,
+            tail_link: tail_links,
+            host_policy: hosts.iter().map(|h| h.policy).collect(),
         });
 
-        // Install routers.
-        for (i, net) in nets.iter().enumerate() {
-            let spec = RouterSpec {
-                addr: wiring.router_addr[i],
-                prefix: net.prefix,
-                net: i,
-                stub: stub[i],
-                wiring: Arc::clone(&wiring),
-                config: Arc::clone(&cfg),
-                policy: net.policy,
-            };
-            sim.install(NodeId(i), Box::new(BorderRouter::new(spec)));
-        }
-
-        // Install hosts.
-        for (h, host) in hosts.iter().enumerate() {
-            let end_host = EndHost::new(
-                host_addr[h],
-                wiring.router_addr[host.net],
-                tail_links[h],
-                Arc::clone(&cfg),
-                host.policy,
-            );
-            sim.install(host_node(h), Box::new(end_host));
-        }
+        // No router or host is built here: each is made from the wiring, in
+        // its owning shard, by the first event that reaches it.
+        let maker = {
+            let (wiring, cfg) = (Arc::clone(&wiring), Arc::clone(&cfg));
+            move |node: NodeId| make_node(&wiring, &cfg, node)
+        };
+        sim.set_maker(Arc::new(maker));
 
         Ok(World {
             sim,
             cfg,
             // An anonymous network's empty name allocates nothing.
             net_names: nets.iter().map(|n| n.name.clone()).collect(),
-            host_addr,
-            host_net,
-            tail_links,
             wiring,
         })
     }
+}
+
+/// The world's node maker: node `node` of the world `wiring` declares —
+/// network `node`'s border router below the network count, else a host —
+/// built as the declarations say. Called on a node's first event, or by the
+/// first `&mut World` call that writes to it.
+#[cold]
+#[inline(never)]
+fn make_node(wiring: &Arc<Wiring>, cfg: &Arc<AitfConfig>, node: NodeId) -> Box<dyn Node> {
+    let n = wiring.prefix.len();
+    let Some(h) = node.0.checked_sub(n) else {
+        let router = BorderRouter::new(Arc::clone(wiring), Arc::clone(cfg), node.0);
+        // detlint::allow(hot-alloc): one-off — a router's first event; every later one finds its slot filled
+        return Box::new(router);
+    };
+    let host = EndHost::new(
+        wiring.host_addr[h],
+        wiring.router_addr[wiring.host_net[h] as usize],
+        wiring.tail_link[h],
+        Arc::clone(cfg),
+        wiring.host_policy[h],
+    );
+    // detlint::allow(hot-alloc): one-off — a host's first event; every later one finds its slot filled
+    Box::new(host)
 }
 
 /// Shard-hint load of one traffic app, in idle nodes. An idle node
@@ -592,12 +604,8 @@ pub struct World {
     /// router and host of the world shares.
     pub cfg: Arc<AitfConfig>,
     net_names: Vec<String>,
-    host_addr: Vec<Addr>,
-    /// Per host, its network's index.
-    host_net: Vec<u32>,
-    tail_links: Vec<LinkId>,
-    /// What the routers read: the world's parent, uplink and router-address
-    /// arrays among it.
+    /// What the routers read and the maker builds nodes from: the world's
+    /// per-network and per-host arrays.
     wiring: Arc<Wiring>,
 }
 
@@ -609,7 +617,7 @@ impl World {
 
     /// Number of hosts.
     pub fn host_count(&self) -> usize {
-        self.host_addr.len()
+        self.wiring.host_addr.len()
     }
 
     /// A network's display name; empty for an anonymous network.
@@ -628,7 +636,7 @@ impl World {
 
     /// A network's prefix.
     pub fn net_prefix(&self, net: NetId) -> Prefix {
-        self.router(net).prefix()
+        self.wiring.prefix[net.0]
     }
 
     /// A network's border-router address.
@@ -644,7 +652,7 @@ impl World {
 
     /// A host's address.
     pub fn host_addr(&self, host: HostId) -> Addr {
-        self.host_addr[host.0]
+        self.wiring.host_addr[host.0]
     }
 
     /// A host's node id: the hosts follow the routers, in declaration
@@ -655,7 +663,7 @@ impl World {
 
     /// The network a host belongs to.
     pub fn host_net(&self, host: HostId) -> NetId {
-        NetId(self.host_net[host.0] as usize)
+        NetId(self.wiring.host_net[host.0] as usize)
     }
 
     /// Whether span recording is compiled in (the `trace` feature).
@@ -667,12 +675,11 @@ impl World {
     /// replayed in `(virtual time, router address, log position)` order,
     /// with spans still open closed at the current sim time *in the
     /// returned copy* — a pure read, repeatable mid-run. Always empty
-    /// without the `trace` feature.
+    /// without the `trace` feature. A router no event has made has logged
+    /// nothing.
     pub fn trace_spans(&self) -> Vec<aitf_trace::SpanRecord> {
-        let logs = (0..self.net_count()).map(|i| {
-            let r = self.router(NetId(i));
-            (r.addr().0, r.tracer())
-        });
+        let routers = (0..self.net_count()).map(|i| self.made_router(NetId(i)));
+        let logs = routers.flatten().map(|r| (r.addr().0, r.tracer()));
         aitf_trace::Tracer::replay(logs, self.sim.now().0)
     }
 
@@ -733,7 +740,7 @@ impl World {
         for i in 0..n {
             groups[group_of[i]].push(self.router_node(NetId(i)));
         }
-        for (h, &net) in self.host_net.iter().enumerate() {
+        for (h, &net) in self.wiring.host_net.iter().enumerate() {
             let group = group_of[net as usize];
             groups[group].push(self.host_node(HostId(h)));
             apps[group] += self.host(HostId(h)).app_count() as u64;
@@ -748,36 +755,38 @@ impl World {
         PartitionSpec::new(groups, parents).with_loads(loads)
     }
 
-    /// Read access to a border router.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node is not a [`BorderRouter`] (cannot happen for ids
-    /// from this world).
-    pub fn router(&self, net: NetId) -> &BorderRouter {
-        self.sim
-            .node_ref::<BorderRouter>(self.router_node(net))
-            .expect("router node")
+    /// Network `net`'s border router, if an event or a write has made it.
+    fn made_router(&self, net: NetId) -> Option<&BorderRouter> {
+        self.sim.node_ref::<BorderRouter>(self.router_node(net))
     }
 
-    /// Mutable access to a border router.
+    /// Read access to a border router, made or not: see [`RouterView`].
+    /// Reading builds nothing.
+    pub fn router(&self, net: NetId) -> RouterView<'_> {
+        RouterView::new(self.made_router(net), &self.wiring, &self.cfg, net.0)
+    }
+
+    /// Mutable access to a border router, made now if no event has made it
+    /// yet.
     pub fn router_mut(&mut self, net: NetId) -> &mut BorderRouter {
-        self.sim
-            .node_mut::<BorderRouter>(self.router_node(net))
+        let node = self.sim.make_node(self.router_node(net));
+        (node as &mut dyn Any)
+            .downcast_mut::<BorderRouter>()
             .expect("router node")
     }
 
-    /// Read access to a host.
-    pub fn host(&self, host: HostId) -> &EndHost {
-        self.sim
-            .node_ref::<EndHost>(self.host_node(host))
-            .expect("host node")
+    /// Read access to a host, made or not: see [`HostView`]. Reading
+    /// builds nothing.
+    pub fn host(&self, host: HostId) -> HostView<'_> {
+        let made = self.sim.node_ref::<EndHost>(self.host_node(host));
+        HostView::new(made, self.host_addr(host))
     }
 
-    /// Mutable access to a host.
+    /// Mutable access to a host, made now if no event has made it yet.
     pub fn host_mut(&mut self, host: HostId) -> &mut EndHost {
-        self.sim
-            .node_mut::<EndHost>(self.host_node(host))
+        let node = self.sim.make_node(self.host_node(host));
+        (node as &mut dyn Any)
+            .downcast_mut::<EndHost>()
             .expect("host node")
     }
 
@@ -819,7 +828,7 @@ impl World {
     /// call before the run starts — the host then begins the simulation
     /// offline.
     pub fn detach_host(&mut self, host: HostId) {
-        let link = self.tail_links[host.0];
+        let link = self.wiring.tail_link[host.0];
         self.sim.set_link_blocked(link, LinkDirection::AToB, true);
         self.sim.set_link_blocked(link, LinkDirection::BToA, true);
         self.host_mut(host).set_attached(false);
@@ -830,12 +839,13 @@ impl World {
     /// count from the reattachment instant). Attaching an already-attached
     /// host is a no-op — its running apps are left untouched, so an
     /// overlapping churn selection cannot restart (and thereby duplicate)
-    /// live traffic.
+    /// live traffic — and so is attaching a host no event has made, which
+    /// was never detached.
     pub fn attach_host(&mut self, host: HostId) {
         if self.host(host).is_attached() {
             return;
         }
-        let link = self.tail_links[host.0];
+        let link = self.wiring.tail_link[host.0];
         self.sim.set_link_blocked(link, LinkDirection::AToB, false);
         self.sim.set_link_blocked(link, LinkDirection::BToA, false);
         self.host_mut(host).set_attached(true);
@@ -1522,20 +1532,21 @@ mod proptests {
 
     /// Every host's address, and `routers`' addresses, routes to `probes`
     /// and ingress verdicts on every link for sources at `probes`, as
-    /// `decl` says.
-    fn check(decl: &Decl, w: &World, routers: &[usize], probes: &[Addr]) {
+    /// `decl` says — each router made by the maker to be asked.
+    fn check(decl: &Decl, w: &mut World, routers: &[usize], probes: &[Addr]) {
         for h in 0..decl.hosts.len() {
             assert_eq!(w.host_addr(HostId(h)), decl.host_addr(h));
         }
         for &i in routers {
-            let router = w.router(NetId(i));
+            let links = w.sim.links_of(w.router_node(NetId(i))).to_vec();
+            let router = &*w.router_mut(NetId(i));
             assert_eq!(router.addr(), decl.prefix[i].host_at(254));
             let routes = decl.routes(i);
             for &dst in probes {
                 let expected = decl.route(i, &routes, dst);
                 assert_eq!(router.route(dst), expected, "router {} to {}", i, dst);
             }
-            for &link in w.sim.links_of(w.router_node(NetId(i))) {
+            for link in links {
                 let behind = decl.behind(i, link);
                 for &src in probes {
                     let expected = behind.as_ref().map(|b| b.iter().any(|p| p.contains(src)));
@@ -1553,7 +1564,7 @@ mod proptests {
     proptest! {
         #[test]
         fn every_route_and_ingress_verdict_is_what_the_declarations_say(decl in arb_decl()) {
-            let w = build(&decl, |i| format!("n{i}"));
+            let mut w = build(&decl, |i| format!("n{i}"));
             // Every host, every router, an unassigned address in every
             // network, and one address in no network.
             let hosts = (0..decl.hosts.len()).map(|h| decl.host_addr(h));
@@ -1563,7 +1574,7 @@ mod proptests {
                 .collect();
             probes.push(Addr::new(172, 16, 0, 1));
             let routers: Vec<usize> = (0..decl.prefix.len()).collect();
-            check(&decl, &w, &routers, &probes);
+            check(&decl, &mut w, &routers, &probes);
         }
     }
 
@@ -1633,7 +1644,7 @@ mod proptests {
             "{} peerings",
             decl.peerings.len()
         );
-        let w = build(&decl, |_| String::new());
+        let mut w = build(&decl, |_| String::new());
 
         let mut cone = vec![1usize; n];
         for i in (1..n).rev() {
@@ -1651,6 +1662,6 @@ mod proptests {
             .flat_map(|p| [p.host_at(254), p.host_at(1), p.host_at(77)])
             .collect();
         probes.push(Addr::new(172, 16, 0, 1));
-        check(&decl, &w, &routers, &probes);
+        check(&decl, &mut w, &routers, &probes);
     }
 }

@@ -61,7 +61,7 @@ pub use event::{Event, EventKind, EventQueue};
 pub use link::{Link, LinkDirection, LinkId, LinkParams, LinkStats};
 pub use node::{Context, Node, NodeId};
 pub use partition::{partition, Partition, PartitionError, PartitionSpec};
-pub use sim::{NetworkBuilder, Simulator};
+pub use sim::{NetworkBuilder, NodeMaker, Simulator};
 pub use time::{SimDuration, SimTime};
 
 // Re-exported so node implementations can classify their dispatches for

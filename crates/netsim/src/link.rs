@@ -89,15 +89,29 @@ impl LinkParams {
     }
 
     /// Serialisation time of a packet of `bytes` at this bandwidth.
+    ///
+    /// Computed in `u64` whenever `bytes · 8 · 10⁹` fits (every packet
+    /// below ≈ 2.3 GB), so the per-packet path divides in one instruction;
+    /// larger sizes take the 128-bit path, which answers the same.
+    #[inline]
     pub fn tx_time(&self, bytes: u32) -> SimDuration {
         if self.bandwidth_bps == 0 {
-            SimDuration::ZERO
-        } else {
-            SimDuration::from_nanos(
-                (bytes as u128 * 8 * 1_000_000_000 / self.bandwidth_bps as u128) as u64,
-            )
+            return SimDuration::ZERO;
         }
+        let nanos = match u64::from(bytes).checked_mul(8 * 1_000_000_000) {
+            Some(bit_nanos) => bit_nanos / self.bandwidth_bps,
+            None => wide_tx_nanos(bytes, self.bandwidth_bps),
+        };
+        SimDuration::from_nanos(nanos)
     }
+}
+
+/// [`LinkParams::tx_time`] in 128 bits, for a size whose bit-nanoseconds
+/// overflow `u64`; the quotient is truncated to `u64` as it always was.
+#[cold]
+#[inline(never)]
+fn wide_tx_nanos(bytes: u32, bandwidth_bps: u64) -> u64 {
+    (u128::from(bytes) * 8 * 1_000_000_000 / u128::from(bandwidth_bps)) as u64
 }
 
 /// Per-direction traffic statistics.
@@ -643,6 +657,40 @@ mod tests {
         /// Dispatch the earliest pending event.
         Step,
         Block(bool, bool),
+    }
+
+    mod tx_time {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #[test]
+            fn the_u64_path_answers_what_128_bits_do(
+                bytes in prop_oneof![any::<u32>(), 0u32..65_536],
+                bandwidth_bps in prop_oneof![1u64..=u64::MAX, 1u64..10_000_000_000],
+            ) {
+                let wide = u128::from(bytes) * 8_000_000_000 / u128::from(bandwidth_bps);
+                let got = LinkParams::ethernet(bandwidth_bps, SimDuration::ZERO).tx_time(bytes);
+                prop_assert_eq!(got.as_nanos(), wide as u64);
+            }
+        }
+
+        #[test]
+        fn the_overflow_edge_takes_either_path_to_one_answer() {
+            // `bytes · 8 · 10⁹` first overflows `u64` at 2,305,843,010 B.
+            let edge = (u64::MAX / 8_000_000_000) as u32;
+            for bytes in [0, 1, edge, edge + 1, u32::MAX] {
+                for bandwidth_bps in [1, 3, 10_000_000, 1_000_000_000, u64::MAX] {
+                    let wide = u128::from(bytes) * 8_000_000_000 / u128::from(bandwidth_bps);
+                    let got = LinkParams::ethernet(bandwidth_bps, SimDuration::ZERO).tx_time(bytes);
+                    assert_eq!(
+                        got.as_nanos(),
+                        wide as u64,
+                        "{bytes} B at {bandwidth_bps} b/s"
+                    );
+                }
+            }
+        }
     }
 
     mod differential {

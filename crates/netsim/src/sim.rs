@@ -3,7 +3,11 @@
 //! [`NetworkBuilder`] assembles nodes and links; [`Simulator`] owns them and
 //! runs the event loop. Node objects are installed after building because
 //! higher layers (the AITF protocol crate) need the topology — routing
-//! tables, link lists — to construct them.
+//! tables, link lists — to construct them. A layer that declares many more
+//! nodes than any run reaches sets a [`NodeMaker`] instead
+//! ([`Simulator::set_maker`]): a vacant slot is filled by it, in its owning
+//! shard, on the slot's first dispatch, so a node no event reaches is never
+//! built.
 //!
 //! # Sharded execution
 //!
@@ -341,6 +345,7 @@ impl NetworkBuilder {
                     dispatch_class: aitf_trace::Subsystem::Queue,
                 },
                 nodes: (0..self.node_count).map(|_| None).collect(),
+                maker: None,
             }],
             shard_of: Arc::new(vec![0; self.node_count]),
             lookahead: None,
@@ -353,11 +358,22 @@ impl NetworkBuilder {
     }
 }
 
+/// What fills a vacant node slot: the node object for an id, built on the
+/// slot's first dispatch (or first [`Simulator::make_node`]). It must be a
+/// pure function of the id — shards call it from their worker threads, in
+/// whatever order events first reach their nodes — and what it builds must
+/// have nothing to do in [`Node::on_start`], which a made node never gets.
+pub type NodeMaker = Arc<dyn Fn(NodeId) -> Box<dyn Node> + Send + Sync>;
+
 /// One worker unit of the simulator: an event queue + node slice. The node
-/// vector is full-length in every shard; foreign slots stay `None`.
+/// vector is full-length in every shard; foreign slots stay `None`, and so
+/// do own slots no event has reached when the simulator has a maker.
 struct Shard {
     core: SimCore,
     nodes: Vec<Option<Box<dyn Node>>>,
+    /// The simulator's maker, one handle per shard; `None` when every node
+    /// is installed.
+    maker: Option<NodeMaker>,
 }
 
 impl Shard {
@@ -417,7 +433,7 @@ impl Shard {
     }
 
     fn dispatch_packet(&mut self, node: NodeId, link: LinkId, packet: Packet) {
-        let mut n = self.nodes[node.0].take().expect("installed node");
+        let mut n = self.take_node(node);
         #[cfg(feature = "trace")]
         {
             self.core.dispatch_class = n.subsystem();
@@ -431,7 +447,7 @@ impl Shard {
     }
 
     fn dispatch_timer(&mut self, node: NodeId, token: u64) {
-        let mut n = self.nodes[node.0].take().expect("installed node");
+        let mut n = self.take_node(node);
         #[cfg(feature = "trace")]
         {
             self.core.dispatch_class = n.subsystem();
@@ -442,6 +458,32 @@ impl Shard {
         };
         n.on_timer(token, &mut ctx);
         self.nodes[node.0] = Some(n);
+    }
+
+    /// The node in `node`'s slot, taken out for one call, which puts it
+    /// back; a vacant slot's node is made first.
+    #[inline]
+    fn take_node(&mut self, node: NodeId) -> Box<dyn Node> {
+        match self.nodes[node.0].take() {
+            Some(n) => n,
+            None => self.make(node),
+        }
+    }
+
+    /// The node for a vacant slot, from the maker: the first event to reach
+    /// it, or the first call from outside the loop ([`Simulator::make_node`],
+    /// [`Simulator::with_node_ctx`]). The caller puts it in the slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the simulator has no maker: the slot was never installed.
+    #[cold]
+    #[inline(never)]
+    fn make(&self, node: NodeId) -> Box<dyn Node> {
+        match &self.maker {
+            Some(maker) => maker(node),
+            None => panic!("node {} was never installed", node.0),
+        }
     }
 }
 
@@ -724,6 +766,40 @@ impl Simulator {
         *slot = Some(node);
     }
 
+    /// Sets what fills a vacant node slot: from now on a slot that was never
+    /// installed is filled by `maker` on its first dispatch, in its owning
+    /// shard, and [`Simulator::start`] passes it over. A node no event
+    /// reaches is never built; reads ([`Simulator::node_ref`]) answer
+    /// `None` for it, and [`Simulator::make_node`] builds it on demand.
+    pub fn set_maker(&mut self, maker: NodeMaker) {
+        for shard in &mut self.shards {
+            shard.maker = Some(Arc::clone(&maker));
+        }
+    }
+
+    /// The node in slot `id`, made by the maker now if the slot is vacant —
+    /// how a layer above writes to a node before any event has reached it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot is vacant and the simulator has no maker.
+    pub fn make_node(&mut self, id: NodeId) -> &mut dyn Node {
+        let shard = &mut self.shards[self.shard_of[id.0] as usize];
+        if shard.nodes[id.0].is_none() {
+            let node = shard.make(id);
+            shard.nodes[id.0] = Some(node);
+        }
+        shard.nodes[id.0].as_deref_mut().expect("a filled slot")
+    }
+
+    /// Node objects each shard holds, by shard: every installed node, plus
+    /// every slot the maker has filled so far.
+    pub fn nodes_held(&self) -> Vec<usize> {
+        (self.shards.iter())
+            .map(|s| s.nodes.iter().filter(|n| n.is_some()).count())
+            .collect()
+    }
+
     /// Current virtual time: shard 0's clock. Between runs every shard
     /// clock reads the end of the last run (zero before the first).
     pub fn now(&self) -> SimTime {
@@ -882,16 +958,18 @@ impl Simulator {
     /// at the current virtual time, so determinism is preserved as long as
     /// callers invoke it at schedule-independent times.
     ///
+    /// A vacant slot is filled by the maker first.
+    ///
     /// # Panics
     ///
-    /// Panics if the slot was never installed.
+    /// Panics if the slot is vacant and the simulator has no maker.
     pub fn with_node_ctx<R>(
         &mut self,
         id: NodeId,
         f: impl FnOnce(&mut dyn Node, &mut Context<'_>) -> R,
     ) -> R {
         let shard = &mut self.shards[self.shard_of[id.0] as usize];
-        let mut n = shard.nodes[id.0].take().expect("installed node");
+        let mut n = shard.take_node(id);
         let mut ctx = Context {
             node: id,
             core: &mut shard.core,
@@ -930,14 +1008,16 @@ impl Simulator {
         }
     }
 
-    /// Downcasts the node in slot `id` to a concrete type.
+    /// Downcasts the node in slot `id` to a concrete type; `None` for a
+    /// vacant slot, which no read fills.
     pub fn node_ref<T: Node>(&self, id: NodeId) -> Option<&T> {
         self.shards[self.shard_of[id.0] as usize].nodes[id.0]
             .as_deref()
             .and_then(|n| (n as &dyn Any).downcast_ref::<T>())
     }
 
-    /// Mutable downcast of the node in slot `id`.
+    /// Mutable downcast of the node in slot `id`; `None` for a vacant slot
+    /// (see [`Simulator::make_node`]).
     pub fn node_mut<T: Node>(&mut self, id: NodeId) -> Option<&mut T> {
         self.shards[self.shard_of[id.0] as usize].nodes[id.0]
             .as_deref_mut()
@@ -1030,6 +1110,7 @@ impl Simulator {
                         dispatch_class: aitf_trace::Subsystem::Queue,
                     },
                     nodes: (0..node_total).map(|_| None).collect(),
+                    maker: single.maker.clone(),
                 }
             })
             .collect();
@@ -1079,20 +1160,24 @@ impl Simulator {
     }
 
     /// Calls [`Node::on_start`] on every installed node — in id order when
-    /// single, in (shard, id) order when sharded.
+    /// single, in (shard, id) order when sharded. A slot the maker has not
+    /// filled is passed over, so what a maker builds must have nothing to
+    /// start: its first event is its first call.
     /// Runs automatically on the first `run_*` call if not done explicitly.
     ///
     /// # Panics
     ///
-    /// Panics if any node slot was never installed.
+    /// Panics if a node slot was never installed and there is no maker.
     pub fn start(&mut self) {
         assert!(!self.started, "start() called twice");
-        for i in 0..self.node_count() {
-            let s = self.shard_of[i] as usize;
-            assert!(
-                self.shards[s].nodes[i].is_some(),
-                "node {i} was never installed"
-            );
+        if self.shards[0].maker.is_none() {
+            for i in 0..self.node_count() {
+                let s = self.shard_of[i] as usize;
+                assert!(
+                    self.shards[s].nodes[i].is_some(),
+                    "node {i} was never installed"
+                );
+            }
         }
         for shard in &mut self.shards {
             for i in 0..shard.nodes.len() {
@@ -1444,6 +1529,37 @@ mod tests {
         let (mut sim, ids) = line_topology(2);
         sim.install(ids[0], Box::new(Burst { count: 0 }));
         sim.run_for(SimDuration::from_secs(1));
+    }
+
+    #[test]
+    fn a_maker_fills_only_the_slots_an_event_reaches() {
+        // A burst down a three-node line, and a fourth node with no link.
+        let mut b = NetworkBuilder::new(3);
+        let ids: Vec<NodeId> = (0..4).map(|_| b.add_node()).collect();
+        for w in ids[..3].windows(2) {
+            b.connect(
+                w[0],
+                w[1],
+                LinkParams::infinite(SimDuration::from_millis(1)),
+            );
+        }
+        let mut sim = b.build();
+        sim.install(ids[0], Box::new(Burst { count: 5 }));
+        sim.set_maker(Arc::new(|_| Box::new(FloodRelay { received: 0 })));
+        sim.run_until(SimTime(1_500_000));
+        // The first relay was made by the burst's first packet; the second
+        // is not reached yet, and reads build nothing.
+        assert_eq!(sim.node_ref::<FloodRelay>(ids[1]).unwrap().received, 5);
+        assert!(sim.node_ref::<FloodRelay>(ids[2]).is_none());
+        assert_eq!(sim.nodes_held(), [2]);
+        sim.run_until(SimTime(10_000_000));
+        assert_eq!(sim.node_ref::<FloodRelay>(ids[2]).unwrap().received, 5);
+        assert!(sim.node_mut::<FloodRelay>(ids[3]).is_none());
+        assert_eq!(sim.nodes_held(), [3]);
+        // A write from outside the loop makes the node first.
+        let made = sim.make_node(ids[3]) as &mut dyn Any;
+        assert_eq!(made.downcast_mut::<FloodRelay>().unwrap().received, 0);
+        assert_eq!(sim.nodes_held(), [4]);
     }
 
     #[test]

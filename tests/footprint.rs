@@ -1,7 +1,9 @@
-//! The footprint of an element nothing ever happened to: its wiring only.
-//! What elements write — counters, link queues, filter and shadow storage,
-//! a router's control plane, a host's victim agent, counters and
-//! self-filters — is made by the first event that needs it, and what
+//! The footprint of an element nothing ever happened to: its wiring only,
+//! and for a router or host not even an object — the world's maker builds
+//! it on its first event. What elements write — counters, link queues,
+//! filter and shadow storage, a router's control plane, a host's victim
+//! agent, counters and self-filters — is made by the first event that
+//! needs it, and what
 //! routers read is the declared provider tree, stored once per world, so
 //! the per-element sizes and the bytes a large world asks the allocator
 //! for are what the paper's resource argument (Section IV) says they
@@ -72,8 +74,10 @@ fn a_power_law_world_is_built_within_its_per_network_byte_budget() {
     assert_eq!(nets, spec.nets.len());
     let per_net = bytes / nets as u64;
     // Every byte requested while building, transient ones included:
-    // 382 B per network when the bound was set, since the build reads the
-    // spec's own records in place (689 B while `WorldBuilder` replayed
+    // 321 B per network when the bound was set, since no router is built
+    // until an event reaches it (382 B while every network's 80-byte
+    // router box was made up front, since the build reads the spec's own
+    // records in place; 689 B while `WorldBuilder` replayed
     // them into copies of its own beside a handle map, since a router
     // holds no copy of its stage chains, the provider tree and node ids
     // are 4-byte words or no array at all, and overlaps are found by the
@@ -87,25 +91,27 @@ fn a_power_law_world_is_built_within_its_per_network_byte_budget() {
     // 3,435 B with tables, control plane and link queues laid out up
     // front).
     assert!(
-        per_net <= 458,
+        per_net <= 385,
         "building a {nets}-net world requested {per_net} B per network"
     );
 }
 
 #[test]
-fn a_power_law_world_is_built_in_one_and_a_quarter_allocations_per_network() {
+fn a_power_law_world_is_built_in_seven_allocations_per_thousand_networks() {
     let spec = power_law_spec();
     let (built, allocs) = CountingAlloc::count(|| spec.build(7, AitfConfig::default()));
     let nets = built.world.net_count() as u64;
-    // 1.008 per network, its router, when the bound was set and again
-    // since the address map is a direct index (two allocations, as its two
-    // sorted arrays were). What is per world is a fixed number of arrays,
-    // the address map and provider tree the routers read among them (1.01
-    // also while they read per-world forwarding, ingress and ancestor
-    // arrays, 2.01 while every network carried a formatted name, 4.52 when
-    // each router had its own table, link map, ingress sets and chain).
+    // 0.0055 per network when the bound was set: all of it per world, a
+    // fixed number of arrays, the address map and provider tree the
+    // routers read among them, since no router is built until an event
+    // reaches it (1.008 per network while every router was boxed up
+    // front, also since the address map is a direct index, two
+    // allocations as its two sorted arrays were; 1.01 while routers read
+    // per-world forwarding, ingress and ancestor arrays, 2.01 while every
+    // network carried a formatted name, 4.52 when each router had its own
+    // table, link map, ingress sets and chain).
     assert!(
-        4 * allocs <= 5 * nets,
+        1000 * allocs <= 7 * nets,
         "building a {nets}-net world made {allocs} allocations"
     );
 }
@@ -152,17 +158,19 @@ fn a_tree_world_is_built_within_its_per_host_budget() {
     let hosts = built.world.host_count() as u64;
     assert_eq!(hosts, 10_001);
     // Every byte and allocation requested while building, transient ones
-    // included: 527 B and 1.03 allocations per host when the bounds were
-    // set, one box of the host's wiring each (805 B and 1.12 while every
-    // host held its counters and self-filter table inline and next hops
-    // came from a heap-based Dijkstra pass per router).
+    // included: 284 B and 0.018 allocations per host when the bounds were
+    // set, since no host or router is built until an event reaches it
+    // (527 B and 1.03 while every host's wiring was boxed up front; 805 B
+    // and 1.12 while every host held its counters and self-filter table
+    // inline and next hops came from a heap-based Dijkstra pass per
+    // router).
     let per_host = bytes / hosts;
     assert!(
-        per_host <= 605,
+        per_host <= 327,
         "building a {hosts}-host tree requested {per_host} B per host"
     );
     assert!(
-        100 * allocs <= 119 * hosts,
+        1000 * allocs <= 21 * hosts,
         "building a {hosts}-host tree made {allocs} allocations"
     );
 }
