@@ -88,10 +88,10 @@ pub fn hub_filters_pushback(n_nets: usize, seed: u64, shards: usize) -> (u64, u6
     let cfg = AitfConfig {
         t_long: SimDuration::from_secs(30),
         detection_delay: SimDuration::from_millis(10),
+        defense: DefensePolicy::Pushback,
         ..AitfConfig::default()
     };
     let scenario = base_scenario(n_nets, cfg)
-        .defense(DefensePolicy::Pushback)
         .shards(shards)
         .probes(ProbeSet::new().end(|w, m| {
             let hub = w.world.router(w.net("hub")).counters().filters_installed;

@@ -45,6 +45,9 @@ pub fn scenario(capacity: usize, policy: EvictionPolicy, duration: SimDuration) 
         // Disconnection would mask the capacity effect (a disconnected
         // zombie stops leaking no matter how small the table is).
         grace: SimDuration::from_secs(3600),
+        filter_capacity: capacity,
+        shadow_capacity: capacity * SHADOW_FACTOR,
+        eviction: policy,
         ..AitfConfig::default()
     };
     Scenario::new(TopologySpec::star(
@@ -54,9 +57,6 @@ pub fn scenario(capacity: usize, policy: EvictionPolicy, duration: SimDuration) 
         10_000_000,
     ))
     .config(cfg)
-    .filter_capacity(capacity)
-    .shadow_capacity(capacity * SHADOW_FACTOR)
-    .eviction(policy)
     .duration(duration)
     .traffic(TrafficSpec::flood(
         HostSel::Role(Role::Attacker),

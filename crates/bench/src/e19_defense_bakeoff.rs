@@ -68,11 +68,11 @@ pub fn scenario(n_nets: usize, duration: SimDuration, policy: DefensePolicy) -> 
     }
     let cfg = AitfConfig {
         t_long: SimDuration::from_secs(30),
+        defense: policy,
         ..AitfConfig::default()
     };
     Scenario::new(topo)
         .config(cfg)
-        .defense(policy)
         .duration(duration)
         .traffic(TrafficSpec::legit(
             HostSel::Role(Role::Legit),

@@ -70,8 +70,9 @@ const SPOOF_POOL_SIZE: u32 = 50;
 /// seed.
 const TOPO_SEED: u64 = 20;
 
-fn config() -> AitfConfig {
+fn config(defense: DefensePolicy) -> AitfConfig {
     AitfConfig {
+        defense,
         t_long: SimDuration::from_secs(30),
         detection_delay: SimDuration::from_millis(10),
         grace: SimDuration::from_secs(3600),
@@ -135,8 +136,7 @@ pub fn scenario(
 ) -> Scenario {
     let pool: aitf_packet::Prefix = "172.16.0.0/16".parse().expect("valid prefix");
     Scenario::new(topology(n_nets, crowd, zombies))
-        .config(config())
-        .defense(policy)
+        .config(config(policy))
         .duration(duration)
         // The crowd's Poisson arrivals desynchronize its sources; the
         // zombies are staggered off their shared 4 ms period lattice (137

@@ -11,7 +11,7 @@
 //!    one rogue hop and watch pushback stall while AITF escalates around
 //!    it and disconnects.
 
-use aitf_core::{AitfConfig, DefensePolicy, NetId, RouterPolicy};
+use aitf_core::{AitfConfig, DefensePolicy, HostPolicy, NetId, RouterPolicy};
 use aitf_engine::{Outcome, Params, ScenarioSpec};
 use aitf_netsim::SimDuration;
 use aitf_scenario::{
@@ -20,24 +20,20 @@ use aitf_scenario::{
 
 use crate::harness::{assert_loop_invariants, checked};
 
-fn config() -> AitfConfig {
-    AitfConfig {
-        t_long: SimDuration::from_secs(30),
-        ..AitfConfig::default()
-    }
-}
-
-/// The shared chain scenario: two depth-`depth` provider chains (E8's
-/// by-level naming), a 1000 pps flood, optionally one rogue attacker-side
-/// hop at `rogue_b_level`.
+/// The shared chain scenario: two depth-`depth` provider chains, a 1000
+/// pps flood, optionally one rogue attacker-side hop at `rogue_b_level`
+/// (0 = the attacker's gateway, `B_1`).
 fn chain_scenario(depth: usize, rogue_b_level: Option<usize>, policy: DefensePolicy) -> Scenario {
-    let mut topo = TopologySpec::chain_pair_by_level(depth);
+    let mut topo = TopologySpec::chain_pair(depth, HostPolicy::Malicious);
     if let Some(level) = rogue_b_level {
-        topo.set_net_policy(&format!("1-{level}"), RouterPolicy::non_cooperating());
+        topo.set_net_policy(&format!("B_{}", level + 1), RouterPolicy::non_cooperating());
     }
     Scenario::new(topo)
-        .config(config())
-        .defense(policy)
+        .config(AitfConfig {
+            t_long: SimDuration::from_secs(30),
+            defense: policy,
+            ..AitfConfig::default()
+        })
         .duration(SimDuration::from_secs(10))
         .traffic(TrafficSpec::flood(
             HostSel::Role(Role::Attacker),
@@ -113,13 +109,13 @@ pub fn rogue_aitf(seed: u64, shards: usize) -> RogueOutcome {
     let mut w = chain_scenario(3, Some(0), DefensePolicy::Aitf)
         .shards(shards)
         .build(seed);
-    let leaf = w.net("1-0");
+    let leaf = w.net("B_1");
     w.world.sim.run_for(SimDuration::from_secs(10));
     let before = uplink_sent(&w.world, leaf);
     w.world.sim.run_for(SimDuration::from_secs(5));
     let after = uplink_sent(&w.world, leaf);
     assert_loop_invariants(&w.world.sim);
-    let disconnected = w.world.router(w.net("1-1")).counters().disconnects_client > 0;
+    let disconnected = w.world.router(w.net("B_2")).counters().disconnects_client > 0;
     RogueOutcome {
         source_cut: disconnected,
         uplink_carried_late: after - before,
@@ -133,7 +129,7 @@ pub fn rogue_pushback(seed: u64, shards: usize) -> RogueOutcome {
     let mut w = chain_scenario(3, Some(0), DefensePolicy::Pushback)
         .shards(shards)
         .build(seed);
-    let leaf = w.net("1-0");
+    let leaf = w.net("B_1");
     w.world.sim.run_for(SimDuration::from_secs(10));
     let edge_filtered = w.world.router(leaf).counters().filters_installed > 0;
     let before = uplink_sent(&w.world, leaf);

@@ -13,7 +13,7 @@
 //! | experiment | paper source | claim |
 //! |------------|--------------|-------|
 //! | [`e1_escalation`] | Fig. 1, §II-D | rounds push filtering to the attacker's side, then disconnect |
-//! | [`e2_effective_bandwidth`] | §IV-A.1 | `r ≈ n(Td+Tr)/T` |
+//! | [`e2_effective_bandwidth`] | §IV-A.1 | `r ≈ n(Td+Tr)/T`, over `(n, T, Tr)` and the `Td × Tr` plane |
 //! | [`e3_protection_capacity`] | §IV-A.2 | `Nv = R1·T` |
 //! | [`e4_victim_gw_resources`] | §IV-B | `nv = R1·Ttmp`, `mv = R1·T` |
 //! | [`e5_attacker_gw_resources`] | §IV-C/D | `na = R2·T` |
@@ -25,7 +25,6 @@
 //! | [`e11_detection`] | §V (detection boundary) | a real rate detector reproduces the assumed `Td` |
 //! | [`e12_mixed_workload`] | §I threat model | mixed legit/attack host ratios at constant load |
 //! | [`e13_filter_pressure`] | §IV-B sizing, stressed | leak degrades once capacity drops below filter demand |
-//! | [`e14_td_tr_grid`] | §IV-A.1 | the full `Td × Tr` grid tracks `(Td+Tr)/T` |
 //! | [`e15_host_churn`] | §III-C under churn | leak recovers after every mid-attack host wave |
 //! | [`e16_deployment_incentive`] | §III, §IV-B | every additional AITF provider pays off for the victim |
 //! | [`e17_provider_churn`] | §III under network churn | leak recovers as providers leave/rejoin AITF mid-attack |
@@ -37,7 +36,6 @@ pub mod e10_scaling;
 pub mod e11_detection;
 pub mod e12_mixed_workload;
 pub mod e13_filter_pressure;
-pub mod e14_td_tr_grid;
 pub mod e15_host_churn;
 pub mod e16_deployment_incentive;
 pub mod e17_provider_churn;
@@ -77,7 +75,6 @@ pub fn registry(quick: bool) -> aitf_engine::Registry {
     r.register(e11_detection::spec(quick));
     r.register(e12_mixed_workload::spec(quick));
     r.register(e13_filter_pressure::spec(quick));
-    r.register(e14_td_tr_grid::spec(quick));
     r.register(e15_host_churn::spec(quick));
     r.register(e16_deployment_incentive::spec(quick));
     r.register(e17_provider_churn::spec(quick));

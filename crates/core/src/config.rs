@@ -76,9 +76,9 @@ pub struct AitfConfig {
     /// instantly instead of waiting `Td` again (footnote 8 of the paper).
     pub fast_reblock: bool,
     /// Which defense populates every border router's hook chains. The
-    /// default is the paper's AITF protocol; `Scenario::defense(..)`
-    /// sweeps the axis (pushback baseline, per-prefix rate-limiting,
-    /// path stamping) through identical topologies and seeds.
+    /// default is the paper's AITF protocol; E19 sweeps the axis
+    /// (pushback baseline, per-prefix rate-limiting, path stamping)
+    /// through identical topologies and seeds.
     pub defense: DefensePolicy,
 }
 

@@ -3,7 +3,7 @@
 /// Which defense populates a border router's hook chains.
 ///
 /// The policy is part of the scenario configuration
-/// (`AitfConfig::defense` / `Scenario::defense(..)`): every router in a
+/// (`AitfConfig::defense`): every router in a
 /// world runs the same policy, and the `e19_defense_bakeoff` experiment
 /// sweeps this axis under identical seeds. The default is the paper's
 /// AITF protocol, pinned bit-identical to the pre-pipeline router by the

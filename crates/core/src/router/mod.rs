@@ -179,12 +179,14 @@ pub(crate) struct Wiring {
     /// [`crate::World::set_router_policy`] through `&mut World` between
     /// runs, so no window ever waits on the lock.
     pub(crate) legacy: RwLock<HashSet<Addr>>,
-    /// Per host, its address, its network, its tail circuit and its
-    /// declared policy.
+    /// Per host, its address, its network and its declared policy.
     pub(crate) host_addr: Vec<Addr>,
     pub(crate) host_net: Vec<u32>,
-    pub(crate) tail_link: Vec<LinkId>,
     pub(crate) host_policy: Vec<HostPolicy>,
+    /// The first host's tail circuit: the build connects them in host
+    /// order, straight after the uplinks. Read through
+    /// [`Wiring::tail_link`].
+    pub(crate) first_tail: u32,
 }
 
 /// What a per-network `u32` of the [`Wiring`] holds where there is no
@@ -208,6 +210,13 @@ pub(crate) fn index_of(word: u32) -> Option<usize> {
 }
 
 impl Wiring {
+    /// Host `host`'s tail circuit, by the rule the build connects them
+    /// by.
+    #[inline]
+    pub(crate) fn tail_link(&self, host: usize) -> LinkId {
+        LinkId(self.first_tail as usize + host)
+    }
+
     /// `net`'s provider; `None` at the top level.
     #[inline]
     pub(crate) fn parent(&self, net: usize) -> Option<usize> {

@@ -478,11 +478,14 @@ impl World {
                 uplink[i] = word(nb.connect(NodeId(i), NodeId(p), net.uplink).0);
             }
         }
-        let tail_links: Vec<LinkId> = hosts
-            .iter()
-            .enumerate()
-            .map(|(i, h)| nb.connect(host_node(i), NodeId(h.net), h.link))
-            .collect();
+        // Host `h`'s tail circuit is link `first_tail + h`: the rule
+        // `Wiring::tail_link` answers by.
+        let first_tail = word(uplink.iter().filter(|&&u| u != NONE).count());
+        let tail = |i: usize| LinkId(first_tail as usize + i);
+        for (i, h) in hosts.iter().enumerate() {
+            let link = nb.connect(host_node(i), NodeId(h.net), h.link);
+            debug_assert_eq!(link, tail(i));
+        }
         let peer_links: Vec<LinkId> = peerings
             .iter()
             .map(|p| nb.connect(NodeId(p.a), NodeId(p.b), p.link))
@@ -491,7 +494,7 @@ impl World {
         let mut sim = nb.build();
 
         // Who hangs off whom, each as one counting sort.
-        let tails = Buckets::group(n, hosts.iter().zip(&tail_links).map(|(h, &l)| (h.net, l)));
+        let tails = Buckets::group(n, hosts.iter().enumerate().map(|(i, h)| (h.net, tail(i))));
         let across = peerings.iter().zip(&peer_links);
         let peers = Buckets::group(
             n,
@@ -540,8 +543,8 @@ impl World {
             legacy,
             host_addr,
             host_net,
-            tail_link: tail_links,
             host_policy: hosts.iter().map(|h| h.policy).collect(),
+            first_tail,
         });
 
         // No router or host is built here: each is made from the wiring, in
@@ -578,7 +581,7 @@ fn make_node(wiring: &Arc<Wiring>, cfg: &Arc<AitfConfig>, node: NodeId) -> Box<d
     let host = EndHost::new(
         wiring.host_addr[h],
         wiring.router_addr[wiring.host_net[h] as usize],
-        wiring.tail_link[h],
+        wiring.tail_link(h),
         Arc::clone(cfg),
         wiring.host_policy[h],
     );
@@ -828,7 +831,7 @@ impl World {
     /// call before the run starts — the host then begins the simulation
     /// offline.
     pub fn detach_host(&mut self, host: HostId) {
-        let link = self.wiring.tail_link[host.0];
+        let link = self.wiring.tail_link(host.0);
         self.sim.set_link_blocked(link, LinkDirection::AToB, true);
         self.sim.set_link_blocked(link, LinkDirection::BToA, true);
         self.host_mut(host).set_attached(false);
@@ -845,7 +848,7 @@ impl World {
         if self.host(host).is_attached() {
             return;
         }
-        let link = self.wiring.tail_link[host.0];
+        let link = self.wiring.tail_link(host.0);
         self.sim.set_link_blocked(link, LinkDirection::AToB, false);
         self.sim.set_link_blocked(link, LinkDirection::BToA, false);
         self.host_mut(host).set_attached(true);
@@ -1530,12 +1533,19 @@ mod proptests {
         b.build()
     }
 
-    /// Every host's address, and `routers`' addresses, routes to `probes`
-    /// and ingress verdicts on every link for sources at `probes`, as
-    /// `decl` says — each router made by the maker to be asked.
+    /// Every host's address and tail circuit, and `routers`' addresses,
+    /// routes to `probes` and ingress verdicts on every link for sources at
+    /// `probes`, as `decl` says — each router made by the maker to be
+    /// asked.
     fn check(decl: &Decl, w: &mut World, routers: &[usize], probes: &[Addr]) {
         for h in 0..decl.hosts.len() {
             assert_eq!(w.host_addr(HostId(h)), decl.host_addr(h));
+            // The rule's link joins the host to its network's router.
+            let ends = (
+                w.host_node(HostId(h)),
+                w.router_node(NetId(decl.hosts[h].0)),
+            );
+            assert_eq!(w.sim.link_endpoints(w.wiring.tail_link(h)), ends);
         }
         for &i in routers {
             let links = w.sim.links_of(w.router_node(NetId(i))).to_vec();

@@ -10,9 +10,16 @@
 //!     workload:      WorkloadSpec, // floods, legit pools, on/off, spoofing
 //!     churn:         ChurnSpec,    // scheduled mid-run mutations (dynamic worlds)
 //!     probes:        ProbeSet,     // leak ratio, filter peaks, sampled series
-//!     config:        AitfConfig,   // + duration, defense (AITF vs pushback vs ...)
+//!     config:        AitfConfig,   // every protocol parameter: Td, table sizes, defense, ...
 //! }
 //! ```
+//!
+//! Each swept quantity has one place to be declared. A protocol parameter
+//! (`Td`, a table capacity, the eviction rule, the defense policy) is a
+//! field of the [`aitf_core::AitfConfig`] literal handed to
+//! [`Scenario::config`]; a link's delay or bandwidth (`Tr` is the victim's
+//! tail circuit) is part of the [`TopologySpec`]. `Scenario` itself sets
+//! no config field.
 //!
 //! [`Scenario::run`] builds the [`aitf_core::World`], compiles the
 //! workload onto its hosts, simulates, measures, and returns an

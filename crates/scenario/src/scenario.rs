@@ -25,9 +25,7 @@
 //! assert!(outcome.events > 0);
 //! ```
 
-use aitf_core::{
-    AitfConfig, DefensePolicy, DetectionMode, EvictionPolicy, NetId, RouterPolicy, World,
-};
+use aitf_core::{AitfConfig, DefensePolicy, DetectionMode, NetId, RouterPolicy, World};
 // The seed-derived rank of a partial deployment's draw is the engine
 // family's SplitMix64 mixer, shared with derived sweep seeds.
 use aitf_engine::{splitmix, Outcome, Params};
@@ -35,7 +33,7 @@ use aitf_netsim::{NodeId, PartitionError, SimDuration};
 
 use crate::churn::{ChurnAction, ChurnSpec};
 use crate::probe::{ProbeSet, SeriesStore};
-use crate::topology::{BuiltWorld, HostDecl, Role, Side, TopologySpec};
+use crate::topology::{BuiltWorld, HostDecl, Side, TopologySpec};
 use crate::workload::{TrafficSpec, WorkloadSpec};
 
 /// A scenario-specification error, detected by [`Scenario::validate`]
@@ -166,7 +164,8 @@ impl Scenario {
         }
     }
 
-    /// Sets the protocol configuration.
+    /// Sets the protocol configuration: the one place a scenario sets a
+    /// protocol parameter (`Td`, table sizes, eviction, the defense).
     pub fn config(mut self, cfg: AitfConfig) -> Self {
         self.config = cfg;
         self
@@ -196,39 +195,6 @@ impl Scenario {
         self
     }
 
-    // ------------------------------------------------------------------
-    // First-class sweep axes. Each of these is a plain field tweak —
-    // they exist so the quantities of the paper's sizing formulas
-    // (`r ≈ n(Td+Tr)/T`, `nv = R1·Ttmp`) are one-call sweepable from an
-    // experiment's point runner.
-    // ------------------------------------------------------------------
-
-    /// Sets every border router's wire-speed filter-table capacity
-    /// (§IV-B: sized `nv = R1·Ttmp` at the victim's gateway).
-    pub fn filter_capacity(mut self, capacity: usize) -> Self {
-        self.config.filter_capacity = capacity;
-        self
-    }
-
-    /// Sets every border router's DRAM shadow-cache capacity (§IV-B:
-    /// sized `mv = R1·T`).
-    pub fn shadow_capacity(mut self, capacity: usize) -> Self {
-        self.config.shadow_capacity = capacity;
-        self
-    }
-
-    /// Sets what a full filter table does.
-    pub fn eviction(mut self, policy: EvictionPolicy) -> Self {
-        self.config.eviction = policy;
-        self
-    }
-
-    /// Sets `Td`, the victim's detection delay for a new undesired flow.
-    pub fn td(mut self, td: SimDuration) -> Self {
-        self.config.detection_delay = td;
-        self
-    }
-
     /// Sets the partial-deployment axis (§III — the incentive E16
     /// sweeps): a seed-drawn `fraction` of the eligible networks, those
     /// off the victim's side and declared AITF-enabled, runs AITF, and the
@@ -241,24 +207,6 @@ impl Scenario {
         self
     }
 
-    /// Sets `Tr`, the one-way victim→gateway delay, by rewriting the
-    /// victim host's tail-circuit propagation delay (bandwidth and queue
-    /// are untouched).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the topology declares no [`Role::Victim`] host.
-    pub fn tr(mut self, tr: SimDuration) -> Self {
-        let i = self
-            .topology
-            .hosts
-            .iter()
-            .position(|h| h.role == Role::Victim)
-            .expect("tr() needs a Role::Victim host in the topology");
-        self.topology.hosts[i].link.delay = tr;
-        self
-    }
-
     /// Sets the probe set.
     pub fn probes(mut self, probes: ProbeSet) -> Self {
         self.probes = probes;
@@ -268,14 +216,6 @@ impl Scenario {
     /// Sets the simulated horizon.
     pub fn duration(mut self, duration: SimDuration) -> Self {
         self.duration = duration;
-        self
-    }
-
-    /// Selects the defense policy every border router runs — the N-way
-    /// bake-off axis (AITF, hop-by-hop pushback, ingress rate-limiting,
-    /// capability-style path stamping).
-    pub fn defense(mut self, policy: DefensePolicy) -> Self {
-        self.config.defense = policy;
         self
     }
 

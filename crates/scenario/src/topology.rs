@@ -3,9 +3,12 @@
 //! canned shapes the paper's evaluation uses.
 //!
 //! - [`TopologySpec::fig1`] — the paper's Figure 1 path: two three-level
-//!   provider hierarchies peered at the top, one victim, one attacker.
+//!   provider hierarchies peered at the top, one victim, one attacker;
+//!   [`TopologySpec::fig1_with_victim_link`] also sets the victim's tail
+//!   circuit (E2's `Tr`).
 //! - [`TopologySpec::chain_pair`] — the same shape with configurable
-//!   depth, for the escalation and pushback comparisons.
+//!   depth, for the escalation and pushback comparisons. Both come from
+//!   one chain generator; only the networks' names and prefixes differ.
 //! - [`TopologySpec::star`] — one victim network plus `M` attacker
 //!   networks around a hub, for capacity and scaling experiments.
 //! - [`TopologySpec::tree`] — a multi-level provider tree whose leaves
@@ -242,45 +245,18 @@ impl TopologySpec {
     /// [`TopologySpec::fig1`] with an explicit victim tail circuit — E2
     /// sweeps the victim→gateway delay `Tr` through it.
     pub fn fig1_with_victim_link(attacker_policy: HostPolicy, victim_link: LinkParams) -> Self {
-        let mut t = TopologySpec::new();
-        let d = RouterPolicy::default;
-        let l = WorldBuilder::default_net_link;
-        let g_wan = t.net_with("G_wan", "10.103.0.0/16", None, d(), l(), Side::Victim);
-        let g_isp = t.net_with(
-            "G_isp",
-            "10.102.0.0/16",
-            Some(g_wan),
-            d(),
-            l(),
-            Side::Victim,
-        );
-        let g_net = t.net_with("G_net", "10.1.0.0/16", Some(g_isp), d(), l(), Side::Victim);
-        let b_wan = t.net_with("B_wan", "10.203.0.0/16", None, d(), l(), Side::Attacker);
-        let b_isp = t.net_with(
-            "B_isp",
-            "10.202.0.0/16",
-            Some(b_wan),
-            d(),
-            l(),
-            Side::Attacker,
-        );
-        let b_net = t.net_with(
-            "B_net",
-            "10.9.0.0/16",
-            Some(b_isp),
-            d(),
-            l(),
-            Side::Attacker,
-        );
-        t.peer(g_wan, b_wan, WorldBuilder::default_net_link());
-        t.host_with(g_net, Role::Victim, HostPolicy::Compliant, victim_link);
-        t.host_with(
-            b_net,
-            Role::Attacker,
-            attacker_policy,
-            WorldBuilder::default_host_link(),
-        );
-        t
+        // Per side, leaf first: the paper's names and their /16s.
+        const NETS: [[(&str, u8); 3]; 2] = [
+            [("G_net", 1), ("G_isp", 102), ("G_wan", 103)],
+            [("B_net", 9), ("B_isp", 202), ("B_wan", 203)],
+        ];
+        Self::chains(3, attacker_policy, victim_link, |side, level, _| {
+            let (name, second) = NETS[side][level];
+            (
+                name.to_string(),
+                Prefix::new(Addr::new(10, second, 0, 0), 16),
+            )
+        })
     }
 
     /// Two provider chains of `depth` networks each, peered at the top;
@@ -292,28 +268,22 @@ impl TopologySpec {
     ///
     /// Panics if `depth` is zero.
     pub fn chain_pair(depth: usize, attacker_policy: HostPolicy) -> Self {
-        Self::chains(depth, attacker_policy, |side, level, alloc| {
+        let victim_link = WorldBuilder::default_host_link();
+        Self::chains(depth, attacker_policy, victim_link, |side, level, alloc| {
             let tag = if side == 0 { "G" } else { "B" };
             (format!("{}_{}", tag, level + 1), alloc.next_slash16())
         })
     }
 
-    /// [`TopologySpec::chain_pair`] with the E8 naming/prefix scheme
-    /// (`<side>-<level>` over `10.{1 + 100·side + level}.0.0/16`), kept
-    /// for record compatibility with the pushback comparison.
-    pub fn chain_pair_by_level(depth: usize) -> Self {
-        Self::chains(depth, HostPolicy::Malicious, |side, level, _| {
-            let second = u8::try_from(1 + 100 * side + level).expect("depth fits the /16 plan");
-            (
-                format!("{side}-{level}"),
-                Prefix::new(Addr::new(10, second, 0, 0), 16),
-            )
-        })
-    }
-
+    /// The one chain generator: a victim-side and an attacker-side chain
+    /// of `depth` networks, each declared top-down and named by
+    /// `naming(side, level, ..)` with level 0 at the leaf, peered at the
+    /// top; the victim hangs off the victim-side leaf on `victim_link`,
+    /// the attacker off the other.
     fn chains(
         depth: usize,
         attacker_policy: HostPolicy,
+        victim_link: LinkParams,
         mut naming: impl FnMut(usize, usize, &mut PrefixAlloc) -> (String, Prefix),
     ) -> Self {
         assert!(depth > 0, "depth must be at least 1");
@@ -346,7 +316,7 @@ impl TopologySpec {
             }
         }
         t.peer(tops[0], tops[1], WorldBuilder::default_net_link());
-        t.host(leaves[0], Role::Victim);
+        t.host_with(leaves[0], Role::Victim, HostPolicy::Compliant, victim_link);
         t.host_with(
             leaves[1],
             Role::Attacker,
@@ -645,8 +615,7 @@ impl TopologySpec {
     // ------------------------------------------------------------------
 
     /// Builds the world. Every border router runs the defense named by
-    /// `cfg.defense` (see [`aitf_core::DefensePolicy`]); the scenario
-    /// layer sets it through `Scenario::defense(..)`.
+    /// `cfg.defense` (see [`aitf_core::DefensePolicy`]).
     ///
     /// # Panics
     ///

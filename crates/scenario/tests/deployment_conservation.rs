@@ -158,8 +158,10 @@ fn full_tables_on_the_deferred_confirm_path_keep_the_identity_strict() {
 fn every_bakeoff_policy_keeps_the_request_identity() {
     for policy in DefensePolicy::BAKEOFF {
         let scenario = Scenario::new(topology())
-            .config(AitfConfig::default())
-            .defense(policy)
+            .config(AitfConfig {
+                defense: policy,
+                ..AitfConfig::default()
+            })
             .duration(SimDuration::from_secs(2))
             .traffic(flood());
         let mut world = scenario.build(7);

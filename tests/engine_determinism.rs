@@ -44,10 +44,10 @@ fn e13_filter_pressure_is_thread_count_invariant() {
 }
 
 #[test]
-fn e14_td_tr_grid_is_thread_count_invariant() {
-    // The Td/Tr first-class axes rebuild config and topology per point;
-    // the grid must stay bit-identical at any thread count.
-    assert_thread_invariant(aitf_bench::e14_td_tr_grid::spec(true));
+fn e2_effective_bandwidth_is_thread_count_invariant() {
+    // Td, Tr and T rebuild config and topology per point; the grid and
+    // the Td x Tr plane must stay bit-identical at any thread count.
+    assert_thread_invariant(aitf_bench::e2_effective_bandwidth::spec(true));
 }
 
 #[test]

@@ -23,7 +23,7 @@ fn run_quick(ids: &[&str]) {
 #[test]
 fn all_experiments_run_quick() {
     run_quick(&[
-        "e1", "e3", "e5", "e6", "e7", "e9", "e12", "e14", "e15", "e16", "e17",
+        "e1", "e3", "e5", "e6", "e7", "e9", "e12", "e15", "e16", "e17",
     ]);
 }
 
